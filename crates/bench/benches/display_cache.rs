@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use displaydb_client::dlc::{Dlc, DlmBackend};
 use displaydb_common::{DbResult, DisplayId, Oid, TxnId};
 use displaydb_display::{DisplayCache, DisplayObject};
-use displaydb_dlm::{DlmEvent, UpdateInfo};
+use displaydb_dlm::{DlmEvent, ShardCursor, UpdateInfo};
 use displaydb_schema::Value;
 use std::hint::black_box;
 use std::sync::Arc;
@@ -13,6 +13,9 @@ use std::sync::Arc;
 struct NullBackend;
 impl DlmBackend for NullBackend {
     fn lock(&self, _: Vec<Oid>) -> DbResult<()> {
+        Ok(())
+    }
+    fn lock_projected(&self, _: Vec<Oid>, _: Vec<u16>, _: u32) -> DbResult<()> {
         Ok(())
     }
     fn release(&self, _: Vec<Oid>) -> DbResult<()> {
@@ -25,6 +28,9 @@ impl DlmBackend for NullBackend {
         Ok(())
     }
     fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
+        Ok(())
+    }
+    fn replay_from(&self, _: Vec<ShardCursor>) -> DbResult<()> {
         Ok(())
     }
 }

@@ -12,7 +12,7 @@ use crate::{Scale, Table};
 use displaydb_client::{ClientConfig, DbClient};
 use displaydb_display::schema::{color_coded_link, width_coded_link};
 use displaydb_display::{Display, DisplayCache};
-use displaydb_dlm::{DlmAgent, DlmConfig, DlmCore};
+use displaydb_dlm::{DlmAgent, DlmConfig, ShardedDlm};
 use displaydb_schema::Value;
 use displaydb_wire::LocalHub;
 use std::sync::Arc;
@@ -169,7 +169,7 @@ fn figure3() -> Table {
         let bed = Bed::plain("e0-fig3-agent").unwrap();
         let dlm_hub = LocalHub::new();
         let agent = DlmAgent::spawn(
-            Arc::new(DlmCore::new(DlmConfig::default())),
+            Arc::new(ShardedDlm::new(DlmConfig::default())),
             Box::new(dlm_hub.clone()),
         );
         let connect = |name: &str| {
@@ -185,13 +185,13 @@ fn figure3() -> Table {
         let delivered = one_update_roundtrip(&bed, &viewer, &updater);
         t.row(vec![
             "agent (paper § 4.1)".into(),
-            agent.core().locked_objects().to_string(),
+            agent.dlm().locked_objects().to_string(),
             if delivered > 0 {
                 "ok".into()
             } else {
                 "FAILED".into()
             },
-            agent.core().stats().notifications.get().to_string(),
+            agent.dlm().stats().notifications.get().to_string(),
         ]);
     }
     t

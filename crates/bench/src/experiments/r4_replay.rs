@@ -284,9 +284,9 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
         if replay {
             // Fully caught up, not just "has a cursor": a lagging cursor
             // would make the replay redeliver part of the warm-up.
-            let head = server.core().dlm().update_log().head();
+            let head = server.core().dlm().update_log_of(0).head();
             let deadline = Instant::now() + Duration::from_secs(10);
-            while viewer.client.dlc().cursor() < head {
+            while viewer.client.dlc().cursor_of(0) < head {
                 assert!(
                     Instant::now() < deadline,
                     "viewer cursor never reached {head}"

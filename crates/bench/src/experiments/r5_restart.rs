@@ -264,7 +264,7 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
             .expect("update");
         txn.commit().expect("commit");
     }
-    let head = server.core().dlm().update_log().head();
+    let head = server.core().dlm().update_log_of(0).head();
     for viewer in &fleet {
         await_value(&viewer.display, *viewer.ids.last().expect("ids"), 0.01);
         while viewer
@@ -274,7 +274,7 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
             > 0
         {}
         let deadline = Instant::now() + Duration::from_secs(10);
-        while viewer.client.dlc().cursor() < head {
+        while viewer.client.dlc().cursor_of(0) < head {
             assert!(
                 Instant::now() < deadline,
                 "viewer cursor never reached {head}"

@@ -26,7 +26,7 @@ use crate::report::{self, Metrics, Table};
 use crate::Scale;
 use displaydb_common::trace::{self, Stage, StageBreakdown, TraceEvent};
 use displaydb_common::{ClientId, DbResult, Oid};
-use displaydb_dlm::{DlmConfig, DlmEvent, EventSink, OutboxSink, ShardMap, ShardedDlm, UpdateInfo};
+use displaydb_dlm::{DlmConfig, DlmEvent, EventSink, ShardMap, ShardedDlm, UpdateInfo};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -225,19 +225,16 @@ fn fan_out(shards: usize, oids: &[Oid], rounds: usize, wire_latency: Duration) -
 
     let delivered = Arc::new(AtomicU64::new(0));
     let deliveries: Arc<Mutex<Vec<(u64, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sinks: Vec<Arc<dyn EventSink>> = (0..shards)
-        .map(|_| {
-            let inner: Arc<dyn EventSink> = Arc::new(SleepySink {
-                latency: wire_latency,
-                delivered: Arc::clone(&delivered),
-                deliveries: Arc::clone(&deliveries),
-            });
-            let outbox: Arc<dyn EventSink> =
-                OutboxSink::wrap(inner, config.overload, dlm.stats().overload.clone());
-            outbox
-        })
-        .collect();
-    dlm.register_client_sinks(client, sinks);
+    // One session: an outbox (and writer thread) per shard, all
+    // draining into the same simulated wire.
+    dlm.register_session(
+        client,
+        Arc::new(SleepySink {
+            latency: wire_latency,
+            delivered: Arc::clone(&delivered),
+            deliveries: Arc::clone(&deliveries),
+        }),
+    );
     dlm.lock(client, oids);
 
     let batch = oids.len();

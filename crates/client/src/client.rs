@@ -9,9 +9,9 @@ use crate::txn::ClientTxn;
 use displaydb_common::backoff::ReconnectPolicy;
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
-use displaydb_dlm::{DlmAgentConnection, DlmEvent, UpdateInfo};
+use displaydb_dlm::{DlmAgentConnection, DlmEvent, ShardCursor, UpdateInfo};
 use displaydb_schema::{Catalog, DbObject};
-use displaydb_server::proto::{Request, Response, ResumeCursors, ResumeRequest, ShardCursor};
+use displaydb_server::proto::{Request, Response, ResumeRequest};
 use displaydb_wire::{Channel, Decode};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -68,10 +68,6 @@ pub struct SessionInfo {
     pub incarnation: u64,
     /// How many times this session has been resumed (0 = fresh).
     pub epoch: u64,
-    /// Shard 0's durable update-log incarnation (0 = none); the full
-    /// per-shard vector is `log_incarnations`. Kept for diagnostics and
-    /// single-shard deployments, where it *is* the log incarnation.
-    pub log_incarnation: u64,
     /// Per-shard durable update-log incarnations (index = shard, 0 =
     /// that shard has no durable log). They travel with the per-shard
     /// notification cursors on resume: a shard's cursor is only
@@ -142,28 +138,10 @@ impl DlmBackend for IntegratedBackend {
     fn report_resolution(&self, _oids: Vec<Oid>, _txn: TxnId, _committed: bool) -> DbResult<()> {
         Ok(())
     }
-    fn replay_from(&self, cursor: u64, _incarnation: u64) -> DbResult<()> {
-        // The server validated the cursor's log incarnation during the
-        // resume handshake; a live connection cannot change it.
+    fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
         self.conn
             .get()
-            .call(Request::ReplayFrom { cursor })
-            .map(|_| ())
-    }
-    fn replay_from_shard(&self, shard: u32, cursor: u64, _incarnation: u64) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::ReplayFromShards {
-                cursors: vec![(shard, cursor)],
-            })
-            .map(|_| ())
-    }
-    fn replay_from_shards(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::ReplayFromShards {
-                cursors: cursors.to_vec(),
-            })
+            .call(Request::ReplayFrom { cursors })
             .map(|_| ())
     }
 }
@@ -212,8 +190,8 @@ impl DlmBackend for AgentCell {
     fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()> {
         self.get()?.report_resolution(oids, txn, committed)
     }
-    fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        self.get()?.replay_from(cursor, incarnation)
+    fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
+        self.get()?.replay_from(cursors)
     }
 }
 
@@ -309,6 +287,7 @@ impl DbClient {
         let dlc = Arc::new(Dlc::new(Arc::new(IntegratedBackend {
             conn: Arc::clone(&cell),
         })));
+        dlc.adopt_log_incarnations(&outcome.session.log_incarnations);
         set_delta_hook(&dlc, &cache, disk.as_ref());
         let sink: Arc<dyn PushSink> = Arc::new(Sink {
             cache: Arc::clone(&cache),
@@ -375,6 +354,7 @@ impl DbClient {
                 dlc.dispatch(event);
             }
         })?;
+        dlc.adopt_log_incarnations(agent.log_incarnations());
         agent_cell.set(Arc::new(agent));
 
         let sink: Arc<dyn PushSink> = Arc::new(Sink {
@@ -435,8 +415,7 @@ impl DbClient {
                 resumed,
                 stale,
                 replay_ok,
-                log_incarnation,
-                shard_log_incarnations,
+                log_incarnations,
             } => Ok(HandshakeOutcome {
                 catalog: Catalog::decode_from_bytes(&catalog)?,
                 session: SessionInfo {
@@ -444,12 +423,7 @@ impl DbClient {
                     token: session,
                     incarnation,
                     epoch,
-                    log_incarnation,
-                    log_incarnations: if shard_log_incarnations.is_empty() {
-                        vec![log_incarnation]
-                    } else {
-                        shard_log_incarnations
-                    },
+                    log_incarnations,
                 },
                 resumed,
                 stale,
@@ -468,36 +442,21 @@ impl DbClient {
     pub(crate) fn try_resume(&self, channel: Box<dyn Channel>) -> DbResult<bool> {
         let conn =
             Connection::with_stats(channel, self.config.call_timeout, self.conn_stats.clone());
-        let (token, incarnation, log_incarnations) = {
+        let (token, incarnation) = {
             let s = self.session.lock();
-            (s.token, s.incarnation, s.log_incarnations.clone())
+            (s.token, s.incarnation)
         };
         // The cache does not track commit versions, so the manifest
         // claims version 0 for everything; the server conservatively
         // reports stale any copy it cannot prove current.
         let manifest: Vec<(Oid, u64)> = self.cache.oids().into_iter().map(|oid| (oid, 0)).collect();
         // The per-shard notification cursors travel with the resume
-        // token (version-2 form) so the server can decide up front, per
-        // shard, whether that shard's update log still covers everything
-        // this client missed. Shards the client has no ack from yet ride
-        // along with cursor 0, paired with the log incarnation learned
-        // at the previous handshake.
-        let acked = self.dlc.cursors();
-        let nshards = log_incarnations.len().max(acked.len());
-        let mut shard_cursors: Vec<ShardCursor> = (0..nshards)
-            .map(|s| ShardCursor {
-                shard: s as u32,
-                cursor: 0,
-                log_incarnation: log_incarnations.get(s).copied().unwrap_or(0),
-            })
-            .collect();
-        for (shard, cursor) in &acked {
-            shard_cursors[*shard as usize].cursor = *cursor;
-        }
-        let replay_cursors: Vec<(u32, u64)> = shard_cursors
-            .iter()
-            .map(|sc| (sc.shard, sc.cursor))
-            .collect();
+        // token so the server can decide up front, per shard, whether
+        // that shard's update log still covers everything this client
+        // missed. Shards the client has no ack from yet ride along with
+        // cursor 0, each paired with the log incarnation learned at the
+        // previous handshake.
+        let cursors = self.dlc.cursors();
         let outcome = Self::handshake(
             &conn,
             &self.config.name,
@@ -505,7 +464,7 @@ impl DbClient {
                 token,
                 incarnation,
                 manifest,
-                cursors: ResumeCursors::Shards(shard_cursors),
+                cursors: cursors.clone(),
             }),
         )?;
         let recovery = &self.conn_stats.recovery;
@@ -524,6 +483,8 @@ impl DbClient {
         if let Some(sink) = sink {
             conn.set_push_sink(sink);
         }
+        self.dlc
+            .adopt_log_incarnations(&outcome.session.log_incarnations);
         *self.session.lock() = outcome.session;
         // Swap first: the relock below rides the new connection (in the
         // integrated deployment the DLC backend is this same cell).
@@ -544,7 +505,7 @@ impl DbClient {
                 // cursors: catch-up instead of resync across a restart.
                 recovery.cross_restart_replays.inc();
             }
-            self.dlc.backend().replay_from_shards(&replay_cursors)?;
+            self.dlc.backend().replay_from(cursors)?;
         } else {
             if outcome.resumed {
                 recovery.replay_truncations.inc();
@@ -574,36 +535,35 @@ impl DbClient {
             }
         })?;
         self.conn_stats.recovery.reconnects_ok.inc();
-        // The session incarnation the old connection's cursor was acked
-        // under (0 = there was no old connection; live agents always
-        // report a nonzero incarnation — durable or a per-start nonce).
-        let prev_incarnation = agent_cell.get().map(|a| a.agent_incarnation()).unwrap_or(0);
+        // The cursors acked on the old connection, under the
+        // incarnations its handshake announced.
+        let cursors = self.dlc.cursors();
         let agent = Arc::new(agent);
-        let incarnation = agent.agent_incarnation();
+        self.dlc.adopt_log_incarnations(agent.log_incarnations());
         agent_cell.set(Arc::clone(&agent));
         self.dlc.relock_all()?;
         // Ask the agent to replay the notification suffix past our
-        // cursor. If its log no longer covers the cursor (or logging is
-        // off) it answers with ResyncRequired for the watched set, which
-        // the dispatch path turns into forced refreshes — so the blanket
-        // "resync everything watched" only happens when it truly must.
-        // A changed incarnation means our cursor's seqno space is gone
-        // (the agent restarted or lost its log): skip the doomed replay
-        // round-trip and resync outright. An *absent* previous
-        // incarnation is a mismatch, not a wildcard — with no proof the
-        // seqno space survived, a replay could silently skip updates.
-        let cursor = self.dlc.cursor();
-        let incarnation_ok = prev_incarnation != 0 && prev_incarnation == incarnation;
-        let replayed = incarnation_ok && agent.replay_from(cursor, incarnation).is_ok();
+        // cursors. A shard whose log no longer covers its cursor (or
+        // logging is off) answers with ResyncRequired for the watched
+        // set, which the dispatch path turns into forced refreshes — so
+        // the blanket "resync everything watched" only happens when it
+        // truly must. A changed incarnation means that cursor's seqno
+        // space is gone (the agent restarted or lost its log); when
+        // every shard's is, skip the doomed replay round-trip and resync
+        // outright. Agent incarnations are never 0, so cursors from "no
+        // old connection" match nothing — with no proof the seqno space
+        // survived, a replay could silently skip updates.
+        let survived = cursors
+            .iter()
+            .any(|sc| agent.log_incarnations().get(sc.shard as usize) == Some(&sc.log_incarnation));
+        let replayed = survived && agent.replay_from(cursors).is_ok();
         if replayed {
+            // Cursor validity crossed connection (and, with a durable
+            // log, process) lifetimes (DESIGN.md § 14).
             self.conn_stats.recovery.replay_catchups.inc();
-            if incarnation != 0 {
-                // Cursor validity crossed process lifetimes on the
-                // strength of the durable log (DESIGN.md § 14).
-                self.conn_stats.recovery.cross_restart_replays.inc();
-            }
+            self.conn_stats.recovery.cross_restart_replays.inc();
         } else {
-            if !incarnation_ok {
+            if !survived {
                 self.conn_stats.recovery.replay_truncations.inc();
             }
             let watched = self.dlc.watched_objects();

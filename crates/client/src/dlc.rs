@@ -17,7 +17,7 @@
 use displaydb_common::metrics::{Counter, Gauge};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{DbResult, DisplayId, Oid, OverloadConfig, TxnId};
-use displaydb_dlm::{DlmAgentConnection, DlmEvent, UpdateInfo};
+use displaydb_dlm::{DlmEvent, ShardCursor, UpdateInfo};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -27,13 +27,8 @@ pub trait DlmBackend: Send + Sync {
     fn lock(&self, oids: Vec<Oid>) -> DbResult<()>;
     /// Forward a display-lock request with an attribute projection: the
     /// DLM should only notify for changes touching `attrs` (layout
-    /// indices), as deltas tagged with `version`. The default falls back
-    /// to a plain (full-interest) lock for backends that predate
-    /// projections.
-    fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()> {
-        let _ = (attrs, version);
-        self.lock(oids)
-    }
+    /// indices), as deltas tagged with `version`.
+    fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()>;
     /// Forward a release.
     fn release(&self, oids: Vec<Oid>) -> DbResult<()>;
     /// Report a committed update (agent deployment only; the integrated
@@ -44,72 +39,12 @@ pub trait DlmBackend: Send + Sync {
     fn report_intent(&self, oids: Vec<Oid>, txn: TxnId) -> DbResult<()>;
     /// Report an intention's resolution (agent deployment only).
     fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()>;
-    /// Ask the DLM to replay every logged update after `cursor` that
-    /// intersects this client's interests. The suffix (or a
-    /// `ResyncRequired` fallback when the cursor was truncated) arrives
-    /// on the notification stream. Backends that predate the update log
-    /// report `Disconnected` so callers fall back to a full resync.
-    ///
-    /// `incarnation` names the log incarnation the cursor was acked
-    /// under (DESIGN.md § 14); 0 means "don't care" — correct whenever
-    /// cursor and log provably share a lifetime (same live connection,
-    /// or an in-process backend).
-    fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        let _ = (cursor, incarnation);
-        Err(displaydb_common::DbError::Disconnected)
-    }
-    /// Shard-aware replay (DESIGN.md § 16): replay one shard's log from
-    /// that shard's cursor. The default maps shard 0 onto the legacy
-    /// single-cursor [`Self::replay_from`] — correct against an unsharded
-    /// DLM, whose only seqno space *is* shard 0 — and reports
-    /// `Disconnected` for any other shard so callers fall back to a
-    /// resync.
-    fn replay_from_shard(&self, shard: u32, cursor: u64, incarnation: u64) -> DbResult<()> {
-        if shard == 0 {
-            self.replay_from(cursor, incarnation)
-        } else {
-            let _ = (cursor, incarnation);
-            Err(displaydb_common::DbError::Disconnected)
-        }
-    }
-    /// Fan a recovery out across shards: replay each `(shard, cursor)`
-    /// pair. Backends with a shard-vector wire request override this
-    /// with one message; the default loops over
-    /// [`Self::replay_from_shard`].
-    fn replay_from_shards(&self, cursors: &[(u32, u64)]) -> DbResult<()> {
-        for &(shard, cursor) in cursors {
-            self.replay_from_shard(shard, cursor, 0)?;
-        }
-        Ok(())
-    }
-}
-
-/// Agent deployment: the backend is a dedicated DLM connection.
-impl DlmBackend for DlmAgentConnection {
-    fn lock(&self, oids: Vec<Oid>) -> DbResult<()> {
-        DlmAgentConnection::lock(self, oids)
-    }
-    fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()> {
-        DlmAgentConnection::lock_projected(self, oids, attrs, version)
-    }
-    fn release(&self, oids: Vec<Oid>) -> DbResult<()> {
-        DlmAgentConnection::release(self, oids)
-    }
-    fn report_commit(&self, updates: Vec<UpdateInfo>) -> DbResult<()> {
-        DlmAgentConnection::report_commit(self, updates)
-    }
-    fn report_intent(&self, oids: Vec<Oid>, txn: TxnId) -> DbResult<()> {
-        DlmAgentConnection::report_intent(self, oids, txn)
-    }
-    fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()> {
-        DlmAgentConnection::report_resolution(self, oids, txn, committed)
-    }
-    fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        DlmAgentConnection::replay_from(self, cursor, incarnation)
-    }
-    // The agent deployment stays single-shard (one DLM process, one
-    // log): the default shard-0 mapping of `replay_from_shard` is
-    // exactly right, so no override.
+    /// Ask the DLM to replay, per listed shard, every logged update past
+    /// the cursor that intersects this client's interests. The suffix
+    /// (or, for a shard whose cursor was truncated or acked under
+    /// another log incarnation, a `ResyncRequired` fallback) arrives on
+    /// the notification stream.
+    fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()>;
 }
 
 /// What a display receives from its DLC subscription: either a DLM
@@ -160,10 +95,11 @@ pub struct DlcStats {
     pub cursor_acks_in: Counter,
     /// `ReplayNeeded` markers answered with a `ReplayFrom{cursor}`.
     pub replays_requested: Counter,
-    /// Cursor acks that regressed (lower seqno than already recorded).
-    /// Expected exactly when the DLM restarted with a fresh seqno space;
-    /// counted and ignored — the cursor stays monotone within an
-    /// incarnation and resets only on a full resync.
+    /// Cursor acks that regressed (lower seqno than already recorded —
+    /// expected exactly when the DLM restarted with a fresh seqno
+    /// space) or named a shard the handshake never announced. Counted
+    /// and ignored — a cursor stays monotone within an incarnation and
+    /// resets only on a full resync.
     pub cursor_gaps: Counter,
     /// Events dropped because a display's bounded queue was full. A
     /// display that stops draining its queue loses notifications rather
@@ -251,15 +187,14 @@ pub struct Dlc {
     /// registration changes so stale in-flight deltas are detectable.
     version_gen: std::sync::atomic::AtomicU32,
     delta_hook: OrderedMutex<Option<DeltaHook>>,
-    /// Last update-log seqno the server acknowledged as fully
-    /// delivered, per DLM shard (DESIGN.md §§ 13, 16): index = shard,
-    /// grown on demand as tagged acks arrive. An unsharded DLM only
-    /// ever acks shard 0, so the vector degenerates to the old single
-    /// cursor. Carried in the resume token (as a cursor vector) so
-    /// reconnects can recover with a shard-parallel replay instead of a
-    /// full resync. Leaf lock: taken alone, updated, released — never
-    /// nested.
-    cursors: OrderedMutex<Vec<u64>>,
+    /// This client's position in every DLM shard's update log (DESIGN.md
+    /// §§ 13, 16): index = shard, one entry per incarnation the last
+    /// handshake announced ([`Dlc::adopt_log_incarnations`]), each
+    /// holding the last seqno the DLM acknowledged as fully delivered.
+    /// Sent as is in replay requests and resume tokens, so reconnects
+    /// can recover with a shard-parallel replay instead of a full
+    /// resync. Leaf lock: taken alone, updated, released — never nested.
+    cursors: OrderedMutex<Vec<ShardCursor>>,
 }
 
 impl Dlc {
@@ -289,32 +224,39 @@ impl Dlc {
         }
     }
 
-    /// The last server-acknowledged update-log seqno of shard 0 (0 =
-    /// never acked, replay-from-0 streams the whole retained log).
-    /// Against an unsharded DLM this is *the* cursor.
-    pub fn cursor(&self) -> u64 {
-        self.cursors.lock().first().copied().unwrap_or(0)
+    /// Adopt the per-shard log incarnations a handshake announced
+    /// (index = shard): the cursor vector takes their length — acks for
+    /// any other shard are refused — and a shard whose incarnation
+    /// changed restarts at cursor 0, its old seqno space being gone.
+    pub fn adopt_log_incarnations(&self, log_incarnations: &[u64]) {
+        let mut cursors = self.cursors.lock();
+        *cursors = log_incarnations
+            .iter()
+            .enumerate()
+            .map(|(s, &log_incarnation)| match cursors.get(s) {
+                Some(sc) if sc.log_incarnation == log_incarnation => *sc,
+                _ => ShardCursor {
+                    shard: s as u32,
+                    cursor: 0,
+                    log_incarnation,
+                },
+            })
+            .collect();
     }
 
-    /// The last acknowledged seqno in `shard`'s log (0 = never acked).
+    /// The last acknowledged seqno in `shard`'s log (0 = never acked:
+    /// a replay from it streams the whole retained log).
     pub fn cursor_of(&self, shard: u32) -> u64 {
         self.cursors
             .lock()
             .get(shard as usize)
-            .copied()
-            .unwrap_or(0)
+            .map_or(0, |sc| sc.cursor)
     }
 
-    /// Every shard's acknowledged cursor, `(shard, seqno)` in shard
-    /// order — the vector a resume token carries (DESIGN.md § 16).
-    /// Empty until the first ack arrives.
-    pub fn cursors(&self) -> Vec<(u32, u64)> {
-        self.cursors
-            .lock()
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as u32, c))
-            .collect()
+    /// The cursor vector, in shard order — what a replay request or a
+    /// resume token carries (DESIGN.md § 16).
+    pub fn cursors(&self) -> Vec<ShardCursor> {
+        self.cursors.lock().clone()
     }
 
     /// Forget every shard's cursor after a full resync: the next
@@ -322,26 +264,22 @@ impl Dlc {
     /// how the client crosses into a restarted DLM's fresh seqno
     /// spaces.
     pub fn reset_cursor(&self) {
-        self.cursors.lock().clear();
+        for sc in self.cursors.lock().iter_mut() {
+            sc.cursor = 0;
+        }
     }
 
-    /// Record one shard-tagged cursor acknowledgement, monotone per
-    /// shard.
+    /// Record one cursor acknowledgement, monotone per shard.
     fn record_ack(&self, shard: u32, seqno: u64) {
         self.stats.cursor_acks_in.inc();
-        let mut cursors = self.cursors.lock();
-        let idx = shard as usize;
-        if cursors.len() <= idx {
-            cursors.resize(idx + 1, 0);
-        }
-        if seqno >= cursors[idx] {
-            cursors[idx] = seqno;
-        } else {
-            // A regressed ack (restarted DLM, fresh seqno space): count
-            // it, keep the cursor monotone, and let the truncation
-            // fallback on the next replay resolve the mismatch. Never
-            // panic on the reader.
-            self.stats.cursor_gaps.inc();
+        match self.cursors.lock().get_mut(shard as usize) {
+            Some(sc) if seqno >= sc.cursor => sc.cursor = seqno,
+            // A regressed ack (restarted DLM, fresh seqno space) or a
+            // shard index the handshake never announced — the index is
+            // wire input and must not size anything: count it, keep the
+            // vector as is, and let the truncation fallback on the next
+            // replay resolve a real mismatch. Never panic on the reader.
+            _ => self.stats.cursor_gaps.inc(),
         }
     }
 
@@ -551,49 +489,32 @@ impl Dlc {
         // Cursor-protocol control events are connection plumbing, not
         // notifications: handle them before the notification counters.
         match &event {
-            // An untagged ack comes from an unsharded DLM, whose one
-            // seqno space is shard 0 by definition.
-            DlmEvent::CursorAck { seqno } => {
-                self.record_ack(0, *seqno);
-                return;
-            }
-            DlmEvent::ShardCursorAck { shard, seqno } => {
+            DlmEvent::CursorAck { shard, seqno } => {
                 self.record_ack(*shard, *seqno);
                 return;
             }
-            DlmEvent::ReplayNeeded { .. } => {
-                // The outbox swept our backlog into the update log.
+            DlmEvent::ReplayNeeded { shard, .. } => {
+                // That shard's outbox swept our backlog into its update
+                // log; only that shard replays — the other shards'
+                // streams flow on undisturbed. A marker for a shard the
+                // handshake never announced is dropped like an ack for
+                // one.
+                let Some(cursor) = self.cursors.lock().get(*shard as usize).copied() else {
+                    self.stats.cursor_gaps.inc();
+                    return;
+                };
                 // Answer with ReplayFrom — from a detached thread, NOT
                 // here: in the integrated deployment this dispatch runs
                 // on the connection reader, and the replay request is a
                 // blocking call whose response needs that same reader.
                 self.stats.replays_requested.inc();
                 let backend = Arc::clone(&self.backend);
-                let cursor = self.cursor();
                 // On error the connection is dying; supervisor-driven
                 // reconnect recovery (replay or resync) takes over.
-                // Incarnation 0: the marker arrived on a live connection,
-                // so cursor and log cannot have diverged.
                 let _ = std::thread::Builder::new()
                     .name("dlc-replay".into())
                     .spawn(move || {
-                        let _ = backend.replay_from(cursor, 0);
-                    });
-                return;
-            }
-            DlmEvent::ShardReplayNeeded { shard, .. } => {
-                // Same as ReplayNeeded, scoped to one shard's seqno
-                // space: only that shard's backlog was swept, so only
-                // that shard replays — the other shards' streams flow
-                // on undisturbed.
-                self.stats.replays_requested.inc();
-                let backend = Arc::clone(&self.backend);
-                let shard = *shard;
-                let cursor = self.cursor_of(shard);
-                let _ = std::thread::Builder::new()
-                    .name("dlc-replay".into())
-                    .spawn(move || {
-                        let _ = backend.replay_from_shard(shard, cursor, 0);
+                        let _ = backend.replay_from(vec![cursor]);
                     });
                 return;
             }
@@ -632,11 +553,7 @@ impl Dlc {
                 }
                 *oid
             }
-            DlmEvent::Batch(_)
-            | DlmEvent::CursorAck { .. }
-            | DlmEvent::ShardCursorAck { .. }
-            | DlmEvent::ReplayNeeded { .. }
-            | DlmEvent::ShardReplayNeeded { .. } => {
+            DlmEvent::Batch(_) | DlmEvent::CursorAck { .. } | DlmEvent::ReplayNeeded { .. } => {
                 unreachable!("handled above")
             }
             // Ready is a connection-level handshake ack, not an object
@@ -796,8 +713,8 @@ mod tests {
         locks: Mutex<Vec<Oid>>,
         releases: Mutex<Vec<Oid>>,
         projected: Mutex<Vec<ProjectedCall>>,
-        /// (shard, cursor) per replay request reaching the backend.
-        replays: Mutex<Vec<(u32, u64)>>,
+        /// The cursor vector of each replay request reaching the backend.
+        replays: Mutex<Vec<Vec<ShardCursor>>>,
     }
 
     impl DlmBackend for MockBackend {
@@ -822,12 +739,8 @@ mod tests {
         fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
             Ok(())
         }
-        fn replay_from(&self, cursor: u64, _incarnation: u64) -> DbResult<()> {
-            self.replays.lock().push((0, cursor));
-            Ok(())
-        }
-        fn replay_from_shard(&self, shard: u32, cursor: u64, _incarnation: u64) -> DbResult<()> {
-            self.replays.lock().push((shard, cursor));
+        fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
+            self.replays.lock().push(cursors);
             Ok(())
         }
     }
@@ -1185,38 +1098,84 @@ mod tests {
         dlc.dispatch(delta(o(2), version));
     }
 
+    fn sc(shard: u32, cursor: u64, log_incarnation: u64) -> ShardCursor {
+        ShardCursor {
+            shard,
+            cursor,
+            log_incarnation,
+        }
+    }
+
     #[test]
-    fn shard_cursor_acks_track_independent_spaces() {
+    fn cursor_acks_track_independent_spaces() {
         let backend: Arc<dyn DlmBackend> = Arc::new(MockBackend::default());
         let dlc = Dlc::new(backend);
-        // Untagged acks are shard 0; tagged acks land in their slot.
-        dlc.dispatch(DlmEvent::CursorAck { seqno: 5 });
-        dlc.dispatch(DlmEvent::ShardCursorAck { shard: 2, seqno: 9 });
-        dlc.dispatch(DlmEvent::ShardCursorAck { shard: 0, seqno: 7 });
-        assert_eq!(dlc.cursor(), 7);
+        dlc.adopt_log_incarnations(&[70, 71, 72]);
+        dlc.dispatch(DlmEvent::CursorAck { shard: 0, seqno: 5 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 2, seqno: 9 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 0, seqno: 7 });
+        assert_eq!(dlc.cursor_of(0), 7);
         assert_eq!(dlc.cursor_of(1), 0, "untouched shard stays at 0");
         assert_eq!(dlc.cursor_of(2), 9);
-        assert_eq!(dlc.cursors(), vec![(0, 7), (1, 0), (2, 9)]);
+        assert_eq!(
+            dlc.cursors(),
+            vec![sc(0, 7, 70), sc(1, 0, 71), sc(2, 9, 72)]
+        );
         assert_eq!(dlc.stats().cursor_acks_in.get(), 3);
         // A regressed ack in one shard gaps only that shard's space.
-        dlc.dispatch(DlmEvent::ShardCursorAck { shard: 2, seqno: 3 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 2, seqno: 3 });
         assert_eq!(dlc.cursor_of(2), 9, "cursor stays monotone");
         assert_eq!(dlc.stats().cursor_gaps.get(), 1);
         // A full resync voids every shard's cursor.
         dlc.dispatch(DlmEvent::ResyncRequired { oids: vec![] });
-        assert!(dlc.cursors().is_empty());
-        assert_eq!(dlc.cursor_of(2), 0);
+        assert_eq!(
+            dlc.cursors(),
+            vec![sc(0, 0, 70), sc(1, 0, 71), sc(2, 0, 72)]
+        );
+        // A new handshake keeps the cursors whose incarnation survived
+        // and restarts the rest, at the new shard count.
+        dlc.dispatch(DlmEvent::CursorAck { shard: 0, seqno: 4 });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 1, seqno: 6 });
+        dlc.adopt_log_incarnations(&[70, 99]);
+        assert_eq!(dlc.cursors(), vec![sc(0, 4, 70), sc(1, 0, 99)]);
     }
 
     #[test]
-    fn shard_replay_needed_replays_that_shard_only() {
+    fn hostile_shard_index_is_counted_and_dropped() {
+        // The shard index is wire input. One ack naming shard u32::MAX
+        // used to size the cursor vector (32 GB); now anything past the
+        // handshake's shard count is refused, and the reader lives on.
         let backend = Arc::new(MockBackend::default());
         let dlc = Dlc::new(Arc::clone(&backend) as Arc<dyn DlmBackend>);
-        dlc.dispatch(DlmEvent::ShardCursorAck {
+        dlc.adopt_log_incarnations(&[70, 71]);
+        dlc.dispatch(DlmEvent::CursorAck {
+            shard: u32::MAX,
+            seqno: 1,
+        });
+        dlc.dispatch(DlmEvent::CursorAck { shard: 2, seqno: 1 });
+        dlc.dispatch(DlmEvent::ReplayNeeded {
+            shard: u32::MAX,
+            from: 1,
+        });
+        assert_eq!(dlc.cursors(), vec![sc(0, 0, 70), sc(1, 0, 71)]);
+        assert_eq!(dlc.stats().cursor_gaps.get(), 3);
+        assert_eq!(dlc.stats().replays_requested.get(), 0);
+        // In-range traffic still works afterwards.
+        dlc.dispatch(DlmEvent::CursorAck { shard: 1, seqno: 8 });
+        assert_eq!(dlc.cursor_of(1), 8);
+        assert!(backend.replays.lock().is_empty());
+    }
+
+    #[test]
+    fn replay_needed_replays_that_shard_only() {
+        let backend = Arc::new(MockBackend::default());
+        let dlc = Dlc::new(Arc::clone(&backend) as Arc<dyn DlmBackend>);
+        dlc.adopt_log_incarnations(&[70, 71, 72, 73]);
+        dlc.dispatch(DlmEvent::CursorAck {
             shard: 3,
             seqno: 11,
         });
-        dlc.dispatch(DlmEvent::ShardReplayNeeded { shard: 3, from: 8 });
+        dlc.dispatch(DlmEvent::ReplayNeeded { shard: 3, from: 8 });
         // The replay request goes out from a detached thread.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         loop {
@@ -1229,7 +1188,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert_eq!(*backend.replays.lock(), vec![(3, 11)]);
+        assert_eq!(*backend.replays.lock(), vec![vec![sc(3, 11, 73)]]);
         assert_eq!(dlc.stats().replays_requested.get(), 1);
     }
 
@@ -1238,6 +1197,9 @@ mod tests {
         struct FailBackend;
         impl DlmBackend for FailBackend {
             fn lock(&self, _: Vec<Oid>) -> DbResult<()> {
+                Err(DbError::Disconnected)
+            }
+            fn lock_projected(&self, _: Vec<Oid>, _: Vec<u16>, _: u32) -> DbResult<()> {
                 Err(DbError::Disconnected)
             }
             fn release(&self, _: Vec<Oid>) -> DbResult<()> {
@@ -1250,6 +1212,9 @@ mod tests {
                 Ok(())
             }
             fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
+                Ok(())
+            }
+            fn replay_from(&self, _: Vec<ShardCursor>) -> DbResult<()> {
                 Ok(())
             }
         }

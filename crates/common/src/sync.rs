@@ -12,7 +12,7 @@
 //!
 //! The rule is enforced twice:
 //!
-//! * **statically** by the `lockcheck` workspace linter, which maps lock
+//! * **statically** by the `invcheck` workspace linter, which maps lock
 //!   call sites to this same registry and rejects acquisition-order
 //!   cycles at lint time, and
 //! * **dynamically** under the `lock-audit` feature (on in debug/test
@@ -88,8 +88,8 @@ impl LockRank {
 /// The declared lock registry: every ranked lock in the workspace, one
 /// constant per lock (or per multi-instance lock class).
 ///
-/// The table is mirrored by `crates/lockcheck`'s static registry (which
-/// maps source call sites to these ranks); a lockcheck self-test fails
+/// The table is mirrored by `crates/invcheck`'s static registry (which
+/// maps source call sites to these ranks); an invcheck self-test fails
 /// if the two drift apart. Gaps between ranks are deliberate room for
 /// future locks. See DESIGN.md § 11 for the rank table with
 /// guards-what documentation.
@@ -153,18 +153,14 @@ pub mod ranks {
     /// Per-waiter grant state inside the lock manager (one per queued
     /// request; acquired while scanning the queue).
     pub const LOCKMGR_WAITER: LockRank = LockRank::new_multi(375, "lockmgr.waiter");
-    /// The display-lock manager's holder/sink table.
-    pub const DLM_TABLE: LockRank = LockRank::new(380, "dlm.table");
-    /// One shard's holder/sink table in the partitioned DLM (one lock
-    /// per shard; a commit's fan-out threads each take exactly one, so
-    /// same-rank instances never nest on a thread).
-    pub const DLM_SHARD_TABLE: LockRank = LockRank::new_multi(381, "dlm.shard_table");
-    /// The DLM's bounded replayable update log (appended under
-    /// `dlm.table` on the commit path; read alone when serving replay).
-    pub const DLM_UPDATE_LOG: LockRank = LockRank::new(385, "dlm.update_log");
-    /// One shard's replayable update log (independent seqno space per
-    /// shard; appended under that shard's `dlm.shard_table`).
-    pub const DLM_SHARD_LOG: LockRank = LockRank::new_multi(386, "dlm.shard_log");
+    /// One DLM shard's holder/sink table (one lock per shard; a
+    /// commit's fan-out threads each take exactly one, so same-rank
+    /// instances never nest on a thread).
+    pub const DLM_TABLE: LockRank = LockRank::new_multi(380, "dlm.table");
+    /// One DLM shard's bounded replayable update log (independent seqno
+    /// space per shard; appended before that shard's fan-out, read
+    /// alone when serving replay).
+    pub const DLM_UPDATE_LOG: LockRank = LockRank::new_multi(385, "dlm.update_log");
     /// The DLM agent's live session-channel list.
     pub const DLM_AGENT_SESSIONS: LockRank = LockRank::new(390, "dlm.agent_sessions");
     /// A per-client outbox's coalescing queue + writer state.
@@ -209,7 +205,7 @@ pub mod ranks {
     /// The trace module's ring-buffered event sink.
     pub const TRACE_SINK: LockRank = LockRank::new(700, "trace.sink");
 
-    /// Every declared rank, sorted ascending. The lockcheck registry and
+    /// Every declared rank, sorted ascending. The invcheck registry and
     /// DESIGN.md § 11 table are validated against this list.
     pub const ALL: &[LockRank] = &[
         STATS_REGISTRY,
@@ -238,9 +234,7 @@ pub mod ranks {
         LOCKMGR_TABLE,
         LOCKMGR_WAITER,
         DLM_TABLE,
-        DLM_SHARD_TABLE,
         DLM_UPDATE_LOG,
-        DLM_SHARD_LOG,
         DLM_AGENT_SESSIONS,
         OUTBOX_STATE,
         STORE_DIRECTORY,

@@ -23,7 +23,7 @@
 //! [`ranks::TRACE_SINK`] — the highest rank in the hierarchy, because a
 //! stage may be recorded while holding any other lock in the system
 //! (outbox state during a drain, a wire writer during a send). The
-//! lockcheck linter and the runtime audit both see it like every other
+//! invcheck linter and the runtime audit both see it like every other
 //! ranked lock.
 
 use crate::sync::{ranks, OrderedMutex};

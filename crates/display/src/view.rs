@@ -377,9 +377,7 @@ impl Display {
             | DlmEvent::Lagging
             | DlmEvent::Batch(_)
             | DlmEvent::CursorAck { .. }
-            | DlmEvent::ReplayNeeded { .. }
-            | DlmEvent::ShardCursorAck { .. }
-            | DlmEvent::ShardReplayNeeded { .. } => {}
+            | DlmEvent::ReplayNeeded { .. } => {}
         }
         Ok(())
     }

@@ -7,9 +7,9 @@
 //! (never acknowledged), and notifications flow back over the same
 //! connection.
 
-use crate::core::{DlmCore, EventSink};
-use crate::outbox::OutboxSink;
-use crate::proto::{DlmEvent, DlmRequest, UpdateInfo};
+use crate::core::EventSink;
+use crate::proto::{DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
+use crate::shard::ShardedDlm;
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
 use displaydb_wire::{Channel, Decode, Encode, Listener};
@@ -40,7 +40,7 @@ impl EventSink for ChannelSink {
 
 /// A running DLM agent accepting connections on its own listener.
 pub struct DlmAgent {
-    core: Arc<DlmCore>,
+    dlm: Arc<ShardedDlm>,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     sessions: Arc<OrderedMutex<Vec<Arc<dyn Channel>>>>,
@@ -48,11 +48,11 @@ pub struct DlmAgent {
 
 impl DlmAgent {
     /// Start the agent over `listener`.
-    pub fn spawn(core: Arc<DlmCore>, listener: Box<dyn Listener>) -> Self {
+    pub fn spawn(dlm: Arc<ShardedDlm>, listener: Box<dyn Listener>) -> Self {
         let shutdown = Arc::new(AtomicBool::new(false));
         let sessions: Arc<OrderedMutex<Vec<Arc<dyn Channel>>>> =
             Arc::new(OrderedMutex::new(ranks::DLM_AGENT_SESSIONS, Vec::new()));
-        let accept_core = Arc::clone(&core);
+        let accept_dlm = Arc::clone(&dlm);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_sessions = Arc::clone(&sessions);
         let accept_thread = std::thread::Builder::new()
@@ -61,12 +61,12 @@ impl DlmAgent {
                 while !accept_shutdown.load(Ordering::Acquire) {
                     match listener.accept_timeout(Duration::from_millis(100)) {
                         Ok(channel) => {
-                            let core = Arc::clone(&accept_core);
+                            let dlm = Arc::clone(&accept_dlm);
                             let channel: Arc<dyn Channel> = Arc::from(channel);
                             accept_sessions.lock().push(Arc::clone(&channel));
                             std::thread::Builder::new()
                                 .name("dlm-session".into())
-                                .spawn(move || session_loop(core, channel))
+                                .spawn(move || session_loop(dlm, channel))
                                 .expect("spawn dlm session");
                         }
                         Err(DbError::Timeout(_)) => continue,
@@ -76,16 +76,16 @@ impl DlmAgent {
             })
             .expect("spawn dlm accept thread");
         Self {
-            core,
+            dlm,
             shutdown,
             accept_thread: Some(accept_thread),
             sessions,
         }
     }
 
-    /// The shared DLM core (for inspecting stats in tests/benches).
-    pub fn core(&self) -> &Arc<DlmCore> {
-        &self.core
+    /// The DLM behind the agent (for inspecting stats in tests/benches).
+    pub fn dlm(&self) -> &Arc<ShardedDlm> {
+        &self.dlm
     }
 
     /// Stop the agent: no new connections, and every live session channel
@@ -111,7 +111,7 @@ impl Drop for DlmAgent {
     }
 }
 
-fn session_loop(core: Arc<DlmCore>, channel: Arc<dyn Channel>) {
+fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
     // First frame must identify the client.
     let client = match channel
         .recv()
@@ -123,46 +123,26 @@ fn session_loop(core: Arc<DlmCore>, channel: Arc<dyn Channel>) {
     };
     // Ack the handshake *before* registering the sink, so `Ready` is
     // guaranteed to be the first frame the client reads — no notification
-    // can be queued ahead of it. The ack names the update-log session
-    // incarnation — the durable incarnation when the log spills, a
-    // process-local nonce otherwise, never 0 — so a resuming client
-    // knows whether its cursor's seqno namespace survived (DESIGN.md
-    // § 14). An agent without a durable log gets a fresh nonce on every
-    // restart, which is exactly right: its seqno space restarted too.
-    let incarnation = core.update_log().session_incarnation();
-    if channel
-        .send(DlmEvent::Ready { incarnation }.encode_to_bytes())
-        .is_err()
-    {
+    // can be queued ahead of it. The ack names each shard's update-log
+    // session incarnation — the durable incarnation when the log spills,
+    // a process-local nonce otherwise, never 0 — so a resuming client
+    // knows whether its cursors' seqno namespaces survived (DESIGN.md
+    // § 14). An agent without a durable log gets fresh nonces on every
+    // restart, which is exactly right: its seqno spaces restarted too.
+    let announced = dlm.session_incarnations();
+    let ready = DlmEvent::Ready {
+        log_incarnations: announced.clone(),
+    };
+    if channel.send(ready.encode_to_bytes()).is_err() {
         channel.close();
         return;
     }
-    // The wire sink is wrapped in a bounded outbox (DESIGN.md § 9): the
-    // fan-out loop only ever enqueues, and the outbox's writer thread
-    // absorbs a slow or stalled client connection.
-    // With a durable log behind the DLM, every cursor the outbox acks is
-    // spilled as a frontier record so the client can resume past a
-    // restart.
-    let recorder: Option<Arc<dyn Fn(u64) + Send + Sync>> = if core.update_log().is_durable() {
-        let rec_core = Arc::clone(&core);
-        Some(Arc::new(move |cursor| {
-            let _ = rec_core.update_log().record_frontier(client, cursor);
-        }))
-    } else {
-        None
-    };
-    core.register_client(
+    dlm.register_session(
         client,
-        OutboxSink::wrap_with_recorder(
-            Arc::new(ChannelSink {
-                channel: Arc::clone(&channel),
-                bytes: core.stats().overload.notify_bytes.clone(),
-            }),
-            core.config().overload,
-            core.stats().overload.clone(),
-            core.update_log().enabled(),
-            recorder,
-        ),
+        Arc::new(ChannelSink {
+            channel: Arc::clone(&channel),
+            bytes: dlm.stats().overload.notify_bytes.clone(),
+        }),
     );
     while let Ok(frame) = channel.recv() {
         let request = match DlmRequest::decode_from_bytes(&frame) {
@@ -171,47 +151,34 @@ fn session_loop(core: Arc<DlmCore>, channel: Arc<dyn Channel>) {
         };
         match request {
             DlmRequest::Hello { .. } => break, // protocol violation
-            DlmRequest::Lock { oids } => core.lock(client, &oids),
+            DlmRequest::Lock { oids } => dlm.lock(client, &oids),
             DlmRequest::LockProjected {
                 oids,
                 attrs,
                 version,
-            } => core.lock_projected(client, &oids, &attrs, version),
-            DlmRequest::Release { oids } => core.release(client, &oids),
-            DlmRequest::UpdateCommitted { updates } => {
-                core.notify_committed(Some(client), &updates)
-            }
-            DlmRequest::WriteIntent { oids, txn } => core.notify_intent(Some(client), &oids, txn),
+            } => dlm.lock_projected(client, &oids, &attrs, version),
+            DlmRequest::Release { oids } => dlm.release(client, &oids),
+            DlmRequest::UpdateCommitted { updates } => dlm.notify_committed(Some(client), &updates),
+            DlmRequest::WriteIntent { oids, txn } => dlm.notify_intent(Some(client), &oids, txn),
             DlmRequest::Resolution {
                 oids,
                 txn,
                 committed,
-            } => core.notify_resolution(Some(client), &oids, txn, committed),
-            DlmRequest::ReplayFrom {
-                cursor,
-                incarnation,
-            } => {
+            } => dlm.notify_resolution(Some(client), &oids, txn, committed),
+            DlmRequest::ReplayFrom { cursors } => {
                 // Fire-and-forget like every other agent request: the
                 // outcome arrives as replayed events (or a
                 // ResyncRequired fallback) on the notification stream.
-                // A cursor acked under a different log incarnation is
-                // meaningless here — force the truncated path so the
-                // client resyncs. Strict equality against the *session*
-                // incarnation: an absent durable incarnation is a
-                // per-process nonce, never 0, so a client that lost (or
-                // never had) the incarnation its cursor was acked under
-                // can no longer slip a stale cursor past admission by
-                // sending 0 — 0 matches nothing.
-                if incarnation != core.update_log().session_incarnation() {
-                    core.replay_for(client, u64::MAX);
-                } else {
-                    core.replay_for(client, cursor);
-                }
+                // Admission is strict equality against the incarnations
+                // this session was told: they are never 0, so a client
+                // that lost (or never had) the incarnation its cursor
+                // was acked under cannot slip a stale cursor past it.
+                dlm.replay_for_shards(client, &cursors, &announced);
             }
             DlmRequest::Bye => break,
         }
     }
-    core.unregister_client(client);
+    dlm.unregister_client(client);
     channel.close();
 }
 
@@ -225,10 +192,10 @@ pub struct DlmAgentConnection {
     /// the void.
     dead: Arc<AtomicBool>,
     death_watchers: Arc<OrderedMutex<Vec<crossbeam::channel::Sender<()>>>>,
-    /// Session-incarnation id from the agent's handshake `Ready`
-    /// (never 0: the agent mints a per-process nonce when it has no
-    /// durable update log).
-    agent_incarnation: u64,
+    /// Per-shard session incarnations from the agent's handshake
+    /// `Ready` (never 0: the agent mints per-process nonces when it has
+    /// no durable update log).
+    log_incarnations: Vec<u64>,
 }
 
 impl DlmAgentConnection {
@@ -252,8 +219,8 @@ impl DlmAgentConnection {
         let channel: Arc<dyn Channel> = Arc::from(channel);
         channel.send(DlmRequest::Hello { client }.encode_to_bytes())?;
         let ack = channel.recv_timeout(Self::READY_TIMEOUT)?;
-        let agent_incarnation = match DlmEvent::decode_from_bytes(&ack)? {
-            DlmEvent::Ready { incarnation } => incarnation,
+        let log_incarnations = match DlmEvent::decode_from_bytes(&ack)? {
+            DlmEvent::Ready { log_incarnations } => log_incarnations,
             _ => {
                 channel.close();
                 return Err(DbError::Protocol("dlm agent did not ack handshake".into()));
@@ -302,16 +269,17 @@ impl DlmAgentConnection {
             reader: Some(reader),
             dead,
             death_watchers,
-            agent_incarnation,
+            log_incarnations,
         })
     }
 
-    /// The update-log session incarnation the agent announced in its
-    /// handshake `Ready` — never 0 (a non-durable agent announces a
-    /// per-process nonce, so a restarted agent is always detectable).
-    /// Cursors are only worth persisting together with this value.
-    pub fn agent_incarnation(&self) -> u64 {
-        self.agent_incarnation
+    /// The per-shard update-log session incarnations the agent
+    /// announced in its handshake `Ready`, index = shard — never 0 (a
+    /// non-durable agent announces per-process nonces, so a restarted
+    /// agent is always detectable). Cursors are only worth persisting
+    /// together with these values.
+    pub fn log_incarnations(&self) -> &[u64] {
+        &self.log_incarnations
     }
 
     /// Whether the agent side of the connection has gone away.
@@ -373,26 +341,13 @@ impl DlmAgentConnection {
         self.send(DlmRequest::WriteIntent { oids, txn })
     }
 
-    /// Ask the agent to replay every logged update after `cursor` that
-    /// intersects this client's registered interests (fire-and-forget;
-    /// the suffix — or a `ResyncRequired` fallback if the cursor was
-    /// truncated — arrives on the notification stream).
-    /// `incarnation` is the log incarnation the cursor was acked under
-    /// (pass the persisted value for a resume, or 0 for a cursor
-    /// obtained on *this* connection — 0 is substituted with the
-    /// handshake's [`Self::agent_incarnation`] before it hits the wire,
-    /// because the agent admits replay only on an exact incarnation
-    /// match and deliberately has no wildcard).
-    pub fn replay_from(&self, cursor: u64, incarnation: u64) -> DbResult<()> {
-        let incarnation = if incarnation == 0 {
-            self.agent_incarnation
-        } else {
-            incarnation
-        };
-        self.send(DlmRequest::ReplayFrom {
-            cursor,
-            incarnation,
-        })
+    /// Ask the agent to replay, per listed shard, every logged update
+    /// past the cursor that intersects this client's registered
+    /// interests (fire-and-forget; the suffix — or a `ResyncRequired`
+    /// fallback for a shard whose cursor was truncated or acked under
+    /// another incarnation — arrives on the notification stream).
+    pub fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
+        self.send(DlmRequest::ReplayFrom { cursors })
     }
 
     /// Report how an earlier intention resolved.
@@ -429,7 +384,7 @@ mod tests {
 
     fn agent(config: DlmConfig) -> (DlmAgent, LocalHub) {
         let hub = LocalHub::new();
-        let agent = DlmAgent::spawn(Arc::new(DlmCore::new(config)), Box::new(hub.clone()));
+        let agent = DlmAgent::spawn(Arc::new(ShardedDlm::new(config)), Box::new(hub.clone()));
         (agent, hub)
     }
 
@@ -513,7 +468,7 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(100));
         assert!(viewer_rx.try_recv().is_err());
-        assert_eq!(agent.core().stats().notifications.get(), 0);
+        assert_eq!(agent.dlm().stats().notifications.get(), 0);
     }
 
     #[test]
@@ -523,17 +478,17 @@ mod tests {
             let (viewer, _rx) = connect(&hub, 1);
             viewer.lock(vec![Oid::new(1)]).unwrap();
             std::thread::sleep(Duration::from_millis(50));
-            assert_eq!(agent.core().locked_objects(), 1);
+            assert_eq!(agent.dlm().locked_objects(), 1);
             viewer.bye();
         }
         // Wait for the session loop to process the disconnect.
         for _ in 0..50 {
-            if agent.core().locked_objects() == 0 {
+            if agent.dlm().locked_objects() == 0 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(agent.core().locked_objects(), 0);
+        assert_eq!(agent.dlm().locked_objects(), 0);
     }
 
     #[test]
@@ -544,14 +499,28 @@ mod tests {
         // from a previous agent process replay silently.
         let (_agent, hub) = agent(DlmConfig::default());
         let (conn, _rx) = connect(&hub, 1);
-        assert_ne!(conn.agent_incarnation(), 0);
+        assert!(!conn.log_incarnations().contains(&0));
+    }
+
+    /// The cursor vector that replays every shard from `cursor` under
+    /// the given incarnations.
+    fn cursors_from(cursor: u64, incarnations: &[u64]) -> Vec<ShardCursor> {
+        incarnations
+            .iter()
+            .enumerate()
+            .map(|(s, &log_incarnation)| ShardCursor {
+                shard: s as u32,
+                cursor,
+                log_incarnation,
+            })
+            .collect()
     }
 
     #[test]
-    fn live_replay_with_zero_incarnation_still_replays() {
-        // A cursor obtained on this connection replays fine when the
-        // caller passes the 0 placeholder — the connection substitutes
-        // its handshake incarnation, which matches by construction.
+    fn live_replay_under_handshake_incarnation_replays() {
+        // A cursor obtained on this connection replays under the
+        // incarnation the handshake announced, which matches by
+        // construction.
         let (_agent, hub) = agent(DlmConfig::default());
         let (viewer, viewer_rx) = connect(&hub, 1);
         let (updater, _urx) = connect(&hub, 2);
@@ -564,7 +533,9 @@ mod tests {
         // drains), then the replayed copy after the replay request.
         let live = viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert!(matches!(live, DlmEvent::Updated(_)));
-        viewer.replay_from(0, 0).unwrap();
+        viewer
+            .replay_from(cursors_from(0, viewer.log_incarnations()))
+            .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
             let e = viewer_rx
@@ -600,17 +571,19 @@ mod tests {
                 .unwrap();
             let e = viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap();
             assert!(matches!(e, DlmEvent::Updated(_)));
-            viewer.agent_incarnation()
+            viewer.log_incarnations().to_vec()
         };
         drop(agent1);
 
         // "Restart": a fresh agent process with an empty in-memory log.
         let (_agent2, hub2) = agent(DlmConfig::default());
         let (viewer, viewer_rx) = connect(&hub2, 1);
-        assert_ne!(viewer.agent_incarnation(), old_incarnation);
+        assert_ne!(viewer.log_incarnations(), old_incarnation);
         viewer.lock(vec![Oid::new(7)]).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        viewer.replay_from(1, old_incarnation).unwrap();
+        viewer
+            .replay_from(cursors_from(1, &old_incarnation))
+            .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
             let e = viewer_rx
@@ -625,6 +598,114 @@ mod tests {
                 _ => continue,
             }
         }
+    }
+
+    #[test]
+    fn two_shard_agent_overflow_replays_the_overflowed_shard_only() {
+        // The agent deployment at shards = 2. Every agent → client send
+        // is slowed so a burst into one shard overflows that shard's
+        // outbox; recovery must stay inside that shard's seqno space:
+        // ReplayNeeded{hot} → ReplayFrom[hot] → replayed suffix →
+        // CursorAck{hot}, with the other shard's stream untouched.
+        use displaydb_wire::{FaultPlan, FaultyListener};
+        let mut config = DlmConfig {
+            shards: 2,
+            ..DlmConfig::default()
+        };
+        config.overload.outbox_high_water = 4;
+        config.overload.lagging_after_overflows = 99;
+        let hub = LocalHub::new();
+        let plan = Arc::new(FaultPlan::new());
+        plan.set_delay(1000, Duration::from_millis(10));
+        let agent = DlmAgent::spawn(
+            Arc::new(ShardedDlm::new(config)),
+            Box::new(FaultyListener::wrap(Box::new(hub.clone()), plan)),
+        );
+        let (viewer, rx) = connect(&hub, 1);
+        let (updater, _urx) = connect(&hub, 2);
+        assert_eq!(viewer.log_incarnations().len(), 2);
+
+        let map = agent.dlm().map();
+        let (hot, calm) = (0u32, 1u32);
+        let in_shard = |shard: u32| {
+            (0u64..)
+                .map(Oid::new)
+                .filter(move |&o| map.shard_of(o) == shard)
+        };
+        let hot_oids: Vec<Oid> = in_shard(hot).take(24).collect();
+        let calm_oid = in_shard(calm).next().unwrap();
+        let mut watched = hot_oids.clone();
+        watched.push(calm_oid);
+        viewer.lock(watched).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while agent.dlm().locked_objects() < 25 {
+            assert!(std::time::Instant::now() < deadline, "locks never landed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let next = |what: &str| {
+            rx.recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("timed out waiting for {what}"))
+        };
+
+        // One commit in the calm shard: delivered and acked in its own
+        // seqno space.
+        updater
+            .report_commit(vec![UpdateInfo::lazy(calm_oid)])
+            .unwrap();
+        assert_eq!(
+            next("calm update"),
+            DlmEvent::Updated(UpdateInfo::lazy(calm_oid))
+        );
+        assert_eq!(
+            next("calm ack"),
+            DlmEvent::CursorAck {
+                shard: calm,
+                seqno: 1
+            }
+        );
+
+        // One commit of 24 updates, all in the hot shard: the writer is
+        // asleep inside its first (slowed) send while the rest of the
+        // fan-out lands on a 4-deep queue.
+        updater
+            .report_commit(hot_oids.iter().map(|&o| UpdateInfo::lazy(o)).collect())
+            .unwrap();
+        loop {
+            match next("the hot shard's replay marker") {
+                DlmEvent::Updated(u) => assert_eq!(map.shard_of(u.oid), hot),
+                DlmEvent::ReplayNeeded { shard, .. } => {
+                    assert_eq!(shard, hot, "only the overflowed shard asks for replay");
+                    break;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        viewer
+            .replay_from(vec![ShardCursor {
+                shard: hot,
+                cursor: 0,
+                log_incarnation: viewer.log_incarnations()[hot as usize],
+            }])
+            .unwrap();
+        let mut replayed = std::collections::HashSet::new();
+        loop {
+            match next("the hot shard's replayed suffix and ack") {
+                DlmEvent::Updated(u) => {
+                    assert_eq!(map.shard_of(u.oid), hot);
+                    replayed.insert(u.oid);
+                }
+                DlmEvent::CursorAck { shard, seqno } => {
+                    assert_eq!((shard, seqno), (hot, 1));
+                    break;
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(replayed.len(), hot_oids.len(), "the whole commit came back");
+        assert!(agent.dlm().stats().overload.overflows.get() >= 1);
+        assert_eq!(agent.dlm().stats().log.truncated_replays.get(), 0);
+        // Nothing else is owed: the calm shard was never disturbed.
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
     }
 
     #[test]
@@ -645,6 +726,6 @@ mod tests {
             let e = rx.recv_timeout(Duration::from_secs(2)).unwrap();
             assert!(matches!(e, DlmEvent::Updated(_)));
         }
-        assert_eq!(agent.core().stats().notifications.get(), 5);
+        assert_eq!(agent.dlm().stats().notifications.get(), 5);
     }
 }

@@ -1,21 +1,13 @@
-//! The transport-agnostic DLM: display-lock table and notification
-//! fan-out.
-//!
-//! Both deployments of the paper use this one structure:
-//!
-//! * the **agent** (§ 4.1): a standalone service ([`crate::agent`]) where
-//!   updating clients report commits/intents over the wire;
-//! * the **integrated** lock manager: the server calls
-//!   [`DlmCore::notify_committed`] / [`DlmCore::notify_intent`] directly
-//!   from its commit and X-grant paths.
+//! One DLM shard: display-lock table, update log and notification
+//! fan-out for the OIDs that hash to it. [`crate::ShardedDlm`] owns the
+//! shards and is the only way in; this module also holds the
+//! configuration, counters and sink trait the whole DLM shares.
 
-use crate::log::{DurableRecovery, ReplaySlice, UpdateLog};
+use crate::log::{ReplaySlice, UpdateLog};
 use crate::proto::{DlmEvent, UpdateInfo};
-use displaydb_common::metrics::{Counter, OverloadStats, SegLogStats, UpdateLogStats};
+use displaydb_common::metrics::{Counter, OverloadStats, UpdateLogStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
-use displaydb_common::{
-    ClientId, DbResult, DurableLogConfig, Oid, OverloadConfig, TxnId, UpdateLogConfig,
-};
+use displaydb_common::{ClientId, DbResult, Oid, OverloadConfig, TxnId, UpdateLogConfig};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -44,15 +36,14 @@ pub struct DlmConfig {
     /// Overload-protection knobs for the per-client outboxes wrapped
     /// around the sinks (DESIGN.md § 9).
     pub overload: OverloadConfig,
-    /// Sizing for the bounded replayable update log (DESIGN.md § 13).
-    /// `UpdateLogConfig::disabled()` turns replay off and restores the
-    /// legacy resync-only recovery paths.
+    /// Sizing for each shard's bounded replayable update log (DESIGN.md
+    /// § 13). `UpdateLogConfig::disabled()` turns replay off: recovery
+    /// is then resync-only.
     pub log: UpdateLogConfig,
-    /// Number of in-process shards the integrated DLM is partitioned
-    /// into (DESIGN.md § 16). 1 = the classic single-table DLM; each
-    /// additional shard gets its own interest table, outboxes, and
-    /// update log with an independent seqno space, and commit fan-out
-    /// intersects shards in parallel.
+    /// Number of in-process shards the DLM is partitioned into
+    /// (DESIGN.md § 16). Each shard has its own interest table,
+    /// outboxes, and update log with an independent seqno space, and
+    /// commit fan-out intersects shards in parallel.
     pub shards: usize,
 }
 
@@ -123,8 +114,8 @@ impl displaydb_common::StatsSource for DlmStats {
 
 /// Where the DLM pushes events for one client.
 ///
-/// The agent wraps a wire channel; the integrated server wraps its session
-/// registry; tests wrap a crossbeam sender.
+/// The agent wraps a wire channel; the integrated server wraps its
+/// session handle; tests wrap a crossbeam sender.
 pub trait EventSink: Send + Sync {
     /// Deliver one event. Errors mark the client dead.
     fn deliver(&self, event: DlmEvent) -> DbResult<()>;
@@ -225,124 +216,25 @@ struct TableState {
     sinks: HashMap<ClientId, Arc<dyn EventSink>>,
 }
 
-/// The display-lock manager core.
-pub struct DlmCore {
+/// One shard of the display-lock manager.
+pub(crate) struct DlmCore {
     state: OrderedMutex<TableState>,
     config: DlmConfig,
     stats: DlmStats,
     log: UpdateLog,
 }
 
-impl std::fmt::Debug for DlmCore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DlmCore")
-            .field("config", &self.config)
-            .finish()
-    }
-}
-
 impl DlmCore {
-    /// Create a DLM with `config`.
-    pub fn new(config: DlmConfig) -> Self {
-        let stats = DlmStats::default();
-        let log = UpdateLog::new(config.log, stats.log.clone());
+    /// Build a shard around its update `log`. Every shard of one DLM
+    /// shares one `stats` handle (the log's counters included) so the
+    /// counters stay a single coherent view.
+    pub fn new(config: DlmConfig, stats: DlmStats, log: UpdateLog) -> Self {
         Self {
             state: OrderedMutex::new(ranks::DLM_TABLE, TableState::default()),
             config,
             stats,
             log,
         }
-    }
-
-    /// Create a DLM whose update log spills to stable storage under
-    /// `dir` (DESIGN.md § 14), recovering the replay window, cursor
-    /// frontiers, and log incarnation from a previous run. Returns the
-    /// recovery report so the caller can drive resume admission.
-    /// `min_last_txn` is the last transaction the main WAL committed
-    /// (0 = no cross-check).
-    pub fn new_durable(
-        config: DlmConfig,
-        dir: impl AsRef<std::path::Path>,
-        durable: DurableLogConfig,
-        seg_stats: SegLogStats,
-        fresh_incarnation: u64,
-        min_last_txn: u64,
-    ) -> DbResult<(Self, DurableRecovery)> {
-        let stats = DlmStats::default();
-        let (log, recovery) = UpdateLog::open_durable(
-            config.log,
-            stats.log.clone(),
-            dir,
-            durable,
-            seg_stats,
-            fresh_incarnation,
-            min_last_txn,
-        )?;
-        Ok((
-            Self {
-                state: OrderedMutex::new(ranks::DLM_TABLE, TableState::default()),
-                config,
-                stats,
-                log,
-            },
-            recovery,
-        ))
-    }
-
-    /// Build one shard of a partitioned DLM (see [`crate::shard`]): the
-    /// same structure, but the table and log sit on the multi-instance
-    /// shard ranks and every shard shares one `stats` handle so the
-    /// counters stay a single coherent view.
-    pub(crate) fn new_shard(config: DlmConfig, stats: DlmStats) -> Self {
-        let log = UpdateLog::new_ranked(ranks::DLM_SHARD_LOG, config.log, stats.log.clone());
-        Self {
-            state: OrderedMutex::new(ranks::DLM_SHARD_TABLE, TableState::default()),
-            config,
-            stats,
-            log,
-        }
-    }
-
-    /// [`DlmCore::new_shard`] with a durable per-shard log directory.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_shard_durable(
-        config: DlmConfig,
-        stats: DlmStats,
-        dir: impl AsRef<std::path::Path>,
-        durable: DurableLogConfig,
-        seg_stats: SegLogStats,
-        fresh_incarnation: u64,
-        min_last_txn: u64,
-    ) -> DbResult<(Self, DurableRecovery)> {
-        let (log, recovery) = UpdateLog::open_durable_ranked(
-            ranks::DLM_SHARD_LOG,
-            config.log,
-            stats.log.clone(),
-            dir,
-            durable,
-            seg_stats,
-            fresh_incarnation,
-            min_last_txn,
-        )?;
-        Ok((
-            Self {
-                state: OrderedMutex::new(ranks::DLM_SHARD_TABLE, TableState::default()),
-                config,
-                stats,
-                log,
-            },
-            recovery,
-        ))
-    }
-
-    /// Active configuration.
-    pub fn config(&self) -> DlmConfig {
-        self.config
-    }
-
-    /// Statistics counters.
-    pub fn stats(&self) -> &DlmStats {
-        &self.stats
     }
 
     /// The bounded replayable update log.
@@ -500,18 +392,10 @@ impl DlmCore {
     /// a [`DlmEvent::Delta`] carrying only the intersection. Holders
     /// without a projection (and deletions, and updates reported without
     /// change info) fall back to whole-object `Updated` events.
-    pub fn notify_committed(&self, origin: Option<ClientId>, updates: &[UpdateInfo]) {
-        // Entry point for callers with no transaction id (tests,
-        // agent-relayed client commits). Spill-failure containment
-        // happens inside `notify_committed_txn`; the error itself only
-        // matters to callers that tie it to a commit.
-        let _ = self.notify_committed_txn(origin, updates, 0);
-    }
-
-    /// [`Self::notify_committed`] with the committing transaction id
-    /// stamped into the durable update log (DESIGN.md § 14). `txn` lets
-    /// restart recovery cross-check the durable stream against the main
-    /// WAL; pass 0 when there is no meaningful transaction.
+    ///
+    /// `txn` is stamped into the durable update log (DESIGN.md § 14) so
+    /// restart recovery can cross-check the durable stream against the
+    /// main WAL; pass 0 when there is no meaningful transaction.
     ///
     /// `Err` means the durable spill failed: the batch was fanned out
     /// live but **unlogged**, and the retained replay window was
@@ -782,15 +666,10 @@ impl DlmCore {
     }
 }
 
-impl Default for DlmCore {
-    fn default() -> Self {
-        Self::new(DlmConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardedDlm;
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use displaydb_common::DbError;
 
@@ -810,7 +689,7 @@ mod tests {
 
     #[test]
     fn lock_release_holders() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         dlm.lock(c(1), &[o(1), o(2)]);
         dlm.lock(c(2), &[o(2)]);
         assert_eq!(dlm.holders(o(1)), vec![c(1)]);
@@ -824,7 +703,7 @@ mod tests {
 
     #[test]
     fn post_commit_notifies_holders_not_originator() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         let (s2, r2) = sink();
         dlm.register_client(c(1), s1);
@@ -851,7 +730,7 @@ mod tests {
         // consumer; `lock()` from another client must complete while it
         // is still parked.
         use std::time::Duration;
-        let dlm = Arc::new(DlmCore::default());
+        let dlm = Arc::new(ShardedDlm::new(DlmConfig::default()));
         let (entered_tx, entered_rx) = unbounded();
         let (release_tx, release_rx) = unbounded::<()>();
         let parked = move |e: DlmEvent| {
@@ -894,7 +773,7 @@ mod tests {
 
     #[test]
     fn notify_originator_config() {
-        let dlm = DlmCore::new(DlmConfig {
+        let dlm = ShardedDlm::new(DlmConfig {
             notify_originator: true,
             ..DlmConfig::default()
         });
@@ -907,7 +786,7 @@ mod tests {
 
     #[test]
     fn non_holders_not_notified() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock(c(1), &[o(1)]);
@@ -919,7 +798,7 @@ mod tests {
     #[test]
     fn eager_shipping_controls_payload() {
         // Lazy DLM strips payloads even if the reporter attached them.
-        let lazy = DlmCore::default();
+        let lazy = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         lazy.register_client(c(1), s1);
         lazy.lock(c(1), &[o(1)]);
@@ -929,7 +808,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // Eager DLM forwards them.
-        let eager = DlmCore::new(DlmConfig {
+        let eager = ShardedDlm::new(DlmConfig {
             eager_shipping: true,
             ..DlmConfig::default()
         });
@@ -945,7 +824,7 @@ mod tests {
 
     #[test]
     fn early_notify_marks_and_resolves() {
-        let dlm = DlmCore::new(DlmConfig {
+        let dlm = ShardedDlm::new(DlmConfig {
             protocol: NotifyProtocol::EarlyNotify,
             ..DlmConfig::default()
         });
@@ -969,7 +848,7 @@ mod tests {
 
     #[test]
     fn post_commit_protocol_suppresses_intents() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock(c(1), &[o(3)]);
@@ -980,7 +859,7 @@ mod tests {
 
     #[test]
     fn unregister_drops_locks_and_sink() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, _r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock(c(1), &[o(1), o(2)]);
@@ -992,7 +871,7 @@ mod tests {
 
     #[test]
     fn dead_sink_counted_as_failure() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         drop(r1); // kill the receiver
         dlm.register_client(c(1), s1);
@@ -1004,7 +883,7 @@ mod tests {
 
     #[test]
     fn projected_holder_receives_intersected_delta() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[1, 3], 7);
@@ -1026,7 +905,7 @@ mod tests {
 
     #[test]
     fn commit_outside_projection_is_suppressed() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[1], 1);
@@ -1043,7 +922,7 @@ mod tests {
     fn full_interest_holder_still_gets_updated() {
         // A second holder without a projection sees the classic event,
         // with change info stripped (Updated never carries it).
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         let (s2, r2) = sink();
         dlm.register_client(c(1), s1);
@@ -1063,7 +942,7 @@ mod tests {
 
     #[test]
     fn update_without_change_info_falls_back_to_updated() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[1], 1);
@@ -1074,7 +953,7 @@ mod tests {
 
     #[test]
     fn deletion_overrides_projection() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[1], 1);
@@ -1090,7 +969,7 @@ mod tests {
 
     #[test]
     fn plain_relock_widens_projection_to_full_interest() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[1], 1);
@@ -1104,7 +983,7 @@ mod tests {
 
     #[test]
     fn release_clears_projected_interest() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[1], 1);
@@ -1119,7 +998,7 @@ mod tests {
 
     #[test]
     fn reregistration_replaces_projection() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock_projected(c(1), &[o(5)], &[0], 1);
@@ -1146,7 +1025,7 @@ mod tests {
 
     #[test]
     fn interest_queries_reflect_registrations() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, _r1) = sink();
         dlm.register_client(c(1), s1);
         assert!(!dlm.has_interest(c(1), o(5)));
@@ -1167,7 +1046,7 @@ mod tests {
 
     #[test]
     fn one_notification_per_holder_per_update() {
-        let dlm = DlmCore::default();
+        let dlm = ShardedDlm::new(DlmConfig::default());
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
         dlm.lock(c(1), &[o(1), o(2)]);
@@ -1187,6 +1066,7 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::proto::UpdateInfo;
+    use crate::ShardedDlm;
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
 
@@ -1215,12 +1095,12 @@ mod proptests {
     proptest! {
         #[test]
         fn prop_dlm_matches_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
-            let dlm = DlmCore::new(DlmConfig::default());
+            let dlm = ShardedDlm::new(DlmConfig::default());
             let mut model: HashMap<u64, HashSet<u64>> = HashMap::new(); // oid -> clients
             let mut registered: HashSet<u64> = HashSet::new();
             // Each client gets a queue-backed sink.
             let mut rxs: HashMap<u64, crossbeam::channel::Receiver<DlmEvent>> = HashMap::new();
-            let register = |dlm: &DlmCore, rxs: &mut HashMap<u64, crossbeam::channel::Receiver<DlmEvent>>, c: u64| {
+            let register = |dlm: &ShardedDlm, rxs: &mut HashMap<u64, crossbeam::channel::Receiver<DlmEvent>>, c: u64| {
                 let (tx, rx) = crossbeam::channel::unbounded();
                 dlm.register_client(ClientId::new(c), Arc::new(move |e: DlmEvent| {
                     tx.send(e).map_err(|_| displaydb_common::DbError::Disconnected)

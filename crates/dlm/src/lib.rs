@@ -6,8 +6,9 @@
 //! side:
 //!
 //! * [`proto`] — wire messages between clients and the DLM,
-//! * [`core`] — the transport-agnostic lock table and notification
-//!   fan-out, with all three protocol variants:
+//! * [`shard`] — [`ShardedDlm`], the transport-agnostic DLM both
+//!   deployments wrap: lock tables and notification fan-out partitioned
+//!   by OID hash, with all three protocol variants:
 //!   * **post-commit notify** — holders learn about updates after commit
 //!     and re-read the objects (3 messages per refresh);
 //!   * **early notify** — holders are additionally told when an exclusive
@@ -21,7 +22,7 @@
 //!   connecting over any [`displaydb_wire::Channel`].
 //!
 //! The integrated deployment (DLM inside the server's lock manager) is
-//! assembled in `displaydb-server` from the same [`core::DlmCore`].
+//! assembled in `displaydb-server` around the same [`ShardedDlm`].
 
 pub mod agent;
 pub mod core;
@@ -30,9 +31,9 @@ pub mod outbox;
 pub mod proto;
 pub mod shard;
 
-pub use crate::core::{DlmConfig, DlmCore, DlmStats, EventSink, NotifyProtocol, ReplayOutcome};
+pub use crate::core::{DlmConfig, DlmStats, EventSink, NotifyProtocol, ReplayOutcome};
 pub use crate::log::{DurableRecovery, LogEntry, ReplaySlice, UpdateLog};
 pub use agent::{DlmAgent, DlmAgentConnection};
 pub use outbox::{CoalescingQueue, OutboxSink, Pushed};
-pub use proto::{AttrChanges, DlmEvent, DlmRequest, UpdateInfo};
-pub use shard::{ShardMap, ShardStats, ShardTagSink, ShardedDlm};
+pub use proto::{AttrChanges, DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
+pub use shard::{ShardMap, ShardStats, ShardedDlm};

@@ -8,7 +8,7 @@
 //! that was demoted as lagging) catches up by replaying every entry past
 //! its **cursor** — the last seqno it fully applied — filtered through
 //! its registered interests. Only when the cursor has been evicted does
-//! recovery degrade to the legacy full `ResyncRequired`.
+//! recovery degrade to a full `ResyncRequired`.
 //!
 //! The log stores the *reported* updates, not the per-holder events:
 //! replay re-runs the same interest intersection the live fan-out path
@@ -186,20 +186,9 @@ impl UpdateLog {
     /// Create an empty in-memory log; `stats` is shared with the owning
     /// DLM.
     pub fn new(config: UpdateLogConfig, stats: UpdateLogStats) -> Self {
-        Self::new_ranked(ranks::DLM_UPDATE_LOG, config, stats)
-    }
-
-    /// [`UpdateLog::new`] with an explicit lock rank, so the sharded
-    /// DLM's per-shard logs sit on the multi-instance `dlm.shard_log`
-    /// rank instead of the singleton `dlm.update_log`.
-    pub fn new_ranked(
-        rank: displaydb_common::sync::LockRank,
-        config: UpdateLogConfig,
-        stats: UpdateLogStats,
-    ) -> Self {
         Self {
             inner: OrderedMutex::new(
-                rank,
+                ranks::DLM_UPDATE_LOG,
                 LogInner {
                     entries: VecDeque::new(),
                     next_seqno: 1,
@@ -224,31 +213,6 @@ impl UpdateLog {
     /// never be replayed.
     #[allow(clippy::too_many_arguments)]
     pub fn open_durable(
-        config: UpdateLogConfig,
-        stats: UpdateLogStats,
-        dir: impl AsRef<Path>,
-        durable_config: DurableLogConfig,
-        seg_stats: SegLogStats,
-        fresh_incarnation: u64,
-        min_last_txn: u64,
-    ) -> DbResult<(Self, DurableRecovery)> {
-        Self::open_durable_ranked(
-            ranks::DLM_UPDATE_LOG,
-            config,
-            stats,
-            dir,
-            durable_config,
-            seg_stats,
-            fresh_incarnation,
-            min_last_txn,
-        )
-    }
-
-    /// [`UpdateLog::open_durable`] with an explicit lock rank (see
-    /// [`UpdateLog::new_ranked`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn open_durable_ranked(
-        rank: displaydb_common::sync::LockRank,
         config: UpdateLogConfig,
         stats: UpdateLogStats,
         dir: impl AsRef<Path>,
@@ -302,7 +266,7 @@ impl UpdateLog {
         };
         let log = Self {
             inner: OrderedMutex::new(
-                rank,
+                ranks::DLM_UPDATE_LOG,
                 LogInner {
                     entries,
                     next_seqno: rec.next_seqno,
@@ -319,7 +283,7 @@ impl UpdateLog {
     }
 
     /// Whether replay is available at all (a zero-sized log disables the
-    /// mechanism and recovery uses the legacy resync paths).
+    /// mechanism and recovery is resync-only).
     pub fn enabled(&self) -> bool {
         self.config.enabled()
     }
@@ -399,11 +363,6 @@ impl UpdateLog {
     /// The recorded acked frontier for `client`, if any.
     pub fn frontier_of(&self, client: ClientId) -> Option<u64> {
         self.inner.lock().frontiers.get(&client).copied()
-    }
-
-    /// Snapshot of every recorded client frontier.
-    pub fn frontiers(&self) -> HashMap<ClientId, u64> {
-        self.inner.lock().frontiers.clone()
     }
 
     /// The distinct OIDs updated by retained entries past `cursor`, or

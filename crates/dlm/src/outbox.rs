@@ -1,12 +1,12 @@
 //! Per-client bounded outboxes with coalescing and overflow-to-resync
 //! (DESIGN.md § 9).
 //!
-//! The fan-out loop in [`crate::core::DlmCore`] delivers synchronously,
-//! which is perfect for tests and for in-process sinks but means one
-//! stalled consumer can block delivery to every healthy one and one
-//! stalled *connection* can grow an unbounded send queue. Both
-//! deployments therefore wrap their per-client sinks in an
-//! [`OutboxSink`] at registration time:
+//! A shard's fan-out loop delivers synchronously, which is perfect for
+//! tests and for in-process sinks but means one stalled consumer can
+//! block delivery to every healthy one and one stalled *connection* can
+//! grow an unbounded send queue. Both deployments therefore register
+//! sessions through [`crate::ShardedDlm::register_session`], which wraps
+//! the session's sink in one [`OutboxSink`] per shard:
 //!
 //! * **bounded queue** — `deliver` is a non-blocking push into a
 //!   [`CoalescingQueue`] capped at the configured high-water mark; a
@@ -37,12 +37,14 @@ use std::time::{Duration, Instant};
 /// What an overflow sweep replaces the queue with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SweepMode {
-    /// Legacy: one `ResyncRequired` covering every swept OID.
+    /// No update log behind the queue: one `ResyncRequired` covering
+    /// every swept OID.
     Resync,
-    /// Replay (DESIGN.md § 13): one `ReplayNeeded` marker — the backlog
-    /// is already retained in the DLM update log, so the client catches
-    /// up with `ReplayFrom{cursor}` instead of re-reading objects.
-    Replay,
+    /// Replay (DESIGN.md § 13): one `ReplayNeeded` marker naming the
+    /// shard this queue drains — the backlog is already retained in that
+    /// shard's update log, so the client catches up with a `ReplayFrom`
+    /// instead of re-reading objects.
+    Replay { shard: u32 },
 }
 
 /// What [`CoalescingQueue::push`] did with an event.
@@ -93,10 +95,10 @@ impl CoalescingQueue {
         Self::with_mode(high_water, SweepMode::Resync)
     }
 
-    /// An empty queue sweeping to a `ReplayNeeded` marker on overflow
-    /// (the backlog is retained in the DLM update log).
-    pub fn new_replay(high_water: usize) -> Self {
-        Self::with_mode(high_water, SweepMode::Replay)
+    /// An empty queue sweeping to a `ReplayNeeded{shard}` marker on
+    /// overflow (the backlog is retained in that shard's update log).
+    pub fn new_replay(high_water: usize, shard: u32) -> Self {
+        Self::with_mode(high_water, SweepMode::Replay { shard })
     }
 
     fn with_mode(high_water: usize, sweep: SweepMode) -> Self {
@@ -205,24 +207,30 @@ impl CoalescingQueue {
                     }
                 }
             }
-            DlmEvent::ReplayNeeded { from } => {
-                // One replay round covers everything: keep the highest
+            DlmEvent::ReplayNeeded { shard, from } => {
+                // One replay round covers a shard: keep the highest
                 // `from` (purely diagnostic — the client replays from
                 // its own cursor).
                 for queued in self.queue.iter_mut() {
-                    if let DlmEvent::ReplayNeeded { from: existing } = &mut queued.event {
-                        *existing = (*existing).max(*from);
-                        return Pushed::Coalesced;
+                    match &mut queued.event {
+                        DlmEvent::ReplayNeeded { shard: s, from: f } if s == shard => {
+                            *f = (*f).max(*from);
+                            return Pushed::Coalesced;
+                        }
+                        _ => {}
                     }
                 }
             }
-            DlmEvent::CursorAck { seqno: ack } => {
+            DlmEvent::CursorAck { shard, seqno } => {
                 // Writer-synthesized, normally never queued; defensively
-                // keep only the highest ack.
+                // keep only the highest ack per shard.
                 for queued in self.queue.iter_mut() {
-                    if let DlmEvent::CursorAck { seqno: existing } = &mut queued.event {
-                        *existing = (*existing).max(*ack);
-                        return Pushed::Coalesced;
+                    match &mut queued.event {
+                        DlmEvent::CursorAck { shard: s, seqno: q } if s == shard => {
+                            *q = (*q).max(*seqno);
+                            return Pushed::Coalesced;
+                        }
+                        _ => {}
                     }
                 }
             }
@@ -287,36 +295,6 @@ impl CoalescingQueue {
                     }
                 }
             }
-            DlmEvent::ShardCursorAck { shard, seqno: ack } => {
-                // Same defensive coalescing as `CursorAck`, per shard.
-                for queued in self.queue.iter_mut() {
-                    if let DlmEvent::ShardCursorAck {
-                        shard: s,
-                        seqno: existing,
-                    } = &mut queued.event
-                    {
-                        if s == shard {
-                            *existing = (*existing).max(*ack);
-                            return Pushed::Coalesced;
-                        }
-                    }
-                }
-            }
-            DlmEvent::ShardReplayNeeded { shard, from } => {
-                // One replay round per shard covers that shard.
-                for queued in self.queue.iter_mut() {
-                    if let DlmEvent::ShardReplayNeeded {
-                        shard: s,
-                        from: existing,
-                    } = &mut queued.event
-                    {
-                        if s == shard {
-                            *existing = (*existing).max(*from);
-                            return Pushed::Coalesced;
-                        }
-                    }
-                }
-            }
             DlmEvent::Marked { .. } | DlmEvent::Ready { .. } | DlmEvent::Batch(_) => {}
         }
         self.queue.push_back(Entry { event, seqno });
@@ -324,7 +302,7 @@ impl CoalescingQueue {
     }
 
     /// Replace everything queued with a single recovery marker: a
-    /// `ResyncRequired` covering every swept OID (legacy mode), or a
+    /// `ResyncRequired` covering every swept OID (resync mode), or a
     /// `ReplayNeeded` pointing at the log (replay mode).
     fn sweep_to_marker(&mut self) {
         match self.sweep {
@@ -348,9 +326,7 @@ impl CoalescingQueue {
                         | DlmEvent::Lagging
                         | DlmEvent::Batch(_)
                         | DlmEvent::CursorAck { .. }
-                        | DlmEvent::ReplayNeeded { .. }
-                        | DlmEvent::ShardCursorAck { .. }
-                        | DlmEvent::ShardReplayNeeded { .. } => {}
+                        | DlmEvent::ReplayNeeded { .. } => {}
                     }
                 }
                 oids.sort_unstable();
@@ -359,19 +335,19 @@ impl CoalescingQueue {
                     seqno: 0,
                 });
             }
-            SweepMode::Replay => {
+            SweepMode::Replay { shard } => {
                 // The swept backlog lives in the update log; `from` is
                 // the highest swept seqno, for diagnostics only (the
                 // client replays from its own cursor).
                 let mut from = 0u64;
                 for entry in self.queue.drain(..) {
                     from = from.max(entry.seqno);
-                    if let DlmEvent::ReplayNeeded { from: f } = entry.event {
+                    if let DlmEvent::ReplayNeeded { from: f, .. } = entry.event {
                         from = from.max(f);
                     }
                 }
                 self.queue.push_back(Entry {
-                    event: DlmEvent::ReplayNeeded { from },
+                    event: DlmEvent::ReplayNeeded { shard, from },
                     seqno: 0,
                 });
             }
@@ -392,9 +368,7 @@ impl CoalescingQueue {
                 | DlmEvent::Lagging
                 | DlmEvent::Batch(_)
                 | DlmEvent::CursorAck { .. }
-                | DlmEvent::ReplayNeeded { .. }
-                | DlmEvent::ShardCursorAck { .. }
-                | DlmEvent::ShardReplayNeeded { .. } => {}
+                | DlmEvent::ReplayNeeded { .. } => {}
             }
         }
         oids.sort_unstable();
@@ -444,6 +418,10 @@ struct OutboxShared {
     /// across all outboxes, so only its high-water side is meaningful
     /// fleet-wide; this one is exact for this client.
     depth: Gauge,
+    /// The DLM shard this outbox drains: stamped on the `CursorAck`s the
+    /// writer mints and the `ReplayNeeded` markers a sweep leaves, so
+    /// the client can tell the shards' seqno spaces apart.
+    shard: u32,
     /// Cursor catch-up enabled: overflow sweeps to `ReplayNeeded` and
     /// the writer emits `CursorAck` on drain-to-empty.
     replay: bool,
@@ -458,53 +436,35 @@ struct OutboxShared {
 ///
 /// `deliver` never blocks and never performs I/O: it coalesces into the
 /// bounded queue and wakes the writer thread, which owns the only calls
-/// into the wrapped sink. Created via [`OutboxSink::wrap`] at client
-/// registration time (the DLM agent wraps its wire-channel sink, the
-/// integrated server wraps its session sink).
+/// into the wrapped sink. Created one per shard by
+/// [`crate::ShardedDlm::register_session`] (the DLM agent hands it its
+/// wire-channel sink, the integrated server its session sink).
 pub struct OutboxSink {
     inner: Arc<dyn EventSink>,
     shared: Arc<OutboxShared>,
 }
 
 impl OutboxSink {
-    /// Wrap `inner`, spawning the writer thread. Overflow recovery is
-    /// the legacy resync sweep; use [`OutboxSink::wrap_with_replay`]
-    /// when the DLM retains an update log.
+    /// Wrap `inner` as `shard`'s outbox, spawning the writer thread.
+    /// With `replay` set (the shard retains an update log), overflow
+    /// sweeps to a `ReplayNeeded{shard}` marker and the writer
+    /// acknowledges delivered seqnos with `CursorAck{shard}` whenever
+    /// the queue drains empty; without it overflow sweeps to a
+    /// `ResyncRequired`. Every `CursorAck` the writer emits is reported
+    /// to `recorder` after the carrying frame reached the inner sink,
+    /// outside all outbox locks — the durable DLM passes a closure
+    /// spilling the cursor to the segment log so the client's frontier
+    /// survives a restart.
     pub fn wrap(
         inner: Arc<dyn EventSink>,
-        config: OverloadConfig,
-        stats: OverloadStats,
-    ) -> Arc<Self> {
-        Self::wrap_with_replay(inner, config, stats, false)
-    }
-
-    /// Wrap `inner`, spawning the writer thread. With `replay` set,
-    /// overflow sweeps to a `ReplayNeeded` marker (cursor catch-up via
-    /// the update log) and the writer acknowledges delivered seqnos
-    /// with `CursorAck` whenever the queue drains empty.
-    pub fn wrap_with_replay(
-        inner: Arc<dyn EventSink>,
-        config: OverloadConfig,
-        stats: OverloadStats,
-        replay: bool,
-    ) -> Arc<Self> {
-        Self::wrap_with_recorder(inner, config, stats, replay, None)
-    }
-
-    /// [`OutboxSink::wrap_with_replay`] plus a frontier `recorder`: every
-    /// `CursorAck` the writer emits is reported to the callback after the
-    /// carrying frame reached the inner sink, outside all outbox locks.
-    /// The durable DLM passes a closure spilling the cursor to the
-    /// segment log so the client's frontier survives a restart.
-    pub fn wrap_with_recorder(
-        inner: Arc<dyn EventSink>,
+        shard: u32,
         config: OverloadConfig,
         stats: OverloadStats,
         replay: bool,
         recorder: Option<Arc<dyn Fn(u64) + Send + Sync>>,
     ) -> Arc<Self> {
         let queue = if replay {
-            CoalescingQueue::new_replay(config.outbox_high_water)
+            CoalescingQueue::new_replay(config.outbox_high_water, shard)
         } else {
             CoalescingQueue::new(config.outbox_high_water)
         };
@@ -528,6 +488,7 @@ impl OutboxSink {
             config,
             stats,
             depth: Gauge::new(),
+            shard,
             replay,
             recorder,
         });
@@ -793,9 +754,7 @@ fn to_resync_marker(event: &DlmEvent) -> Option<DlmEvent> {
         | DlmEvent::ResyncRequired { .. }
         | DlmEvent::Batch(_)
         | DlmEvent::CursorAck { .. }
-        | DlmEvent::ReplayNeeded { .. }
-        | DlmEvent::ShardCursorAck { .. }
-        | DlmEvent::ShardReplayNeeded { .. } => None,
+        | DlmEvent::ReplayNeeded { .. } => None,
     }
 }
 
@@ -842,6 +801,7 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                                 state.last_acked = state.last_seqno;
                                 acked = Some(state.last_acked);
                                 events.push(DlmEvent::CursorAck {
+                                    shard: shared.shard,
                                     seqno: state.last_acked,
                                 });
                             }
@@ -1089,6 +1049,26 @@ mod tests {
         (Arc::new(f), rx)
     }
 
+    /// An outbox with no update log behind it (overflow → resync sweep).
+    fn resync_outbox(
+        inner: Arc<dyn EventSink>,
+        config: OverloadConfig,
+        stats: OverloadStats,
+    ) -> Arc<OutboxSink> {
+        OutboxSink::wrap(inner, 0, config, stats, false, None)
+    }
+
+    /// Shard `SHARD`'s outbox with an update log behind it (overflow →
+    /// `ReplayNeeded`, drain-to-empty → `CursorAck`).
+    const SHARD: u32 = 2;
+    fn replay_outbox(
+        inner: Arc<dyn EventSink>,
+        config: OverloadConfig,
+        stats: OverloadStats,
+    ) -> Arc<OutboxSink> {
+        OutboxSink::wrap(inner, SHARD, config, stats, true, None)
+    }
+
     fn quick_config(high_water: usize, lagging_after: u32) -> OverloadConfig {
         OverloadConfig {
             outbox_high_water: high_water,
@@ -1100,7 +1080,7 @@ mod tests {
     #[test]
     fn outbox_delivers_in_order() {
         let (inner, rx) = collecting_sink();
-        let outbox = OutboxSink::wrap(inner, quick_config(64, 3), OverloadStats::new());
+        let outbox = resync_outbox(inner, quick_config(64, 3), OverloadStats::new());
         for i in 0..10 {
             outbox.deliver(upd(i, i as u8)).unwrap();
         }
@@ -1130,7 +1110,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap(inner, quick_config(8, 2), stats.clone());
+        let outbox = resync_outbox(inner, quick_config(8, 2), stats.clone());
 
         // Storm: far more updates than the high-water mark.
         for round in 0..4 {
@@ -1183,7 +1163,7 @@ mod tests {
             let _ = release_rx.recv(); // blocks until test end
             Ok(())
         });
-        let outbox = OutboxSink::wrap(inner, quick_config(8, 2), OverloadStats::new());
+        let outbox = resync_outbox(inner, quick_config(8, 2), OverloadStats::new());
         outbox.deliver(upd(1, 1)).unwrap();
         outbox.deliver(upd(2, 2)).unwrap();
         let started = Instant::now();
@@ -1214,7 +1194,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap(inner, quick_config(64, 3), stats.clone());
+        let outbox = resync_outbox(inner, quick_config(64, 3), stats.clone());
         outbox.deliver(upd(0, 0)).unwrap();
         // Wait until the writer has taken the first event off the queue.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1268,14 +1248,14 @@ mod tests {
 
     #[test]
     fn replay_mode_overflow_sweeps_to_single_replay_needed() {
-        let mut q = CoalescingQueue::new_replay(4);
+        let mut q = CoalescingQueue::new_replay(4, SHARD);
         for i in 0..4u64 {
             q.push_seq(upd(i, 0), i + 1);
         }
         assert_eq!(q.push_seq(upd(99, 0), 5), Pushed::Overflowed);
         assert_eq!(q.len(), 1);
         match q.pop().unwrap() {
-            DlmEvent::ReplayNeeded { from } => assert_eq!(from, 5),
+            DlmEvent::ReplayNeeded { shard, from } => assert_eq!((shard, from), (SHARD, 5)),
             other => panic!("expected replay marker, got {other:?}"),
         }
         // A second sweep folds into the pending marker, keeping max from.
@@ -1303,7 +1283,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap_with_replay(inner, quick_config(4, 99), stats.clone(), true);
+        let outbox = replay_outbox(inner, quick_config(4, 99), stats.clone());
         for i in 0..12u64 {
             outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
         }
@@ -1348,7 +1328,9 @@ mod tests {
         );
         // The final cursor ack covers the marked-current frontier.
         match got.last() {
-            Some(DlmEvent::CursorAck { seqno }) => assert_eq!(*seqno, 100),
+            Some(DlmEvent::CursorAck { shard, seqno }) => {
+                assert_eq!((*shard, *seqno), (SHARD, 100))
+            }
             other => panic!("expected trailing cursor ack, got {other:?}"),
         }
     }
@@ -1356,8 +1338,7 @@ mod tests {
     #[test]
     fn cursor_ack_rides_drain_to_empty_and_is_not_repeated() {
         let (inner, rx) = collecting_sink();
-        let outbox =
-            OutboxSink::wrap_with_replay(inner, quick_config(64, 3), OverloadStats::new(), true);
+        let outbox = replay_outbox(inner, quick_config(64, 3), OverloadStats::new());
         outbox.deliver_logged(upd(1, 1), 7).unwrap();
         outbox.advance_frontier(7);
         assert!(outbox.drain(Duration::from_secs(5)));
@@ -1367,10 +1348,15 @@ mod tests {
         let mut got = Vec::new();
         loop {
             got = flatten(got.into_iter().chain(rx.try_iter()));
-            if got
-                .iter()
-                .any(|e| matches!(e, DlmEvent::CursorAck { seqno: 7 }))
-            {
+            if got.iter().any(|e| {
+                matches!(
+                    e,
+                    DlmEvent::CursorAck {
+                        shard: SHARD,
+                        seqno: 7
+                    }
+                )
+            }) {
                 break;
             }
             assert!(Instant::now() < deadline, "ack never arrived: {got:?}");
@@ -1381,7 +1367,11 @@ mod tests {
         std::thread::sleep(Duration::from_millis(50));
         assert_eq!(rx.try_iter().count(), 0, "spurious repeat ack");
         // A control event (seqno 0) does not move the cursor: no new ack.
-        outbox.deliver(DlmEvent::Ready { incarnation: 0 }).unwrap();
+        outbox
+            .deliver(DlmEvent::Ready {
+                log_incarnations: vec![],
+            })
+            .unwrap();
         assert!(outbox.drain(Duration::from_secs(5)));
         std::thread::sleep(Duration::from_millis(50));
         let tail = flatten(rx.try_iter());
@@ -1399,7 +1389,7 @@ mod tests {
         // its mark_current_through) may advance the ack frontier.
         let (inner, rx) = collecting_sink();
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap_with_replay(inner, quick_config(4, 99), stats, true);
+        let outbox = replay_outbox(inner, quick_config(4, 99), stats);
         // Deliver under the state lock faster than the writer can drain
         // is racy from a test; force the sweep deterministically by a
         // burst far over high-water. Each push is its own "commit":
@@ -1416,7 +1406,7 @@ mod tests {
             .any(|e| matches!(e, DlmEvent::ReplayNeeded { .. }))
         {
             for e in &got {
-                if let DlmEvent::CursorAck { seqno } = e {
+                if let DlmEvent::CursorAck { seqno, .. } = e {
                     // Only seqnos actually delivered ahead of the ack in
                     // the stream may be acknowledged.
                     let delivered: Vec<u64> = got
@@ -1437,7 +1427,7 @@ mod tests {
 
     #[test]
     fn lagging_resync_markers_count_once_per_episode() {
-        // Legacy mode, writer wedged: the first sweep queues one marker
+        // Resync mode, writer wedged: the first sweep queues one marker
         // and counts one resyncs_sent; every later fold into the still-
         // queued marker must not count again (the accounting-drift fix).
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
@@ -1454,7 +1444,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap(inner, quick_config(4, 1), stats.clone());
+        let outbox = resync_outbox(inner, quick_config(4, 1), stats.clone());
         for round in 0..3 {
             for i in 0..20u64 {
                 outbox.deliver(upd(i, round)).unwrap();
@@ -1499,7 +1489,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = OutboxSink::wrap_with_replay(inner, quick_config(4, 99), stats.clone(), true);
+        let outbox = replay_outbox(inner, quick_config(4, 99), stats.clone());
         for i in 0..12u64 {
             outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
         }
@@ -1524,7 +1514,7 @@ mod tests {
     fn dead_inner_sink_kills_outbox() {
         let (inner, rx) = collecting_sink();
         drop(rx);
-        let outbox = OutboxSink::wrap(inner, quick_config(8, 2), OverloadStats::new());
+        let outbox = resync_outbox(inner, quick_config(8, 2), OverloadStats::new());
         outbox.deliver(upd(1, 1)).unwrap();
         // The writer hits the dead sink and marks the outbox dead;
         // subsequent delivers fail so the DLM counts the client dead.

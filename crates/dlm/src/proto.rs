@@ -21,8 +21,7 @@ fn decode_changes(r: &mut WireReader<'_>) -> DbResult<AttrChanges> {
     let n = r.get_varint()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {
-        let attr = r.get_varint()? as u16;
-        out.push((attr, Vec::<u8>::decode(r)?));
+        out.push((u16::decode(r)?, Vec::<u8>::decode(r)?));
     }
     Ok(out)
 }
@@ -130,6 +129,61 @@ impl Decode for UpdateInfo {
     }
 }
 
+/// One shard's notification cursor: the last update-log seqno the client
+/// applied from that shard, and the log incarnation it was acked under.
+/// Each shard's log has its own seqno space, so a client's position is
+/// a vector of these — carried by replay requests and resume tokens
+/// alike (DESIGN.md § 13).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardCursor {
+    /// The DLM shard whose seqno space `cursor` belongs to.
+    pub shard: u32,
+    /// Last update-log seqno the client applied from that shard (0 =
+    /// from the beginning of retained history).
+    pub cursor: u64,
+    /// The shard's log incarnation at ack time, as announced in the
+    /// handshake. Cursors are only comparable within one incarnation: a
+    /// mismatch forces the resync fallback.
+    pub log_incarnation: u64,
+}
+
+impl Encode for ShardCursor {
+    fn encode(&self, w: &mut WireWriter) {
+        w.put_varint(u64::from(self.shard));
+        w.put_varint(self.cursor);
+        w.put_varint(self.log_incarnation);
+    }
+}
+
+impl Decode for ShardCursor {
+    fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
+        Ok(Self {
+            shard: u32::decode(r)?,
+            cursor: r.get_varint()?,
+            log_incarnation: r.get_varint()?,
+        })
+    }
+}
+
+/// Encode a cursor vector (length-prefixed); shared by every message
+/// that carries one.
+pub fn encode_cursors(cursors: &[ShardCursor], w: &mut WireWriter) {
+    w.put_varint(cursors.len() as u64);
+    for sc in cursors {
+        sc.encode(w);
+    }
+}
+
+/// Decode a cursor vector written by [`encode_cursors`].
+pub fn decode_cursors(r: &mut WireReader<'_>) -> DbResult<Vec<ShardCursor>> {
+    let n = r.get_varint()? as usize;
+    let mut cursors = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        cursors.push(ShardCursor::decode(r)?);
+    }
+    Ok(cursors)
+}
+
 /// Client → DLM messages.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DlmRequest {
@@ -187,26 +241,20 @@ pub enum DlmRequest {
     },
     /// Orderly disconnect; all display locks of the client are dropped.
     Bye,
-    /// Catch up from the DLM's bounded update log (DESIGN.md § 13): the
-    /// DLM streams every logged commit with seqno > `cursor`, filtered
-    /// through this client's registered interests, then marks the client
-    /// current with a [`DlmEvent::CursorAck`]. If the cursor has been
-    /// truncated out of the log, the DLM answers with one
-    /// [`DlmEvent::ResyncRequired`] instead — the only remaining path to
-    /// a full resync. Sent after reconnect (locks must be re-registered
-    /// first so interest filtering sees them), or in response to a
-    /// [`DlmEvent::ReplayNeeded`] marker.
+    /// Catch up from the DLM's bounded update logs (DESIGN.md § 13): for
+    /// each listed shard the DLM streams every logged commit past the
+    /// cursor, filtered through this client's registered interests, then
+    /// marks the client current with a [`DlmEvent::CursorAck`]. A shard
+    /// whose cursor was truncated out of its log (or acked under another
+    /// incarnation) answers with one [`DlmEvent::ResyncRequired`] over
+    /// the client's interests in that shard instead. Sent after
+    /// reconnect (locks must be re-registered first so interest
+    /// filtering sees them), or in response to a
+    /// [`DlmEvent::ReplayNeeded`] marker. Shards not listed are
+    /// untouched.
     ReplayFrom {
-        /// The client's last-applied update-log seqno (0 = from the
-        /// beginning of retained history).
-        cursor: u64,
-        /// The log incarnation the cursor was acked under (DESIGN.md
-        /// § 14), echoed from [`DlmEvent::Ready`]. Cursors are only
-        /// comparable within one incarnation: a mismatch forces the
-        /// resync fallback. 0 means "don't care" — the pre-durable
-        /// in-process semantics, where cursor and log always share a
-        /// lifetime.
-        incarnation: u64,
+        /// One cursor per shard to catch up.
+        cursors: Vec<ShardCursor>,
     },
 }
 
@@ -237,15 +285,16 @@ pub enum DlmEvent {
     /// lets a (re)connecting client distinguish a live agent from a
     /// channel that merely accepted the connection.
     Ready {
-        /// The DLM's update-log *session* incarnation (DESIGN.md § 14):
-        /// the namespace any [`DlmEvent::CursorAck`] seqnos belong to.
-        /// The durable incarnation when the log spills to storage, a
-        /// per-process nonce otherwise — never 0. A resuming client
-        /// echoes it in [`DlmRequest::ReplayFrom`]; a change means the
-        /// seqno namespace did not survive and cursors from the old
+        /// Each shard's update-log *session* incarnation (index = shard,
+        /// DESIGN.md § 14): the namespace that shard's
+        /// [`DlmEvent::CursorAck`] seqnos belong to. The durable
+        /// incarnation when the log spills to storage, a per-process
+        /// nonce otherwise — never 0. A resuming client echoes them in
+        /// [`DlmRequest::ReplayFrom`]; a change means the seqno
+        /// namespace did not survive and cursors from the old
         /// incarnation are void (the agent answers them with a resync,
         /// never a silent partial replay).
-        incarnation: u64,
+        log_incarnations: Vec<u64>,
     },
     /// The client's outbox overflowed its high-water mark: the queued
     /// notifications were swept and replaced by this single marker. The
@@ -283,45 +332,30 @@ pub enum DlmEvent {
     /// stored in queues) and flattened immediately on receipt; batches
     /// do not nest.
     Batch(Vec<DlmEvent>),
-    /// Cursor advancement: every logged commit with seqno ≤ `seqno` has
-    /// been delivered to (or legitimately filtered/coalesced away for)
-    /// this client. Emitted by the outbox writer whenever the queue
-    /// drains empty, and at the end of a served replay. The client
-    /// persists `seqno` as its replay cursor. Monotone non-decreasing;
-    /// a regression is tolerated (counted, ignored), never fatal.
+    /// Cursor advancement in one shard's seqno space: every commit that
+    /// shard logged with seqno ≤ `seqno` has been delivered to (or
+    /// legitimately filtered/coalesced away for) this client. Emitted by
+    /// the shard's outbox writer whenever its queue drains empty, and at
+    /// the end of a served replay. The client keeps one cursor per
+    /// shard; this advances one entry. Monotone non-decreasing; a
+    /// regression is tolerated (counted, ignored), never fatal.
     CursorAck {
-        /// Highest fully-delivered update-log seqno.
-        seqno: u64,
-    },
-    /// The client's outbox overflowed (or it was demoted as lagging) and
-    /// the backlog was dropped in favour of the update log: the client
-    /// must send [`DlmRequest::ReplayFrom`] with its cursor to catch up.
-    /// Replaces the overflow-`ResyncRequired` sweep when the log is
-    /// enabled.
-    ReplayNeeded {
-        /// The seqno the DLM had delivered through when it swept (the
-        /// client's own cursor is authoritative; this is diagnostic).
-        from: u64,
-    },
-    /// [`DlmEvent::CursorAck`] from one shard of a partitioned DLM
-    /// (DESIGN.md § 16). Each shard's update log has its own seqno
-    /// space, so the client keeps a cursor *vector*; this advances one
-    /// entry. Emitted only when the DLM runs more than one shard —
-    /// single-shard deployments keep the untagged `CursorAck`.
-    ShardCursorAck {
         /// The shard whose seqno space `seqno` belongs to.
         shard: u32,
         /// Highest fully-delivered seqno in that shard's log.
         seqno: u64,
     },
-    /// [`DlmEvent::ReplayNeeded`] from one shard of a partitioned DLM:
-    /// only that shard's backlog was swept, and only that shard's cursor
-    /// needs a `ReplayFrom` catch-up.
-    ShardReplayNeeded {
+    /// The client's outbox for one shard overflowed (or it was demoted
+    /// as lagging) and that shard's backlog was dropped in favour of its
+    /// update log: the client must send [`DlmRequest::ReplayFrom`] with
+    /// its cursor for that shard to catch up; other shards' streams flow
+    /// on undisturbed. Replaces the overflow-`ResyncRequired` sweep when
+    /// the log is enabled.
+    ReplayNeeded {
         /// The shard whose backlog was dropped.
         shard: u32,
-        /// That shard's delivered-through seqno at sweep time
-        /// (diagnostic, as for `ReplayNeeded`).
+        /// The seqno that shard had delivered through when it swept (the
+        /// client's own cursor is authoritative; this is diagnostic).
         from: u64,
     },
 }
@@ -415,13 +449,9 @@ impl Encode for DlmRequest {
                 committed.encode(w);
             }
             DlmRequest::Bye => w.put_u8(REQ_BYE),
-            DlmRequest::ReplayFrom {
-                cursor,
-                incarnation,
-            } => {
+            DlmRequest::ReplayFrom { cursors } => {
                 w.put_u8(REQ_REPLAY_FROM);
-                w.put_varint(*cursor);
-                w.put_varint(*incarnation);
+                encode_cursors(cursors, w);
             }
         }
     }
@@ -441,9 +471,9 @@ impl Decode for DlmRequest {
                 let n = r.get_varint()? as usize;
                 let mut attrs = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {
-                    attrs.push(r.get_varint()? as u16);
+                    attrs.push(u16::decode(r)?);
                 }
-                let version = r.get_varint()? as u32;
+                let version = u32::decode(r)?;
                 DlmRequest::LockProjected {
                     oids,
                     attrs,
@@ -472,8 +502,7 @@ impl Decode for DlmRequest {
             },
             REQ_BYE => DlmRequest::Bye,
             REQ_REPLAY_FROM => DlmRequest::ReplayFrom {
-                cursor: r.get_varint()?,
-                incarnation: r.get_varint()?,
+                cursors: decode_cursors(r)?,
             },
             t => return Err(DbError::Protocol(format!("unknown dlm request tag {t}"))),
         })
@@ -490,8 +519,6 @@ const EV_DELTA: u8 = 7;
 const EV_BATCH: u8 = 8;
 const EV_CURSOR_ACK: u8 = 9;
 const EV_REPLAY_NEEDED: u8 = 10;
-const EV_SHARD_CURSOR_ACK: u8 = 11;
-const EV_SHARD_REPLAY_NEEDED: u8 = 12;
 
 impl Encode for DlmEvent {
     fn encode(&self, w: &mut WireWriter) {
@@ -515,9 +542,9 @@ impl Encode for DlmEvent {
                 txn.encode(w);
                 committed.encode(w);
             }
-            DlmEvent::Ready { incarnation } => {
+            DlmEvent::Ready { log_incarnations } => {
                 w.put_u8(EV_READY);
-                w.put_varint(*incarnation);
+                log_incarnations.encode(w);
             }
             DlmEvent::ResyncRequired { oids } => {
                 w.put_u8(EV_RESYNC_REQUIRED);
@@ -543,22 +570,14 @@ impl Encode for DlmEvent {
                     e.encode(w);
                 }
             }
-            DlmEvent::CursorAck { seqno } => {
+            DlmEvent::CursorAck { shard, seqno } => {
                 w.put_u8(EV_CURSOR_ACK);
+                w.put_varint(u64::from(*shard));
                 w.put_varint(*seqno);
             }
-            DlmEvent::ReplayNeeded { from } => {
+            DlmEvent::ReplayNeeded { shard, from } => {
                 w.put_u8(EV_REPLAY_NEEDED);
-                w.put_varint(*from);
-            }
-            DlmEvent::ShardCursorAck { shard, seqno } => {
-                w.put_u8(EV_SHARD_CURSOR_ACK);
-                w.put_varint(*shard as u64);
-                w.put_varint(*seqno);
-            }
-            DlmEvent::ShardReplayNeeded { shard, from } => {
-                w.put_u8(EV_SHARD_REPLAY_NEEDED);
-                w.put_varint(*shard as u64);
+                w.put_varint(u64::from(*shard));
                 w.put_varint(*from);
             }
         }
@@ -579,7 +598,7 @@ impl Decode for DlmEvent {
                 committed: bool::decode(r)?,
             },
             EV_READY => DlmEvent::Ready {
-                incarnation: r.get_varint()?,
+                log_incarnations: Vec::<u64>::decode(r)?,
             },
             EV_RESYNC_REQUIRED => DlmEvent::ResyncRequired {
                 oids: Vec::<Oid>::decode(r)?,
@@ -587,7 +606,7 @@ impl Decode for DlmEvent {
             EV_LAGGING => DlmEvent::Lagging,
             EV_DELTA => DlmEvent::Delta {
                 oid: Oid::decode(r)?,
-                version: r.get_varint()? as u32,
+                version: u32::decode(r)?,
                 changed: decode_changes(r)?,
                 trace: r.get_varint()?,
             },
@@ -604,17 +623,11 @@ impl Decode for DlmEvent {
                 DlmEvent::Batch(events)
             }
             EV_CURSOR_ACK => DlmEvent::CursorAck {
+                shard: u32::decode(r)?,
                 seqno: r.get_varint()?,
             },
             EV_REPLAY_NEEDED => DlmEvent::ReplayNeeded {
-                from: r.get_varint()?,
-            },
-            EV_SHARD_CURSOR_ACK => DlmEvent::ShardCursorAck {
-                shard: r.get_varint()? as u32,
-                seqno: r.get_varint()?,
-            },
-            EV_SHARD_REPLAY_NEEDED => DlmEvent::ShardReplayNeeded {
-                shard: r.get_varint()? as u32,
+                shard: u32::decode(r)?,
                 from: r.get_varint()?,
             },
             t => return Err(DbError::Protocol(format!("unknown dlm event tag {t}"))),
@@ -662,13 +675,20 @@ mod tests {
             committed: false,
         });
         rt_req(DlmRequest::Bye);
+        rt_req(DlmRequest::ReplayFrom { cursors: vec![] });
         rt_req(DlmRequest::ReplayFrom {
-            cursor: 0,
-            incarnation: 0,
-        });
-        rt_req(DlmRequest::ReplayFrom {
-            cursor: u64::MAX,
-            incarnation: u64::MAX,
+            cursors: vec![
+                ShardCursor {
+                    shard: 0,
+                    cursor: 0,
+                    log_incarnation: 0,
+                },
+                ShardCursor {
+                    shard: u32::MAX,
+                    cursor: u64::MAX,
+                    log_incarnation: u64::MAX,
+                },
+            ],
         });
     }
 
@@ -684,24 +704,81 @@ mod tests {
             txn: TxnId::new(2),
             committed: true,
         });
-        rt_ev(DlmEvent::Ready { incarnation: 0 });
         rt_ev(DlmEvent::Ready {
-            incarnation: u64::MAX,
+            log_incarnations: vec![],
+        });
+        rt_ev(DlmEvent::Ready {
+            log_incarnations: vec![7, u64::MAX],
         });
         rt_ev(DlmEvent::ResyncRequired {
             oids: vec![Oid::new(7), Oid::new(8)],
         });
         rt_ev(DlmEvent::ResyncRequired { oids: vec![] });
         rt_ev(DlmEvent::Lagging);
-        rt_ev(DlmEvent::CursorAck { seqno: 0 });
-        rt_ev(DlmEvent::CursorAck { seqno: u64::MAX });
-        rt_ev(DlmEvent::ReplayNeeded { from: 42 });
-        rt_ev(DlmEvent::ShardCursorAck { shard: 0, seqno: 0 });
-        rt_ev(DlmEvent::ShardCursorAck {
+        rt_ev(DlmEvent::CursorAck { shard: 0, seqno: 0 });
+        rt_ev(DlmEvent::CursorAck {
             shard: u32::MAX,
             seqno: u64::MAX,
         });
-        rt_ev(DlmEvent::ShardReplayNeeded { shard: 3, from: 42 });
+        rt_ev(DlmEvent::ReplayNeeded { shard: 3, from: 42 });
+    }
+
+    #[test]
+    fn over_wide_narrow_fields_rejected() {
+        // A varint that does not fit its field is a protocol error, never
+        // a silent truncation (attr 65541 must not alias attr 5, shard
+        // 2^32 must not alias shard 0).
+        let wide_attr = {
+            let mut w = WireWriter::new();
+            w.put_u8(EV_DELTA);
+            Oid::new(1).encode(&mut w);
+            w.put_varint(1); // version
+            w.put_varint(1); // one change
+            w.put_varint(65_541);
+            Vec::<u8>::new().encode(&mut w);
+            w.put_varint(0); // trace
+            w.finish()
+        };
+        let wide_version = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_LOCK_PROJECTED);
+            Vec::<Oid>::new().encode(&mut w);
+            w.put_varint(0); // no attrs
+            w.put_varint(1 << 32);
+            w.finish()
+        };
+        let wide_shard = |tag: u8| {
+            let mut w = WireWriter::new();
+            w.put_u8(tag);
+            w.put_varint(1 << 32);
+            w.put_varint(9);
+            w.finish()
+        };
+        let wide_cursor_shard = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_REPLAY_FROM);
+            w.put_varint(1);
+            w.put_varint(1 << 32);
+            w.put_varint(9);
+            w.put_varint(1);
+            w.finish()
+        };
+        for bytes in [
+            wide_attr,
+            wide_shard(EV_CURSOR_ACK),
+            wide_shard(EV_REPLAY_NEEDED),
+        ] {
+            assert!(matches!(
+                DlmEvent::decode_from_bytes(&bytes),
+                Err(DbError::Protocol(_))
+            ));
+        }
+        for bytes in [wide_version, wide_cursor_shard] {
+            assert!(matches!(
+                DlmRequest::decode_from_bytes(&bytes),
+                Err(DbError::Protocol(_))
+            ));
+        }
     }
 
     #[test]
@@ -763,7 +840,13 @@ mod tests {
                 .with_trace(12345)],
         });
         // Control events carry no trace.
-        assert_eq!(DlmEvent::Ready { incarnation: 7 }.trace(), 0);
+        assert_eq!(
+            DlmEvent::Ready {
+                log_incarnations: vec![7]
+            }
+            .trace(),
+            0
+        );
         assert_eq!(DlmEvent::Lagging.trace(), 0);
     }
 

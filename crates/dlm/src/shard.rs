@@ -1,24 +1,26 @@
-//! The partitioned DLM: N in-process shards by OID hash (DESIGN.md
-//! § 16).
+//! The display-lock manager: N in-process shards by OID hash (DESIGN.md
+//! § 16), the one DLM both deployments of the paper's fig. 3 wrap.
 //!
-//! The single-table [`DlmCore`] serializes every commit's interest
-//! intersect behind one mutex — the single-box ceiling the paper's
-//! DLM-placement study (§ "DLM deployments") measures. [`ShardedDlm`]
-//! splits the table by a stable OID hash into independent shards, each
-//! with its own interest table, holders map, outbox set, and update log
-//! with an **independent seqno space**. Commits split their OID set by
-//! shard and fan the intersects out in parallel; clients keep a cursor
-//! *vector* (one entry per shard) and recovery replays shards in
-//! parallel.
+//! A single interest table serializes every commit's intersect behind
+//! one mutex — the single-box ceiling the paper's DLM-placement study
+//! (§ "DLM deployments") measures. [`ShardedDlm`] splits the table by a
+//! stable OID hash into independent shards, each with its own interest
+//! table, holders map, outbox set, and update log with an **independent
+//! seqno space**. Commits split their OID set by shard and fan the
+//! intersects out in parallel; clients keep a cursor *vector* (one entry
+//! per shard) and recovery replays shards in parallel. `shards = 1` is
+//! the ordinary N = 1 case of all of it.
 //!
-//! A one-shard `ShardedDlm` is bit-compatible with the classic core: it
-//! wraps a plain [`DlmCore`] on the legacy lock ranks, emits untagged
-//! [`DlmEvent::CursorAck`]s, and spills its durable log to the same
-//! directory layout as PR 7.
+//! * the **agent** (§ 4.1): a standalone service ([`crate::agent`]) where
+//!   updating clients report commits/intents over the wire;
+//! * the **integrated** lock manager: the server calls
+//!   [`ShardedDlm::notify_committed_txn`] / [`ShardedDlm::notify_intent`]
+//!   directly from its commit and X-grant paths.
 
 use crate::core::{DlmConfig, DlmCore, DlmStats, EventSink, ReplayOutcome};
 use crate::log::{DurableRecovery, UpdateLog};
-use crate::proto::{DlmEvent, UpdateInfo};
+use crate::outbox::OutboxSink;
+use crate::proto::{ShardCursor, UpdateInfo};
 use displaydb_common::metrics::{Counter, SegLogStats};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid, TxnId};
 use std::path::Path;
@@ -50,9 +52,6 @@ impl ShardMap {
     /// pattern) uniformly, so hot contiguous ranges don't pile onto one
     /// shard.
     pub fn shard_of(&self, oid: Oid) -> u32 {
-        if self.shards == 1 {
-            return 0;
-        }
         ((oid.raw().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) % self.shards as u64) as u32
     }
 
@@ -67,72 +66,7 @@ impl ShardMap {
     }
 }
 
-/// An [`EventSink`] decorator that stamps one shard's identity onto the
-/// cursor-bearing control events, so a client receiving from N shards
-/// over one session channel can tell the seqno spaces apart. Sits
-/// *inside* the per-shard outbox (the coalescing queue never sees
-/// tagged variants); everything that isn't a cursor control event
-/// passes through untouched.
-pub struct ShardTagSink {
-    shard: u32,
-    inner: Arc<dyn EventSink>,
-}
-
-impl ShardTagSink {
-    /// Wrap `inner` so its cursor control events carry `shard`.
-    pub fn new(shard: u32, inner: Arc<dyn EventSink>) -> Self {
-        Self { shard, inner }
-    }
-
-    fn tag(&self, event: DlmEvent) -> DlmEvent {
-        match event {
-            DlmEvent::CursorAck { seqno } => DlmEvent::ShardCursorAck {
-                shard: self.shard,
-                seqno,
-            },
-            DlmEvent::ReplayNeeded { from } => DlmEvent::ShardReplayNeeded {
-                shard: self.shard,
-                from,
-            },
-            DlmEvent::Batch(events) => {
-                DlmEvent::Batch(events.into_iter().map(|e| self.tag(e)).collect())
-            }
-            other => other,
-        }
-    }
-}
-
-impl EventSink for ShardTagSink {
-    fn deliver(&self, event: DlmEvent) -> DbResult<()> {
-        self.inner.deliver(self.tag(event))
-    }
-
-    fn deliver_logged(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
-        self.inner.deliver_logged(self.tag(event), seqno)
-    }
-
-    fn deliver_replayed(&self, event: DlmEvent, seqno: u64) -> DbResult<()> {
-        self.inner.deliver_replayed(self.tag(event), seqno)
-    }
-
-    fn replay_restore(&self) {
-        self.inner.replay_restore();
-    }
-
-    fn mark_current_through(&self, seqno: u64) {
-        self.inner.mark_current_through(seqno);
-    }
-
-    fn advance_frontier(&self, seqno: u64) {
-        self.inner.advance_frontier(seqno);
-    }
-
-    fn close(&self) {
-        self.inner.close();
-    }
-}
-
-/// Shard-tagged fan-out counters: how many committed updates each shard
+/// Per-shard fan-out counters: how many committed updates each shard
 /// intersected. Static names keep [`displaydb_common::StatsSource`]'s
 /// `'static` contract; shards past the table fold into the last row.
 const SHARD_STAT_NAMES: &[&str] = &[
@@ -187,10 +121,9 @@ impl displaydb_common::StatsSource for ShardStats {
     }
 }
 
-/// The partitioned display-lock manager (DESIGN.md § 16). All the
-/// [`DlmCore`] entry points the integrated server uses, routed through
-/// a [`ShardMap`]; multi-OID operations split their set and commits fan
-/// the per-shard intersects out in parallel.
+/// The display-lock manager (DESIGN.md § 16): every entry point routed
+/// through a [`ShardMap`]; multi-OID operations split their set and
+/// commits fan the per-shard intersects out in parallel.
 pub struct ShardedDlm {
     map: ShardMap,
     cores: Vec<Arc<DlmCore>>,
@@ -209,36 +142,22 @@ impl std::fmt::Debug for ShardedDlm {
 }
 
 impl ShardedDlm {
-    /// Build an in-memory DLM with `config.shards` partitions. One
-    /// shard wraps a classic [`DlmCore`] on the legacy lock ranks;
-    /// more get per-shard ranked tables and logs sharing one stats
-    /// handle.
+    /// Build an in-memory DLM with `config.shards` partitions sharing
+    /// one stats handle.
     pub fn new(config: DlmConfig) -> Self {
-        let map = ShardMap::new(config.shards);
-        let (cores, stats) = if map.shards() == 1 {
-            let core = Arc::new(DlmCore::new(config));
-            let stats = core.stats().clone();
-            (vec![core], stats)
-        } else {
-            let stats = DlmStats::default();
-            let cores = (0..map.shards())
-                .map(|_| Arc::new(DlmCore::new_shard(config, stats.clone())))
-                .collect();
-            (cores, stats)
-        };
-        let shard_stats = ShardStats::new(map.shards());
-        Self {
-            map,
-            cores,
-            config,
-            stats,
-            shard_stats,
-        }
+        let stats = DlmStats::default();
+        let logs = (0..ShardMap::new(config.shards).shards())
+            .map(|_| UpdateLog::new(config.log, stats.log.clone()))
+            .collect();
+        Self::from_logs(config, stats, logs)
     }
 
     /// Build a DLM whose per-shard update logs spill to stable storage
-    /// (DESIGN.md § 14, per-shard directories `dir/shard-<i>` when
-    /// sharded, `dir` itself at one shard — the PR 7 layout). Each
+    /// (DESIGN.md § 14) under `dir/shard-<i>-of-<n>`. The directory name
+    /// carries the partitioning because a shard's log only vouches for
+    /// the OIDs that hashed to it under that shard count: reopened with
+    /// a different `config.shards`, no directory matches, every shard
+    /// starts a fresh incarnation, and resuming clients resync. Each
     /// shard gets its own durable incarnation (`fresh_incarnation + i`
     /// when freshly minted) because its seqno space is independent.
     /// Returns one recovery report per shard.
@@ -250,56 +169,37 @@ impl ShardedDlm {
         fresh_incarnation: u64,
         min_last_txn: u64,
     ) -> DbResult<(Self, Vec<DurableRecovery>)> {
-        let map = ShardMap::new(config.shards);
-        if map.shards() == 1 {
-            let (core, rec) = DlmCore::new_durable(
-                config,
-                dir,
-                durable,
-                seg_stats,
-                fresh_incarnation,
-                min_last_txn,
-            )?;
-            let stats = core.stats().clone();
-            let shard_stats = ShardStats::new(1);
-            return Ok((
-                Self {
-                    map,
-                    cores: vec![Arc::new(core)],
-                    config,
-                    stats,
-                    shard_stats,
-                },
-                vec![rec],
-            ));
-        }
         let stats = DlmStats::default();
-        let mut cores = Vec::with_capacity(map.shards());
-        let mut recoveries = Vec::with_capacity(map.shards());
-        for s in 0..map.shards() {
-            let (core, rec) = DlmCore::new_shard_durable(
-                config,
-                stats.clone(),
-                dir.as_ref().join(format!("shard-{s}")),
+        let n = ShardMap::new(config.shards).shards();
+        let mut logs = Vec::with_capacity(n);
+        let mut recoveries = Vec::with_capacity(n);
+        for s in 0..n {
+            let (log, rec) = UpdateLog::open_durable(
+                config.log,
+                stats.log.clone(),
+                dir.as_ref().join(format!("shard-{s}-of-{n}")),
                 durable,
                 seg_stats.clone(),
                 fresh_incarnation.wrapping_add(s as u64),
                 min_last_txn,
             )?;
-            cores.push(Arc::new(core));
+            logs.push(log);
             recoveries.push(rec);
         }
-        let shard_stats = ShardStats::new(map.shards());
-        Ok((
-            Self {
-                map,
-                cores,
-                config,
-                stats,
-                shard_stats,
-            },
-            recoveries,
-        ))
+        Ok((Self::from_logs(config, stats, logs), recoveries))
+    }
+
+    fn from_logs(config: DlmConfig, stats: DlmStats, logs: Vec<UpdateLog>) -> Self {
+        Self {
+            map: ShardMap::new(logs.len()),
+            shard_stats: ShardStats::new(logs.len()),
+            cores: logs
+                .into_iter()
+                .map(|log| Arc::new(DlmCore::new(config, stats.clone(), log)))
+                .collect(),
+            config,
+            stats,
+        }
     }
 
     /// The OID → shard routing function.
@@ -310,11 +210,6 @@ impl ShardedDlm {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.cores.len()
-    }
-
-    /// One shard's core (tests, per-shard resume admission).
-    pub fn core(&self, shard: usize) -> &Arc<DlmCore> {
-        &self.cores[shard]
     }
 
     /// Active configuration.
@@ -332,21 +227,17 @@ impl ShardedDlm {
         &self.shard_stats
     }
 
-    /// Shard 0's update log. With one shard this *is* the log, exactly
-    /// as before; with more it is only the first partition — callers
-    /// that care about a specific shard use [`Self::update_log_of`].
-    pub fn update_log(&self) -> &UpdateLog {
-        self.cores[0].update_log()
-    }
-
     /// One shard's update log.
     pub fn update_log_of(&self, shard: usize) -> &UpdateLog {
         self.cores[shard].update_log()
     }
 
     /// Every shard's durable log incarnation, index = shard (0 = that
-    /// shard has no durable log). The client echoes this vector back in
-    /// its resume token so admission is provable per shard.
+    /// shard has no durable log): what survives a restart. The
+    /// integrated server announces this vector in its handshake — its
+    /// resume token already proves process identity — and the client
+    /// echoes it back with its cursors so admission is provable per
+    /// shard.
     pub fn log_incarnations(&self) -> Vec<u64> {
         self.cores
             .iter()
@@ -354,27 +245,68 @@ impl ShardedDlm {
             .collect()
     }
 
-    /// Register one sink for `client` on every shard (single-shard
-    /// deployments and tests, where tagging is unnecessary).
+    /// Every shard's *session* incarnation, index = shard: the durable
+    /// incarnation where one exists, else a nonce unique to this
+    /// process's log — never 0. The agent announces this vector; its
+    /// handshake has nothing else that would expose a restart.
+    pub fn session_incarnations(&self) -> Vec<u64> {
+        self.cores
+            .iter()
+            .map(|c| c.update_log().session_incarnation())
+            .collect()
+    }
+
+    /// Register `sink` for `client` on every shard as is — synchronous
+    /// delivery, no outbox, no cursor acks (tests and microbenchmarks).
     pub fn register_client(&self, client: ClientId, sink: Arc<dyn EventSink>) {
         for core in &self.cores {
             core.register_client(client, Arc::clone(&sink));
         }
     }
 
-    /// Register per-shard sinks for `client` (index = shard). The
-    /// server wraps each shard's sink in its own outbox so one slow
-    /// shard's backlog cannot block the others, and tags it with
-    /// [`ShardTagSink`] so cursor acks name their seqno space.
-    pub fn register_client_sinks(&self, client: ClientId, sinks: Vec<Arc<dyn EventSink>>) {
-        assert_eq!(sinks.len(), self.cores.len(), "one sink per shard");
-        for (core, sink) in self.cores.iter().zip(sinks) {
-            core.register_client(client, sink);
-        }
+    /// Register a connected session — the one registration path both
+    /// deployments use. `sink` is the deployment's wire sink; each shard
+    /// gets its own bounded outbox around it (DESIGN.md § 9), so the
+    /// commit path only ever enqueues and one shard's backlog cannot
+    /// block another's. An outbox mints `CursorAck{shard}` /
+    /// `ReplayNeeded{shard}` in its shard's seqno space when that
+    /// shard's log is enabled, and spills every cursor it acks as a
+    /// frontier record when the log is durable, so the client's
+    /// per-shard progress survives a restart (the spill runs on the
+    /// outbox writer thread, outside all outbox locks). Returns the
+    /// outboxes, index = shard, for callers that drain them at shutdown.
+    pub fn register_session(
+        &self,
+        client: ClientId,
+        sink: Arc<dyn EventSink>,
+    ) -> Vec<Arc<OutboxSink>> {
+        self.cores
+            .iter()
+            .enumerate()
+            .map(|(s, core)| {
+                let log = core.update_log();
+                let recorder = log.is_durable().then(|| {
+                    let core = Arc::clone(core);
+                    Arc::new(move |cursor| {
+                        let _ = core.update_log().record_frontier(client, cursor);
+                    }) as Arc<dyn Fn(u64) + Send + Sync>
+                });
+                let outbox = OutboxSink::wrap(
+                    Arc::clone(&sink),
+                    s as u32,
+                    self.config.overload,
+                    self.stats.overload.clone(),
+                    log.enabled(),
+                    recorder,
+                );
+                core.register_client(client, Arc::clone(&outbox) as Arc<dyn EventSink>);
+                outbox
+            })
+            .collect()
     }
 
-    /// Drop `client` from every shard (sinks closed outside the table
-    /// locks, as for [`DlmCore::unregister_client`]).
+    /// Drop `client` from every shard: its sinks (closed outside the
+    /// table locks) and every display lock it holds.
     pub fn unregister_client(&self, client: ClientId) {
         for core in &self.cores {
             core.unregister_client(client);
@@ -442,8 +374,9 @@ impl ShardedDlm {
         parts
     }
 
-    /// [`DlmCore::notify_committed`] across shards; see
-    /// [`Self::notify_committed_txn`].
+    /// [`Self::notify_committed_txn`] for callers with no transaction id
+    /// (tests, agent-relayed client commits) and no use for the spill
+    /// error, which only matters to callers that tie it to a commit.
     pub fn notify_committed(&self, origin: Option<ClientId>, updates: &[UpdateInfo]) {
         let _ = self.notify_committed_txn(origin, updates, 0);
     }
@@ -525,43 +458,40 @@ impl ShardedDlm {
         }
     }
 
-    /// Replay shard 0 from `cursor` — the legacy single-cursor entry
-    /// point ([`crate::proto::DlmRequest::ReplayFrom`] and pre-shard
-    /// resume tokens land here).
-    pub fn replay_for(&self, client: ClientId, cursor: u64) -> ReplayOutcome {
-        self.cores[0].replay_for(client, cursor)
-    }
-
-    /// Replay one shard's log from that shard's `cursor`.
-    pub fn replay_for_shard(&self, client: ClientId, shard: usize, cursor: u64) -> ReplayOutcome {
-        self.cores[shard].replay_for(client, cursor)
-    }
-
-    /// Fan a recovery out shard-parallel: replay each `(shard, cursor)`
-    /// pair concurrently. Shards whose cursor fell off their log answer
-    /// with a `ResyncRequired` over the client's watched set *in that
-    /// shard* — truncation is contained, caught-up shards still replay.
-    /// Returns one outcome per requested pair, same order.
+    /// Serve a replay request shard-parallel: each cursor's shard
+    /// streams its log suffix through the client's outbox for that
+    /// shard. A shard whose cursor fell off its log — or was acked under
+    /// an incarnation other than the one `announced` for it in this
+    /// session's handshake, so its seqno space is gone — answers with a
+    /// `ResyncRequired` over the client's watched set *in that shard*:
+    /// truncation is contained, caught-up shards still replay. Cursors
+    /// naming a shard this DLM does not have are skipped; returns one
+    /// outcome per remaining cursor, same order.
     pub fn replay_for_shards(
         &self,
         client: ClientId,
-        cursors: &[(u32, u64)],
+        cursors: &[ShardCursor],
+        announced: &[u64],
     ) -> Vec<ReplayOutcome> {
-        if cursors.len() <= 1 {
-            return cursors
-                .iter()
-                .filter(|(s, _)| (*s as usize) < self.cores.len())
-                .map(|&(s, c)| self.cores[s as usize].replay_for(client, c))
-                .collect();
+        let jobs: Vec<(&DlmCore, u64)> = cursors
+            .iter()
+            .filter_map(|sc| {
+                let core = self.cores.get(sc.shard as usize)?;
+                let admitted = announced.get(sc.shard as usize) == Some(&sc.log_incarnation);
+                // `u64::MAX` is past every head: the truncated path.
+                Some((&**core, if admitted { sc.cursor } else { u64::MAX }))
+            })
+            // One cursor per shard is all a client has; the list is wire
+            // input and each entry below costs a thread.
+            .take(self.cores.len())
+            .collect();
+        if let [(core, cursor)] = jobs[..] {
+            return vec![core.replay_for(client, cursor)];
         }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = cursors
+            let handles: Vec<_> = jobs
                 .iter()
-                .filter(|(s, _)| (*s as usize) < self.cores.len())
-                .map(|&(s, c)| {
-                    let core = &self.cores[s as usize];
-                    scope.spawn(move || core.replay_for(client, c))
-                })
+                .map(|&(core, cursor)| scope.spawn(move || core.replay_for(client, cursor)))
                 .collect();
             handles
                 .into_iter()
@@ -574,6 +504,7 @@ impl ShardedDlm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::DlmEvent;
     use crossbeam::channel::{unbounded, Receiver};
     use displaydb_common::DbError;
 
@@ -700,39 +631,51 @@ mod tests {
         assert_eq!(total, 64);
     }
 
-    #[test]
-    fn tag_sink_rewrites_cursor_events_including_batches() {
-        let (inner, rx) = sink();
-        let tagged = ShardTagSink::new(3, inner);
-        tagged.deliver(DlmEvent::CursorAck { seqno: 9 }).unwrap();
-        tagged.deliver(DlmEvent::ReplayNeeded { from: 5 }).unwrap();
-        tagged
-            .deliver(DlmEvent::Batch(vec![
-                DlmEvent::Updated(UpdateInfo::lazy(o(1))),
-                DlmEvent::CursorAck { seqno: 11 },
-            ]))
-            .unwrap();
-        assert_eq!(
-            rx.try_recv().unwrap(),
-            DlmEvent::ShardCursorAck { shard: 3, seqno: 9 }
-        );
-        assert_eq!(
-            rx.try_recv().unwrap(),
-            DlmEvent::ShardReplayNeeded { shard: 3, from: 5 }
-        );
-        match rx.try_recv().unwrap() {
-            DlmEvent::Batch(events) => {
-                assert_eq!(events.len(), 2);
-                assert!(matches!(events[0], DlmEvent::Updated(_)));
-                assert_eq!(
-                    events[1],
-                    DlmEvent::ShardCursorAck {
-                        shard: 3,
-                        seqno: 11
-                    }
-                );
+    /// Flatten wire batches and keep only cursor acks.
+    fn acks(events: impl IntoIterator<Item = DlmEvent>) -> Vec<(u32, u64)> {
+        let mut out = Vec::new();
+        for e in events {
+            match e {
+                DlmEvent::Batch(inner) => out.extend(acks(inner)),
+                DlmEvent::CursorAck { shard, seqno } => out.push((shard, seqno)),
+                _ => {}
             }
-            other => panic!("unexpected {other:?}"),
+        }
+        out
+    }
+
+    #[test]
+    fn session_outboxes_ack_in_their_own_shards_seqno_space() {
+        // One wire sink, one outbox per shard: every ack names the shard
+        // whose log it advances — at one shard exactly as at four.
+        for n in [1usize, 4] {
+            let dlm = sharded(n);
+            let (s1, r1) = sink();
+            let outboxes = dlm.register_session(c(1), s1);
+            assert_eq!(outboxes.len(), n);
+            let oids: Vec<Oid> = (0..32).map(o).collect();
+            dlm.lock(c(1), &oids);
+            for &oid in &oids {
+                dlm.notify_committed(None, &[UpdateInfo::lazy(oid)]);
+            }
+            // Every shard's final ack reaches its log head.
+            let mut last = vec![0u64; n];
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while (0..n).any(|s| last[s] != dlm.update_log_of(s).head()) {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "acks stalled: {last:?}"
+                );
+                let Ok(e) = r1.recv_timeout(std::time::Duration::from_millis(100)) else {
+                    continue;
+                };
+                for (shard, seqno) in acks([e]) {
+                    assert!((shard as usize) < n, "ack names unknown shard {shard}");
+                    assert!(seqno >= last[shard as usize], "ack regressed");
+                    last[shard as usize] = seqno;
+                }
+            }
+            dlm.unregister_client(c(1));
         }
     }
 
@@ -749,8 +692,15 @@ mod tests {
         assert_eq!(live, 64);
         // Truncate shard 2's log; replay all four shards from 0.
         dlm.update_log_of(2).truncate_all();
-        let cursors: Vec<(u32, u64)> = (0..4).map(|s| (s, 0)).collect();
-        let outcomes = dlm.replay_for_shards(c(1), &cursors);
+        let announced = dlm.session_incarnations();
+        let cursors: Vec<ShardCursor> = (0..4)
+            .map(|s| ShardCursor {
+                shard: s,
+                cursor: 0,
+                log_incarnation: announced[s as usize],
+            })
+            .collect();
+        let outcomes = dlm.replay_for_shards(c(1), &cursors, &announced);
         assert_eq!(outcomes.len(), 4);
         let mut replayed = 0usize;
         let mut truncated = 0usize;
@@ -787,11 +737,49 @@ mod tests {
         assert_eq!(resyncs, 1);
         assert_eq!(replays, replayed);
     }
+
+    #[test]
+    fn cursor_from_another_incarnation_resyncs_its_shard_only() {
+        let dlm = sharded(2);
+        let (s1, r1) = sink();
+        dlm.register_client(c(1), s1);
+        let oids: Vec<Oid> = (0..16).map(o).collect();
+        dlm.lock(c(1), &oids);
+        let updates: Vec<UpdateInfo> = oids.iter().map(|&oid| UpdateInfo::lazy(oid)).collect();
+        dlm.notify_committed(None, &updates);
+        let _ = r1.try_iter().count();
+        let announced = dlm.session_incarnations();
+        let cursors = [
+            ShardCursor {
+                shard: 0,
+                cursor: 0,
+                log_incarnation: announced[0],
+            },
+            // Acked under a log that no longer exists: cursor 0 would
+            // otherwise replay happily.
+            ShardCursor {
+                shard: 1,
+                cursor: 0,
+                log_incarnation: announced[1] ^ 1,
+            },
+            // Not a shard of this DLM: skipped, not an index panic.
+            ShardCursor {
+                shard: 9,
+                cursor: 0,
+                log_incarnation: 0,
+            },
+        ];
+        let outcomes = dlm.replay_for_shards(c(1), &cursors, &announced);
+        assert_eq!(outcomes.len(), 2);
+        assert!(matches!(outcomes[0], ReplayOutcome::Replayed { .. }));
+        assert!(matches!(outcomes[1], ReplayOutcome::Truncated { .. }));
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::proto::DlmEvent;
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -802,14 +790,12 @@ mod proptests {
 
     fn recording_sink(
         client: u64,
-        log: Arc<std::sync::Mutex<Vec<Recorded>>>,
+        log: Arc<parking_lot::Mutex<Vec<Recorded>>>,
     ) -> Arc<dyn EventSink> {
         Arc::new(move |e: DlmEvent| {
             match &e {
                 DlmEvent::Updated(_) | DlmEvent::Delta { .. } => {
-                    log.lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push((client, format!("{e:?}")));
+                    log.lock().push((client, format!("{e:?}")));
                 }
                 _ => {}
             }
@@ -863,78 +849,178 @@ mod proptests {
         ]
     }
 
-    /// Run `ops` against a DLM with `shards` partitions, returning the
-    /// sorted multiset of recorded notification deliveries.
-    fn run(shards: usize, ops: &[Op]) -> Vec<Recorded> {
+    fn apply(dlm: &ShardedDlm, op: &Op) {
+        let oids = |raw: &[u64]| raw.iter().map(|&o| Oid::new(o)).collect::<Vec<Oid>>();
+        match op {
+            Op::Lock { client, oids: raw } => dlm.lock(ClientId::new(*client), &oids(raw)),
+            Op::LockProjected {
+                client,
+                oids: raw,
+                attrs,
+            } => dlm.lock_projected(ClientId::new(*client), &oids(raw), attrs, 1),
+            Op::Release { client, oids: raw } => dlm.release(ClientId::new(*client), &oids(raw)),
+            Op::Commit {
+                origin,
+                oids: raw,
+                changed,
+            } => {
+                let updates: Vec<UpdateInfo> = oids(raw)
+                    .into_iter()
+                    .map(|oid| {
+                        let info = UpdateInfo::lazy(oid);
+                        if *changed {
+                            info.with_changes(vec![(1, vec![7]), (5, vec![9])])
+                        } else {
+                            info
+                        }
+                    })
+                    .collect();
+                dlm.notify_committed_txn(Some(ClientId::new(*origin)), &updates, 0)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// Client -> 1-based schedule position of the last op that notified
+    /// it (absent = never notified).
+    type LastHeard = std::collections::BTreeMap<u64, usize>;
+
+    /// Run `ops` against a DLM with `shards` partitions and synchronous
+    /// sinks, returning the sorted multiset of recorded notification
+    /// deliveries and when each client was last notified.
+    fn run(shards: usize, ops: &[Op]) -> (Vec<Recorded>, LastHeard) {
         let dlm = ShardedDlm::new(DlmConfig {
             shards,
             ..DlmConfig::default()
         });
-        let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
         for client in 0..5u64 {
             dlm.register_client(
                 ClientId::new(client),
                 recording_sink(client, Arc::clone(&log)),
             );
         }
-        for op in ops {
-            match op {
-                Op::Lock { client, oids } => {
-                    let oids: Vec<Oid> = oids.iter().map(|&o| Oid::new(o)).collect();
-                    dlm.lock(ClientId::new(*client), &oids);
-                }
-                Op::LockProjected {
-                    client,
-                    oids,
-                    attrs,
-                } => {
-                    let oids: Vec<Oid> = oids.iter().map(|&o| Oid::new(o)).collect();
-                    dlm.lock_projected(ClientId::new(*client), &oids, attrs, 1);
-                }
-                Op::Release { client, oids } => {
-                    let oids: Vec<Oid> = oids.iter().map(|&o| Oid::new(o)).collect();
-                    dlm.release(ClientId::new(*client), &oids);
-                }
-                Op::Commit {
-                    origin,
-                    oids,
-                    changed,
-                } => {
-                    let updates: Vec<UpdateInfo> = oids
-                        .iter()
-                        .map(|&o| {
-                            let info = UpdateInfo::lazy(Oid::new(o));
-                            if *changed {
-                                info.with_changes(vec![(1, vec![7]), (5, vec![9])])
-                            } else {
-                                info
-                            }
-                        })
-                        .collect();
-                    dlm.notify_committed_txn(Some(ClientId::new(*origin)), &updates, 0)
-                        .unwrap();
+        let mut last_heard = LastHeard::new();
+        for (at, op) in ops.iter().enumerate() {
+            let before = log.lock().len();
+            apply(&dlm, op);
+            for (client, _) in &log.lock()[before..] {
+                last_heard.insert(*client, at + 1);
+            }
+        }
+        let mut recorded = log.lock().clone();
+        recorded.sort();
+        (recorded, last_heard)
+    }
+
+    /// What the cursor protocol told each client, in shard-count-neutral
+    /// terms: which control variants it saw, and the latest op (by
+    /// schedule position) its cursor vector covers.
+    type Control = std::collections::BTreeMap<u64, (Vec<&'static str>, usize)>;
+
+    /// Run `ops` with every client registered as a session (one outbox
+    /// per shard, acks minted in each shard's seqno space) and report
+    /// the cursor-control traffic once every client's cursor vector
+    /// covers the op `last_heard` says it was last notified by. Acks
+    /// are asynchronous (outbox writer threads), hence the wait; a
+    /// cursor can never run ahead of what was delivered, so the
+    /// condition is stable once reached.
+    fn run_sessions(shards: usize, ops: &[Op], last_heard: &LastHeard) -> Control {
+        let mut config = DlmConfig {
+            shards,
+            ..DlmConfig::default()
+        };
+        // Overflow sweeps depend on writer-thread timing; keep every
+        // event on the normal path so the schedule alone decides.
+        config.overload.outbox_high_water = 4096;
+        let dlm = ShardedDlm::new(config);
+        // Client -> control events in arrival order (batches flattened).
+        let seen: Arc<parking_lot::Mutex<HashMap<u64, Vec<DlmEvent>>>> = Arc::default();
+        for client in 0..5u64 {
+            let seen = Arc::clone(&seen);
+            let sink = move |e: DlmEvent| {
+                let events = match e {
+                    DlmEvent::Batch(events) => events,
+                    e => vec![e],
+                };
+                seen.lock().entry(client).or_default().extend(
+                    events
+                        .into_iter()
+                        .filter(|e| !matches!(e, DlmEvent::Updated(_) | DlmEvent::Delta { .. })),
+                );
+                Ok(())
+            };
+            dlm.register_session(ClientId::new(client), Arc::new(sink));
+        }
+        // (shard, seqno) -> position of the op that was assigned it.
+        let mut position: HashMap<(usize, u64), usize> = HashMap::new();
+        for (at, op) in ops.iter().enumerate() {
+            let heads: Vec<u64> = (0..shards).map(|s| dlm.update_log_of(s).head()).collect();
+            apply(&dlm, op);
+            for (s, &head) in heads.iter().enumerate() {
+                if dlm.update_log_of(s).head() > head {
+                    position.insert((s, head + 1), at + 1);
                 }
             }
         }
-        let mut recorded = log
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        recorded.sort();
-        recorded
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let control = loop {
+            let seen = seen.lock().clone();
+            let control: Control = (0..5u64)
+                .map(|client| {
+                    let mut variants: Vec<&'static str> = Vec::new();
+                    let mut covered = 0usize;
+                    for e in seen.get(&client).map_or(&[][..], Vec::as_slice) {
+                        let variant = match e {
+                            DlmEvent::CursorAck { shard, seqno } => {
+                                covered = covered.max(position[&(*shard as usize, *seqno)]);
+                                "CursorAck"
+                            }
+                            DlmEvent::ReplayNeeded { .. } => "ReplayNeeded",
+                            DlmEvent::ResyncRequired { .. } => "ResyncRequired",
+                            DlmEvent::Lagging => "Lagging",
+                            other => panic!("unexpected control event {other:?}"),
+                        };
+                        if !variants.contains(&variant) {
+                            variants.push(variant);
+                        }
+                    }
+                    (client, (variants, covered))
+                })
+                .collect();
+            if (0..5u64).all(|c| control[&c].1 == last_heard.get(&c).copied().unwrap_or(0)) {
+                break control;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{shards} shards: cursors {control:?} never covered {last_heard:?}"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        };
+        for client in 0..5u64 {
+            dlm.unregister_client(ClientId::new(client));
+        }
+        control
     }
 
     proptest! {
         /// The sharded DLM is observationally equivalent to the
         /// single-shard DLM: same commit/interest schedule, same event
         /// multiset per client (projection suppression and deltas
-        /// included), and within each shard seqnos stay monotone.
+        /// included), the same cursor-control variants, and cursor
+        /// vectors that cover the same commits.
         #[test]
         fn prop_sharded_matches_single_shard(ops in proptest::collection::vec(arb_op(), 1..60)) {
             let single = run(1, &ops);
+            let single_control = run_sessions(1, &ops, &single.1);
             for &shards in &[2usize, 4, 8] {
                 let multi = run(shards, &ops);
                 prop_assert_eq!(&multi, &single, "{} shards diverged", shards);
+                let multi_control = run_sessions(shards, &ops, &multi.1);
+                prop_assert_eq!(
+                    &multi_control, &single_control,
+                    "{} shards: cursor control diverged", shards
+                );
             }
         }
 

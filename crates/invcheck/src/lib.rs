@@ -1,10 +1,9 @@
 //! Workspace invariant linter.
 //!
-//! Grown out of the lock-safety linter (`lockcheck`, DESIGN.md §11)
-//! into a pluggable rule engine over the same hand-rolled lexer and
-//! token-stream scanner. Four rule families:
+//! A pluggable rule engine over a hand-rolled lexer and token-stream
+//! scanner. Four rule families:
 //!
-//! * **lock** — the original hierarchy/blocking/poison rules, keyed by
+//! * **lock** — the hierarchy/blocking/poison rules (DESIGN.md §11), keyed by
 //!   the rank registry parsed from `common/src/sync.rs`;
 //! * **durability** — commit-path appends must be synced before any
 //!   ack/frontier/cursor write escapes; fsync-adjacent mutations carry
@@ -29,10 +28,6 @@ pub mod report;
 pub mod source;
 pub mod tracecov;
 
-/// Back-compat alias: the lock family was previously the whole linter,
-/// exposed as `scan`.
-pub use lockrules as scan;
-
 pub use engine::{all_rules, run, EnumRegistry, Rule, Workspace};
 pub use lockrules::{analyze, Analysis, ScanOptions};
 pub use registry::Registry;
@@ -40,8 +35,8 @@ pub use report::{Allowlist, Finding};
 pub use source::SourceFile;
 
 /// Lex and analyze `(path, contents)` pairs with the **lock family
-/// only**, against the registry parsed from `sync_source`. Kept for the
-/// `lockcheck` shim and existing callers.
+/// only**, against the registry parsed from `sync_source` (the lock
+/// self-tests' entry point).
 pub fn check_sources(
     sync_source: &str,
     files: &[(String, String)],

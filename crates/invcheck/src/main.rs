@@ -9,8 +9,7 @@
 //! root, parses the lock registry from `crates/common/src/sync.rs` and
 //! the `CrashPoint`/`Stage` registries from their declaring files, and
 //! runs all four rule families. Allowlisted findings (from
-//! `invcheck.allow` at the root; `lockcheck.allow` is read as a
-//! fallback for compatibility) are reported as allowed. Stale allowlist
+//! `invcheck.allow` at the root) are reported as allowed. Stale allowlist
 //! entries are notes normally but **fail the run** under
 //! `--deny-warnings`, so the allowlist can only shrink as code improves.
 //! `--json PATH` writes the full findings report for CI artifacts.
@@ -87,8 +86,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // `invcheck.allow` is the canonical allowlist; `lockcheck.allow` is
-    // honoured as a fallback so older checkouts keep working.
+    // An explicit `--allowlist` must exist; the default
+    // `invcheck.allow` at the root may be absent (nothing allowlisted).
     let (allowlist_path, allowlist) = match allowlist_path {
         Some(p) => match std::fs::read_to_string(&p) {
             Ok(text) => (p, Allowlist::parse(&text)),
@@ -98,23 +97,11 @@ fn main() -> ExitCode {
             }
         },
         None => {
-            let primary = root.join("invcheck.allow");
-            match std::fs::read_to_string(&primary) {
-                Ok(text) => (primary, Allowlist::parse(&text)),
-                Err(_) => {
-                    let legacy = root.join("lockcheck.allow");
-                    match std::fs::read_to_string(&legacy) {
-                        Ok(text) => {
-                            eprintln!(
-                                "note: using legacy allowlist {} (rename it to invcheck.allow)",
-                                legacy.display()
-                            );
-                            (legacy, Allowlist::parse(&text))
-                        }
-                        Err(_) => (primary, Allowlist::default()),
-                    }
-                }
-            }
+            let p = root.join("invcheck.allow");
+            let allowlist = std::fs::read_to_string(&p)
+                .map(|text| Allowlist::parse(&text))
+                .unwrap_or_default();
+            (p, allowlist)
         }
     };
 
@@ -133,10 +120,9 @@ fn main() -> ExitCode {
     };
     crate_dirs.sort();
     for dir in crate_dirs {
-        // The linter's own sources (and the old shim's) carry rule
-        // needles and seeded fixtures; scanning them is pure noise.
-        let name = dir.file_name().map(|n| n.to_string_lossy().to_string());
-        if matches!(name.as_deref(), Some("invcheck" | "lockcheck")) {
+        // The linter's own sources carry rule needles and seeded
+        // fixtures; scanning them is pure noise.
+        if dir.file_name().is_some_and(|n| n == "invcheck") {
             continue;
         }
         collect_rs(&dir.join("src"), &root, &mut files);

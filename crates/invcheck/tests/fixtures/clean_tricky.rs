@@ -1,6 +1,6 @@
 //! Clean fixture: lock-shaped text and tight guard scopes that the
 //! scanner must NOT flag. Never compiled — fed to the scanner as text by
-//! lockcheck_selftest, which asserts zero findings here.
+//! lock_selftest, which asserts zero findings here.
 
 use displaydb_common::sync::{ranks, OrderedMutex};
 use std::sync::mpsc::Sender;

@@ -1,5 +1,5 @@
 //! Seeded fixture: blocking operations under a live guard. Never
-//! compiled — fed to the scanner as text by lockcheck_selftest.
+//! compiled — fed to the scanner as text by lock_selftest.
 
 use displaydb_common::sync::{ranks, OrderedMutex};
 use std::sync::mpsc::Sender;

@@ -1,6 +1,6 @@
 //! Seeded fixture: an acquisition cycle between two locks the registry
 //! cannot rank (plain parking_lot-style mutexes). Never compiled — fed
-//! to the scanner as text by lockcheck_selftest.
+//! to the scanner as text by lock_selftest.
 
 use parking_lot::Mutex;
 

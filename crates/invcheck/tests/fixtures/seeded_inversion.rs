@@ -1,5 +1,5 @@
 //! Seeded fixture: a ranked lock-order inversion the linter MUST flag.
-//! Never compiled — fed to the scanner as text by lockcheck_selftest.
+//! Never compiled — fed to the scanner as text by lock_selftest.
 
 use displaydb_common::sync::{ranks, OrderedMutex};
 

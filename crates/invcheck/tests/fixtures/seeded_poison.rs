@@ -1,5 +1,5 @@
 //! Seeded fixture: poison-propagating unwraps on a request path. Never
-//! compiled — fed to the scanner as text by lockcheck_selftest, which
+//! compiled — fed to the scanner as text by lock_selftest, which
 //! presents it under a crates/server/ path (rule applies) and a
 //! crates/display/ path (rule does not).
 

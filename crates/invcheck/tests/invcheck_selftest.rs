@@ -5,7 +5,7 @@
 //! code it guards).
 
 use invcheck::report::rules;
-use invcheck::{check_workspace, Allowlist, Finding, Registry, ScanOptions};
+use invcheck::{check_workspace, Allowlist, Finding, ScanOptions};
 
 const SYNC_SOURCE: &str = include_str!("../../common/src/sync.rs");
 
@@ -321,7 +321,6 @@ const REQUEST_VARIANTS: &[&str] = &[
     "DisplayRelease",
     "DisplayLockProjected",
     "ReplayFrom",
-    "ReplayFromShards",
     "Checkpoint",
     "Ping",
 ];
@@ -344,7 +343,6 @@ fn _request_anchor(r: &displaydb_server::proto::Request) -> &'static str {
         R::DisplayRelease { .. } => "DisplayRelease",
         R::DisplayLockProjected { .. } => "DisplayLockProjected",
         R::ReplayFrom { .. } => "ReplayFrom",
-        R::ReplayFromShards { .. } => "ReplayFromShards",
         R::Checkpoint => "Checkpoint",
         R::Ping => "Ping",
     }
@@ -388,8 +386,6 @@ const DLM_EVENT_VARIANTS: &[&str] = &[
     "Batch",
     "CursorAck",
     "ReplayNeeded",
-    "ShardCursorAck",
-    "ShardReplayNeeded",
 ];
 
 fn _dlm_event_anchor(e: &displaydb_dlm::proto::DlmEvent) -> &'static str {
@@ -405,8 +401,6 @@ fn _dlm_event_anchor(e: &displaydb_dlm::proto::DlmEvent) -> &'static str {
         E::Batch { .. } => "Batch",
         E::CursorAck { .. } => "CursorAck",
         E::ReplayNeeded { .. } => "ReplayNeeded",
-        E::ShardCursorAck { .. } => "ShardCursorAck",
-        E::ShardReplayNeeded { .. } => "ShardReplayNeeded",
     }
 }
 
@@ -515,12 +509,4 @@ fn real_protocol_and_trace_sources_are_clean() {
         findings.is_empty(),
         "real protocol sources produced findings: {findings:?}"
     );
-}
-
-#[test]
-fn registry_parser_is_reexported_for_shim_users() {
-    // The lockcheck shim re-exports the whole surface; spot-check that
-    // the historical paths still resolve to the same types.
-    let via_invcheck = Registry::parse(SYNC_SOURCE);
-    assert!(!via_invcheck.entries.is_empty());
 }

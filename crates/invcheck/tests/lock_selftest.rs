@@ -78,14 +78,14 @@ fn registry_covers_post_pr5_and_pr7_ranks() {
 
 #[test]
 fn registry_covers_dlm_shard_ranks() {
-    // The per-shard DLM ranks (DESIGN.md § 16). Checked in both
-    // directions by name: the parser must see them in sync.rs with
-    // their multi-instance marking (every shard holds its own copy),
-    // and the compiled ranks::ALL must register them — a drift on
-    // either side names the lock here instead of failing the blanket
+    // The DLM's per-shard table and log ranks (DESIGN.md § 16). Checked
+    // in both directions by name: the parser must see them in sync.rs
+    // with their multi-instance marking (every shard holds its own
+    // copy), and the compiled ranks::ALL must register them — a drift
+    // on either side names the lock here instead of failing the blanket
     // count assertion.
     let registry = Registry::parse(SYNC_SOURCE);
-    for (name, rank) in [("dlm.shard_table", 381u16), ("dlm.shard_log", 386)] {
+    for (name, rank) in [("dlm.table", 380u16), ("dlm.update_log", 385)] {
         let entry = registry
             .entries
             .iter()
@@ -103,10 +103,7 @@ fn registry_covers_dlm_shard_ranks() {
         assert_eq!(compiled.rank(), rank);
         assert!(compiled.is_multi());
     }
-    // Shard ranks sit strictly between their singleton namesakes and
-    // the next family so shard-table → shard-log → outbox ordering
-    // stays provable: dlm.table (380) < dlm.shard_table (381) <
-    // dlm.update_log (385) < dlm.shard_log (386) < dlm.agent_sessions.
+    // table → log → outbox ordering stays provable.
     let rank_of = |name: &str| {
         ranks::ALL
             .iter()
@@ -114,10 +111,10 @@ fn registry_covers_dlm_shard_ranks() {
             .unwrap_or_else(|| panic!("ranks::ALL is missing '{name}'"))
             .rank()
     };
-    assert!(rank_of("dlm.table") < rank_of("dlm.shard_table"));
-    assert!(rank_of("dlm.shard_table") < rank_of("dlm.update_log"));
-    assert!(rank_of("dlm.update_log") < rank_of("dlm.shard_log"));
-    assert!(rank_of("dlm.shard_log") < rank_of("dlm.agent_sessions"));
+    assert!(rank_of("dlm.table") < rank_of("dlm.update_log"));
+    assert!(rank_of("dlm.update_log") < rank_of("dlm.agent_sessions"));
+    assert!(rank_of("dlm.agent_sessions") < rank_of("outbox.state"));
+    assert_eq!(ranks::ALL.len(), 43);
 }
 
 #[test]

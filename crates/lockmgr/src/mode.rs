@@ -21,20 +21,42 @@ pub enum LockMode {
     Display,
 }
 
+// The tables below are indexed by `mode as usize`, i.e. in the enum's
+// declaration order S, U, X, D.
+const Y: bool = true;
+const N: bool = false;
+
+/// The compatibility matrix of § 3.3, `COMPATIBLE[held][requested]`:
+/// S/U/X follow the classic matrix; the `Display` row and column are the
+/// paper's central claim — a display lock is compatible with every
+/// mode, in both positions.
+#[rustfmt::skip]
+const COMPATIBLE: [[bool; 4]; 4] = [
+    //             S  U  X  D   <- requested
+    /* S held */ [ Y, Y, N, Y ],
+    /* U held */ [ Y, N, N, Y ],
+    /* X held */ [ N, N, N, Y ],
+    /* D held */ [ Y, Y, Y, Y ],
+];
+
+/// `COVERS[held][requested]`: a holder of `held` needs no new lock to
+/// use `requested`'s rights (`S < U < X`; `Display` is incomparable
+/// with the transactional modes).
+#[rustfmt::skip]
+const COVERS: [[bool; 4]; 4] = [
+    //             S  U  X  D   <- requested
+    /* S held */ [ Y, N, N, N ],
+    /* U held */ [ Y, Y, N, N ],
+    /* X held */ [ Y, Y, Y, N ],
+    /* D held */ [ N, N, N, Y ],
+];
+
 impl LockMode {
     /// Whether `self` (held) is at least as strong as `other` (requested),
     /// i.e. a holder of `self` needs no new lock to use `other`'s rights.
     /// Display is incomparable with the transactional modes.
-    pub fn covers(self, other: LockMode) -> bool {
-        use LockMode::*;
-        match (self, other) {
-            (Display, Display) => true,
-            (Display, _) | (_, Display) => false,
-            (Exclusive, _) => true,
-            (Update, Shared) | (Update, Update) => true,
-            (Shared, Shared) => true,
-            _ => false,
-        }
+    pub const fn covers(self, other: LockMode) -> bool {
+        COVERS[self as usize][other as usize]
     }
 
     /// Short symbol used in traces and tests.
@@ -56,15 +78,8 @@ impl fmt::Display for LockMode {
 
 /// The compatibility matrix of § 3.3: display locks are compatible with
 /// every mode; S/U/X follow the classic matrix.
-pub fn compatible(held: LockMode, requested: LockMode) -> bool {
-    use LockMode::*;
-    match (held, requested) {
-        (Display, _) | (_, Display) => true,
-        (Shared, Shared) => true,
-        (Shared, Update) | (Update, Shared) => true,
-        (Update, Update) => false,
-        (Exclusive, _) | (_, Exclusive) => false,
-    }
+pub const fn compatible(held: LockMode, requested: LockMode) -> bool {
+    COMPATIBLE[held as usize][requested as usize]
 }
 
 /// Who holds or requests a lock. Transactional modes are owned by
@@ -110,40 +125,41 @@ mod tests {
     use super::*;
     use LockMode::*;
 
-    #[test]
-    fn matrix_matches_paper() {
-        // Display locks are compatible with ALL modes (§ 3.3) — this is
-        // the defining property that lets a GUI watch objects while
-        // transactions update them.
-        for m in [Shared, Update, Exclusive, Display] {
-            assert!(compatible(Display, m), "D vs {m}");
-            assert!(compatible(m, Display), "{m} vs D");
-        }
-        // Classic transactional matrix.
-        assert!(compatible(Shared, Shared));
-        assert!(compatible(Shared, Update));
-        assert!(compatible(Update, Shared));
-        assert!(!compatible(Update, Update));
-        assert!(!compatible(Shared, Exclusive));
-        assert!(!compatible(Exclusive, Shared));
-        assert!(!compatible(Exclusive, Exclusive));
-        assert!(!compatible(Update, Exclusive));
-        assert!(!compatible(Exclusive, Update));
-    }
+    const MODES: [LockMode; 4] = [Shared, Update, Exclusive, Display];
 
     #[test]
-    fn covers_ordering() {
-        assert!(Exclusive.covers(Shared));
-        assert!(Exclusive.covers(Update));
-        assert!(Exclusive.covers(Exclusive));
-        assert!(Update.covers(Shared));
-        assert!(!Update.covers(Exclusive));
-        assert!(Shared.covers(Shared));
-        assert!(!Shared.covers(Update));
-        // Display neither covers nor is covered by transactional modes.
-        assert!(!Display.covers(Shared));
-        assert!(!Exclusive.covers(Display));
-        assert!(Display.covers(Display));
+    fn all_sixteen_pairs_match_the_paper() {
+        for held in MODES {
+            for requested in MODES {
+                let pair = format!("{held} held, {requested} requested");
+                // § 3.3: Display is compatible with S, U, X and itself,
+                // in both positions — the defining property that lets a
+                // GUI watch objects while transactions update them. The
+                // rest is the classic matrix: only S/S and S/U coexist.
+                let want = matches!(
+                    (held, requested),
+                    (Display, _)
+                        | (_, Display)
+                        | (Shared, Shared)
+                        | (Shared, Update)
+                        | (Update, Shared)
+                );
+                assert_eq!(compatible(held, requested), want, "{pair}");
+                assert_eq!(
+                    compatible(held, requested),
+                    compatible(requested, held),
+                    "compatibility is symmetric: {pair}"
+                );
+                // Strength order S < U < X; Display only covers itself.
+                let strength = |m: LockMode| MODES.iter().position(|&x| x == m).unwrap();
+                let want = match (held, requested) {
+                    (Display, Display) => true,
+                    (Display, _) | (_, Display) => false,
+                    _ => strength(held) >= strength(requested),
+                };
+                assert_eq!(held.covers(requested), want, "{pair}");
+            }
+        }
     }
 
     #[test]

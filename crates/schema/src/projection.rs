@@ -93,11 +93,11 @@ impl Encode for Projection {
 impl Decode for Projection {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let class = ClassId::decode(r)?;
-        let version = r.get_varint()? as u32;
+        let version = u32::decode(r)?;
         let n = r.get_varint()? as usize;
         let mut attrs = Vec::with_capacity(n.min(1024));
         for _ in 0..n {
-            attrs.push(r.get_varint()? as u16);
+            attrs.push(u16::decode(r)?);
         }
         Ok(Self::new(class, attrs, version))
     }
@@ -167,6 +167,22 @@ mod tests {
         let p = Projection::new(ClassId::new(7), vec![0, 4, 9], 3);
         let back = Projection::decode_from_bytes(&p.encode_to_bytes()).unwrap();
         assert_eq!(back, p);
+    }
+
+    #[test]
+    fn codec_rejects_over_wide_fields() {
+        // Attr 65541 must not alias attr 5; version 2^32 must not alias 0.
+        for (version, attr) in [(3u64, 65_541u64), (1 << 32, 5)] {
+            let mut w = WireWriter::new();
+            ClassId::new(7).encode(&mut w);
+            w.put_varint(version);
+            w.put_varint(1);
+            w.put_varint(attr);
+            assert!(matches!(
+                Projection::decode_from_bytes(&w.finish()),
+                Err(displaydb_common::DbError::Protocol(_))
+            ));
+        }
     }
 
     #[test]

@@ -23,23 +23,21 @@
 //! ## Display notifications
 //!
 //! The commit and exclusive-grant paths raise events on the embedded
-//! [`DlmCore`] (integrated deployment): `Marked` on X-grant (early-notify
-//! protocol), `Resolved` + `Updated` on commit/abort. The same server
-//! works with an external DLM agent instead — clients then report commits
-//! themselves (paper § 4.1) and the embedded core simply has no
-//! registered holders.
+//! [`ShardedDlm`] (integrated deployment): `Marked` on X-grant
+//! (early-notify protocol), `Resolved` + `Updated` on commit/abort. The
+//! same server works with an external DLM agent instead — clients then
+//! report commits themselves (paper § 4.1) and the embedded DLM simply
+//! has no registered holders.
 
 use crate::copies::CopyTable;
-use crate::proto::{Request, Response, ResumeCursors, ResumeRequest, ServerPush, WireLockMode};
+use crate::proto::{Request, Response, ResumeRequest, ServerPush, WireLockMode};
 use crate::store::{ObjectStore, WriteOp};
 use crate::txn::TxnManager;
 use displaydb_common::ids::IdGen;
 use displaydb_common::metrics::{Counter, SegLogStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig, Oid, TxnId};
-use displaydb_dlm::{
-    DlmConfig, DurableRecovery, EventSink, OutboxSink, ShardTagSink, ShardedDlm, UpdateInfo,
-};
+use displaydb_dlm::{DlmConfig, DurableRecovery, EventSink, OutboxSink, ShardedDlm, UpdateInfo};
 use displaydb_lockmgr::{LockManager, LockManagerConfig, LockMode, Owner};
 use displaydb_schema::{Catalog, DbObject};
 use displaydb_wire::{Channel, Encode};
@@ -148,9 +146,9 @@ pub struct SessionHandle {
     acks: OrderedMutex<HashMap<u64, crossbeam::channel::Sender<()>>>,
     ack_gen: IdGen,
     stats: ServerStats,
-    /// The bounded outboxes wrapped around this session's DLM sinks
-    /// (one per DLM shard; a single entry in the unsharded deployment);
-    /// kept here so shutdown can drain them before closing the channel.
+    /// The bounded outboxes wrapped around this session's DLM sink (one
+    /// per DLM shard); kept here so shutdown can drain them before
+    /// closing the channel.
     /// Weak because each outbox's inner sink points back at this handle
     /// — the strong references live in the DLM's sink registries.
     outboxes: OrderedMutex<Vec<std::sync::Weak<OutboxSink>>>,
@@ -203,22 +201,24 @@ impl SessionHandle {
         self.in_flight.load(std::sync::atomic::Ordering::Relaxed)
     }
 
+    /// The live outboxes as strong references, with the slot's lock
+    /// already released: callers block on (or lock) each outbox, and
+    /// holding the slot guard across that would stall every other caller.
+    fn outboxes(&self) -> Vec<Arc<OutboxSink>> {
+        self.outboxes
+            .lock_or_recover()
+            .iter()
+            .filter_map(std::sync::Weak::upgrade)
+            .collect()
+    }
+
     /// Flush the session's notification outboxes, bounded by `timeout`
     /// across all of them together. Returns whether every outbox
     /// emptied (vacuously true when the session has none).
     pub fn drain_outbox(&self, timeout: Duration) -> bool {
-        // Upgrade to strong references and release the slot's lock
-        // before the (blocking) drains: holding a guard across them
-        // would stall every other caller for the full drain timeout.
-        let outboxes: Vec<_> = self
-            .outboxes
-            .lock_or_recover()
-            .iter()
-            .filter_map(std::sync::Weak::upgrade)
-            .collect();
         let deadline = std::time::Instant::now() + timeout;
         let mut all = true;
-        for outbox in outboxes {
+        for outbox in self.outboxes() {
             let left = deadline.saturating_duration_since(std::time::Instant::now());
             all &= outbox.drain(left);
         }
@@ -228,15 +228,7 @@ impl SessionHandle {
     /// Whether this session's client has been demoted to resync-only
     /// notification mode (slow consumer) on any shard.
     pub fn is_lagging(&self) -> bool {
-        // Same shape as `drain_outbox`: take the strong references, drop
-        // the slot guard, then ask each outbox (which takes its own lock).
-        let outboxes: Vec<_> = self
-            .outboxes
-            .lock_or_recover()
-            .iter()
-            .filter_map(std::sync::Weak::upgrade)
-            .collect();
-        outboxes.iter().any(|outbox| outbox.is_lagging())
+        self.outboxes().iter().any(|outbox| outbox.is_lagging())
     }
 
     /// Push a message without expecting an ack.
@@ -526,26 +518,12 @@ impl ServerCore {
         self.incarnation
     }
 
-    /// Shard 0's durable update-log incarnation (0 = no durable log).
-    /// Unlike [`Self::incarnation`], this survives restarts — it names
-    /// the seqno space that shard's notification cursors live in
-    /// (DESIGN.md § 14). The full per-shard vector is
-    /// [`Self::log_incarnations`].
-    pub fn log_incarnation(&self) -> u64 {
-        self.dlm.update_log().incarnation().unwrap_or(0)
-    }
-
     /// Every shard's durable update-log incarnation, index = shard
-    /// (0 = that shard has no durable log).
+    /// (0 = that shard has no durable log). Unlike [`Self::incarnation`],
+    /// these survive restarts — each names the seqno space that shard's
+    /// notification cursors live in (DESIGN.md § 14).
     pub fn log_incarnations(&self) -> Vec<u64> {
         self.dlm.log_incarnations()
-    }
-
-    /// What shard 0's durable update log recovered at startup (`None`
-    /// when the durable spill is disabled). Per-shard reports are in
-    /// [`Self::dlm_recoveries`].
-    pub fn dlm_recovery(&self) -> Option<&DurableRecovery> {
-        self.dlm_recovery.first()
     }
 
     /// What the durable update logs recovered at startup, one entry per
@@ -636,32 +614,14 @@ impl ServerCore {
             self.locks.release_all(Owner::Client(client));
             self.copies.drop_client(client);
         }
-        // Normalize the token's cursor half into one slot per shard
-        // (`None` = the token carries no admissible cursor for it). A
-        // legacy (version-1) token maps cleanly only onto a single-shard
-        // DLM; on a sharded server its one flat cursor indexes a seqno
-        // space that no longer exists, so it is decoded *explicitly* as
-        // legacy and mapped to a full resync — never misread as a
-        // shard-0 cursor.
+        // One slot per shard for the token's cursors (`None` = the token
+        // carries no admissible cursor for it; cursors naming a shard
+        // this DLM does not have are dropped).
         let nshards = self.dlm.shards();
         let mut token_cursors: Vec<Option<(u64, u64)>> = vec![None; nshards];
-        if let Some(r) = resume {
-            match &r.cursors {
-                ResumeCursors::Legacy {
-                    cursor,
-                    log_incarnation,
-                } if nshards == 1 => {
-                    token_cursors[0] = Some((*cursor, *log_incarnation));
-                }
-                ResumeCursors::Legacy { .. } => {}
-                ResumeCursors::Shards(shards) => {
-                    for sc in shards {
-                        if (sc.shard as usize) < nshards {
-                            token_cursors[sc.shard as usize] =
-                                Some((sc.cursor, sc.log_incarnation));
-                        }
-                    }
-                }
+        for sc in resume.map_or(&[][..], |r| &r.cursors) {
+            if let Some(slot) = token_cursors.get_mut(sc.shard as usize) {
+                *slot = Some((sc.cursor, sc.log_incarnation));
             }
         }
         // Cross-restart recovery (DESIGN.md §§ 14, 16): the in-memory
@@ -717,8 +677,8 @@ impl ServerCore {
                     self.copies.register(client, oid);
                 } else {
                     // Changed, deleted, or unprovable (server restarted
-                    // without a durable log, legacy token on a sharded
-                    // server, or that shard's window was lost).
+                    // without a durable log, a token without cursors, or
+                    // that shard's window was lost).
                     stale.push(oid);
                 }
             }
@@ -745,54 +705,18 @@ impl ServerCore {
             .insert(token, ResumeState { client, epoch });
         let handle = Arc::new(SessionHandle::new(client, channel, self.stats.clone()));
         self.sessions.insert(Arc::clone(&handle));
-        // The session sink is wrapped in bounded outboxes (DESIGN.md
-        // § 9), one per DLM shard: commit-path fan-out only enqueues,
-        // a stalled client connection is absorbed by the outbox writer
-        // threads instead of blocking `commit_txn`, and one shard's
-        // backlog cannot block another's. With more than one shard each
-        // outbox's sink is tagged so cursor acks name their seqno space;
-        // at one shard the sink stays untagged — the legacy wire form,
-        // byte for byte.
-        // With a durable log, every cursor an outbox acks is spilled as
-        // a frontier record in *its shard's* log so this client's
-        // per-shard progress survives a restart (the spill runs on the
-        // outbox writer thread, outside all outbox locks).
-        let session_sink = Arc::new(SessionSink {
-            handle: Arc::clone(&handle),
-            bytes: self.dlm.stats().overload.notify_bytes.clone(),
-        });
-        let mut weak_outboxes = Vec::with_capacity(nshards);
-        let mut sinks: Vec<Arc<dyn EventSink>> = Vec::with_capacity(nshards);
-        for s in 0..nshards {
-            let recorder: Option<Arc<dyn Fn(u64) + Send + Sync>> =
-                if self.dlm.update_log_of(s).is_durable() {
-                    let dlm = Arc::clone(&self.dlm);
-                    Some(Arc::new(move |cursor| {
-                        let _ = dlm.update_log_of(s).record_frontier(client, cursor);
-                    }))
-                } else {
-                    None
-                };
-            let inner: Arc<dyn EventSink> = if nshards == 1 {
-                Arc::clone(&session_sink) as Arc<dyn EventSink>
-            } else {
-                Arc::new(ShardTagSink::new(
-                    s as u32,
-                    Arc::clone(&session_sink) as Arc<dyn EventSink>,
-                ))
-            };
-            let outbox = OutboxSink::wrap_with_recorder(
-                inner,
-                self.config.dlm.overload,
-                self.dlm.stats().overload.clone(),
-                self.dlm.update_log_of(s).enabled(),
-                recorder,
-            );
-            weak_outboxes.push(Arc::downgrade(&outbox));
-            sinks.push(outbox);
-        }
-        *handle.outboxes.lock() = weak_outboxes;
-        self.dlm.register_client_sinks(client, sinks);
+        // One bounded outbox per DLM shard around the session sink
+        // (`ShardedDlm::register_session`): commit-path fan-out only
+        // enqueues, and a stalled client connection is absorbed by the
+        // outbox writer threads instead of blocking `commit_txn`.
+        let outboxes = self.dlm.register_session(
+            client,
+            Arc::new(SessionSink {
+                handle: Arc::clone(&handle),
+                bytes: self.dlm.stats().overload.notify_bytes.clone(),
+            }),
+        );
+        *handle.outboxes.lock() = outboxes.iter().map(Arc::downgrade).collect();
         (
             Arc::clone(&handle),
             Response::HelloAck {
@@ -804,8 +728,7 @@ impl ServerCore {
                 resumed,
                 stale,
                 replay_ok,
-                log_incarnation: self.log_incarnation(),
-                shard_log_incarnations: ours,
+                log_incarnations: ours,
             },
         )
     }
@@ -874,19 +797,14 @@ impl ServerCore {
                 self.dlm.lock_projected(client, &oids, &attrs, version);
                 Ok(Response::Ok)
             }
-            Request::ReplayFrom { cursor } => {
-                // Streams the log suffix through the client's outbox (or
-                // a ResyncRequired fallback if the cursor fell off the
-                // ring); delivery is asynchronous, the request itself
-                // just acknowledges. Legacy single-cursor form: shard 0.
-                self.dlm.replay_for(client, cursor);
-                Ok(Response::Ok)
-            }
-            Request::ReplayFromShards { cursors } => {
+            Request::ReplayFrom { cursors } => {
                 // Shard-parallel catch-up: each listed shard streams its
                 // own suffix (or a ResyncRequired over the client's
                 // interests in that shard) through that shard's outbox.
-                self.dlm.replay_for_shards(client, &cursors);
+                // Delivery is asynchronous; the request itself just
+                // acknowledges.
+                self.dlm
+                    .replay_for_shards(client, &cursors, &self.dlm.log_incarnations());
                 Ok(Response::Ok)
             }
             Request::Checkpoint => self.store.checkpoint().map(|()| Response::Ok),

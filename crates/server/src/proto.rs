@@ -10,7 +10,9 @@
 //! * `PushAck` — the client's acknowledgement of an ack-bearing push.
 
 use displaydb_common::{ClassId, ClientId, DbError, DbResult, Oid, TxnId};
+use displaydb_dlm::proto::{decode_cursors, encode_cursors};
 use displaydb_dlm::DlmEvent;
+pub use displaydb_dlm::ShardCursor;
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
 
 /// Lock modes requestable over the wire (transactional subset).
@@ -41,49 +43,6 @@ impl Decode for WireLockMode {
     }
 }
 
-/// One shard's notification cursor inside a version-2 resume token: the
-/// last update-log seqno acked for that shard, and the durable log
-/// incarnation it was acked under (0 = no durable log).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ShardCursor {
-    /// The DLM shard this cursor belongs to.
-    pub shard: u32,
-    /// Last update-log seqno the client applied from that shard.
-    pub cursor: u64,
-    /// The shard's durable update-log incarnation at ack time (0 = the
-    /// shard ran without a durable log).
-    pub log_incarnation: u64,
-}
-
-/// The notification-cursor half of a resume token, versioned on the wire
-/// so a sharded server can tell a pre-shard token apart from a
-/// shard-aware one instead of silently misreading it.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResumeCursors {
-    /// A version-1 (pre-shard) token: one flat cursor over what was then
-    /// the single global seqno space. A sharded server cannot map this
-    /// onto per-shard seqno spaces, so it admits the session but answers
-    /// with a full resync rather than a partial replay.
-    Legacy {
-        /// Last update-log seqno the client applied; 0 = no cursor.
-        cursor: u64,
-        /// The durable update-log incarnation `cursor` was acked under.
-        log_incarnation: u64,
-    },
-    /// A version-2 token: one cursor per DLM shard, each carrying the
-    /// durable log incarnation it was acked under. Shards are admitted
-    /// independently — a truncated shard resyncs while caught-up shards
-    /// replay.
-    Shards(Vec<ShardCursor>),
-}
-
-impl ResumeCursors {
-    /// An empty shard-aware cursor set ("no cursor anywhere").
-    pub fn none() -> Self {
-        ResumeCursors::Shards(Vec::new())
-    }
-}
-
 /// The session-resume half of a [`Request::Hello`]: presented by a client
 /// that was previously connected and wants its server-side session state
 /// (client id, copy-table registrations) rebuilt instead of starting fresh.
@@ -99,66 +58,38 @@ pub struct ResumeRequest {
     /// disconnect time. The server re-registers these in the copy table and
     /// reports which are out of date.
     pub manifest: Vec<(Oid, u64)>,
-    /// The client's notification cursors (DESIGN.md §§ 13–14, 16),
-    /// versioned on the wire: a legacy single cursor or a per-shard
-    /// vector. When a shard's log still contains its cursor, the resumed
-    /// session catches that shard up with a replay instead of a resync.
-    pub cursors: ResumeCursors,
+    /// The client's notification cursors (DESIGN.md §§ 13–14, 16), one
+    /// per DLM shard, each with the log incarnation it was acked under.
+    /// Shards are admitted independently: where a shard's log still
+    /// contains its cursor, the resumed session catches that shard up
+    /// with a replay instead of a resync.
+    pub cursors: Vec<ShardCursor>,
 }
 
-/// Resume-token wire versions. Version 1 is the pre-shard flat layout
-/// (`cursor`, `log_incarnation` varints trailing the manifest); version 2
-/// carries the per-shard cursor vector. Anything else is rejected as a
-/// protocol error — never guessed at.
-const RESUME_V1: u8 = 1;
+/// The resume-token wire version this build writes and understands. The
+/// version byte leads the token and governs everything after the
+/// manifest; `token`, `incarnation` and `manifest` keep their layout in
+/// every version, so a token from a build this one does not know still
+/// yields its manifest — and nothing else (see the `Decode` impl).
 const RESUME_V2: u8 = 2;
 
 impl Encode for ResumeRequest {
     fn encode(&self, w: &mut WireWriter) {
-        match &self.cursors {
-            ResumeCursors::Legacy {
-                cursor,
-                log_incarnation,
-            } => {
-                w.put_u8(RESUME_V1);
-                w.put_varint(self.token);
-                w.put_varint(self.incarnation);
-                w.put_varint(self.manifest.len() as u64);
-                for (oid, version) in &self.manifest {
-                    oid.encode(w);
-                    w.put_varint(*version);
-                }
-                w.put_varint(*cursor);
-                w.put_varint(*log_incarnation);
-            }
-            ResumeCursors::Shards(shards) => {
-                w.put_u8(RESUME_V2);
-                w.put_varint(self.token);
-                w.put_varint(self.incarnation);
-                w.put_varint(self.manifest.len() as u64);
-                for (oid, version) in &self.manifest {
-                    oid.encode(w);
-                    w.put_varint(*version);
-                }
-                w.put_varint(shards.len() as u64);
-                for sc in shards {
-                    w.put_varint(u64::from(sc.shard));
-                    w.put_varint(sc.cursor);
-                    w.put_varint(sc.log_incarnation);
-                }
-            }
+        w.put_u8(RESUME_V2);
+        w.put_varint(self.token);
+        w.put_varint(self.incarnation);
+        w.put_varint(self.manifest.len() as u64);
+        for (oid, version) in &self.manifest {
+            oid.encode(w);
+            w.put_varint(*version);
         }
+        encode_cursors(&self.cursors, w);
     }
 }
 
 impl Decode for ResumeRequest {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let version = r.get_u8()?;
-        if version != RESUME_V1 && version != RESUME_V2 {
-            return Err(DbError::Protocol(format!(
-                "unknown resume token version {version}"
-            )));
-        }
         let token = r.get_varint()?;
         let incarnation = r.get_varint()?;
         let n = r.get_varint()? as usize;
@@ -166,28 +97,27 @@ impl Decode for ResumeRequest {
         for _ in 0..n {
             manifest.push((Oid::decode(r)?, r.get_varint()?));
         }
-        let cursors = if version == RESUME_V1 {
-            ResumeCursors::Legacy {
-                cursor: r.get_varint()?,
-                log_incarnation: r.get_varint()?,
-            }
-        } else {
-            let n = r.get_varint()? as usize;
-            let mut shards = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                shards.push(ShardCursor {
-                    shard: r.get_varint()? as u32,
-                    cursor: r.get_varint()?,
-                    log_incarnation: r.get_varint()?,
-                });
-            }
-            ResumeCursors::Shards(shards)
-        };
+        if version != RESUME_V2 {
+            // A token this build cannot interpret is no proof of
+            // anything: keep the manifest, so the client is told every
+            // copy it holds is stale, and let go of the session identity
+            // and the cursors (token 0 is never issued). The session
+            // starts fresh and resyncs. The resume is the last field of
+            // its frame; the unread tail is whatever that version put
+            // after the manifest.
+            r.get_raw(r.remaining())?;
+            return Ok(ResumeRequest {
+                token: 0,
+                incarnation: 0,
+                manifest,
+                cursors: Vec::new(),
+            });
+        }
         Ok(ResumeRequest {
             token,
             incarnation,
             manifest,
-            cursors,
+            cursors: decode_cursors(r)?,
         })
     }
 }
@@ -296,23 +226,18 @@ pub enum Request {
         /// The client's projection-registry version, echoed in deltas.
         version: u32,
     },
-    /// Ask the DLM to replay every logged notification after `cursor`
-    /// that intersects this client's display-lock interests (integrated
-    /// deployment). The suffix — or a `ResyncRequired` fallback when the
-    /// cursor was truncated out of the log — arrives as DLM pushes; the
-    /// RPC response only confirms the replay was scheduled.
+    /// Ask the DLM to replay, per listed shard, every logged
+    /// notification past the cursor that intersects this client's
+    /// display-lock interests (integrated deployment). Shards answer
+    /// independently — a shard whose log no longer covers its cursor (or
+    /// whose incarnation differs from the one the cursor was acked
+    /// under) pushes `ResyncRequired` for the client's interests on that
+    /// shard while the others replay. Everything arrives as DLM pushes;
+    /// the RPC response only confirms the replay was scheduled.
     ReplayFrom {
-        /// Last update-log seqno the client has applied.
-        cursor: u64,
-    },
-    /// Shard-aware replay (integrated deployment, sharded DLM): one
-    /// cursor per shard whose suffix the client wants replayed. Shards
-    /// answer independently — a shard whose log no longer covers its
-    /// cursor pushes `ResyncRequired` for the client's interests on that
-    /// shard while the others replay normally.
-    ReplayFromShards {
-        /// `(shard, cursor)` pairs; shards not listed are untouched.
-        cursors: Vec<(u32, u64)>,
+        /// One cursor per shard to catch up; shards not listed are
+        /// untouched.
+        cursors: Vec<ShardCursor>,
     },
     /// Force a checkpoint (flush heap, truncate WAL).
     Checkpoint,
@@ -342,24 +267,19 @@ pub enum Response {
         /// currency could not be proven, e.g. after a server restart). The
         /// client must invalidate these before serving them again.
         stale: Vec<Oid>,
-        /// Whether the resumed client's notification cursor is still in
-        /// the DLM update log: the client should catch up with
-        /// `ReplayFrom{cursor}` instead of resyncing `stale`. With a
+        /// Whether at least one shard's update log still holds the
+        /// resumed client's cursor for it: the client should catch up
+        /// with a `ReplayFrom` instead of resyncing `stale`. With a
         /// durable log this can hold even across a server restart
         /// (DESIGN.md § 14). Always false for fresh sessions and
         /// truncated cursors.
         replay_ok: bool,
-        /// The durable update-log incarnation behind this server (0 =
-        /// none). With a sharded DLM this is shard 0's incarnation, kept
-        /// for diagnostics; the authoritative per-shard values are in
-        /// `shard_log_incarnations`.
-        log_incarnation: u64,
         /// Per-shard durable update-log incarnations (index = shard id,
-        /// 0 = that shard has no durable log). The client persists these
-        /// alongside its per-shard cursors and echoes them in the next
-        /// resume's cursor vector. A single-shard server reports one
-        /// entry.
-        shard_log_incarnations: Vec<u64>,
+        /// 0 = that shard has no durable log). The client keeps these
+        /// alongside its per-shard cursors and echoes them in replay
+        /// requests and the next resume's cursor vector; their count is
+        /// the DLM's shard count.
+        log_incarnations: Vec<u64>,
     },
     /// Transaction started.
     TxnStarted {
@@ -474,7 +394,6 @@ const REQ_CHECKPOINT: u8 = 14;
 const REQ_PING: u8 = 15;
 const REQ_DLOCK_PROJECTED: u8 = 16;
 const REQ_REPLAY_FROM: u8 = 17;
-const REQ_REPLAY_FROM_SHARDS: u8 = 18;
 
 impl Encode for Request {
     fn encode(&self, w: &mut WireWriter) {
@@ -554,17 +473,9 @@ impl Encode for Request {
                 }
                 w.put_varint(u64::from(*version));
             }
-            Request::ReplayFrom { cursor } => {
+            Request::ReplayFrom { cursors } => {
                 w.put_u8(REQ_REPLAY_FROM);
-                w.put_varint(*cursor);
-            }
-            Request::ReplayFromShards { cursors } => {
-                w.put_u8(REQ_REPLAY_FROM_SHARDS);
-                w.put_varint(cursors.len() as u64);
-                for (shard, cursor) in cursors {
-                    w.put_varint(u64::from(*shard));
-                    w.put_varint(*cursor);
-                }
+                encode_cursors(cursors, w);
             }
             Request::Checkpoint => w.put_u8(REQ_CHECKPOINT),
             Request::Ping => w.put_u8(REQ_PING),
@@ -625,24 +536,16 @@ impl Decode for Request {
             REQ_CHECKPOINT => Request::Checkpoint,
             REQ_PING => Request::Ping,
             REQ_REPLAY_FROM => Request::ReplayFrom {
-                cursor: r.get_varint()?,
+                cursors: decode_cursors(r)?,
             },
-            REQ_REPLAY_FROM_SHARDS => {
-                let n = r.get_varint()? as usize;
-                let mut cursors = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    cursors.push((r.get_varint()? as u32, r.get_varint()?));
-                }
-                Request::ReplayFromShards { cursors }
-            }
             REQ_DLOCK_PROJECTED => {
                 let oids = Vec::<Oid>::decode(r)?;
                 let n = r.get_varint()? as usize;
                 let mut attrs = Vec::with_capacity(n.min(4096));
                 for _ in 0..n {
-                    attrs.push(r.get_varint()? as u16);
+                    attrs.push(u16::decode(r)?);
                 }
-                let version = r.get_varint()? as u32;
+                let version = u32::decode(r)?;
                 Request::DisplayLockProjected {
                     oids,
                     attrs,
@@ -675,8 +578,7 @@ impl Encode for Response {
                 resumed,
                 stale,
                 replay_ok,
-                log_incarnation,
-                shard_log_incarnations,
+                log_incarnations,
             } => {
                 w.put_u8(RESP_HELLO_ACK);
                 client.encode(w);
@@ -687,11 +589,7 @@ impl Encode for Response {
                 resumed.encode(w);
                 stale.encode(w);
                 replay_ok.encode(w);
-                w.put_varint(*log_incarnation);
-                w.put_varint(shard_log_incarnations.len() as u64);
-                for inc in shard_log_incarnations {
-                    w.put_varint(*inc);
-                }
+                log_incarnations.encode(w);
             }
             Response::TxnStarted { txn } => {
                 w.put_u8(RESP_TXN);
@@ -738,15 +636,7 @@ impl Decode for Response {
                 resumed: bool::decode(r)?,
                 stale: Vec::<Oid>::decode(r)?,
                 replay_ok: bool::decode(r)?,
-                log_incarnation: r.get_varint()?,
-                shard_log_incarnations: {
-                    let n = r.get_varint()? as usize;
-                    let mut incs = Vec::with_capacity(n.min(4096));
-                    for _ in 0..n {
-                        incs.push(r.get_varint()?);
-                    }
-                    incs
-                },
+                log_incarnations: Vec::<u64>::decode(r)?,
             },
             RESP_TXN => Response::TxnStarted {
                 txn: TxnId::decode(r)?,
@@ -879,22 +769,7 @@ mod tests {
                     token: 0xdead_beef,
                     incarnation: 42,
                     manifest: vec![(Oid::new(1), 3), (Oid::new(9), 0)],
-                    cursors: ResumeCursors::Legacy {
-                        cursor: 1234,
-                        log_incarnation: 0xfeed,
-                    },
-                }),
-            },
-        ));
-        rt(Envelope::Req(
-            7,
-            Request::Hello {
-                name: "nms-console".into(),
-                resume: Some(ResumeRequest {
-                    token: 0xdead_beef,
-                    incarnation: 42,
-                    manifest: vec![(Oid::new(1), 3)],
-                    cursors: ResumeCursors::Shards(vec![
+                    cursors: vec![
                         ShardCursor {
                             shard: 0,
                             cursor: 1234,
@@ -910,7 +785,7 @@ mod tests {
                             cursor: u64::MAX,
                             log_incarnation: u64::MAX,
                         },
-                    ]),
+                    ],
                 }),
             },
         ));
@@ -922,7 +797,7 @@ mod tests {
                     token: 1,
                     incarnation: 1,
                     manifest: vec![],
-                    cursors: ResumeCursors::none(),
+                    cursors: vec![],
                 }),
             },
         ));
@@ -991,22 +866,30 @@ mod tests {
                 version: 6,
             },
         ));
-        rt(Envelope::Req(18, Request::ReplayFrom { cursor: 0 }));
-        rt(Envelope::Req(19, Request::ReplayFrom { cursor: u64::MAX }));
+        rt(Envelope::Req(18, Request::ReplayFrom { cursors: vec![] }));
         rt(Envelope::Req(
-            20,
-            Request::ReplayFromShards { cursors: vec![] },
-        ));
-        rt(Envelope::Req(
-            21,
-            Request::ReplayFromShards {
-                cursors: vec![(0, 17), (2, 0), (7, u64::MAX)],
+            19,
+            Request::ReplayFrom {
+                cursors: vec![
+                    ShardCursor {
+                        shard: 0,
+                        cursor: 17,
+                        log_incarnation: 0,
+                    },
+                    ShardCursor {
+                        shard: 7,
+                        cursor: u64::MAX,
+                        log_incarnation: u64::MAX,
+                    },
+                ],
             },
         ));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::CursorAck {
+            shard: 0,
             seqno: 912,
         })));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::ReplayNeeded {
+            shard: 3,
             from: 907,
         })));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::Delta {
@@ -1035,8 +918,7 @@ mod tests {
                 resumed: true,
                 stale: vec![Oid::new(9)],
                 replay_ok: true,
-                log_incarnation: 4242,
-                shard_log_incarnations: vec![4242, 0, 977],
+                log_incarnations: vec![4242, 0, 977],
             },
         ));
         rt(Envelope::Resp(
@@ -1089,54 +971,70 @@ mod tests {
     }
 
     #[test]
-    fn resume_token_versions_discriminate() {
-        // A legacy token decodes back as Legacy, never as a misread
-        // shard vector, and vice versa.
-        let legacy = ResumeRequest {
+    fn unknown_resume_token_version_keeps_only_the_manifest() {
+        let ok = ResumeRequest {
             token: 9,
             incarnation: 3,
             manifest: vec![(Oid::new(4), 1)],
-            cursors: ResumeCursors::Legacy {
-                cursor: 55,
-                log_incarnation: 7,
-            },
-        };
-        let bytes = legacy.encode_to_bytes();
-        assert_eq!(bytes[0], RESUME_V1);
-        let back = ResumeRequest::decode_from_bytes(&bytes).unwrap();
-        assert!(matches!(back.cursors, ResumeCursors::Legacy { .. }));
-        assert_eq!(back, legacy);
-
-        let sharded = ResumeRequest {
-            token: 9,
-            incarnation: 3,
-            manifest: vec![(Oid::new(4), 1)],
-            cursors: ResumeCursors::Shards(vec![ShardCursor {
+            cursors: vec![ShardCursor {
                 shard: 1,
                 cursor: 55,
                 log_incarnation: 7,
-            }]),
+            }],
         };
-        let bytes = sharded.encode_to_bytes();
+        let mut bytes = ok.encode_to_bytes().to_vec();
         assert_eq!(bytes[0], RESUME_V2);
-        let back = ResumeRequest::decode_from_bytes(&bytes).unwrap();
-        assert!(matches!(back.cursors, ResumeCursors::Shards(_)));
-        assert_eq!(back, sharded);
+        assert_eq!(ResumeRequest::decode_from_bytes(&bytes).unwrap(), ok);
+        // A version this build does not know: not a protocol error — the
+        // session identity and cursors are dropped, the manifest kept.
+        for version in [0u8, 1, 3, 255] {
+            bytes[0] = version;
+            let back = ResumeRequest::decode_from_bytes(&bytes).unwrap();
+            assert_eq!(
+                back,
+                ResumeRequest {
+                    token: 0,
+                    incarnation: 0,
+                    manifest: ok.manifest.clone(),
+                    cursors: vec![],
+                }
+            );
+        }
     }
 
     #[test]
-    fn unknown_resume_token_version_rejected() {
-        let ok = ResumeRequest {
-            token: 1,
-            incarnation: 1,
-            manifest: vec![],
-            cursors: ResumeCursors::none(),
+    fn over_wide_narrow_fields_rejected() {
+        let wide_attr = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_DLOCK_PROJECTED);
+            Vec::<Oid>::new().encode(&mut w);
+            w.put_varint(1);
+            w.put_varint(65_541); // must not alias attr 5
+            w.put_varint(1);
+            w.finish()
         };
-        let mut bytes = ok.encode_to_bytes().to_vec();
-        bytes[0] = 3; // a version this build does not know
-        let err = ResumeRequest::decode_from_bytes(&bytes).unwrap_err();
-        assert!(matches!(err, DbError::Protocol(ref m) if m.contains("resume token version")));
-        bytes[0] = 0;
-        assert!(ResumeRequest::decode_from_bytes(&bytes).is_err());
+        let wide_version = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_DLOCK_PROJECTED);
+            Vec::<Oid>::new().encode(&mut w);
+            w.put_varint(0);
+            w.put_varint(1 << 32);
+            w.finish()
+        };
+        let wide_shard = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_REPLAY_FROM);
+            w.put_varint(1);
+            w.put_varint(1 << 32); // must not alias shard 0
+            w.put_varint(9);
+            w.put_varint(1);
+            w.finish()
+        };
+        for bytes in [wide_attr, wide_version, wide_shard] {
+            assert!(matches!(
+                Request::decode_from_bytes(&bytes),
+                Err(DbError::Protocol(_))
+            ));
+        }
     }
 }

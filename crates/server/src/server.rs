@@ -267,6 +267,14 @@ mod tests {
 
     impl RawClient {
         fn connect(hub: &LocalHub) -> (Self, displaydb_common::ClientId) {
+            match Self::handshake(hub) {
+                (client, Response::HelloAck { client: id, .. }) => (client, id),
+                (_, other) => panic!("unexpected {other:?}"),
+            }
+        }
+
+        /// Connect and return the server's answer to a fresh `Hello`.
+        fn handshake(hub: &LocalHub) -> (Self, Response) {
             let channel: Arc<dyn Channel> = Arc::new(hub.connect().unwrap()) as _;
             let client = Self {
                 channel,
@@ -274,14 +282,11 @@ mod tests {
                 pushes: Arc::new(Mutex::new(Vec::new())),
                 responses: Arc::new(Mutex::new(HashMap::new())),
             };
-            let id = match client.call(Request::Hello {
+            let ack = client.call(Request::Hello {
                 name: "raw".into(),
                 resume: None,
-            }) {
-                Response::HelloAck { client, .. } => client,
-                other => panic!("unexpected {other:?}"),
-            };
-            (client, id)
+            });
+            (client, ack)
         }
 
         fn call(&self, request: Request) -> Response {
@@ -786,6 +791,91 @@ mod tests {
             }
             o => panic!("{o:?}"),
         }
+    }
+
+    #[test]
+    fn unknown_resume_token_version_resumes_as_fresh_with_everything_stale() {
+        use crate::proto::{ResumeRequest, ShardCursor};
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let _server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("resumever")), &hub)
+                .unwrap();
+        let (first, ack) = RawClient::handshake(&hub);
+        let Response::HelloAck {
+            session,
+            incarnation,
+            log_incarnations,
+            ..
+        } = ack
+        else {
+            panic!("unexpected {ack:?}");
+        };
+        let txn = match first.call(Request::Begin) {
+            Response::TxnStarted { txn } => txn,
+            other => panic!("unexpected {other:?}"),
+        };
+        let oid = match first.call(Request::Create {
+            txn,
+            object: make_node(&cat, "n"),
+        }) {
+            Response::Created { oid } => oid,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!(first.call(Request::Commit { txn, trace: 0 }), Response::Ok);
+        // What a reconnect would present to resume `first`'s session,
+        // with a manifest entry at the object's current version —
+        // provably current if the token is honoured.
+        let resume = ResumeRequest {
+            token: session,
+            incarnation,
+            manifest: vec![(oid, 1)],
+            cursors: vec![ShardCursor {
+                shard: 0,
+                cursor: 0,
+                log_incarnation: log_incarnations[0],
+            }],
+        };
+        let hello = |resume: ResumeRequest| {
+            Envelope::Req(
+                1,
+                Request::Hello {
+                    name: "resumer".into(),
+                    resume: Some(resume),
+                },
+            )
+            .encode_to_bytes()
+            .to_vec()
+        };
+        let handshake = |frame: Vec<u8>| {
+            let channel = hub.connect().unwrap();
+            channel.send(frame.into()).unwrap();
+            let resp = channel.recv_timeout(Duration::from_secs(10)).unwrap();
+            match Envelope::decode_from_bytes(&resp).unwrap() {
+                Envelope::Resp(
+                    1,
+                    Response::HelloAck {
+                        resumed,
+                        stale,
+                        replay_ok,
+                        ..
+                    },
+                ) => (resumed, stale, replay_ok),
+                other => panic!("unexpected {other:?}"),
+            }
+        };
+        // The same token under a version byte this build does not know
+        // (it sits right after the envelope tag, seq, request tag, name
+        // and option tag): admitted, but as a fresh session with no
+        // cursors — every manifest entry stale, no replay.
+        let mut unknown = hello(resume.clone());
+        let version_at = 1 + 1 + 1 + (1 + "resumer".len()) + 1;
+        assert_eq!(unknown[version_at], 2, "resume token version byte");
+        unknown[version_at] = 9;
+        assert_eq!(handshake(unknown), (false, vec![oid], false));
+        // Control: the token was not consumed, and in the version this
+        // build speaks it resumes with the copy proven current.
+        assert_eq!(handshake(hello(resume)), (true, vec![], true));
     }
 
     #[test]

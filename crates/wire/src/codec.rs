@@ -282,7 +282,7 @@ macro_rules! encode_varint_newtype {
         }
         impl Decode for $ty {
             fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
-                Ok(<$ty>::new(r.get_varint()? as $inner))
+                Ok(<$ty>::new(<$inner>::decode(r)?))
             }
         }
     };
@@ -306,8 +306,7 @@ impl Encode for RecordId {
 impl Decode for RecordId {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let page = PageId::decode(r)?;
-        let slot = r.get_varint()? as u16;
-        Ok(RecordId::new(page, slot))
+        Ok(RecordId::new(page, u16::decode(r)?))
     }
 }
 
@@ -330,7 +329,7 @@ impl Encode for u16 {
 impl Decode for u16 {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let v = r.get_varint()?;
-        u16::try_from(v).map_err(|_| DbError::Corrupt("u16 out of range".into()))
+        u16::try_from(v).map_err(|_| DbError::Protocol("u16 out of range".into()))
     }
 }
 
@@ -342,7 +341,7 @@ impl Encode for u32 {
 impl Decode for u32 {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
         let v = r.get_varint()?;
-        u32::try_from(v).map_err(|_| DbError::Corrupt("u32 out of range".into()))
+        u32::try_from(v).map_err(|_| DbError::Protocol("u32 out of range".into()))
     }
 }
 
@@ -563,6 +562,31 @@ mod tests {
         w.put_u8(0xAB);
         let bytes = w.finish();
         assert!(u64::decode_from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn narrow_integers_reject_over_wide_varints() {
+        // A varint wider than its field is a protocol error, never a
+        // silent truncation onto some other value.
+        let wide = |v: u64| {
+            let mut w = WireWriter::new();
+            w.put_varint(v);
+            w.finish()
+        };
+        let is_protocol = |r: DbResult<()>| matches!(r, Err(DbError::Protocol(_)));
+        assert!(is_protocol(u16::decode_from_bytes(&wide(65_541)).map(drop)));
+        assert!(is_protocol(
+            u32::decode_from_bytes(&wide(1 << 32)).map(drop)
+        ));
+        assert!(is_protocol(
+            ClassId::decode_from_bytes(&wide(1 << 32)).map(drop)
+        ));
+        let mut w = WireWriter::new();
+        PageId::new(1).encode(&mut w);
+        w.put_varint(65_541);
+        assert!(is_protocol(
+            RecordId::decode_from_bytes(&w.finish()).map(drop)
+        ));
     }
 
     #[test]

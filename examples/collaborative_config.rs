@@ -29,7 +29,7 @@ fn main() -> DbResult<()> {
     let _server = Server::spawn_local(Arc::clone(&catalog), ServerConfig::new(&data_dir), &db_hub)?;
     let dlm_hub = LocalHub::new();
     let _agent = DlmAgent::spawn(
-        Arc::new(DlmCore::new(DlmConfig {
+        Arc::new(ShardedDlm::new(DlmConfig {
             protocol: NotifyProtocol::EarlyNotify,
             ..DlmConfig::default()
         })),

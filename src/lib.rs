@@ -68,7 +68,9 @@ pub mod prelude {
     pub use displaydb_display::{
         Display, DisplayCache, DisplayClassBuilder, DisplayClassDef, DisplayObject, DoId,
     };
-    pub use displaydb_dlm::{DlmAgent, DlmConfig, DlmCore, DlmEvent, NotifyProtocol, UpdateInfo};
+    pub use displaydb_dlm::{
+        DlmAgent, DlmConfig, DlmEvent, NotifyProtocol, ShardedDlm, UpdateInfo,
+    };
     pub use displaydb_schema::{AttrType, Catalog, DbObject, Value};
     pub use displaydb_server::{Server, ServerConfig};
     pub use displaydb_wire::{

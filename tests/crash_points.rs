@@ -182,7 +182,7 @@ fn crash_point_matrix_restart_recovers_without_loss_or_duplicates() {
             point.name()
         );
         assert!(
-            server2.core().dlm_recovery().is_some(),
+            !server2.core().dlm_recoveries().is_empty(),
             "[{}] the durable log must come back",
             point.name()
         );
@@ -208,7 +208,7 @@ fn crash_point_matrix_restart_recovers_without_loss_or_duplicates() {
 
         // The post-restart log must keep accepting appends (head moved
         // past whatever the recovery scan found).
-        let head = server2.core().dlm().update_log().head();
+        let head = server2.core().dlm().update_log_of(0).head();
         assert!(
             head >= 1,
             "[{}] post-restart appends must land in the log",

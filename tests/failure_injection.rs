@@ -119,7 +119,7 @@ fn dlm_agent_death_degrades_gracefully() {
     .unwrap();
     let dlm_hub = LocalHub::new();
     let mut agent = DlmAgent::spawn(
-        Arc::new(DlmCore::new(DlmConfig::default())),
+        Arc::new(ShardedDlm::new(DlmConfig::default())),
         Box::new(dlm_hub.clone()),
     );
 
@@ -393,7 +393,7 @@ fn dlm_agent_restart_relocks_and_notifies() {
     let dlm_slot = Arc::new(std::sync::Mutex::new(LocalHub::new()));
     let dlm_hub0 = dlm_slot.lock().unwrap().clone();
     let mut agent = DlmAgent::spawn(
-        Arc::new(DlmCore::new(DlmConfig::default())),
+        Arc::new(ShardedDlm::new(DlmConfig::default())),
         Box::new(dlm_hub0),
     );
 
@@ -428,14 +428,14 @@ fn dlm_agent_restart_relocks_and_notifies() {
     agent.shutdown();
     drop(agent);
     let agent2 = DlmAgent::spawn(
-        Arc::new(DlmCore::new(DlmConfig::default())),
+        Arc::new(ShardedDlm::new(DlmConfig::default())),
         Box::new(dlm_hub2),
     );
 
     // The DLC must re-register the viewer's display lock with the new
     // agent without any application involvement.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while agent2.core().locked_objects() < 1 {
+    while agent2.dlm().locked_objects() < 1 {
         assert!(
             Instant::now() < deadline,
             "display lock was not re-registered after agent restart"

@@ -45,7 +45,7 @@ impl Deployment {
             Server::spawn_local(Arc::clone(&catalog), ServerConfig::new(tmp(name)), &db_hub)
                 .unwrap();
         let dlm_hub = LocalHub::new();
-        let agent = DlmAgent::spawn(Arc::new(DlmCore::new(dlm)), Box::new(dlm_hub.clone()));
+        let agent = DlmAgent::spawn(Arc::new(ShardedDlm::new(dlm)), Box::new(dlm_hub.clone()));
         Self {
             _server: server,
             _agent: Some(agent),

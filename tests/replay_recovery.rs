@@ -21,6 +21,7 @@
 //! Log-structure invariants (seqno monotonicity, retention caps,
 //! truncation detection) are property-tested in crates/dlm/src/log.rs.
 
+use displaydb::dlm::ShardCursor;
 use displaydb::nms::nms_catalog;
 use displaydb::prelude::*;
 use displaydb::wire::Channel;
@@ -109,7 +110,7 @@ fn await_value(display: &Display, id: DoId, want: f64, deadline: Duration) {
 fn await_cursor(client: &DbClient) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let cursor = client.dlc().cursor();
+        let cursor = client.dlc().cursor_of(0);
         if cursor > 0 {
             return cursor;
         }
@@ -208,7 +209,7 @@ fn resume_replays_suffix_without_resync() {
         "no resync sweep may reach the viewer"
     );
     assert!(
-        viewer.dlc().cursor() > cursor_before,
+        viewer.dlc().cursor_of(0) > cursor_before,
         "the cursor must advance past the replayed suffix"
     );
     assert_eq!(viewer.dlc().stats().cursor_gaps.get(), 0);
@@ -265,7 +266,7 @@ fn truncated_cursor_falls_back_to_exactly_one_resync() {
     txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.95))
         .unwrap();
     txn.commit().unwrap();
-    server.core().dlm().update_log().truncate_all();
+    server.core().dlm().update_log_of(0).truncate_all();
 
     gate.store(true, Ordering::SeqCst);
     await_ping(&viewer);
@@ -563,11 +564,11 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
 
 /// Wait until the viewer holds a positive cursor on every shard, so the
 /// resume token carries a real per-shard frontier into the outage.
-fn await_shard_cursors(client: &DbClient, shards: u32) -> Vec<(u32, u64)> {
+fn await_shard_cursors(client: &DbClient, shards: u32) -> Vec<ShardCursor> {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
         let cursors = client.dlc().cursors();
-        if (0..shards).all(|s| cursors.iter().any(|&(cs, c)| cs == s && c > 0)) {
+        if (0..shards).all(|s| cursors.iter().any(|sc| sc.shard == s && sc.cursor > 0)) {
             return cursors;
         }
         assert!(
@@ -760,14 +761,14 @@ fn repeated_disconnects_keep_the_cursor_monotone() {
         await_ping(&viewer);
         await_value(&display, id, want, Duration::from_secs(10));
         let deadline = Instant::now() + Duration::from_secs(5);
-        while viewer.dlc().cursor() <= last_cursor {
+        while viewer.dlc().cursor_of(0) <= last_cursor {
             assert!(
                 Instant::now() < deadline,
                 "cycle {cycle}: cursor never advanced past {last_cursor}"
             );
             std::thread::sleep(Duration::from_millis(20));
         }
-        last_cursor = viewer.dlc().cursor();
+        last_cursor = viewer.dlc().cursor_of(0);
     }
 
     let recovery = &viewer.conn_stats().recovery;

@@ -100,7 +100,7 @@ fn await_value(display: &Display, id: DoId, want: f64, deadline: Duration) {
 fn await_cursor(client: &DbClient) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let cursor = client.dlc().cursor();
+        let cursor = client.dlc().cursor_of(0);
         if cursor > 0 {
             return cursor;
         }
@@ -123,8 +123,8 @@ fn hard_kill_recovers_live_cursor_by_replay() {
     let hub0 = hub_slot.lock().unwrap().clone();
     let mut server =
         Server::spawn_local(Arc::clone(&catalog), durable_config(tmp.path()), &hub0).unwrap();
-    let log_incarnation = server.core().log_incarnation();
-    assert_ne!(log_incarnation, 0, "durable log must be live");
+    let log_incarnations = server.core().log_incarnations();
+    assert_ne!(log_incarnations, [0], "durable log must be live");
 
     let updater = DbClient::connect(
         Box::new(hub0.connect().unwrap()),
@@ -167,10 +167,11 @@ fn hard_kill_recovers_live_cursor_by_replay() {
         Server::spawn_local(Arc::clone(&catalog), durable_config(tmp.path()), &hub2).unwrap();
     let rec = server2
         .core()
-        .dlm_recovery()
+        .dlm_recoveries()
+        .first()
         .expect("durable log must report recovery");
     assert!(rec.incarnation_recovered, "log incarnation must survive");
-    assert_eq!(server2.core().log_incarnation(), log_incarnation);
+    assert_eq!(server2.core().log_incarnations(), log_incarnations);
     assert!(!rec.window_truncated, "clean kill must keep the window");
     assert!(rec.recovered_entries >= 1, "committed batches must be back");
 
@@ -215,7 +216,7 @@ fn hard_kill_recovers_live_cursor_by_replay() {
     // continued, so the replayed suffix acks strictly past the old
     // frontier and the gap detector stays silent.
     let deadline = Instant::now() + Duration::from_secs(5);
-    while viewer.dlc().cursor() <= cursor_before {
+    while viewer.dlc().cursor_of(0) <= cursor_before {
         assert!(
             Instant::now() < deadline,
             "cursor never advanced past {cursor_before}"
@@ -309,7 +310,7 @@ fn evicted_cursor_falls_back_to_resync_after_restart() {
         server2
             .core()
             .dlm()
-            .update_log()
+            .update_log_of(0)
             .changed_since(cursor_before)
             .is_none(),
         "the storm must have rolled the window past the old cursor"
@@ -343,9 +344,8 @@ fn evicted_cursor_falls_back_to_resync_after_restart() {
     drop(server2);
 }
 
-/// With the durable log disabled the restart path is byte-for-byte the
-/// pre-spill behaviour: `log_incarnation` rides the handshake as 0 and
-/// nothing claims a cross-restart replay. (The full rebaseline flow is
+/// With the durable log disabled every shard's log incarnation rides
+/// the handshake as 0 and nothing claims a cross-restart replay. (The full rebaseline flow is
 /// pinned in tests/replay_recovery.rs; this guards the new field's
 /// disabled-mode semantics.)
 #[test]
@@ -356,15 +356,146 @@ fn disabled_log_advertises_zero_incarnation() {
     let mut config = ServerConfig::new(tmp.path());
     config.sync_commits = true;
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
-    assert_eq!(server.core().log_incarnation(), 0);
-    assert!(server.core().dlm_recovery().is_none());
+    assert_eq!(server.core().log_incarnations(), [0]);
+    assert!(server.core().dlm_recoveries().is_empty());
 
     let client = DbClient::connect(
         Box::new(hub.connect().unwrap()),
         ClientConfig::named("plain"),
     )
     .unwrap();
-    assert_eq!(client.session().log_incarnation, 0);
+    assert_eq!(client.session().log_incarnations, [0]);
     assert_eq!(client.conn_stats().recovery.cross_restart_replays.get(), 0);
     drop(server);
+}
+
+/// Restarting with a different `dlm.shards` re-partitions the OID space:
+/// a shard's old log vouches only for the OIDs that hashed to it under
+/// the old count. The viewer caches a link that lives in shard 2 or 3 of
+/// a 4-shard DLM, goes away, and the link is committed — into that
+/// shard's log. The server comes back with 2 shards, where the link now
+/// routes to shard 0 or 1, whose old log never saw it. The viewer's
+/// resume (cursors for all four old shards, incarnations intact) must
+/// not be able to prove its copy current from a log that never held the
+/// link's commits: the copy comes back in `stale` and no replay is
+/// offered.
+#[test]
+fn changed_shard_count_cannot_certify_a_stale_copy() {
+    use displaydb::dlm::ShardMap;
+    use displaydb::server::proto::{Envelope, Request, Response, ResumeRequest};
+    use displaydb::wire::{Decode, Encode};
+
+    let catalog = Arc::new(nms_catalog());
+    let tmp = TempDir::new("xrestart-reshard");
+    let config = |shards: usize| {
+        let mut c = durable_config(tmp.path());
+        c.dlm.shards = shards;
+        c
+    };
+    let hub = LocalHub::new();
+    let mut server = Server::spawn_local(Arc::clone(&catalog), config(4), &hub).unwrap();
+    let updater = DbClient::connect(
+        Box::new(hub.connect().unwrap()),
+        ClientConfig::named("updater"),
+    )
+    .unwrap();
+    // A link whose shard changes with the count (shard 2 or 3 of four
+    // is shard 0 or 1 of two), and a bystander that lives, under four
+    // shards, in the shard the link will move to.
+    let (of4, of2) = (ShardMap::new(4), ShardMap::new(2));
+    let (mut link, mut bystander) = (None, None);
+    while link.is_none() || bystander.is_none() {
+        let mut txn = updater.begin().unwrap();
+        let obj = txn.create(updater.new_object("Link").unwrap()).unwrap();
+        txn.commit().unwrap();
+        if link.is_none() && of4.shard_of(obj.oid) >= 2 {
+            link = Some(obj);
+        } else if link
+            .as_ref()
+            .is_some_and(|l| of4.shard_of(obj.oid) == of2.shard_of(l.oid))
+        {
+            bystander = Some(obj);
+        }
+    }
+    let (link, bystander) = (link.unwrap(), bystander.unwrap());
+    assert_ne!(of4.shard_of(link.oid), of2.shard_of(link.oid));
+
+    // The viewer caches and watches the link, then goes away holding a
+    // resume token, a manifest, and a cursor vector for four shards.
+    let viewer = DbClient::connect(
+        Box::new(hub.connect().unwrap()),
+        ClientConfig::named("viewer"),
+    )
+    .unwrap();
+    let cache = Arc::new(DisplayCache::new());
+    let display = Display::open(Arc::clone(&viewer), cache, "map");
+    display
+        .add_object(&width_coded_link("Utilization"), vec![link.oid])
+        .unwrap();
+    let session = viewer.session();
+    let cursors = viewer.dlc().cursors();
+    assert_eq!(cursors.len(), 4);
+    assert!(cursors.iter().all(|sc| sc.log_incarnation != 0));
+    let resume = ResumeRequest {
+        token: session.token,
+        incarnation: session.incarnation,
+        manifest: vec![(link.oid, 0)],
+        cursors,
+    };
+    drop(display);
+    viewer.close();
+
+    // Committed while the viewer is away, under the 4-shard map. The
+    // bystander's commit comes last so the log of the shard the link
+    // will move to ends on the WAL's newest transaction and keeps its
+    // window across the restart (the WAL cross-check would otherwise
+    // surrender it, hiding the hazard).
+    for oid in [link.oid, bystander.oid] {
+        let mut txn = updater.begin().unwrap();
+        txn.update(oid, |o| o.set(&catalog, "Utilization", 0.9))
+            .unwrap();
+        txn.commit().unwrap();
+    }
+    drop(updater);
+    server.hard_kill();
+    drop(server);
+
+    let hub2 = LocalHub::new();
+    let server2 = Server::spawn_local(Arc::clone(&catalog), config(2), &hub2).unwrap();
+    let channel = hub2.connect().unwrap();
+    let hello = Request::Hello {
+        name: "viewer".into(),
+        resume: Some(resume),
+    };
+    channel
+        .send(Envelope::Req(1, hello).encode_to_bytes())
+        .unwrap();
+    let frame = channel.recv_timeout(Duration::from_secs(5)).unwrap();
+    match Envelope::decode_from_bytes(&frame).unwrap() {
+        Envelope::Resp(
+            1,
+            Response::HelloAck {
+                resumed,
+                stale,
+                replay_ok,
+                log_incarnations,
+                ..
+            },
+        ) => {
+            assert!(!resumed, "the old process's token must be refused");
+            assert_eq!(log_incarnations.len(), 2);
+            assert_eq!(
+                stale,
+                vec![link.oid],
+                "a copy whose commits no surviving log can vouch for is stale"
+            );
+            assert!(
+                !replay_ok,
+                "no cursor of the old partitioning is admissible"
+            );
+        }
+        other => panic!("unexpected handshake response {other:?}"),
+    }
+    assert_eq!(server2.core().stats().sessions_recovered.get(), 0);
+    drop(server2);
 }
