@@ -241,7 +241,7 @@ impl Connection {
         let mut backoff = OVERLOAD_BACKOFF_START;
         let mut attempts = 0u32;
         loop {
-            match self.call_once(request.clone()) {
+            match self.call_once(&request) {
                 Err(DbError::Overloaded) if attempts < OVERLOAD_RETRY_LIMIT => {
                     attempts += 1;
                     self.stats.overload_retries.inc();
@@ -253,8 +253,10 @@ impl Connection {
         }
     }
 
-    /// One RPC attempt, no overload retry.
-    fn call_once(&self, request: Request) -> DbResult<Response> {
+    /// One RPC attempt, no overload retry. The request is only borrowed:
+    /// the frame is encoded straight from it, and the rare retry encodes
+    /// it again under its new sequence number.
+    fn call_once(&self, request: &Request) -> DbResult<Response> {
         if self.is_dead() {
             return Err(DbError::Disconnected);
         }
@@ -262,10 +264,7 @@ impl Connection {
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.pending.lock().insert(seq, tx);
         self.stats.sent.inc();
-        if let Err(e) = self
-            .channel
-            .send(Envelope::Req(seq, request).encode_to_bytes())
-        {
+        if let Err(e) = self.channel.send(Envelope::encode_req(seq, request)) {
             self.pending.lock().remove(&seq);
             // A send on a dead channel means disconnected, whatever the
             // transport reported.
@@ -310,5 +309,91 @@ impl std::fmt::Debug for Connection {
         f.debug_struct("Connection")
             .field("dead", &self.is_dead())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use displaydb_common::TxnId;
+    use displaydb_wire::local_pair;
+
+    /// The next request the fake server end receives.
+    fn next_request(server: &dyn Channel) -> (u64, Request) {
+        let frame = server.recv_timeout(Duration::from_secs(10)).unwrap();
+        match Envelope::decode_from_bytes(&frame).unwrap() {
+            Envelope::Req(seq, request) => (seq, request),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    fn respond(server: &dyn Channel, seq: u64, response: Response) {
+        server
+            .send(Envelope::Resp(seq, response).encode_to_bytes())
+            .unwrap();
+    }
+
+    #[test]
+    fn a_late_response_to_a_timed_out_call_is_dropped() {
+        let (client_end, server) = local_pair();
+        let conn = Connection::new(Box::new(client_end), Duration::from_millis(100));
+        // The first call goes unanswered and times out, taking its
+        // pending entry with it.
+        assert!(matches!(conn.call(Request::Ping), Err(DbError::Timeout(_))));
+        let (stale, _) = next_request(&server);
+        assert!(conn.pending.lock().is_empty());
+
+        // Its answer arrives while a newer call waits: it must neither
+        // complete that call nor disturb its slot.
+        let caller = {
+            let conn = Arc::clone(&conn);
+            std::thread::spawn(move || conn.call(Request::Begin))
+        };
+        let (seq, request) = next_request(&server);
+        assert_eq!(request, Request::Begin);
+        assert_ne!(seq, stale);
+        respond(&server, stale, Response::Ok);
+        let txn = TxnId::new(7);
+        respond(&server, seq, Response::TxnStarted { txn });
+        assert_eq!(
+            caller.join().unwrap().unwrap(),
+            Response::TxnStarted { txn }
+        );
+        assert!(conn.pending.lock().is_empty());
+        drop(server); // before `conn`, whose drop joins the reader
+    }
+
+    #[test]
+    fn a_shed_call_is_sent_again_unchanged_under_a_new_seq() {
+        let (client_end, server) = local_pair();
+        let conn = Connection::new(Box::new(client_end), Duration::from_secs(10));
+        let request = Request::Write {
+            txn: TxnId::new(3),
+            object: vec![7; 300],
+        };
+        let caller = {
+            let (conn, request) = (Arc::clone(&conn), request.clone());
+            std::thread::spawn(move || conn.call(request))
+        };
+        let (first, sent) = next_request(&server);
+        assert_eq!(sent, request);
+        respond(&server, first, Response::from_error(&DbError::Overloaded));
+        let (second, resent) = next_request(&server);
+        assert_eq!(resent, request);
+        assert_ne!(second, first);
+        respond(&server, second, Response::Ok);
+        assert_eq!(caller.join().unwrap().unwrap(), Response::Ok);
+        assert_eq!(conn.stats().overload_retries.get(), 1);
+        drop(server); // before `conn`, whose drop joins the reader
+    }
+
+    #[test]
+    fn a_call_that_fails_to_send_leaves_no_pending_entry() {
+        let (client_end, server) = local_pair();
+        let conn = Connection::new(Box::new(client_end), Duration::from_secs(10));
+        drop(server);
+        conn.channel.close();
+        assert!(conn.call(Request::Ping).is_err());
+        assert!(conn.pending.lock().is_empty());
     }
 }

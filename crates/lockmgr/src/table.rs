@@ -51,6 +51,9 @@ enum WaitState {
     Granted,
     /// Chosen as a deadlock victim.
     Victim,
+    /// Taken out of the queue by a release on the owner's behalf (its
+    /// transaction aborted or its client disconnected mid-wait).
+    Withdrawn,
 }
 
 #[derive(Debug)]
@@ -72,6 +75,21 @@ struct Entry {
 impl Entry {
     fn is_empty(&self) -> bool {
         self.granted.is_empty() && self.queue.is_empty()
+    }
+
+    /// Drop everything `owner` holds or waits for here. A waiter taken
+    /// out is told so: nothing else would ever wake it, and its thread
+    /// would sit in `acquire` for good.
+    fn remove_owner(&mut self, owner: Owner) {
+        self.granted.retain(|(o, _)| *o != owner);
+        self.queue.retain(|w| {
+            if w.owner != owner {
+                return true;
+            }
+            *w.state.lock() = WaitState::Withdrawn;
+            w.cond.notify_one();
+            false
+        });
     }
 
     fn held_by(&self, owner: Owner) -> Option<LockMode> {
@@ -218,6 +236,11 @@ impl LockManager {
                         victim: owner.txn().unwrap_or(TxnId::new(0)),
                     })
                 }
+                WaitState::Withdrawn => {
+                    return Err(owner
+                        .txn()
+                        .map_or(DbError::LockTimeout { oid }, DbError::TxnNotActive))
+                }
                 WaitState::Waiting => {
                     if waiter
                         .cond
@@ -242,15 +265,6 @@ impl LockManager {
                         // window; re-check the state.
                         drop(state);
                         ws = waiter.state.lock();
-                        match *ws {
-                            WaitState::Granted => return Ok(()),
-                            WaitState::Victim => {
-                                return Err(DbError::Deadlock {
-                                    victim: owner.txn().unwrap_or(TxnId::new(0)),
-                                })
-                            }
-                            WaitState::Waiting => continue,
-                        }
                     }
                 }
             }
@@ -387,8 +401,7 @@ impl LockManager {
     pub fn release(&self, owner: Owner, oid: Oid) {
         let mut state = self.state.lock();
         if let Some(entry) = state.locks.get_mut(&oid) {
-            entry.granted.retain(|(o, _)| *o != owner);
-            entry.queue.retain(|w| w.owner != owner);
+            entry.remove_owner(owner);
             if entry.is_empty() {
                 state.locks.remove(&oid);
             }
@@ -414,8 +427,7 @@ impl LockManager {
             .unwrap_or_default();
         for &oid in &oids {
             if let Some(entry) = state.locks.get_mut(&oid) {
-                entry.granted.retain(|(o, _)| *o != owner);
-                entry.queue.retain(|w| w.owner != owner);
+                entry.remove_owner(owner);
                 if entry.is_empty() {
                     state.locks.remove(&oid);
                 }
@@ -491,6 +503,35 @@ mod tests {
         lm.acquire(txn(1), O1, LockMode::Shared).unwrap();
         lm.acquire(txn(2), O1, LockMode::Shared).unwrap();
         assert_eq!(lm.stats().grants.get(), 2);
+    }
+
+    #[test]
+    fn releasing_a_waiting_owner_wakes_its_request() {
+        // An abort or disconnect that lands while the owner's request is
+        // queued: the request must fail now, not sit out timeout after
+        // timeout on a queue it is no longer in.
+        let lm = Arc::new(LockManager::new(LockManagerConfig {
+            wait_timeout: Duration::from_secs(60),
+            deadlock_detection: true,
+        }));
+        lm.acquire(txn(1), O1, LockMode::Exclusive).unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let lm2 = Arc::clone(&lm);
+        thread::spawn(move || {
+            let _ = done_tx.send(lm2.acquire(txn(2), O1, LockMode::Exclusive));
+        });
+        while lm.stats().waits.get() == 0 {
+            thread::yield_now();
+        }
+        lm.release_all(txn(2));
+        let woken = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the withdrawn request returned");
+        assert!(matches!(woken, Err(DbError::TxnNotActive(t)) if t == TxnId::new(2)));
+        // The holder is untouched and nothing is left queued behind it.
+        assert_eq!(lm.held_mode(txn(1), O1), Some(LockMode::Exclusive));
+        lm.release_all(txn(1));
+        assert_eq!(lm.locked_objects(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::proto::{Request, Response, ResumeRequest, ServerPush, WireLockMode};
 use crate::store::{ObjectStore, WriteOp};
 use crate::txn::TxnManager;
 use displaydb_common::ids::IdGen;
-use displaydb_common::metrics::{Counter, SegLogStats};
+use displaydb_common::metrics::{Counter, Gauge, SegLogStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig, Oid, TxnId};
 use displaydb_dlm::{DlmConfig, DurableRecovery, EventSink, OutboxSink, ShardedDlm, UpdateInfo};
@@ -115,6 +115,12 @@ pub struct ServerStats {
     /// log (cursor admitted under a surviving log incarnation, currency
     /// proven from the durable window; DESIGN.md § 14).
     pub sessions_recovered: Counter,
+    /// Request-worker threads started. A session starts one only when
+    /// every worker it has is busy, so at a steady request rate this
+    /// stands still.
+    pub worker_spawns: Counter,
+    /// Request-worker threads alive right now, busy or parked.
+    pub workers_resident: Gauge,
 }
 
 impl ServerStats {
@@ -128,6 +134,8 @@ impl ServerStats {
             ("callbacks", self.callbacks.get()),
             ("pushes", self.pushes.get()),
             ("sessions_recovered", self.sessions_recovered.get()),
+            ("worker_spawns", self.worker_spawns.get()),
+            ("workers_resident", self.workers_resident.get()),
         ]
     }
 }
@@ -135,6 +143,21 @@ impl ServerStats {
 impl displaydb_common::StatsSource for ServerStats {
     fn stat_values(&self) -> Vec<(&'static str, u64)> {
         self.snapshot()
+    }
+}
+
+/// One of a session's `max_in_flight` admission slots, taken by
+/// [`SessionHandle::try_admit`]. Releasing on drop is what makes the
+/// release happen exactly once however the request ends — answered,
+/// refused for want of a thread, never run because the session went
+/// away, or unwound by a panic in its handler.
+pub struct Admission(Arc<SessionHandle>);
+
+impl Drop for Admission {
+    fn drop(&mut self) {
+        self.0
+            .in_flight
+            .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
     }
 }
 
@@ -170,30 +193,17 @@ impl SessionHandle {
         }
     }
 
-    /// Try to admit one more concurrent request; `false` means shed.
-    pub fn try_admit(&self, max_in_flight: usize) -> bool {
+    /// Try to admit one more concurrent request; `None` means shed. The
+    /// slot is held by the returned [`Admission`] and released when that
+    /// is dropped.
+    pub fn try_admit(self: &Arc<Self>, max_in_flight: usize) -> Option<Admission> {
         use std::sync::atomic::Ordering;
-        let mut current = self.in_flight.load(Ordering::Relaxed);
-        loop {
-            if current >= max_in_flight {
-                return false;
-            }
-            match self.in_flight.compare_exchange_weak(
-                current,
-                current + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-    }
-
-    /// Release one admission slot taken by [`SessionHandle::try_admit`].
-    pub fn finish_request(&self) {
         self.in_flight
-            .fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
+            .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |current| {
+                (current < max_in_flight).then_some(current + 1)
+            })
+            .ok()
+            .map(|_| Admission(Arc::clone(self)))
     }
 
     /// Requests currently in flight for this session.

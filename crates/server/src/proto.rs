@@ -705,14 +705,27 @@ const ENV_RESP: u8 = 2;
 const ENV_PUSH: u8 = 3;
 const ENV_PUSH_ACK: u8 = 4;
 
+impl Envelope {
+    /// The frame of `Envelope::Req(seq, request)`, encoded from a
+    /// borrowed request: a caller that may have to send the request again
+    /// under a new sequence number keeps it instead of cloning it.
+    pub fn encode_req(seq: u64, request: &Request) -> bytes::Bytes {
+        let mut w = WireWriter::new();
+        put_req(&mut w, seq, request);
+        w.finish()
+    }
+}
+
+fn put_req(w: &mut WireWriter, seq: u64, request: &Request) {
+    w.put_u8(ENV_REQ);
+    w.put_varint(seq);
+    request.encode(w);
+}
+
 impl Encode for Envelope {
     fn encode(&self, w: &mut WireWriter) {
         match self {
-            Envelope::Req(seq, req) => {
-                w.put_u8(ENV_REQ);
-                w.put_varint(*seq);
-                req.encode(w);
-            }
+            Envelope::Req(seq, req) => put_req(w, *seq, req),
             Envelope::Resp(seq, resp) => {
                 w.put_u8(ENV_RESP);
                 w.put_varint(*seq);
@@ -750,6 +763,18 @@ mod tests {
     fn rt(e: Envelope) {
         let bytes = e.encode_to_bytes();
         assert_eq!(Envelope::decode_from_bytes(&bytes).unwrap(), e);
+    }
+
+    #[test]
+    fn encode_req_is_the_req_envelope() {
+        let request = Request::Write {
+            txn: TxnId::new(5),
+            object: vec![1, 2, 3],
+        };
+        assert_eq!(
+            Envelope::encode_req(300, &request),
+            Envelope::Req(300, request).encode_to_bytes()
+        );
     }
 
     #[test]

@@ -1,18 +1,38 @@
-//! Server lifecycle: accept loops and session threads.
+//! Server lifecycle: accept loops, session threads and their request
+//! workers.
 //!
 //! Each connection gets a *session thread* that only demultiplexes frames:
-//! requests are dispatched to short-lived worker threads (so a request
-//! blocked on a lock or a callback acknowledgement can never stall the
-//! session's ability to route acknowledgements and pushes), and push-acks
-//! are routed to their waiters.
+//! push-acks are routed to their waiters, and every admitted request is
+//! handed to one of the session's *request workers*. The session thread
+//! never executes a request, because a request may block — on a lock
+//! wait, or on another client's acknowledgement of a synchronous callback
+//! — and a thread that is blocked cannot route acks. Two sessions running
+//! their requests inline deadlock in three steps: A's request calls back
+//! B's cached copy and waits for B's ack; B's request, in the same
+//! moment, calls back A's copy and waits for A's ack; each ack sits
+//! unread behind the request its session thread is stuck in.
+//!
+//! Workers are resident, not per request. A session keeps one job queue
+//! and a count of the workers parked on it. Dispatch claims a parked
+//! worker or, when all are busy, starts one more, then enqueues; so with
+//! k requests blocked there are k workers and the (k+1)-th request gets
+//! its own. A worker that finishes a job parks again only if no other
+//! worker is parked (one compare-and-swap), otherwise it exits: a session
+//! holds at most one idle thread, and threads stay O(sessions + requests
+//! in flight) without a thread being created on the request path of a
+//! client that waits for each answer before it sends the next request.
+//! Workers end when the session thread drops the queue's sender
+//! (disconnect, [`Server::shutdown`], [`Server::hard_kill`]); nobody
+//! joins them.
 
-use crate::core::{ServerConfig, ServerCore, SessionHandle};
+use crate::core::{Admission, ServerConfig, ServerCore, SessionHandle};
 use crate::proto::{Envelope, Request, Response};
+use crossbeam::channel::{Receiver, Sender};
 use displaydb_common::{DbError, DbResult};
 use displaydb_schema::Catalog;
 use displaydb_wire::{Channel, Decode, Encode, Listener, LocalHub, TcpListenerWrapper};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -190,33 +210,29 @@ fn session_loop(core: Arc<ServerCore>, channel: Arc<dyn Channel>) {
         }
     };
 
-    let client = handle.client;
     let max_in_flight = core.config().dlm.overload.max_in_flight;
+    let (jobs, queue) = crossbeam::channel::unbounded();
+    let workers = Arc::new(Workers {
+        core: Arc::clone(&core),
+        channel: Arc::clone(&channel),
+        client: handle.client,
+        queue,
+        parked: AtomicUsize::new(0),
+    });
     while let Ok(frame) = channel.recv() {
         match Envelope::decode_from_bytes(&frame) {
             Ok(Envelope::Req(seq, request)) => {
                 // Admission control: a client pipelining more concurrent
                 // requests than the per-session cap is shed with a
-                // retryable `Overloaded` *before* a worker is spawned,
-                // so a runaway client cannot monopolize worker threads.
-                if !handle.try_admit(max_in_flight) {
+                // retryable `Overloaded` *before* any hand-off, so a
+                // runaway client can neither grow the worker set nor the
+                // job queue past the cap.
+                let Some(slot) = handle.try_admit(max_in_flight) else {
                     core.dlm().stats().overload.sheds.inc();
                     send_response(&channel, seq, Response::from_error(&DbError::Overloaded));
                     continue;
-                }
-                // Dispatch to a worker so a blocked request never stops
-                // this session from routing acks.
-                let core = Arc::clone(&core);
-                let channel = Arc::clone(&channel);
-                let handle = Arc::clone(&handle);
-                std::thread::Builder::new()
-                    .name("db-worker".into())
-                    .spawn(move || {
-                        let response = core.handle(client, request);
-                        handle.finish_request();
-                        send_response(&channel, seq, response);
-                    })
-                    .expect("spawn worker thread");
+                };
+                workers.dispatch(&jobs, Job { seq, request, slot });
             }
             Ok(Envelope::PushAck(ack)) => handle.handle_ack(ack),
             Ok(_) => break, // protocol violation
@@ -224,6 +240,107 @@ fn session_loop(core: Arc<ServerCore>, channel: Arc<dyn Channel>) {
         }
     }
     core.disconnect_session(&handle);
+}
+
+/// One admitted request on its way to a worker.
+struct Job {
+    seq: u64,
+    request: Request,
+    slot: Admission,
+}
+
+/// What one session's request workers share (module doc). The queue is
+/// unbounded because admission already bounds it: a job exists only
+/// while it holds one of the session's `max_in_flight` slots.
+struct Workers {
+    core: Arc<ServerCore>,
+    channel: Arc<dyn Channel>,
+    client: displaydb_common::ClientId,
+    queue: Receiver<Job>,
+    /// Workers waiting on `queue` that no dispatch has claimed yet.
+    parked: AtomicUsize,
+}
+
+impl Workers {
+    /// Hand `job` over: claim a parked worker for it, or start one more
+    /// when all are busy, then enqueue. Every job in the queue is thus
+    /// matched by a worker that is in, or on its way into, `recv`.
+    fn dispatch(self: &Arc<Self>, jobs: &Sender<Job>, job: Job) {
+        // AcqRel on `parked`, here and in `run`: the claim must see the
+        // park it consumes, nothing else is published through the count
+        // (the job itself travels through the queue's own lock).
+        let claimed = self
+            .parked
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1))
+            .is_ok();
+        if !claimed {
+            let workers = Arc::clone(self);
+            let started = std::thread::Builder::new()
+                .name("db-worker".into())
+                .spawn(move || workers.run());
+            if started.is_err() {
+                // Out of threads is overload: refuse this one request
+                // (dropping the job frees its slot) and keep the session.
+                let seq = job.seq;
+                drop(job);
+                send_response(
+                    &self.channel,
+                    seq,
+                    Response::from_error(&DbError::Overloaded),
+                );
+                return;
+            }
+            self.core.stats().worker_spawns.inc();
+        }
+        // Cannot fail: `self` keeps the receiving side alive.
+        let _ = jobs.send(job);
+    }
+
+    /// A worker's life: serve jobs until the session thread drops the
+    /// sender, or until this worker would be the second one parked.
+    fn run(&self) {
+        let resident = &self.core.stats().workers_resident;
+        resident.inc();
+        // On drop, so that a worker killed by a panicking handler is no
+        // longer counted either.
+        let _resident = OnDrop(|| resident.dec());
+        while let Ok(Job { seq, request, slot }) = self.queue.recv() {
+            let response = self.core.handle(self.client, request);
+            // Both before the answer goes out, so that a client which
+            // sends its next request on receipt finds the slot free and
+            // this worker parked: such a client never causes a spawn.
+            // (A worker claimed in that window picks the job up once its
+            // send returns, and a send waits for local socket buffer
+            // space only, never for the peer to process anything.)
+            drop(slot);
+            let stay = self
+                .parked
+                .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok();
+            send_response(&self.channel, seq, response);
+            // The audit's held-rank stack is per thread and used to die
+            // with it; a rank left behind would now be charged to the
+            // next, unrelated request.
+            #[cfg(feature = "lock-audit")]
+            assert_eq!(
+                displaydb_common::sync::held_ranks(),
+                Vec::<u16>::new(),
+                "lock-audit: request worker still holds ranks after a request"
+            );
+            if !stay {
+                break; // another worker is already parked: retire
+            }
+        }
+    }
+}
+
+/// Runs its closure when dropped, unwinding included.
+struct OnDrop<F: FnMut()>(F);
+
+impl<F: FnMut()> Drop for OnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
+    }
 }
 
 #[cfg(test)]
@@ -275,7 +392,11 @@ mod tests {
 
         /// Connect and return the server's answer to a fresh `Hello`.
         fn handshake(hub: &LocalHub) -> (Self, Response) {
-            let channel: Arc<dyn Channel> = Arc::new(hub.connect().unwrap()) as _;
+            Self::over(Arc::new(hub.connect().unwrap()))
+        }
+
+        /// Say `Hello` over an established channel.
+        fn over(channel: Arc<dyn Channel>) -> (Self, Response) {
             let client = Self {
                 channel,
                 seq: std::sync::atomic::AtomicU64::new(1),
@@ -290,28 +411,59 @@ mod tests {
         }
 
         fn call(&self, request: Request) -> Response {
+            self.wait(self.send(request))
+        }
+
+        /// Send a request without waiting for its answer; `wait` on the
+        /// returned sequence number collects it.
+        fn send(&self, request: Request) -> u64 {
             let seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             self.channel
                 .send(Envelope::Req(seq, request).encode_to_bytes())
                 .unwrap();
+            seq
+        }
+
+        /// Read frames until the answer to `seq` has arrived.
+        fn wait(&self, seq: u64) -> Response {
             loop {
-                let frame = self.channel.recv_timeout(Duration::from_secs(10)).unwrap();
-                match Envelope::decode_from_bytes(&frame).unwrap() {
-                    Envelope::Resp(s, resp) if s == seq => return resp,
-                    Envelope::Resp(s, resp) => {
-                        self.responses.lock().insert(s, resp);
-                    }
-                    Envelope::Push(push) => {
-                        // Ack callbacks immediately like a real client.
-                        if let crate::proto::ServerPush::Callback { ack, .. } = &push {
-                            self.channel
-                                .send(Envelope::PushAck(*ack).encode_to_bytes())
-                                .unwrap();
-                        }
-                        self.pushes.lock().push(push);
-                    }
-                    Envelope::PushAck(_) | Envelope::Req(..) => panic!("unexpected envelope"),
+                if let Some(resp) = self.responses.lock().remove(&seq) {
+                    return resp;
                 }
+                self.pump();
+            }
+        }
+
+        /// Read frames until one more callback has been acked.
+        fn ack_next_callback(&self) {
+            let is_callback = |p: &crate::proto::ServerPush| {
+                matches!(p, crate::proto::ServerPush::Callback { .. })
+            };
+            let callbacks = || self.pushes.lock().iter().filter(|p| is_callback(p)).count();
+            let before = callbacks();
+            while callbacks() == before {
+                self.pump();
+            }
+        }
+
+        /// Take one frame off the channel: file an answer under its
+        /// sequence number, keep a push — acking a callback at once, like
+        /// a real client.
+        fn pump(&self) {
+            let frame = self.channel.recv_timeout(Duration::from_secs(10)).unwrap();
+            match Envelope::decode_from_bytes(&frame).unwrap() {
+                Envelope::Resp(seq, resp) => {
+                    self.responses.lock().insert(seq, resp);
+                }
+                Envelope::Push(push) => {
+                    if let crate::proto::ServerPush::Callback { ack, .. } = &push {
+                        self.channel
+                            .send(Envelope::PushAck(*ack).encode_to_bytes())
+                            .unwrap();
+                    }
+                    self.pushes.lock().push(push);
+                }
+                Envelope::PushAck(_) | Envelope::Req(..) => panic!("unexpected envelope"),
             }
         }
     }
@@ -545,7 +697,7 @@ mod tests {
     fn write_conflict_blocks_second_writer() {
         let cat = catalog();
         let hub = LocalHub::new();
-        let _server =
+        let server =
             Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("conflict")), &hub)
                 .unwrap();
         let (c1, _) = RawClient::connect(&hub);
@@ -579,23 +731,22 @@ mod tests {
             o => panic!("{o:?}"),
         };
 
-        let started = std::time::Instant::now();
-        let done = std::thread::spawn(move || {
-            let resp = c2.call(Request::Lock {
-                txn: t2,
-                oid,
-                mode: WireLockMode::Exclusive,
-            });
-            (resp, started.elapsed())
+        let waits = server.core().locks().stats().waits.get();
+        let parked = c2.send(Request::Lock {
+            txn: t2,
+            oid,
+            mode: WireLockMode::Exclusive,
         });
-        std::thread::sleep(Duration::from_millis(150));
-        c1.call(Request::Commit { txn: t1, trace: 0 });
-        let (resp, waited) = done.join().unwrap();
-        assert!(matches!(resp, Response::Ok));
+        await_lock_waits(&server, waits + 1);
         assert!(
-            waited >= Duration::from_millis(100),
-            "second writer did not block: {waited:?}"
+            matches!(
+                c2.channel.recv_timeout(Duration::from_millis(100)),
+                Err(DbError::Timeout(_))
+            ),
+            "second writer did not block"
         );
+        c1.call(Request::Commit { txn: t1, trace: 0 });
+        assert!(matches!(c2.wait(parked), Response::Ok));
     }
 
     #[test]
@@ -645,7 +796,7 @@ mod tests {
         let hub = LocalHub::new();
         let mut config = ServerConfig::new(tmp("deadlock"));
         config.lock.wait_timeout = Duration::from_secs(5);
-        let _server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
         let (c1, _) = RawClient::connect(&hub);
         let (c2, _) = RawClient::connect(&hub);
 
@@ -698,14 +849,13 @@ mod tests {
         ));
         // t1 -> b (blocks), t2 -> a (deadlock; t2 is younger, so t2 dies
         // either on its own request or via victim wakeup on t1's path).
-        let c1_thread = std::thread::spawn(move || {
-            c1.call(Request::Lock {
-                txn: t1,
-                oid: oid_b,
-                mode: WireLockMode::Exclusive,
-            })
+        let waits = server.core().locks().stats().waits.get();
+        let blocked = c1.send(Request::Lock {
+            txn: t1,
+            oid: oid_b,
+            mode: WireLockMode::Exclusive,
         });
-        std::thread::sleep(Duration::from_millis(100));
+        await_lock_waits(&server, waits + 1);
         let r2 = c2.call(Request::Lock {
             txn: t2,
             oid: oid_a,
@@ -714,8 +864,7 @@ mod tests {
         let is_deadlock = matches!(&r2, Response::Error { kind, .. } if kind == "deadlock");
         assert!(is_deadlock, "expected deadlock error, got {r2:?}");
         c2.call(Request::Abort { txn: t2 });
-        let r1 = c1_thread.join().unwrap();
-        assert!(matches!(r1, Response::Ok));
+        assert!(matches!(c1.wait(blocked), Response::Ok));
     }
 
     #[test]
@@ -927,8 +1076,240 @@ mod tests {
             other => panic!("{other:?}"),
         }
         drop(server);
-        // TxnId imported for symmetry with other tests.
-        let _ = TxnId::new(0);
-        let _ = Oid::new(0);
+    }
+
+    // --- the worker set ---------------------------------------------------
+
+    fn begin(c: &RawClient) -> TxnId {
+        match c.call(Request::Begin) {
+            Response::TxnStarted { txn } => txn,
+            o => panic!("{o:?}"),
+        }
+    }
+
+    fn commit(c: &RawClient, txn: TxnId) {
+        assert_eq!(c.call(Request::Commit { txn, trace: 0 }), Response::Ok);
+    }
+
+    /// Create one committed `Node`.
+    fn new_node(c: &RawClient, cat: &Catalog, name: &str) -> Oid {
+        let txn = begin(c);
+        let oid = match c.call(Request::Create {
+            txn,
+            object: make_node(cat, name),
+        }) {
+            Response::Created { oid } => oid,
+            o => panic!("{o:?}"),
+        };
+        commit(c, txn);
+        oid
+    }
+
+    fn lock(txn: TxnId, oid: Oid, mode: WireLockMode) -> Request {
+        Request::Lock { txn, oid, mode }
+    }
+
+    /// Poll until `cond` holds; panic with `what` after 10 s.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never happened: {what}"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Wait until `n` lock requests in total have had to queue.
+    fn await_lock_waits(server: &Server, n: u64) {
+        eventually("lock requests parked", || {
+            server.core().locks().stats().waits.get() >= n
+        });
+    }
+
+    /// A client that waits for each answer before it sends the next
+    /// request finds its session's worker parked every time: past the
+    /// first request, commits create no thread.
+    fn sequential_commits_start_no_worker(server: &Server, cat: &Catalog, c: &RawClient) {
+        use displaydb_common::stats::{Snapshot, StatsRegistry};
+        let oid = new_node(c, cat, "hot"); // warm-up commit
+        let stats = server.core().stats();
+        let spawned = stats.worker_spawns.get();
+        assert_eq!(spawned, 1, "one session, one request at a time");
+        for i in 0..200 {
+            let txn = begin(c);
+            let mut obj = match c.call(Request::Read {
+                txn: Some(txn),
+                oid,
+            }) {
+                Response::Object { bytes } => DbObject::decode_from_bytes(&bytes).unwrap(),
+                o => panic!("{o:?}"),
+            };
+            obj.set(cat, "Load", f64::from(i)).unwrap();
+            assert_eq!(
+                c.call(Request::Write {
+                    txn,
+                    object: obj.encode_to_bytes().to_vec(),
+                }),
+                Response::Ok
+            );
+            commit(c, txn);
+        }
+        assert_eq!(stats.commits.get(), 201);
+        assert_eq!(stats.worker_spawns.get(), spawned);
+        assert_eq!(stats.workers_resident.get(), 1);
+        assert!(stats.snapshot().contains(&("worker_spawns", spawned)));
+        let registry = StatsRegistry::new();
+        registry.register("server", Arc::new(stats.clone()));
+        let parsed = Snapshot::parse(&registry.snapshot_json()).unwrap();
+        assert_eq!(parsed.get("server", "worker_spawns"), Some(spawned));
+        assert_eq!(parsed.get("server", "workers_resident"), Some(1));
+    }
+
+    #[test]
+    fn no_thread_is_created_on_the_commit_path() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("hot")), &hub).unwrap();
+        let (c, _) = RawClient::connect(&hub);
+        sequential_commits_start_no_worker(&server, &cat, &c);
+    }
+
+    #[test]
+    fn no_thread_is_created_on_the_commit_path_over_tcp() {
+        let cat = catalog();
+        let (server, addr) = Server::spawn_tcp(
+            Arc::clone(&cat),
+            ServerConfig::new(tmp("hot-tcp")),
+            "127.0.0.1:0",
+        )
+        .unwrap();
+        let channel = displaydb_wire::TcpChannel::connect(addr).unwrap();
+        let (c, _) = RawClient::over(Arc::new(channel));
+        sequential_commits_start_no_worker(&server, &cat, &c);
+    }
+
+    /// The reason requests never run on the session thread: while C2's
+    /// own request is parked in a lock wait, C2's session must still
+    /// route the callback ack that C1's request is waiting for.
+    #[test]
+    fn acks_are_routed_while_the_sessions_request_is_blocked() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let config = ServerConfig::new(tmp("ackroute"));
+        assert!(config.sync_callbacks);
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let (c1, _) = RawClient::connect(&hub);
+        let (c2, id2) = RawClient::connect(&hub);
+        let o = new_node(&c1, &cat, "cached-by-c2");
+        let p = new_node(&c1, &cat, "contended");
+        assert!(matches!(
+            c2.call(Request::Read { txn: None, oid: o }),
+            Response::Object { .. }
+        ));
+
+        let t1 = begin(&c1);
+        assert_eq!(c1.call(lock(t1, p, WireLockMode::Exclusive)), Response::Ok);
+        let t2 = begin(&c2);
+        let waits = server.core().locks().stats().waits.get();
+        let parked = c2.send(lock(t2, p, WireLockMode::Exclusive));
+        await_lock_waits(&server, waits + 1);
+
+        // X on O calls C2's copy back and waits for C2's ack, which only
+        // C2's session thread can route — past C2's parked request.
+        let granted = c1.send(lock(t1, o, WireLockMode::Exclusive));
+        c2.ack_next_callback();
+        assert_eq!(c1.wait(granted), Response::Ok);
+        let session2 = server.core().sessions().get(id2).unwrap();
+        assert_eq!(session2.in_flight(), 1, "C2's request is still parked");
+        assert!(!c2.responses.lock().contains_key(&parked));
+
+        commit(&c1, t1);
+        assert_eq!(c2.wait(parked), Response::Ok);
+        assert_eq!(c2.call(Request::Abort { txn: t2 }), Response::Ok);
+        assert_eq!(session2.in_flight(), 0);
+    }
+
+    /// k blocked requests hold k workers; once they finish all but one
+    /// retire, and that one serves the next request.
+    #[test]
+    fn workers_grow_with_blocked_requests_and_retire_to_one() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("grow")), &hub).unwrap();
+        let stats = server.core().stats();
+        let (c1, id1) = RawClient::connect(&hub);
+        let (c2, _) = RawClient::connect(&hub);
+        let p = new_node(&c1, &cat, "contended");
+        let t1 = begin(&c1);
+        assert_eq!(c1.call(lock(t1, p, WireLockMode::Exclusive)), Response::Ok);
+
+        // Four readers from one session queue behind the writer.
+        let txns: Vec<TxnId> = (0..4).map(|_| begin(&c2)).collect();
+        let waits = server.core().locks().stats().waits.get();
+        let parked: Vec<u64> = txns
+            .iter()
+            .map(|&txn| {
+                c2.send(Request::Read {
+                    txn: Some(txn),
+                    oid: p,
+                })
+            })
+            .collect();
+        await_lock_waits(&server, waits + 4);
+        // C2's four busy workers, plus C1's parked one.
+        eventually("one worker per blocked request", || {
+            stats.workers_resident.get() >= 5
+        });
+
+        // Release the lock and take C1's session (and worker) away, so
+        // that what remains resident is C2's.
+        commit(&c1, t1);
+        c1.channel.close();
+        for seq in parked {
+            assert!(matches!(c2.wait(seq), Response::Object { .. }));
+        }
+        eventually("all but one worker retired", || {
+            server.core().sessions().get(id1).is_none() && stats.workers_resident.get() == 1
+        });
+        let spawned = stats.worker_spawns.get();
+        for txn in txns {
+            assert_eq!(c2.call(Request::Abort { txn }), Response::Ok);
+        }
+        assert_eq!(stats.worker_spawns.get(), spawned);
+        assert_eq!(stats.workers_resident.get(), 1);
+    }
+
+    /// A session torn down with a request parked does not wait for it,
+    /// and the worker left behind ends when its request does.
+    #[test]
+    fn teardown_with_a_parked_request_leaves_no_worker_behind() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("teardown")), &hub)
+                .unwrap();
+        let (c1, _) = RawClient::connect(&hub);
+        let (c2, id2) = RawClient::connect(&hub);
+        let p = new_node(&c1, &cat, "contended");
+        let t1 = begin(&c1);
+        assert_eq!(c1.call(lock(t1, p, WireLockMode::Exclusive)), Response::Ok);
+        let t2 = begin(&c2);
+        let waits = server.core().locks().stats().waits.get();
+        c2.send(lock(t2, p, WireLockMode::Exclusive));
+        await_lock_waits(&server, waits + 1);
+
+        c2.channel.close();
+        eventually("C2's session ended", || {
+            server.core().sessions().get(id2).is_none()
+        });
+        commit(&c1, t1);
+        c1.channel.close();
+        eventually("every session and worker gone", || {
+            server.core().sessions().is_empty() && server.core().stats().workers_resident.get() == 0
+        });
     }
 }

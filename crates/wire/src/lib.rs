@@ -20,7 +20,7 @@ pub mod frame;
 pub mod transport;
 
 pub use codec::{Decode, Encode, WireReader, WireWriter};
-pub use frame::{read_frame, write_frame};
+pub use frame::{read_frame, write_frame, FrameBuf};
 pub use transport::{
     local_pair, sim_pair, Channel, FaultPlan, FaultyChannel, FaultyListener, Listener,
     LocalChannel, LocalHub, MeteredChannel, SimNetConfig, TcpChannel, TcpListenerWrapper,

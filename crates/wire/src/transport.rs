@@ -11,6 +11,26 @@
 //!   delay per message. The propagation experiment (paper § 4.3: 1–2 s
 //!   commit-to-screen latency, three messages on the refresh path) uses it
 //!   to turn *message counts* into deterministic, measurable latency.
+//!
+//! ## Receiving over TCP: one read per frame, timeouts consume nothing
+//!
+//! A [`TcpChannel`]'s reader half owns a receive buffer
+//! ([`crate::frame::FrameBuf`]). A receive first hands out a frame that
+//! is already complete in the buffer; failing that, it `read`s as much as
+//! the socket has — usually exactly one frame, sometimes several, which
+//! then cost no system call of their own — and repeats until a frame is
+//! whole. `SO_RCVTIMEO` is set only when the timeout asked for differs
+//! from the one in force, so a reader that always calls `recv` (the
+//! server's session threads, the client's reader thread) pays one `read`
+//! per frame and nothing else.
+//!
+//! [`Channel::recv_timeout`] returning [`DbError::Timeout`] never
+//! consumes bytes: whatever part of a frame had arrived stays in the
+//! buffer and the next receive completes it. Pollers that time out as a
+//! matter of course ([`FaultyChannel`], the DLM agent's `Ready` wait)
+//! depend on this — a timeout that dropped half a frame would leave every
+//! later frame parsed from the wrong offset. The timeout bounds each wait
+//! for more bytes, not the whole frame.
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
@@ -22,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::frame::{read_frame, write_frame};
+use crate::frame::{read_frame, write_frame, FrameBuf};
 
 /// A bidirectional, message-oriented, thread-safe byte channel.
 ///
@@ -53,11 +73,21 @@ pub trait Channel: Send + Sync {
 
 /// A [`Channel`] over a TCP stream with length-prefixed frames.
 pub struct TcpChannel {
-    reader: OrderedMutex<TcpStream>,
+    reader: OrderedMutex<TcpReader>,
     writer: OrderedMutex<BufWriter<TcpStream>>,
     /// Separate handle to the same socket, so `close()` can shut it down
     /// without taking `reader` — which a blocked `recv()` holds.
     shutdown: TcpStream,
+}
+
+/// The receiving half of a [`TcpChannel`], owned by whoever holds the
+/// `wire.reader` latch.
+struct TcpReader {
+    stream: TcpStream,
+    /// Bytes read off `stream` and not yet handed out as frames.
+    pending: FrameBuf,
+    /// The receive timeout `stream` is set to right now.
+    timeout: Option<Duration>,
 }
 
 impl TcpChannel {
@@ -73,7 +103,15 @@ impl TcpChannel {
         let writer = BufWriter::new(stream.try_clone()?);
         let shutdown = stream.try_clone()?;
         Ok(Self {
-            reader: OrderedMutex::new(ranks::WIRE_READER, stream),
+            reader: OrderedMutex::new(
+                ranks::WIRE_READER,
+                TcpReader {
+                    stream,
+                    pending: FrameBuf::new(),
+                    // A fresh socket blocks without limit.
+                    timeout: None,
+                },
+            ),
             writer: OrderedMutex::new(ranks::WIRE_WRITER, writer),
             shutdown,
         })
@@ -82,6 +120,26 @@ impl TcpChannel {
     /// Local socket address.
     pub fn local_addr(&self) -> DbResult<SocketAddr> {
         Ok(self.shutdown.local_addr()?)
+    }
+
+    /// The next frame, waiting at most `timeout` (forever on `None`) for
+    /// each read it takes (module doc: receiving over TCP).
+    fn recv_within(&self, timeout: Option<Duration>) -> DbResult<Bytes> {
+        let mut guard = self.reader.lock();
+        let r = &mut *guard;
+        if r.timeout != timeout {
+            r.stream.set_read_timeout(timeout)?;
+            r.timeout = timeout;
+        }
+        match read_frame(&mut r.stream, &mut r.pending) {
+            Err(DbError::Io(e))
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                Err(DbError::Timeout("tcp recv".into()))
+            }
+            other => other,
+        }
     }
 }
 
@@ -92,23 +150,11 @@ impl Channel for TcpChannel {
     }
 
     fn recv(&self) -> DbResult<Bytes> {
-        let mut r = self.reader.lock();
-        r.set_read_timeout(None)?;
-        read_frame(&mut *r)
+        self.recv_within(None)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> DbResult<Bytes> {
-        let mut r = self.reader.lock();
-        r.set_read_timeout(Some(timeout))?;
-        match read_frame(&mut *r) {
-            Err(DbError::Io(e))
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                Err(DbError::Timeout("tcp recv".into()))
-            }
-            other => other,
-        }
+        self.recv_within(Some(timeout))
     }
 
     fn close(&self) {
@@ -1107,6 +1153,73 @@ mod tests {
         ));
         assert_eq!(ch.recv_timeout(Duration::from_secs(5)).unwrap(), b("late"));
         srv.join().unwrap();
+    }
+
+    /// A connected pair: a raw stream to put arbitrary bytes on the wire
+    /// with, and the channel that reads them.
+    fn raw_tcp_pair() -> (TcpStream, TcpChannel) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (raw, TcpChannel::from_stream(accepted).unwrap())
+    }
+
+    /// The peer stalls half-way through a frame for longer than the
+    /// receive timeout: the timed-out receive must not consume the half
+    /// it saw, or every later frame is parsed from the wrong offset.
+    fn timeout_mid_frame_keeps_the_stream_in_step(raw: &mut TcpStream, ch: &dyn Channel) {
+        use std::io::Write;
+        // As a misread length prefix these bytes exceed MAX_FRAME_LEN.
+        let payload = [0xabu8; 64];
+        raw.write_all(&(payload.len() as u32).to_le_bytes())
+            .unwrap();
+        raw.write_all(&payload[..32]).unwrap();
+        assert!(matches!(
+            ch.recv_timeout(3 * FAULT_POLL),
+            Err(DbError::Timeout(_))
+        ));
+        raw.write_all(&payload[32..]).unwrap();
+        write_frame(raw, b"following").unwrap();
+        assert_eq!(
+            ch.recv_timeout(Duration::from_secs(5)).unwrap()[..],
+            payload
+        );
+        assert_eq!(
+            ch.recv_timeout(Duration::from_secs(5)).unwrap(),
+            b("following")
+        );
+    }
+
+    #[test]
+    fn tcp_recv_timeout_mid_frame_does_not_desynchronise() {
+        let (mut raw, ch) = raw_tcp_pair();
+        timeout_mid_frame_keeps_the_stream_in_step(&mut raw, &ch);
+    }
+
+    #[test]
+    fn faulty_poll_expiring_mid_frame_does_not_desynchronise() {
+        // FaultyChannel polls its inner channel every FAULT_POLL, so any
+        // frame that takes longer than that to arrive straddles a timeout.
+        let (mut raw, ch) = raw_tcp_pair();
+        let faulty = FaultyChannel::wrap(Box::new(ch), Arc::new(FaultPlan::new()));
+        timeout_mid_frame_keeps_the_stream_in_step(&mut raw, &faulty);
+    }
+
+    #[test]
+    fn tcp_eof_at_a_boundary_disconnects_and_mid_frame_is_corrupt() {
+        use std::io::Write;
+        let (mut raw, ch) = raw_tcp_pair();
+        write_frame(&mut raw, b"last").unwrap();
+        drop(raw);
+        assert_eq!(ch.recv().unwrap(), b("last"));
+        assert!(matches!(ch.recv(), Err(DbError::Disconnected)));
+
+        let (mut raw, ch) = raw_tcp_pair();
+        raw.write_all(&8u32.to_le_bytes()).unwrap();
+        raw.write_all(b"half").unwrap();
+        drop(raw);
+        assert!(matches!(ch.recv(), Err(DbError::Corrupt(_))));
     }
 
     #[test]
