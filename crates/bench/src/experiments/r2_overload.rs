@@ -13,13 +13,16 @@
 //!   the slow consumer present stays within ~2× the no-slow-client
 //!   baseline, because the stall is absorbed by the slow client's
 //!   dedicated outbox writer, never the fan-out path.
-//! * **bounded memory** — the slow client's outbox never grows past the
-//!   high-water mark (+1 for the resync marker that replaces a swept
-//!   backlog); the server's exposure is O(watched objects), not
-//!   O(storm length).
+//! * **bounded memory** — while the slow client is stalled its outbox
+//!   never grows past the high-water mark (+1 for the `ReplayNeeded`
+//!   marker that replaces a swept backlog), and a catch-up burst,
+//!   enqueued without the overflow check, coalesces per object and so
+//!   never exceeds the watched set; the server's exposure per slow
+//!   client is one short queue plus the shared update log's own cap,
+//!   not O(storm length).
 //! * **convergence** — once the storm ends and the link heals, the slow
-//!   viewer reaches the exact final state of every link via resync
-//!   re-reads; the swept per-object events are never replayed.
+//!   viewer reaches the exact final state of every link by replaying
+//!   the update log past its cursor, with no object re-read.
 
 use crate::fixture::scratch_dir;
 use crate::report::{self, Metrics, Table};
@@ -54,9 +57,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
 pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let links = scale.pick(16usize, 40);
     let updates = scale.pick(200usize, 1200);
-    // Low enough that a stalled consumer trips it several times over
-    // (lagging demotion needs consecutive sweeps), high enough that the
-    // healthy consumer never comes near it.
+    // Low enough that a stalled consumer trips it several times over,
+    // high enough that the healthy consumer never comes near it.
     let high_water = links / 4;
 
     let base = storm(links, updates, high_water, false);
@@ -96,18 +98,19 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let mut ob = Table::new(
         "R2 — outbox behaviour and slow-viewer convergence",
         format!(
-            "Outbox high-water mark {high_water}: above it the queue is swept into one \
-             ResyncRequired marker (depth bound = mark + 1). After the storm the slow \
-             viewer re-reads its way back to the exact final state of all {links} links."
+            "Outbox high-water mark {high_water}: above it the live queue is swept into \
+             one ReplayNeeded marker (bound = mark + 1) and the viewer catches up from the \
+             update log; a catch-up burst coalesces per object (bound = the {links} watched \
+             links). After the storm the slow viewer holds the exact final state of all \
+             {links} links without a single resync."
         ),
         &[
             "scenario",
             "enqueued",
             "coalesced",
             "overflows",
-            "resyncs sent",
-            "lagging demotions",
-            "outbox depth hw (bound)",
+            "replays requested",
+            "outbox depth hw (live bound, catch-up bound)",
             "slow-viewer resyncs in",
             "converged in (ms)",
         ],
@@ -118,9 +121,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             o.enqueued.to_string(),
             o.coalesced.to_string(),
             o.overflows.to_string(),
-            o.resyncs_sent.to_string(),
-            o.lagging.to_string(),
-            format!("{} ({})", o.depth_high_water, high_water + 1),
+            o.replays_requested.to_string(),
+            format!("{} ({}, {links})", o.depth_high_water, high_water + 1),
             o.resyncs_in.to_string(),
             report::ms(o.convergence),
         ]);
@@ -133,6 +135,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     m.put("slow_healthy_p95_ms", slow.p95.as_secs_f64() * 1e3);
     m.put("slow_convergence_ms", slow.convergence.as_secs_f64() * 1e3);
     m.put("slow_outbox_depth_hw", slow.depth_high_water as f64);
+    m.put("slow_replays_requested", slow.replays_requested as f64);
     m.put("slow_resyncs_in", slow.resyncs_in as f64);
     (vec![lat, ob], m)
 }
@@ -143,8 +146,7 @@ struct Outcome {
     enqueued: u64,
     coalesced: u64,
     overflows: u64,
-    resyncs_sent: u64,
-    lagging: u64,
+    replays_requested: u64,
     depth_high_water: u64,
     resyncs_in: u64,
     convergence: Duration,
@@ -267,6 +269,11 @@ fn storm(links: usize, updates: usize, high_water: usize, slow: bool) -> Outcome
 
     let recorder = LatencyRecorder::new();
     let mut last = vec![0.01f64; links];
+    // Sampled every commit: a served replay resets the gauge's high-water
+    // side, so the end-of-storm reading alone would under-report. The
+    // writer reports the depth it leaves behind after each pop, so
+    // catch-up bursts show up here too.
+    let mut depth_high_water = 0u64;
     let started = Instant::now();
     for i in 0..updates {
         let tick = started + STORM_PERIOD * i as u32;
@@ -281,6 +288,7 @@ fn storm(links: usize, updates: usize, high_water: usize, slow: bool) -> Outcome
             .expect("update");
         let submitted = Instant::now();
         txn.commit().expect("commit");
+        depth_high_water = depth_high_water.max(overload.queue_depth.high_water());
         last[li] = value;
         if i % SAMPLE_EVERY == 0 {
             // The updater is the only writer, so `value` stays the
@@ -300,16 +308,14 @@ fn storm(links: usize, updates: usize, high_water: usize, slow: bool) -> Outcome
     let convergence = heal.elapsed();
 
     let summary = recorder.summary().expect("latency samples");
-    let overload = &server.core().dlm().stats().overload;
     let outcome = Outcome {
         p50: summary.p50,
         p95: summary.p95,
         enqueued: overload.enqueued.get(),
         coalesced: overload.coalesced.get(),
         overflows: overload.overflows.get(),
-        resyncs_sent: overload.resyncs_sent.get(),
-        lagging: overload.lagging_transitions.get(),
-        depth_high_water: overload.queue_depth.high_water(),
+        replays_requested: slow_viewer.dlc().stats().replays_requested.get(),
+        depth_high_water,
         resyncs_in: slow_viewer.dlc().stats().resyncs_in.get(),
         convergence,
     };

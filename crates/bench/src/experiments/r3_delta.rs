@@ -27,15 +27,18 @@
 use crate::fixture::scratch_dir;
 use crate::report::{self, Metrics, Table};
 use crate::Scale;
+use bytes::Bytes;
 use displaydb_client::{ClientConfig, DbClient};
 use displaydb_common::metrics::LatencyRecorder;
-use displaydb_common::Oid;
+use displaydb_common::{DbResult, Oid};
 use displaydb_display::schema::{width_coded_link, DisplayClassBuilder};
 use displaydb_display::{Display, DisplayCache, DoId};
+use displaydb_dlm::DlmEvent;
 use displaydb_nms::nms_catalog;
 use displaydb_schema::Value;
-use displaydb_server::{Server, ServerConfig};
-use displaydb_wire::LocalHub;
+use displaydb_server::{Envelope, Server, ServerConfig, ServerPush};
+use displaydb_wire::{Channel, Decode, Encode, LocalHub};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,14 +66,15 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "{updates} commits over {links} links (11 attributes each); displays project \
              only Utilization and 1 in {PROJECTED_EVERY} commits touches it. Projected \
              display locks let the server suppress the other 90% and ship the rest as \
-             attribute deltas, batched on the wire."
+             attribute deltas. Event bytes are the encoded Updated/Delta events the \
+             viewer receives (cursor acks and batch framing excluded)."
         ),
         &[
             "scenario",
             "events sent",
             "deltas",
             "suppressed",
-            "notify bytes",
+            "event bytes",
             "bytes vs baseline",
             "notify p50 (ms)",
             "notify p95 (ms)",
@@ -129,6 +133,53 @@ struct Outcome {
     convergence: Duration,
 }
 
+/// A [`Channel`] wrapper summing the encoded size of the `Updated` and
+/// `Delta` events the viewer is sent — the traffic R3 is about. (The
+/// server's `notify_bytes` also counts cursor acks and batch framing,
+/// whose share depends on when the outbox happens to drain.)
+struct EventBytes {
+    inner: Box<dyn Channel>,
+    bytes: Arc<AtomicU64>,
+}
+
+impl EventBytes {
+    fn count(&self, frame: Bytes) -> Bytes {
+        if let Ok(Envelope::Push(ServerPush::Dlm(event))) = Envelope::decode_from_bytes(&frame) {
+            let events = match event {
+                DlmEvent::Batch(events) => events,
+                single => vec![single],
+            };
+            for e in &events {
+                if matches!(e, DlmEvent::Updated(_) | DlmEvent::Delta { .. }) {
+                    self.bytes
+                        .fetch_add(e.encode_to_bytes().len() as u64, Ordering::Relaxed);
+                }
+            }
+        }
+        frame
+    }
+}
+
+impl Channel for EventBytes {
+    fn send(&self, payload: Bytes) -> DbResult<()> {
+        self.inner.send(payload)
+    }
+
+    fn recv(&self) -> DbResult<Bytes> {
+        self.inner.recv().map(|frame| self.count(frame))
+    }
+
+    fn recv_timeout(&self, timeout: Duration) -> DbResult<Bytes> {
+        self.inner
+            .recv_timeout(timeout)
+            .map(|frame| self.count(frame))
+    }
+
+    fn close(&self) {
+        self.inner.close();
+    }
+}
+
 fn await_value(display: &Display, id: DoId, want: f64) {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
@@ -154,10 +205,6 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
     // Measure the notification pipeline, not callback delivery (same
     // decoupling as E4/R2).
     config.sync_callbacks = false;
-    // The update log's cursor acks ride the same outbox and their count
-    // depends on drain timing; R4 measures them, R3 measures projection
-    // suppression — keep the byte counts deterministic.
-    config.dlm.log = displaydb_common::UpdateLogConfig::disabled();
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).expect("server");
 
     let updater = DbClient::connect(
@@ -165,8 +212,12 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
         ClientConfig::named("r3-updater"),
     )
     .expect("updater");
+    let event_bytes = Arc::new(AtomicU64::new(0));
     let viewer = DbClient::connect(
-        Box::new(hub.connect().expect("connect")),
+        Box::new(EventBytes {
+            inner: Box::new(hub.connect().expect("connect")),
+            bytes: Arc::clone(&event_bytes),
+        }),
         ClientConfig::named("r3-viewer"),
     )
     .expect("viewer");
@@ -227,7 +278,9 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
     let events0 = stats.notifications.get();
     let deltas0 = stats.delta_notifications.get();
     let suppressed0 = stats.suppressed_notifications.get();
-    let bytes0 = stats.overload.notify_bytes.get();
+    let bytes0 = event_bytes.load(Ordering::Relaxed);
+    let coalesced0 = stats.overload.coalesced.get();
+    let heard0 = viewer.dlc().stats().notifications_in.get();
     let refreshes0 = display.stats().refreshes.get();
 
     let recorder = LatencyRecorder::new();
@@ -269,13 +322,22 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
         await_value(&display, id, last[idx]);
     }
     let convergence = settle.elapsed();
+    // The byte count is complete once the viewer has heard every event
+    // the server fanned out, less the ones its outbox coalesced away.
+    let sent =
+        || (stats.notifications.get() - events0) - (stats.overload.coalesced.get() - coalesced0);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while viewer.dlc().stats().notifications_in.get() - heard0 < sent() {
+        assert!(Instant::now() < deadline, "viewer never heard the tail");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let summary = recorder.summary().expect("latency samples");
     let outcome = Outcome {
         events: stats.notifications.get() - events0,
         deltas: stats.delta_notifications.get() - deltas0,
         suppressed: stats.suppressed_notifications.get() - suppressed0,
-        bytes: stats.overload.notify_bytes.get() - bytes0,
+        bytes: event_bytes.load(Ordering::Relaxed) - bytes0,
         p50: summary.p50,
         p95: summary.p95,
         refreshes: display.stats().refreshes.get() - refreshes0,

@@ -3,21 +3,22 @@
 //!
 //! The paper's § 5 failure story, writ large: a fleet of interactive
 //! viewers all lose their network at once (a switch reboot, a laptop
-//! resume wave) and come back together. Pre-replay, every reconnect is
-//! a full resync — each viewer re-reads every object the server cannot
-//! prove current, and the re-read burst lands on the server exactly
-//! when it is busiest. With the DLM update log on, a resumed viewer
-//! instead sends `ReplayFrom{cursor}` and the server streams only the
-//! logged suffix past its cursor, filtered through its registered
-//! interests and coalesced per object.
+//! resume wave) and come back together. A viewer whose cursor the DLM
+//! update log no longer covers recovers by full resync — it re-reads
+//! every object the server cannot prove current, and the re-read burst
+//! lands on the server exactly when it is busiest. A viewer whose
+//! cursor is still covered instead sends `ReplayFrom{cursor}` and the
+//! server streams only the logged suffix past its cursor, filtered
+//! through its registered interests and coalesced per object.
 //!
-//! Both scenarios run the identical outage: every viewer's channel is
-//! severed, a slice of the watched topology changes while they are
-//! away, then the whole fleet reconnects at once. The only difference
-//! is the update log (on vs disabled, which forces the legacy
-//! resync-on-resume path). Recovery traffic is measured at the wire —
-//! one [`WireMeter`] spans every viewer channel, reset at the moment
-//! the fleet is let back in.
+//! Both scenarios run the identical outage on the identical server
+//! configuration: every viewer's channel is severed, a slice of the
+//! watched topology changes while they are away, then the whole fleet
+//! reconnects at once. The only difference is whether every shard's
+//! log is truncated during the outage (which leaves resync as the only
+//! way back). Recovery traffic is measured at the wire — one
+//! [`WireMeter`] spans every viewer channel, reset at the moment the
+//! fleet is let back in.
 //!
 //! Claims: replay recovery moves ≥5× fewer bytes than full resync and
 //! converges no slower.
@@ -27,7 +28,7 @@ use crate::report::{self, Metrics, Table};
 use crate::Scale;
 use displaydb_client::{ChannelFactory, ClientConfig, DbClient};
 use displaydb_common::backoff::ReconnectPolicy;
-use displaydb_common::{Oid, UpdateLogConfig};
+use displaydb_common::Oid;
 use displaydb_display::schema::width_coded_link;
 use displaydb_display::{Display, DisplayCache, DoId};
 use displaydb_nms::nms_catalog;
@@ -54,8 +55,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     // regardless.
     let changed = (links / 8).max(1);
 
-    let resync = storm(viewers, links, changed, false);
-    let replay = storm(viewers, links, changed, true);
+    let resync = storm(viewers, links, changed, true);
+    let replay = storm(viewers, links, changed, false);
 
     let mut t = Table::new(
         "R4 — mass reconnect: replay catch-up vs full resync",
@@ -77,7 +78,10 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "resume sheds",
         ],
     );
-    for (name, o) in [("full resync (log off)", &resync), ("replay", &replay)] {
+    for (name, o) in [
+        ("full resync (log truncated)", &resync),
+        ("replay", &replay),
+    ] {
         t.row(vec![
             name.into(),
             o.bytes.to_string(),
@@ -186,16 +190,18 @@ fn fleet_factory(
     (factory, plan_slot)
 }
 
-/// One outage/recovery cycle over a fleet. `replay == false` disables
-/// the update log, pinning the legacy resync-on-resume recovery.
-fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome {
+/// One outage/recovery cycle over a fleet. `truncate` evicts every
+/// shard's update log during the outage, so no cursor is covered and
+/// the fleet recovers by resync.
+fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcome {
     let catalog = Arc::new(nms_catalog());
     let hub = LocalHub::new();
-    let mut config = ServerConfig::new(scratch_dir(if replay { "r4-replay" } else { "r4-resync" }));
+    let mut config = ServerConfig::new(scratch_dir(if truncate {
+        "r4-resync"
+    } else {
+        "r4-replay"
+    }));
     config.sync_callbacks = false;
-    if !replay {
-        config.dlm.log = UpdateLogConfig::disabled();
-    }
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).expect("server");
 
     let updater = DbClient::connect(
@@ -265,8 +271,8 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
         })
         .collect();
 
-    // Steady state: every link written once, every viewer converged and
-    // drained; in replay mode every viewer has adopted a cursor ack.
+    // Steady state: every link written once, every viewer converged,
+    // drained and fully caught up on cursor acks.
     for &oid in &oids {
         let mut txn = updater.begin().expect("begin");
         txn.update(oid, |o| o.set(&catalog, "Utilization", 0.01))
@@ -281,18 +287,16 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
             .expect("drain")
             > 0
         {}
-        if replay {
-            // Fully caught up, not just "has a cursor": a lagging cursor
-            // would make the replay redeliver part of the warm-up.
-            let head = server.core().dlm().update_log_of(0).head();
-            let deadline = Instant::now() + Duration::from_secs(10);
-            while viewer.client.dlc().cursor_of(0) < head {
-                assert!(
-                    Instant::now() < deadline,
-                    "viewer cursor never reached {head}"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
+        // Fully caught up, not just "has a cursor": a cursor behind the
+        // head would make the replay redeliver part of the warm-up.
+        let head = server.core().dlm().update_log_of(0).head();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while viewer.client.dlc().cursor_of(0) < head {
+            assert!(
+                Instant::now() < deadline,
+                "viewer cursor never reached {head}"
+            );
+            std::thread::sleep(Duration::from_millis(5));
         }
     }
 
@@ -308,6 +312,12 @@ fn storm(viewers: usize, links: usize, changed: usize, replay: bool) -> Outcome 
         txn.update(oids[i], |o| o.set(&catalog, "Utilization", *f))
             .expect("update");
         txn.commit().expect("commit");
+    }
+    if truncate {
+        let dlm = server.core().dlm();
+        for shard in 0..dlm.shards() {
+            dlm.update_log_of(shard).truncate_all();
+        }
     }
 
     // Recovery: meter only what follows the gate opening.

@@ -543,11 +543,11 @@ impl DbClient {
         agent_cell.set(Arc::clone(&agent));
         self.dlc.relock_all()?;
         // Ask the agent to replay the notification suffix past our
-        // cursors. A shard whose log no longer covers its cursor (or
-        // logging is off) answers with ResyncRequired for the watched
-        // set, which the dispatch path turns into forced refreshes — so
-        // the blanket "resync everything watched" only happens when it
-        // truly must. A changed incarnation means that cursor's seqno
+        // cursors. A shard whose log no longer covers its cursor
+        // answers with ResyncRequired for the watched set, which the
+        // dispatch path turns into forced refreshes — so the blanket
+        // "resync everything watched" only happens when it truly must.
+        // A changed incarnation means that cursor's seqno
         // space is gone (the agent restarted or lost its log); when
         // every shard's is, skip the doomed replay round-trip and resync
         // outright. Agent incarnations are never 0, so cursors from "no

@@ -62,11 +62,6 @@ pub enum DlcEvent {
     /// resynced via `Dlm(Updated)` events, so remaining stale marks can
     /// be cleared.
     Restored,
-    /// The server demoted this client to resync-only delivery because it
-    /// persistently overflowed its notification outbox. Per-object
-    /// notifications may have been collapsed into resync sweeps; displays
-    /// should render their content as stale until refreshes land.
-    Lagging,
 }
 
 /// Counters demonstrating the hierarchical dedup benefit (experiment A2).
@@ -82,8 +77,8 @@ pub struct DlcStats {
     pub notifications_in: Counter,
     /// Notification deliveries to local displays (fan-out).
     pub notifications_dispatched: Counter,
-    /// Resync sweeps received (the server collapsed a notification burst
-    /// into one "re-read these objects" marker).
+    /// `ResyncRequired` markers received (a replay found our cursor
+    /// truncated out of the log: "re-read these objects" instead).
     pub resyncs_in: Counter,
     /// Attribute-level delta notifications received.
     pub deltas_in: Counter,
@@ -516,6 +511,10 @@ impl Dlc {
                     .spawn(move || {
                         let _ = backend.replay_from(vec![cursor]);
                     });
+                // The sweep also took unlogged `Marked`/`Resolved`
+                // events the replay cannot bring back: every display
+                // sees the marker so it can drop the marks it shows.
+                self.broadcast(DlcEvent::Dlm(event));
                 return;
             }
             _ => {}
@@ -559,11 +558,10 @@ impl Dlc {
             // Ready is a connection-level handshake ack, not an object
             // notification; it never reaches the dispatch path.
             DlmEvent::Ready { .. } => return,
-            // The server's outbox overflowed and swept queued per-object
-            // notifications into one marker: answer by forcing re-reads
-            // of the watched subset (the same machinery a reconnect
-            // uses), which converges the view without ever replaying the
-            // lost burst.
+            // Our cursor fell off the shard's update log, so the missed
+            // notifications cannot be replayed: answer by forcing
+            // re-reads of the watched subset (the same machinery a
+            // reconnect uses), which converges the view without them.
             DlmEvent::ResyncRequired { oids } => {
                 self.stats.resyncs_in.inc();
                 // A full resync re-baselines the view, so the cursor is
@@ -572,12 +570,6 @@ impl Dlc {
                 // next ack unconditionally.
                 self.reset_cursor();
                 self.resync(oids);
-                return;
-            }
-            // The server demoted this client to resync-only delivery;
-            // every display should render stale until refreshes land.
-            DlmEvent::Lagging => {
-                self.broadcast(DlcEvent::Lagging);
                 return;
             }
         };
@@ -604,8 +596,8 @@ impl Dlc {
         }
     }
 
-    /// Send a connection-health event to *every* registered display,
-    /// regardless of watched objects.
+    /// Send an event that concerns the whole connection to *every*
+    /// registered display, regardless of watched objects.
     pub fn broadcast(&self, event: DlcEvent) {
         let targets: Vec<crossbeam::channel::Sender<DlcEvent>> =
             self.state.lock().subscribers.values().cloned().collect();
@@ -867,19 +859,6 @@ mod tests {
         }
         assert!(r1.try_recv().is_err());
         assert_eq!(dlc.stats().resyncs_in.get(), 1);
-    }
-
-    #[test]
-    fn lagging_broadcasts_to_every_display() {
-        let backend: Arc<dyn DlmBackend> = Arc::new(MockBackend::default());
-        let dlc = Dlc::new(backend);
-        let r1 = dlc.register_display(d(1));
-        let r2 = dlc.register_display(d(2));
-        dlc.acquire(d(1), &[o(1)]).unwrap(); // d(2) watches nothing
-
-        dlc.dispatch(DlmEvent::Lagging);
-        assert!(matches!(r1.try_recv().unwrap(), DlcEvent::Lagging));
-        assert!(matches!(r2.try_recv().unwrap(), DlcEvent::Lagging));
     }
 
     #[test]
@@ -1167,10 +1146,13 @@ mod tests {
     }
 
     #[test]
-    fn replay_needed_replays_that_shard_only() {
+    fn replay_needed_replays_that_shard_only_and_reaches_every_display() {
         let backend = Arc::new(MockBackend::default());
         let dlc = Dlc::new(Arc::clone(&backend) as Arc<dyn DlmBackend>);
         dlc.adopt_log_incarnations(&[70, 71, 72, 73]);
+        let r1 = dlc.register_display(d(1));
+        let r2 = dlc.register_display(d(2));
+        dlc.acquire(d(1), &[o(1)]).unwrap(); // d(2) watches nothing
         dlc.dispatch(DlmEvent::CursorAck {
             shard: 3,
             seqno: 11,
@@ -1190,6 +1172,14 @@ mod tests {
         }
         assert_eq!(*backend.replays.lock(), vec![vec![sc(3, 11, 73)]]);
         assert_eq!(dlc.stats().replays_requested.get(), 1);
+        // Every display hears the marker (its marks are void), watched
+        // objects or not.
+        for rx in [r1, r2] {
+            assert!(matches!(
+                rx.try_recv().unwrap(),
+                DlcEvent::Dlm(DlmEvent::ReplayNeeded { shard: 3, .. })
+            ));
+        }
     }
 
     #[test]

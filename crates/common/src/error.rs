@@ -36,6 +36,16 @@
 //!   keep serving pinned display objects marked stale rather than failing.
 //!   Callers see `Disconnected` only on paths that require the live server
 //!   (RPCs, commits); cache-resident reads continue to succeed.
+//!
+//! # Across the wire
+//!
+//! The server answers a failed request with the error's [`DbError::kind`]
+//! and message. The client rebuilds the retryable kinds as themselves
+//! (`deadlock`, `lock_timeout`, `disconnected`, `timeout`, `overloaded`),
+//! because callers branch on them; every other kind arrives as
+//! [`DbError::Rejected`] carrying the original message. A remote caller
+//! therefore never sees, say, `ObjectNotFound` — it sees
+//! `Rejected("object not found: …")`.
 
 use crate::ids::{Oid, TxnId};
 use std::fmt;

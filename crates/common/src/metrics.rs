@@ -486,13 +486,8 @@ pub struct OverloadStats {
     /// `Marked`/`Resolved` pairs for the same (OID, txn) that cancelled
     /// out while still queued.
     pub cancelled_pairs: Counter,
-    /// High-water sweeps: queue replaced by one `ResyncRequired`.
+    /// High-water sweeps: queue replaced by one `ReplayNeeded`.
     pub overflows: Counter,
-    /// `ResyncRequired` markers actually enqueued (≤ overflows, since
-    /// resync-only mode folds repeats into the pending marker).
-    pub resyncs_sent: Counter,
-    /// Clients demoted to resync-only (lagging) mode.
-    pub lagging_transitions: Counter,
     /// Requests shed by admission control with `Overloaded`.
     pub sheds: Counter,
     /// Resume handshakes shed by the reconnect admission gate (bounds a
@@ -524,8 +519,6 @@ impl OverloadStats {
             ("coalesced", self.coalesced.get()),
             ("cancelled_pairs", self.cancelled_pairs.get()),
             ("overflows", self.overflows.get()),
-            ("resyncs_sent", self.resyncs_sent.get()),
-            ("lagging_transitions", self.lagging_transitions.get()),
             ("sheds", self.sheds.get()),
             ("resume_sheds", self.resume_sheds.get()),
             ("overload_retries", self.overload_retries.get()),

@@ -2,19 +2,18 @@
 //! session layer, and the client DLC.
 //!
 //! The notification pipeline (DESIGN.md § 9) bounds its memory and
-//! isolates slow consumers with four mechanisms, each governed by one
+//! isolates slow consumers with three mechanisms, each governed by one
 //! field here:
 //!
 //! * **bounded outboxes** — every client sink is wrapped in an outbox
 //!   whose queue never exceeds [`OverloadConfig::outbox_high_water`]
 //!   entries; a dedicated writer thread drains it so a blocked send
 //!   never runs inside the fan-out loop,
-//! * **overflow-to-resync** — on hitting the high-water mark the queue
-//!   is swept into a single `ResyncRequired` marker (memory becomes
-//!   O(watched objects), not O(update rate × stall time)),
-//! * **slow-consumer demotion** — after
-//!   [`OverloadConfig::lagging_after_overflows`] consecutive sweeps the
-//!   client is demoted to resync-only mode and told it is lagging,
+//! * **overflow-to-replay** — on hitting the high-water mark the queue
+//!   is swept into a single `ReplayNeeded{shard}` marker and the client
+//!   catches up from that shard's update log ([`UpdateLogConfig`]), so
+//!   an outbox holds O(1) events during a stall, not O(update rate ×
+//!   stall time),
 //! * **admission control** — the server sheds requests beyond
 //!   [`OverloadConfig::max_in_flight`] concurrent ones per session with
 //!   a retryable `Overloaded` error.
@@ -26,18 +25,13 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OverloadConfig {
     /// Maximum events queued in one client outbox before the queue is
-    /// swept into a single `ResyncRequired` marker.
+    /// swept into a single `ReplayNeeded` marker.
     ///
     /// Default 64: a display tracking N objects needs at most one
     /// `Updated` per object after coalescing, so 64 covers a generously
-    /// sized window before resync becomes cheaper than replay.
+    /// sized window before one catch-up from the update log becomes
+    /// cheaper than carrying the backlog.
     pub outbox_high_water: usize,
-    /// Consecutive overflow sweeps after which a client is considered a
-    /// slow consumer and demoted to resync-only mode (sticky until its
-    /// outbox fully drains). Default 3: one sweep can be a blip; three
-    /// in a row without draining means the consumer is persistently
-    /// slower than the update storm.
-    pub lagging_after_overflows: u32,
     /// Maximum concurrent in-flight requests per server session before
     /// admission control sheds with `Overloaded`. Default 32: far above
     /// what one interactive client pipelines legitimately, low enough
@@ -51,8 +45,8 @@ pub struct OverloadConfig {
     /// Capacity of each display's DLC event queue. Default 1024:
     /// displays drain on every UI tick, and at the paper's 200
     /// updates/s storm rate this is five seconds of slack — beyond
-    /// that, dropping into a full resync (which the DLC already does
-    /// on overflow upstream) beats unbounded growth.
+    /// that, dropping events (the next refresh cycle or reconnect
+    /// restores the view) beats unbounded growth.
     pub display_queue_capacity: usize,
     /// Maximum pending events an outbox writer drains into one wire
     /// frame per wake (a `Batch` when more than one is pending).
@@ -75,7 +69,6 @@ impl Default for OverloadConfig {
     fn default() -> Self {
         Self {
             outbox_high_water: 64,
-            lagging_after_overflows: 3,
             max_in_flight: 32,
             drain_timeout: Duration::from_millis(500),
             display_queue_capacity: 1024,
@@ -88,17 +81,16 @@ impl Default for OverloadConfig {
 /// Sizing for the DLM's bounded, replayable update log (DESIGN.md § 13).
 ///
 /// Every committed notification batch is appended to a ring with a
-/// monotonic seqno before fan-out; reconnecting or lagging clients catch
-/// up by replaying the suffix past their cursor instead of re-reading
-/// every watched object. Both caps evict from the front: the log holds
-/// the most recent `max_entries` commits or `max_bytes` of estimated
-/// payload, whichever bound bites first. A cursor that has been evicted
-/// falls back to `ResyncRequired`.
+/// monotonic seqno before fan-out; reconnecting clients and clients
+/// whose outbox overflowed catch up by replaying the suffix past their
+/// cursor instead of re-reading every watched object. Both caps evict
+/// from the front: the log holds the most recent `max_entries` commits
+/// or `max_bytes` of estimated payload, whichever bound bites first. A
+/// cursor that has been evicted falls back to `ResyncRequired`. The log
+/// is always on: a zero in either field is read as 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateLogConfig {
     /// Maximum retained log entries (one entry per committed batch).
-    /// 0 disables the log entirely: overflow and reconnect fall back to
-    /// the pre-replay `ResyncRequired` paths.
     pub max_entries: usize,
     /// Maximum total estimated bytes retained across all entries.
     pub max_bytes: usize,
@@ -121,19 +113,6 @@ impl UpdateLogConfig {
     /// Defaults (documented per-field above).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A disabled log: recovery uses the legacy full-resync paths.
-    pub fn disabled() -> Self {
-        Self {
-            max_entries: 0,
-            max_bytes: 0,
-        }
-    }
-
-    /// Whether replay is available at all under this config.
-    pub fn enabled(&self) -> bool {
-        self.max_entries > 0 && self.max_bytes > 0
     }
 }
 
@@ -223,7 +202,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = OverloadConfig::default();
         assert!(c.outbox_high_water >= 2, "need room to coalesce");
-        assert!(c.lagging_after_overflows >= 1);
         assert!(c.max_in_flight >= 1);
         assert!(c.drain_timeout > Duration::ZERO);
         assert!(c.display_queue_capacity >= c.outbox_high_water);
@@ -232,11 +210,10 @@ mod tests {
     }
 
     #[test]
-    fn update_log_defaults_and_disable() {
+    fn update_log_defaults() {
         let l = UpdateLogConfig::default();
-        assert!(l.enabled());
         assert!(l.max_entries >= 64, "must outlast a reconnect window");
-        assert!(!UpdateLogConfig::disabled().enabled());
+        assert!(l.max_bytes > 0);
     }
 
     #[test]

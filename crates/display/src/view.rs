@@ -292,14 +292,6 @@ impl Display {
                 self.clear_stale_marks();
                 Ok(())
             }
-            DlcEvent::Lagging => {
-                // The server collapsed this client's notification stream
-                // into resync sweeps; until the forced re-reads land,
-                // anything on screen may be behind. Same visual treatment
-                // as a connection outage.
-                self.mark_all_stale();
-                Ok(())
-            }
         }
     }
 
@@ -365,61 +357,64 @@ impl Display {
                     self.redraw_object(id);
                 }
             }
+            // An outbox swept its backlog, unlogged intent events
+            // included, and the replay the DLC asked for carries only
+            // commits: the `Resolved` of a mark shown here may be gone
+            // for good, so no mark can be trusted.
+            DlmEvent::ReplayNeeded { .. } => self.clear_marks(),
             // Connection plumbing; filtered out before dispatch.
             DlmEvent::Ready { .. } => {}
-            // Overload plumbing: the DLC answers a resync sweep with
-            // forced `Updated` re-reads and turns `Lagging` into the
-            // broadcast handled above, so neither reaches a display.
-            // Batches are flattened by the DLC before fan-out, and the
-            // cursor-protocol control events (acks, replay markers) are
-            // consumed by the DLC's cursor bookkeeping.
-            DlmEvent::ResyncRequired { .. }
-            | DlmEvent::Lagging
-            | DlmEvent::Batch(_)
-            | DlmEvent::CursorAck { .. }
-            | DlmEvent::ReplayNeeded { .. } => {}
+            // The DLC answers a resync marker with forced `Updated`
+            // re-reads, flattens batches before fan-out and keeps
+            // cursor acks for its own bookkeeping, so none of these
+            // reaches a display.
+            DlmEvent::ResyncRequired { .. } | DlmEvent::Batch(_) | DlmEvent::CursorAck { .. } => {}
         }
         Ok(())
     }
 
-    /// Degraded connection: keep serving every pinned DO, marked stale.
-    fn mark_all_stale(&self) {
+    /// Apply `change` to each of this display's objects and redraw the
+    /// ones it reports changed; returns how many those were.
+    fn change_all(&self, change: impl Fn(&mut DisplayObject) -> bool) -> u64 {
         let ids: Vec<DoId> = self.mine.lock().iter().copied().collect();
-        let now = Instant::now();
+        let mut changed = 0;
         for id in ids {
-            let mut marked = false;
-            self.cache.with_mut(id, |d| {
-                if d.stale_since.is_none() {
-                    d.stale_since = Some(now);
-                    d.dirty = true;
-                    marked = true;
-                }
+            let hit = self.cache.with_mut(id, |d| {
+                let hit = change(d);
+                d.dirty |= hit;
+                hit
             });
-            if marked {
-                self.stats.stale_marks.inc();
-                self.client.conn_stats().recovery.stale_marks.inc();
+            if hit == Some(true) {
                 self.redraw_object(id);
+                changed += 1;
             }
         }
+        changed
+    }
+
+    /// Take every early-notify mark off this display's objects — what
+    /// `refresh_object` does per object on the resync path.
+    fn clear_marks(&self) {
+        self.change_all(|d| d.marked_by.take().is_some());
+    }
+
+    /// Degraded connection: keep serving every pinned DO, marked stale.
+    fn mark_all_stale(&self) {
+        let now = Instant::now();
+        let marked = self.change_all(|d| {
+            let fresh = d.stale_since.is_none();
+            d.stale_since.get_or_insert(now);
+            fresh
+        });
+        self.stats.stale_marks.add(marked);
+        self.client.conn_stats().recovery.stale_marks.add(marked);
     }
 
     /// Connection restored: any DO still stale was proved current by the
     /// resume handshake (changed ones were refreshed by resync events
     /// queued ahead of `Restored`).
     fn clear_stale_marks(&self) {
-        let ids: Vec<DoId> = self.mine.lock().iter().copied().collect();
-        for id in ids {
-            let mut cleared = false;
-            self.cache.with_mut(id, |d| {
-                if d.stale_since.take().is_some() {
-                    d.dirty = true;
-                    cleared = true;
-                }
-            });
-            if cleared {
-                self.redraw_object(id);
-            }
-        }
+        self.change_all(|d| d.stale_since.take().is_some());
     }
 
     /// Number of this display's objects currently marked stale.

@@ -613,7 +613,6 @@ mod tests {
             ..DlmConfig::default()
         };
         config.overload.outbox_high_water = 4;
-        config.overload.lagging_after_overflows = 99;
         let hub = LocalHub::new();
         let plan = Arc::new(FaultPlan::new());
         plan.set_delay(1000, Duration::from_millis(10));

@@ -37,8 +37,7 @@ pub struct DlmConfig {
     /// around the sinks (DESIGN.md § 9).
     pub overload: OverloadConfig,
     /// Sizing for each shard's bounded replayable update log (DESIGN.md
-    /// § 13). `UpdateLogConfig::disabled()` turns replay off: recovery
-    /// is then resync-only.
+    /// § 13).
     pub log: UpdateLogConfig,
     /// Number of in-process shards the DLM is partitioned into
     /// (DESIGN.md § 16). Each shard has its own interest table,
@@ -137,9 +136,9 @@ pub trait EventSink: Send + Sync {
         self.deliver_logged(event, seqno)
     }
 
-    /// The client is being restored from replay: leave replay-pending /
-    /// lagging mode and reset overflow high-water marks so post-recovery
-    /// gauges describe the recovered client. Default does nothing.
+    /// The client is being restored from replay: leave replay-pending
+    /// mode and reset overflow high-water marks so post-recovery gauges
+    /// describe the recovered client. Default does nothing.
     fn replay_restore(&self) {}
 
     /// Every logged commit with seqno ≤ `seqno` has been handed to this
@@ -409,8 +408,8 @@ impl DlmCore {
         txn: u64,
     ) -> DbResult<()> {
         // Append to the replay log *before* fan-out: by the time any
-        // outbox decides to drop this commit (overflow, lagging), the
-        // log already retains it for cursor catch-up — and when the log
+        // outbox decides to drop this commit (overflow), the log
+        // already retains it for cursor catch-up — and when the log
         // is durable, the batch hits stable storage before any client
         // can observe it (durable before deliverable).
         let (seqno, spill_err) = match self.log.append(origin, updates, txn) {
@@ -532,7 +531,7 @@ impl DlmCore {
     /// the client's watched objects when the cursor has been truncated
     /// out of the log.
     ///
-    /// The client's outbox is restored (replay-pending/lagging cleared,
+    /// The client's outbox is restored (replay-pending cleared,
     /// high-water reset) *before* the log snapshot, so commits racing
     /// with the replay are enqueued live rather than dropped; seqno-aware
     /// coalescing keeps latest-wins correct across the interleave.

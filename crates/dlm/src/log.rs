@@ -4,11 +4,11 @@
 //! here with a monotonic sequence number. The log is a ring bounded both
 //! by entry count and by estimated bytes; eviction is strictly from the
 //! front, so the retained entries are always a contiguous suffix of
-//! history. A client that reconnects (or whose outbox overflowed, or
-//! that was demoted as lagging) catches up by replaying every entry past
-//! its **cursor** — the last seqno it fully applied — filtered through
-//! its registered interests. Only when the cursor has been evicted does
-//! recovery degrade to a full `ResyncRequired`.
+//! history. A client that reconnects (or whose outbox overflowed)
+//! catches up by replaying every entry past its **cursor** — the last
+//! seqno it fully applied — filtered through its registered interests.
+//! Only when the cursor has been evicted does recovery degrade to a full
+//! `ResyncRequired`.
 //!
 //! The log stores the *reported* updates, not the per-holder events:
 //! replay re-runs the same interest intersection the live fan-out path
@@ -182,6 +182,14 @@ impl std::fmt::Debug for UpdateLog {
     }
 }
 
+/// The log is always on: a zero cap is read as 1, not as "off".
+fn clamped(config: UpdateLogConfig) -> UpdateLogConfig {
+    UpdateLogConfig {
+        max_entries: config.max_entries.max(1),
+        max_bytes: config.max_bytes.max(1),
+    }
+}
+
 impl UpdateLog {
     /// Create an empty in-memory log; `stats` is shared with the owning
     /// DLM.
@@ -196,7 +204,7 @@ impl UpdateLog {
                     frontiers: HashMap::new(),
                 },
             ),
-            config,
+            config: clamped(config),
             stats,
             durable: None,
             session_nonce: mint_session_nonce(),
@@ -221,6 +229,7 @@ impl UpdateLog {
         fresh_incarnation: u64,
         min_last_txn: u64,
     ) -> DbResult<(Self, DurableRecovery)> {
+        let config = clamped(config);
         let (seg, rec) = SegLog::open(
             dir,
             durable_config,
@@ -282,17 +291,11 @@ impl UpdateLog {
         Ok((log, recovery))
     }
 
-    /// Whether replay is available at all (a zero-sized log disables the
-    /// mechanism and recovery is resync-only).
-    pub fn enabled(&self) -> bool {
-        self.config.enabled()
-    }
-
     /// Append one committed batch and return its seqno. Returns
-    /// `Ok(None)` when the log is disabled or the batch is empty
-    /// (nothing to replay); the seqno space does not advance in either
-    /// case. `txn` is the committing transaction (0 = unknown), stamped
-    /// on the durable record for the restart WAL cross-check.
+    /// `Ok(None)` when the batch is empty (nothing to replay); the seqno
+    /// space does not advance. `txn` is the committing transaction
+    /// (0 = unknown), stamped on the durable record for the restart WAL
+    /// cross-check.
     ///
     /// When the log is durable, the batch reaches stable storage
     /// **before** it becomes visible in the ring; a spill failure leaves
@@ -303,7 +306,7 @@ impl UpdateLog {
         updates: &[UpdateInfo],
         txn: u64,
     ) -> DbResult<Option<u64>> {
-        if !self.enabled() || updates.is_empty() {
+        if updates.is_empty() {
             return Ok(None);
         }
         let bytes = estimate_bytes(updates);
@@ -344,9 +347,6 @@ impl UpdateLog {
     /// durable, spill it so a restart can tell which cursors are live.
     /// Called by the outbox writers at `CursorAck` synthesis time.
     pub fn record_frontier(&self, client: ClientId, cursor: u64) -> DbResult<()> {
-        if !self.enabled() {
-            return Ok(());
-        }
         let mut inner = self.inner.lock();
         let e = inner.frontiers.entry(client).or_insert(0);
         if cursor <= *e {
@@ -370,7 +370,7 @@ impl UpdateLog {
     /// server compute a cross-restart stale set from the durable window
     /// when its in-memory version map did not survive.
     pub fn changed_since(&self, cursor: u64) -> Option<Vec<Oid>> {
-        if !self.enabled() || !self.is_durable() {
+        if !self.is_durable() {
             return None;
         }
         let inner = self.inner.lock();
@@ -430,9 +430,6 @@ impl UpdateLog {
     /// future (a restarted DLM has a fresh seqno space — a stale cursor
     /// past the head must fall back to resync, not silently match).
     pub fn contains(&self, cursor: u64) -> bool {
-        if !self.enabled() {
-            return false;
-        }
         let inner = self.inner.lock();
         let head = inner.next_seqno - 1;
         let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
@@ -447,7 +444,7 @@ impl UpdateLog {
         let inner = self.inner.lock();
         let head = inner.next_seqno - 1;
         let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
-        if !self.enabled() || cursor.saturating_add(1) < first || cursor > head {
+        if cursor.saturating_add(1) < first || cursor > head {
             return ReplaySlice::Truncated { head };
         }
         let entries: Vec<LogEntry> = inner
@@ -584,12 +581,37 @@ mod tests {
     }
 
     #[test]
-    fn disabled_log_never_appends_or_replays() {
-        let l = UpdateLog::new(UpdateLogConfig::disabled(), UpdateLogStats::new());
-        assert!(!l.enabled());
-        assert_eq!(l.append(None, &upd(1), 0).unwrap(), None);
-        assert!(!l.contains(0));
-        assert!(matches!(l.replay_from(0), ReplaySlice::Truncated { .. }));
+    fn zero_max_entries_is_clamped_not_off() {
+        let l = log(0, 1 << 20);
+        assert_eq!(l.append(None, &upd(1), 0).unwrap(), Some(1));
+        assert_eq!(l.append(None, &upd(2), 0).unwrap(), Some(2));
+        assert_eq!(l.len(), 1, "a zero cap retains one entry");
+        match l.replay_from(1) {
+            ReplaySlice::Events { entries, head } => {
+                assert_eq!(head, 2);
+                assert_eq!(entries.len(), 1);
+                assert_eq!(entries[0].seqno, 2);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_max_bytes_is_clamped_not_off() {
+        // One byte retains no entry, but the seqno space still advances:
+        // a current cursor replays (empty), an old one is truncated.
+        let l = log(8, 0);
+        assert_eq!(l.append(None, &upd(1), 0).unwrap(), Some(1));
+        assert_eq!(l.append(None, &upd(2), 0).unwrap(), Some(2));
+        assert!(l.contains(2));
+        assert!(matches!(
+            l.replay_from(2),
+            ReplaySlice::Events { head: 2, .. }
+        ));
+        assert!(matches!(
+            l.replay_from(0),
+            ReplaySlice::Truncated { head: 2 }
+        ));
     }
 
     #[test]

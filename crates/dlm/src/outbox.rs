@@ -1,4 +1,4 @@
-//! Per-client bounded outboxes with coalescing and overflow-to-resync
+//! Per-client bounded outboxes with coalescing and overflow-to-replay
 //! (DESIGN.md § 9).
 //!
 //! A shard's fan-out loop delivers synchronously, which is perfect for
@@ -15,15 +15,14 @@
 //! * **coalescing** — a newer `Updated{oid}` replaces a queued one in
 //!   place (latest state wins, queue position preserved so nothing
 //!   reorders), and a `Resolved` cancels its still-queued `Marked`,
-//! * **overflow-to-resync** — breaching the high-water mark sweeps the
-//!   queue into a single `ResyncRequired{oids}` marker: the client
-//!   re-reads those objects instead of replaying a backlog, bounding
-//!   memory at O(watched objects),
-//! * **slow-consumer demotion** — after N consecutive sweeps the client
-//!   enters *resync-only* ("lagging") mode: every notification folds
-//!   into the pending resync marker and a single [`DlmEvent::Lagging`]
-//!   tells the display layer to render staleness. The mode clears once
-//!   the outbox fully drains.
+//! * **overflow-to-replay** — breaching the high-water mark sweeps the
+//!   queue into a single `ReplayNeeded{shard}` marker and drops every
+//!   further live event until the client answers with `ReplayFrom`: the
+//!   shard's update log (DESIGN.md § 13) already retains the backlog, so
+//!   a stalled client costs one queued event, not a queue. A cursor the
+//!   log no longer covers gets one `ResyncRequired` from
+//!   `DlmCore::replay_for` instead, which is why the queue still absorbs
+//!   and merges resync markers.
 
 use crate::core::EventSink;
 use crate::proto::DlmEvent;
@@ -33,19 +32,6 @@ use displaydb_common::{DbResult, Oid, OverloadConfig};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// What an overflow sweep replaces the queue with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SweepMode {
-    /// No update log behind the queue: one `ResyncRequired` covering
-    /// every swept OID.
-    Resync,
-    /// Replay (DESIGN.md § 13): one `ReplayNeeded` marker naming the
-    /// shard this queue drains — the backlog is already retained in that
-    /// shard's update log, so the client catches up with a `ReplayFrom`
-    /// instead of re-reading objects.
-    Replay { shard: u32 },
-}
 
 /// What [`CoalescingQueue::push`] did with an event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -58,8 +44,7 @@ pub enum Pushed {
     /// A queued `Marked` and this `Resolved` cancelled each other out.
     Cancelled,
     /// The push breached the high-water mark: the whole queue was swept
-    /// into one recovery marker (`ResyncRequired`, or `ReplayNeeded`
-    /// when the DLM retains an update log).
+    /// into one `ReplayNeeded` marker.
     Overflowed,
 }
 
@@ -86,26 +71,22 @@ struct Entry {
 pub struct CoalescingQueue {
     queue: VecDeque<Entry>,
     high_water: usize,
-    sweep: SweepMode,
+    /// The DLM shard this queue drains, named by the sweep marker.
+    shard: u32,
 }
 
 impl CoalescingQueue {
-    /// An empty queue sweeping to resync past `high_water` entries.
+    /// An empty queue (draining shard 0) that sweeps to a `ReplayNeeded`
+    /// marker past `high_water` entries.
     pub fn new(high_water: usize) -> Self {
-        Self::with_mode(high_water, SweepMode::Resync)
+        Self::for_shard(high_water, 0)
     }
 
-    /// An empty queue sweeping to a `ReplayNeeded{shard}` marker on
-    /// overflow (the backlog is retained in that shard's update log).
-    pub fn new_replay(high_water: usize, shard: u32) -> Self {
-        Self::with_mode(high_water, SweepMode::Replay { shard })
-    }
-
-    fn with_mode(high_water: usize, sweep: SweepMode) -> Self {
+    pub(crate) fn for_shard(high_water: usize, shard: u32) -> Self {
         Self {
             queue: VecDeque::new(),
             high_water: high_water.max(2),
-            sweep,
+            shard,
         }
     }
 
@@ -117,18 +98,6 @@ impl CoalescingQueue {
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
-    }
-
-    /// Whether a not-yet-delivered recovery marker (`ResyncRequired` or
-    /// `ReplayNeeded`) is queued. Used for marker accounting: a sweep
-    /// that folds into an existing marker did not send a new one.
-    pub fn has_pending_marker(&self) -> bool {
-        self.queue.iter().any(|e| {
-            matches!(
-                e.event,
-                DlmEvent::ResyncRequired { .. } | DlmEvent::ReplayNeeded { .. }
-            )
-        })
     }
 
     /// Remove and return the oldest event.
@@ -174,8 +143,8 @@ impl CoalescingQueue {
                             }
                             return Pushed::Coalesced;
                         }
-                        // A pending resync marker already covers any
-                        // state change to its OIDs.
+                        // A pending resync marker (truncated replay)
+                        // already covers any state change to its OIDs.
                         DlmEvent::ResyncRequired { oids } if oids.contains(&info.oid) => {
                             return Pushed::Coalesced;
                         }
@@ -232,16 +201,6 @@ impl CoalescingQueue {
                         }
                         _ => {}
                     }
-                }
-            }
-            DlmEvent::Lagging => {
-                // One staleness signal is as good as ten.
-                if self
-                    .queue
-                    .iter()
-                    .any(|q| matches!(q.event, DlmEvent::Lagging))
-                {
-                    return Pushed::Coalesced;
                 }
             }
             DlmEvent::Delta {
@@ -301,57 +260,25 @@ impl CoalescingQueue {
         Pushed::Queued
     }
 
-    /// Replace everything queued with a single recovery marker: a
-    /// `ResyncRequired` covering every swept OID (resync mode), or a
-    /// `ReplayNeeded` pointing at the log (replay mode).
+    /// Replace everything queued with a single `ReplayNeeded` marker.
+    /// The swept backlog lives in the shard's update log; `from` is the
+    /// highest swept seqno, for diagnostics only (the client replays
+    /// from its own cursor).
     fn sweep_to_marker(&mut self) {
-        match self.sweep {
-            SweepMode::Resync => {
-                let mut oids: Vec<Oid> = Vec::new();
-                let mut add = |oid: Oid| {
-                    if !oids.contains(&oid) {
-                        oids.push(oid);
-                    }
-                };
-                for entry in self.queue.drain(..) {
-                    match entry.event {
-                        DlmEvent::Updated(info) => add(info.oid),
-                        DlmEvent::Marked { oid, .. }
-                        | DlmEvent::Resolved { oid, .. }
-                        | DlmEvent::Delta { oid, .. } => add(oid),
-                        DlmEvent::ResyncRequired { oids: swept } => {
-                            swept.into_iter().for_each(&mut add)
-                        }
-                        DlmEvent::Ready { .. }
-                        | DlmEvent::Lagging
-                        | DlmEvent::Batch(_)
-                        | DlmEvent::CursorAck { .. }
-                        | DlmEvent::ReplayNeeded { .. } => {}
-                    }
-                }
-                oids.sort_unstable();
-                self.queue.push_back(Entry {
-                    event: DlmEvent::ResyncRequired { oids },
-                    seqno: 0,
-                });
-            }
-            SweepMode::Replay { shard } => {
-                // The swept backlog lives in the update log; `from` is
-                // the highest swept seqno, for diagnostics only (the
-                // client replays from its own cursor).
-                let mut from = 0u64;
-                for entry in self.queue.drain(..) {
-                    from = from.max(entry.seqno);
-                    if let DlmEvent::ReplayNeeded { from: f, .. } = entry.event {
-                        from = from.max(f);
-                    }
-                }
-                self.queue.push_back(Entry {
-                    event: DlmEvent::ReplayNeeded { shard, from },
-                    seqno: 0,
-                });
+        let mut from = 0u64;
+        for entry in self.queue.drain(..) {
+            from = from.max(entry.seqno);
+            if let DlmEvent::ReplayNeeded { from: f, .. } = entry.event {
+                from = from.max(f);
             }
         }
+        self.queue.push_back(Entry {
+            event: DlmEvent::ReplayNeeded {
+                shard: self.shard,
+                from,
+            },
+            seqno: 0,
+        });
     }
 
     /// Every OID the queued events reference (diagnostics/tests).
@@ -365,7 +292,6 @@ impl CoalescingQueue {
                 | DlmEvent::Delta { oid, .. } => oids.push(*oid),
                 DlmEvent::ResyncRequired { oids: r } => oids.extend(r.iter().copied()),
                 DlmEvent::Ready { .. }
-                | DlmEvent::Lagging
                 | DlmEvent::Batch(_)
                 | DlmEvent::CursorAck { .. }
                 | DlmEvent::ReplayNeeded { .. } => {}
@@ -379,14 +305,10 @@ impl CoalescingQueue {
 
 struct OutboxState {
     queue: CoalescingQueue,
-    /// Consecutive high-water sweeps without the queue draining.
-    consecutive_overflows: u32,
-    /// Resync-only mode (slow consumer). Sticky until the queue drains.
-    lagging: bool,
-    /// Replay mode only: the backlog was swept to a `ReplayNeeded`
-    /// marker; further live deliveries are dropped (the update log
-    /// covers them) until [`OutboxSink`]'s `replay_restore` runs when
-    /// the client comes back with `ReplayFrom{cursor}`.
+    /// The backlog was swept to a `ReplayNeeded` marker; further live
+    /// deliveries are dropped (the update log covers them) until
+    /// [`OutboxSink`]'s `replay_restore` runs when the client comes back
+    /// with `ReplayFrom{cursor}`.
     replay_pending: bool,
     /// Highest log seqno handed to this outbox whose effect will reach
     /// the client (queued, coalesced into a newer entry, or marked
@@ -422,9 +344,6 @@ struct OutboxShared {
     /// writer mints and the `ReplayNeeded` markers a sweep leaves, so
     /// the client can tell the shards' seqno spaces apart.
     shard: u32,
-    /// Cursor catch-up enabled: overflow sweeps to `ReplayNeeded` and
-    /// the writer emits `CursorAck` on drain-to-empty.
-    replay: bool,
     /// Invoked (outside every lock) with each cursor the writer just
     /// acknowledged to the client — the durable-frontier spill hook
     /// (DESIGN.md § 14). The callback sees acks in the order the writer
@@ -446,13 +365,11 @@ pub struct OutboxSink {
 
 impl OutboxSink {
     /// Wrap `inner` as `shard`'s outbox, spawning the writer thread.
-    /// With `replay` set (the shard retains an update log), overflow
-    /// sweeps to a `ReplayNeeded{shard}` marker and the writer
+    /// Overflow sweeps to a `ReplayNeeded{shard}` marker and the writer
     /// acknowledges delivered seqnos with `CursorAck{shard}` whenever
-    /// the queue drains empty; without it overflow sweeps to a
-    /// `ResyncRequired`. Every `CursorAck` the writer emits is reported
-    /// to `recorder` after the carrying frame reached the inner sink,
-    /// outside all outbox locks — the durable DLM passes a closure
+    /// the queue drains empty. Every `CursorAck` the writer emits is
+    /// reported to `recorder` after the carrying frame reached the inner
+    /// sink, outside all outbox locks — the durable DLM passes a closure
     /// spilling the cursor to the segment log so the client's frontier
     /// survives a restart.
     pub fn wrap(
@@ -460,21 +377,14 @@ impl OutboxSink {
         shard: u32,
         config: OverloadConfig,
         stats: OverloadStats,
-        replay: bool,
         recorder: Option<Arc<dyn Fn(u64) + Send + Sync>>,
     ) -> Arc<Self> {
-        let queue = if replay {
-            CoalescingQueue::new_replay(config.outbox_high_water, shard)
-        } else {
-            CoalescingQueue::new(config.outbox_high_water)
-        };
+        let queue = CoalescingQueue::for_shard(config.outbox_high_water, shard);
         let shared = Arc::new(OutboxShared {
             state: OrderedMutex::new(
                 ranks::OUTBOX_STATE,
                 OutboxState {
                     queue,
-                    consecutive_overflows: 0,
-                    lagging: false,
                     replay_pending: false,
                     last_seqno: 0,
                     last_acked: 0,
@@ -489,7 +399,6 @@ impl OutboxSink {
             stats,
             depth: Gauge::new(),
             shard,
-            replay,
             recorder,
         });
         let sink = Arc::new(Self {
@@ -513,13 +422,8 @@ impl OutboxSink {
         &self.shared.depth
     }
 
-    /// Whether the client is demoted to resync-only mode.
-    pub fn is_lagging(&self) -> bool {
-        self.shared.state.lock().lagging
-    }
-
     /// Whether a `ReplayNeeded` sweep is awaiting the client's
-    /// `ReplayFrom` (replay mode only).
+    /// `ReplayFrom`.
     pub fn is_replay_pending(&self) -> bool {
         self.shared.state.lock().replay_pending
     }
@@ -536,64 +440,29 @@ impl OutboxSink {
         stats.enqueued.inc();
         if state.replay_pending {
             // The backlog was swept to a ReplayNeeded marker and the
-            // update log retains everything since: drop the event and
+            // update log retains every commit since: drop the event and
             // count it as coalesced into the pending marker. The
             // seqno is deliberately NOT acknowledged — the client
-            // learns it through replay.
+            // learns it through replay. Unlogged intent events
+            // (seqno 0) are simply gone; the client voids its marks
+            // when it sees the marker.
             stats.coalesced.inc();
             return Ok(());
         }
-        // Marker accounting (satellite fix for the drift between
-        // `resyncs_sent` and what clients actually receive): a push or
-        // sweep only *sends* a new marker when none was already queued
-        // — folding into a pending marker must not count twice.
-        let had_marker = state.queue.has_pending_marker();
-        let mut pushed_marker = false;
-        let pushed = if state.lagging && !self.shared.replay {
-            // Resync-only mode: fold the event's objects into the
-            // pending marker instead of growing a backlog.
-            match to_resync_marker(&event) {
-                Some(marker) => {
-                    pushed_marker = true;
-                    state.queue.push_seq(marker, seqno)
-                }
-                None => state.queue.push_seq(event, seqno),
-            }
-        } else {
-            state.queue.push_seq(event, seqno)
-        };
-        match pushed {
-            Pushed::Queued => {
-                if pushed_marker && !had_marker {
-                    stats.resyncs_sent.inc();
-                }
-            }
+        match state.queue.push_seq(event, seqno) {
+            Pushed::Queued => {}
             Pushed::Coalesced => stats.coalesced.inc(),
             Pushed::Cancelled => stats.cancelled_pairs.inc(),
             Pushed::Overflowed => {
                 stats.overflows.inc();
-                state.consecutive_overflows += 1;
-                if self.shared.replay {
-                    // The sweep left a ReplayNeeded marker; everything
-                    // until the client replays is covered by the log.
-                    // Swept seqnos reach the client only via the replay,
-                    // and the ack frontier never claimed them: it only
-                    // advances through `advance_frontier`, after a whole
-                    // commit is enqueued, and replay-pending blocks even
-                    // that until the client's `ReplayFrom` restores us.
-                    state.replay_pending = true;
-                } else if !had_marker {
-                    stats.resyncs_sent.inc();
-                }
-                if !state.lagging
-                    && state.consecutive_overflows >= self.shared.config.lagging_after_overflows
-                {
-                    state.lagging = true;
-                    stats.lagging_transitions.inc();
-                    // Queued after the marker: the client recovers, then
-                    // learns it is lagging.
-                    state.queue.push(DlmEvent::Lagging);
-                }
+                // The sweep left a ReplayNeeded marker; everything
+                // until the client replays is covered by the log.
+                // Swept seqnos reach the client only via the replay,
+                // and the ack frontier never claimed them: it only
+                // advances through `advance_frontier`, after a whole
+                // commit is enqueued, and replay-pending blocks even
+                // that until the client's `ReplayFrom` restores us.
+                state.replay_pending = true;
             }
         }
         // Shared gauge: the high-water side is a monotonic max across
@@ -673,11 +542,9 @@ impl EventSink for OutboxSink {
     fn replay_restore(&self) {
         let mut state = self.shared.state.lock();
         state.replay_pending = false;
-        state.lagging = false;
-        state.consecutive_overflows = 0;
-        // Satellite fix: the storm's high-water marks describe the
-        // overload, not the recovered client — reset them so
-        // post-recovery gauges start clean.
+        // The storm's high-water marks describe the overload, not the
+        // recovered client — reset them so post-recovery gauges start
+        // clean.
         self.shared.stats.queue_depth.reset_high_water();
         self.shared.depth.reset_high_water();
         drop(state);
@@ -734,27 +601,9 @@ impl std::fmt::Debug for OutboxSink {
         let state = self.shared.state.lock();
         f.debug_struct("OutboxSink")
             .field("depth", &state.queue.len())
-            .field("lagging", &state.lagging)
+            .field("replay_pending", &state.replay_pending)
             .field("dead", &state.dead)
             .finish()
-    }
-}
-
-/// The resync-only rendering of an event, if it carries object state.
-fn to_resync_marker(event: &DlmEvent) -> Option<DlmEvent> {
-    match event {
-        DlmEvent::Updated(info) => Some(DlmEvent::ResyncRequired {
-            oids: vec![info.oid],
-        }),
-        DlmEvent::Marked { oid, .. }
-        | DlmEvent::Resolved { oid, .. }
-        | DlmEvent::Delta { oid, .. } => Some(DlmEvent::ResyncRequired { oids: vec![*oid] }),
-        DlmEvent::Ready { .. }
-        | DlmEvent::Lagging
-        | DlmEvent::ResyncRequired { .. }
-        | DlmEvent::Batch(_)
-        | DlmEvent::CursorAck { .. }
-        | DlmEvent::ReplayNeeded { .. } => None,
     }
 }
 
@@ -771,8 +620,7 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                 // A cursor ack is due once every delivered seqno will
                 // have reached the wire — i.e. the queue is about to be
                 // fully drained and nothing is replay-pending.
-                let ack_due =
-                    shared.replay && !state.replay_pending && state.last_seqno > state.last_acked;
+                let ack_due = !state.replay_pending && state.last_seqno > state.last_acked;
                 if !state.queue.is_empty() || ack_due {
                     // Drain everything pending (up to the batch cap) in
                     // one wake: a consumer that fell behind receives its
@@ -786,26 +634,18 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                             None => break,
                         }
                     }
-                    if state.queue.is_empty() {
-                        // Fully drained: the consumer caught up, so
-                        // forgive its overflow history — unless a sweep
-                        // is awaiting the client's replay, in which case
-                        // the drained "queue" was just the marker.
-                        if !state.replay_pending {
-                            state.consecutive_overflows = 0;
-                            state.lagging = false;
-                            if shared.replay && state.last_seqno > state.last_acked {
-                                // Everything enqueued through last_seqno
-                                // rides this very frame: acknowledge the
-                                // cursor as its final event.
-                                state.last_acked = state.last_seqno;
-                                acked = Some(state.last_acked);
-                                events.push(DlmEvent::CursorAck {
-                                    shard: shared.shard,
-                                    seqno: state.last_acked,
-                                });
-                            }
-                        }
+                    if state.queue.is_empty() && ack_due {
+                        // Fully drained, and not down to the marker of a
+                        // sweep still awaiting the client's replay:
+                        // everything enqueued through last_seqno rides
+                        // this very frame, so acknowledge the cursor as
+                        // its final event.
+                        state.last_acked = state.last_seqno;
+                        acked = Some(state.last_acked);
+                        events.push(DlmEvent::CursorAck {
+                            shard: shared.shard,
+                            seqno: state.last_acked,
+                        });
                     }
                     if events.is_empty() {
                         // Raced: ack was due but replay_pending flipped,
@@ -951,27 +791,11 @@ mod tests {
     }
 
     #[test]
-    fn overflow_sweeps_to_single_resync() {
-        let mut q = CoalescingQueue::new(4);
-        for i in 0..4 {
-            q.push(upd(i, 0));
-        }
-        assert_eq!(q.push(upd(99, 0)), Pushed::Overflowed);
-        assert_eq!(q.len(), 1);
-        match q.pop().unwrap() {
-            DlmEvent::ResyncRequired { oids } => {
-                assert_eq!(oids, vec![o(0), o(1), o(2), o(3), o(99)]);
-            }
-            other => panic!("expected resync marker, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn updates_fold_into_pending_resync_marker() {
         let mut q = CoalescingQueue::new(4);
-        for i in 0..5 {
-            q.push(upd(i, 0));
-        }
+        q.push(DlmEvent::ResyncRequired {
+            oids: (0..5).map(o).collect(),
+        });
         // Marker queued; an update for a covered OID disappears into it,
         // a new OID queues normally behind it.
         assert_eq!(q.push(upd(2, 7)), Pushed::Coalesced);
@@ -1013,21 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn overflow_sweep_covers_delta_oids() {
-        let mut q = CoalescingQueue::new(4);
-        for i in 0..4 {
-            q.push(delta(i, 1, &[(0, 0)]));
-        }
-        assert_eq!(q.push(delta(99, 1, &[(0, 0)])), Pushed::Overflowed);
-        match q.pop().unwrap() {
-            DlmEvent::ResyncRequired { oids } => {
-                assert_eq!(oids, vec![o(0), o(1), o(2), o(3), o(99)]);
-            }
-            other => panic!("expected resync marker, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn resync_markers_merge() {
         let mut q = CoalescingQueue::new(16);
         q.push(DlmEvent::ResyncRequired {
@@ -1049,30 +858,20 @@ mod tests {
         (Arc::new(f), rx)
     }
 
-    /// An outbox with no update log behind it (overflow → resync sweep).
-    fn resync_outbox(
-        inner: Arc<dyn EventSink>,
-        config: OverloadConfig,
-        stats: OverloadStats,
-    ) -> Arc<OutboxSink> {
-        OutboxSink::wrap(inner, 0, config, stats, false, None)
-    }
-
-    /// Shard `SHARD`'s outbox with an update log behind it (overflow →
-    /// `ReplayNeeded`, drain-to-empty → `CursorAck`).
+    /// Shard `SHARD`'s outbox (overflow → `ReplayNeeded`, drain-to-empty
+    /// → `CursorAck`).
     const SHARD: u32 = 2;
-    fn replay_outbox(
+    fn wrap(
         inner: Arc<dyn EventSink>,
         config: OverloadConfig,
         stats: OverloadStats,
     ) -> Arc<OutboxSink> {
-        OutboxSink::wrap(inner, SHARD, config, stats, true, None)
+        OutboxSink::wrap(inner, SHARD, config, stats, None)
     }
 
-    fn quick_config(high_water: usize, lagging_after: u32) -> OverloadConfig {
+    fn quick_config(high_water: usize) -> OverloadConfig {
         OverloadConfig {
             outbox_high_water: high_water,
-            lagging_after_overflows: lagging_after,
             ..OverloadConfig::default()
         }
     }
@@ -1080,7 +879,7 @@ mod tests {
     #[test]
     fn outbox_delivers_in_order() {
         let (inner, rx) = collecting_sink();
-        let outbox = resync_outbox(inner, quick_config(64, 3), OverloadStats::new());
+        let outbox = wrap(inner, quick_config(64), OverloadStats::new());
         for i in 0..10 {
             outbox.deliver(upd(i, i as u8)).unwrap();
         }
@@ -1093,69 +892,6 @@ mod tests {
     }
 
     #[test]
-    fn stalled_consumer_overflows_then_demotes_to_lagging() {
-        // An inner sink that blocks until released: the writer thread
-        // wedges on the first event, everything else queues.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
-        let stats = OverloadStats::new();
-        let outbox = resync_outbox(inner, quick_config(8, 2), stats.clone());
-
-        // Storm: far more updates than the high-water mark.
-        for round in 0..4 {
-            for i in 0..40u64 {
-                outbox
-                    .deliver(upd(i, round))
-                    .expect("deliver must not block or fail");
-            }
-        }
-        assert!(stats.overflows.get() >= 2, "storm must overflow");
-        assert!(outbox.is_lagging(), "persistent overflow must demote");
-        assert_eq!(stats.lagging_transitions.get(), 1);
-        // Memory bound: depth never exceeds high-water + the marker.
-        assert!(
-            stats.queue_depth.high_water() <= 8 + 1,
-            "depth {} breached the bound",
-            stats.queue_depth.high_water()
-        );
-
-        // Release the consumer: it gets the first event (pre-stall),
-        // then markers covering everything else, then Lagging — and the
-        // drained outbox forgives the lag.
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        assert!(outbox.drain(Duration::from_secs(5)), "must drain");
-        assert!(!outbox.is_lagging(), "drain clears lagging mode");
-        let got = flatten(rx.try_iter());
-        assert!(got.iter().any(|e| matches!(e, DlmEvent::Lagging)));
-        let resynced: Vec<Oid> = got
-            .iter()
-            .filter_map(|e| match e {
-                DlmEvent::ResyncRequired { oids } => Some(oids.clone()),
-                _ => None,
-            })
-            .flatten()
-            .collect();
-        for i in 1..40u64 {
-            assert!(resynced.contains(&o(i)), "oid {i} lost in the sweep");
-        }
-    }
-
-    #[test]
     fn close_stops_writer_without_flushing_stalled_queue() {
         // Inner sink blocks forever: close must still return promptly.
         let (release_tx, release_rx) = unbounded::<()>();
@@ -1163,7 +899,7 @@ mod tests {
             let _ = release_rx.recv(); // blocks until test end
             Ok(())
         });
-        let outbox = resync_outbox(inner, quick_config(8, 2), OverloadStats::new());
+        let outbox = wrap(inner, quick_config(8), OverloadStats::new());
         outbox.deliver(upd(1, 1)).unwrap();
         outbox.deliver(upd(2, 2)).unwrap();
         let started = Instant::now();
@@ -1194,7 +930,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = resync_outbox(inner, quick_config(64, 3), stats.clone());
+        let outbox = wrap(inner, quick_config(64), stats.clone());
         outbox.deliver(upd(0, 0)).unwrap();
         // Wait until the writer has taken the first event off the queue.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -1247,22 +983,27 @@ mod tests {
     }
 
     #[test]
-    fn replay_mode_overflow_sweeps_to_single_replay_needed() {
-        let mut q = CoalescingQueue::new_replay(4, SHARD);
+    fn overflow_sweeps_to_single_replay_needed() {
+        let mut q = CoalescingQueue::for_shard(4, SHARD);
         for i in 0..4u64 {
             q.push_seq(upd(i, 0), i + 1);
         }
         assert_eq!(q.push_seq(upd(99, 0), 5), Pushed::Overflowed);
         assert_eq!(q.len(), 1);
-        match q.pop().unwrap() {
-            DlmEvent::ReplayNeeded { shard, from } => assert_eq!((shard, from), (SHARD, 5)),
-            other => panic!("expected replay marker, got {other:?}"),
-        }
-        // A second sweep folds into the pending marker, keeping max from.
+        // A second sweep absorbs the still-queued marker, keeping the
+        // highest `from`: seqnos 6..=9 breach the mark again, 10 queues.
         for i in 0..5u64 {
             q.push_seq(upd(i, 0), i + 6);
         }
-        assert!(q.has_pending_marker());
+        assert_eq!(
+            q.pop(),
+            Some(DlmEvent::ReplayNeeded {
+                shard: SHARD,
+                from: 9
+            })
+        );
+        assert_eq!(q.pop(), Some(upd(4, 0)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -1283,17 +1024,12 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = replay_outbox(inner, quick_config(4, 99), stats.clone());
+        let outbox = wrap(inner, quick_config(4), stats.clone());
         for i in 0..12u64 {
             outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
         }
         assert!(stats.overflows.get() >= 1, "storm must overflow");
         assert!(outbox.is_replay_pending());
-        assert_eq!(
-            stats.resyncs_sent.get(),
-            0,
-            "replay mode must not send resync markers"
-        );
         let depth_before = outbox.depth();
         outbox.deliver_logged(upd(50, 0), 100).unwrap();
         assert_eq!(
@@ -1324,7 +1060,7 @@ mod tests {
         assert!(
             !got.iter()
                 .any(|e| matches!(e, DlmEvent::ResyncRequired { .. })),
-            "replay mode must never fall back to resync markers on its own"
+            "an overflow must never fall back to resync markers on its own"
         );
         // The final cursor ack covers the marked-current frontier.
         match got.last() {
@@ -1338,7 +1074,7 @@ mod tests {
     #[test]
     fn cursor_ack_rides_drain_to_empty_and_is_not_repeated() {
         let (inner, rx) = collecting_sink();
-        let outbox = replay_outbox(inner, quick_config(64, 3), OverloadStats::new());
+        let outbox = wrap(inner, quick_config(64), OverloadStats::new());
         outbox.deliver_logged(upd(1, 1), 7).unwrap();
         outbox.advance_frontier(7);
         assert!(outbox.drain(Duration::from_secs(5)));
@@ -1389,7 +1125,7 @@ mod tests {
         // its mark_current_through) may advance the ack frontier.
         let (inner, rx) = collecting_sink();
         let stats = OverloadStats::new();
-        let outbox = replay_outbox(inner, quick_config(4, 99), stats);
+        let outbox = wrap(inner, quick_config(4), stats);
         // Deliver under the state lock faster than the writer can drain
         // is racy from a test; force the sweep deterministically by a
         // burst far over high-water. Each push is its own "commit":
@@ -1426,54 +1162,6 @@ mod tests {
     }
 
     #[test]
-    fn lagging_resync_markers_count_once_per_episode() {
-        // Resync mode, writer wedged: the first sweep queues one marker
-        // and counts one resyncs_sent; every later fold into the still-
-        // queued marker must not count again (the accounting-drift fix).
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (tx, rx) = unbounded();
-        let inner: Arc<dyn EventSink> = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |e: DlmEvent| {
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock();
-                while !*open {
-                    cv.wait(&mut open);
-                }
-                tx.send(e).map_err(|_| DbError::Disconnected)
-            })
-        };
-        let stats = OverloadStats::new();
-        let outbox = resync_outbox(inner, quick_config(4, 1), stats.clone());
-        for round in 0..3 {
-            for i in 0..20u64 {
-                outbox.deliver(upd(i, round)).unwrap();
-            }
-        }
-        assert!(outbox.is_lagging());
-        assert_eq!(
-            stats.resyncs_sent.get(),
-            1,
-            "one marker episode must count exactly one resync sent"
-        );
-        {
-            let (lock, cv) = &*gate;
-            *lock.lock() = true;
-            cv.notify_all();
-        }
-        assert!(outbox.drain(Duration::from_secs(5)));
-        let markers = flatten(rx.try_iter())
-            .iter()
-            .filter(|e| matches!(e, DlmEvent::ResyncRequired { .. }))
-            .count();
-        assert_eq!(
-            markers as u64,
-            stats.resyncs_sent.get(),
-            "resyncs_sent must match the markers actually delivered"
-        );
-    }
-
-    #[test]
     fn replay_restore_resets_high_water_gauges() {
         let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let (tx, _rx) = unbounded();
@@ -1489,7 +1177,7 @@ mod tests {
             })
         };
         let stats = OverloadStats::new();
-        let outbox = replay_outbox(inner, quick_config(4, 99), stats.clone());
+        let outbox = wrap(inner, quick_config(4), stats.clone());
         for i in 0..12u64 {
             outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
         }
@@ -1514,7 +1202,7 @@ mod tests {
     fn dead_inner_sink_kills_outbox() {
         let (inner, rx) = collecting_sink();
         drop(rx);
-        let outbox = resync_outbox(inner, quick_config(8, 2), OverloadStats::new());
+        let outbox = wrap(inner, quick_config(8), OverloadStats::new());
         outbox.deliver(upd(1, 1)).unwrap();
         // The writer hits the dead sink and marks the outbox dead;
         // subsequent delivers fail so the DLM counts the client dead.
@@ -1689,52 +1377,106 @@ mod proptests {
             }
         }
 
-        /// With a small high-water mark, memory stays bounded and every
-        /// OID ever referenced is either delivered normally or covered
-        /// by a resync marker — nothing is silently lost.
+        /// With a small high-water mark, memory stays bounded and no
+        /// logged state change is silently lost: every seqno-stamped
+        /// push is either on the wire — its key popped carrying that
+        /// seqno, or a newer one that coalesced over it — or named by a
+        /// popped `ReplayNeeded` (`from` ≥ its seqno). Each sweep
+        /// episode queues exactly one marker.
         #[test]
         fn prop_overflow_loses_nothing(inputs in proptest::collection::vec(arb_in(), 1..200)) {
-            let mut q = CoalescingQueue::new(8);
-            let mut drained = Vec::new();
-            for i in &inputs {
-                q.push(to_event(i));
-                prop_assert!(q.len() <= 9, "queue depth {} breached the bound", q.len());
-                // Drain opportunistically every few pushes to mimic a
-                // consumer that is slow, not dead.
-                if drained.len() % 3 == 0 {
-                    if let Some(e) = q.pop() {
-                        drained.push(e);
+            const HIGH_WATER: usize = 8;
+            // Push `i` carries seqno `i + 1`, stamped into its payload so
+            // a popped event tells which write survived coalescing.
+            // Intent events are unlogged (seqno 0), as in production.
+            let stamped = |i: usize, input: &In| -> (DlmEvent, u64) {
+                let seqno = i as u64 + 1;
+                let stamp = seqno.to_le_bytes().to_vec();
+                match *input {
+                    In::Updated { oid, .. } => {
+                        (DlmEvent::Updated(UpdateInfo::eager(Oid::new(oid), stamp)), seqno)
                     }
+                    In::Delta { oid, attr, .. } => (
+                        DlmEvent::Delta {
+                            oid: Oid::new(oid),
+                            version: 1,
+                            changed: vec![(attr, stamp)],
+                            trace: 0,
+                        },
+                        seqno,
+                    ),
+                    In::Marked { .. } | In::Resolved { .. } => (to_event(input), 0),
+                }
+            };
+            let unstamp = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("stamp"));
+
+            let mut q = CoalescingQueue::new(HIGH_WATER);
+            let mut drained = Vec::new();
+            let mut episodes = 0usize;
+            let mut marker_queued = false;
+            let mut pop = |q: &mut CoalescingQueue, marker_queued: &mut bool| {
+                let Some(e) = q.pop() else { return false };
+                if matches!(e, DlmEvent::ReplayNeeded { .. }) {
+                    *marker_queued = false;
+                }
+                drained.push(e);
+                true
+            };
+            for (i, input) in inputs.iter().enumerate() {
+                let (event, seqno) = stamped(i, input);
+                if q.push_seq(event, seqno) == Pushed::Overflowed && !marker_queued {
+                    episodes += 1;
+                    marker_queued = true;
+                }
+                prop_assert!(q.len() <= HIGH_WATER + 1, "queue depth {} breached the bound", q.len());
+                let markers = q.queue.iter()
+                    .filter(|e| matches!(e.event, DlmEvent::ReplayNeeded { .. }))
+                    .count();
+                prop_assert_eq!(markers, usize::from(marker_queued), "one marker per episode");
+                // Drain opportunistically to mimic a consumer that is
+                // slow, not dead.
+                if i % 3 == 0 {
+                    pop(&mut q, &mut marker_queued);
                 }
             }
-            while let Some(e) = q.pop() {
-                drained.push(e);
-            }
-            let mut covered: std::collections::HashSet<u64> = Default::default();
+            while pop(&mut q, &mut marker_queued) {}
+
+            let mut on_wire: std::collections::HashMap<(u64, Option<u16>), u64> = Default::default();
+            let mut named = 0u64;
+            let mut markers = 0usize;
             for e in &drained {
                 match e {
-                    DlmEvent::Updated(info) => { covered.insert(info.oid.raw()); }
-                    DlmEvent::Marked { oid, .. }
-                    | DlmEvent::Resolved { oid, .. }
-                    | DlmEvent::Delta { oid, .. } => {
-                        covered.insert(oid.raw());
+                    DlmEvent::Updated(info) => {
+                        let stamp = unstamp(info.payload.as_deref().expect("eager"));
+                        let seen = on_wire.entry((info.oid.raw(), None)).or_default();
+                        *seen = (*seen).max(stamp);
                     }
-                    DlmEvent::ResyncRequired { oids } => {
-                        covered.extend(oids.iter().map(|o| o.raw()));
+                    DlmEvent::Delta { oid, changed, .. } => {
+                        for (attr, value) in changed {
+                            let seen = on_wire.entry((oid.raw(), Some(*attr))).or_default();
+                            *seen = (*seen).max(unstamp(value));
+                        }
+                    }
+                    DlmEvent::ReplayNeeded { from, .. } => {
+                        named = named.max(*from);
+                        markers += 1;
                     }
                     _ => {}
                 }
             }
-            for i in &inputs {
-                let oid = match i {
-                    In::Updated { oid, .. } | In::Marked { oid, .. } | In::Resolved { oid, .. }
-                    | In::Delta { oid, .. } => *oid,
+            prop_assert_eq!(markers, episodes, "markers delivered vs sweep episodes");
+            for (i, input) in inputs.iter().enumerate() {
+                let seqno = i as u64 + 1;
+                let key = match *input {
+                    In::Updated { oid, .. } => (oid, None),
+                    In::Delta { oid, attr, .. } => (oid, Some(attr)),
+                    // Unlogged; the receiver drops its marks on a marker.
+                    In::Marked { .. } | In::Resolved { .. } => continue,
                 };
-                // A cancelled Marked/Resolved pair is legitimately
-                // invisible; an Updated or Delta must always be covered.
-                if matches!(i, In::Updated { .. } | In::Delta { .. }) {
-                    prop_assert!(covered.contains(&oid), "state change to oid {oid} lost");
-                }
+                prop_assert!(
+                    on_wire.get(&key).is_some_and(|&s| s >= seqno) || named >= seqno,
+                    "seqno {seqno} ({input:?}) neither delivered nor named by a marker"
+                );
             }
         }
     }

@@ -296,18 +296,15 @@ pub enum DlmEvent {
         /// never a silent partial replay).
         log_incarnations: Vec<u64>,
     },
-    /// The client's outbox overflowed its high-water mark: the queued
-    /// notifications were swept and replaced by this single marker. The
-    /// DLC answers by re-reading `oids` (the PR 1 resync machinery),
-    /// which restores latest-state-wins without replaying the backlog.
+    /// The client asked to replay from a cursor its shard's update log
+    /// no longer covers (evicted, truncated, or another incarnation):
+    /// the notifications it missed cannot be reproduced. The DLC answers
+    /// by re-reading `oids`, which restores latest-state-wins without
+    /// the backlog.
     ResyncRequired {
-        /// Every OID that had a swept notification pending.
+        /// Every OID the client display-locks on that shard.
         oids: Vec<Oid>,
     },
-    /// The client has been demoted to resync-only mode after repeated
-    /// overflows (slow consumer). Displays render this as staleness;
-    /// the mode clears once the outbox drains.
-    Lagging,
     /// An object this client display-locks with a registered projection
     /// was updated: only the projected attributes that actually changed
     /// are shipped, as `(layout index, encoded value)` pairs. The client
@@ -345,12 +342,13 @@ pub enum DlmEvent {
         /// Highest fully-delivered seqno in that shard's log.
         seqno: u64,
     },
-    /// The client's outbox for one shard overflowed (or it was demoted
-    /// as lagging) and that shard's backlog was dropped in favour of its
-    /// update log: the client must send [`DlmRequest::ReplayFrom`] with
-    /// its cursor for that shard to catch up; other shards' streams flow
-    /// on undisturbed. Replaces the overflow-`ResyncRequired` sweep when
-    /// the log is enabled.
+    /// The client's outbox for one shard overflowed and that shard's
+    /// backlog was dropped in favour of its update log: the client must
+    /// send [`DlmRequest::ReplayFrom`] with its cursor for that shard to
+    /// catch up; other shards' streams flow on undisturbed. Unlogged
+    /// intent events (`Marked`/`Resolved`) swept with the backlog are
+    /// not replayed, so the client also drops every early-notify mark it
+    /// is showing.
     ReplayNeeded {
         /// The shard whose backlog was dropped.
         shard: u32,
@@ -363,8 +361,8 @@ pub enum DlmEvent {
 impl DlmEvent {
     /// The trace id this event carries, if it is a per-update
     /// notification (`Updated`/`Delta`). Control events (`Ready`,
-    /// `Lagging`, resync markers) and batches carry none — a batch's
-    /// members each carry their own.
+    /// recovery markers) and batches carry none — a batch's members each
+    /// carry their own.
     pub fn trace(&self) -> TraceId {
         match self {
             DlmEvent::Updated(u) => u.trace,
@@ -514,7 +512,7 @@ const EV_MARKED: u8 = 2;
 const EV_RESOLVED: u8 = 3;
 const EV_READY: u8 = 4;
 const EV_RESYNC_REQUIRED: u8 = 5;
-const EV_LAGGING: u8 = 6;
+// 6 was `Lagging`: retired, never reused.
 const EV_DELTA: u8 = 7;
 const EV_BATCH: u8 = 8;
 const EV_CURSOR_ACK: u8 = 9;
@@ -550,7 +548,6 @@ impl Encode for DlmEvent {
                 w.put_u8(EV_RESYNC_REQUIRED);
                 oids.encode(w);
             }
-            DlmEvent::Lagging => w.put_u8(EV_LAGGING),
             DlmEvent::Delta {
                 oid,
                 version,
@@ -603,7 +600,6 @@ impl Decode for DlmEvent {
             EV_RESYNC_REQUIRED => DlmEvent::ResyncRequired {
                 oids: Vec::<Oid>::decode(r)?,
             },
-            EV_LAGGING => DlmEvent::Lagging,
             EV_DELTA => DlmEvent::Delta {
                 oid: Oid::decode(r)?,
                 version: u32::decode(r)?,
@@ -644,8 +640,12 @@ mod tests {
         assert_eq!(DlmRequest::decode_from_bytes(&bytes).unwrap(), r);
     }
 
-    fn rt_ev(e: DlmEvent) {
+    /// Round-trip `e` and pin its wire tag: the numbers are written out
+    /// here so a renumbering fails a test instead of shifting
+    /// `wire_bytes_per_commit`.
+    fn rt_ev(tag: u8, e: DlmEvent) {
         let bytes = e.encode_to_bytes();
+        assert_eq!(bytes[0], tag, "wire tag of {e:?}");
         assert_eq!(DlmEvent::decode_from_bytes(&bytes).unwrap(), e);
     }
 
@@ -693,34 +693,72 @@ mod tests {
     }
 
     #[test]
-    fn event_roundtrips() {
-        rt_ev(DlmEvent::Updated(UpdateInfo::eager(Oid::new(4), vec![9])));
-        rt_ev(DlmEvent::Marked {
-            oid: Oid::new(4),
-            txn: TxnId::new(2),
-        });
-        rt_ev(DlmEvent::Resolved {
-            oid: Oid::new(4),
-            txn: TxnId::new(2),
-            committed: true,
-        });
-        rt_ev(DlmEvent::Ready {
-            log_incarnations: vec![],
-        });
-        rt_ev(DlmEvent::Ready {
-            log_incarnations: vec![7, u64::MAX],
-        });
-        rt_ev(DlmEvent::ResyncRequired {
-            oids: vec![Oid::new(7), Oid::new(8)],
-        });
-        rt_ev(DlmEvent::ResyncRequired { oids: vec![] });
-        rt_ev(DlmEvent::Lagging);
-        rt_ev(DlmEvent::CursorAck { shard: 0, seqno: 0 });
-        rt_ev(DlmEvent::CursorAck {
-            shard: u32::MAX,
-            seqno: u64::MAX,
-        });
-        rt_ev(DlmEvent::ReplayNeeded { shard: 3, from: 42 });
+    fn event_roundtrips_with_pinned_tags() {
+        rt_ev(
+            1,
+            DlmEvent::Updated(UpdateInfo::eager(Oid::new(4), vec![9])),
+        );
+        rt_ev(
+            2,
+            DlmEvent::Marked {
+                oid: Oid::new(4),
+                txn: TxnId::new(2),
+            },
+        );
+        rt_ev(
+            3,
+            DlmEvent::Resolved {
+                oid: Oid::new(4),
+                txn: TxnId::new(2),
+                committed: true,
+            },
+        );
+        rt_ev(
+            4,
+            DlmEvent::Ready {
+                log_incarnations: vec![],
+            },
+        );
+        rt_ev(
+            4,
+            DlmEvent::Ready {
+                log_incarnations: vec![7, u64::MAX],
+            },
+        );
+        rt_ev(
+            5,
+            DlmEvent::ResyncRequired {
+                oids: vec![Oid::new(7), Oid::new(8)],
+            },
+        );
+        rt_ev(5, DlmEvent::ResyncRequired { oids: vec![] });
+        rt_ev(
+            7,
+            DlmEvent::Delta {
+                oid: Oid::new(11),
+                version: 3,
+                changed: vec![(1, vec![0xAA])],
+                trace: 0,
+            },
+        );
+        rt_ev(8, DlmEvent::Batch(vec![]));
+        rt_ev(9, DlmEvent::CursorAck { shard: 0, seqno: 0 });
+        rt_ev(
+            9,
+            DlmEvent::CursorAck {
+                shard: u32::MAX,
+                seqno: u64::MAX,
+            },
+        );
+        rt_ev(10, DlmEvent::ReplayNeeded { shard: 3, from: 42 });
+    }
+
+    #[test]
+    fn retired_tag_6_is_a_protocol_error() {
+        assert!(matches!(
+            DlmEvent::decode_from_bytes(&[6]),
+            Err(DbError::Protocol(_))
+        ));
     }
 
     #[test]
@@ -815,18 +853,24 @@ mod tests {
 
     #[test]
     fn delta_roundtrips() {
-        rt_ev(DlmEvent::Delta {
-            oid: Oid::new(11),
-            version: 3,
-            changed: vec![(1, vec![0xAA, 0xBB]), (7, vec![])],
-            trace: 0,
-        });
-        rt_ev(DlmEvent::Delta {
-            oid: Oid::new(11),
-            version: 3,
-            changed: vec![(1, vec![0xAA])],
-            trace: u64::MAX, // full-width varint survives the wire
-        });
+        rt_ev(
+            7,
+            DlmEvent::Delta {
+                oid: Oid::new(11),
+                version: 3,
+                changed: vec![(1, vec![0xAA, 0xBB]), (7, vec![])],
+                trace: 0,
+            },
+        );
+        rt_ev(
+            7,
+            DlmEvent::Delta {
+                oid: Oid::new(11),
+                version: 3,
+                changed: vec![(1, vec![0xAA])],
+                trace: u64::MAX, // full-width varint survives the wire
+            },
+        );
     }
 
     #[test]
@@ -847,22 +891,23 @@ mod tests {
             .trace(),
             0
         );
-        assert_eq!(DlmEvent::Lagging.trace(), 0);
     }
 
     #[test]
     fn batch_roundtrips_and_rejects_nesting() {
-        rt_ev(DlmEvent::Batch(vec![
-            DlmEvent::Updated(UpdateInfo::eager(Oid::new(4), vec![9])),
-            DlmEvent::Delta {
-                oid: Oid::new(5),
-                version: 1,
-                changed: vec![(0, vec![1])],
-                trace: 9,
-            },
-            DlmEvent::Lagging,
-        ]));
-        rt_ev(DlmEvent::Batch(vec![]));
+        rt_ev(
+            8,
+            DlmEvent::Batch(vec![
+                DlmEvent::Updated(UpdateInfo::eager(Oid::new(4), vec![9])),
+                DlmEvent::Delta {
+                    oid: Oid::new(5),
+                    version: 1,
+                    changed: vec![(0, vec![1])],
+                    trace: 9,
+                },
+                DlmEvent::CursorAck { shard: 0, seqno: 3 },
+            ]),
+        );
 
         let nested = {
             let mut w = WireWriter::new();

@@ -269,9 +269,9 @@ impl ShardedDlm {
     /// gets its own bounded outbox around it (DESIGN.md § 9), so the
     /// commit path only ever enqueues and one shard's backlog cannot
     /// block another's. An outbox mints `CursorAck{shard}` /
-    /// `ReplayNeeded{shard}` in its shard's seqno space when that
-    /// shard's log is enabled, and spills every cursor it acks as a
-    /// frontier record when the log is durable, so the client's
+    /// `ReplayNeeded{shard}` in its shard's seqno space, and spills
+    /// every cursor it acks as a frontier record when the log is
+    /// durable, so the client's
     /// per-shard progress survives a restart (the spill runs on the
     /// outbox writer thread, outside all outbox locks). Returns the
     /// outboxes, index = shard, for callers that drain them at shutdown.
@@ -296,7 +296,6 @@ impl ShardedDlm {
                     s as u32,
                     self.config.overload,
                     self.stats.overload.clone(),
-                    log.enabled(),
                     recorder,
                 );
                 core.register_client(client, Arc::clone(&outbox) as Arc<dyn EventSink>);
@@ -978,7 +977,6 @@ mod proptests {
                             }
                             DlmEvent::ReplayNeeded { .. } => "ReplayNeeded",
                             DlmEvent::ResyncRequired { .. } => "ResyncRequired",
-                            DlmEvent::Lagging => "Lagging",
                             other => panic!("unexpected control event {other:?}"),
                         };
                         if !variants.contains(&variant) {

@@ -381,7 +381,6 @@ const DLM_EVENT_VARIANTS: &[&str] = &[
     "Resolved",
     "Ready",
     "ResyncRequired",
-    "Lagging",
     "Delta",
     "Batch",
     "CursorAck",
@@ -396,7 +395,6 @@ fn _dlm_event_anchor(e: &displaydb_dlm::proto::DlmEvent) -> &'static str {
         E::Resolved { .. } => "Resolved",
         E::Ready { .. } => "Ready",
         E::ResyncRequired { .. } => "ResyncRequired",
-        E::Lagging => "Lagging",
         E::Delta { .. } => "Delta",
         E::Batch { .. } => "Batch",
         E::CursorAck { .. } => "CursorAck",
@@ -404,7 +402,7 @@ fn _dlm_event_anchor(e: &displaydb_dlm::proto::DlmEvent) -> &'static str {
     }
 }
 
-const DLC_EVENT_VARIANTS: &[&str] = &["Dlm", "Degraded", "Restored", "Lagging"];
+const DLC_EVENT_VARIANTS: &[&str] = &["Dlm", "Degraded", "Restored"];
 
 fn _dlc_event_anchor(e: &displaydb_client::dlc::DlcEvent) -> &'static str {
     use displaydb_client::dlc::DlcEvent as E;
@@ -412,7 +410,6 @@ fn _dlc_event_anchor(e: &displaydb_client::dlc::DlcEvent) -> &'static str {
         E::Dlm { .. } => "Dlm",
         E::Degraded => "Degraded",
         E::Restored => "Restored",
-        E::Lagging => "Lagging",
     }
 }
 

@@ -235,12 +235,6 @@ impl SessionHandle {
         all
     }
 
-    /// Whether this session's client has been demoted to resync-only
-    /// notification mode (slow consumer) on any shard.
-    pub fn is_lagging(&self) -> bool {
-        self.outboxes().iter().any(|outbox| outbox.is_lagging())
-    }
-
     /// Push a message without expecting an ack.
     pub fn push(&self, push: ServerPush) -> DbResult<()> {
         self.stats.pushes.inc();

@@ -328,7 +328,9 @@ impl Response {
         }
     }
 
-    /// Convert a wire error back into a [`DbError`].
+    /// Convert a wire error back into a [`DbError`]. Only the retryable
+    /// kinds survive the wire as themselves; every other kind arrives as
+    /// `Rejected` with the original message (see the `DbError` taxonomy).
     pub fn into_result(self) -> DbResult<Response> {
         match self {
             Response::Error { kind, message } => Err(match kind.as_str() {
@@ -339,7 +341,6 @@ impl Response {
                 "disconnected" => DbError::Disconnected,
                 "timeout" => DbError::Timeout(message),
                 "overloaded" => DbError::Overloaded,
-                "object_not_found" => DbError::Rejected(message),
                 _ => DbError::Rejected(message),
             }),
             other => Ok(other),
@@ -986,6 +987,14 @@ mod tests {
             message: "shed".into(),
         };
         assert!(matches!(o.into_result(), Err(DbError::Overloaded)));
+        // A fatal kind does not survive the wire: it arrives as
+        // `Rejected` carrying the server's message.
+        let n = Response::from_error(&DbError::ObjectNotFound(Oid::new(7)));
+        let wire_message = DbError::ObjectNotFound(Oid::new(7)).to_string();
+        assert!(matches!(
+            n.into_result(),
+            Err(DbError::Rejected(m)) if m == wire_message
+        ));
         assert!(Response::Ok.into_result().is_ok());
     }
 

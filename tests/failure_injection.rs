@@ -493,19 +493,18 @@ fn dlm_agent_restart_relocks_and_notifies() {
 /// Network outage with a live server: timeouts during the partition
 /// window, stale-marked serving while disconnected, then a *resumed*
 /// session (same identity, epoch + 1) whose resync refreshes exactly
-/// what changed during the gap. Pinned to the legacy (no update log)
-/// protocol so the resync-on-resume path keeps coverage — with the
-/// log on, a resume becomes a cursor replay instead, which
-/// tests/replay_recovery.rs covers.
+/// what changed during the gap. The update log loses the gap's suffix
+/// during the outage, so the resume takes the resync path; a resume the
+/// log still covers is a cursor replay, which tests/replay_recovery.rs
+/// covers.
 #[test]
 fn partition_serves_stale_then_resumes_and_resyncs() {
     use displaydb::viz::Color;
     use std::sync::atomic::{AtomicBool, Ordering};
     let catalog = Arc::new(nms_catalog());
     let hub = LocalHub::new();
-    let mut config = ServerConfig::new(tmp("partition"));
-    config.dlm.log = displaydb::common::UpdateLogConfig::disabled();
-    let _server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
+    let config = ServerConfig::new(tmp("partition"));
+    let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
 
     // First connection goes through a fault-injecting wrapper; reconnect
     // attempts are held off while `gate` is closed, then connect clean.
@@ -577,11 +576,13 @@ fn partition_serves_stale_then_resumes_and_resyncs() {
     let err = client.read_fresh(link.oid).unwrap_err();
     assert!(matches!(err, DbError::Timeout(_) | DbError::Disconnected));
 
-    // Meanwhile the rest of the world moves on.
+    // Meanwhile the rest of the world moves on, and the log loses the
+    // suffix the client would have replayed.
     let mut txn = updater.begin().unwrap();
     txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.95))
         .unwrap();
     txn.commit().unwrap();
+    server.core().dlm().update_log_of(0).truncate_all();
 
     // Let the supervisor through: the session resumes (same identity,
     // epoch + 1), the changed object is reported stale and refreshed,

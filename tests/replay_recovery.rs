@@ -1,9 +1,8 @@
 //! Replay recovery: cursor catch-up over the DLM update log.
 //!
-//! PR 6's tentpole turns reconnect recovery from "invalidate and re-read
-//! everything" into "replay the logged suffix past my cursor". These
-//! tests pin the four load-bearing behaviours end to end, over real
-//! server/client pairs:
+//! Recovery is "replay the logged suffix past my cursor", not
+//! "invalidate and re-read everything". These tests pin the load-bearing
+//! behaviours end to end, over real server/client pairs:
 //!
 //! - a resumed session with a retained cursor converges by replay and
 //!   never issues a resync;
@@ -11,10 +10,9 @@
 //!   (`replay_truncations == 1`), not a storm of them;
 //! - replay is interest-filtered — a viewer only receives the suffix
 //!   that intersects its registered locks;
-//! - outbox overflow in replay mode sweeps to a `ReplayNeeded` marker
-//!   the client answers automatically, replacing the legacy
-//!   `ResyncRequired` path (pinned separately in tests/overload.rs with
-//!   the log disabled);
+//! - outbox overflow sweeps to a `ReplayNeeded` marker the client
+//!   answers automatically, with the server's queue depth bounded and
+//!   no early-notify mark left stuck by the sweep;
 //! - repeated disconnects keep the cursor monotone with zero gap events
 //!   (the gap counter is diagnostic, never fatal).
 //!
@@ -463,20 +461,36 @@ fn replay_is_interest_filtered() {
     drop(server);
 }
 
-/// Outbox overflow with the log on: the backlog sweeps to a single
-/// `ReplayNeeded` marker, the viewer answers it with `ReplayFrom` on its
-/// own, and converges by replay — the legacy `ResyncRequired` path
-/// (pinned in tests/overload.rs with the log disabled) never fires.
-#[test]
-fn overflow_sweeps_to_replay_needed_and_converges() {
+/// A 40-link map watched in full by a viewer whose server→client frames
+/// `plan` can delay, an updater on a clean link, and a server whose
+/// outboxes overflow past `STORM_HIGH_WATER` queued events.
+struct StormFixture {
+    catalog: Arc<Catalog>,
+    server: Server,
+    plan: Arc<FaultPlan>,
+    fast_hub: LocalHub,
+    updater: Arc<DbClient>,
+    viewer: Arc<DbClient>,
+    display: Arc<Display>,
+    oids: Vec<Oid>,
+    ids: Vec<DoId>,
+}
+
+const STORM_HIGH_WATER: usize = 8;
+
+fn storm_fixture(name: &str, protocol: NotifyProtocol) -> StormFixture {
     let catalog = Arc::new(nms_catalog());
     let fast_hub = LocalHub::new();
     let slow_hub = LocalHub::new();
     let plan = Arc::new(FaultPlan::new());
-    let mut config = ServerConfig::new(tmp("overflow-replay"));
-    config.dlm.overload.outbox_high_water = 8;
-    // Same decoupling as the legacy twin: async callbacks let the storm
-    // burst while the viewer's writer is parked in a delayed send.
+    let mut config = ServerConfig::new(tmp(name));
+    config.dlm.protocol = protocol;
+    config.dlm.overload.outbox_high_water = STORM_HIGH_WATER;
+    // Async invalidation callbacks: with synchronous ones each storm
+    // commit waits ~one injected delay for the viewer's callback ack,
+    // which paces enqueues at exactly the stalled writer's drain rate —
+    // the queue would never build. Decoupled, the storm bursts and the
+    // backlog piles up behind the parked writer deterministically.
     config.sync_callbacks = false;
     let server = Server::spawn(
         Arc::clone(&catalog),
@@ -502,6 +516,9 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
     )
     .unwrap();
 
+    // A storm on one object coalesces in place (latest wins) and never
+    // overflows — the sweep is for bursts across *many* objects, so
+    // build a 40-link topology the viewer watches in full.
     let mut oids = Vec::new();
     let mut txn = updater.begin().unwrap();
     for _ in 0..40 {
@@ -520,8 +537,13 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
         })
         .collect();
 
-    // Flush cached copies and drain before arming the delay (see the
-    // legacy twin for why this is paced commit-by-commit).
+    // Flush the viewer's cached copies before any delay is armed (a
+    // client holding copies paces committers through the callback push),
+    // and drain the resulting notifications. One commit per link: each
+    // commit is a full client→server round-trip, which paces the
+    // enqueues so the (healthy, undelayed) writer drains between them —
+    // a single 40-write burst here can trip the high-water mark on its
+    // own and sweep before the storm.
     for &oid in &oids {
         let mut txn = updater.begin().unwrap();
         txn.update(oid, |o| o.set(&catalog, "Utilization", 0.01))
@@ -535,31 +557,112 @@ fn overflow_sweeps_to_replay_needed_and_converges() {
         > 0
     {}
 
-    // Park the writer and land the whole storm behind it in one commit.
-    plan.set_delay(1000, Duration::from_millis(400));
-    let mut txn = updater.begin().unwrap();
-    for &oid in &oids {
-        txn.update(oid, |o| o.set(&catalog, "Utilization", 0.95))
+    StormFixture {
+        catalog,
+        server,
+        plan,
+        fast_hub,
+        updater,
+        viewer,
+        display,
+        oids,
+        ids,
+    }
+}
+
+impl StormFixture {
+    /// Stall the viewer's channel hard — the outbox writer parks in one
+    /// 400 ms send — and land one commit over `links` behind it. One
+    /// commit makes the burst land atomically relative to the parked
+    /// writer: commit-by-commit the storm only stays ahead of the park on
+    /// an unloaded machine.
+    fn storm(&self, links: &[Oid]) {
+        self.plan.set_delay(1000, Duration::from_millis(400));
+        let mut txn = self.updater.begin().unwrap();
+        for &oid in links {
+            txn.update(oid, |o| o.set(&self.catalog, "Utilization", 0.95))
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        let overload = &self.server.core().dlm().stats().overload;
+        assert!(overload.overflows.get() >= 1, "outbox never overflowed");
+        // The memory bound: a stalled viewer costs the server at most
+        // the high-water mark plus the marker, whatever the storm's size.
+        assert!(
+            overload.queue_depth.high_water() <= STORM_HIGH_WATER as u64 + 1,
+            "outbox depth exceeded the high-water mark: {}",
+            overload.queue_depth.high_water()
+        );
+    }
+
+    /// The link heals; every display object in `ids` must converge — by
+    /// replay, never by resync.
+    fn heal_and_converge(&self, ids: &[DoId]) {
+        self.plan.clear_delay();
+        for &id in ids {
+            await_value(&self.display, id, 0.95, Duration::from_secs(30));
+        }
+        assert!(
+            self.viewer.dlc().stats().replays_requested.get() >= 1,
+            "the sweep must arrive as a ReplayNeeded the viewer answers"
+        );
+        assert_eq!(
+            self.viewer.dlc().stats().resyncs_in.get(),
+            0,
+            "overflow must never fall back to resync while the log covers the cursor"
+        );
+    }
+}
+
+/// Outbox overflow: the backlog sweeps to a single `ReplayNeeded` marker,
+/// the viewer answers it with `ReplayFrom` on its own, and converges by
+/// replay with the server's queue depth bounded throughout.
+#[test]
+fn overflow_sweeps_to_replay_needed_and_converges() {
+    let fx = storm_fixture("overflow-replay", NotifyProtocol::PostCommit);
+    fx.storm(&fx.oids);
+    fx.heal_and_converge(&fx.ids);
+}
+
+/// Early-notify marks are never logged, so a sweep (and the replay-pending
+/// window after it) can swallow the `Resolved` of a mark the viewer is
+/// already showing, and the replay has nothing to say about an object no
+/// transaction committed to. The viewer must drop its marks when it hears
+/// `ReplayNeeded` — otherwise the link stays rendered "being updated"
+/// until its next refresh, possibly forever.
+#[test]
+fn overflow_clears_a_mark_whose_resolution_was_swept() {
+    let fx = storm_fixture("overflow-mark", NotifyProtocol::EarlyNotify);
+    let marker = DbClient::connect(
+        Box::new(fx.fast_hub.connect().unwrap()),
+        ClientConfig::named("marker"),
+    )
+    .unwrap();
+
+    // A second updater's open transaction marks one link on the map.
+    let (marked_oid, marked_id) = (fx.oids[0], fx.ids[0]);
+    let mut open = marker.begin().unwrap();
+    open.lock_exclusive(marked_oid).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while fx.display.object(marked_id).unwrap().marked_by.is_none() {
+        assert!(Instant::now() < deadline, "the mark never reached the map");
+        fx.display
+            .wait_and_process(Duration::from_millis(100))
             .unwrap();
     }
-    txn.commit().unwrap();
-    let overload = &server.core().dlm().stats().overload;
-    assert!(overload.overflows.get() >= 1, "outbox never overflowed");
 
-    plan.clear_delay();
-    for &id in &ids {
-        await_value(&display, id, 0.95, Duration::from_secs(30));
-    }
-    assert!(
-        viewer.dlc().stats().replays_requested.get() >= 1,
-        "the sweep must arrive as a ReplayNeeded the viewer answers"
-    );
+    // Storm the other 39 links past the high-water mark, then abort the
+    // marking transaction while the viewer's outbox is still waiting for
+    // its `ReplayFrom`: the `Resolved` is dropped on the floor.
+    fx.storm(&fx.oids[1..]);
+    open.abort().unwrap();
+
+    fx.heal_and_converge(&fx.ids[1..]);
     assert_eq!(
-        viewer.dlc().stats().resyncs_in.get(),
-        0,
-        "with the log on, overflow must never fall back to resync"
+        fx.display.object(marked_id).unwrap().marked_by,
+        None,
+        "a mark whose Resolved was swept must not outlive the sweep"
     );
-    drop(server);
 }
 
 /// Wait until the viewer holds a positive cursor on every shard, so the
