@@ -3,34 +3,16 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use displaydb_client::dlc::{Dlc, DlmBackend};
-use displaydb_common::{DbResult, DisplayId, Oid, TxnId};
+use displaydb_common::{DbResult, DisplayId, Oid};
 use displaydb_display::{DisplayCache, DisplayObject};
-use displaydb_dlm::{DlmEvent, ShardCursor, UpdateInfo};
+use displaydb_dlm::{DlmEvent, DlmRequest, UpdateInfo};
 use displaydb_schema::Value;
 use std::hint::black_box;
 use std::sync::Arc;
 
 struct NullBackend;
 impl DlmBackend for NullBackend {
-    fn lock(&self, _: Vec<Oid>) -> DbResult<()> {
-        Ok(())
-    }
-    fn lock_projected(&self, _: Vec<Oid>, _: Vec<u16>, _: u32) -> DbResult<()> {
-        Ok(())
-    }
-    fn release(&self, _: Vec<Oid>) -> DbResult<()> {
-        Ok(())
-    }
-    fn report_commit(&self, _: Vec<UpdateInfo>) -> DbResult<()> {
-        Ok(())
-    }
-    fn report_intent(&self, _: Vec<Oid>, _: TxnId) -> DbResult<()> {
-        Ok(())
-    }
-    fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
-        Ok(())
-    }
-    fn replay_from(&self, _: Vec<ShardCursor>) -> DbResult<()> {
+    fn send(&self, _: DlmRequest) -> DbResult<()> {
         Ok(())
     }
 }

@@ -11,7 +11,6 @@ pub mod e2_client_overhead;
 pub mod e3_server_overhead;
 pub mod e4_propagation;
 pub mod e5_memory;
-pub mod obs;
 pub mod r1_recovery;
 pub mod r2_overload;
 pub mod r3_delta;
@@ -39,9 +38,8 @@ pub fn run_all(scale: Scale) -> Vec<Table> {
     out.extend(r3_delta::run(scale));
     out.extend(r4_replay::run(scale));
     out.extend(r5_restart::run(scale));
-    // Last: R6 and OBS toggle the global trace sink on and off, so they
-    // must not interleave with the timing-sensitive experiments above.
+    // Last: R6 toggles the global trace sink on and off, so it must not
+    // interleave with the timing-sensitive experiments above.
     out.extend(r6_shards::run(scale));
-    out.extend(obs::run(scale));
     out
 }

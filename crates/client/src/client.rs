@@ -9,7 +9,7 @@ use crate::txn::ClientTxn;
 use displaydb_common::backoff::ReconnectPolicy;
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
-use displaydb_dlm::{DlmAgentConnection, DlmEvent, ShardCursor, UpdateInfo};
+use displaydb_dlm::{DlmAgentConnection, DlmEvent, DlmRequest};
 use displaydb_schema::{Catalog, DbObject};
 use displaydb_server::proto::{Request, Response, ResumeRequest};
 use displaydb_wire::{Channel, Decode};
@@ -100,49 +100,15 @@ impl ConnCell {
 }
 
 /// Integrated deployment: display-lock traffic rides the main server
-/// connection; the server's own commit path raises notifications, so
-/// reporting methods are no-ops.
+/// connection as `Request::Dlm`, an RPC, so a returned `send` means the
+/// server's DLM has applied the request.
 struct IntegratedBackend {
     conn: Arc<ConnCell>,
 }
 
 impl DlmBackend for IntegratedBackend {
-    fn lock(&self, oids: Vec<Oid>) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::DisplayLock { oids })
-            .map(|_| ())
-    }
-    fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::DisplayLockProjected {
-                oids,
-                attrs,
-                version,
-            })
-            .map(|_| ())
-    }
-    fn release(&self, oids: Vec<Oid>) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::DisplayRelease { oids })
-            .map(|_| ())
-    }
-    fn report_commit(&self, _updates: Vec<UpdateInfo>) -> DbResult<()> {
-        Ok(())
-    }
-    fn report_intent(&self, _oids: Vec<Oid>, _txn: TxnId) -> DbResult<()> {
-        Ok(())
-    }
-    fn report_resolution(&self, _oids: Vec<Oid>, _txn: TxnId, _committed: bool) -> DbResult<()> {
-        Ok(())
-    }
-    fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
-        self.conn
-            .get()
-            .call(Request::ReplayFrom { cursors })
-            .map(|_| ())
+    fn send(&self, request: DlmRequest) -> DbResult<()> {
+        self.conn.get().call(Request::Dlm(request)).map(|_| ())
     }
 }
 
@@ -172,26 +138,8 @@ impl AgentCell {
 }
 
 impl DlmBackend for AgentCell {
-    fn lock(&self, oids: Vec<Oid>) -> DbResult<()> {
-        self.get()?.lock(oids)
-    }
-    fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()> {
-        self.get()?.lock_projected(oids, attrs, version)
-    }
-    fn release(&self, oids: Vec<Oid>) -> DbResult<()> {
-        self.get()?.release(oids)
-    }
-    fn report_commit(&self, updates: Vec<UpdateInfo>) -> DbResult<()> {
-        self.get()?.report_commit(updates)
-    }
-    fn report_intent(&self, oids: Vec<Oid>, txn: TxnId) -> DbResult<()> {
-        self.get()?.report_intent(oids, txn)
-    }
-    fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()> {
-        self.get()?.report_resolution(oids, txn, committed)
-    }
-    fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
-        self.get()?.replay_from(cursors)
+    fn send(&self, request: DlmRequest) -> DbResult<()> {
+        self.get()?.send(request)
     }
 }
 
@@ -505,7 +453,9 @@ impl DbClient {
                 // cursors: catch-up instead of resync across a restart.
                 recovery.cross_restart_replays.inc();
             }
-            self.dlc.backend().replay_from(cursors)?;
+            self.dlc
+                .backend()
+                .send(DlmRequest::ReplayFrom { cursors })?;
         } else {
             if outcome.resumed {
                 recovery.replay_truncations.inc();
@@ -556,7 +506,7 @@ impl DbClient {
         let survived = cursors
             .iter()
             .any(|sc| agent.log_incarnations().get(sc.shard as usize) == Some(&sc.log_incarnation));
-        let replayed = survived && agent.replay_from(cursors).is_ok();
+        let replayed = survived && agent.send(DlmRequest::ReplayFrom { cursors }).is_ok();
         if replayed {
             // Cursor validity crossed connection (and, with a durable
             // log, process) lifetimes (DESIGN.md § 14).

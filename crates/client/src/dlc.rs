@@ -10,41 +10,24 @@
 //! * receives each update notification **once** and dispatches it locally
 //!   to every display that depends on the object.
 //!
-//! The DLC speaks to either DLM deployment through the [`DlmBackend`]
-//! trait: the integrated server (lock requests ride the main connection)
-//! or the standalone agent (a dedicated connection, as in the paper).
+//! The DLC speaks one message set, [`DlmRequest`], to either DLM
+//! deployment; [`DlmBackend`] is only the link it goes out on: the
+//! integrated server (wrapped in `Request::Dlm` on the main connection)
+//! or the standalone agent (as is, on a dedicated connection, as in the
+//! paper).
 
 use displaydb_common::metrics::{Counter, Gauge};
 use displaydb_common::sync::{ranks, OrderedMutex};
-use displaydb_common::{DbResult, DisplayId, Oid, OverloadConfig, TxnId};
-use displaydb_dlm::{DlmEvent, ShardCursor, UpdateInfo};
+use displaydb_common::{DbResult, DisplayId, Oid, OverloadConfig};
+use displaydb_dlm::{DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// How the DLC reaches the DLM.
 pub trait DlmBackend: Send + Sync {
-    /// Forward a display-lock request.
-    fn lock(&self, oids: Vec<Oid>) -> DbResult<()>;
-    /// Forward a display-lock request with an attribute projection: the
-    /// DLM should only notify for changes touching `attrs` (layout
-    /// indices), as deltas tagged with `version`.
-    fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()>;
-    /// Forward a release.
-    fn release(&self, oids: Vec<Oid>) -> DbResult<()>;
-    /// Report a committed update (agent deployment only; the integrated
-    /// server notifies from its own commit path, so this is a no-op
-    /// there).
-    fn report_commit(&self, updates: Vec<UpdateInfo>) -> DbResult<()>;
-    /// Report an update intention (agent deployment only).
-    fn report_intent(&self, oids: Vec<Oid>, txn: TxnId) -> DbResult<()>;
-    /// Report an intention's resolution (agent deployment only).
-    fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()>;
-    /// Ask the DLM to replay, per listed shard, every logged update past
-    /// the cursor that intersects this client's interests. The suffix
-    /// (or, for a shard whose cursor was truncated or acked under
-    /// another log incarnation, a `ResyncRequired` fallback) arrives on
-    /// the notification stream.
-    fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()>;
+    /// Forward one request. Nothing comes back but the link's own
+    /// failure: outcomes arrive on the notification stream.
+    fn send(&self, request: DlmRequest) -> DbResult<()>;
 }
 
 /// What a display receives from its DLC subscription: either a DLM
@@ -293,7 +276,8 @@ impl Dlc {
         &self.stats
     }
 
-    /// The backend (for reporting commits in the agent deployment).
+    /// The backend (for a client's own reports in the agent deployment,
+    /// see `DbClient::reports_to_dlm`).
     pub fn backend(&self) -> &Arc<dyn DlmBackend> {
         &self.backend
     }
@@ -352,7 +336,7 @@ impl Dlc {
         };
         if !new.is_empty() {
             self.stats.dlm_lock_messages.add(new.len() as u64);
-            self.backend.lock(new)?;
+            self.backend.send(DlmRequest::Lock { oids: new })?;
         }
         Ok(())
     }
@@ -408,8 +392,12 @@ impl Dlc {
         if !groups.is_empty() {
             let n: usize = groups.values().map(Vec::len).sum();
             self.stats.dlm_lock_messages.add(n as u64);
-            for (union, oids) in groups {
-                self.backend.lock_projected(oids, union, version)?;
+            for (attrs, oids) in groups {
+                self.backend.send(DlmRequest::LockProjected {
+                    oids,
+                    attrs,
+                    version,
+                })?;
             }
         }
         Ok(())
@@ -444,7 +432,7 @@ impl Dlc {
         };
         if !gone.is_empty() {
             self.stats.dlm_release_messages.add(gone.len() as u64);
-            self.backend.release(gone)?;
+            self.backend.send(DlmRequest::Release { oids: gone })?;
         }
         Ok(())
     }
@@ -509,7 +497,9 @@ impl Dlc {
                 let _ = std::thread::Builder::new()
                     .name("dlc-replay".into())
                     .spawn(move || {
-                        let _ = backend.replay_from(vec![cursor]);
+                        let _ = backend.send(DlmRequest::ReplayFrom {
+                            cursors: vec![cursor],
+                        });
                     });
                 // The sweep also took unlogged `Marked`/`Resolved`
                 // events the replay cannot bring back: every display
@@ -656,10 +646,14 @@ impl Dlc {
         }
         self.stats.dlm_lock_messages.add(n as u64);
         if !plain.is_empty() {
-            self.backend.lock(plain)?;
+            self.backend.send(DlmRequest::Lock { oids: plain })?;
         }
         for (attrs, version, oids) in groups {
-            self.backend.lock_projected(oids, attrs, version)?;
+            self.backend.send(DlmRequest::LockProjected {
+                oids,
+                attrs,
+                version,
+            })?;
         }
         Ok(n)
     }
@@ -697,43 +691,62 @@ mod tests {
     use displaydb_common::DbError;
     use parking_lot::Mutex;
 
-    /// (oids, projected attrs, projection version) per lock_projected call.
+    /// (oids, projected attrs, projection version) per `LockProjected`.
     type ProjectedCall = (Vec<Oid>, Vec<u16>, u32);
 
+    /// Records every request the DLC sends, in order.
     #[derive(Default)]
     struct MockBackend {
-        locks: Mutex<Vec<Oid>>,
-        releases: Mutex<Vec<Oid>>,
-        projected: Mutex<Vec<ProjectedCall>>,
-        /// The cursor vector of each replay request reaching the backend.
-        replays: Mutex<Vec<Vec<ShardCursor>>>,
+        sent: Mutex<Vec<DlmRequest>>,
     }
 
     impl DlmBackend for MockBackend {
-        fn lock(&self, oids: Vec<Oid>) -> DbResult<()> {
-            self.locks.lock().extend(oids);
+        fn send(&self, request: DlmRequest) -> DbResult<()> {
+            self.sent.lock().push(request);
             Ok(())
         }
-        fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()> {
-            self.projected.lock().push((oids, attrs, version));
-            Ok(())
+    }
+
+    impl MockBackend {
+        fn pick<T>(&self, f: impl Fn(&DlmRequest) -> Option<T>) -> Vec<T> {
+            self.sent.lock().iter().filter_map(f).collect()
         }
-        fn release(&self, oids: Vec<Oid>) -> DbResult<()> {
-            self.releases.lock().extend(oids);
-            Ok(())
+
+        /// The OIDs of every plain `Lock` sent, flattened.
+        fn locks(&self) -> Vec<Oid> {
+            let per_request = self.pick(|r| match r {
+                DlmRequest::Lock { oids } => Some(oids.clone()),
+                _ => None,
+            });
+            per_request.concat()
         }
-        fn report_commit(&self, _: Vec<UpdateInfo>) -> DbResult<()> {
-            Ok(())
+
+        /// The OIDs of every `Release` sent, flattened.
+        fn releases(&self) -> Vec<Oid> {
+            let per_request = self.pick(|r| match r {
+                DlmRequest::Release { oids } => Some(oids.clone()),
+                _ => None,
+            });
+            per_request.concat()
         }
-        fn report_intent(&self, _: Vec<Oid>, _: TxnId) -> DbResult<()> {
-            Ok(())
+
+        fn projected(&self) -> Vec<ProjectedCall> {
+            self.pick(|r| match r {
+                DlmRequest::LockProjected {
+                    oids,
+                    attrs,
+                    version,
+                } => Some((oids.clone(), attrs.clone(), *version)),
+                _ => None,
+            })
         }
-        fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
-            Ok(())
-        }
-        fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
-            self.replays.lock().push(cursors);
-            Ok(())
+
+        /// The cursor vector of each `ReplayFrom` sent.
+        fn replays(&self) -> Vec<Vec<ShardCursor>> {
+            self.pick(|r| match r {
+                DlmRequest::ReplayFrom { cursors } => Some(cursors.clone()),
+                _ => None,
+            })
         }
     }
 
@@ -753,7 +766,7 @@ mod tests {
         let _r2 = dlc.register_display(d(2));
         dlc.acquire(d(1), &[o(1), o(2)]).unwrap();
         dlc.acquire(d(2), &[o(1), o(3)]).unwrap(); // o(1) already locked
-        assert_eq!(backend.locks.lock().len(), 3, "o(1) must not lock twice");
+        assert_eq!(backend.locks().len(), 3, "o(1) must not lock twice");
         assert_eq!(dlc.stats().local_lock_requests.get(), 4);
         assert_eq!(dlc.stats().dlm_lock_messages.get(), 3);
     }
@@ -767,9 +780,9 @@ mod tests {
         dlc.acquire(d(1), &[o(1)]).unwrap();
         dlc.acquire(d(2), &[o(1)]).unwrap();
         dlc.release(d(1), &[o(1)]).unwrap();
-        assert!(backend.releases.lock().is_empty(), "d(2) still watches");
+        assert!(backend.releases().is_empty(), "d(2) still watches");
         dlc.release(d(2), &[o(1)]).unwrap();
-        assert_eq!(*backend.releases.lock(), vec![o(1)]);
+        assert_eq!(backend.releases(), vec![o(1)]);
         assert_eq!(dlc.locked_objects(), 0);
     }
 
@@ -800,7 +813,7 @@ mod tests {
         dlc.acquire(d(1), &[o(1), o(2), o(3)]).unwrap();
         dlc.release_display(d(1)).unwrap();
         assert_eq!(dlc.locked_objects(), 0);
-        assert_eq!(backend.releases.lock().len(), 3);
+        assert_eq!(backend.releases().len(), 3);
         dlc.dispatch(DlmEvent::Updated(UpdateInfo::lazy(o(1))));
         assert!(r1.try_recv().is_err());
     }
@@ -813,7 +826,7 @@ mod tests {
         dlc.acquire(d(1), &[o(1)]).unwrap();
         dlc.release(d(1), &[o(1)]).unwrap();
         dlc.acquire(d(1), &[o(1)]).unwrap();
-        assert_eq!(backend.locks.lock().len(), 2);
+        assert_eq!(backend.locks().len(), 2);
     }
 
     #[test]
@@ -823,7 +836,7 @@ mod tests {
         let r1 = dlc.register_display(d(1));
         dlc.acquire(d(1), &[o(1), o(2)]).unwrap();
         assert_eq!(dlc.relock_all().unwrap(), 2, "replays all registrations");
-        assert_eq!(backend.locks.lock().len(), 4);
+        assert_eq!(backend.locks().len(), 4);
 
         // Resync only touches watched objects.
         assert_eq!(dlc.resync(&[o(1), o(9)]), 1);
@@ -892,8 +905,7 @@ mod tests {
 
     fn registered_version(backend: &MockBackend, oid: Oid) -> u32 {
         backend
-            .projected
-            .lock()
+            .projected()
             .iter()
             .rev()
             .find(|(oids, _, _)| oids.contains(&oid))
@@ -909,7 +921,7 @@ mod tests {
         let _r2 = dlc.register_display(d(2));
         dlc.acquire_projected(d(1), &[o(1)], &[2, 0]).unwrap();
         dlc.acquire_projected(d(2), &[o(1)], &[3]).unwrap();
-        let calls = backend.projected.lock();
+        let calls = backend.projected();
         assert_eq!(calls.len(), 2);
         assert_eq!(calls[0].1, vec![0, 2], "attrs sorted");
         assert_eq!(
@@ -918,7 +930,7 @@ mod tests {
             "second registration is the union"
         );
         assert!(calls[1].2 > calls[0].2, "version advances");
-        assert!(backend.locks.lock().is_empty(), "no plain lock sent");
+        assert!(backend.locks().is_empty(), "no plain lock sent");
     }
 
     #[test]
@@ -929,7 +941,7 @@ mod tests {
         let _r2 = dlc.register_display(d(2));
         dlc.acquire_projected(d(1), &[o(1)], &[0, 1]).unwrap();
         dlc.acquire_projected(d(2), &[o(1)], &[1]).unwrap(); // subset: union unchanged
-        assert_eq!(backend.projected.lock().len(), 1);
+        assert_eq!(backend.projected().len(), 1);
     }
 
     #[test]
@@ -942,7 +954,7 @@ mod tests {
         // A plain acquire by a second display must widen the DLM
         // registration even though the lock is not a 0→1 transition.
         dlc.acquire(d(2), &[o(1)]).unwrap();
-        assert_eq!(*backend.locks.lock(), vec![o(1)]);
+        assert_eq!(backend.locks(), vec![o(1)]);
         // Stale deltas against the retired registration now fall back.
         let r1 = dlc.register_display(d(1));
         let version = registered_version(&backend, o(1));
@@ -1034,11 +1046,10 @@ mod tests {
         dlc.acquire_projected(d(1), &[o(1)], &[0, 1]).unwrap();
         dlc.acquire(d(2), &[o(2)]).unwrap();
         let version = registered_version(&backend, o(1));
-        backend.projected.lock().clear();
-        backend.locks.lock().clear();
+        backend.sent.lock().clear();
         assert_eq!(dlc.relock_all().unwrap(), 2);
-        assert_eq!(*backend.locks.lock(), vec![o(2)]);
-        let calls = backend.projected.lock();
+        assert_eq!(backend.locks(), vec![o(2)]);
+        let calls = backend.projected();
         assert_eq!(calls.len(), 1);
         assert_eq!(calls[0].0, vec![o(1)]);
         assert_eq!(calls[0].1, vec![0, 1]);
@@ -1062,16 +1073,15 @@ mod tests {
         dlc.acquire_projected(d(1), &[o(1)], &[3]).unwrap();
         dlc.acquire_projected(d(1), &[o(2)], &[3]).unwrap();
         dlc.acquire_projected(d(1), &[o(3)], &[3]).unwrap();
-        assert_eq!(backend.projected.lock().len(), 3, "three registrations");
-        backend.projected.lock().clear();
+        assert_eq!(backend.projected().len(), 3, "three registrations");
+        backend.sent.lock().clear();
         assert_eq!(dlc.relock_all().unwrap(), 3);
-        let calls = backend.projected.lock();
+        let calls = backend.projected();
         assert_eq!(calls.len(), 1, "one message for the shared union");
         let mut oids = calls[0].0.clone();
         oids.sort();
         assert_eq!(oids, vec![o(1), o(2), o(3)]);
         assert_eq!(calls[0].1, vec![3]);
-        drop(calls);
         // Deltas tagged with the fresh version apply.
         let version = registered_version(&backend, o(2));
         dlc.dispatch(delta(o(2), version));
@@ -1142,7 +1152,7 @@ mod tests {
         // In-range traffic still works afterwards.
         dlc.dispatch(DlmEvent::CursorAck { shard: 1, seqno: 8 });
         assert_eq!(dlc.cursor_of(1), 8);
-        assert!(backend.replays.lock().is_empty());
+        assert!(backend.replays().is_empty());
     }
 
     #[test]
@@ -1161,7 +1171,7 @@ mod tests {
         // The replay request goes out from a detached thread.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
         loop {
-            if !backend.replays.lock().is_empty() {
+            if !backend.replays().is_empty() {
                 break;
             }
             assert!(
@@ -1170,7 +1180,7 @@ mod tests {
             );
             std::thread::yield_now();
         }
-        assert_eq!(*backend.replays.lock(), vec![vec![sc(3, 11, 73)]]);
+        assert_eq!(backend.replays(), vec![vec![sc(3, 11, 73)]]);
         assert_eq!(dlc.stats().replays_requested.get(), 1);
         // Every display hears the marker (its marks are void), watched
         // objects or not.
@@ -1186,26 +1196,8 @@ mod tests {
     fn backend_error_propagates() {
         struct FailBackend;
         impl DlmBackend for FailBackend {
-            fn lock(&self, _: Vec<Oid>) -> DbResult<()> {
+            fn send(&self, _: DlmRequest) -> DbResult<()> {
                 Err(DbError::Disconnected)
-            }
-            fn lock_projected(&self, _: Vec<Oid>, _: Vec<u16>, _: u32) -> DbResult<()> {
-                Err(DbError::Disconnected)
-            }
-            fn release(&self, _: Vec<Oid>) -> DbResult<()> {
-                Ok(())
-            }
-            fn report_commit(&self, _: Vec<UpdateInfo>) -> DbResult<()> {
-                Ok(())
-            }
-            fn report_intent(&self, _: Vec<Oid>, _: TxnId) -> DbResult<()> {
-                Ok(())
-            }
-            fn report_resolution(&self, _: Vec<Oid>, _: TxnId, _: bool) -> DbResult<()> {
-                Ok(())
-            }
-            fn replay_from(&self, _: Vec<ShardCursor>) -> DbResult<()> {
-                Ok(())
             }
         }
         let dlc = Dlc::new(Arc::new(FailBackend));

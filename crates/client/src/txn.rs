@@ -10,7 +10,7 @@
 
 use crate::client::DbClient;
 use displaydb_common::{DbError, DbResult, Oid, TxnId};
-use displaydb_dlm::UpdateInfo;
+use displaydb_dlm::{DlmRequest, UpdateInfo};
 use displaydb_schema::DbObject;
 use displaydb_server::proto::{Request, Response, WireLockMode};
 use displaydb_wire::Encode;
@@ -86,10 +86,10 @@ impl ClientTxn {
             // Agent deployment: the client itself reports write intents so
             // the DLM can run the early-notify protocol (§ 3.3).
             if self.client.reports_to_dlm() {
-                self.client
-                    .dlc()
-                    .backend()
-                    .report_intent(vec![oid], self.id)?;
+                self.client.dlc().backend().send(DlmRequest::WriteIntent {
+                    oids: vec![oid],
+                    txn: self.id,
+                })?;
             }
         }
         Ok(())
@@ -164,31 +164,44 @@ impl ClientTxn {
         })?;
         self.finished = true;
         // Refresh the local cache with the now-committed states.
-        let mut updates: Vec<UpdateInfo> = Vec::with_capacity(self.local.len());
         for (oid, view) in &self.local {
             match view {
-                Some(obj) => {
-                    self.client.cache_committed(obj);
-                    updates.push(
-                        UpdateInfo::eager(*oid, obj.encode_to_bytes().to_vec()).with_trace(trace),
-                    );
-                }
-                None => {
-                    self.client.uncache_deleted(*oid);
-                    updates.push(UpdateInfo::deletion(*oid).with_trace(trace));
-                }
+                Some(obj) => self.client.cache_committed(obj),
+                None => self.client.uncache_deleted(*oid),
             }
         }
         if self.client.reports_to_dlm() {
-            let backend = self.client.dlc().backend();
-            if !self.x_locked.is_empty() {
-                backend.report_resolution(self.x_locked.clone(), self.id, true)?;
-            }
+            self.report_resolution(true)?;
+            let updates: Vec<UpdateInfo> = self
+                .local
+                .iter()
+                .map(|(oid, view)| match view {
+                    Some(obj) => UpdateInfo::eager(*oid, obj.encode_to_bytes().to_vec()),
+                    None => UpdateInfo::deletion(*oid),
+                })
+                .map(|u| u.with_trace(trace))
+                .collect();
             if !updates.is_empty() {
-                backend.report_commit(updates)?;
+                self.client
+                    .dlc()
+                    .backend()
+                    .send(DlmRequest::UpdateCommitted { updates })?;
             }
         }
         Ok(())
+    }
+
+    /// Agent deployment: tell the DLM how this transaction's write
+    /// intents resolved.
+    fn report_resolution(&self, committed: bool) -> DbResult<()> {
+        if self.x_locked.is_empty() {
+            return Ok(());
+        }
+        self.client.dlc().backend().send(DlmRequest::Resolution {
+            oids: self.x_locked.clone(),
+            txn: self.id,
+            committed,
+        })
     }
 
     /// Abort, discarding all writes.
@@ -202,11 +215,8 @@ impl ClientTxn {
         }
         self.finished = true;
         self.client.conn().call(Request::Abort { txn: self.id })?;
-        if self.client.reports_to_dlm() && !self.x_locked.is_empty() {
-            self.client
-                .dlc()
-                .backend()
-                .report_resolution(self.x_locked.clone(), self.id, false)?;
+        if self.client.reports_to_dlm() {
+            self.report_resolution(false)?;
         }
         Ok(())
     }

@@ -6,12 +6,18 @@
 //! connection to the agent; display-lock requests are fire-and-forget
 //! (never acknowledged), and notifications flow back over the same
 //! connection.
+//!
+//! The agent adds only the link: both ends speak [`DlmRequest`] as is
+//! ([`DlmAgentConnection::send`] out, [`ShardedDlm::handle_request`]
+//! in) — the same message set and the same dispatch the integrated
+//! server reaches through `Request::Dlm` (DESIGN.md "Message
+//! vocabulary").
 
 use crate::core::EventSink;
-use crate::proto::{DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
+use crate::proto::{DlmEvent, DlmRequest};
 use crate::shard::ShardedDlm;
 use displaydb_common::sync::{ranks, OrderedMutex};
-use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
+use displaydb_common::{ClientId, DbError, DbResult};
 use displaydb_wire::{Channel, Decode, Encode, Listener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -149,33 +155,8 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
             Ok(r) => r,
             Err(_) => break,
         };
-        match request {
-            DlmRequest::Hello { .. } => break, // protocol violation
-            DlmRequest::Lock { oids } => dlm.lock(client, &oids),
-            DlmRequest::LockProjected {
-                oids,
-                attrs,
-                version,
-            } => dlm.lock_projected(client, &oids, &attrs, version),
-            DlmRequest::Release { oids } => dlm.release(client, &oids),
-            DlmRequest::UpdateCommitted { updates } => dlm.notify_committed(Some(client), &updates),
-            DlmRequest::WriteIntent { oids, txn } => dlm.notify_intent(Some(client), &oids, txn),
-            DlmRequest::Resolution {
-                oids,
-                txn,
-                committed,
-            } => dlm.notify_resolution(Some(client), &oids, txn, committed),
-            DlmRequest::ReplayFrom { cursors } => {
-                // Fire-and-forget like every other agent request: the
-                // outcome arrives as replayed events (or a
-                // ResyncRequired fallback) on the notification stream.
-                // Admission is strict equality against the incarnations
-                // this session was told: they are never 0, so a client
-                // that lost (or never had) the incarnation its cursor
-                // was acked under cannot slip a stale cursor past it.
-                dlm.replay_for_shards(client, &cursors, &announced);
-            }
-            DlmRequest::Bye => break,
+        if dlm.handle_request(client, request, &announced) {
+            break;
         }
     }
     dlm.unregister_client(client);
@@ -304,64 +285,13 @@ impl DlmAgentConnection {
         }
     }
 
-    fn send(&self, request: DlmRequest) -> DbResult<()> {
+    /// Send one request (fire-and-forget: the agent never acknowledges,
+    /// § 4.1). Fails fast once the reader has seen the agent go away.
+    pub fn send(&self, request: DlmRequest) -> DbResult<()> {
         if self.is_dead() {
             return Err(DbError::Disconnected);
         }
         self.channel.send(request.encode_to_bytes())
-    }
-
-    /// Request display locks (fire-and-forget; always granted).
-    pub fn lock(&self, oids: Vec<Oid>) -> DbResult<()> {
-        self.send(DlmRequest::Lock { oids })
-    }
-
-    /// Request display locks with a registered attribute projection
-    /// (fire-and-forget; always granted).
-    pub fn lock_projected(&self, oids: Vec<Oid>, attrs: Vec<u16>, version: u32) -> DbResult<()> {
-        self.send(DlmRequest::LockProjected {
-            oids,
-            attrs,
-            version,
-        })
-    }
-
-    /// Release display locks.
-    pub fn release(&self, oids: Vec<Oid>) -> DbResult<()> {
-        self.send(DlmRequest::Release { oids })
-    }
-
-    /// Report a committed update so holders get notified.
-    pub fn report_commit(&self, updates: Vec<UpdateInfo>) -> DbResult<()> {
-        self.send(DlmRequest::UpdateCommitted { updates })
-    }
-
-    /// Report an update intention (early-notify protocol).
-    pub fn report_intent(&self, oids: Vec<Oid>, txn: TxnId) -> DbResult<()> {
-        self.send(DlmRequest::WriteIntent { oids, txn })
-    }
-
-    /// Ask the agent to replay, per listed shard, every logged update
-    /// past the cursor that intersects this client's registered
-    /// interests (fire-and-forget; the suffix — or a `ResyncRequired`
-    /// fallback for a shard whose cursor was truncated or acked under
-    /// another incarnation — arrives on the notification stream).
-    pub fn replay_from(&self, cursors: Vec<ShardCursor>) -> DbResult<()> {
-        self.send(DlmRequest::ReplayFrom { cursors })
-    }
-
-    /// Report how an earlier intention resolved.
-    pub fn report_resolution(&self, oids: Vec<Oid>, txn: TxnId, committed: bool) -> DbResult<()> {
-        self.send(DlmRequest::Resolution {
-            oids,
-            txn,
-            committed,
-        })
-    }
-
-    /// Orderly disconnect.
-    pub fn bye(self) {
-        let _ = self.send(DlmRequest::Bye);
     }
 }
 
@@ -378,7 +308,9 @@ impl Drop for DlmAgentConnection {
 mod tests {
     use super::*;
     use crate::core::{DlmConfig, NotifyProtocol};
+    use crate::proto::{ShardCursor, UpdateInfo};
     use crossbeam::channel::unbounded;
+    use displaydb_common::{Oid, TxnId};
     use displaydb_wire::LocalHub;
     use std::time::Duration;
 
@@ -386,6 +318,18 @@ mod tests {
         let hub = LocalHub::new();
         let agent = DlmAgent::spawn(Arc::new(ShardedDlm::new(config)), Box::new(hub.clone()));
         (agent, hub)
+    }
+
+    fn lock(oids: Vec<Oid>) -> DlmRequest {
+        DlmRequest::Lock { oids }
+    }
+
+    fn committed(updates: Vec<UpdateInfo>) -> DlmRequest {
+        DlmRequest::UpdateCommitted { updates }
+    }
+
+    fn replay(cursors: Vec<ShardCursor>) -> DlmRequest {
+        DlmRequest::ReplayFrom { cursors }
     }
 
     fn connect(
@@ -410,10 +354,10 @@ mod tests {
         let (viewer, viewer_rx) = connect(&hub, 1);
         let (updater, _updater_rx) = connect(&hub, 2);
 
-        viewer.lock(vec![Oid::new(7)]).unwrap();
+        viewer.send(lock(vec![Oid::new(7)])).unwrap();
         std::thread::sleep(Duration::from_millis(50)); // lock is fire-and-forget
         updater
-            .report_commit(vec![UpdateInfo::lazy(Oid::new(7))])
+            .send(committed(vec![UpdateInfo::lazy(Oid::new(7))]))
             .unwrap();
 
         let event = viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap();
@@ -429,10 +373,15 @@ mod tests {
         let (viewer, viewer_rx) = connect(&hub, 1);
         let (updater, _rx2) = connect(&hub, 2);
 
-        viewer.lock(vec![Oid::new(3)]).unwrap();
+        viewer.send(lock(vec![Oid::new(3)])).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let txn = TxnId::new(9);
-        updater.report_intent(vec![Oid::new(3)], txn).unwrap();
+        updater
+            .send(DlmRequest::WriteIntent {
+                oids: vec![Oid::new(3)],
+                txn,
+            })
+            .unwrap();
         assert_eq!(
             viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap(),
             DlmEvent::Marked {
@@ -441,7 +390,11 @@ mod tests {
             }
         );
         updater
-            .report_resolution(vec![Oid::new(3)], txn, false)
+            .send(DlmRequest::Resolution {
+                oids: vec![Oid::new(3)],
+                txn,
+                committed: false,
+            })
             .unwrap();
         assert_eq!(
             viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap(),
@@ -459,12 +412,16 @@ mod tests {
         let (viewer, viewer_rx) = connect(&hub, 1);
         let (updater, _rx2) = connect(&hub, 2);
 
-        viewer.lock(vec![Oid::new(5)]).unwrap();
+        viewer.send(lock(vec![Oid::new(5)])).unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        viewer.release(vec![Oid::new(5)]).unwrap();
+        viewer
+            .send(DlmRequest::Release {
+                oids: vec![Oid::new(5)],
+            })
+            .unwrap();
         std::thread::sleep(Duration::from_millis(50));
         updater
-            .report_commit(vec![UpdateInfo::lazy(Oid::new(5))])
+            .send(committed(vec![UpdateInfo::lazy(Oid::new(5))]))
             .unwrap();
         std::thread::sleep(Duration::from_millis(100));
         assert!(viewer_rx.try_recv().is_err());
@@ -476,10 +433,10 @@ mod tests {
         let (agent, hub) = agent(DlmConfig::default());
         {
             let (viewer, _rx) = connect(&hub, 1);
-            viewer.lock(vec![Oid::new(1)]).unwrap();
+            viewer.send(lock(vec![Oid::new(1)])).unwrap();
             std::thread::sleep(Duration::from_millis(50));
             assert_eq!(agent.dlm().locked_objects(), 1);
-            viewer.bye();
+            viewer.send(DlmRequest::Bye).unwrap();
         }
         // Wait for the session loop to process the disconnect.
         for _ in 0..50 {
@@ -524,17 +481,17 @@ mod tests {
         let (_agent, hub) = agent(DlmConfig::default());
         let (viewer, viewer_rx) = connect(&hub, 1);
         let (updater, _urx) = connect(&hub, 2);
-        viewer.lock(vec![Oid::new(7)]).unwrap();
+        viewer.send(lock(vec![Oid::new(7)])).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         updater
-            .report_commit(vec![UpdateInfo::lazy(Oid::new(7))])
+            .send(committed(vec![UpdateInfo::lazy(Oid::new(7))]))
             .unwrap();
         // Live delivery first (plus a cursor ack once the outbox
         // drains), then the replayed copy after the replay request.
         let live = viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert!(matches!(live, DlmEvent::Updated(_)));
         viewer
-            .replay_from(cursors_from(0, viewer.log_incarnations()))
+            .send(replay(cursors_from(0, viewer.log_incarnations())))
             .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
@@ -564,10 +521,10 @@ mod tests {
         let old_incarnation = {
             let (viewer, viewer_rx) = connect(&hub1, 1);
             let (updater, _urx) = connect(&hub1, 2);
-            viewer.lock(vec![Oid::new(7)]).unwrap();
+            viewer.send(lock(vec![Oid::new(7)])).unwrap();
             std::thread::sleep(Duration::from_millis(50));
             updater
-                .report_commit(vec![UpdateInfo::lazy(Oid::new(7))])
+                .send(committed(vec![UpdateInfo::lazy(Oid::new(7))]))
                 .unwrap();
             let e = viewer_rx.recv_timeout(Duration::from_secs(2)).unwrap();
             assert!(matches!(e, DlmEvent::Updated(_)));
@@ -579,10 +536,10 @@ mod tests {
         let (_agent2, hub2) = agent(DlmConfig::default());
         let (viewer, viewer_rx) = connect(&hub2, 1);
         assert_ne!(viewer.log_incarnations(), old_incarnation);
-        viewer.lock(vec![Oid::new(7)]).unwrap();
+        viewer.send(lock(vec![Oid::new(7)])).unwrap();
         std::thread::sleep(Duration::from_millis(50));
         viewer
-            .replay_from(cursors_from(1, &old_incarnation))
+            .send(replay(cursors_from(1, &old_incarnation)))
             .unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(2);
         loop {
@@ -635,7 +592,7 @@ mod tests {
         let calm_oid = in_shard(calm).next().unwrap();
         let mut watched = hot_oids.clone();
         watched.push(calm_oid);
-        viewer.lock(watched).unwrap();
+        viewer.send(lock(watched)).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while agent.dlm().locked_objects() < 25 {
             assert!(std::time::Instant::now() < deadline, "locks never landed");
@@ -649,7 +606,7 @@ mod tests {
         // One commit in the calm shard: delivered and acked in its own
         // seqno space.
         updater
-            .report_commit(vec![UpdateInfo::lazy(calm_oid)])
+            .send(committed(vec![UpdateInfo::lazy(calm_oid)]))
             .unwrap();
         assert_eq!(
             next("calm update"),
@@ -667,7 +624,9 @@ mod tests {
         // asleep inside its first (slowed) send while the rest of the
         // fan-out lands on a 4-deep queue.
         updater
-            .report_commit(hot_oids.iter().map(|&o| UpdateInfo::lazy(o)).collect())
+            .send(committed(
+                hot_oids.iter().map(|&o| UpdateInfo::lazy(o)).collect(),
+            ))
             .unwrap();
         loop {
             match next("the hot shard's replay marker") {
@@ -680,11 +639,11 @@ mod tests {
             }
         }
         viewer
-            .replay_from(vec![ShardCursor {
+            .send(replay(vec![ShardCursor {
                 shard: hot,
                 cursor: 0,
                 log_incarnation: viewer.log_incarnations()[hot as usize],
-            }])
+            }]))
             .unwrap();
         let mut replayed = std::collections::HashSet::new();
         loop {
@@ -713,13 +672,13 @@ mod tests {
         let mut viewers = Vec::new();
         for i in 0..5 {
             let (conn, rx) = connect(&hub, i);
-            conn.lock(vec![Oid::new(42)]).unwrap();
+            conn.send(lock(vec![Oid::new(42)])).unwrap();
             viewers.push((conn, rx));
         }
         std::thread::sleep(Duration::from_millis(100));
         let (updater, _rx) = connect(&hub, 99);
         updater
-            .report_commit(vec![UpdateInfo::lazy(Oid::new(42))])
+            .send(committed(vec![UpdateInfo::lazy(Oid::new(42))]))
             .unwrap();
         for (_, rx) in &viewers {
             let e = rx.recv_timeout(Duration::from_secs(2)).unwrap();

@@ -16,11 +16,14 @@
 //! * the **integrated** lock manager: the server calls
 //!   [`ShardedDlm::notify_committed_txn`] / [`ShardedDlm::notify_intent`]
 //!   directly from its commit and X-grant paths.
+//!
+//! Client requests reach it the same way from both: as a [`DlmRequest`],
+//! applied by [`ShardedDlm::handle_request`].
 
 use crate::core::{DlmConfig, DlmCore, DlmStats, EventSink, ReplayOutcome};
 use crate::log::{DurableRecovery, UpdateLog};
 use crate::outbox::OutboxSink;
-use crate::proto::{ShardCursor, UpdateInfo};
+use crate::proto::{DlmRequest, ShardCursor, UpdateInfo};
 use displaydb_common::metrics::{Counter, SegLogStats};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid, TxnId};
 use std::path::Path;
@@ -457,6 +460,41 @@ impl ShardedDlm {
         }
     }
 
+    /// Apply one display-lock request from `client` — the one dispatch
+    /// over [`DlmRequest`], shared by the agent's session loop and the
+    /// integrated server's `Request::Dlm` arm. Nothing is acknowledged
+    /// (§ 4.1): outcomes arrive on the client's notification stream.
+    /// `announced` is the incarnation vector this session's handshake
+    /// named; replay admission is strict equality against it, so a
+    /// cursor acked under any other incarnation takes the resync
+    /// fallback instead of replaying silently. Returns `true` when the
+    /// session must end: `Bye`, or a `Hello` after the handshake.
+    pub fn handle_request(&self, client: ClientId, request: DlmRequest, announced: &[u64]) -> bool {
+        match request {
+            DlmRequest::Hello { .. } | DlmRequest::Bye => return true,
+            DlmRequest::Lock { oids } => self.lock(client, &oids),
+            DlmRequest::LockProjected {
+                oids,
+                attrs,
+                version,
+            } => self.lock_projected(client, &oids, &attrs, version),
+            DlmRequest::Release { oids } => self.release(client, &oids),
+            DlmRequest::UpdateCommitted { updates } => {
+                self.notify_committed(Some(client), &updates)
+            }
+            DlmRequest::WriteIntent { oids, txn } => self.notify_intent(Some(client), &oids, txn),
+            DlmRequest::Resolution {
+                oids,
+                txn,
+                committed,
+            } => self.notify_resolution(Some(client), &oids, txn, committed),
+            DlmRequest::ReplayFrom { cursors } => {
+                self.replay_for_shards(client, &cursors, announced);
+            }
+        }
+        false
+    }
+
     /// Serve a replay request shard-parallel: each cursor's shard
     /// streams its log suffix through the client's outbox for that
     /// shard. A shard whose cursor fell off its log — or was acked under
@@ -607,6 +645,28 @@ mod tests {
         assert_eq!(dlm.locked_objects(), 8);
         dlm.unregister_client(c(1));
         assert_eq!(dlm.locked_objects(), 0);
+    }
+
+    #[test]
+    fn only_hello_and_bye_end_a_session() {
+        let dlm = sharded(2);
+        let (s1, r1) = sink();
+        dlm.register_client(c(1), s1);
+        let announced = dlm.session_incarnations();
+        let oids: Vec<Oid> = (0..8).map(o).collect();
+        let lock = DlmRequest::Lock { oids: oids.clone() };
+        assert!(!dlm.handle_request(c(1), lock, &announced));
+        assert_eq!(dlm.locked_objects(), 8);
+        let report = DlmRequest::UpdateCommitted {
+            updates: vec![UpdateInfo::lazy(o(3))],
+        };
+        assert!(!dlm.handle_request(c(2), report, &announced));
+        assert_eq!(r1.try_iter().count(), 1);
+        let release = DlmRequest::Release { oids };
+        assert!(!dlm.handle_request(c(1), release, &announced));
+        assert_eq!(dlm.locked_objects(), 0);
+        assert!(dlm.handle_request(c(1), DlmRequest::Hello { client: c(1) }, &announced));
+        assert!(dlm.handle_request(c(1), DlmRequest::Bye, &announced));
     }
 
     #[test]

@@ -28,8 +28,9 @@ use std::collections::BTreeSet;
 pub const DISPATCH: &[(&str, &str, &str)] = &[
     // Client requests are dispatched by the server core.
     ("Request", "server/src/proto.rs", "server/src/core.rs"),
-    // DLM requests are dispatched by the DLM agent loop.
-    ("DlmRequest", "dlm/src/proto.rs", "dlm/src/agent.rs"),
+    // DLM requests from either deployment are dispatched by
+    // `ShardedDlm::handle_request`.
+    ("DlmRequest", "dlm/src/proto.rs", "dlm/src/shard.rs"),
     // DLM events are applied by the client's display-lock cache.
     ("DlmEvent", "dlm/src/proto.rs", "client/src/dlc.rs"),
     // DLC events are consumed by the display view layer.

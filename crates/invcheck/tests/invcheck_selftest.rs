@@ -317,10 +317,7 @@ const REQUEST_VARIANTS: &[&str] = &[
     "Commit",
     "Abort",
     "Extent",
-    "DisplayLock",
-    "DisplayRelease",
-    "DisplayLockProjected",
-    "ReplayFrom",
+    "Dlm",
     "Checkpoint",
     "Ping",
 ];
@@ -339,10 +336,7 @@ fn _request_anchor(r: &displaydb_server::proto::Request) -> &'static str {
         R::Commit { .. } => "Commit",
         R::Abort { .. } => "Abort",
         R::Extent { .. } => "Extent",
-        R::DisplayLock { .. } => "DisplayLock",
-        R::DisplayRelease { .. } => "DisplayRelease",
-        R::DisplayLockProjected { .. } => "DisplayLockProjected",
-        R::ReplayFrom { .. } => "ReplayFrom",
+        R::Dlm(_) => "Dlm",
         R::Checkpoint => "Checkpoint",
         R::Ping => "Ping",
     }
@@ -480,8 +474,8 @@ fn real_protocol_and_trace_sources_are_clean() {
                 include_str!("../../dlm/src/proto.rs"),
             ),
             (
-                "crates/dlm/src/agent.rs",
-                include_str!("../../dlm/src/agent.rs"),
+                "crates/dlm/src/shard.rs",
+                include_str!("../../dlm/src/shard.rs"),
             ),
             (
                 "crates/client/src/dlc.rs",

@@ -37,7 +37,9 @@ use displaydb_common::ids::IdGen;
 use displaydb_common::metrics::{Counter, Gauge, SegLogStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig, Oid, TxnId};
-use displaydb_dlm::{DlmConfig, DurableRecovery, EventSink, OutboxSink, ShardedDlm, UpdateInfo};
+use displaydb_dlm::{
+    DlmConfig, DlmRequest, DurableRecovery, EventSink, OutboxSink, ShardedDlm, UpdateInfo,
+};
 use displaydb_lockmgr::{LockManager, LockManagerConfig, LockMode, Owner};
 use displaydb_schema::{Catalog, DbObject};
 use displaydb_wire::{Channel, Encode};
@@ -785,30 +787,22 @@ impl ServerCore {
             } => Ok(Response::Oids {
                 oids: self.store.extent(class, include_subclasses),
             }),
-            Request::DisplayLock { oids } => {
-                self.dlm.lock(client, &oids);
-                Ok(Response::Ok)
-            }
-            Request::DisplayRelease { oids } => {
-                self.dlm.release(client, &oids);
-                Ok(Response::Ok)
-            }
-            Request::DisplayLockProjected {
-                oids,
-                attrs,
-                version,
-            } => {
-                self.dlm.lock_projected(client, &oids, &attrs, version);
-                Ok(Response::Ok)
-            }
-            Request::ReplayFrom { cursors } => {
-                // Shard-parallel catch-up: each listed shard streams its
-                // own suffix (or a ResyncRequired over the client's
-                // interests in that shard) through that shard's outbox.
-                // Delivery is asynchronous; the request itself just
-                // acknowledges.
+            // Notifications are raised by this server's own commit and
+            // X-grant paths, under the committing client's identity; a
+            // report arriving over the wire would be a forged one. There
+            // is no DLM handshake on this link either.
+            Request::Dlm(
+                DlmRequest::Hello { .. }
+                | DlmRequest::Bye
+                | DlmRequest::UpdateCommitted { .. }
+                | DlmRequest::WriteIntent { .. }
+                | DlmRequest::Resolution { .. },
+            ) => Err(DbError::Protocol(
+                "not a request an integrated client may send".into(),
+            )),
+            Request::Dlm(request) => {
                 self.dlm
-                    .replay_for_shards(client, &cursors, &self.dlm.log_incarnations());
+                    .handle_request(client, request, &self.dlm.log_incarnations());
                 Ok(Response::Ok)
             }
             Request::Checkpoint => self.store.checkpoint().map(|()| Response::Ok),

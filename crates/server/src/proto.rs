@@ -11,8 +11,8 @@
 
 use displaydb_common::{ClassId, ClientId, DbError, DbResult, Oid, TxnId};
 use displaydb_dlm::proto::{decode_cursors, encode_cursors};
-use displaydb_dlm::DlmEvent;
 pub use displaydb_dlm::ShardCursor;
+use displaydb_dlm::{DlmEvent, DlmRequest};
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
 
 /// Lock modes requestable over the wire (transactional subset).
@@ -203,42 +203,14 @@ pub enum Request {
         /// Include objects of subclasses.
         include_subclasses: bool,
     },
-    /// Acquire display locks (integrated deployment). Fire-and-forget
-    /// semantics but carried as an RPC so tests can fence on it.
-    DisplayLock {
-        /// Objects to watch.
-        oids: Vec<Oid>,
-    },
-    /// Release display locks (integrated deployment).
-    DisplayRelease {
-        /// Objects to stop watching.
-        oids: Vec<Oid>,
-    },
-    /// Acquire display locks with a registered attribute projection
-    /// (integrated deployment): the client only wants notifications for
-    /// changes touching `attrs` (attribute layout indices), delivered as
-    /// attribute-level deltas tagged with `version`.
-    DisplayLockProjected {
-        /// Objects to watch.
-        oids: Vec<Oid>,
-        /// Projected attribute layout indices.
-        attrs: Vec<u16>,
-        /// The client's projection-registry version, echoed in deltas.
-        version: u32,
-    },
-    /// Ask the DLM to replay, per listed shard, every logged
-    /// notification past the cursor that intersects this client's
-    /// display-lock interests (integrated deployment). Shards answer
-    /// independently — a shard whose log no longer covers its cursor (or
-    /// whose incarnation differs from the one the cursor was acked
-    /// under) pushes `ResyncRequired` for the client's interests on that
-    /// shard while the others replay. Everything arrives as DLM pushes;
-    /// the RPC response only confirms the replay was scheduled.
-    ReplayFrom {
-        /// One cursor per shard to catch up; shards not listed are
-        /// untouched.
-        cursors: Vec<ShardCursor>,
-    },
+    /// A display-lock request to the server's embedded DLM (integrated
+    /// deployment): the same [`DlmRequest`] a client of the standalone
+    /// agent sends, one vocabulary for both deployments of fig. 3.
+    /// Fire-and-forget semantics — outcomes arrive as `ServerPush::Dlm`
+    /// — but carried as an RPC so callers can fence on the answer. The
+    /// server refuses the variants an integrated client has no business
+    /// sending (`Hello`, `Bye` and the three reports).
+    Dlm(DlmRequest),
     /// Force a checkpoint (flush heap, truncate WAL).
     Checkpoint,
     /// Liveness probe.
@@ -389,12 +361,11 @@ const REQ_DELETE: u8 = 8;
 const REQ_COMMIT: u8 = 9;
 const REQ_ABORT: u8 = 10;
 const REQ_EXTENT: u8 = 11;
-const REQ_DLOCK: u8 = 12;
-const REQ_DRELEASE: u8 = 13;
+// 12, 13, 16 and 17 were `DisplayLock`, `DisplayRelease`,
+// `DisplayLockProjected` and `ReplayFrom`: retired, never reused.
 const REQ_CHECKPOINT: u8 = 14;
 const REQ_PING: u8 = 15;
-const REQ_DLOCK_PROJECTED: u8 = 16;
-const REQ_REPLAY_FROM: u8 = 17;
+const REQ_DLM: u8 = 18;
 
 impl Encode for Request {
     fn encode(&self, w: &mut WireWriter) {
@@ -453,30 +424,9 @@ impl Encode for Request {
                 class.encode(w);
                 include_subclasses.encode(w);
             }
-            Request::DisplayLock { oids } => {
-                w.put_u8(REQ_DLOCK);
-                oids.encode(w);
-            }
-            Request::DisplayRelease { oids } => {
-                w.put_u8(REQ_DRELEASE);
-                oids.encode(w);
-            }
-            Request::DisplayLockProjected {
-                oids,
-                attrs,
-                version,
-            } => {
-                w.put_u8(REQ_DLOCK_PROJECTED);
-                oids.encode(w);
-                w.put_varint(attrs.len() as u64);
-                for a in attrs {
-                    w.put_varint(u64::from(*a));
-                }
-                w.put_varint(u64::from(*version));
-            }
-            Request::ReplayFrom { cursors } => {
-                w.put_u8(REQ_REPLAY_FROM);
-                encode_cursors(cursors, w);
+            Request::Dlm(request) => {
+                w.put_u8(REQ_DLM);
+                request.encode(w);
             }
             Request::Checkpoint => w.put_u8(REQ_CHECKPOINT),
             Request::Ping => w.put_u8(REQ_PING),
@@ -528,31 +478,9 @@ impl Decode for Request {
                 class: ClassId::decode(r)?,
                 include_subclasses: bool::decode(r)?,
             },
-            REQ_DLOCK => Request::DisplayLock {
-                oids: Vec::<Oid>::decode(r)?,
-            },
-            REQ_DRELEASE => Request::DisplayRelease {
-                oids: Vec::<Oid>::decode(r)?,
-            },
             REQ_CHECKPOINT => Request::Checkpoint,
             REQ_PING => Request::Ping,
-            REQ_REPLAY_FROM => Request::ReplayFrom {
-                cursors: decode_cursors(r)?,
-            },
-            REQ_DLOCK_PROJECTED => {
-                let oids = Vec::<Oid>::decode(r)?;
-                let n = r.get_varint()? as usize;
-                let mut attrs = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    attrs.push(u16::decode(r)?);
-                }
-                let version = u32::decode(r)?;
-                Request::DisplayLockProjected {
-                    oids,
-                    attrs,
-                    version,
-                }
-            }
+            REQ_DLM => Request::Dlm(DlmRequest::decode(r)?),
             t => return Err(DbError::Protocol(format!("unknown request tag {t}"))),
         })
     }
@@ -880,22 +808,25 @@ mod tests {
         ));
         rt(Envelope::Req(
             15,
-            Request::DisplayLock {
+            Request::Dlm(DlmRequest::Lock {
                 oids: vec![Oid::new(9)],
-            },
+            }),
         ));
         rt(Envelope::Req(
             16,
-            Request::DisplayLockProjected {
+            Request::Dlm(DlmRequest::LockProjected {
                 oids: vec![Oid::new(9), Oid::new(10)],
                 attrs: vec![1, 3, 500],
                 version: 6,
-            },
+            }),
         ));
-        rt(Envelope::Req(18, Request::ReplayFrom { cursors: vec![] }));
+        rt(Envelope::Req(
+            18,
+            Request::Dlm(DlmRequest::ReplayFrom { cursors: vec![] }),
+        ));
         rt(Envelope::Req(
             19,
-            Request::ReplayFrom {
+            Request::Dlm(DlmRequest::ReplayFrom {
                 cursors: vec![
                     ShardCursor {
                         shard: 0,
@@ -908,7 +839,7 @@ mod tests {
                         log_incarnation: u64::MAX,
                     },
                 ],
-            },
+            }),
         ));
         rt(Envelope::Push(ServerPush::Dlm(DlmEvent::CursorAck {
             shard: 0,
@@ -968,6 +899,149 @@ mod tests {
             UpdateInfo::lazy(Oid::new(5)),
         ))));
         rt(Envelope::PushAck(77));
+    }
+
+    /// Round-trip `request` and pin its wire tag: the numbers are
+    /// written out here so a renumbering fails a test instead of
+    /// shifting `wire_bytes_per_commit`.
+    fn rt_req(tag: u8, request: Request) {
+        let bytes = request.encode_to_bytes();
+        assert_eq!(bytes[0], tag, "wire tag of {request:?}");
+        assert_eq!(Request::decode_from_bytes(&bytes).unwrap(), request);
+    }
+
+    #[test]
+    fn request_roundtrips_with_pinned_tags() {
+        let txn = TxnId::new(3);
+        let oid = Oid::new(4);
+        rt_req(
+            1,
+            Request::Hello {
+                name: "nms-console".into(),
+                resume: None,
+            },
+        );
+        rt_req(2, Request::Begin);
+        rt_req(3, Request::Read { txn: None, oid });
+        rt_req(
+            4,
+            Request::ReadMany {
+                txn: Some(txn),
+                oids: vec![oid],
+            },
+        );
+        rt_req(
+            5,
+            Request::Lock {
+                txn,
+                oid,
+                mode: WireLockMode::Update,
+            },
+        );
+        rt_req(
+            6,
+            Request::Create {
+                txn,
+                object: vec![1],
+            },
+        );
+        rt_req(
+            7,
+            Request::Write {
+                txn,
+                object: vec![1, 2],
+            },
+        );
+        rt_req(8, Request::Delete { txn, oid });
+        rt_req(9, Request::Commit { txn, trace: 77 });
+        rt_req(10, Request::Abort { txn });
+        rt_req(
+            11,
+            Request::Extent {
+                class: ClassId::new(2),
+                include_subclasses: false,
+            },
+        );
+        rt_req(14, Request::Checkpoint);
+        rt_req(15, Request::Ping);
+        // Tag 18 carries `DlmRequest`'s own codec untouched: all nine
+        // variants cross, their inner tags following the outer one.
+        let oids = vec![Oid::new(9), Oid::new(10)];
+        for (inner, request) in [
+            (
+                1,
+                DlmRequest::Hello {
+                    client: ClientId::new(9),
+                },
+            ),
+            (2, DlmRequest::Lock { oids: oids.clone() }),
+            (3, DlmRequest::Release { oids: oids.clone() }),
+            (
+                4,
+                DlmRequest::UpdateCommitted {
+                    updates: vec![UpdateInfo::eager(oid, vec![1, 2, 3]).with_trace(5)],
+                },
+            ),
+            (
+                5,
+                DlmRequest::WriteIntent {
+                    oids: oids.clone(),
+                    txn,
+                },
+            ),
+            (
+                6,
+                DlmRequest::Resolution {
+                    oids: oids.clone(),
+                    txn,
+                    committed: true,
+                },
+            ),
+            (7, DlmRequest::Bye),
+            (
+                8,
+                DlmRequest::LockProjected {
+                    oids,
+                    attrs: vec![1, 3, 500],
+                    version: 6,
+                },
+            ),
+            (
+                9,
+                DlmRequest::ReplayFrom {
+                    cursors: vec![ShardCursor {
+                        shard: 7,
+                        cursor: u64::MAX,
+                        log_incarnation: u64::MAX,
+                    }],
+                },
+            ),
+        ] {
+            let inner_bytes = request.encode_to_bytes();
+            assert_eq!(inner_bytes[0], inner, "inner tag of {request:?}");
+            let request = Request::Dlm(request);
+            assert_eq!(request.encode_to_bytes()[1..], inner_bytes[..]);
+            rt_req(18, request);
+        }
+    }
+
+    #[test]
+    fn retired_request_tags_are_protocol_errors() {
+        // 12/13/16/17 carried the display-lock requests `Request::Dlm`
+        // replaced; a frame from such a build must fail loudly, not be
+        // read as something else.
+        for tag in [12u8, 13, 16, 17] {
+            let mut w = WireWriter::new();
+            w.put_u8(tag);
+            Vec::<Oid>::new().encode(&mut w);
+            assert!(
+                matches!(
+                    Request::decode_from_bytes(&w.finish()),
+                    Err(DbError::Protocol(_))
+                ),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -1038,9 +1112,12 @@ mod tests {
 
     #[test]
     fn over_wide_narrow_fields_rejected() {
+        // Behind tag 18 the narrow-field checks are `DlmRequest`'s own
+        // (8 = LockProjected, 9 = ReplayFrom).
         let wide_attr = {
             let mut w = WireWriter::new();
-            w.put_u8(REQ_DLOCK_PROJECTED);
+            w.put_u8(REQ_DLM);
+            w.put_u8(8);
             Vec::<Oid>::new().encode(&mut w);
             w.put_varint(1);
             w.put_varint(65_541); // must not alias attr 5
@@ -1049,7 +1126,8 @@ mod tests {
         };
         let wide_version = {
             let mut w = WireWriter::new();
-            w.put_u8(REQ_DLOCK_PROJECTED);
+            w.put_u8(REQ_DLM);
+            w.put_u8(8);
             Vec::<Oid>::new().encode(&mut w);
             w.put_varint(0);
             w.put_varint(1 << 32);
@@ -1057,7 +1135,8 @@ mod tests {
         };
         let wide_shard = {
             let mut w = WireWriter::new();
-            w.put_u8(REQ_REPLAY_FROM);
+            w.put_u8(REQ_DLM);
+            w.put_u8(9);
             w.put_varint(1);
             w.put_varint(1 << 32); // must not alias shard 0
             w.put_varint(9);

@@ -638,7 +638,9 @@ mod tests {
 
         // Viewer display-locks the object.
         assert!(matches!(
-            viewer.call(Request::DisplayLock { oids: vec![oid] }),
+            viewer.call(Request::Dlm(displaydb_dlm::DlmRequest::Lock {
+                oids: vec![oid]
+            })),
             Response::Ok
         ));
 

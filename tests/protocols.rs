@@ -1,10 +1,13 @@
 //! Protocol-level integration: the two DLM deployments (integrated vs
 //! agent), eager shipping, and message accounting.
 
+use displaydb::dlm::{DlmRequest, ShardCursor};
 use displaydb::nms::nms_catalog;
 use displaydb::prelude::*;
+use displaydb::server::proto::{Envelope, Request, Response};
+use displaydb::wire::{Channel, Decode, Encode};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -15,8 +18,8 @@ fn tmp(name: &str) -> std::path::PathBuf {
 }
 
 struct Deployment {
-    _server: Server,
-    _agent: Option<DlmAgent>,
+    server: Server,
+    agent: Option<DlmAgent>,
     db_hub: LocalHub,
     dlm_hub: Option<LocalHub>,
     catalog: Arc<Catalog>,
@@ -30,8 +33,8 @@ impl Deployment {
         config.dlm = dlm;
         let server = Server::spawn_local(Arc::clone(&catalog), config, &db_hub).unwrap();
         Self {
-            _server: server,
-            _agent: None,
+            server,
+            agent: None,
             db_hub,
             dlm_hub: None,
             catalog,
@@ -47,11 +50,19 @@ impl Deployment {
         let dlm_hub = LocalHub::new();
         let agent = DlmAgent::spawn(Arc::new(ShardedDlm::new(dlm)), Box::new(dlm_hub.clone()));
         Self {
-            _server: server,
-            _agent: Some(agent),
+            server,
+            agent: Some(agent),
             db_hub,
             dlm_hub: Some(dlm_hub),
             catalog,
+        }
+    }
+
+    /// The DLM the clients' display-lock requests land in.
+    fn dlm(&self) -> &Arc<ShardedDlm> {
+        match &self.agent {
+            Some(agent) => agent.dlm(),
+            None => self.server.core().dlm(),
         }
     }
 
@@ -72,50 +83,118 @@ impl Deployment {
     }
 }
 
-/// Both deployments must produce the same observable display behaviour.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+fn await_utilization(display: &Display, id: DoId, want: f64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while display.object(id).unwrap().attr("Utilization") != Some(&Value::Float(want)) {
+        assert!(Instant::now() < deadline, "display never showed {want}");
+        display
+            .wait_and_process(Duration::from_millis(100))
+            .unwrap();
+    }
+}
+
+fn set_utilization(updater: &Arc<DbClient>, catalog: &Catalog, oid: Oid, value: f64) {
+    let mut txn = updater.begin().unwrap();
+    txn.update(oid, |o| o.set(catalog, "Utilization", value))
+        .unwrap();
+    txn.commit().unwrap();
+}
+
+/// A link class whose compute step is undeclared, so it cannot be
+/// projected and its display holds whole-object locks (DESIGN.md § 10).
+fn whole_object_link() -> Arc<DisplayClassDef> {
+    DisplayClassBuilder::new("WholeObjectLink")
+        .project(&["Utilization"])
+        .compute("Color", |ctx| {
+            let u = ctx.max_float("Utilization")?;
+            Ok(Value::Int(i64::from(
+                displaydb::viz::utilization_color(u).to_u32(),
+            )))
+        })
+        .build()
+}
+
+/// Both deployments must produce the same observable display behaviour:
+/// every request the DLC sends — projected lock, plain lock, release,
+/// replay — goes through the one dispatch, whichever link carried it.
 fn refresh_scenario(deployment: &Deployment) {
     let viewer = deployment.client("viewer");
     let updater = deployment.client("updater");
     let catalog = &deployment.catalog;
+    let dlm = deployment.dlm();
 
     let mut txn = updater.begin().unwrap();
-    let link = txn
-        .create(
-            updater
-                .new_object("Link")
-                .unwrap()
-                .with(catalog, "Utilization", 0.2)
-                .unwrap(),
-        )
-        .unwrap();
+    let mut create = || {
+        let link = updater
+            .new_object("Link")
+            .unwrap()
+            .with(catalog, "Utilization", 0.2)
+            .unwrap();
+        txn.create(link).unwrap().oid
+    };
+    let (link, other) = (create(), create());
     txn.commit().unwrap();
 
+    // Projected lock → the update arrives and the display refreshes.
     let cache = Arc::new(DisplayCache::new());
     let display = Display::open(Arc::clone(&viewer), cache, "view");
-    let do_id = display
-        .add_object(&color_coded_link("Utilization"), vec![link.oid])
+    let projected = display
+        .add_object(&color_coded_link("Utilization"), vec![link])
         .unwrap();
-    // Agent-mode lock requests are fire-and-forget: allow settling.
-    std::thread::sleep(Duration::from_millis(100));
+    // Agent-mode requests are fire-and-forget: wait for them to land.
+    wait_until("the projected lock", || dlm.has_interest(viewer.id(), link));
+    set_utilization(&updater, catalog, link, 0.9);
+    await_utilization(&display, projected, 0.9);
 
-    let mut txn = updater.begin().unwrap();
-    txn.update(link.oid, |o| o.set(catalog, "Utilization", 0.9))
+    // Replay from the start of a log that lost its entries: the shard
+    // answers with one ResyncRequired over the viewer's interests.
+    dlm.update_log_of(0).truncate_all();
+    let from_start: Vec<ShardCursor> = viewer
+        .dlc()
+        .cursors()
+        .into_iter()
+        .map(|sc| ShardCursor { cursor: 0, ..sc })
+        .collect();
+    assert_eq!(from_start.len(), 1, "one cursor per announced shard");
+    viewer
+        .dlc()
+        .backend()
+        .send(DlmRequest::ReplayFrom {
+            cursors: from_start,
+        })
         .unwrap();
-    txn.commit().unwrap();
+    wait_until("the resync marker", || {
+        viewer.dlc().stats().resyncs_in.get() == 1
+    });
+    assert_eq!(dlm.stats().log.truncated_replays.get(), 1);
 
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        display
-            .wait_and_process(Duration::from_millis(100))
-            .unwrap();
-        if display.object(do_id).unwrap().attr("Utilization") == Some(&Value::Float(0.9)) {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "display never refreshed"
-        );
-    }
+    // Release `link`, plain-lock `other`: a commit to the released
+    // object raises nothing, the next one reaches the display.
+    display.remove_object(projected).unwrap();
+    wait_until("the release", || dlm.holders(link).is_empty());
+    let whole = display
+        .add_object(&whole_object_link(), vec![other])
+        .unwrap();
+    wait_until("the plain lock", || dlm.holders(other) == vec![viewer.id()]);
+    assert!(!dlm.has_interest(viewer.id(), other), "not projected");
+    let before = dlm.stats().notifications.get();
+    set_utilization(&updater, catalog, link, 0.5);
+    set_utilization(&updater, catalog, other, 0.7);
+    await_utilization(&display, whole, 0.7);
+    // The DLM counts a delivery after handing it to the outbox, so the
+    // display can get there first. Reports are handled in order: once
+    // `other`'s is counted, `link`'s would have been too.
+    let notified = || dlm.stats().notifications.get() - before;
+    wait_until("the delivery to be counted", || notified() >= 1);
+    assert_eq!(notified(), 1, "only the still-locked object notifies");
 }
 
 #[test]
@@ -142,6 +221,84 @@ fn agent_deployment_eager_shipping_refreshes() {
     refresh_scenario(&d);
 }
 
+/// One RPC over a raw channel: send `request` as `seq`, return its
+/// response (the typed client would fold the error kind into
+/// `Rejected`).
+fn raw_call(channel: &dyn Channel, seq: u64, request: Request) -> Response {
+    channel
+        .send(Envelope::Req(seq, request).encode_to_bytes())
+        .unwrap();
+    loop {
+        let frame = channel.recv_timeout(Duration::from_secs(5)).unwrap();
+        if let Envelope::Resp(s, response) = Envelope::decode_from_bytes(&frame).unwrap() {
+            assert_eq!(s, seq);
+            return response;
+        }
+    }
+}
+
+#[test]
+fn integrated_server_refuses_client_reports() {
+    // The integrated server raises notifications from its own commit
+    // path; a client must not be able to forge one (or to replay the
+    // agent's handshake) through `Request::Dlm`.
+    let d = Deployment::integrated("refuse-reports", DlmConfig::default());
+    let viewer = d.client("viewer");
+    let mut txn = viewer.begin().unwrap();
+    let link = txn.create(viewer.new_object("Link").unwrap()).unwrap().oid;
+    txn.commit().unwrap();
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "v");
+    display
+        .add_object(&whole_object_link(), vec![link])
+        .unwrap();
+    assert_eq!(d.dlm().holders(link), vec![viewer.id()]);
+
+    let rogue = d.db_hub.connect().unwrap();
+    let hello = Request::Hello {
+        name: "rogue".into(),
+        resume: None,
+    };
+    assert!(matches!(
+        raw_call(&rogue, 1, hello),
+        Response::HelloAck { .. }
+    ));
+    let txn = TxnId::new(77);
+    let refused = [
+        DlmRequest::UpdateCommitted {
+            updates: vec![UpdateInfo::lazy(link)],
+        },
+        DlmRequest::WriteIntent {
+            oids: vec![link],
+            txn,
+        },
+        DlmRequest::Resolution {
+            oids: vec![link],
+            txn,
+            committed: true,
+        },
+        DlmRequest::Hello {
+            client: viewer.id(),
+        },
+        DlmRequest::Bye,
+    ];
+    for (i, request) in refused.into_iter().enumerate() {
+        let what = format!("{request:?}");
+        match raw_call(&rogue, 2 + i as u64, Request::Dlm(request)) {
+            Response::Error { kind, .. } => assert_eq!(kind, "protocol", "{what}"),
+            other => panic!("{what} answered {other:?}"),
+        }
+    }
+    // The session survived all five, `Bye` included.
+    assert!(matches!(raw_call(&rogue, 9, Request::Ping), Response::Ok));
+    // No holder heard anything.
+    let stats = d.dlm().stats();
+    assert_eq!(stats.notifications.get(), 0);
+    assert_eq!(stats.intent_notifications.get(), 0);
+    assert_eq!(d.dlm().holders(link), vec![viewer.id()]);
+    assert_eq!(display.process_pending().unwrap(), 0);
+    assert_eq!(viewer.dlc().stats().notifications_in.get(), 0);
+}
+
 #[test]
 fn eager_shipping_eliminates_read_roundtrip() {
     // The § 4.3 claim: eager shipping removes two of the three messages
@@ -150,17 +307,6 @@ fn eager_shipping_eliminates_read_roundtrip() {
     // its compute step undeclared — a projectable class (DESIGN.md § 10)
     // gets in-place deltas and needs no read round-trip in either mode,
     // collapsing the comparison to 0 vs 0.
-    let whole_object_link = || {
-        displaydb::display::schema::DisplayClassBuilder::new("WholeObjectLink")
-            .project(&["Utilization"])
-            .compute("Color", |ctx| {
-                let u = ctx.max_float("Utilization")?;
-                Ok(Value::Int(i64::from(
-                    displaydb::viz::utilization_color(u).to_u32(),
-                )))
-            })
-            .build()
-    };
     let run = |eager: bool, name: &str| -> u64 {
         let d = Deployment::integrated(
             name,
@@ -195,21 +341,9 @@ fn eager_shipping_eliminates_read_roundtrip() {
         // during 10 refresh rounds.
         let sent_before = viewer.conn().stats().sent.get();
         for i in 0..10 {
-            let mut txn = updater.begin().unwrap();
-            txn.update(link.oid, |o| {
-                o.set(catalog, "Utilization", 0.3 + f64::from(i) * 0.05)
-            })
-            .unwrap();
-            txn.commit().unwrap();
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            loop {
-                display.wait_and_process(Duration::from_millis(50)).unwrap();
-                let now = display.object(do_id).unwrap();
-                if now.attr("Utilization") == Some(&Value::Float(0.3 + f64::from(i) * 0.05)) {
-                    break;
-                }
-                assert!(std::time::Instant::now() < deadline);
-            }
+            let value = 0.3 + f64::from(i) * 0.05;
+            set_utilization(&updater, catalog, link.oid, value);
+            await_utilization(&display, do_id, value);
         }
         viewer.conn().stats().sent.get() - sent_before
     };
