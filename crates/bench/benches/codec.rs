@@ -35,16 +35,17 @@ fn bench_codec(c: &mut Criterion) {
 
     let envelope = Envelope::Req(
         7,
-        Request::Write {
-            txn: displaydb_common::TxnId::new(3),
-            object: encoded.to_vec(),
+        Request::Commit {
+            txn: None,
+            writes: vec![(obj.oid, Some(encoded.to_vec()))],
+            trace: 0,
         },
     );
     let env_bytes = envelope.encode_to_bytes();
-    group.bench_function("encode_write_envelope", |b| {
+    group.bench_function("encode_commit_envelope", |b| {
         b.iter(|| black_box(envelope.encode_to_bytes()));
     });
-    group.bench_function("decode_write_envelope", |b| {
+    group.bench_function("decode_commit_envelope", |b| {
         b.iter(|| black_box(Envelope::decode_from_bytes(&env_bytes).unwrap()));
     });
 

@@ -305,6 +305,16 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
     for viewer in &fleet {
         viewer.plan_slot.lock().unwrap().kill_now();
     }
+    // The outage starts when the server has noticed it too. A commit is
+    // one request and can land while a severed session is still being
+    // torn down; what such a viewer still hears with its last frames it
+    // need not recover, and the bytes measured below would vary with
+    // that race.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.core().sessions().len() > 1 {
+        assert!(Instant::now() < deadline, "server never noticed the outage");
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let mut finals = vec![0.01f64; changed];
     for (i, f) in finals.iter_mut().enumerate() {
         *f = 0.1 + 0.8 * (i as f64 + 1.0) / changed as f64;

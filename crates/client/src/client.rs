@@ -463,8 +463,14 @@ impl DbClient {
             // The seqno space may be fresh (server restart); re-baseline
             // so the next CursorAck is adopted unconditionally.
             self.dlc.reset_cursor();
+            // Suspect is every watched object without a cached copy: the
+            // stale ones, dropped above, and any whose copy a callback
+            // took as the dying connection's last frame — in no manifest,
+            // so never called stale, and its notification is not coming.
+            let mut suspect = self.dlc.watched_objects();
+            suspect.retain(|&oid| !self.cache.contains(oid));
             recovery.resync_objects.add(outcome.stale.len() as u64);
-            self.dlc.resync(&outcome.stale);
+            self.dlc.resync(&suspect);
         }
         Ok(outcome.resumed)
     }
@@ -605,6 +611,13 @@ impl DbClient {
     /// (inter-transaction caching: a hit costs no server message), then
     /// the local-disk cache (if configured), then the server.
     pub fn read(&self, oid: Oid) -> DbResult<DbObject> {
+        self.read_as(None, oid)
+    }
+
+    /// [`DbClient::read`] on behalf of a transaction: a server miss
+    /// carries the transaction id, so the read is re-entrant with the
+    /// transaction's own exclusive locks.
+    pub(crate) fn read_as(&self, txn: Option<TxnId>, oid: Oid) -> DbResult<DbObject> {
         if let Some(obj) = self.cache.get(oid) {
             return Ok(obj);
         }
@@ -614,7 +627,7 @@ impl DbClient {
                 return Ok(obj);
             }
         }
-        self.read_fresh(oid)
+        self.server_read(txn, oid)
     }
 
     /// Read an object from the server, refreshing the cache.
@@ -622,27 +635,15 @@ impl DbClient {
         self.server_read(None, oid)
     }
 
-    /// Read within a transaction: cache-first, but a server miss carries
-    /// the transaction id so the read is re-entrant with the
-    /// transaction's own exclusive locks (and sees its own workspace).
-    pub fn read_in_txn(&self, txn: TxnId, oid: Oid) -> DbResult<DbObject> {
-        if let Some(obj) = self.cache.get(oid) {
-            return Ok(obj);
-        }
-        self.server_read(Some(txn), oid)
-    }
-
+    /// The server only ever holds committed state, so what it returns may
+    /// enter the caches whoever asked.
     fn server_read(&self, txn: Option<TxnId>, oid: Oid) -> DbResult<DbObject> {
         match self.conn().call(Request::Read { txn, oid })? {
             Response::Object { bytes } => {
                 let obj = DbObject::decode_from_bytes(&bytes)?;
-                // Uncommitted own-transaction state must not enter the
-                // shared caches; committed reads may.
-                if txn.is_none() {
-                    self.cache.insert(obj.clone());
-                    if let Some(disk) = &self.disk {
-                        disk.put(&obj);
-                    }
+                self.cache.insert(obj.clone());
+                if let Some(disk) = &self.disk {
+                    disk.put(&obj);
                 }
                 Ok(obj)
             }
@@ -708,12 +709,10 @@ impl DbClient {
         }
     }
 
-    /// Start a transaction.
+    /// Start a transaction. Nothing is sent: the server first hears of
+    /// it with an explicit lock, or with the commit (`client/src/txn.rs`).
     pub fn begin(self: &Arc<Self>) -> DbResult<ClientTxn> {
-        match self.conn().call(Request::Begin)? {
-            Response::TxnStarted { txn } => Ok(ClientTxn::new(Arc::clone(self), txn)),
-            other => Err(DbError::Protocol(format!("unexpected {other:?}"))),
-        }
+        Ok(ClientTxn::new(Arc::clone(self)))
     }
 
     /// Liveness probe.

@@ -315,7 +315,7 @@ impl std::fmt::Debug for Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use displaydb_common::TxnId;
+    use displaydb_common::Oid;
     use displaydb_wire::local_pair;
 
     /// The next request the fake server end receives.
@@ -347,18 +347,15 @@ mod tests {
         // complete that call nor disturb its slot.
         let caller = {
             let conn = Arc::clone(&conn);
-            std::thread::spawn(move || conn.call(Request::Begin))
+            std::thread::spawn(move || conn.call(Request::Create))
         };
         let (seq, request) = next_request(&server);
-        assert_eq!(request, Request::Begin);
+        assert_eq!(request, Request::Create);
         assert_ne!(seq, stale);
         respond(&server, stale, Response::Ok);
-        let txn = TxnId::new(7);
-        respond(&server, seq, Response::TxnStarted { txn });
-        assert_eq!(
-            caller.join().unwrap().unwrap(),
-            Response::TxnStarted { txn }
-        );
+        let oid = Oid::new(7);
+        respond(&server, seq, Response::Created { oid });
+        assert_eq!(caller.join().unwrap().unwrap(), Response::Created { oid });
         assert!(conn.pending.lock().is_empty());
         drop(server); // before `conn`, whose drop joins the reader
     }
@@ -367,9 +364,10 @@ mod tests {
     fn a_shed_call_is_sent_again_unchanged_under_a_new_seq() {
         let (client_end, server) = local_pair();
         let conn = Connection::new(Box::new(client_end), Duration::from_secs(10));
-        let request = Request::Write {
-            txn: TxnId::new(3),
-            object: vec![7; 300],
+        let request = Request::Commit {
+            txn: None,
+            writes: vec![(Oid::new(3), Some(vec![7; 300]))],
+            trace: 0,
         };
         let caller = {
             let (conn, request) = (Arc::clone(&conn), request.clone());

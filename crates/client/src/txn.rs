@@ -1,12 +1,18 @@
 //! Client-side transactions.
 //!
-//! Writes are shipped to the server's transaction workspace as they
-//! happen (so locks are acquired at write time — enabling grant-time
-//! callbacks and early-notify marks); commit makes them durable. After a
-//! successful commit the local database cache is refreshed with the
-//! written states, and — in the agent deployment — the client reports the
-//! update set (and, earlier, its write intents) to the DLM itself, as the
-//! paper's clients did.
+//! A [`ClientTxn`] is the transaction's workspace: `create`, `write` and
+//! `delete` fill an overlay here, checked against the client's catalog,
+//! and `commit` ships the write set in one request — the server locks,
+//! applies and notifies before it answers, or does none of it. A schema
+//! error surfaces at the call that made it; a lock conflict or a delete
+//! of a missing object at `commit`. Only an explicit `lock_*` talks to the
+//! server earlier: it starts the server-side transaction, holds the lock
+//! until commit or abort, and (exclusive) marks the object at other
+//! displays — the early-notify protocol. After a successful commit the
+//! local database cache is refreshed with the written states, and — in
+//! the agent deployment — the client reports the update set (and,
+//! earlier, its write intents) to the DLM itself, as the paper's clients
+//! did.
 
 use crate::client::DbClient;
 use displaydb_common::{DbError, DbResult, Oid, TxnId};
@@ -14,116 +20,119 @@ use displaydb_dlm::{DlmRequest, UpdateInfo};
 use displaydb_schema::DbObject;
 use displaydb_server::proto::{Request, Response, WireLockMode};
 use displaydb_wire::Encode;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// An open transaction. Dropping it without committing aborts it
-/// (best-effort).
+/// An open transaction. Dropping it without committing discards its
+/// writes and, if it took locks, aborts it at the server (best-effort).
 pub struct ClientTxn {
     client: Arc<DbClient>,
-    id: TxnId,
-    finished: bool,
-    /// Local view of this transaction's writes (`None` = deleted).
-    local: HashMap<Oid, Option<DbObject>>,
+    /// The server-side transaction, from the explicit lock that started
+    /// one until it committed or aborted.
+    id: Option<TxnId>,
+    /// This transaction's writes, one per object (`None` = deleted), in
+    /// the ascending OID order the commit ships and locks them in.
+    local: BTreeMap<Oid, Option<DbObject>>,
+    /// Objects created here: until the commit nobody else knows of them.
+    created: Vec<Oid>,
     /// Objects exclusively locked, in acquisition order (for DLM intent
     /// reporting in the agent deployment).
     x_locked: Vec<Oid>,
 }
 
 impl ClientTxn {
-    pub(crate) fn new(client: Arc<DbClient>, id: TxnId) -> Self {
+    pub(crate) fn new(client: Arc<DbClient>) -> Self {
         Self {
             client,
-            id,
-            finished: false,
-            local: HashMap::new(),
+            id: None,
+            local: BTreeMap::new(),
+            created: Vec::new(),
             x_locked: Vec::new(),
         }
     }
 
-    /// The transaction id.
-    pub fn id(&self) -> TxnId {
+    /// The server-side transaction id; `None` until an explicit lock
+    /// starts one (a transaction that only writes never has one).
+    pub fn id(&self) -> Option<TxnId> {
         self.id
     }
 
     /// Read within the transaction: own writes first, then the client
-    /// cache, then a server read that is re-entrant with this
+    /// caches, then a server read that is re-entrant with this
     /// transaction's locks.
     pub fn read(&self, oid: Oid) -> DbResult<DbObject> {
         if let Some(view) = self.local.get(&oid) {
             return view.clone().ok_or(DbError::ObjectNotFound(oid));
         }
-        self.client.read_in_txn(self.id, oid)
+        self.client.read_as(self.id, oid)
     }
 
-    /// Acquire an update-intention lock (deters write-write conflicts
-    /// without blocking readers).
-    pub fn lock_update(&mut self, oid: Oid) -> DbResult<()> {
-        self.client
-            .conn()
-            .call(Request::Lock {
-                txn: self.id,
-                oid,
-                mode: WireLockMode::Update,
-            })
-            .map(|_| ())
-    }
-
-    /// Acquire an exclusive lock explicitly (writes do this implicitly).
-    pub fn lock_exclusive(&mut self, oid: Oid) -> DbResult<()> {
-        self.client.conn().call(Request::Lock {
+    /// Take a lock now and hold it to the end of the transaction. An
+    /// object created here needs none: nobody else can know its OID.
+    fn lock(&mut self, oid: Oid, mode: WireLockMode) -> DbResult<()> {
+        if self.created.contains(&oid) {
+            return Ok(());
+        }
+        let request = Request::Lock {
             txn: self.id,
             oid,
-            mode: WireLockMode::Exclusive,
-        })?;
-        self.note_x_lock(oid)?;
-        Ok(())
-    }
-
-    fn note_x_lock(&mut self, oid: Oid) -> DbResult<()> {
-        if !self.x_locked.contains(&oid) {
+            mode,
+        };
+        let txn = match self.client.conn().call(request)? {
+            Response::TxnStarted { txn } => txn,
+            other => return Err(DbError::Protocol(format!("unexpected {other:?}"))),
+        };
+        self.id = Some(txn);
+        // Agent deployment: the client itself reports write intents so
+        // the DLM can run the early-notify protocol (§ 3.3).
+        if mode == WireLockMode::Exclusive && !self.x_locked.contains(&oid) {
             self.x_locked.push(oid);
-            // Agent deployment: the client itself reports write intents so
-            // the DLM can run the early-notify protocol (§ 3.3).
             if self.client.reports_to_dlm() {
                 self.client.dlc().backend().send(DlmRequest::WriteIntent {
                     oids: vec![oid],
-                    txn: self.id,
+                    txn,
                 })?;
             }
         }
         Ok(())
     }
 
-    /// Create a new persistent object; returns it with its assigned OID.
-    pub fn create(&mut self, obj: DbObject) -> DbResult<DbObject> {
-        match self.client.conn().call(Request::Create {
-            txn: self.id,
-            object: obj.encode_to_bytes().to_vec(),
-        })? {
+    /// Acquire an update-intention lock (deters write-write conflicts
+    /// without blocking readers).
+    pub fn lock_update(&mut self, oid: Oid) -> DbResult<()> {
+        self.lock(oid, WireLockMode::Update)
+    }
+
+    /// Acquire an exclusive lock ahead of the commit (which X-locks every
+    /// write anyway, for the length of its own request): other displays
+    /// mark the object until this transaction ends.
+    pub fn lock_exclusive(&mut self, oid: Oid) -> DbResult<()> {
+        self.lock(oid, WireLockMode::Exclusive)
+    }
+
+    /// Create a new persistent object; returns it with its assigned OID
+    /// (all the server does here — the object reaches it with the commit).
+    pub fn create(&mut self, mut obj: DbObject) -> DbResult<DbObject> {
+        obj.validate(self.client.catalog())?;
+        match self.client.conn().call(Request::Create)? {
             Response::Created { oid } => {
-                let mut obj = obj;
                 obj.oid = oid;
+                self.created.push(oid);
                 self.local.insert(oid, Some(obj.clone()));
-                self.x_locked.push(oid);
                 Ok(obj)
             }
             other => Err(DbError::Protocol(format!("unexpected {other:?}"))),
         }
     }
 
-    /// Write an object's full state (implicitly X-locks it).
+    /// Write an object's full state (X-locked when the commit applies it).
     pub fn write(&mut self, obj: DbObject) -> DbResult<()> {
         if obj.oid.raw() == 0 {
             return Err(DbError::InvalidArgument(
                 "object has no oid; use create()".into(),
             ));
         }
-        self.client.conn().call(Request::Write {
-            txn: self.id,
-            object: obj.encode_to_bytes().to_vec(),
-        })?;
-        self.note_x_lock(obj.oid)?;
+        obj.validate(self.client.catalog())?;
         self.local.insert(obj.oid, Some(obj));
         Ok(())
     }
@@ -140,29 +149,43 @@ impl ClientTxn {
         self.write(obj)
     }
 
-    /// Delete an object (implicitly X-locks it).
+    /// Delete an object (X-locked when the commit applies it; an object
+    /// that does not exist by then fails the commit).
     pub fn delete(&mut self, oid: Oid) -> DbResult<()> {
-        self.client
-            .conn()
-            .call(Request::Delete { txn: self.id, oid })?;
-        self.note_x_lock(oid)?;
-        self.local.insert(oid, None);
+        if let Some(at) = self.created.iter().position(|&c| c == oid) {
+            // Created here and never shipped: the server has nothing to
+            // delete.
+            self.created.swap_remove(at);
+            self.local.remove(&oid);
+        } else {
+            self.local.insert(oid, None);
+        }
         Ok(())
     }
 
-    /// Commit. On success the client cache reflects the written states and
-    /// (agent deployment) the DLM is informed of the update set.
+    /// Commit: one request carries the write set. On success the client
+    /// cache reflects the written states and (agent deployment) the DLM
+    /// is informed of the update set — an error from that report leaves
+    /// the commit standing. When the server refuses, nothing was applied
+    /// and it holds nothing for this transaction any more.
     pub fn commit(mut self) -> DbResult<()> {
         // Mint a trace id at the committing client (0 when tracing is
         // off): the server stamps the notification fan-out with it, and
         // in the agent deployment the client's own commit report carries
         // it to the DLM agent.
         let trace = displaydb_common::trace::next_trace_id();
+        let writes = self
+            .local
+            .iter()
+            .map(|(oid, view)| (*oid, view.as_ref().map(|o| o.encode_to_bytes().to_vec())))
+            .collect();
         self.client.conn().call(Request::Commit {
             txn: self.id,
+            writes,
             trace,
         })?;
-        self.finished = true;
+        // The server-side transaction ended with it: `Drop` aborts nothing.
+        let txn = self.id.take();
         // Refresh the local cache with the now-committed states.
         for (oid, view) in &self.local {
             match view {
@@ -171,7 +194,7 @@ impl ClientTxn {
             }
         }
         if self.client.reports_to_dlm() {
-            self.report_resolution(true)?;
+            self.report_resolution(txn, true)?;
             let updates: Vec<UpdateInfo> = self
                 .local
                 .iter()
@@ -193,15 +216,17 @@ impl ClientTxn {
 
     /// Agent deployment: tell the DLM how this transaction's write
     /// intents resolved.
-    fn report_resolution(&self, committed: bool) -> DbResult<()> {
-        if self.x_locked.is_empty() {
-            return Ok(());
+    fn report_resolution(&self, txn: Option<TxnId>, committed: bool) -> DbResult<()> {
+        match txn {
+            Some(txn) if !self.x_locked.is_empty() => {
+                self.client.dlc().backend().send(DlmRequest::Resolution {
+                    oids: self.x_locked.clone(),
+                    txn,
+                    committed,
+                })
+            }
+            _ => Ok(()),
         }
-        self.client.dlc().backend().send(DlmRequest::Resolution {
-            oids: self.x_locked.clone(),
-            txn: self.id,
-            committed,
-        })
     }
 
     /// Abort, discarding all writes.
@@ -210,13 +235,13 @@ impl ClientTxn {
     }
 
     fn abort_inner(&mut self) -> DbResult<()> {
-        if self.finished {
+        // Never locked, or already over: the server knows of nothing.
+        let Some(txn) = self.id.take() else {
             return Ok(());
-        }
-        self.finished = true;
-        self.client.conn().call(Request::Abort { txn: self.id })?;
+        };
+        self.client.conn().call(Request::Abort { txn })?;
         if self.client.reports_to_dlm() {
-            self.report_resolution(false)?;
+            self.report_resolution(Some(txn), false)?;
         }
         Ok(())
     }
@@ -224,9 +249,7 @@ impl ClientTxn {
 
 impl Drop for ClientTxn {
     fn drop(&mut self) {
-        if !self.finished {
-            let _ = self.abort_inner();
-        }
+        let _ = self.abort_inner();
     }
 }
 
@@ -385,14 +408,122 @@ mod tests {
     fn drop_aborts_uncommitted() {
         let (server, hub, _cat) = setup("txn-drop");
         let c = client(&hub, "c1");
+        let mut txn = c.begin().unwrap();
+        let obj = txn.create(c.new_object("Link").unwrap()).unwrap();
+        txn.commit().unwrap();
         {
             let mut txn = c.begin().unwrap();
             let _ = txn.create(c.new_object("Link").unwrap()).unwrap();
+            txn.lock_exclusive(obj.oid).unwrap();
+            assert_eq!(server.core().active_txns(), 1);
             // dropped here
         }
-        // Server state: no object, no active txn.
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(server.core().store().object_count(), 0);
+        // Server state: the one committed object, no lock, no active
+        // txn (the abort is an RPC: done when drop returns).
+        assert_eq!(server.core().store().object_count(), 1);
+        assert_eq!(server.core().locks().locked_objects(), 0);
+        assert_eq!(server.core().active_txns(), 0);
+    }
+
+    /// The count the one-request commit is about: frames sent.
+    #[test]
+    fn a_transaction_costs_one_request_and_a_dropped_one_none() {
+        let (server, hub, cat) = setup("txn-frames");
+        let c = client(&hub, "c1");
+        let mut txn = c.begin().unwrap();
+        let obj = txn.create(c.new_object("Link").unwrap()).unwrap();
+        txn.commit().unwrap();
+        assert!(c.cache().contains(obj.oid));
+        let sent = || c.conn().stats().sent.get();
+
+        let before = sent();
+        let mut txn = c.begin().unwrap();
+        assert_eq!(txn.id(), None);
+        // Two writes to one object are one entry of the write set: the
+        // second reads the first, and the last one is what commits.
+        for value in [0.4, 0.5] {
+            txn.update(obj.oid, |o| o.set(&cat, "Utilization", value))
+                .unwrap();
+        }
+        let mine = txn.read(obj.oid).unwrap();
+        assert_eq!(mine.get(&cat, "Utilization").unwrap(), &Value::Float(0.5));
+        txn.commit().unwrap();
+        assert_eq!(sent(), before + 1, "begin + updates + commit");
+        assert_eq!(server.core().stats().commits.get(), 2);
+
+        let before = sent();
+        let mut txn = c.begin().unwrap();
+        txn.write(obj.clone()).unwrap();
+        txn.delete(obj.oid).unwrap();
+        drop(txn);
+        let txn = c.begin().unwrap();
+        txn.abort().unwrap();
+        assert_eq!(sent(), before, "a transaction that never locked is local");
+        assert_eq!(
+            c.read_fresh(obj.oid)
+                .unwrap()
+                .get(&cat, "Utilization")
+                .unwrap()
+                .as_float()
+                .unwrap(),
+            0.5
+        );
+    }
+
+    #[test]
+    fn schema_errors_surface_at_the_write_and_the_rest_at_commit() {
+        let (server, hub, cat) = setup("txn-errors");
+        let c = client(&hub, "c1");
+        let sent = || c.conn().stats().sent.get();
+        let before = sent();
+        let mut txn = c.begin().unwrap();
+        let mut bad = c.new_object("Link").unwrap();
+        bad.values.pop();
+        assert!(matches!(
+            txn.create(bad.clone()),
+            Err(DbError::SchemaViolation(_))
+        ));
+        bad.oid = Oid::new(1);
+        assert!(matches!(txn.write(bad), Err(DbError::SchemaViolation(_))));
+        assert!(matches!(
+            txn.write(c.new_object("Link").unwrap()),
+            Err(DbError::InvalidArgument(_))
+        ));
+        assert_eq!(sent(), before, "refused before anything was sent");
+
+        // An object created here is the transaction's own: locking it
+        // needs no server, deleting it again leaves nothing to commit.
+        let kept = txn.create(c.new_object("Link").unwrap()).unwrap();
+        let dropped = txn.create(c.new_object("Link").unwrap()).unwrap();
+        let before = sent();
+        txn.lock_exclusive(kept.oid).unwrap();
+        txn.lock_update(dropped.oid).unwrap();
+        txn.delete(dropped.oid).unwrap();
+        assert_eq!((sent(), txn.id()), (before, None));
+        assert!(txn.read(dropped.oid).is_err());
+        txn.commit().unwrap();
+        assert_eq!(server.core().store().object_count(), 1);
+
+        // A delete of something that is not there, and a write under an
+        // OID the server never issued, are the server's to refuse: the
+        // whole commit fails and nothing of it is applied.
+        for forged in [false, true] {
+            let mut txn = c.begin().unwrap();
+            txn.update(kept.oid, |o| o.set(&cat, "Name", "changed"))
+                .unwrap();
+            if forged {
+                let mut ghost = c.new_object("Link").unwrap();
+                ghost.oid = Oid::new(kept.oid.raw() + 5000);
+                txn.write(ghost).unwrap();
+            } else {
+                txn.delete(dropped.oid).unwrap();
+            }
+            assert!(matches!(txn.commit(), Err(DbError::Rejected(_))));
+        }
+        assert_eq!(server.core().store().object_count(), 1);
+        assert_eq!(server.core().locks().locked_objects(), 0);
+        let back = c.read_fresh(kept.oid).unwrap();
+        assert_eq!(back.get(&cat, "Name").unwrap().as_str().unwrap(), "");
     }
 
     #[test]
@@ -493,5 +624,79 @@ mod tests {
         let mut t3 = c2.begin().unwrap();
         t3.lock_exclusive(obj.oid).unwrap();
         t3.commit().unwrap();
+    }
+
+    #[test]
+    fn a_commit_that_meets_a_held_lock_is_retryable() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp("txn-commit-conflict"));
+        config.lock.wait_timeout = Duration::from_millis(300);
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let c1 = client(&hub, "c1");
+        let c2 = client(&hub, "c2");
+        let mut txn = c1.begin().unwrap();
+        let obj = txn.create(c1.new_object("Link").unwrap()).unwrap();
+        txn.commit().unwrap();
+
+        let mut t1 = c1.begin().unwrap();
+        t1.lock_exclusive(obj.oid).unwrap();
+        let attempt = || {
+            let mut t2 = c2.begin()?;
+            t2.update(obj.oid, |o| o.set(&cat, "Utilization", 0.7))?;
+            t2.commit()
+        };
+        // The commit's own lock wait times out against t1's lock.
+        let err = attempt().unwrap_err();
+        assert!(err.is_retryable(), "{err:?}");
+        assert_eq!(server.core().locks().locked_objects(), 1, "t1's only");
+        t1.commit().unwrap();
+        attempt().unwrap();
+        let read = c1.read_fresh(obj.oid).unwrap();
+        assert_eq!(
+            read.get(&cat, "Utilization").unwrap().as_float().unwrap(),
+            0.7
+        );
+    }
+
+    /// Commits lock their write sets in ascending OID order whatever order
+    /// the writes were made in, so two of them over the same objects
+    /// queue; they cannot deadlock.
+    #[test]
+    fn opposite_order_commits_never_deadlock() {
+        let (server, hub, cat) = setup("txn-order");
+        let c1 = client(&hub, "c1");
+        let c2 = client(&hub, "c2");
+        let mut txn = c1.begin().unwrap();
+        let a = txn.create(c1.new_object("Link").unwrap()).unwrap().oid;
+        let b = txn.create(c1.new_object("Link").unwrap()).unwrap().oid;
+        txn.commit().unwrap();
+
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (c, order, value) in [(&c1, [a, b], 0.25), (&c2, [b, a], 0.75)] {
+                let (start, cat) = (&start, &cat);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..200 {
+                        let mut txn = c.begin().unwrap();
+                        for oid in order {
+                            txn.update(oid, |o| o.set(cat, "Utilization", value))
+                                .unwrap();
+                        }
+                        txn.commit().unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(server.core().locks().stats().deadlocks.get(), 0);
+        assert_eq!(server.core().stats().commits.get(), 401);
+        // Both objects carry the same committer's value: each write set
+        // went in whole.
+        let value = |oid| {
+            let obj = c1.read_fresh(oid).unwrap();
+            obj.get(&cat, "Utilization").unwrap().as_float().unwrap()
+        };
+        assert_eq!(value(a), value(b));
     }
 }

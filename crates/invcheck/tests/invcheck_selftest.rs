@@ -307,13 +307,10 @@ fn parsed_stage_registry_matches_compiled_enum() {
 
 const REQUEST_VARIANTS: &[&str] = &[
     "Hello",
-    "Begin",
     "Read",
     "ReadMany",
     "Lock",
     "Create",
-    "Write",
-    "Delete",
     "Commit",
     "Abort",
     "Extent",
@@ -326,13 +323,10 @@ fn _request_anchor(r: &displaydb_server::proto::Request) -> &'static str {
     use displaydb_server::proto::Request as R;
     match r {
         R::Hello { .. } => "Hello",
-        R::Begin => "Begin",
         R::Read { .. } => "Read",
         R::ReadMany { .. } => "ReadMany",
         R::Lock { .. } => "Lock",
-        R::Create { .. } => "Create",
-        R::Write { .. } => "Write",
-        R::Delete { .. } => "Delete",
+        R::Create => "Create",
         R::Commit { .. } => "Commit",
         R::Abort { .. } => "Abort",
         R::Extent { .. } => "Extent",

@@ -7,8 +7,9 @@
 //! callback protocol:
 //!
 //! * **Grant-time callbacks** — when a transaction acquires an exclusive
-//!   lock, every other client recorded in the copy table is called back
-//!   and drops its copy before the grant returns (read-one/write-all).
+//!   lock (explicitly, or on its write set as its commit begins), every
+//!   other client recorded in the copy table is called back and drops its
+//!   copy before the grant returns (read-one/write-all).
 //! * **Commit-time callbacks** — copies registered *while* the exclusive
 //!   lock was held (reads of the pre-commit state are legal under strict
 //!   2PL ordering) are invalidated when the update commits. With
@@ -22,9 +23,10 @@
 //!
 //! ## Display notifications
 //!
-//! The commit and exclusive-grant paths raise events on the embedded
-//! [`ShardedDlm`] (integrated deployment): `Marked` on X-grant
-//! (early-notify protocol), `Resolved` + `Updated` on commit/abort. The
+//! The commit and explicit-lock paths raise events on the embedded
+//! [`ShardedDlm`] (integrated deployment): `Marked` on an explicit X-grant
+//! (early-notify protocol; the locks a commit takes for the length of
+//! its own request mark nothing), `Resolved` + `Updated` on commit/abort. The
 //! same server works with an external DLM agent instead — clients then
 //! report commits themselves (paper § 4.1) and the embedded DLM simply
 //! has no registered holders.
@@ -504,6 +506,11 @@ impl ServerCore {
         &self.locks
     }
 
+    /// Transactions alive between requests (started by an explicit lock).
+    pub fn active_txns(&self) -> usize {
+        self.txns.active_count()
+    }
+
     /// Server counters.
     pub fn stats(&self) -> &ServerStats {
         &self.stats
@@ -770,16 +777,13 @@ impl ServerCore {
         self.stats.requests.inc();
         let result = match request {
             Request::Hello { .. } => Err(DbError::Protocol("duplicate hello".into())),
-            Request::Begin => Ok(Response::TxnStarted {
-                txn: self.txns.begin(client),
-            }),
             Request::Read { txn, oid } => self.read(client, txn, oid),
             Request::ReadMany { txn, oids } => self.read_many(client, txn, &oids),
             Request::Lock { txn, oid, mode } => self.lock(client, txn, oid, mode),
-            Request::Create { txn, object } => self.create(client, txn, &object),
-            Request::Write { txn, object } => self.write(client, txn, &object),
-            Request::Delete { txn, oid } => self.delete(client, txn, oid),
-            Request::Commit { txn, trace } => self.commit_txn(client, txn, trace),
+            Request::Create => Ok(Response::Created {
+                oid: self.store.allocate_oid(),
+            }),
+            Request::Commit { txn, writes, trace } => self.commit_txn(client, txn, &writes, trace),
             Request::Abort { txn } => self.abort_txn(client, txn),
             Request::Extent {
                 class,
@@ -818,15 +822,13 @@ impl ServerCore {
         oid: Oid,
     ) -> DbResult<Option<Vec<u8>>> {
         self.stats.reads.inc();
-        // The transaction's own workspace wins.
-        if let Some(txn) = txn {
-            if let Some(view) = self.txns.own_view(txn, client, oid)? {
-                return Ok(view.map(|o| o.encode_to_bytes().to_vec()));
-            }
-        }
         // Momentary shared lock: never observe a half-applied update, and
-        // queue behind in-flight exclusive holders.
-        let owner = txn.map(Owner::Txn).unwrap_or(Owner::Client(client));
+        // queue behind in-flight exclusive holders — other than the
+        // reader's own transaction.
+        let owner = match txn {
+            Some(txn) => self.txns.with_txn(txn, client, |_| Owner::Txn(txn))?,
+            None => Owner::Client(client),
+        };
         let reentrant = self.locks.held_mode(owner, oid).is_some();
         if !reentrant {
             self.locks.acquire(owner, oid, LockMode::Shared)?;
@@ -860,15 +862,14 @@ impl ServerCore {
         Ok(Response::Objects { objects })
     }
 
-    /// Acquire an exclusive lock with grant-time callbacks and
-    /// early-notify marks. Idempotent per (txn, oid).
-    fn acquire_exclusive(&self, client: ClientId, txn: TxnId, oid: Oid) -> DbResult<()> {
+    /// Acquire an exclusive lock with grant-time callbacks. Idempotent
+    /// per (txn, oid); returns whether this call was the grant.
+    fn acquire_exclusive(&self, client: ClientId, txn: TxnId, oid: Oid) -> DbResult<bool> {
         let owner = Owner::Txn(txn);
         if self.locks.held_mode(owner, oid) == Some(LockMode::Exclusive) {
-            return Ok(());
+            return Ok(false);
         }
         self.locks.acquire(owner, oid, LockMode::Exclusive)?;
-        self.txns.record_x_lock(txn, client, oid)?;
         // Grant-time callbacks: invalidate other clients' cached copies.
         // Projected display-lock holders are deferred to commit time: if
         // the commit turns out to touch only attributes their projection
@@ -881,9 +882,7 @@ impl ServerCore {
             self.config.sync_callbacks,
             &|holder, oid| self.dlm.has_interest(holder, oid),
         );
-        // Early-notify protocol: mark the object at display holders.
-        self.dlm.notify_intent(Some(client), &[oid], txn);
-        Ok(())
+        Ok(true)
     }
 
     /// Send callbacks for `oids` to every caching client except `except`.
@@ -927,74 +926,94 @@ impl ServerCore {
         }
     }
 
+    /// An explicit lock, held from now to the transaction's commit or
+    /// abort; the only way a transaction comes to exist between requests.
     fn lock(
         &self,
         client: ClientId,
-        txn: TxnId,
+        txn: Option<TxnId>,
         oid: Oid,
         mode: WireLockMode,
     ) -> DbResult<Response> {
         if !self.store.exists(oid) {
             return Err(DbError::ObjectNotFound(oid));
         }
-        match mode {
-            WireLockMode::Update => {
-                self.txns.with_txn(txn, client, |_| ())?;
-                self.locks.acquire(Owner::Txn(txn), oid, LockMode::Update)?;
-            }
-            WireLockMode::Exclusive => {
-                self.txns.with_txn(txn, client, |_| ())?;
-                self.acquire_exclusive(client, txn, oid)?;
-            }
+        let started = txn.is_none();
+        let txn = match txn {
+            Some(txn) => self.txns.with_txn(txn, client, |_| txn)?,
+            None => self.txns.begin(client),
+        };
+        let granted = match mode {
+            WireLockMode::Update => self.locks.acquire(Owner::Txn(txn), oid, LockMode::Update),
+            WireLockMode::Exclusive => self.acquire_exclusive(client, txn, oid).and_then(|new| {
+                if new {
+                    self.txns.record_x_lock(txn, client, oid)?;
+                    // Early-notify protocol: mark the object at display
+                    // holders until the transaction resolves.
+                    self.dlm.notify_intent(Some(client), &[oid], txn);
+                }
+                Ok(())
+            }),
+        };
+        if granted.is_err() && started {
+            // The client never learns the id of a transaction whose
+            // first lock failed, so nobody else could end it.
+            let _ = self.abort_txn(client, txn);
         }
-        Ok(Response::Ok)
+        granted.map(|()| Response::TxnStarted { txn })
     }
 
-    fn create(&self, client: ClientId, txn: TxnId, object: &[u8]) -> DbResult<Response> {
+    /// Decode and check a commit's write set against the catalog and the
+    /// store, touching nothing: all of it is good or none of it is applied.
+    fn checked_writes(&self, writes: &[(Oid, Option<Vec<u8>>)]) -> DbResult<Vec<WriteOp>> {
         use displaydb_wire::Decode;
-        let mut obj = DbObject::decode_from_bytes(object)?;
-        obj.oid = self.store.allocate_oid();
-        obj.validate(&self.catalog)?;
-        let oid = obj.oid;
-        // Trivially granted: nobody else can know this OID yet.
-        self.locks
-            .acquire(Owner::Txn(txn), oid, LockMode::Exclusive)?;
-        self.txns.record_x_lock(txn, client, oid)?;
-        self.txns.record_write(txn, client, WriteOp::Put(obj))?;
-        Ok(Response::Created { oid })
-    }
-
-    fn write(&self, client: ClientId, txn: TxnId, object: &[u8]) -> DbResult<Response> {
-        use displaydb_wire::Decode;
-        let obj = DbObject::decode_from_bytes(object)?;
-        if obj.oid.raw() == 0 {
-            return Err(DbError::InvalidArgument(
-                "write requires an assigned oid (use create)".into(),
-            ));
+        let mut ops = Vec::with_capacity(writes.len());
+        for (oid, put) in writes {
+            ops.push(match put {
+                Some(bytes) => {
+                    let obj = DbObject::decode_from_bytes(bytes)?;
+                    obj.validate(&self.catalog)?;
+                    // An OID the allocator never issued would collide
+                    // with a later creation.
+                    if obj.oid != *oid || !self.store.issued(*oid) {
+                        return Err(DbError::InvalidArgument(format!(
+                            "write of {} under {oid}, which is not its oid or not one this server issued",
+                            obj.oid
+                        )));
+                    }
+                    WriteOp::Put(obj)
+                }
+                None if self.store.exists(*oid) => WriteOp::Delete(*oid),
+                None => return Err(DbError::ObjectNotFound(*oid)),
+            });
         }
-        obj.validate(&self.catalog)?;
-        self.acquire_exclusive(client, txn, obj.oid)?;
-        self.txns.record_write(txn, client, WriteOp::Put(obj))?;
-        Ok(Response::Ok)
+        Ok(ops)
     }
 
-    fn delete(&self, client: ClientId, txn: TxnId, oid: Oid) -> DbResult<Response> {
-        if !self.store.exists(oid) {
-            return Err(DbError::ObjectNotFound(oid));
-        }
-        self.acquire_exclusive(client, txn, oid)?;
-        self.txns.record_write(txn, client, WriteOp::Delete(oid))?;
-        Ok(Response::Ok)
-    }
-
+    /// The one commit entry point: check the write set, X-lock it, apply
+    /// it, release, notify — all of it or none.
     fn commit_txn(
         &self,
         client: ClientId,
-        txn: TxnId,
+        txn: Option<TxnId>,
+        writes: &[(Oid, Option<Vec<u8>>)],
         trace: displaydb_common::TraceId,
     ) -> DbResult<Response> {
-        let state = self.txns.finish(txn, client)?;
-        let writes = state.final_writes();
+        let mut ending = self.end_txn(client, txn)?;
+        let txn = ending.txn;
+        let writes = self.checked_writes(writes)?;
+        // Ascending OID order, so that two commits over the same objects
+        // queue behind each other instead of deadlocking.
+        let mut oids: Vec<Oid> = writes.iter().map(WriteOp::oid).collect();
+        oids.sort_unstable();
+        if oids.windows(2).any(|pair| pair[0] == pair[1]) {
+            return Err(DbError::InvalidArgument(
+                "write set names an object twice".into(),
+            ));
+        }
+        for &oid in &oids {
+            self.acquire_exclusive(client, txn, oid)?;
+        }
         // Pre-images of updated objects, captured before the commit
         // applies so the DLM can diff them against registered display
         // projections. Skipped when no client registered one.
@@ -1011,19 +1030,12 @@ impl ServerCore {
         let outcomes = if writes.is_empty() {
             Vec::new()
         } else {
-            match self.store.commit(txn, &writes) {
-                Ok(o) => o,
-                Err(e) => {
-                    // Failed commit = abort.
-                    self.locks.release_all(Owner::Txn(txn));
-                    self.dlm
-                        .notify_resolution(Some(client), &state.x_locked, txn, false);
-                    return Err(e);
-                }
-            }
+            // Failed commit = abort.
+            self.store.commit(txn, &writes)?
         };
         self.stats.commits.inc();
         displaydb_common::trace::record(trace, displaydb_common::trace::Stage::Commit);
+        ending.committed = true;
         self.locks.release_all(Owner::Txn(txn));
         if !outcomes.is_empty() {
             // Bump commit versions so resuming clients can prove (or
@@ -1091,7 +1103,7 @@ impl ServerCore {
                 })
                 .collect();
             self.dlm
-                .notify_resolution(Some(client), &state.x_locked, txn, true);
+                .notify_resolution(Some(client), &ending.x_locked, txn, true);
             // Stamp the committing txn into the (possibly durable)
             // update log. On a spill failure the DLM already surrendered
             // its replay window (see `notify_committed_txn`); the commit
@@ -1102,19 +1114,59 @@ impl ServerCore {
                 .notify_committed_txn(Some(client), &updates, txn.raw());
         } else {
             self.dlm
-                .notify_resolution(Some(client), &state.x_locked, txn, true);
+                .notify_resolution(Some(client), &ending.x_locked, txn, true);
         }
         Ok(Response::Ok)
     }
 
+    /// Take the transaction out of the table to end it; a commit that
+    /// names none gets a fresh id that never enters the table.
+    fn end_txn(&self, client: ClientId, txn: Option<TxnId>) -> DbResult<Ending<'_>> {
+        let (txn, x_locked) = match txn {
+            Some(txn) => (txn, self.txns.finish(txn, client)?.x_locked),
+            None => (self.txns.mint(), Vec::new()),
+        };
+        Ok(Ending {
+            core: self,
+            client,
+            txn,
+            x_locked,
+            committed: false,
+        })
+    }
+
     fn abort_txn(&self, client: ClientId, txn: TxnId) -> DbResult<Response> {
-        let state = self.txns.finish(txn, client)?;
-        let _ = self.store.abort(txn);
+        // Nothing of an unfinished transaction ever reaches the store.
+        let _ending = self.end_txn(client, Some(txn))?;
         self.stats.aborts.inc();
-        self.locks.release_all(Owner::Txn(txn));
-        self.dlm
-            .notify_resolution(Some(client), &state.x_locked, txn, false);
         Ok(Response::Ok)
+    }
+}
+
+/// A transaction on its way out: no longer in the table, its locks still
+/// held. Dropping it before `committed` is set is the abort — its locks
+/// and lock waits go, display holders hear that its write intents came
+/// to nothing — so a commit that is refused, times out in a lock wait,
+/// loses a deadlock, fails in the store or unwinds leaves nothing behind.
+/// A transaction that lives inside one `Commit` has no other cleanup: it
+/// is in no table a disconnect could sweep.
+struct Ending<'a> {
+    core: &'a ServerCore,
+    client: ClientId,
+    txn: TxnId,
+    /// The early-notify resolution set (explicit exclusive locks).
+    x_locked: Vec<Oid>,
+    committed: bool,
+}
+
+impl Drop for Ending<'_> {
+    fn drop(&mut self) {
+        if !self.committed {
+            self.core.locks.release_all(Owner::Txn(self.txn));
+            self.core
+                .dlm
+                .notify_resolution(Some(self.client), &self.x_locked, self.txn, false);
+        }
     }
 }
 

@@ -133,12 +133,12 @@ pub enum Request {
         /// previous session instead of allocating a fresh one.
         resume: Option<ResumeRequest>,
     },
-    /// Start a transaction.
-    Begin,
     /// Read an object (registers the client in the copy table, making the
     /// cached copy callback-protected).
     Read {
-        /// Reading transaction, if any (sees its own uncommitted writes).
+        /// Reading transaction, if any: the read is re-entrant with the
+        /// locks that transaction holds. What it returns is committed
+        /// state either way.
         txn: Option<TxnId>,
         /// The object.
         oid: Oid,
@@ -150,48 +150,39 @@ pub enum Request {
         /// The objects.
         oids: Vec<Oid>,
     },
-    /// Acquire a transactional lock. Exclusive grants trigger callbacks to
+    /// Acquire a transactional lock ahead of the commit, answered with
+    /// [`Response::TxnStarted`]. Exclusive grants trigger callbacks to
     /// other caching clients and early-notify marks to display holders.
     Lock {
-        /// The locking transaction.
-        txn: TxnId,
+        /// The locking transaction; `None` starts one. A server-side
+        /// transaction exists only from here to its `Commit`/`Abort`.
+        txn: Option<TxnId>,
         /// The object.
         oid: Oid,
         /// Requested mode.
         mode: WireLockMode,
     },
-    /// Create a new object (server assigns the OID).
-    Create {
-        /// The creating transaction.
-        txn: TxnId,
-        /// Encoded [`displaydb_schema::DbObject`] with OID 0.
-        object: Vec<u8>,
-    },
-    /// Write an object (implicitly acquires an exclusive lock).
-    Write {
-        /// The writing transaction.
-        txn: TxnId,
-        /// Encoded object with its real OID.
-        object: Vec<u8>,
-    },
-    /// Delete an object (implicitly acquires an exclusive lock).
-    Delete {
-        /// The deleting transaction.
-        txn: TxnId,
-        /// The object.
-        oid: Oid,
-    },
-    /// Commit: make writes durable, release locks, notify display holders.
+    /// Allocate the OID of an object to be created, answered with
+    /// [`Response::Created`]. The object itself travels in the creating
+    /// transaction's `Commit`.
+    Create,
+    /// Commit: X-lock the write set, make it durable, release every lock
+    /// the transaction holds, notify display holders — or do none of it.
     Commit {
-        /// The transaction.
-        txn: TxnId,
+        /// The transaction, if explicit locks started one; `None` for
+        /// one that lives only for this request.
+        txn: Option<TxnId>,
+        /// The write set, at most one entry per object: the encoded
+        /// [`displaydb_schema::DbObject`] to put under that OID, or
+        /// `None` to delete it.
+        writes: Vec<(Oid, Option<Vec<u8>>)>,
         /// End-to-end trace id minted by the committing client
         /// (DESIGN.md § 12); `0` when the client is not tracing. The
         /// server stamps it onto every notification this commit
         /// produces.
         trace: displaydb_common::TraceId,
     },
-    /// Abort: discard writes, release locks.
+    /// Abort: release the transaction's locks.
     Abort {
         /// The transaction.
         txn: TxnId,
@@ -253,9 +244,10 @@ pub enum Response {
         /// the DLM's shard count.
         log_incarnations: Vec<u64>,
     },
-    /// Transaction started.
+    /// A [`Request::Lock`] was granted.
     TxnStarted {
-        /// Its id.
+        /// The transaction that now holds the lock: the one the request
+        /// named, or the one it started.
         txn: TxnId,
     },
     /// One object's encoded state.
@@ -351,21 +343,20 @@ pub enum Envelope {
 // --- encoding -------------------------------------------------------------
 
 const REQ_HELLO: u8 = 1;
-const REQ_BEGIN: u8 = 2;
 const REQ_READ: u8 = 3;
 const REQ_READ_MANY: u8 = 4;
-const REQ_LOCK: u8 = 5;
-const REQ_CREATE: u8 = 6;
-const REQ_WRITE: u8 = 7;
-const REQ_DELETE: u8 = 8;
-const REQ_COMMIT: u8 = 9;
 const REQ_ABORT: u8 = 10;
 const REQ_EXTENT: u8 = 11;
-// 12, 13, 16 and 17 were `DisplayLock`, `DisplayRelease`,
-// `DisplayLockProjected` and `ReplayFrom`: retired, never reused.
 const REQ_CHECKPOINT: u8 = 14;
 const REQ_PING: u8 = 15;
 const REQ_DLM: u8 = 18;
+const REQ_CREATE: u8 = 19;
+const REQ_COMMIT: u8 = 20;
+const REQ_LOCK: u8 = 21;
+// Retired, never reused: 2, 7 and 8 were `Begin`, `Write` and `Delete`;
+// 5, 6 and 9 the `Lock`, `Create` and `Commit` of transactions the server
+// buffered write by write; 12, 13, 16 and 17 `DisplayLock`,
+// `DisplayRelease`, `DisplayLockProjected` and `ReplayFrom`.
 
 impl Encode for Request {
     fn encode(&self, w: &mut WireWriter) {
@@ -375,7 +366,6 @@ impl Encode for Request {
                 name.encode(w);
                 resume.encode(w);
             }
-            Request::Begin => w.put_u8(REQ_BEGIN),
             Request::Read { txn, oid } => {
                 w.put_u8(REQ_READ);
                 txn.encode(w);
@@ -392,24 +382,11 @@ impl Encode for Request {
                 oid.encode(w);
                 mode.encode(w);
             }
-            Request::Create { txn, object } => {
-                w.put_u8(REQ_CREATE);
-                txn.encode(w);
-                object.encode(w);
-            }
-            Request::Write { txn, object } => {
-                w.put_u8(REQ_WRITE);
-                txn.encode(w);
-                object.encode(w);
-            }
-            Request::Delete { txn, oid } => {
-                w.put_u8(REQ_DELETE);
-                txn.encode(w);
-                oid.encode(w);
-            }
-            Request::Commit { txn, trace } => {
+            Request::Create => w.put_u8(REQ_CREATE),
+            Request::Commit { txn, writes, trace } => {
                 w.put_u8(REQ_COMMIT);
                 txn.encode(w);
+                writes.encode(w);
                 w.put_varint(*trace);
             }
             Request::Abort { txn } => {
@@ -441,7 +418,6 @@ impl Decode for Request {
                 name: String::decode(r)?,
                 resume: Option::<ResumeRequest>::decode(r)?,
             },
-            REQ_BEGIN => Request::Begin,
             REQ_READ => Request::Read {
                 txn: Option::<TxnId>::decode(r)?,
                 oid: Oid::decode(r)?,
@@ -451,24 +427,14 @@ impl Decode for Request {
                 oids: Vec::<Oid>::decode(r)?,
             },
             REQ_LOCK => Request::Lock {
-                txn: TxnId::decode(r)?,
+                txn: Option::<TxnId>::decode(r)?,
                 oid: Oid::decode(r)?,
                 mode: WireLockMode::decode(r)?,
             },
-            REQ_CREATE => Request::Create {
-                txn: TxnId::decode(r)?,
-                object: Vec::<u8>::decode(r)?,
-            },
-            REQ_WRITE => Request::Write {
-                txn: TxnId::decode(r)?,
-                object: Vec::<u8>::decode(r)?,
-            },
-            REQ_DELETE => Request::Delete {
-                txn: TxnId::decode(r)?,
-                oid: Oid::decode(r)?,
-            },
+            REQ_CREATE => Request::Create,
             REQ_COMMIT => Request::Commit {
-                txn: TxnId::decode(r)?,
+                txn: Option::<TxnId>::decode(r)?,
+                writes: Vec::<(Oid, Option<Vec<u8>>)>::decode(r)?,
                 trace: r.get_varint()?,
             },
             REQ_ABORT => Request::Abort {
@@ -696,9 +662,10 @@ mod tests {
 
     #[test]
     fn encode_req_is_the_req_envelope() {
-        let request = Request::Write {
-            txn: TxnId::new(5),
-            object: vec![1, 2, 3],
+        let request = Request::Commit {
+            txn: Some(TxnId::new(5)),
+            writes: vec![(Oid::new(4), Some(vec![1, 2, 3]))],
+            trace: 0,
         };
         assert_eq!(
             Envelope::encode_req(300, &request),
@@ -755,7 +722,7 @@ mod tests {
                 }),
             },
         ));
-        rt(Envelope::Req(8, Request::Begin));
+        rt(Envelope::Req(8, Request::Create));
         rt(Envelope::Req(
             9,
             Request::Read {
@@ -773,29 +740,24 @@ mod tests {
         rt(Envelope::Req(
             11,
             Request::Lock {
-                txn: TxnId::new(3),
+                txn: Some(TxnId::new(3)),
                 oid: Oid::new(4),
                 mode: WireLockMode::Exclusive,
             },
         ));
         rt(Envelope::Req(
-            12,
-            Request::Write {
-                txn: TxnId::new(3),
-                object: vec![1, 2, 3],
-            },
-        ));
-        rt(Envelope::Req(
             13,
             Request::Commit {
-                txn: TxnId::new(3),
+                txn: Some(TxnId::new(3)),
+                writes: vec![],
                 trace: 0,
             },
         ));
         rt(Envelope::Req(
             17,
             Request::Commit {
-                txn: TxnId::new(4),
+                txn: None,
+                writes: vec![(Oid::new(4), Some(vec![1, 2, 3])), (Oid::new(9), None)],
                 trace: u64::MAX,
             },
         ));
@@ -921,7 +883,6 @@ mod tests {
                 resume: None,
             },
         );
-        rt_req(2, Request::Begin);
         rt_req(3, Request::Read { txn: None, oid });
         rt_req(
             4,
@@ -930,30 +891,6 @@ mod tests {
                 oids: vec![oid],
             },
         );
-        rt_req(
-            5,
-            Request::Lock {
-                txn,
-                oid,
-                mode: WireLockMode::Update,
-            },
-        );
-        rt_req(
-            6,
-            Request::Create {
-                txn,
-                object: vec![1],
-            },
-        );
-        rt_req(
-            7,
-            Request::Write {
-                txn,
-                object: vec![1, 2],
-            },
-        );
-        rt_req(8, Request::Delete { txn, oid });
-        rt_req(9, Request::Commit { txn, trace: 77 });
         rt_req(10, Request::Abort { txn });
         rt_req(
             11,
@@ -964,6 +901,25 @@ mod tests {
         );
         rt_req(14, Request::Checkpoint);
         rt_req(15, Request::Ping);
+        rt_req(19, Request::Create);
+        rt_req(
+            20,
+            Request::Commit {
+                txn: None,
+                writes: vec![(oid, Some(vec![1, 2])), (Oid::new(5), None)],
+                trace: 77,
+            },
+        );
+        for txn in [None, Some(txn)] {
+            rt_req(
+                21,
+                Request::Lock {
+                    txn,
+                    oid,
+                    mode: WireLockMode::Update,
+                },
+            );
+        }
         // Tag 18 carries `DlmRequest`'s own codec untouched: all nine
         // variants cross, their inner tags following the outer one.
         let oids = vec![Oid::new(9), Oid::new(10)];
@@ -1028,9 +984,10 @@ mod tests {
     #[test]
     fn retired_request_tags_are_protocol_errors() {
         // 12/13/16/17 carried the display-lock requests `Request::Dlm`
-        // replaced; a frame from such a build must fail loudly, not be
-        // read as something else.
-        for tag in [12u8, 13, 16, 17] {
+        // replaced; 2/7/8 were `Begin`/`Write`/`Delete` and 5/6/9 the
+        // `Lock`/`Create`/`Commit` that went with them. A frame from such
+        // a build must fail loudly, not be read as something else.
+        for tag in [2u8, 5, 6, 7, 8, 9, 12, 13, 16, 17] {
             let mut w = WireWriter::new();
             w.put_u8(tag);
             Vec::<Oid>::new().encode(&mut w);

@@ -468,87 +468,126 @@ mod tests {
         }
     }
 
-    fn make_node(cat: &Catalog, name: &str) -> Vec<u8> {
-        DbObject::new_named(cat, "Node")
+    /// One `Put` of a `Node` named `name` under `oid`, as `Commit` carries it.
+    fn put(cat: &Catalog, oid: Oid, name: &str) -> (Oid, Option<Vec<u8>>) {
+        let mut node = DbObject::new_named(cat, "Node")
             .unwrap()
             .with(cat, "Name", name)
-            .unwrap()
-            .encode_to_bytes()
-            .to_vec()
+            .unwrap();
+        node.oid = oid;
+        (oid, Some(node.encode_to_bytes().to_vec()))
+    }
+
+    fn allocate(c: &RawClient) -> Oid {
+        match c.call(Request::Create) {
+            Response::Created { oid } => oid,
+            o => panic!("{o:?}"),
+        }
+    }
+
+    fn commit_request(txn: Option<TxnId>, writes: Vec<(Oid, Option<Vec<u8>>)>) -> Request {
+        Request::Commit {
+            txn,
+            writes,
+            trace: 0,
+        }
+    }
+
+    fn commit(c: &RawClient, txn: Option<TxnId>, writes: Vec<(Oid, Option<Vec<u8>>)>) {
+        assert_eq!(c.call(commit_request(txn, writes)), Response::Ok);
+    }
+
+    /// Create one committed `Node`: an OID, then the one request.
+    fn new_node(c: &RawClient, cat: &Catalog, name: &str) -> Oid {
+        let oid = allocate(c);
+        commit(c, None, vec![put(cat, oid, name)]);
+        oid
+    }
+
+    fn lock(txn: Option<TxnId>, oid: Oid, mode: WireLockMode) -> Request {
+        Request::Lock { txn, oid, mode }
+    }
+
+    /// Take an explicit lock; the transaction it ran in (started, when
+    /// `txn` is `None`).
+    fn locked(c: &RawClient, txn: Option<TxnId>, oid: Oid, mode: WireLockMode) -> TxnId {
+        match c.call(lock(txn, oid, mode)) {
+            Response::TxnStarted { txn } => txn,
+            o => panic!("{o:?}"),
+        }
+    }
+
+    fn read_node(c: &RawClient, txn: Option<TxnId>, oid: Oid) -> DbObject {
+        match c.call(Request::Read { txn, oid }) {
+            Response::Object { bytes } => DbObject::decode_from_bytes(&bytes).unwrap(),
+            o => panic!("{o:?}"),
+        }
+    }
+
+    fn encoded(obj: &DbObject) -> (Oid, Option<Vec<u8>>) {
+        (obj.oid, Some(obj.encode_to_bytes().to_vec()))
+    }
+
+    fn error_kind(response: &Response) -> &str {
+        match response {
+            Response::Error { kind, .. } => kind,
+            o => panic!("expected an error, got {o:?}"),
+        }
+    }
+
+    /// Poll until `cond` holds; panic with `what` after 10 s.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "never happened: {what}"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Wait until `n` lock requests in total have had to queue.
+    fn await_lock_waits(server: &Server, n: u64) {
+        eventually("lock requests parked", || {
+            server.core().locks().stats().waits.get() >= n
+        });
     }
 
     #[test]
     fn end_to_end_create_read_update() {
         let cat = catalog();
         let hub = LocalHub::new();
-        let _server =
+        let server =
             Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("e2e")), &hub).unwrap();
         let (c1, _id1) = RawClient::connect(&hub);
 
-        // Create in a transaction.
-        let txn = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            other => panic!("{other:?}"),
-        };
-        let oid = match c1.call(Request::Create {
-            txn,
-            object: make_node(&cat, "alpha"),
-        }) {
-            Response::Created { oid } => oid,
-            other => panic!("{other:?}"),
-        };
-        assert!(matches!(
-            c1.call(Request::Commit { txn, trace: 0 }),
-            Response::Ok
-        ));
+        // Create: the OID first, the object with the commit.
+        let oid = new_node(&c1, &cat, "alpha");
+        let obj = read_node(&c1, None, oid);
+        assert_eq!(obj.get(&cat, "Name").unwrap().as_str().unwrap(), "alpha");
 
-        // Read it back without a transaction.
-        match c1.call(Request::Read { txn: None, oid }) {
-            Response::Object { bytes } => {
-                let obj = DbObject::decode_from_bytes(&bytes).unwrap();
-                assert_eq!(obj.get(&cat, "Name").unwrap().as_str().unwrap(), "alpha");
-            }
-            other => panic!("{other:?}"),
-        }
-
-        // Update it.
-        let txn2 = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            other => panic!("{other:?}"),
-        };
-        let mut obj = DbObject::decode_from_bytes(
-            match &c1.call(Request::Read {
-                txn: Some(txn2),
-                oid,
-            }) {
-                Response::Object { bytes } => bytes,
-                other => panic!("{other:?}"),
-            },
-        )
-        .unwrap();
+        // Update it: one request, no transaction left behind.
+        let mut obj = obj;
         obj.set(&cat, "Load", 0.9).unwrap();
-        assert!(matches!(
-            c1.call(Request::Write {
-                txn: txn2,
-                object: obj.encode_to_bytes().to_vec()
-            }),
-            Response::Ok
-        ));
-        assert!(matches!(
-            c1.call(Request::Commit {
-                txn: txn2,
-                trace: 0
-            }),
-            Response::Ok
-        ));
+        commit(&c1, None, vec![encoded(&obj)]);
+        assert_eq!(server.core().active_txns(), 0);
+        assert_eq!(server.core().locks().locked_objects(), 0);
+        let back = read_node(&c1, None, oid);
+        assert_eq!(back.get(&cat, "Load").unwrap().as_float().unwrap(), 0.9);
 
-        match c1.call(Request::Read { txn: None, oid }) {
-            Response::Object { bytes } => {
-                let obj = DbObject::decode_from_bytes(&bytes).unwrap();
-                assert_eq!(obj.get(&cat, "Load").unwrap().as_float().unwrap(), 0.9);
-            }
-            other => panic!("{other:?}"),
-        }
+        // Delete it; deleting it again has nothing to delete.
+        commit(&c1, None, vec![(oid, None)]);
+        assert_eq!(server.core().store().object_count(), 0);
+        let again = c1.call(commit_request(None, vec![(oid, None)]));
+        assert_eq!(error_kind(&again), "object_not_found");
+    }
+
+    /// Whether `c` has been pushed a callback naming `oid`.
+    fn called_back(c: &RawClient, oid: Oid) -> bool {
+        c.pushes.lock().iter().any(
+            |p| matches!(p, crate::proto::ServerPush::Callback { oids, .. } if oids.contains(&oid)),
+        )
     }
 
     #[test]
@@ -561,57 +600,26 @@ mod tests {
         let (c1, _) = RawClient::connect(&hub);
         let (c2, _) = RawClient::connect(&hub);
 
-        // c1 creates; c2 reads (and thus caches).
-        let txn = match c1.call(Request::Begin) {
+        // c1 creates two objects; c2 reads (and thus caches) both.
+        let by_lock = new_node(&c1, &cat, "shared");
+        let by_commit = new_node(&c1, &cat, "shared too");
+        read_node(&c2, None, by_lock);
+        let copy = read_node(&c2, None, by_commit);
+
+        // An explicit X lock calls c2's copy back at the grant; a commit
+        // that locks nothing ahead does so as it takes its own lock.
+        let waiting = c1.send(lock(None, by_lock, WireLockMode::Exclusive));
+        c2.ack_next_callback();
+        let txn = match c1.wait(waiting) {
             Response::TxnStarted { txn } => txn,
             o => panic!("{o:?}"),
         };
-        let oid = match c1.call(Request::Create {
-            txn,
-            object: make_node(&cat, "shared"),
-        }) {
-            Response::Created { oid } => oid,
-            o => panic!("{o:?}"),
-        };
-        c1.call(Request::Commit { txn, trace: 0 });
-        c2.call(Request::Read { txn: None, oid });
-
-        // c1 updates: c2 must receive a callback before/at commit.
-        let txn2 = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        assert!(matches!(
-            c1.call(Request::Lock {
-                txn: txn2,
-                oid,
-                mode: WireLockMode::Exclusive
-            }),
-            Response::Ok
-        ));
-        c1.call(Request::Commit {
-            txn: txn2,
-            trace: 0,
-        });
-
-        // The callback was pushed to c2 (it acked inside call()).
-        // Poll until the push shows up (delivery is asynchronous).
-        let mut seen = false;
-        for _ in 0..100 {
-            c2.call(Request::Ping);
-            if c2
-                .pushes
-                .lock()
-                .iter()
-                .any(|p| matches!(p, crate::proto::ServerPush::Callback { oids, .. } if oids.contains(&oid)))
-            {
-                seen = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(seen, "c2 never received a callback");
-        assert!(server.core().stats().callbacks.get() >= 1);
+        assert!(called_back(&c2, by_lock) && !called_back(&c2, by_commit));
+        let waiting = c1.send(commit_request(Some(txn), vec![encoded(&copy)]));
+        c2.ack_next_callback();
+        assert_eq!(c1.wait(waiting), Response::Ok);
+        assert!(called_back(&c2, by_commit));
+        assert!(server.core().stats().callbacks.get() >= 2);
     }
 
     #[test]
@@ -622,19 +630,7 @@ mod tests {
             Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("display")), &hub).unwrap();
         let (viewer, _) = RawClient::connect(&hub);
         let (updater, _) = RawClient::connect(&hub);
-
-        let txn = match updater.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        let oid = match updater.call(Request::Create {
-            txn,
-            object: make_node(&cat, "watched"),
-        }) {
-            Response::Created { oid } => oid,
-            o => panic!("{o:?}"),
-        };
-        updater.call(Request::Commit { txn, trace: 0 });
+        let oid = new_node(&updater, &cat, "watched");
 
         // Viewer display-locks the object.
         assert!(matches!(
@@ -645,29 +641,9 @@ mod tests {
         ));
 
         // Updater modifies it.
-        let txn2 = match updater.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        let mut obj = DbObject::decode_from_bytes(
-            match &updater.call(Request::Read {
-                txn: Some(txn2),
-                oid,
-            }) {
-                Response::Object { bytes } => bytes,
-                o => panic!("{o:?}"),
-            },
-        )
-        .unwrap();
+        let mut obj = read_node(&updater, None, oid);
         obj.set(&cat, "Load", 0.8).unwrap();
-        updater.call(Request::Write {
-            txn: txn2,
-            object: obj.encode_to_bytes().to_vec(),
-        });
-        updater.call(Request::Commit {
-            txn: txn2,
-            trace: 0,
-        });
+        commit(&updater, None, vec![encoded(&obj)]);
 
         // Viewer receives Updated for oid. The outbox may deliver it
         // batched together with the update-log cursor ack, so look
@@ -693,6 +669,20 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(seen, "viewer never received the display notification");
+        // A lock that lived inside the commit's own request marked
+        // nothing: `Marked` comes from an explicit `Lock` only.
+        fn mentions_mark(event: &displaydb_dlm::DlmEvent) -> bool {
+            match event {
+                displaydb_dlm::DlmEvent::Marked { .. } => true,
+                displaydb_dlm::DlmEvent::Batch(events) => events.iter().any(mentions_mark),
+                _ => false,
+            }
+        }
+        assert!(!viewer
+            .pushes
+            .lock()
+            .iter()
+            .any(|p| matches!(p, crate::proto::ServerPush::Dlm(event) if mentions_mark(event))));
     }
 
     #[test]
@@ -704,41 +694,13 @@ mod tests {
                 .unwrap();
         let (c1, _) = RawClient::connect(&hub);
         let (c2, _) = RawClient::connect(&hub);
+        let oid = new_node(&c1, &cat, "contested");
 
-        let txn = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        let oid = match c1.call(Request::Create {
-            txn,
-            object: make_node(&cat, "contested"),
-        }) {
-            Response::Created { oid } => oid,
-            o => panic!("{o:?}"),
-        };
-        c1.call(Request::Commit { txn, trace: 0 });
-
-        // c1 X-locks; c2's X request blocks until c1 commits.
-        let t1 = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        c1.call(Request::Lock {
-            txn: t1,
-            oid,
-            mode: WireLockMode::Exclusive,
-        });
-        let t2 = match c2.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-
+        // c1 X-locks; c2's commit of the same object blocks in its own
+        // lock wait until c1 commits.
+        let t1 = locked(&c1, None, oid, WireLockMode::Exclusive);
         let waits = server.core().locks().stats().waits.get();
-        let parked = c2.send(Request::Lock {
-            txn: t2,
-            oid,
-            mode: WireLockMode::Exclusive,
-        });
+        let parked = c2.send(commit_request(None, vec![put(&cat, oid, "second")]));
         await_lock_waits(&server, waits + 1);
         assert!(
             matches!(
@@ -747,8 +709,10 @@ mod tests {
             ),
             "second writer did not block"
         );
-        c1.call(Request::Commit { txn: t1, trace: 0 });
-        assert!(matches!(c2.wait(parked), Response::Ok));
+        commit(&c1, Some(t1), vec![put(&cat, oid, "first")]);
+        assert_eq!(c2.wait(parked), Response::Ok);
+        let last = read_node(&c1, None, oid);
+        assert_eq!(last.get(&cat, "Name").unwrap().as_str().unwrap(), "second");
     }
 
     #[test]
@@ -758,38 +722,135 @@ mod tests {
         let server =
             Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("disconnect")), &hub)
                 .unwrap();
-        let oid;
-        {
-            let (c1, _) = RawClient::connect(&hub);
-            let txn = match c1.call(Request::Begin) {
-                Response::TxnStarted { txn } => txn,
-                o => panic!("{o:?}"),
-            };
-            oid = match c1.call(Request::Create {
-                txn,
-                object: make_node(&cat, "orphan"),
-            }) {
-                Response::Created { oid } => oid,
-                o => panic!("{o:?}"),
-            };
-            // Drop without commit: connection closes.
-            c1.channel.close();
-        }
-        // Wait for the session to clean up.
-        for _ in 0..100 {
-            if server.core().sessions().is_empty() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        // The uncommitted object must not exist; a new client can lock it
-        // freely (no leaked locks).
+        let (c1, _) = RawClient::connect(&hub);
+        let oid = new_node(&c1, &cat, "orphan");
+        locked(&c1, None, oid, WireLockMode::Exclusive);
+        assert_eq!(server.core().active_txns(), 1);
+        // Drop without commit: connection closes.
+        c1.channel.close();
+        eventually("the session cleaned up", || {
+            server.core().sessions().is_empty()
+        });
+        assert_eq!(server.core().active_txns(), 0);
+        // A new client can lock it freely (no leaked locks).
+        assert_eq!(server.core().locks().locked_objects(), 0);
         let (c2, _) = RawClient::connect(&hub);
-        assert!(matches!(
-            c2.call(Request::Read { txn: None, oid }),
-            Response::Error { .. }
+        locked(&c2, None, oid, WireLockMode::Exclusive);
+    }
+
+    /// A commit takes its locks inside its own request, so every way out
+    /// of that request must give them back: here the client goes away
+    /// while the commit waits, and the transaction is in no table the
+    /// disconnect could sweep.
+    #[test]
+    fn disconnect_during_a_commits_lock_wait_leaves_nothing_behind() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp("disconnect-wait"));
+        config.lock.wait_timeout = Duration::from_millis(300);
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let (c1, _) = RawClient::connect(&hub);
+        let (c2, id2) = RawClient::connect(&hub);
+        let free = new_node(&c1, &cat, "free");
+        let held = new_node(&c1, &cat, "held");
+        let t1 = locked(&c1, None, held, WireLockMode::Exclusive);
+
+        // c2's commit is granted `free`, then waits for `held`.
+        assert!(free < held);
+        let waits = server.core().locks().stats().waits.get();
+        c2.send(commit_request(
+            None,
+            vec![put(&cat, free, "never"), put(&cat, held, "never")],
         ));
-        assert_eq!(server.core().store().object_count(), 0);
+        await_lock_waits(&server, waits + 1);
+        assert_eq!(server.core().locks().locked_objects(), 2);
+        c2.channel.close();
+        eventually("C2's session ended", || {
+            server.core().sessions().get(id2).is_none()
+        });
+        // The wait times out against the lock c1 still holds; the commit
+        // gives `free` back on its way out and applies nothing.
+        eventually("the abandoned commit let go", || {
+            server.core().locks().locked_objects() == 1
+        });
+        assert_eq!(server.core().active_txns(), 1, "only c1's transaction");
+        commit(&c1, Some(t1), vec![]);
+        assert_eq!(server.core().locks().locked_objects(), 0);
+        assert_eq!(server.core().active_txns(), 0);
+        for oid in [free, held] {
+            let name = read_node(&c1, None, oid);
+            assert_ne!(name.get(&cat, "Name").unwrap().as_str().unwrap(), "never");
+        }
+    }
+
+    /// All of a write set is applied or none of it: one bad entry, and the
+    /// good ones before it change nothing, notify nobody, lock nothing.
+    #[test]
+    fn commit_with_one_bad_write_applies_nothing() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("atomic")), &hub).unwrap();
+        let (viewer, _) = RawClient::connect(&hub);
+        let (c, _) = RawClient::connect(&hub);
+        let a = new_node(&c, &cat, "a");
+        let b = new_node(&c, &cat, "b");
+        let gone = new_node(&c, &cat, "gone");
+        commit(&c, None, vec![(gone, None)]);
+        assert_eq!(
+            viewer.call(Request::Dlm(displaydb_dlm::DlmRequest::Lock {
+                oids: vec![a, b]
+            })),
+            Response::Ok
+        );
+        let notifications = server.core().dlm().stats().notifications.get();
+        let commits = server.core().stats().commits.get();
+
+        let mut truncated = DbObject::new_named(&cat, "Node").unwrap();
+        truncated.oid = b;
+        truncated.values.pop();
+        let mut misfiled = DbObject::new_named(&cat, "Node").unwrap();
+        misfiled.oid = a;
+        let never_issued = Oid::new(server.core().store().allocate_oid().raw() + 1000);
+        let bad_thirds = [
+            (encoded(&truncated), "schema_violation"),
+            ((b, Some(vec![0xff, 0xff])), "corrupt"),
+            ((gone, None), "object_not_found"),
+            (
+                (b, misfiled.encode_to_bytes().to_vec().into()),
+                "invalid_argument",
+            ),
+            (put(&cat, never_issued, "forged"), "invalid_argument"),
+            (put(&cat, Oid::new(0), "unassigned"), "invalid_argument"),
+            (put(&cat, a, "twice"), "invalid_argument"),
+        ];
+        for (third, kind) in bad_thirds {
+            // Explicit locks too: the refused commit ends the transaction
+            // and gives them back.
+            let txn = locked(&c, None, a, WireLockMode::Exclusive);
+            let refused = c.call(commit_request(
+                Some(txn),
+                vec![put(&cat, a, "changed"), put(&cat, gone, "revived"), third],
+            ));
+            assert_eq!(error_kind(&refused), kind);
+            assert_eq!(server.core().locks().locked_objects(), 0, "{kind}");
+            assert_eq!(server.core().active_txns(), 0, "{kind}");
+        }
+        let name = read_node(&c, None, a);
+        assert_eq!(name.get(&cat, "Name").unwrap().as_str().unwrap(), "a");
+        assert!(!server.core().store().exists(gone));
+        assert!(!server.core().store().exists(never_issued));
+        assert_eq!(server.core().stats().commits.get(), commits);
+        assert_eq!(
+            server.core().dlm().stats().notifications.get(),
+            notifications
+        );
+        assert!(!viewer.pushes.lock().iter().any(|p| matches!(
+            p,
+            crate::proto::ServerPush::Dlm(
+                displaydb_dlm::DlmEvent::Updated(_) | displaydb_dlm::DlmEvent::Batch(_)
+            )
+        )));
     }
 
     #[test]
@@ -801,72 +862,45 @@ mod tests {
         let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
         let (c1, _) = RawClient::connect(&hub);
         let (c2, _) = RawClient::connect(&hub);
+        let oid_a = new_node(&c1, &cat, "a");
+        let oid_b = new_node(&c1, &cat, "b");
 
-        let setup = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        let oid_a = match c1.call(Request::Create {
-            txn: setup,
-            object: make_node(&cat, "a"),
-        }) {
-            Response::Created { oid } => oid,
-            o => panic!("{o:?}"),
-        };
-        let oid_b = match c1.call(Request::Create {
-            txn: setup,
-            object: make_node(&cat, "b"),
-        }) {
-            Response::Created { oid } => oid,
-            o => panic!("{o:?}"),
-        };
-        c1.call(Request::Commit {
-            txn: setup,
-            trace: 0,
-        });
-
-        let t1 = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        let t2 = match c2.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        assert!(matches!(
-            c1.call(Request::Lock {
-                txn: t1,
-                oid: oid_a,
-                mode: WireLockMode::Exclusive
-            }),
-            Response::Ok
-        ));
-        assert!(matches!(
-            c2.call(Request::Lock {
-                txn: t2,
-                oid: oid_b,
-                mode: WireLockMode::Exclusive
-            }),
-            Response::Ok
-        ));
+        let t1 = locked(&c1, None, oid_a, WireLockMode::Exclusive);
+        let t2 = locked(&c2, None, oid_b, WireLockMode::Exclusive);
         // t1 -> b (blocks), t2 -> a (deadlock; t2 is younger, so t2 dies
         // either on its own request or via victim wakeup on t1's path).
         let waits = server.core().locks().stats().waits.get();
-        let blocked = c1.send(Request::Lock {
-            txn: t1,
-            oid: oid_b,
-            mode: WireLockMode::Exclusive,
-        });
+        let blocked = c1.send(lock(Some(t1), oid_b, WireLockMode::Exclusive));
         await_lock_waits(&server, waits + 1);
-        let r2 = c2.call(Request::Lock {
-            txn: t2,
-            oid: oid_a,
-            mode: WireLockMode::Exclusive,
-        });
-        let is_deadlock = matches!(&r2, Response::Error { kind, .. } if kind == "deadlock");
-        assert!(is_deadlock, "expected deadlock error, got {r2:?}");
+        let r2 = c2.call(lock(Some(t2), oid_a, WireLockMode::Exclusive));
+        assert_eq!(error_kind(&r2), "deadlock");
         c2.call(Request::Abort { txn: t2 });
-        assert!(matches!(c1.wait(blocked), Response::Ok));
+        assert_eq!(c1.wait(blocked), Response::TxnStarted { txn: t1 });
+    }
+
+    /// A `Lock` that starts a transaction and is then refused leaves none
+    /// behind: the client never learnt an id it could abort.
+    #[test]
+    fn a_refused_first_lock_starts_no_transaction() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp("firstlock"));
+        config.lock.wait_timeout = Duration::from_millis(100);
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let (c1, _) = RawClient::connect(&hub);
+        let (c2, _) = RawClient::connect(&hub);
+        let oid = new_node(&c1, &cat, "held");
+        let t1 = locked(&c1, None, oid, WireLockMode::Exclusive);
+        let refused = c2.call(lock(None, oid, WireLockMode::Update));
+        assert_eq!(error_kind(&refused), "lock_timeout");
+        let missing = c2.call(lock(None, Oid::new(9999), WireLockMode::Update));
+        assert_eq!(error_kind(&missing), "object_not_found");
+        assert_eq!(server.core().active_txns(), 1);
+        // Somebody else's transaction is not a way in either.
+        let stolen = c2.call(lock(Some(t1), oid, WireLockMode::Exclusive));
+        assert_eq!(error_kind(&stolen), "rejected");
+        let peeked = c2.call(Request::Read { txn: Some(t1), oid });
+        assert_eq!(error_kind(&peeked), "rejected");
     }
 
     #[test]
@@ -880,18 +914,7 @@ mod tests {
             config.sync_commits = true;
             let _server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
             let (c1, _) = RawClient::connect(&hub);
-            let txn = match c1.call(Request::Begin) {
-                Response::TxnStarted { txn } => txn,
-                o => panic!("{o:?}"),
-            };
-            oid = match c1.call(Request::Create {
-                txn,
-                object: make_node(&cat, "persistent"),
-            }) {
-                Response::Created { oid } => oid,
-                o => panic!("{o:?}"),
-            };
-            c1.call(Request::Commit { txn, trace: 0 });
+            oid = new_node(&c1, &cat, "persistent");
         }
         // New server over the same directory.
         let hub = LocalHub::new();
@@ -899,16 +922,11 @@ mod tests {
         config.sync_commits = true;
         let _server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
         let (c1, _) = RawClient::connect(&hub);
-        match c1.call(Request::Read { txn: None, oid }) {
-            Response::Object { bytes } => {
-                let obj = DbObject::decode_from_bytes(&bytes).unwrap();
-                assert_eq!(
-                    obj.get(&cat, "Name").unwrap().as_str().unwrap(),
-                    "persistent"
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        let obj = read_node(&c1, None, oid);
+        assert_eq!(
+            obj.get(&cat, "Name").unwrap().as_str().unwrap(),
+            "persistent"
+        );
     }
 
     #[test]
@@ -918,21 +936,12 @@ mod tests {
         let _server =
             Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("extent")), &hub).unwrap();
         let (c1, _) = RawClient::connect(&hub);
-        let txn = match c1.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        };
-        let mut created = Vec::new();
-        for i in 0..5 {
-            match c1.call(Request::Create {
-                txn,
-                object: make_node(&cat, &format!("n{i}")),
-            }) {
-                Response::Created { oid } => created.push(oid),
-                o => panic!("{o:?}"),
-            }
-        }
-        c1.call(Request::Commit { txn, trace: 0 });
+        let created: Vec<Oid> = (0..5).map(|_| allocate(&c1)).collect();
+        let writes = created
+            .iter()
+            .map(|&oid| put(&cat, oid, &format!("n{oid}")))
+            .collect();
+        commit(&c1, None, writes);
         match c1.call(Request::Extent {
             class: cat.id_of("Node").unwrap(),
             include_subclasses: true,
@@ -962,18 +971,7 @@ mod tests {
         else {
             panic!("unexpected {ack:?}");
         };
-        let txn = match first.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            other => panic!("unexpected {other:?}"),
-        };
-        let oid = match first.call(Request::Create {
-            txn,
-            object: make_node(&cat, "n"),
-        }) {
-            Response::Created { oid } => oid,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(first.call(Request::Commit { txn, trace: 0 }), Response::Ok);
+        let oid = new_node(&first, &cat, "n");
         // What a reconnect would present to resume `first`'s session,
         // with a manifest entry at the object's current version —
         // provably current if the token is honoured.
@@ -1037,7 +1035,7 @@ mod tests {
             Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("nohello")), &hub).unwrap();
         let channel = hub.connect().unwrap();
         channel
-            .send(Envelope::Req(1, Request::Begin).encode_to_bytes())
+            .send(Envelope::Req(1, Request::Create).encode_to_bytes())
             .unwrap();
         let frame = channel.recv_timeout(Duration::from_secs(5)).unwrap();
         match Envelope::decode_from_bytes(&frame).unwrap() {
@@ -1082,54 +1080,6 @@ mod tests {
 
     // --- the worker set ---------------------------------------------------
 
-    fn begin(c: &RawClient) -> TxnId {
-        match c.call(Request::Begin) {
-            Response::TxnStarted { txn } => txn,
-            o => panic!("{o:?}"),
-        }
-    }
-
-    fn commit(c: &RawClient, txn: TxnId) {
-        assert_eq!(c.call(Request::Commit { txn, trace: 0 }), Response::Ok);
-    }
-
-    /// Create one committed `Node`.
-    fn new_node(c: &RawClient, cat: &Catalog, name: &str) -> Oid {
-        let txn = begin(c);
-        let oid = match c.call(Request::Create {
-            txn,
-            object: make_node(cat, name),
-        }) {
-            Response::Created { oid } => oid,
-            o => panic!("{o:?}"),
-        };
-        commit(c, txn);
-        oid
-    }
-
-    fn lock(txn: TxnId, oid: Oid, mode: WireLockMode) -> Request {
-        Request::Lock { txn, oid, mode }
-    }
-
-    /// Poll until `cond` holds; panic with `what` after 10 s.
-    fn eventually(what: &str, cond: impl Fn() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "never happened: {what}"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    /// Wait until `n` lock requests in total have had to queue.
-    fn await_lock_waits(server: &Server, n: u64) {
-        eventually("lock requests parked", || {
-            server.core().locks().stats().waits.get() >= n
-        });
-    }
-
     /// A client that waits for each answer before it sends the next
     /// request finds its session's worker parked every time: past the
     /// first request, commits create no thread.
@@ -1140,23 +1090,9 @@ mod tests {
         let spawned = stats.worker_spawns.get();
         assert_eq!(spawned, 1, "one session, one request at a time");
         for i in 0..200 {
-            let txn = begin(c);
-            let mut obj = match c.call(Request::Read {
-                txn: Some(txn),
-                oid,
-            }) {
-                Response::Object { bytes } => DbObject::decode_from_bytes(&bytes).unwrap(),
-                o => panic!("{o:?}"),
-            };
+            let mut obj = read_node(c, None, oid);
             obj.set(cat, "Load", f64::from(i)).unwrap();
-            assert_eq!(
-                c.call(Request::Write {
-                    txn,
-                    object: obj.encode_to_bytes().to_vec(),
-                }),
-                Response::Ok
-            );
-            commit(c, txn);
+            commit(c, None, vec![encoded(&obj)]);
         }
         assert_eq!(stats.commits.get(), 201);
         assert_eq!(stats.worker_spawns.get(), spawned);
@@ -1212,24 +1148,24 @@ mod tests {
             Response::Object { .. }
         ));
 
-        let t1 = begin(&c1);
-        assert_eq!(c1.call(lock(t1, p, WireLockMode::Exclusive)), Response::Ok);
-        let t2 = begin(&c2);
+        let t1 = locked(&c1, None, p, WireLockMode::Exclusive);
         let waits = server.core().locks().stats().waits.get();
-        let parked = c2.send(lock(t2, p, WireLockMode::Exclusive));
+        let parked = c2.send(lock(None, p, WireLockMode::Exclusive));
         await_lock_waits(&server, waits + 1);
 
         // X on O calls C2's copy back and waits for C2's ack, which only
         // C2's session thread can route — past C2's parked request.
-        let granted = c1.send(lock(t1, o, WireLockMode::Exclusive));
+        let granted = c1.send(lock(Some(t1), o, WireLockMode::Exclusive));
         c2.ack_next_callback();
-        assert_eq!(c1.wait(granted), Response::Ok);
+        assert_eq!(c1.wait(granted), Response::TxnStarted { txn: t1 });
         let session2 = server.core().sessions().get(id2).unwrap();
         assert_eq!(session2.in_flight(), 1, "C2's request is still parked");
         assert!(!c2.responses.lock().contains_key(&parked));
 
-        commit(&c1, t1);
-        assert_eq!(c2.wait(parked), Response::Ok);
+        commit(&c1, Some(t1), vec![]);
+        let Response::TxnStarted { txn: t2 } = c2.wait(parked) else {
+            panic!("C2's lock was not granted");
+        };
         assert_eq!(c2.call(Request::Abort { txn: t2 }), Response::Ok);
         assert_eq!(session2.in_flight(), 0);
     }
@@ -1246,11 +1182,15 @@ mod tests {
         let (c1, id1) = RawClient::connect(&hub);
         let (c2, _) = RawClient::connect(&hub);
         let p = new_node(&c1, &cat, "contended");
-        let t1 = begin(&c1);
-        assert_eq!(c1.call(lock(t1, p, WireLockMode::Exclusive)), Response::Ok);
+        let t1 = locked(&c1, None, p, WireLockMode::Exclusive);
 
-        // Four readers from one session queue behind the writer.
-        let txns: Vec<TxnId> = (0..4).map(|_| begin(&c2)).collect();
+        // Four readers from one session, each in a transaction of its
+        // own (started by a lock on an object of its own), queue behind
+        // the writer.
+        let txns: Vec<TxnId> = (0..4)
+            .map(|_| new_node(&c2, &cat, "own"))
+            .map(|own| locked(&c2, None, own, WireLockMode::Update))
+            .collect();
         let waits = server.core().locks().stats().waits.get();
         let parked: Vec<u64> = txns
             .iter()
@@ -1269,7 +1209,7 @@ mod tests {
 
         // Release the lock and take C1's session (and worker) away, so
         // that what remains resident is C2's.
-        commit(&c1, t1);
+        commit(&c1, Some(t1), vec![]);
         c1.channel.close();
         for seq in parked {
             assert!(matches!(c2.wait(seq), Response::Object { .. }));
@@ -1297,18 +1237,16 @@ mod tests {
         let (c1, _) = RawClient::connect(&hub);
         let (c2, id2) = RawClient::connect(&hub);
         let p = new_node(&c1, &cat, "contended");
-        let t1 = begin(&c1);
-        assert_eq!(c1.call(lock(t1, p, WireLockMode::Exclusive)), Response::Ok);
-        let t2 = begin(&c2);
+        let t1 = locked(&c1, None, p, WireLockMode::Exclusive);
         let waits = server.core().locks().stats().waits.get();
-        c2.send(lock(t2, p, WireLockMode::Exclusive));
+        c2.send(lock(None, p, WireLockMode::Exclusive));
         await_lock_waits(&server, waits + 1);
 
         c2.channel.close();
         eventually("C2's session ended", || {
             server.core().sessions().get(id2).is_none()
         });
-        commit(&c1, t1);
+        commit(&c1, Some(t1), vec![]);
         c1.channel.close();
         eventually("every session and worker gone", || {
             server.core().sessions().is_empty() && server.core().stats().workers_resident.get() == 0

@@ -153,6 +153,12 @@ impl ObjectStore {
         Oid::new(self.oid_gen.next())
     }
 
+    /// Whether `oid` is one the allocator has handed out (or recovered):
+    /// the only OIDs an object may be stored under.
+    pub fn issued(&self, oid: Oid) -> bool {
+        (1..self.oid_gen.peek()).contains(&oid.raw())
+    }
+
     /// Number of live objects.
     pub fn object_count(&self) -> usize {
         self.directory.read().len()
@@ -290,12 +296,6 @@ impl ObjectStore {
         Ok(outcomes)
     }
 
-    /// Record an abort (for log completeness; nothing was applied).
-    pub fn abort(&self, txn: TxnId) -> DbResult<()> {
-        self.wal.append(&WalRecord::Abort(txn))?;
-        Ok(())
-    }
-
     /// Flush all heap pages, then truncate the WAL behind a checkpoint
     /// record.
     pub fn checkpoint(&self) -> DbResult<()> {
@@ -409,9 +409,15 @@ mod tests {
         {
             let store = ObjectStore::open(&dir, Arc::clone(&cat), 16, true).unwrap();
             let obj = node(&cat, &store, "ghost");
-            // Write WAL records without a commit by calling abort path.
-            store.abort(TxnId::new(9)).unwrap();
-            drop(obj);
+            // A transaction the crash caught between its log records.
+            let txn = TxnId::new(9);
+            store.wal.append(&WalRecord::Begin(txn)).unwrap();
+            let (oid, bytes) = (obj.oid, obj.encode_to_bytes().to_vec());
+            store
+                .wal
+                .append(&WalRecord::Put { txn, oid, bytes })
+                .unwrap();
+            store.wal.sync().unwrap();
         }
         let store = ObjectStore::open(&dir, Arc::clone(&cat), 16, true).unwrap();
         assert_eq!(store.object_count(), 0);

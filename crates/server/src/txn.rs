@@ -1,15 +1,16 @@
-//! Server-side transaction workspaces.
+//! Server-side transactions.
 //!
-//! The server runs strict two-phase locking: a transaction's writes are
-//! buffered in its workspace and applied atomically at commit (no-steal),
-//! after which all its locks are released. Reads inside a transaction see
-//! its own workspace first.
+//! The server runs strict two-phase locking. A transaction's writes stay
+//! with the client until its `Commit` carries them (no-steal), so what the
+//! server keeps is only what outlives one request: a transaction exists
+//! here from the explicit `Lock` that started it to its `Commit` or
+//! `Abort`, and its state is its owner and its early-notify resolution
+//! set. A commit without earlier locks takes a fresh id and never enters
+//! the table.
 
-use crate::store::WriteOp;
 use displaydb_common::ids::IdGen;
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, Oid, TxnId};
-use displaydb_schema::DbObject;
 use std::collections::HashMap;
 
 /// State of one active transaction.
@@ -17,34 +18,9 @@ use std::collections::HashMap;
 pub struct TxnState {
     /// The owning client.
     pub client: ClientId,
-    /// Buffered writes in arrival order (later writes to the same OID
-    /// supersede earlier ones at commit).
-    pub writes: Vec<WriteOp>,
     /// Objects this transaction exclusively locked (the early-notify
     /// resolution set).
     pub x_locked: Vec<Oid>,
-}
-
-impl TxnState {
-    /// The transaction's current view of `oid`, if it wrote it.
-    pub fn own_write(&self, oid: Oid) -> Option<&WriteOp> {
-        self.writes.iter().rev().find(|w| w.oid() == oid)
-    }
-
-    /// Deduplicated write set (last write per OID wins, original order of
-    /// last writes preserved).
-    pub fn final_writes(&self) -> Vec<WriteOp> {
-        let mut last: HashMap<Oid, usize> = HashMap::new();
-        for (i, w) in self.writes.iter().enumerate() {
-            last.insert(w.oid(), i);
-        }
-        self.writes
-            .iter()
-            .enumerate()
-            .filter(|(i, w)| last[&w.oid()] == *i)
-            .map(|(_, w)| w.clone())
-            .collect()
-    }
 }
 
 /// Tracks active transactions.
@@ -78,9 +54,14 @@ impl TxnManager {
         self.txn_gen.bump_to(floor + 1);
     }
 
+    /// A fresh id for a transaction that lives for one request only.
+    pub fn mint(&self) -> TxnId {
+        TxnId::new(self.txn_gen.next())
+    }
+
     /// Start a transaction for `client`.
     pub fn begin(&self, client: ClientId) -> TxnId {
-        let txn = TxnId::new(self.txn_gen.next());
+        let txn = self.mint();
         self.active.lock().insert(
             txn,
             TxnState {
@@ -115,33 +96,12 @@ impl TxnManager {
         Ok(f(state))
     }
 
-    /// Record a buffered write.
-    pub fn record_write(&self, txn: TxnId, client: ClientId, op: WriteOp) -> DbResult<()> {
-        self.with_txn(txn, client, |s| s.writes.push(op))
-    }
-
     /// Record an exclusive lock acquisition (for early-notify resolution).
     pub fn record_x_lock(&self, txn: TxnId, client: ClientId, oid: Oid) -> DbResult<()> {
         self.with_txn(txn, client, |s| {
             if !s.x_locked.contains(&oid) {
                 s.x_locked.push(oid);
             }
-        })
-    }
-
-    /// The transaction's own view of `oid`: `Some(Some(obj))` if it wrote
-    /// it, `Some(None)` if it deleted it, `None` if untouched.
-    pub fn own_view(
-        &self,
-        txn: TxnId,
-        client: ClientId,
-        oid: Oid,
-    ) -> DbResult<Option<Option<DbObject>>> {
-        self.with_txn(txn, client, |s| {
-            s.own_write(oid).map(|w| match w {
-                WriteOp::Put(o) => Some(o.clone()),
-                WriteOp::Delete(_) => None,
-            })
         })
     }
 
@@ -169,26 +129,15 @@ impl TxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use displaydb_schema::{class::ClassBuilder, AttrType, Catalog};
-
-    fn obj(oid: u64) -> DbObject {
-        let mut c = Catalog::new();
-        c.define(ClassBuilder::new("T").attr("X", AttrType::Int))
-            .unwrap();
-        let mut o = DbObject::new_named(&c, "T").unwrap();
-        o.oid = Oid::new(oid);
-        o
-    }
 
     #[test]
-    fn begin_write_finish() {
+    fn begin_lock_finish() {
         let tm = TxnManager::new();
         let client = ClientId::new(1);
         let txn = tm.begin(client);
-        tm.record_write(txn, client, WriteOp::Put(obj(5))).unwrap();
+        tm.record_x_lock(txn, client, Oid::new(5)).unwrap();
         tm.record_x_lock(txn, client, Oid::new(5)).unwrap();
         let state = tm.finish(txn, client).unwrap();
-        assert_eq!(state.writes.len(), 1);
         assert_eq!(state.x_locked, vec![Oid::new(5)]);
         assert!(matches!(
             tm.finish(txn, client),
@@ -201,42 +150,24 @@ mod tests {
         let tm = TxnManager::new();
         let txn = tm.begin(ClientId::new(1));
         assert!(tm
-            .record_write(txn, ClientId::new(2), WriteOp::Delete(Oid::new(1)))
+            .record_x_lock(txn, ClientId::new(2), Oid::new(1))
             .is_err());
         assert!(tm.finish(txn, ClientId::new(2)).is_err());
         assert!(tm.finish(txn, ClientId::new(1)).is_ok());
     }
 
     #[test]
-    fn final_writes_dedupe_last_wins() {
-        let mut s = TxnState::default();
-        let mut a1 = obj(1);
-        a1.values[0] = displaydb_schema::Value::Int(1);
-        let mut a2 = obj(1);
-        a2.values[0] = displaydb_schema::Value::Int(2);
-        s.writes.push(WriteOp::Put(a1));
-        s.writes.push(WriteOp::Put(obj(2)));
-        s.writes.push(WriteOp::Put(a2.clone()));
-        let fw = s.final_writes();
-        assert_eq!(fw.len(), 2);
-        assert_eq!(fw[0].oid(), Oid::new(2));
-        assert_eq!(fw[1], WriteOp::Put(a2));
-    }
-
-    #[test]
-    fn own_view_reflects_workspace() {
+    fn minted_ids_are_fresh_and_never_active() {
         let tm = TxnManager::new();
-        let client = ClientId::new(1);
-        let txn = tm.begin(client);
-        assert_eq!(tm.own_view(txn, client, Oid::new(9)).unwrap(), None);
-        tm.record_write(txn, client, WriteOp::Put(obj(9))).unwrap();
+        let t1 = tm.begin(ClientId::new(1));
+        let one_shot = tm.mint();
+        assert!(one_shot > t1 && tm.begin(ClientId::new(1)) > one_shot);
         assert!(matches!(
-            tm.own_view(txn, client, Oid::new(9)).unwrap(),
-            Some(Some(_))
+            tm.finish(one_shot, ClientId::new(1)),
+            Err(DbError::TxnNotActive(_))
         ));
-        tm.record_write(txn, client, WriteOp::Delete(Oid::new(9)))
-            .unwrap();
-        assert_eq!(tm.own_view(txn, client, Oid::new(9)).unwrap(), Some(None));
+        tm.bump_past(100);
+        assert!(tm.mint().raw() > 100);
     }
 
     #[test]

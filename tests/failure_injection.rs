@@ -148,9 +148,30 @@ fn dlm_agent_death_degrades_gracefully() {
     // not depend on the notification path.
     assert!(display.object(do_id).is_some());
     // An update transaction must surface a clean error when it tries to
-    // report its intent/commit to the dead agent (the caller can retry
-    // after reconnecting) — and the abort path must leave the database
+    // report its intent to the dead agent (the caller can retry after
+    // reconnecting) — and the abort path must leave the database
     // consistent and reachable.
+    let utilization = || {
+        let link = viewer.read_fresh(link.oid).unwrap();
+        link.get(&catalog, "Utilization")
+            .unwrap()
+            .as_float()
+            .unwrap()
+    };
+    let mut txn = viewer.begin().unwrap();
+    let result = txn
+        .lock_exclusive(link.oid)
+        .and_then(|()| txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.5)))
+        .and_then(|()| txn.commit());
+    assert!(
+        matches!(result, Err(DbError::Disconnected)),
+        "expected Disconnected, got {result:?}"
+    );
+    assert_eq!(utilization(), 0.0, "aborted update must not be visible");
+    // A transaction that announces nothing first meets the dead agent
+    // only when it reports its commit: the same clean error, but the
+    // commit it could not report stands (and the lock the aborted
+    // transaction held is gone, or this one would have waited).
     let mut txn = viewer.begin().unwrap();
     let result = txn
         .update(link.oid, |o| o.set(&catalog, "Utilization", 0.5))
@@ -159,14 +180,7 @@ fn dlm_agent_death_degrades_gracefully() {
         matches!(result, Err(DbError::Disconnected)),
         "expected Disconnected, got {result:?}"
     );
-    let current = viewer
-        .read_fresh(link.oid)
-        .unwrap()
-        .get(&catalog, "Utilization")
-        .unwrap()
-        .as_float()
-        .unwrap();
-    assert_eq!(current, 0.0, "aborted update must not be visible");
+    assert_eq!(utilization(), 0.5);
 }
 
 #[test]
@@ -210,7 +224,11 @@ fn server_death_surfaces_clean_errors() {
         "unexpected error: {err:?}"
     );
     assert!(started.elapsed() < Duration::from_secs(2));
-    let err = client.begin().expect_err("begin must fail");
+    // A transaction is the client's own until it commits (or locks).
+    let mut txn = client.begin().unwrap();
+    txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.5))
+        .unwrap();
+    let err = txn.commit().expect_err("commit must fail");
     assert!(matches!(err, DbError::Disconnected | DbError::Timeout(_)));
 }
 

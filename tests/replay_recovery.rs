@@ -243,32 +243,42 @@ fn truncated_cursor_falls_back_to_exactly_one_resync() {
 
     let mut txn = updater.begin().unwrap();
     let link = txn.create(updater.new_object("Link").unwrap()).unwrap();
+    let called_back = txn.create(updater.new_object("Link").unwrap()).unwrap();
     txn.commit().unwrap();
 
     let cache = Arc::new(DisplayCache::new());
     let display = Display::open(Arc::clone(&viewer), cache, "map");
-    let id = display
-        .add_object(&width_coded_link("Utilization"), vec![link.oid])
-        .unwrap();
+    let class = width_coded_link("Utilization");
+    let id = display.add_object(&class, vec![link.oid]).unwrap();
+    let called_back_id = display.add_object(&class, vec![called_back.oid]).unwrap();
 
-    let mut txn = updater.begin().unwrap();
-    txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.01))
-        .unwrap();
-    txn.commit().unwrap();
+    let write_both = |value: f64| {
+        let mut txn = updater.begin().unwrap();
+        for oid in [link.oid, called_back.oid] {
+            txn.update(oid, |o| o.set(&catalog, "Utilization", value))
+                .unwrap();
+        }
+        txn.commit().unwrap();
+    };
+    write_both(0.01);
     await_value(&display, id, 0.01, Duration::from_secs(5));
+    await_value(&display, called_back_id, 0.01, Duration::from_secs(5));
     await_cursor(&viewer);
 
     // Outage, a commit the viewer misses, then the log loses the suffix.
+    // One of the two copies goes the way a copy goes when the commit's
+    // callback is the last frame the dying connection delivers: dropped,
+    // and the notification that would have refreshed it never arrives.
+    // That object is in no manifest, so the server cannot report it stale.
     sever(&plan_slot, &gate);
-    let mut txn = updater.begin().unwrap();
-    txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.95))
-        .unwrap();
-    txn.commit().unwrap();
+    viewer.cache().invalidate(&[called_back.oid]);
+    write_both(0.95);
     server.core().dlm().update_log_of(0).truncate_all();
 
     gate.store(true, Ordering::SeqCst);
     await_ping(&viewer);
     await_value(&display, id, 0.95, Duration::from_secs(10));
+    await_value(&display, called_back_id, 0.95, Duration::from_secs(10));
 
     let recovery = &viewer.conn_stats().recovery;
     assert_eq!(recovery.sessions_resumed.get(), 1, "session must resume");
