@@ -79,6 +79,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "notify p50 (ms)",
             "notify p95 (ms)",
             "display refreshes",
+            "server reads",
+            "callbacks",
             "converged in (ms)",
         ],
     );
@@ -96,6 +98,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             report::ms(o.p50),
             report::ms(o.p95),
             o.refreshes.to_string(),
+            o.reads.to_string(),
+            o.callbacks.to_string(),
             report::ms(o.convergence),
         ]);
     }
@@ -130,6 +134,10 @@ struct Outcome {
     p50: Duration,
     p95: Duration,
     refreshes: u64,
+    /// Objects the server read for anyone during the storm.
+    reads: u64,
+    /// Callback pushes the server sent during the storm.
+    callbacks: u64,
     convergence: Duration,
 }
 
@@ -282,6 +290,8 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
     let coalesced0 = stats.overload.coalesced.get();
     let heard0 = viewer.dlc().stats().notifications_in.get();
     let refreshes0 = display.stats().refreshes.get();
+    let server_stats = server.core().stats();
+    let (reads0, callbacks0) = (server_stats.reads.get(), server_stats.callbacks.get());
 
     let recorder = LatencyRecorder::new();
     let mut last = vec![0.01f64; links];
@@ -341,6 +351,8 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
         p50: summary.p50,
         p95: summary.p95,
         refreshes: display.stats().refreshes.get() - refreshes0,
+        reads: server_stats.reads.get() - reads0,
+        callbacks: server_stats.callbacks.get() - callbacks0,
         convergence,
     };
     drop(display);

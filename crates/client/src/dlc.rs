@@ -65,8 +65,8 @@ pub struct DlcStats {
     pub resyncs_in: Counter,
     /// Attribute-level delta notifications received.
     pub deltas_in: Counter,
-    /// Deltas that could not be applied (stale projection version,
-    /// uncached object) and fell back to a forced re-read.
+    /// Deltas resynced by a forced re-read: a projection-version mismatch,
+    /// or a failed patch of a database copy that is present.
     pub delta_fallbacks: Counter,
     /// Cursor acknowledgements received (the server confirming every
     /// logged update through a seqno reached this client).

@@ -376,11 +376,6 @@ impl<T> OrderedMutex<T> {
 }
 
 impl<T: ?Sized> OrderedMutex<T> {
-    /// This lock's declared rank.
-    pub fn lock_rank(&self) -> LockRank {
-        self.rank
-    }
-
     /// Acquire the lock, enforcing the rank order (under `lock-audit`)
     /// and recovering from poisoning: a panicked previous holder is
     /// logged (once) and counted in [`poison_recoveries`], and the
@@ -575,11 +570,6 @@ impl<T> OrderedRwLock<T> {
 }
 
 impl<T: ?Sized> OrderedRwLock<T> {
-    /// This lock's declared rank.
-    pub fn lock_rank(&self) -> LockRank {
-        self.rank
-    }
-
     /// Acquire a shared read guard (rank-checked, poison-recovering).
     pub fn read(&self) -> OrderedReadGuard<'_, T> {
         note_acquired(self.rank);

@@ -12,10 +12,17 @@
 //! * **Filtered content** — it holds display objects (projections +
 //!   derived GUI attributes), not whole database objects, so it is
 //!   typically several times smaller (§ 4.3 measured 3–5×).
+//!
+//! Beside a DO whose class declares its reads it keeps a *source image*
+//! (those attributes' values per associated OID, counted in the bytes,
+//! not part of the [`DisplayObject`]) that deltas patch and re-derive
+//! from, so a delta refresh never reads the database cache.
 
 use crate::object::{DisplayObject, DoId};
 use displaydb_common::ids::IdGen;
 use displaydb_common::Oid;
+use displaydb_schema::{DbObject, Value};
+use displaydb_wire::Decode;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 
@@ -24,7 +31,7 @@ use std::collections::{HashMap, HashSet};
 pub struct DisplayCacheStats {
     /// Resident display objects.
     pub objects: usize,
-    /// Total bytes of resident display objects.
+    /// Total bytes of resident display objects and their source images.
     pub bytes: usize,
     /// Lifetime inserts.
     pub inserts: u64,
@@ -32,9 +39,39 @@ pub struct DisplayCacheStats {
     pub removals: u64,
 }
 
+/// A source image: per associated OID, a thin copy holding the attributes
+/// at layout indices `attrs`, every other one at its type's default.
+struct Image {
+    attrs: Vec<u16>,
+    sources: Vec<DbObject>,
+}
+
+impl Image {
+    fn new(attrs: Vec<u16>, mut sources: Vec<DbObject>) -> Self {
+        for source in &mut sources {
+            for (i, value) in source.values.iter_mut().enumerate() {
+                if !attrs.contains(&(i as u16)) {
+                    *value = value.attr_type().default_value();
+                }
+            }
+        }
+        Self { attrs, sources }
+    }
+
+    /// The OID and the imaged values of each source.
+    fn size_bytes(&self) -> usize {
+        let values = |s: &DbObject| -> usize {
+            let value = |&a: &u16| s.values.get(usize::from(a)).map_or(0, Value::size_bytes);
+            self.attrs.iter().map(value).sum()
+        };
+        self.sources.iter().map(|s| 8 + values(s)).sum()
+    }
+}
+
 #[derive(Default)]
 struct CacheState {
     objects: HashMap<DoId, DisplayObject>,
+    images: HashMap<DoId, Image>,
     by_oid: HashMap<Oid, HashSet<DoId>>,
     bytes: usize,
     inserts: u64,
@@ -112,6 +149,9 @@ impl DisplayCache {
         let mut state = self.state.lock();
         let obj = state.objects.remove(&id)?;
         state.bytes -= obj.size_bytes();
+        if let Some(image) = state.images.remove(&id) {
+            state.bytes -= image.size_bytes();
+        }
         state.removals += 1;
         for oid in &obj.assoc {
             if let Some(set) = state.by_oid.get_mut(oid) {
@@ -122,6 +162,53 @@ impl DisplayCache {
             }
         }
         Some(obj)
+    }
+
+    /// Seed `id`'s source image from full `sources`, keeping the layout
+    /// indices `attrs` — given `None`, those of the image it replaces, so
+    /// a DO with none gets none.
+    pub fn seed_image(&self, id: DoId, attrs: Option<&[u16]>, sources: Vec<DbObject>) {
+        let mut state = self.state.lock();
+        let attrs = match (attrs, state.images.get(&id)) {
+            _ if !state.objects.contains_key(&id) => return,
+            (Some(attrs), _) => attrs.to_vec(),
+            (None, Some(image)) => image.attrs.clone(),
+            (None, None) => return,
+        };
+        let image = Image::new(attrs, sources);
+        state.bytes += image.size_bytes();
+        if let Some(old) = state.images.insert(id, image) {
+            state.bytes -= old.size_bytes();
+        }
+    }
+
+    /// Patch `id`'s image with a delta for `oid`; return the thin sources
+    /// to derive from, or `None` — a miss, image untouched — when there is
+    /// no image or source `oid`, or a value fails to decode.
+    pub fn patch_image(
+        &self,
+        id: DoId,
+        oid: Oid,
+        changed: &[(u16, Vec<u8>)],
+    ) -> Option<Vec<DbObject>> {
+        let mut state = self.state.lock();
+        let state = &mut *state;
+        let image = state.images.get_mut(&id)?;
+        // Attributes the class does not read are skipped (a DLM
+        // registration is the union over the client's displays).
+        let mut values = Vec::with_capacity(changed.len());
+        for (attr, bytes) in changed.iter().filter(|(a, _)| image.attrs.contains(a)) {
+            values.push((usize::from(*attr), Value::decode_from_bytes(bytes).ok()?));
+        }
+        image.sources.iter().find(|s| s.oid == oid)?;
+        let before = image.size_bytes();
+        for source in image.sources.iter_mut().filter(|s| s.oid == oid) {
+            for (i, value) in &values {
+                source.values[*i] = value.clone(); // `attrs` index the sources' layout
+            }
+        }
+        state.bytes = state.bytes - before + image.size_bytes();
+        Some(image.sources.clone())
     }
 
     /// Display objects derived from `oid` — the refresh fan-out set.
@@ -255,6 +342,155 @@ mod tests {
         cache.insert(replacement);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().inserts, 1);
+    }
+
+    use crate::schema::{color_coded_link, width_coded_link, DisplayClassBuilder, DisplayClassDef};
+    use displaydb_schema::class::ClassBuilder;
+    use displaydb_schema::{AttrType, Catalog};
+    use displaydb_wire::Encode;
+
+    fn link_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.define(
+            ClassBuilder::new("Link")
+                .attr("Name", AttrType::Str)
+                .attr("Utilization", AttrType::Float)
+                .attr("ErrorRate", AttrType::Float)
+                .attr("Notes", AttrType::Str),
+        )
+        .unwrap();
+        c
+    }
+
+    fn link(cat: &Catalog, oid: u64, util: f64, errors: f64) -> DbObject {
+        let mut o = DbObject::new_named(cat, "Link").unwrap();
+        o.oid = Oid::new(oid);
+        o.set(cat, "Name", format!("link-{oid}")).unwrap();
+        o.set(cat, "Utilization", util).unwrap();
+        o.set(cat, "ErrorRate", errors).unwrap();
+        o.set(cat, "Notes", "operational detail no display reads")
+            .unwrap();
+        o
+    }
+
+    fn index(cat: &Catalog, attr: &str) -> u16 {
+        cat.attr_index(cat.id_of("Link").unwrap(), attr).unwrap() as u16
+    }
+
+    /// Pin a display object of `class` over `sources`, imaged.
+    fn imaged(
+        cache: &DisplayCache,
+        cat: &Catalog,
+        class: &DisplayClassDef,
+        sources: &[DbObject],
+    ) -> DoId {
+        let id = cache.allocate_id();
+        let assoc = sources.iter().map(|s| s.oid).collect();
+        cache.insert(DisplayObject::new(id, class.name(), assoc));
+        let attrs: Vec<u16> = class
+            .source_attrs()
+            .unwrap()
+            .iter()
+            .map(|a| index(cat, a))
+            .collect();
+        cache.seed_image(id, Some(&attrs), sources.to_vec());
+        id
+    }
+
+    fn float(v: f64) -> Vec<u8> {
+        Value::Float(v).encode_to_bytes().to_vec()
+    }
+
+    #[test]
+    fn deriving_from_the_image_equals_deriving_from_the_objects() {
+        let cat = link_catalog();
+        let cache = DisplayCache::new();
+        let path = DisplayClassBuilder::new("PathLine")
+            .compute_over("MaxUtil", &["Utilization"], |ctx| {
+                Ok(Value::Float(ctx.max_float("Utilization")?))
+            })
+            .compute_over("AvgErr", &["ErrorRate"], |ctx| {
+                Ok(Value::Float(ctx.avg_float("ErrorRate")?))
+            })
+            .build();
+        let mut full = [link(&cat, 1, 0.3, 0.01), link(&cat, 2, 0.6, 0.2)];
+        for (class, n) in [
+            (width_coded_link("Utilization"), 1),
+            (color_coded_link("Utilization"), 1),
+            (path, 2),
+        ] {
+            let id = imaged(&cache, &cat, &class, &full[..n]);
+            for util in [0.1, 0.55, 0.97] {
+                let oid = full[n - 1].oid;
+                full[n - 1].set(&cat, "Utilization", util).unwrap();
+                let thin = cache.patch_image(id, oid, &[(index(&cat, "Utilization"), float(util))]);
+                let thin = thin.unwrap();
+                assert!(thin
+                    .iter()
+                    .all(|s| s.get(&cat, "Notes").unwrap() == &Value::Str("".into())));
+                assert_eq!(
+                    class.derive(&cat, &thin).unwrap(),
+                    class.derive(&cat, &full[..n]).unwrap(),
+                    "{} at {util}",
+                    class.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn image_patches_are_all_or_nothing_and_counted() {
+        let cat = link_catalog();
+        let cache = DisplayCache::new();
+        let (util, errors) = (index(&cat, "Utilization"), index(&cat, "ErrorRate"));
+        let id = imaged(
+            &cache,
+            &cat,
+            &width_coded_link("Utilization"),
+            &[link(&cat, 1, 0.3, 0.0)],
+        );
+        let bytes = cache.used_bytes();
+        assert_eq!(
+            bytes,
+            cache.get(id).unwrap().size_bytes() + 8 + 8,
+            "an OID and a float"
+        );
+        let utilization = |thin: Vec<DbObject>| thin[0].get(&cat, "Utilization").unwrap().clone();
+
+        // Misses leave the image as it was: no image, no such source, a
+        // value that does not decode.
+        assert!(cache.patch_image(DoId(999), Oid::new(1), &[]).is_none());
+        assert!(cache
+            .patch_image(id, Oid::new(2), &[(util, float(0.5))])
+            .is_none());
+        let torn = [(util, float(0.5)), (util, vec![0xff])];
+        assert!(cache.patch_image(id, Oid::new(1), &torn).is_none());
+        let thin = cache.patch_image(id, Oid::new(1), &[]).unwrap();
+        assert_eq!(utilization(thin), Value::Float(0.3));
+        // An attribute the class does not read is skipped, not a miss.
+        let thin = cache
+            .patch_image(id, Oid::new(1), &[(errors, float(0.7))])
+            .unwrap();
+        assert_eq!(thin[0].get(&cat, "ErrorRate").unwrap(), &Value::Float(0.0));
+        let thin = cache
+            .patch_image(id, Oid::new(1), &[(util, float(0.5))])
+            .unwrap();
+        assert_eq!(utilization(thin), Value::Float(0.5));
+        assert_eq!(cache.used_bytes(), bytes);
+
+        // A re-seed keeps the layout indices; removal takes the bytes.
+        cache.seed_image(id, None, vec![link(&cat, 1, 0.8, 0.0)]);
+        assert_eq!(
+            utilization(cache.patch_image(id, Oid::new(1), &[]).unwrap()),
+            Value::Float(0.8)
+        );
+        cache.remove(id);
+        assert_eq!(cache.used_bytes(), 0);
+        // A DO without an image gets none from a re-seed.
+        let plain = obj(&cache, &[1]);
+        cache.seed_image(plain, None, vec![link(&cat, 1, 0.8, 0.0)]);
+        assert!(cache.patch_image(plain, Oid::new(1), &[]).is_none());
+        assert_eq!(cache.used_bytes(), cache.get(plain).unwrap().size_bytes());
     }
 }
 

@@ -6,12 +6,12 @@
 //! 1. **Open** — the display registers with the client's DLC and gets an
 //!    event queue.
 //! 2. **Build** — [`Display::add_object`] reads the associated database
-//!    objects, runs the display class derivation, pins the resulting
-//!    display object in the display cache, and acquires display locks
-//!    (deduplicated by the DLC).
-//! 3. **Live** — [`Display::process_pending`] consumes notifications:
-//!    `Updated` re-derives affected display objects (reading eagerly
-//!    shipped state or re-fetching from the server), `Marked`/`Resolved`
+//!    objects, acquires display locks (deduplicated by the DLC), *then*
+//!    reads again to seed the source image, derives, and pins the display
+//!    object in the display cache — or, failing, pins nothing.
+//! 3. **Live** — [`Display::process_pending`] consumes notifications: a
+//!    `Delta` patches the source image and re-derives from it; `Updated`
+//!    re-derives from a read and re-seeds the image; `Marked`/`Resolved`
 //!    toggle the early-notify "being updated" flag.
 //! 4. **Close** — dropping the display releases every display lock and
 //!    unpins its display objects.
@@ -55,9 +55,12 @@ pub struct DisplayStats {
     pub refreshes: Counter,
     /// Early-notify marks applied.
     pub marks: Counter,
-    /// Refreshes driven by attribute-level deltas (cache patched in
-    /// place, no server read).
+    /// Refreshes driven by deltas: `image_refreshes + delta_reads`.
     pub delta_refreshes: Counter,
+    /// Delta refreshes derived from the patched source image, no read.
+    pub image_refreshes: Counter,
+    /// Delta refreshes that missed the image and fell back to a read.
+    pub delta_reads: Counter,
     /// Display objects dropped because their sources were deleted.
     pub removed_by_deletion: Counter,
     /// Display objects marked stale on connection degradation.
@@ -146,42 +149,49 @@ impl Display {
     }
 
     /// Build a display object of `class` over the database objects
-    /// `assoc` (in order), acquire display locks, and draw it.
+    /// `assoc` (in order), acquire display locks, and draw it. All or
+    /// nothing: on `Err` nothing is pinned and the DLC forgets what this
+    /// display did not already watch.
     pub fn add_object(&self, class: &Arc<DisplayClassDef>, assoc: Vec<Oid>) -> DbResult<DoId> {
         if assoc.is_empty() {
             return Err(DbError::InvalidArgument(
                 "display object needs at least one source".into(),
             ));
         }
-        let sources = self.read_sources(&assoc)?;
-        let attrs = class.derive(self.client.catalog(), &sources)?;
-        let id = self.cache.allocate_id();
-        let mut obj = DisplayObject::new(id, class.name(), assoc.clone());
-        obj.attrs = attrs;
-        self.cache.insert(obj);
-        self.classes
-            .lock()
-            .entry(class.name().to_string())
-            .or_insert_with(|| Arc::clone(class));
-        self.mine.lock().insert(id);
+        let first = self.read_sources(&assoc)?;
         {
             let mut refs = self.refs.lock();
             for &oid in &assoc {
                 *refs.entry(oid).or_insert(0) += 1;
             }
         }
-        // Display locks via the DLC (deduplicated client-wide). When the
-        // display class fully declares which source attributes it reads
-        // and all sources share a class layout, register a projected
-        // lock so the server can suppress irrelevant updates and ship
-        // attribute-level deltas; otherwise fall back to full interest.
-        match self.projected_indices(class, &sources) {
-            Some(attrs) => self
-                .client
-                .dlc()
-                .acquire_projected(self.id, &assoc, &attrs)?,
-            None => self.client.dlc().acquire(self.id, &assoc)?,
-        }
+        // A class that declares all it reads, over sources of one layout,
+        // gets a projected lock and a source image; any other, full
+        // interest. Lock, then read again: a commit that landed before the
+        // registration called this client back ahead of the lock's reply,
+        // so the read after it sees that commit; a later one is notified.
+        let projected = self.projected_indices(class, &first);
+        let locked = match &projected {
+            Some(attrs) => self.client.dlc().acquire_projected(self.id, &assoc, attrs),
+            None => self.client.dlc().acquire(self.id, &assoc),
+        };
+        let built = locked
+            .and_then(|()| self.read_sources(&assoc))
+            .and_then(|sources| Ok((class.derive(self.client.catalog(), &sources)?, sources)));
+        let (attrs, sources) = built.map_err(|e| {
+            let _ = self.unref(&assoc);
+            e
+        })?;
+        let id = self.cache.allocate_id();
+        let mut obj = DisplayObject::new(id, class.name(), assoc.clone());
+        obj.attrs = attrs;
+        self.cache.insert(obj);
+        self.cache.seed_image(id, projected.as_deref(), sources);
+        self.classes
+            .lock()
+            .entry(class.name().to_string())
+            .or_insert_with(|| Arc::clone(class));
+        self.mine.lock().insert(id);
         self.redraw_object(id);
         Ok(id)
     }
@@ -237,10 +247,16 @@ impl Display {
         if let Some(node) = obj.scene_node {
             self.scene.lock().remove(node);
         }
+        self.unref(&obj.assoc)
+    }
+
+    /// Drop one reference to each of `oids` and release the display locks
+    /// no other object of this display needs.
+    fn unref(&self, oids: &[Oid]) -> DbResult<()> {
         let mut freed = Vec::new();
         {
             let mut refs = self.refs.lock();
-            for oid in &obj.assoc {
+            for oid in oids {
                 if let Some(count) = refs.get_mut(oid) {
                     *count -= 1;
                     if *count == 0 {
@@ -324,38 +340,37 @@ impl Display {
                 }
                 self.stats.refresh_latency.record(start.elapsed());
             }
-            DlmEvent::Delta { oid, .. } => {
-                // The DLC already checked the projection version and
-                // patched the client's database cache in place (a delta
-                // that could not be applied becomes a resync and never
-                // reaches a display) — only re-derivation remains.
+            DlmEvent::Delta { oid, changed, .. } => {
+                // The DLC checked the projection version (a stale one is
+                // resynced, never reaching a display) and patched the
+                // database copy for transactions; the DO derives from its
+                // own image, and only a miss reads.
                 let start = Instant::now();
                 for id in self.my_dependents(oid) {
-                    self.refresh_object(id)?;
+                    match self.cache.patch_image(id, oid, &changed) {
+                        Some(sources) => {
+                            self.stats.image_refreshes.inc();
+                            self.rederive(id, &sources)?;
+                        }
+                        None => {
+                            self.stats.delta_reads.inc();
+                            self.refresh_object(id)?;
+                        }
+                    }
                     self.stats.delta_refreshes.inc();
                 }
                 self.stats.refresh_latency.record(start.elapsed());
             }
             DlmEvent::Marked { oid, txn } => {
                 self.stats.marks.inc();
-                for id in self.my_dependents(oid) {
-                    self.cache.with_mut(id, |d| {
-                        d.marked_by = Some(txn);
-                        d.dirty = true;
-                    });
-                    self.redraw_object(id);
-                }
+                self.change(Some(oid), |d| d.marked_by.replace(txn) != Some(txn));
             }
             DlmEvent::Resolved { oid, txn, .. } => {
-                for id in self.my_dependents(oid) {
-                    self.cache.with_mut(id, |d| {
-                        if d.marked_by == Some(txn) {
-                            d.marked_by = None;
-                            d.dirty = true;
-                        }
-                    });
-                    self.redraw_object(id);
-                }
+                self.change(Some(oid), |d| {
+                    let mark = d.marked_by.take();
+                    d.marked_by = mark.filter(|&t| t != txn);
+                    mark == Some(txn)
+                });
             }
             // An outbox swept its backlog, unlogged intent events
             // included, and the replay the DLC asked for carries only
@@ -373,10 +388,14 @@ impl Display {
         Ok(())
     }
 
-    /// Apply `change` to each of this display's objects and redraw the
-    /// ones it reports changed; returns how many those were.
-    fn change_all(&self, change: impl Fn(&mut DisplayObject) -> bool) -> u64 {
-        let ids: Vec<DoId> = self.mine.lock().iter().copied().collect();
+    /// Apply `change` to this display's objects — those derived from
+    /// `oid`, or all — and redraw the ones it reports changed; returns how
+    /// many those were.
+    fn change(&self, oid: Option<Oid>, change: impl Fn(&mut DisplayObject) -> bool) -> u64 {
+        let ids: Vec<DoId> = match oid {
+            Some(oid) => self.my_dependents(oid),
+            None => self.mine.lock().iter().copied().collect(),
+        };
         let mut changed = 0;
         for id in ids {
             let hit = self.cache.with_mut(id, |d| {
@@ -395,13 +414,13 @@ impl Display {
     /// Take every early-notify mark off this display's objects — what
     /// `refresh_object` does per object on the resync path.
     fn clear_marks(&self) {
-        self.change_all(|d| d.marked_by.take().is_some());
+        self.change(None, |d| d.marked_by.take().is_some());
     }
 
     /// Degraded connection: keep serving every pinned DO, marked stale.
     fn mark_all_stale(&self) {
         let now = Instant::now();
-        let marked = self.change_all(|d| {
+        let marked = self.change(None, |d| {
             let fresh = d.stale_since.is_none();
             d.stale_since.get_or_insert(now);
             fresh
@@ -414,7 +433,7 @@ impl Display {
     /// resume handshake (changed ones were refreshed by resync events
     /// queued ahead of `Restored`).
     fn clear_stale_marks(&self) {
-        self.change_all(|d| d.stale_since.take().is_some());
+        self.change(None, |d| d.stale_since.take().is_some());
     }
 
     /// Number of this display's objects currently marked stale.
@@ -434,36 +453,16 @@ impl Display {
             .collect()
     }
 
-    /// Re-derive one display object from current database state and
-    /// redraw it.
+    /// Re-derive one display object from current database state, re-seed
+    /// its source image, and redraw it.
     pub fn refresh_object(&self, id: DoId) -> DbResult<()> {
         let Some(obj) = self.cache.get(id) else {
             return Ok(());
         };
-        let class = self
-            .classes
-            .lock()
-            .get(&obj.class)
-            .cloned()
-            .ok_or_else(|| {
-                DbError::InvalidArgument(format!("unknown display class {}", obj.class))
-            })?;
         match self.read_sources(&obj.assoc) {
             Ok(sources) => {
-                let attrs = class.derive(self.client.catalog(), &sources)?;
-                self.cache.with_mut(id, |d| {
-                    d.attrs = attrs;
-                    d.dirty = true;
-                    // A fresh derivation from current database state is
-                    // by definition not stale anymore; nor can it still
-                    // be "being updated" — if the intention's Resolved
-                    // was swept into the resync that caused this refresh,
-                    // this is the only place the mark comes off.
-                    d.stale_since = None;
-                    d.marked_by = None;
-                });
-                self.stats.refreshes.inc();
-                self.redraw_object(id);
+                self.rederive(id, &sources)?;
+                self.cache.seed_image(id, None, sources);
                 Ok(())
             }
             Err(DbError::ObjectNotFound(_)) => {
@@ -474,6 +473,30 @@ impl Display {
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Re-derive `id` from `sources` (full objects or its image's thin
+    /// ones) and redraw it.
+    fn rederive(&self, id: DoId, sources: &[DbObject]) -> DbResult<()> {
+        let Some(name) = self.cache.get(id).map(|d| d.class) else {
+            return Ok(());
+        };
+        let class = self.classes.lock().get(&name).cloned();
+        let class = class
+            .ok_or_else(|| DbError::InvalidArgument(format!("unknown display class {name}")))?;
+        let attrs = class.derive(self.client.catalog(), sources)?;
+        self.cache.with_mut(id, |d| {
+            d.attrs = attrs;
+            d.dirty = true;
+            // A fresh derivation is not stale, nor "being updated": if the
+            // intention's Resolved was swept into the resync that caused
+            // this refresh, this is the only place the mark comes off.
+            d.stale_since = None;
+            d.marked_by = None;
+        });
+        self.stats.refreshes.inc();
+        self.redraw_object(id);
+        Ok(())
     }
 
     fn redraw_object(&self, id: DoId) {

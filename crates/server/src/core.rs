@@ -550,12 +550,6 @@ impl ServerCore {
         &self.seglog_stats
     }
 
-    /// The current commit version of an object (0 if never committed in
-    /// this incarnation).
-    pub fn version_of(&self, oid: Oid) -> u64 {
-        self.versions.lock().get(&oid).copied().unwrap_or(0)
-    }
-
     /// Try to admit one more concurrent *resume* handshake. After a mass
     /// disconnect (server restart, network partition heal) every client
     /// reconnects at once; bounding how many session rebuilds run

@@ -50,19 +50,9 @@ impl WireWriter {
         self.buf.freeze()
     }
 
-    /// Finish, returning a plain vector.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
-    }
-
     /// Append a raw byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.put_u8(v);
-    }
-
-    /// Append a little-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
     }
 
     /// Append a little-endian u32.
@@ -107,11 +97,6 @@ impl WireWriter {
     /// Append a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
-    }
-
-    /// Append raw bytes with no length prefix (caller knows the length).
-    pub fn put_raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
     }
 }
 
