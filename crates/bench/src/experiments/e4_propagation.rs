@@ -135,17 +135,17 @@ fn measure(latency: Duration, eager: bool, rounds: usize) -> [LatencyRecorder; 2
 
     let cache = Arc::new(DisplayCache::new());
     let display = Display::open(Arc::clone(&viewer), cache, "e4");
-    // Figure 1's `ColorCodedLink` with its reads left undeclared, so it
-    // holds whole-object display locks: the paper's protocol, where lazy
-    // and eager differ. (A class that declares its reads is sent attribute
-    // deltas — one message whatever `eager_shipping` says; R3 measures
-    // that.)
+    // Figure 1's `ColorCodedLink` on whole-object display locks: the
+    // paper's protocol, where lazy and eager differ. (Otherwise the class
+    // locks what it reads and is sent attribute deltas — one message
+    // whatever `eager_shipping` says; R3 measures that.)
     let class = DisplayClassBuilder::new("ColorCodedLink")
         .project(&["Utilization"])
         .compute("Color", |ctx| {
             let color = displaydb_viz::utilization_color(ctx.max_float("Utilization")?);
             Ok(Value::Int(i64::from(color.to_u32())))
         })
+        .whole_object()
         .build();
     let do_id = display.add_object(&class, vec![link.oid]).unwrap();
 
@@ -175,5 +175,11 @@ fn measure(latency: Duration, eager: bool, rounds: usize) -> [LatencyRecorder; 2
             assert!(Instant::now() < deadline, "propagation stalled");
         }
     }
+    // Every refresh took the protocol under test, none a delta.
+    assert_eq!(
+        display.stats().delta_refreshes.get(),
+        0,
+        "a delta refreshed"
+    );
     [from_commit, from_action]
 }

@@ -13,9 +13,9 @@
 //! 90% of commits touch operational attributes the GUI never shows
 //! (`ErrorRate` here). Both scenarios run the identical write storm:
 //!
-//! * **baseline** — whole-object watching (a display class with an
-//!   undeclared compute step falls back to full-interest locks): every
-//!   commit notifies every watcher.
+//! * **baseline** — whole-object watching (a display class built with
+//!   `whole_object()` holds full-interest locks): every commit notifies
+//!   every watcher.
 //! * **delta** — projection-aware watching via `width_coded_link`: 90%
 //!   of commits are suppressed outright, the rest arrive as deltas that
 //!   patch the client cache in place.
@@ -202,10 +202,9 @@ fn await_value(display: &Display, id: DoId, want: f64) {
 }
 
 /// One storm against one viewer. `projected == false` watches with a
-/// class whose compute step leaves its reads undeclared, forcing
-/// full-interest (whole-object) display locks — the pre-projection
-/// behaviour. `projected == true` uses `width_coded_link`, which
-/// declares `Utilization` and registers a projected lock.
+/// class that asks for full-interest (whole-object) display locks — the
+/// pre-projection behaviour. `projected == true` uses `width_coded_link`,
+/// whose display objects lock the `Utilization` they read.
 fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
     let catalog = Arc::new(nms_catalog());
     let hub = LocalHub::new();
@@ -244,8 +243,8 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
     let class = if projected {
         width_coded_link("Utilization")
     } else {
-        // Same derived attributes, but the undeclared compute forfeits
-        // the projection: whole-object interest, an event per commit.
+        // Same derived attributes on whole-object interest: an event per
+        // commit.
         DisplayClassBuilder::new("WholeLink")
             .project(&["Utilization"])
             .compute("Width", |ctx| {
@@ -254,6 +253,7 @@ fn storm(links: usize, updates: usize, projected: bool) -> Outcome {
                     u, 1.0, 9.0,
                 ))))
             })
+            .whole_object()
             .build()
     };
     let cache = Arc::new(DisplayCache::new());

@@ -20,7 +20,7 @@ use displaydb_common::metrics::{Counter, Gauge};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{DbResult, DisplayId, Oid, OverloadConfig};
 use displaydb_dlm::{DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 /// How the DLC reaches the DLM.
@@ -127,9 +127,9 @@ impl displaydb_common::stats::StatsSource for DlcStats {
 /// DLM currently has registered for this object.
 #[derive(Default)]
 struct OidProjection {
-    /// display -> its projected attrs (sorted). Displays watching the
-    /// whole object appear in `deps` only.
-    by_display: HashMap<DisplayId, Vec<u16>>,
+    /// display -> the union of its display objects' projected attrs.
+    /// Displays watching the whole object appear in `deps` only.
+    by_display: HashMap<DisplayId, BTreeSet<u16>>,
     /// The union + version currently registered with the DLM; `None`
     /// while the object is registered with full interest (some display
     /// wants every attribute, or interest was widened).
@@ -324,12 +324,11 @@ impl Dlc {
                     let deps = state.deps.entry(oid).or_default();
                     let was_empty = deps.is_empty();
                     deps.insert(display);
-                    // A full-interest display joining a projected object
-                    // widens the DLM registration back to "everything".
-                    let widened = state
-                        .proj
-                        .get_mut(&oid)
-                        .is_some_and(|p| p.registered.take().is_some());
+                    // A full-interest display widens the DLM registration for good.
+                    let widened = state.proj.get_mut(&oid).is_some_and(|p| {
+                        p.by_display.remove(&display);
+                        p.registered.take().is_some()
+                    });
                     was_empty || widened
                 })
                 .collect()
@@ -342,10 +341,12 @@ impl Dlc {
     }
 
     /// Acquire display locks for `display` on `oids`, registering that
-    /// the display only renders the attribute layout indices in `attrs`.
-    /// When every local display watching an object is projected, the DLM
-    /// registration carries the union of their projections and updates
-    /// arrive as attribute-level deltas; otherwise the existing
+    /// the display renders the attribute layout indices in `attrs` — added
+    /// to what it registered before, since each of its display objects
+    /// reads its own set. When every local display watching an object is
+    /// projected, the DLM registration carries the union of their
+    /// projections and updates arrive as attribute-level deltas; otherwise
+    /// (a display that watches the whole object stays whole) the existing
     /// full-interest registration stands.
     pub fn acquire_projected(
         &self,
@@ -354,9 +355,6 @@ impl Dlc {
         attrs: &[u16],
     ) -> DbResult<()> {
         self.stats.local_lock_requests.add(oids.len() as u64);
-        let mut wanted = attrs.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
         let version = self
             .version_gen
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
@@ -369,10 +367,13 @@ impl Dlc {
             let mut state = self.state.lock();
             for &oid in oids {
                 let deps = state.deps.entry(oid).or_default();
-                deps.insert(display);
+                let joined = deps.insert(display);
                 let watchers: Vec<DisplayId> = deps.iter().copied().collect();
                 let proj = state.proj.entry(oid).or_default();
-                proj.by_display.insert(display, wanted.clone());
+                if !joined && !proj.by_display.contains_key(&display) {
+                    continue; // this display watches the whole object
+                }
+                proj.by_display.entry(display).or_default().extend(attrs);
                 let all_projected = watchers.iter().all(|d| proj.by_display.contains_key(d));
                 if !all_projected {
                     // Some display wants the whole object; the existing
@@ -942,6 +943,46 @@ mod tests {
         dlc.acquire_projected(d(1), &[o(1)], &[0, 1]).unwrap();
         dlc.acquire_projected(d(2), &[o(1)], &[1]).unwrap(); // subset: union unchanged
         assert_eq!(backend.projected().len(), 1);
+    }
+
+    #[test]
+    fn a_display_registers_the_union_of_its_projections() {
+        // Two display objects of one display over one source, reading
+        // different attributes: the second must not drop the first's.
+        let backend = Arc::new(MockBackend::default());
+        let dlc = Dlc::new(Arc::clone(&backend) as Arc<dyn DlmBackend>);
+        let _r1 = dlc.register_display(d(1));
+        dlc.acquire_projected(d(1), &[o(1)], &[1]).unwrap();
+        dlc.acquire_projected(d(1), &[o(1)], &[2]).unwrap();
+        let calls = backend.projected();
+        assert_eq!(calls.last().unwrap().1, vec![1, 2]);
+        // The same union again sends nothing.
+        dlc.acquire_projected(d(1), &[o(1)], &[2, 1]).unwrap();
+        assert_eq!(backend.projected().len(), calls.len());
+    }
+
+    #[test]
+    fn a_whole_object_display_stays_whole() {
+        let backend = Arc::new(MockBackend::default());
+        let dlc = Dlc::new(Arc::clone(&backend) as Arc<dyn DlmBackend>);
+        let _r1 = dlc.register_display(d(1));
+        let _r2 = dlc.register_display(d(2));
+        // Whole first, then a projected display object of the same
+        // display, then another display's: the registration stays whole.
+        dlc.acquire(d(1), &[o(1)]).unwrap();
+        dlc.acquire_projected(d(1), &[o(1)], &[1]).unwrap();
+        dlc.acquire_projected(d(2), &[o(1)], &[1]).unwrap();
+        // Projected first, then whole, then projected again.
+        dlc.acquire_projected(d(1), &[o(2)], &[1]).unwrap();
+        dlc.acquire(d(1), &[o(2)]).unwrap();
+        dlc.acquire_projected(d(1), &[o(2)], &[2]).unwrap();
+        assert_eq!(backend.locks(), vec![o(1), o(2)]);
+        let projected: Vec<Vec<Oid>> = backend.projected().into_iter().map(|c| c.0).collect();
+        assert_eq!(
+            projected,
+            vec![vec![o(2)]],
+            "only o(2)'s first lock narrows"
+        );
     }
 
     #[test]

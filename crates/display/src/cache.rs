@@ -13,18 +13,19 @@
 //!   derived GUI attributes), not whole database objects, so it is
 //!   typically several times smaller (§ 4.3 measured 3–5×).
 //!
-//! Beside a DO whose class declares its reads it keeps a *source image*
-//! (those attributes' values per associated OID, counted in the bytes,
-//! not part of the [`DisplayObject`]) that deltas patch and re-derive
-//! from, so a delta refresh never reads the database cache.
+//! Beside every DO not built on whole objects it keeps a *source image*:
+//! per associated OID, the attributes the DO has read and locked (counted
+//! in the bytes, not part of the [`DisplayObject`]). Deltas patch it and
+//! the DO re-derives from it, so a delta refresh never reads the database.
 
 use crate::object::{DisplayObject, DoId};
+use crate::schema::SourceAttr;
 use displaydb_common::ids::IdGen;
 use displaydb_common::Oid;
 use displaydb_schema::{DbObject, Value};
 use displaydb_wire::Decode;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Cache occupancy statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -40,17 +41,18 @@ pub struct DisplayCacheStats {
 }
 
 /// A source image: per associated OID, a thin copy holding the attributes
-/// at layout indices `attrs`, every other one at its type's default.
+/// in `attrs` of its class, every other one at its type's default.
 struct Image {
-    attrs: Vec<u16>,
+    attrs: BTreeSet<SourceAttr>,
     sources: Vec<DbObject>,
 }
 
 impl Image {
-    fn new(attrs: Vec<u16>, mut sources: Vec<DbObject>) -> Self {
+    fn new(attrs: BTreeSet<SourceAttr>, mut sources: Vec<DbObject>) -> Self {
         for source in &mut sources {
+            let class = source.class;
             for (i, value) in source.values.iter_mut().enumerate() {
-                if !attrs.contains(&(i as u16)) {
+                if !attrs.contains(&(class, i as u16)) {
                     *value = value.attr_type().default_value();
                 }
             }
@@ -61,8 +63,10 @@ impl Image {
     /// The OID and the imaged values of each source.
     fn size_bytes(&self) -> usize {
         let values = |s: &DbObject| -> usize {
-            let value = |&a: &u16| s.values.get(usize::from(a)).map_or(0, Value::size_bytes);
-            self.attrs.iter().map(value).sum()
+            let imaged = self.attrs.range((s.class, 0)..=(s.class, u16::MAX));
+            imaged
+                .map(|&(_, a)| s.values.get(usize::from(a)).map_or(0, Value::size_bytes))
+                .sum()
         };
         self.sources.iter().map(|s| 8 + values(s)).sum()
     }
@@ -164,22 +168,22 @@ impl DisplayCache {
         Some(obj)
     }
 
-    /// Seed `id`'s source image from full `sources`, keeping the layout
-    /// indices `attrs` — given `None`, those of the image it replaces, so
-    /// a DO with none gets none.
-    pub fn seed_image(&self, id: DoId, attrs: Option<&[u16]>, sources: Vec<DbObject>) {
+    /// Seed `id`'s source image with the attributes `attrs` of `sources`.
+    pub fn seed_image(&self, id: DoId, attrs: BTreeSet<SourceAttr>, sources: Vec<DbObject>) {
         let mut state = self.state.lock();
-        let attrs = match (attrs, state.images.get(&id)) {
-            _ if !state.objects.contains_key(&id) => return,
-            (Some(attrs), _) => attrs.to_vec(),
-            (None, Some(image)) => image.attrs.clone(),
-            (None, None) => return,
-        };
+        if !state.objects.contains_key(&id) {
+            return;
+        }
         let image = Image::new(attrs, sources);
         state.bytes += image.size_bytes();
         if let Some(old) = state.images.insert(id, image) {
             state.bytes -= old.size_bytes();
         }
+    }
+
+    /// The attributes `id`'s image holds, or `None` without an image.
+    pub fn image_attrs(&self, id: DoId) -> Option<BTreeSet<SourceAttr>> {
+        self.state.lock().images.get(&id).map(|i| i.attrs.clone())
     }
 
     /// Patch `id`'s image with a delta for `oid`; return the thin sources
@@ -194,13 +198,16 @@ impl DisplayCache {
         let mut state = self.state.lock();
         let state = &mut *state;
         let image = state.images.get_mut(&id)?;
-        // Attributes the class does not read are skipped (a DLM
-        // registration is the union over the client's displays).
+        let class = image.sources.iter().find(|s| s.oid == oid)?.class;
+        // Attributes the DO does not read are skipped (a DLM
+        // registration is the union over the client's display objects).
         let mut values = Vec::with_capacity(changed.len());
-        for (attr, bytes) in changed.iter().filter(|(a, _)| image.attrs.contains(a)) {
+        for (attr, bytes) in changed
+            .iter()
+            .filter(|(a, _)| image.attrs.contains(&(class, *a)))
+        {
             values.push((usize::from(*attr), Value::decode_from_bytes(bytes).ok()?));
         }
-        image.sources.iter().find(|s| s.oid == oid)?;
         let before = image.size_bytes();
         for source in image.sources.iter_mut().filter(|s| s.oid == oid) {
             for (i, value) in &values {
@@ -387,13 +394,8 @@ mod tests {
         let id = cache.allocate_id();
         let assoc = sources.iter().map(|s| s.oid).collect();
         cache.insert(DisplayObject::new(id, class.name(), assoc));
-        let attrs: Vec<u16> = class
-            .source_attrs()
-            .unwrap()
-            .iter()
-            .map(|a| index(cat, a))
-            .collect();
-        cache.seed_image(id, Some(&attrs), sources.to_vec());
+        let (_, reads) = class.derive_reading(cat, sources);
+        cache.seed_image(id, reads, sources.to_vec());
         id
     }
 
@@ -406,10 +408,10 @@ mod tests {
         let cat = link_catalog();
         let cache = DisplayCache::new();
         let path = DisplayClassBuilder::new("PathLine")
-            .compute_over("MaxUtil", &["Utilization"], |ctx| {
+            .compute("MaxUtil", |ctx| {
                 Ok(Value::Float(ctx.max_float("Utilization")?))
             })
-            .compute_over("AvgErr", &["ErrorRate"], |ctx| {
+            .compute("AvgErr", |ctx| {
                 Ok(Value::Float(ctx.avg_float("ErrorRate")?))
             })
             .build();
@@ -428,12 +430,14 @@ mod tests {
                 assert!(thin
                     .iter()
                     .all(|s| s.get(&cat, "Notes").unwrap() == &Value::Str("".into())));
+                let (attrs, reads) = class.derive_reading(&cat, &thin);
                 assert_eq!(
-                    class.derive(&cat, &thin).unwrap(),
+                    attrs.unwrap(),
                     class.derive(&cat, &full[..n]).unwrap(),
                     "{} at {util}",
                     class.name()
                 );
+                assert_eq!(Some(reads), cache.image_attrs(id), "read only the image");
             }
         }
     }
@@ -478,19 +482,19 @@ mod tests {
         assert_eq!(utilization(thin), Value::Float(0.5));
         assert_eq!(cache.used_bytes(), bytes);
 
-        // A re-seed keeps the layout indices; removal takes the bytes.
-        cache.seed_image(id, None, vec![link(&cat, 1, 0.8, 0.0)]);
-        assert_eq!(
-            utilization(cache.patch_image(id, Oid::new(1), &[]).unwrap()),
-            Value::Float(0.8)
-        );
+        // A re-seed may widen the image; removal takes the bytes, and a
+        // removed DO is not re-seeded.
+        let class = cat.id_of("Link").unwrap();
+        let attrs = BTreeSet::from([(class, util), (class, errors)]);
+        cache.seed_image(id, attrs.clone(), vec![link(&cat, 1, 0.8, 0.4)]);
+        let thin = cache.patch_image(id, Oid::new(1), &[]).unwrap();
+        assert_eq!(thin[0].get(&cat, "ErrorRate").unwrap(), &Value::Float(0.4));
+        assert_eq!(utilization(thin), Value::Float(0.8));
+        assert_eq!(cache.used_bytes(), bytes + 8, "one more float");
         cache.remove(id);
         assert_eq!(cache.used_bytes(), 0);
-        // A DO without an image gets none from a re-seed.
-        let plain = obj(&cache, &[1]);
-        cache.seed_image(plain, None, vec![link(&cat, 1, 0.8, 0.0)]);
-        assert!(cache.patch_image(plain, Oid::new(1), &[]).is_none());
-        assert_eq!(cache.used_bytes(), cache.get(plain).unwrap().size_bytes());
+        cache.seed_image(id, attrs, vec![link(&cat, 1, 0.8, 0.0)]);
+        assert_eq!((cache.used_bytes(), cache.image_attrs(id)), (0, None));
     }
 }
 

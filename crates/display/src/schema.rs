@@ -10,36 +10,53 @@
 //!   ("the path line's utilization may be the maximum or average over
 //!   all its links", § 3.1).
 //!
+//! A class does not declare what it reads: [`DeriveCtx`] records it, and
+//! a display locks exactly that (DESIGN.md § 10) — all of it only for a
+//! class built with [`DisplayClassBuilder::whole_object`].
+//!
 //! The database schema is never touched: this is what keeps GUI design
 //! orthogonal to database design (§ 2.1).
 
-use displaydb_common::{DbError, DbResult};
+use displaydb_common::{ClassId, DbError, DbResult};
 use displaydb_schema::{Catalog, DbObject, Value};
+use std::cell::RefCell;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Context handed to derivation closures.
+/// A source attribute a derivation read: the source's class and the
+/// attribute's index in that class's layout.
+pub type SourceAttr = (ClassId, u16);
+
+/// Context handed to derivation closures; it records what they read.
 pub struct DeriveCtx<'a> {
     /// The database catalog (attribute lookup).
     pub catalog: &'a Catalog,
-    /// The associated database objects, in association order.
-    pub sources: &'a [DbObject],
+    sources: &'a [DbObject],
+    reads: RefCell<BTreeSet<SourceAttr>>,
 }
 
 impl<'a> DeriveCtx<'a> {
+    /// Attribute of source `i` (association order).
+    pub fn source(&self, i: usize, attr: &str) -> DbResult<&'a Value> {
+        let source = self
+            .sources
+            .get(i)
+            .ok_or_else(|| DbError::InvalidArgument(format!("display object has no source {i}")))?;
+        let index = self.catalog.attr_index(source.class, attr)?;
+        self.reads.borrow_mut().insert((source.class, index as u16));
+        source.get(self.catalog, attr)
+    }
+
     /// Attribute of the primary (first) source.
-    pub fn primary(&self, attr: &str) -> DbResult<&Value> {
-        self.sources
-            .first()
-            .ok_or_else(|| DbError::InvalidArgument("display object has no sources".into()))?
-            .get(self.catalog, attr)
+    pub fn primary(&self, attr: &str) -> DbResult<&'a Value> {
+        self.source(0, attr)
     }
 
     /// The named attribute across all sources, as floats (aggregation
     /// helper).
     pub fn floats(&self, attr: &str) -> DbResult<Vec<f64>> {
-        self.sources
-            .iter()
-            .map(|s| s.get(self.catalog, attr)?.as_float())
+        (0..self.sources.len())
+            .map(|i| self.source(i, attr)?.as_float())
             .collect()
     }
 
@@ -63,24 +80,21 @@ impl<'a> DeriveCtx<'a> {
 
 type ComputeFn = Arc<dyn Fn(&DeriveCtx<'_>) -> DbResult<Value> + Send + Sync>;
 
+type Reading = (DbResult<Vec<(String, Value)>>, BTreeSet<SourceAttr>);
+
 enum Step {
     /// Copy these attributes from the primary source.
     Project(Vec<String>),
-    /// Compute one attribute from all sources. `deps` optionally declares
-    /// which source attributes the closure reads; a class whose computes
-    /// all declare their reads can be watched with a projected display
-    /// lock instead of full-object interest.
-    Compute {
-        name: String,
-        deps: Option<Vec<String>>,
-        f: ComputeFn,
-    },
+    /// Compute one attribute from all sources.
+    Compute { name: String, f: ComputeFn },
 }
 
 /// A display class definition.
 pub struct DisplayClassDef {
     name: String,
     steps: Vec<Step>,
+    /// Full-interest display locks ([`DisplayClassBuilder::whole_object`]).
+    pub(crate) whole_object: bool,
 }
 
 impl DisplayClassDef {
@@ -101,27 +115,6 @@ impl DisplayClassDef {
         out
     }
 
-    /// The source attributes this class reads, if they are fully known:
-    /// projected attributes plus every compute step's declared
-    /// dependencies. Returns `None` when any compute step left its reads
-    /// undeclared — the caller must then fall back to full-object
-    /// interest, because the closure may touch anything.
-    pub fn source_attrs(&self) -> Option<Vec<&str>> {
-        let mut out: Vec<&str> = Vec::new();
-        for step in &self.steps {
-            match step {
-                Step::Project(attrs) => out.extend(attrs.iter().map(String::as_str)),
-                Step::Compute { deps: Some(d), .. } => {
-                    out.extend(d.iter().map(String::as_str));
-                }
-                Step::Compute { deps: None, .. } => return None,
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Some(out)
-    }
-
     /// Run the derivation over `sources`, producing the display
     /// attribute list.
     pub fn derive(
@@ -129,21 +122,34 @@ impl DisplayClassDef {
         catalog: &Catalog,
         sources: &[DbObject],
     ) -> DbResult<Vec<(String, Value)>> {
-        let ctx = DeriveCtx { catalog, sources };
-        let mut out = Vec::new();
-        for step in &self.steps {
-            match step {
-                Step::Project(attrs) => {
-                    for attr in attrs {
-                        out.push((attr.clone(), ctx.primary(attr)?.clone()));
+        self.derive_reading(catalog, sources).0
+    }
+
+    /// [`Self::derive`], and every source attribute it read — also when it
+    /// failed, which may have been for want of an attribute it was not
+    /// given.
+    pub(crate) fn derive_reading(&self, catalog: &Catalog, sources: &[DbObject]) -> Reading {
+        let ctx = DeriveCtx {
+            catalog,
+            sources,
+            reads: RefCell::default(),
+        };
+        let run = || {
+            let mut out = Vec::new();
+            for step in &self.steps {
+                match step {
+                    Step::Project(attrs) => {
+                        for attr in attrs {
+                            out.push((attr.clone(), ctx.primary(attr)?.clone()));
+                        }
                     }
-                }
-                Step::Compute { name, f, .. } => {
-                    out.push((name.clone(), f(&ctx)?));
+                    Step::Compute { name, f } => out.push((name.clone(), f(&ctx)?)),
                 }
             }
-        }
-        Ok(out)
+            Ok(out)
+        };
+        let out = run();
+        (out, ctx.reads.into_inner())
     }
 }
 
@@ -160,6 +166,7 @@ impl std::fmt::Debug for DisplayClassDef {
 pub struct DisplayClassBuilder {
     name: String,
     steps: Vec<Step>,
+    whole_object: bool,
 }
 
 impl DisplayClassBuilder {
@@ -168,6 +175,7 @@ impl DisplayClassBuilder {
         Self {
             name: name.into(),
             steps: Vec::new(),
+            whole_object: false,
         }
     }
 
@@ -178,8 +186,8 @@ impl DisplayClassBuilder {
         self
     }
 
-    /// Add a computed attribute with undeclared reads (the class falls
-    /// back to full-object display locks).
+    /// Add a computed attribute. What it reads through the [`DeriveCtx`]
+    /// is what its display objects' locks cover.
     pub fn compute(
         mut self,
         name: impl Into<String>,
@@ -187,25 +195,17 @@ impl DisplayClassBuilder {
     ) -> Self {
         self.steps.push(Step::Compute {
             name: name.into(),
-            deps: None,
             f: Arc::new(f),
         });
         self
     }
 
-    /// Add a computed attribute that declares which source attributes it
-    /// reads, keeping the class eligible for projected display locks.
-    pub fn compute_over(
-        mut self,
-        name: impl Into<String>,
-        deps: &[&str],
-        f: impl Fn(&DeriveCtx<'_>) -> DbResult<Value> + Send + Sync + 'static,
-    ) -> Self {
-        self.steps.push(Step::Compute {
-            name: name.into(),
-            deps: Some(deps.iter().map(|s| s.to_string()).collect()),
-            f: Arc::new(f),
-        });
+    /// Watch every attribute of the sources with full-interest display
+    /// locks, whatever the class reads: each commit to a source arrives as
+    /// `Updated` and refreshes by a read — the paper's post-commit
+    /// protocol (§ 3.3), for experiments that reproduce it.
+    pub fn whole_object(mut self) -> Self {
+        self.whole_object = true;
         self
     }
 
@@ -214,6 +214,7 @@ impl DisplayClassBuilder {
         Arc::new(DisplayClassDef {
             name: self.name,
             steps: self.steps,
+            whole_object: self.whole_object,
         })
     }
 }
@@ -225,7 +226,7 @@ pub fn color_coded_link(utilization_attr: &str) -> Arc<DisplayClassDef> {
     let attr = utilization_attr.to_string();
     DisplayClassBuilder::new("ColorCodedLink")
         .project(&[utilization_attr])
-        .compute_over("Color", &[utilization_attr], move |ctx| {
+        .compute("Color", move |ctx| {
             let u = ctx.max_float(&attr)?;
             Ok(Value::Int(i64::from(
                 displaydb_viz::utilization_color(u).to_u32(),
@@ -240,7 +241,7 @@ pub fn width_coded_link(utilization_attr: &str) -> Arc<DisplayClassDef> {
     let attr = utilization_attr.to_string();
     DisplayClassBuilder::new("WidthCodedLink")
         .project(&[utilization_attr])
-        .compute_over("Width", &[utilization_attr], move |ctx| {
+        .compute("Width", move |ctx| {
             let u = ctx.max_float(&attr)?;
             Ok(Value::Float(f64::from(displaydb_viz::utilization_width(
                 u, 1.0, 9.0,
@@ -362,35 +363,63 @@ mod tests {
         assert!(dc.derive(&cat, &[link(&cat, 1, 0.1)]).is_err());
     }
 
-    #[test]
-    fn source_attrs_union_of_projections_and_declared_deps() {
-        let dc = DisplayClassBuilder::new("X")
-            .project(&["Name", "Utilization"])
-            .compute_over("Color", &["Utilization"], |_| Ok(Value::Int(0)))
-            .build();
-        // Deduplicated union, sorted: eligible for a projected lock.
-        assert_eq!(dc.source_attrs(), Some(vec!["Name", "Utilization"]));
+    /// The layout index of `attr` in `Link`, as a recorded read.
+    fn read(cat: &Catalog, attr: &str) -> SourceAttr {
+        let class = cat.id_of("Link").unwrap();
+        (class, cat.attr_index(class, attr).unwrap() as u16)
     }
 
     #[test]
-    fn undeclared_compute_forfeits_projection() {
+    fn derivation_records_what_it_reads() {
+        let cat = catalog();
         let dc = DisplayClassBuilder::new("X")
-            .project(&["Name"])
-            .compute("C", |_| Ok(Value::Int(0)))
+            .project(&["Utilization", "Name"])
+            .compute("Color", |ctx| Ok(ctx.primary("Utilization")?.clone()))
+            .compute("Constant", |_| Ok(Value::Int(0)))
             .build();
-        assert_eq!(dc.source_attrs(), None);
+        let (attrs, reads) = dc.derive_reading(&cat, &[link(&cat, 1, 0.5)]);
+        assert_eq!(attrs.unwrap().len(), 4);
+        // Deduplicated and sorted by layout index.
+        assert_eq!(
+            reads,
+            [read(&cat, "Name"), read(&cat, "Utilization")].into()
+        );
+        for class in [
+            color_coded_link("Utilization"),
+            width_coded_link("Utilization"),
+        ] {
+            let (_, reads) = class.derive_reading(&cat, &[link(&cat, 1, 0.5), link(&cat, 2, 0.1)]);
+            assert_eq!(
+                reads,
+                [read(&cat, "Utilization")].into(),
+                "{}",
+                class.name()
+            );
+        }
     }
 
     #[test]
-    fn builtin_link_classes_are_projectable() {
+    fn a_data_dependent_branch_reads_what_it_took() {
+        let cat = catalog();
+        let dc = DisplayClassBuilder::new("Branch")
+            .compute("Label", |ctx| {
+                match ctx.primary("Utilization")?.as_float()? > 0.8 {
+                    true => Ok(ctx.source(1, "Vendor")?.clone()),
+                    false => Ok(Value::Str(String::new())),
+                }
+            })
+            .build();
+        let (_, quiet) = dc.derive_reading(&cat, &[link(&cat, 1, 0.5), link(&cat, 2, 0.5)]);
+        assert_eq!(quiet, [read(&cat, "Utilization")].into());
+        let (_, busy) = dc.derive_reading(&cat, &[link(&cat, 1, 0.9), link(&cat, 2, 0.5)]);
         assert_eq!(
-            color_coded_link("Utilization").source_attrs(),
-            Some(vec!["Utilization"])
+            busy,
+            [read(&cat, "Utilization"), read(&cat, "Vendor")].into()
         );
-        assert_eq!(
-            width_coded_link("Utilization").source_attrs(),
-            Some(vec!["Utilization"])
-        );
+        // A failed derivation still reports what it read before failing.
+        let (attrs, failed) = dc.derive_reading(&cat, &[link(&cat, 1, 0.9)]);
+        assert!(attrs.is_err());
+        assert_eq!(failed, quiet);
     }
 
     #[test]

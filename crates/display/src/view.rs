@@ -6,13 +6,14 @@
 //! 1. **Open** — the display registers with the client's DLC and gets an
 //!    event queue.
 //! 2. **Build** — [`Display::add_object`] reads the associated database
-//!    objects, acquires display locks (deduplicated by the DLC), *then*
-//!    reads again to seed the source image, derives, and pins the display
-//!    object in the display cache — or, failing, pins nothing.
+//!    objects, derives once to learn what the class reads, locks that
+//!    (deduplicated by the DLC), *then* reads again to derive and seed the
+//!    source image, and pins the display object — or, failing, nothing.
 //! 3. **Live** — [`Display::process_pending`] consumes notifications: a
 //!    `Delta` patches the source image and re-derives from it; `Updated`
 //!    re-derives from a read and re-seeds the image; `Marked`/`Resolved`
-//!    toggle the early-notify "being updated" flag.
+//!    toggle the early-notify "being updated" flag. A derivation reading
+//!    outside the locks is thrown away: the object *widens* (lock, read).
 //! 4. **Close** — dropping the display releases every display lock and
 //!    unpins its display objects.
 //!
@@ -30,16 +31,16 @@
 
 use crate::cache::DisplayCache;
 use crate::object::{DisplayObject, DoId};
-use crate::schema::DisplayClassDef;
+use crate::schema::{DisplayClassDef, SourceAttr};
 use displaydb_client::{DbClient, DlcEvent};
 use displaydb_common::metrics::{Counter, LatencyRecorder};
-use displaydb_common::{DbError, DbResult, DisplayId, Oid};
+use displaydb_common::{ClassId, DbError, DbResult, DisplayId, Oid};
 use displaydb_dlm::DlmEvent;
-use displaydb_schema::DbObject;
+use displaydb_schema::{DbObject, Value};
 use displaydb_viz::{Rect, Scene, Shape};
 use displaydb_wire::Decode;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -61,6 +62,8 @@ pub struct DisplayStats {
     pub image_refreshes: Counter,
     /// Delta refreshes that missed the image and fell back to a read.
     pub delta_reads: Counter,
+    /// Derivations thrown away for reading outside the locks (widenings).
+    pub widens: Counter,
     /// Display objects dropped because their sources were deleted.
     pub removed_by_deletion: Counter,
     /// Display objects marked stale on connection degradation.
@@ -71,6 +74,9 @@ pub struct DisplayStats {
 }
 
 type DrawFn = Arc<dyn Fn(&DisplayObject) -> Option<Shape> + Send + Sync>;
+
+/// A derivation, the attributes its locks cover, and its sources.
+type Derived = (Vec<(String, Value)>, BTreeSet<SourceAttr>, Vec<DbObject>);
 
 /// One window over the database.
 pub struct Display {
@@ -158,35 +164,34 @@ impl Display {
                 "display object needs at least one source".into(),
             ));
         }
+        // The first derivation says what the class reads of these sources.
         let first = self.read_sources(&assoc)?;
+        let (derived, reads) = class.derive_reading(self.client.catalog(), &first);
+        derived?;
         {
             let mut refs = self.refs.lock();
             for &oid in &assoc {
                 *refs.entry(oid).or_insert(0) += 1;
             }
         }
-        // A class that declares all it reads, over sources of one layout,
-        // gets a projected lock and a source image; any other, full
-        // interest. Lock, then read again: a commit that landed before the
+        // Lock, then read again: a commit that landed before the
         // registration called this client back ahead of the lock's reply,
         // so the read after it sees that commit; a later one is notified.
-        let projected = self.projected_indices(class, &first);
-        let locked = match &projected {
-            Some(attrs) => self.client.dlc().acquire_projected(self.id, &assoc, attrs),
-            None => self.client.dlc().acquire(self.id, &assoc),
-        };
-        let built = locked
-            .and_then(|()| self.read_sources(&assoc))
-            .and_then(|sources| Ok((class.derive(self.client.catalog(), &sources)?, sources)));
-        let (attrs, sources) = built.map_err(|e| {
+        let mut locked = BTreeSet::new();
+        let built = self
+            .lock(class, &first, &mut locked, reads)
+            .and_then(|()| self.derive_locked(class, &assoc, locked));
+        let (attrs, learned, sources) = built.map_err(|e| {
             let _ = self.unref(&assoc);
             e
         })?;
         let id = self.cache.allocate_id();
-        let mut obj = DisplayObject::new(id, class.name(), assoc.clone());
+        let mut obj = DisplayObject::new(id, class.name(), assoc);
         obj.attrs = attrs;
         self.cache.insert(obj);
-        self.cache.seed_image(id, projected.as_deref(), sources);
+        if !class.whole_object {
+            self.cache.seed_image(id, learned, sources);
+        }
         self.classes
             .lock()
             .entry(class.name().to_string())
@@ -196,20 +201,53 @@ impl Display {
         Ok(id)
     }
 
-    /// Resolve the class's declared source attributes to layout indices,
-    /// or `None` when projection is not applicable (undeclared compute
-    /// reads, heterogeneous source classes, or unresolvable names).
-    fn projected_indices(&self, class: &DisplayClassDef, sources: &[DbObject]) -> Option<Vec<u16>> {
-        let names = class.source_attrs()?;
-        let class_id = sources.first()?.class;
-        if sources.iter().any(|s| s.class != class_id) {
-            return None;
+    /// Add `reads` to `locked` and lock `sources` for `class`: whole
+    /// objects if the class asks for them, else one projected lock per
+    /// source class on what `locked` holds of that class.
+    fn lock(
+        &self,
+        class: &DisplayClassDef,
+        sources: &[DbObject],
+        locked: &mut BTreeSet<SourceAttr>,
+        reads: BTreeSet<SourceAttr>,
+    ) -> DbResult<()> {
+        locked.extend(reads);
+        if class.whole_object {
+            let oids: Vec<Oid> = sources.iter().map(|s| s.oid).collect();
+            return self.client.dlc().acquire(self.id, &oids);
         }
-        let catalog = self.client.catalog();
-        names
-            .iter()
-            .map(|name| catalog.attr_index(class_id, name).ok().map(|i| i as u16))
-            .collect()
+        let mut groups: BTreeMap<ClassId, Vec<Oid>> = BTreeMap::new();
+        for source in sources {
+            groups.entry(source.class).or_default().push(source.oid);
+        }
+        for (c, oids) in groups {
+            let attrs: Vec<u16> = locked.iter().filter(|r| r.0 == c).map(|r| r.1).collect();
+            self.client
+                .dlc()
+                .acquire_projected(self.id, &oids, &attrs)?;
+        }
+        Ok(())
+    }
+
+    /// Read `assoc` and derive `class` from it, the locks covering
+    /// `locked`. A derivation that read more is thrown away and the object
+    /// *widens*: lock the union, and only then read again, so a commit to
+    /// a newly read attribute is either in that read or notified.
+    fn derive_locked(
+        &self,
+        class: &DisplayClassDef,
+        assoc: &[Oid],
+        mut locked: BTreeSet<SourceAttr>,
+    ) -> DbResult<Derived> {
+        loop {
+            let sources = self.read_sources(assoc)?;
+            let (attrs, reads) = class.derive_reading(self.client.catalog(), &sources);
+            if class.whole_object || reads.is_subset(&locked) {
+                return Ok((attrs?, locked, sources));
+            }
+            self.stats.widens.inc();
+            self.lock(class, &sources, &mut locked, reads)?;
+        }
     }
 
     fn read_sources(&self, assoc: &[Oid]) -> DbResult<Vec<DbObject>> {
@@ -350,7 +388,7 @@ impl Display {
                     match self.cache.patch_image(id, oid, &changed) {
                         Some(sources) => {
                             self.stats.image_refreshes.inc();
-                            self.rederive(id, &sources)?;
+                            self.refresh(id, Some(sources))?;
                         }
                         None => {
                             self.stats.delta_reads.inc();
@@ -456,13 +494,35 @@ impl Display {
     /// Re-derive one display object from current database state, re-seed
     /// its source image, and redraw it.
     pub fn refresh_object(&self, id: DoId) -> DbResult<()> {
+        self.refresh(id, None)
+    }
+
+    /// Re-derive `id` from its image's thin `sources` when given — a
+    /// derivation that reads outside the image is thrown away, and the
+    /// object widens — else from a read that re-seeds the image.
+    fn refresh(&self, id: DoId, thin: Option<Vec<DbObject>>) -> DbResult<()> {
         let Some(obj) = self.cache.get(id) else {
             return Ok(());
         };
-        match self.read_sources(&obj.assoc) {
-            Ok(sources) => {
-                self.rederive(id, &sources)?;
-                self.cache.seed_image(id, None, sources);
+        let unknown = || DbError::InvalidArgument(format!("unknown display class {}", obj.class));
+        let class = self.classes.lock().get(&obj.class).cloned();
+        let class = class.ok_or_else(unknown)?;
+        let mut locked = self.cache.image_attrs(id).unwrap_or_default();
+        if let Some(thin) = thin {
+            let (attrs, reads) = class.derive_reading(self.client.catalog(), &thin);
+            if reads.is_subset(&locked) {
+                self.show(id, attrs?);
+                return Ok(());
+            }
+            self.stats.widens.inc();
+            self.lock(&class, &thin, &mut locked, reads)?;
+        }
+        match self.derive_locked(&class, &obj.assoc, locked) {
+            Ok((attrs, learned, sources)) => {
+                self.show(id, attrs);
+                if !class.whole_object {
+                    self.cache.seed_image(id, learned, sources);
+                }
                 Ok(())
             }
             Err(DbError::ObjectNotFound(_)) => {
@@ -475,16 +535,8 @@ impl Display {
         }
     }
 
-    /// Re-derive `id` from `sources` (full objects or its image's thin
-    /// ones) and redraw it.
-    fn rederive(&self, id: DoId, sources: &[DbObject]) -> DbResult<()> {
-        let Some(name) = self.cache.get(id).map(|d| d.class) else {
-            return Ok(());
-        };
-        let class = self.classes.lock().get(&name).cloned();
-        let class = class
-            .ok_or_else(|| DbError::InvalidArgument(format!("unknown display class {name}")))?;
-        let attrs = class.derive(self.client.catalog(), sources)?;
+    /// Show a fresh derivation of `id` and redraw it.
+    fn show(&self, id: DoId, attrs: Vec<(String, Value)>) {
         self.cache.with_mut(id, |d| {
             d.attrs = attrs;
             d.dirty = true;
@@ -496,7 +548,6 @@ impl Display {
         });
         self.stats.refreshes.inc();
         self.redraw_object(id);
-        Ok(())
     }
 
     fn redraw_object(&self, id: DoId) {

@@ -1,8 +1,10 @@
-//! The display cache's source image (DESIGN.md § 10): a projected display
-//! object derives its delta refreshes from its own image of the
-//! attributes its class reads, so an out-of-projection write — whose
-//! callback empties the database cache — never turns the next refresh
-//! into a read. Every scenario runs in both fig.-3 deployments.
+//! The display cache's source image (DESIGN.md § 10): a display object
+//! locks, and images, exactly the source attributes its derivations have
+//! read, and derives its delta refreshes from that image, so an
+//! out-of-projection write — whose callback empties the database cache —
+//! never turns the next refresh into a read. A derivation that reads more
+//! widens the object: lock, then read, then derive. Every scenario runs in
+//! both fig.-3 deployments.
 //!
 //! In the agent deployment the committing client reports no attribute
 //! diff (it cannot know the committed pre-image), so the agent sends
@@ -108,6 +110,18 @@ impl Deployment {
         oids
     }
 
+    /// The layout index of a `Link` attribute.
+    fn index(&self, attr: &str) -> u16 {
+        let link = self.catalog.id_of("Link").unwrap();
+        self.catalog.attr_index(link, attr).unwrap() as u16
+    }
+
+    /// Whether `viewer`'s display locks on `oid` cover `attr`.
+    fn covers(&self, viewer: &DbClient, oid: Oid, attr: &str) -> bool {
+        self.dlm()
+            .interest_covers(viewer.id(), oid, &[self.index(attr)])
+    }
+
     fn set(&self, updater: &Arc<DbClient>, oid: Oid, attr: &str, value: f64) {
         let mut txn = updater.begin().unwrap();
         txn.update(oid, |o| o.set(&self.catalog, attr, value))
@@ -179,10 +193,180 @@ fn assert_delta_books_balance(display: &Display) {
 fn two_attribute_class() -> Arc<DisplayClassDef> {
     DisplayClassBuilder::new("UtilErr")
         .project(&["Utilization"])
-        .compute_over("MaxErr", &["ErrorRate"], |ctx| {
+        .compute("MaxErr", |ctx| {
             Ok(Value::Float(ctx.max_float("ErrorRate")?))
         })
         .build()
+}
+
+/// A class that reads `ErrorRate` only while the primary source's
+/// `Utilization` is above `threshold`: what its display objects read
+/// depends on the data.
+fn branching_class(threshold: f64) -> Arc<DisplayClassDef> {
+    DisplayClassBuilder::new(format!("Branch{threshold}"))
+        .project(&["Utilization"])
+        .compute("MaxErr", move |ctx| {
+            let hot = ctx.primary("Utilization")?.as_float()? > threshold;
+            Ok(Value::Float(if hot {
+                ctx.max_float("ErrorRate")?
+            } else {
+                0.0
+            }))
+        })
+        .build()
+}
+
+/// (i) `steady.whole`'s class computes from `Utilization` and says nothing
+/// about it: its display object locks exactly `Utilization`, projected,
+/// and 50 commits to it refresh from the image — no read, no callback.
+fn a_class_learns_what_it_reads(dep: &Deployment) {
+    let (viewer, _) = dep.client("viewer");
+    let (updater, _) = dep.client("updater");
+    let link = dep.links(&updater, 1)[0];
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
+    let class = DisplayClassBuilder::new("WholeObjectLink")
+        .project(&["Utilization"])
+        .compute("Width", |ctx| {
+            Ok(Value::Float(ctx.max_float("Utilization")?.clamp(0.0, 1.0)))
+        })
+        .build();
+    let id = display.add_object(&class, vec![link]).unwrap();
+    dep.await_interest(&viewer, &[link]);
+    assert!(dep.covers(&viewer, link, "Utilization"));
+    for unread in ["Name", "ErrorRate", "LatencyMs"] {
+        assert!(!dep.covers(&viewer, link, unread), "{unread} is locked");
+    }
+
+    let server = dep.server.core().stats();
+    let (reads, callbacks) = (server.reads.get(), server.callbacks.get());
+    for round in 1..=50 {
+        let util = f64::from(round) / 100.0;
+        dep.set(&updater, link, "Utilization", util);
+        settle(&display, "the new value", || {
+            display.object(id).unwrap().attr("Utilization") == Some(&Value::Float(util))
+        });
+    }
+    assert_eq!(server.reads.get() - reads, 0, "a refresh read the server");
+    let called_back = server.callbacks.get() - callbacks;
+    let stats = display.stats();
+    if dep.is_agent() {
+        // Eager `Updated` payloads re-fill a copy the server no longer
+        // knows of, so at most the first commit calls back.
+        assert!(called_back <= 1, "{called_back} callbacks");
+        assert_eq!(stats.delta_refreshes.get(), 0, "the agent sends no deltas");
+    } else {
+        assert_eq!(called_back, 0, "a commit waited for a callback");
+        assert_eq!(stats.image_refreshes.get(), 50);
+    }
+    assert_eq!(stats.widens.get(), 0);
+    assert_delta_books_balance(&display);
+}
+
+#[test]
+fn integrated_a_class_learns_what_it_reads() {
+    a_class_learns_what_it_reads(&Deployment::integrated());
+}
+
+#[test]
+fn agent_a_class_learns_what_it_reads() {
+    a_class_learns_what_it_reads(&Deployment::agent());
+}
+
+/// (ii) A commit that flips `branching_class`'s branch makes the display
+/// object read `ErrorRate`: it widens its lock. A commit to `ErrorRate`
+/// lands while that lock is held in the sender; the display must show it.
+/// Read before the lock, the widened object would miss it for good: it
+/// was outside the old projection, so nobody was notified.
+fn a_commit_racing_the_widen_is_not_lost(dep: &Deployment) {
+    let (viewer, plan) = dep.client("viewer");
+    let (updater, _) = dep.client("updater");
+    let link = dep.links(&updater, 1)[0];
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
+    let class = branching_class(0.8);
+    let id = display.add_object(&class, vec![link]).unwrap();
+    dep.await_interest(&viewer, &[link]);
+    assert!(!dep.covers(&viewer, link, "ErrorRate"));
+
+    dep.set(&updater, link, "Utilization", 0.9);
+    wait_until("the flip to arrive", || {
+        viewer.dlc().stats().notifications_in.get() >= 1
+    });
+    plan.set_delay(1000, Duration::from_secs(1));
+    let pump = {
+        let display = Arc::clone(&display);
+        std::thread::spawn(move || display.wait_and_process(Duration::from_secs(5)))
+    };
+    wait_until("the widening lock to stall", || plan.delayed() >= 1);
+    plan.clear_delay();
+    dep.set(&updater, link, "ErrorRate", 0.3);
+    assert!(
+        !dep.covers(&viewer, link, "ErrorRate"),
+        "the commit must land before the widened lock registers"
+    );
+    pump.join().unwrap().unwrap();
+    settle(&display, "the raced commit", || {
+        dep.shows_committed(&display, &class, id, &updater)
+    });
+    assert_eq!(
+        display.object(id).unwrap().attr("MaxErr"),
+        Some(&Value::Float(0.3))
+    );
+    assert_eq!(display.stats().widens.get(), 1);
+    wait_until("the widened lock", || {
+        dep.covers(&viewer, link, "ErrorRate")
+    });
+    assert_delta_books_balance(&display);
+}
+
+#[test]
+fn integrated_a_commit_racing_the_widen_is_not_lost() {
+    a_commit_racing_the_widen_is_not_lost(&Deployment::integrated());
+}
+
+#[test]
+fn agent_a_commit_racing_the_widen_is_not_lost() {
+    a_commit_racing_the_widen_is_not_lost(&Deployment::agent());
+}
+
+/// (iv) A class that reads nothing locks no attribute: no commit reaches
+/// its display object, which still goes when its source is deleted. (The
+/// agent, with no attribute diff to intersect, notifies every commit.)
+fn a_class_that_reads_nothing(dep: &Deployment) {
+    let (viewer, _) = dep.client("viewer");
+    let (updater, _) = dep.client("updater");
+    let link = dep.links(&updater, 1)[0];
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
+    let class = DisplayClassBuilder::new("Marker")
+        .compute("Shape", |_| Ok(Value::Int(1)))
+        .build();
+    let id = display.add_object(&class, vec![link]).unwrap();
+    dep.await_interest(&viewer, &[link]);
+    for attr in ["Utilization", "ErrorRate", "LatencyMs"] {
+        assert!(!dep.covers(&viewer, link, attr), "{attr} is locked");
+        dep.set(&updater, link, attr, 0.5);
+    }
+    if !dep.is_agent() {
+        let heard = display
+            .wait_and_process(Duration::from_millis(100))
+            .unwrap();
+        assert_eq!(heard, 0, "a commit reached the display");
+        assert_eq!(viewer.dlc().stats().notifications_in.get(), 0);
+    }
+    let mut txn = updater.begin().unwrap();
+    txn.delete(link).unwrap();
+    txn.commit().unwrap();
+    settle(&display, "the deletion", || display.object(id).is_none());
+    assert_eq!(display.stats().removed_by_deletion.get(), 1);
+}
+
+#[test]
+fn integrated_a_class_that_reads_nothing() {
+    a_class_that_reads_nothing(&Deployment::integrated());
+}
+
+#[test]
+fn agent_a_class_that_reads_nothing() {
+    a_class_that_reads_nothing(&Deployment::agent());
 }
 
 /// (i) Out-of-projection and projected commits alternate 50 times: every
@@ -294,42 +478,54 @@ fn agent_commit_racing_the_lock_is_not_lost() {
 }
 
 /// (iii) Random commit sequences over `Utilization`, `ErrorRate` and the
-/// unprojected `LatencyMs`, under display objects of one or two sources:
-/// at quiescence every DO is the projection of committed state, and —
-/// where deltas exist, so the image is patched — no refresh read the
-/// server. (In the agent deployment a two-source DO's `Updated` refresh
-/// reads both sources, and one whose copy a callback took ahead of its
-/// own eager notification comes from the server.)
+/// unread `LatencyMs`, under display objects of one or two sources whose
+/// classes read two attributes or branch on `Utilization`: at quiescence
+/// every DO is the projection of committed state, and — where deltas
+/// exist, so the image is patched — no refresh read the server unless a
+/// display object widened. (In the agent deployment a two-source DO's `Updated`
+/// refresh reads both sources, and one whose copy a callback took ahead
+/// of its own eager notification comes from the server.)
 fn random_commits_converge_without_reads(dep: &Deployment) {
     let (viewer, _) = dep.client("viewer");
     let (updater, _) = dep.client("updater");
     let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
-    let class = two_attribute_class();
-    let reads = &dep.server.core().stats().reads;
+    let classes = [
+        two_attribute_class(),
+        branching_class(0.3),
+        branching_class(0.7),
+    ];
+    let (reads, widens) = (&dep.server.core().stats().reads, &display.stats().widens);
     proptest::test_runner::run("random_commits_converge_without_reads", |rng| {
         let links = dep.links(&updater, 3);
-        let ids: Vec<DoId> = (0..rng.below(1, 4))
+        let dos: Vec<(DoId, &Arc<DisplayClassDef>)> = (0..rng.below(1, 4))
             .map(|_| {
                 let first = rng.below(0, links.len());
                 let mut assoc = vec![links[first]];
                 if rng.below(0, 2) == 1 {
                     assoc.push(links[(first + rng.below(1, links.len())) % links.len()]);
                 }
-                display.add_object(&class, assoc).unwrap()
+                let class = &classes[rng.below(0, classes.len())];
+                (display.add_object(class, assoc).unwrap(), class)
             })
             .collect();
+        let ids: Vec<DoId> = dos.iter().map(|&(id, _)| id).collect();
         dep.await_interest(&viewer, &links_of(&display, &ids));
-        let before = reads.get();
+        let before = (reads.get(), widens.get());
         for _ in 0..rng.below(1, 16) {
             let attr = ["Utilization", "ErrorRate", "LatencyMs"][rng.below(0, 3)];
             dep.set(&updater, links[rng.below(0, links.len())], attr, rng.unit());
         }
         settle(&display, "committed state", || {
-            ids.iter()
-                .all(|&id| dep.shows_committed(&display, &class, id, &updater))
+            dos.iter()
+                .all(|&(id, class)| dep.shows_committed(&display, class, id, &updater))
         });
-        let read = reads.get() - before;
-        proptest::prop_assert!(dep.is_agent() || read == 0, "{read} refresh reads");
+        let (read, widened) = (reads.get() - before.0, widens.get() - before.1);
+        // A widen re-registers the projection, so a delta still in flight
+        // under the old version is resynced by a read too.
+        proptest::prop_assert!(
+            dep.is_agent() || read == 0 || widened > 0,
+            "{read} refresh reads, no widen"
+        );
         for id in ids {
             display.remove_object(id).unwrap();
         }
@@ -380,6 +576,7 @@ fn add_object_on_a_dead_link_leaves_nothing(dep: &Deployment) {
     let whole = DisplayClassBuilder::new("WholeLink")
         .project(&["Utilization"])
         .compute("Width", |ctx| Ok(ctx.primary("Utilization")?.clone()))
+        .whole_object()
         .build();
     for class in [&projected, &whole] {
         assert!(display.add_object(class, vec![links[1]]).is_err());

@@ -108,8 +108,7 @@ fn set_utilization(updater: &Arc<DbClient>, catalog: &Catalog, oid: Oid, value: 
     txn.commit().unwrap();
 }
 
-/// A link class whose compute step is undeclared, so it cannot be
-/// projected and its display holds whole-object locks (DESIGN.md § 10).
+/// A link class on whole-object display locks (DESIGN.md § 10).
 fn whole_object_link() -> Arc<DisplayClassDef> {
     DisplayClassBuilder::new("WholeObjectLink")
         .project(&["Utilization"])
@@ -119,6 +118,7 @@ fn whole_object_link() -> Arc<DisplayClassDef> {
                 displaydb::viz::utilization_color(u).to_u32(),
             )))
         })
+        .whole_object()
         .build()
 }
 
@@ -303,8 +303,8 @@ fn integrated_server_refuses_client_reports() {
 fn eager_shipping_eliminates_read_roundtrip() {
     // The § 4.3 claim: eager shipping removes two of the three messages
     // on the refresh path (the read request and its reply). The claim is
-    // about *whole-object* watching, so the display class here leaves
-    // its compute step undeclared — a projectable class (DESIGN.md § 10)
+    // about *whole-object* watching, so the display class here asks for
+    // it — otherwise (DESIGN.md § 10) the display locks what it reads,
     // gets in-place deltas and needs no read round-trip in either mode,
     // collapsing the comparison to 0 vs 0.
     let run = |eager: bool, name: &str| -> u64 {
@@ -345,6 +345,11 @@ fn eager_shipping_eliminates_read_roundtrip() {
             set_utilization(&updater, catalog, link.oid, value);
             await_utilization(&display, do_id, value);
         }
+        assert_eq!(
+            display.stats().delta_refreshes.get(),
+            0,
+            "a delta refreshed"
+        );
         viewer.conn().stats().sent.get() - sent_before
     };
 
