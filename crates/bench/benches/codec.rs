@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use displaydb_nms::nms_catalog;
 use displaydb_schema::DbObject;
-use displaydb_server::proto::{Envelope, Request};
+use displaydb_server::proto::{Envelope, Request, WriteForm};
 use displaydb_wire::{Decode, Encode};
 use std::hint::black_box;
 
@@ -37,7 +37,7 @@ fn bench_codec(c: &mut Criterion) {
         7,
         Request::Commit {
             txn: None,
-            writes: vec![(obj.oid, Some(encoded.to_vec()))],
+            writes: vec![(obj.oid, WriteForm::Put(encoded.to_vec()))],
             trace: 0,
         },
     );

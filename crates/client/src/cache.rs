@@ -35,6 +35,12 @@ impl ClientCache {
         self.inner.lock().get(&oid).cloned()
     }
 
+    /// Run `f` on the cached copy of `oid`, if there is one, with no LRU
+    /// touch and no hit or miss counted.
+    pub fn peek<R>(&self, oid: Oid, f: impl FnOnce(&DbObject) -> R) -> Option<R> {
+        self.inner.lock().peek(&oid).map(f)
+    }
+
     /// Insert (or refresh) an object; its footprint is measured with
     /// [`DbObject::size_bytes`].
     pub fn insert(&self, obj: DbObject) {
@@ -45,25 +51,16 @@ impl ClientCache {
     /// Patch a cached object in place from an attribute-level delta
     /// (`(layout index, encoded Value)` pairs). Returns `false` — the
     /// caller must fall back to a full re-read — when the object is not
-    /// cached, an index falls outside its layout, or a value fails to
-    /// decode. The patch is all-or-nothing: a bad pair leaves the cached
-    /// object untouched.
+    /// cached or [`DbObject::apply_changes`] refuses the pairs. The patch
+    /// is all-or-nothing: a bad pair leaves the cached object untouched.
     pub fn apply_delta(&self, oid: Oid, changed: &[(u16, Vec<u8>)]) -> bool {
-        use displaydb_wire::Decode;
         let mut inner = self.inner.lock();
         let Some(obj) = inner.get(&oid) else {
             return false;
         };
         let mut patched = obj.clone();
-        for (attr, bytes) in changed {
-            let idx = *attr as usize;
-            if idx >= patched.values.len() {
-                return false;
-            }
-            match displaydb_schema::Value::decode_from_bytes(bytes) {
-                Ok(v) => patched.values[idx] = v,
-                Err(_) => return false,
-            }
+        if patched.apply_changes(changed).is_err() {
+            return false;
         }
         let size = patched.size_bytes();
         inner.insert(oid, patched, size);

@@ -316,6 +316,7 @@ impl std::fmt::Debug for Connection {
 mod tests {
     use super::*;
     use displaydb_common::Oid;
+    use displaydb_server::proto::WriteForm;
     use displaydb_wire::local_pair;
 
     /// The next request the fake server end receives.
@@ -366,7 +367,7 @@ mod tests {
         let conn = Connection::new(Box::new(client_end), Duration::from_secs(10));
         let request = Request::Commit {
             txn: None,
-            writes: vec![(Oid::new(3), Some(vec![7; 300]))],
+            writes: vec![(Oid::new(3), WriteForm::Put(vec![7; 300]))],
             trace: 0,
         };
         let caller = {

@@ -3,7 +3,10 @@
 //! A [`ClientTxn`] is the transaction's workspace: `create`, `write` and
 //! `delete` fill an overlay here, checked against the client's catalog,
 //! and `commit` ships the write set in one request — the server locks,
-//! applies and notifies before it answers, or does none of it. A schema
+//! applies and notifies before it answers, or does none of it. Without
+//! explicit locks an update of a cached object ships as a patch of the
+//! cached copy; a stale copy costs one refused request and a full-state
+//! resend, never a different outcome. A schema
 //! error surfaces at the call that made it; a lock conflict or a delete
 //! of a missing object at `commit`. Only an explicit `lock_*` talks to the
 //! server earlier: it starts the server-side transaction, holds the lock
@@ -15,10 +18,10 @@
 //! did.
 
 use crate::client::DbClient;
-use displaydb_common::{DbError, DbResult, Oid, TxnId};
+use displaydb_common::{DbError, DbResult, Oid, TraceId, TxnId};
 use displaydb_dlm::{DlmRequest, UpdateInfo};
 use displaydb_schema::DbObject;
-use displaydb_server::proto::{Request, Response, WireLockMode};
+use displaydb_server::proto::{Request, Response, WireLockMode, WriteForm};
 use displaydb_wire::Encode;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -167,23 +170,20 @@ impl ClientTxn {
     /// cache reflects the written states and (agent deployment) the DLM
     /// is informed of the update set — an error from that report leaves
     /// the commit standing. When the server refuses, nothing was applied
-    /// and it holds nothing for this transaction any more.
+    /// and it holds nothing for this transaction any more — after a
+    /// `StaleBase` refusal of its patches, the write set goes once more
+    /// with full states.
     pub fn commit(mut self) -> DbResult<()> {
         // Mint a trace id at the committing client (0 when tracing is
         // off): the server stamps the notification fan-out with it, and
         // in the agent deployment the client's own commit report carries
         // it to the DLM agent.
         let trace = displaydb_common::trace::next_trace_id();
-        let writes = self
-            .local
-            .iter()
-            .map(|(oid, view)| (*oid, view.as_ref().map(|o| o.encode_to_bytes().to_vec())))
-            .collect();
-        self.client.conn().call(Request::Commit {
-            txn: self.id,
-            writes,
-            trace,
-        })?;
+        let patches = self.id.is_none();
+        match self.send_commit(patches, trace) {
+            Err(DbError::StaleBase { .. }) if patches => self.send_commit(false, trace)?,
+            result => result?,
+        };
         // The server-side transaction ended with it: `Drop` aborts nothing.
         let txn = self.id.take();
         // Refresh the local cache with the now-committed states.
@@ -212,6 +212,36 @@ impl ClientTxn {
             }
         }
         Ok(())
+    }
+
+    /// Send the write set as one `Commit`; with `patches`, an update of a
+    /// cached object travels as its changes since the cached copy.
+    fn send_commit(&self, patches: bool, trace: TraceId) -> DbResult<Response> {
+        let cache = self.client.cache();
+        let writes = self
+            .local
+            .iter()
+            .map(|(oid, view)| {
+                let form = match view {
+                    None => WriteForm::Delete,
+                    Some(obj) => cache
+                        .peek(*oid, |base| {
+                            (patches && base.class == obj.class).then(|| WriteForm::Patch {
+                                base: base.fingerprint(),
+                                changed: obj.changes_since(base),
+                            })
+                        })
+                        .flatten()
+                        .unwrap_or_else(|| WriteForm::Put(obj.encode_to_bytes().to_vec())),
+                };
+                (*oid, form)
+            })
+            .collect();
+        self.client.conn().call(Request::Commit {
+            txn: self.id,
+            writes,
+            trace,
+        })
     }
 
     /// Agent deployment: tell the DLM how this transaction's write

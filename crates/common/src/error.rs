@@ -11,14 +11,15 @@
 //! * **Retryable** — the operation failed due to a transient condition and
 //!   may succeed if simply retried (in a new transaction where applicable):
 //!   [`DbError::LockTimeout`], [`DbError::Deadlock`], [`DbError::Timeout`],
-//!   [`DbError::Overloaded`], and — now that the client stack has
-//!   supervised reconnection — [`DbError::Disconnected`]. A disconnected
-//!   channel is repaired in the background by the connection supervisor, so
-//!   retrying after a short backoff is the correct reaction. `Overloaded`
-//!   is the server's admission-control shed: the request was never
-//!   admitted, so retrying after backoff is always safe (no partial
-//!   effects). [`DbError::is_retryable`] returns `true` exactly for this
-//!   class.
+//!   [`DbError::Overloaded`], [`DbError::StaleBase`], and — now that the
+//!   client stack has supervised reconnection — [`DbError::Disconnected`].
+//!   A disconnected channel is repaired in the background by the
+//!   connection supervisor, so retrying after a short backoff is the
+//!   correct reaction. `Overloaded` is the server's admission-control
+//!   shed: the request was never admitted, so retrying after backoff is
+//!   always safe (no partial effects); so is `StaleBase` (nothing of the
+//!   commit was applied).
+//!   [`DbError::is_retryable`] returns `true` exactly for this class.
 //!
 //! * **Fatal** — the request itself can never succeed as issued and must
 //!   not be retried verbatim: [`DbError::ObjectNotFound`],
@@ -41,8 +42,9 @@
 //!
 //! The server answers a failed request with the error's [`DbError::kind`]
 //! and message. The client rebuilds the retryable kinds as themselves
-//! (`deadlock`, `lock_timeout`, `disconnected`, `timeout`, `overloaded`),
-//! because callers branch on them; every other kind arrives as
+//! (`deadlock`, `lock_timeout`, `disconnected`, `timeout`, `overloaded`,
+//! `stale_base` — which `ClientTxn::commit` answers with one full-state
+//! resend), because callers branch on them; every other kind arrives as
 //! [`DbError::Rejected`] carrying the original message. A remote caller
 //! therefore never sees, say, `ObjectNotFound` — it sees
 //! `Rejected("object not found: …")`.
@@ -86,6 +88,10 @@ pub enum DbError {
     /// The server shed the request before admitting it (per-client
     /// in-flight cap reached). Safe to retry after backoff.
     Overloaded,
+    /// A commit patched a state the object no longer has (the patch's
+    /// base fingerprint is not the stored object's). Nothing was applied;
+    /// the same write set with full states succeeds.
+    StaleBase { oid: Oid },
     /// The server rejected the request.
     Rejected(String),
     /// An invalid argument was supplied by the caller.
@@ -116,6 +122,7 @@ impl DbError {
             DbError::Disconnected => "disconnected",
             DbError::Timeout(_) => "timeout",
             DbError::Overloaded => "overloaded",
+            DbError::StaleBase { .. } => "stale_base",
             DbError::Rejected(_) => "rejected",
             DbError::InvalidArgument(_) => "invalid_argument",
             DbError::CrashPoint(_) => "crash_point",
@@ -136,6 +143,7 @@ impl DbError {
                 | DbError::Timeout(_)
                 | DbError::Disconnected
                 | DbError::Overloaded
+                | DbError::StaleBase { .. }
         )
     }
 }
@@ -157,6 +165,9 @@ impl fmt::Display for DbError {
             DbError::Disconnected => write!(f, "peer disconnected"),
             DbError::Timeout(m) => write!(f, "timed out: {m}"),
             DbError::Overloaded => write!(f, "server overloaded; retry after backoff"),
+            DbError::StaleBase { oid } => {
+                write!(f, "patch of {oid} names a state it no longer has")
+            }
             DbError::Rejected(m) => write!(f, "rejected: {m}"),
             DbError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
             DbError::CrashPoint(name) => write!(f, "simulated crash at '{name}'"),
@@ -206,6 +217,10 @@ mod tests {
         // effects to worry about.
         assert!(DbError::Overloaded.is_retryable());
         assert_eq!(DbError::Overloaded.kind(), "overloaded");
+        // StaleBase is retryable: the refused commit applied nothing.
+        let stale = DbError::StaleBase { oid: Oid::new(1) };
+        assert!(stale.is_retryable());
+        assert_eq!(stale.kind(), "stale_base");
         assert!(!DbError::PageFull.is_retryable());
         assert!(!DbError::Protocol("bad".into()).is_retryable());
     }

@@ -404,15 +404,22 @@ impl DlmCore {
     pub fn notify_committed_txn(
         &self,
         origin: Option<ClientId>,
-        updates: &[UpdateInfo],
+        mut updates: Vec<UpdateInfo>,
         txn: u64,
     ) -> DbResult<()> {
+        // A lazy protocol never ships state, so it does not log it: the
+        // ring's byte cap and the durable spill hold only what replays.
+        if !self.config.eager_shipping {
+            for update in &mut updates {
+                update.payload = None;
+            }
+        }
         // Append to the replay log *before* fan-out: by the time any
         // outbox decides to drop this commit (overflow), the log
         // already retains it for cursor catch-up — and when the log
         // is durable, the batch hits stable storage before any client
         // can observe it (durable before deliverable).
-        let (seqno, spill_err) = match self.log.append(origin, updates, txn) {
+        let (seqno, spill_err) = match self.log.append(origin, &updates, txn) {
             Ok(s) => (s, None),
             Err(e) => {
                 self.log.truncate_all();
@@ -668,7 +675,7 @@ impl DlmCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ShardedDlm;
+    use crate::{ShardCursor, ShardedDlm};
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use displaydb_common::DbError;
 
@@ -819,6 +826,33 @@ mod tests {
             DlmEvent::Updated(u) => assert_eq!(u.payload, Some(vec![1, 2])),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    /// A lazy DLM logs no state: a bigger object costs the ring nothing,
+    /// and a replay delivers exactly what the live path delivered.
+    #[test]
+    fn lazy_log_keeps_no_payload_and_replays_what_went_live() {
+        let dlm = ShardedDlm::new(DlmConfig::default());
+        let (s1, r1) = sink();
+        dlm.register_client(c(1), s1);
+        dlm.lock_projected(c(1), &[o(2)], &[1], 4);
+        dlm.lock(c(1), &[o(1)]);
+        let log_bytes = || dlm.stats().log.log_bytes.get();
+        dlm.notify_committed(None, &[UpdateInfo::eager(o(1), vec![7; 10])]);
+        let per_entry = log_bytes();
+        dlm.notify_committed(None, &[UpdateInfo::eager(o(1), vec![7; 10_000])]);
+        let delta = UpdateInfo::eager(o(2), vec![7; 500]).with_changes(vec![(1, vec![3])]);
+        dlm.notify_committed(None, &[delta]);
+        assert_eq!(log_bytes(), 2 * per_entry + per_entry + 5);
+        let live: Vec<DlmEvent> = r1.try_iter().collect();
+        assert_eq!(live.len(), 3);
+        let cursor = ShardCursor {
+            shard: 0,
+            cursor: 0,
+            log_incarnation: 0,
+        };
+        dlm.replay_for_shards(c(1), &[cursor], &[0]);
+        assert_eq!(r1.try_iter().collect::<Vec<_>>(), live);
     }
 
     #[test]

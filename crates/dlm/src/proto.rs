@@ -9,7 +9,8 @@ use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
 /// so this crate stays schema-agnostic.
 pub type AttrChanges = Vec<(u16, Vec<u8>)>;
 
-fn encode_changes(changes: &AttrChanges, w: &mut WireWriter) {
+/// Encode a change set: the pair count, then each pair.
+pub fn encode_changes(changes: &AttrChanges, w: &mut WireWriter) {
     w.put_varint(changes.len() as u64);
     for (attr, bytes) in changes {
         w.put_varint(*attr as u64);
@@ -17,7 +18,8 @@ fn encode_changes(changes: &AttrChanges, w: &mut WireWriter) {
     }
 }
 
-fn decode_changes(r: &mut WireReader<'_>) -> DbResult<AttrChanges> {
+/// Decode a change set, reserving for at most 1024 pairs up front.
+pub fn decode_changes(r: &mut WireReader<'_>) -> DbResult<AttrChanges> {
     let n = r.get_varint()? as usize;
     let mut out = Vec::with_capacity(n.min(1024));
     for _ in 0..n {

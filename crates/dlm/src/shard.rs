@@ -410,7 +410,7 @@ impl ShardedDlm {
             1 => {
                 let s = involved[0];
                 let owned: Vec<UpdateInfo> = parts[s].iter().map(|u| (*u).clone()).collect();
-                self.cores[s].notify_committed_txn(origin, &owned, txn)
+                self.cores[s].notify_committed_txn(origin, owned, txn)
             }
             _ => {
                 let results: Vec<DbResult<()>> = std::thread::scope(|scope| {
@@ -422,7 +422,7 @@ impl ShardedDlm {
                             scope.spawn(move || {
                                 let owned: Vec<UpdateInfo> =
                                     part.iter().map(|u| (*u).clone()).collect();
-                                core.notify_committed_txn(origin, &owned, txn)
+                                core.notify_committed_txn(origin, owned, txn)
                             })
                         })
                         .collect();

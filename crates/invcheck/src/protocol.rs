@@ -28,6 +28,8 @@ use std::collections::BTreeSet;
 pub const DISPATCH: &[(&str, &str, &str)] = &[
     // Client requests are dispatched by the server core.
     ("Request", "server/src/proto.rs", "server/src/core.rs"),
+    // Every form a commit's write can take is resolved by the commit path.
+    ("WriteForm", "server/src/proto.rs", "server/src/core.rs"),
     // DLM requests from either deployment are dispatched by
     // `ShardedDlm::handle_request`.
     ("DlmRequest", "dlm/src/proto.rs", "dlm/src/shard.rs"),

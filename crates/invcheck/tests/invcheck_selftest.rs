@@ -336,6 +336,17 @@ fn _request_anchor(r: &displaydb_server::proto::Request) -> &'static str {
     }
 }
 
+const WRITE_FORM_VARIANTS: &[&str] = &["Put", "Patch", "Delete"];
+
+fn _write_form_anchor(w: &displaydb_server::proto::WriteForm) -> &'static str {
+    use displaydb_server::proto::WriteForm as W;
+    match w {
+        W::Put(_) => "Put",
+        W::Patch { .. } => "Patch",
+        W::Delete => "Delete",
+    }
+}
+
 const DLM_REQUEST_VARIANTS: &[&str] = &[
     "Hello",
     "Lock",
@@ -411,12 +422,18 @@ fn parsed_variants(path: &str, source: &str, enum_name: &str) -> Vec<String> {
 
 #[test]
 fn parsed_protocol_enums_match_compiled_enums() {
-    let cases: [(&str, &str, &str, &[&str]); 4] = [
+    let cases: [(&str, &str, &str, &[&str]); 5] = [
         (
             "crates/server/src/proto.rs",
             include_str!("../../server/src/proto.rs"),
             "Request",
             REQUEST_VARIANTS,
+        ),
+        (
+            "crates/server/src/proto.rs",
+            include_str!("../../server/src/proto.rs"),
+            "WriteForm",
+            WRITE_FORM_VARIANTS,
         ),
         (
             "crates/dlm/src/proto.rs",

@@ -6,9 +6,10 @@
 //! records, and is measured by the cache-footprint experiments.
 
 use crate::catalog::Catalog;
+use crate::projection::diff_objects;
 use crate::types::Value;
 use displaydb_common::{ClassId, DbError, DbResult, Oid};
-use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
+use displaydb_wire::{fnv1a, Decode, Encode, WireReader, WireWriter};
 
 /// One persistent object.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,6 +105,57 @@ impl DbObject {
     /// (database cache vs display cache) reports.
     pub fn size_bytes(&self) -> usize {
         48 + self.values.iter().map(Value::size_bytes).sum::<usize>()
+    }
+
+    /// The FNV-1a fingerprint of this object's encoding: how a commit's
+    /// patch names the state it was computed against, and how the server
+    /// recognises that state in its store.
+    pub fn fingerprint(&self) -> u64 {
+        fnv1a(&self.encode_to_bytes())
+    }
+
+    /// The attributes in which `self` differs from `base`, as `(layout
+    /// index, encoded value)` pairs in ascending index order: the change
+    /// set a `Delta` carries and a patch ships. Applied to `base` with
+    /// [`DbObject::apply_changes`], it yields `self`.
+    pub fn changes_since(&self, base: &DbObject) -> Vec<(u16, Vec<u8>)> {
+        diff_objects(base, self)
+            .into_iter()
+            .map(|(attr, value)| (attr, value.encode_to_bytes().to_vec()))
+            .collect()
+    }
+
+    /// Overwrite attributes from `(layout index, encoded value)` pairs,
+    /// all or nothing. Refused, with the object untouched: an index
+    /// outside the layout or not above the one before it (so none twice),
+    /// and a value that does not decode or is not of the type it replaces.
+    pub fn apply_changes(&mut self, changed: &[(u16, Vec<u8>)]) -> DbResult<()> {
+        let mut decoded = Vec::with_capacity(changed.len());
+        let mut next = 0;
+        for (attr, bytes) in changed {
+            let idx = usize::from(*attr);
+            let Some(old) = self.values.get(idx).filter(|_| idx >= next) else {
+                return Err(DbError::InvalidArgument(format!(
+                    "attribute {idx} of {} is outside its layout or out of order",
+                    self.oid
+                )));
+            };
+            let value = Value::decode_from_bytes(bytes)?;
+            if value.attr_type() != old.attr_type() {
+                return Err(DbError::SchemaViolation(format!(
+                    "attribute {idx} of {} holds {}, not {}",
+                    self.oid,
+                    old.attr_type().name(),
+                    value.attr_type().name()
+                )));
+            }
+            decoded.push((idx, value));
+            next = idx + 1;
+        }
+        for (idx, value) in decoded {
+            self.values[idx] = value;
+        }
+        Ok(())
     }
 }
 
@@ -214,6 +266,50 @@ mod tests {
             .with(&c, "Name", "x".repeat(1000).as_str())
             .unwrap();
         assert!(big.size_bytes() > small.size_bytes() + 900);
+    }
+
+    #[test]
+    fn changes_since_then_apply_changes_rebuilds_the_object() {
+        let c = catalog();
+        let base = DbObject::new_named(&c, "Link").unwrap();
+        let new = base
+            .clone()
+            .with(&c, "Utilization", 0.5)
+            .unwrap()
+            .with(&c, "Endpoints", vec![Oid::new(3)])
+            .unwrap();
+        let changed = new.changes_since(&base);
+        assert_eq!(changed.iter().map(|(a, _)| *a).collect::<Vec<_>>(), [1, 2]);
+        let mut rebuilt = base.clone();
+        rebuilt.apply_changes(&changed).unwrap();
+        assert_eq!(rebuilt, new);
+        assert_eq!(rebuilt.fingerprint(), new.fingerprint());
+        assert_ne!(base.fingerprint(), new.fingerprint());
+        // -0.0 == 0.0, but it encodes differently: it is a change.
+        let negative = base.clone().with(&c, "Utilization", -0.0).unwrap();
+        assert_eq!(negative.changes_since(&base).len(), 1);
+    }
+
+    #[test]
+    fn apply_changes_is_all_or_nothing() {
+        let c = catalog();
+        let base = DbObject::new_named(&c, "Link").unwrap();
+        let float = |v: f64| Value::Float(v).encode_to_bytes().to_vec();
+        let name = Value::Str("x".into()).encode_to_bytes().to_vec();
+        for (bad, kind) in [
+            (vec![(1, float(0.5)), (3, float(0.5))], "invalid_argument"),
+            (vec![(1, float(0.5)), (1, float(0.7))], "invalid_argument"),
+            (vec![(1, float(0.5)), (0, name.clone())], "invalid_argument"),
+            (vec![(0, name.clone()), (1, vec![0xff])], "corrupt"),
+            (
+                vec![(0, name), (1, Value::Int(1).encode_to_bytes().to_vec())],
+                "schema_violation",
+            ),
+        ] {
+            let mut patched = base.clone();
+            assert_eq!(patched.apply_changes(&bad).unwrap_err().kind(), kind);
+            assert_eq!(patched, base);
+        }
     }
 
     proptest! {

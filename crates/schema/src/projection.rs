@@ -107,12 +107,18 @@ impl Decode for Projection {
 /// layout indices whose values differ, with the new value. The server
 /// computes this between the pre- and post-commit images to decide which
 /// projected holders need a delta (and which need nothing at all).
+///
+/// Values differ when their encodings do: `-0.0` differs from `0.0`, and
+/// a NaN does not differ from the same NaN.
 pub fn diff_objects(old: &DbObject, new: &DbObject) -> Vec<(u16, Value)> {
     old.values
         .iter()
         .zip(new.values.iter())
         .enumerate()
-        .filter(|(_, (a, b))| a != b)
+        .filter(|(_, (a, b))| match (a, b) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() != b.to_bits(),
+            _ => a != b,
+        })
         .map(|(i, (_, b))| (i as u16, b.clone()))
         .collect()
 }

@@ -21,6 +21,13 @@
 //! * **Momentary shared locks on reads** — a server-side read briefly
 //!   acquires S, so it can never observe a half-applied update.
 //!
+//! ## The commit path
+//!
+//! One `Commit` is the transaction: X-lock the write set in OID order,
+//! resolve each write under its lock (a patch whose base fingerprint is
+//! not the stored object's refuses the commit as `StaleBase`), apply all
+//! of it or none.
+//!
 //! ## Display notifications
 //!
 //! The commit and explicit-lock paths raise events on the embedded
@@ -32,7 +39,7 @@
 //! has no registered holders.
 
 use crate::copies::CopyTable;
-use crate::proto::{Request, Response, ResumeRequest, ServerPush, WireLockMode};
+use crate::proto::{Request, Response, ResumeRequest, ServerPush, WireLockMode, WriteForm};
 use crate::store::{ObjectStore, WriteOp};
 use crate::txn::TxnManager;
 use displaydb_common::ids::IdGen;
@@ -40,11 +47,12 @@ use displaydb_common::metrics::{Counter, Gauge, SegLogStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig, Oid, TxnId};
 use displaydb_dlm::{
-    DlmConfig, DlmRequest, DurableRecovery, EventSink, OutboxSink, ShardedDlm, UpdateInfo,
+    AttrChanges, DlmConfig, DlmRequest, DurableRecovery, EventSink, OutboxSink, ShardedDlm,
+    UpdateInfo,
 };
 use displaydb_lockmgr::{LockManager, LockManagerConfig, LockMode, Owner};
 use displaydb_schema::{Catalog, DbObject};
-use displaydb_wire::{Channel, Encode};
+use displaydb_wire::{fnv1a, Channel, Encode};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -957,48 +965,62 @@ impl ServerCore {
         granted.map(|()| Response::TxnStarted { txn })
     }
 
-    /// Decode and check a commit's write set against the catalog and the
-    /// store, touching nothing: all of it is good or none of it is applied.
-    fn checked_writes(&self, writes: &[(Oid, Option<Vec<u8>>)]) -> DbResult<Vec<WriteOp>> {
+    /// One write of a commit, resolved under its X lock into what the
+    /// store applies: a patch must name the stored state by fingerprint
+    /// and then goes on as a put. With `diff`, a put that replaces a
+    /// stored object also returns the attributes it changed.
+    fn resolve(
+        &self,
+        oid: Oid,
+        form: &WriteForm,
+        diff: bool,
+    ) -> DbResult<(WriteOp, Option<AttrChanges>)> {
         use displaydb_wire::Decode;
-        let mut ops = Vec::with_capacity(writes.len());
-        for (oid, put) in writes {
-            ops.push(match put {
-                Some(bytes) => {
-                    let obj = DbObject::decode_from_bytes(bytes)?;
-                    obj.validate(&self.catalog)?;
-                    // An OID the allocator never issued would collide
-                    // with a later creation.
-                    if obj.oid != *oid || !self.store.issued(*oid) {
-                        return Err(DbError::InvalidArgument(format!(
-                            "write of {} under {oid}, which is not its oid or not one this server issued",
-                            obj.oid
-                        )));
-                    }
-                    WriteOp::Put(obj)
+        let (obj, pre_image) = match form {
+            WriteForm::Put(bytes) => {
+                let obj = DbObject::decode_from_bytes(bytes)?;
+                // An OID the allocator never issued would collide
+                // with a later creation.
+                if obj.oid != oid || !self.store.issued(oid) {
+                    return Err(DbError::InvalidArgument(format!(
+                        "write of {} under {oid}, which is not its oid or not one this server issued",
+                        obj.oid
+                    )));
                 }
-                None if self.store.exists(*oid) => WriteOp::Delete(*oid),
-                None => return Err(DbError::ObjectNotFound(*oid)),
-            });
-        }
-        Ok(ops)
+                let pre_image = if diff { self.store.get(oid).ok() } else { None };
+                (obj, pre_image)
+            }
+            WriteForm::Patch { base, changed } => {
+                let bytes = self.store.get_bytes(oid)?;
+                if fnv1a(&bytes) != *base {
+                    return Err(DbError::StaleBase { oid });
+                }
+                let mut obj = DbObject::decode_from_bytes(&bytes)?;
+                let pre_image = diff.then(|| obj.clone());
+                obj.apply_changes(changed)?;
+                (obj, pre_image)
+            }
+            WriteForm::Delete if self.store.exists(oid) => return Ok((WriteOp::Delete(oid), None)),
+            WriteForm::Delete => return Err(DbError::ObjectNotFound(oid)),
+        };
+        let changes = pre_image.map(|old| obj.changes_since(&old));
+        Ok((WriteOp::Put(obj), changes))
     }
 
-    /// The one commit entry point: check the write set, X-lock it, apply
-    /// it, release, notify — all of it or none.
+    /// The one commit entry point: X-lock the write set, resolve and
+    /// apply it, release, notify — all of it or none.
     fn commit_txn(
         &self,
         client: ClientId,
         txn: Option<TxnId>,
-        writes: &[(Oid, Option<Vec<u8>>)],
+        writes: &[(Oid, WriteForm)],
         trace: displaydb_common::TraceId,
     ) -> DbResult<Response> {
         let mut ending = self.end_txn(client, txn)?;
         let txn = ending.txn;
-        let writes = self.checked_writes(writes)?;
         // Ascending OID order, so that two commits over the same objects
         // queue behind each other instead of deadlocking.
-        let mut oids: Vec<Oid> = writes.iter().map(WriteOp::oid).collect();
+        let mut oids: Vec<Oid> = writes.iter().map(|(oid, _)| *oid).collect();
         oids.sort_unstable();
         if oids.windows(2).any(|pair| pair[0] == pair[1]) {
             return Err(DbError::InvalidArgument(
@@ -1008,24 +1030,24 @@ impl ServerCore {
         for &oid in &oids {
             self.acquire_exclusive(client, txn, oid)?;
         }
-        // Pre-images of updated objects, captured before the commit
-        // applies so the DLM can diff them against registered display
-        // projections. Skipped when no client registered one.
-        let mut pre_images: HashMap<Oid, DbObject> = HashMap::new();
-        if !writes.is_empty() && self.dlm.has_projected_interest() {
-            for op in &writes {
-                if let WriteOp::Put(obj) = op {
-                    if let Ok(old) = self.store.get(obj.oid) {
-                        pre_images.insert(obj.oid, old);
-                    }
-                }
+        // Attribute-level diffs against the pre-commit images, so the DLM
+        // can narrow notifications to registered display projections.
+        // Skipped when no client registered one.
+        let diff = self.dlm.has_projected_interest();
+        let mut ops = Vec::with_capacity(writes.len());
+        let mut diffs: HashMap<Oid, AttrChanges> = HashMap::new();
+        for (oid, form) in writes {
+            let (op, changes) = self.resolve(*oid, form, diff)?;
+            if let Some(changes) = changes {
+                diffs.insert(*oid, changes);
             }
+            ops.push(op);
         }
-        let outcomes = if writes.is_empty() {
+        let outcomes = if ops.is_empty() {
             Vec::new()
         } else {
             // Failed commit = abort.
-            self.store.commit(txn, &writes)?
+            self.store.commit(txn, &ops)?
         };
         self.stats.commits.inc();
         displaydb_common::trace::record(trace, displaydb_common::trace::Stage::Commit);
@@ -1040,23 +1062,6 @@ impl ServerCore {
                     *versions.entry(*oid).or_insert(0) += 1;
                 }
             }
-            // Attribute-level diffs against the captured pre-images
-            // (empty when nobody registered a projection).
-            let new_objects: HashMap<Oid, &DbObject> = writes
-                .iter()
-                .filter_map(|op| match op {
-                    WriteOp::Put(obj) => Some((obj.oid, obj)),
-                    WriteOp::Delete(_) => None,
-                })
-                .collect();
-            let diffs: HashMap<Oid, Vec<(u16, displaydb_schema::Value)>> = pre_images
-                .iter()
-                .filter_map(|(oid, old)| {
-                    new_objects
-                        .get(oid)
-                        .map(|new| (*oid, displaydb_schema::diff_objects(old, new)))
-                })
-                .collect();
             // Commit-time callbacks: copies registered during the update
             // window are now stale — except at holders whose projection
             // covers every changed attribute. Those receive a delta that
@@ -1084,12 +1089,8 @@ impl ServerCore {
                 .map(|(oid, payload)| match payload {
                     Some(bytes) => {
                         let info = UpdateInfo::eager(oid, bytes).with_trace(trace);
-                        match diffs.get(&oid) {
-                            Some(diff) => info.with_changes(
-                                diff.iter()
-                                    .map(|(attr, value)| (*attr, value.encode_to_bytes().to_vec()))
-                                    .collect(),
-                            ),
+                        match diffs.remove(&oid) {
+                            Some(diff) => info.with_changes(diff),
                             None => info,
                         }
                     }

@@ -10,9 +10,9 @@
 //! * `PushAck` — the client's acknowledgement of an ack-bearing push.
 
 use displaydb_common::{ClassId, ClientId, DbError, DbResult, Oid, TxnId};
-use displaydb_dlm::proto::{decode_cursors, encode_cursors};
+use displaydb_dlm::proto::{decode_changes, decode_cursors, encode_changes, encode_cursors};
 pub use displaydb_dlm::ShardCursor;
-use displaydb_dlm::{DlmEvent, DlmRequest};
+use displaydb_dlm::{AttrChanges, DlmEvent, DlmRequest};
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
 
 /// Lock modes requestable over the wire (transactional subset).
@@ -39,6 +39,59 @@ impl Decode for WireLockMode {
             1 => WireLockMode::Update,
             2 => WireLockMode::Exclusive,
             t => return Err(DbError::Protocol(format!("unknown lock mode {t}"))),
+        })
+    }
+}
+
+/// How one object of a commit's write set travels.
+#[derive(Clone, Debug, PartialEq)]
+pub enum WriteForm {
+    /// The encoded [`displaydb_schema::DbObject`] to store under the OID.
+    Put(Vec<u8>),
+    /// `changed` (a `DlmEvent::Delta`'s pairs) applied to the stored
+    /// object if its `DbObject::fingerprint` is `base`, else refused as
+    /// `DbError::StaleBase`.
+    Patch {
+        /// Fingerprint of the state the patch was computed against.
+        base: u64,
+        /// `(layout index, encoded value)` pairs, ascending by index.
+        changed: AttrChanges,
+    },
+    /// Remove the object.
+    Delete,
+}
+
+const WRITE_DELETE: u8 = 0;
+const WRITE_PUT: u8 = 1;
+const WRITE_PATCH: u8 = 2;
+
+impl Encode for WriteForm {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            WriteForm::Delete => w.put_u8(WRITE_DELETE),
+            WriteForm::Put(bytes) => {
+                w.put_u8(WRITE_PUT);
+                bytes.encode(w);
+            }
+            WriteForm::Patch { base, changed } => {
+                w.put_u8(WRITE_PATCH);
+                w.put_u64(*base);
+                encode_changes(changed, w);
+            }
+        }
+    }
+}
+
+impl Decode for WriteForm {
+    fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
+        Ok(match r.get_u8()? {
+            WRITE_DELETE => WriteForm::Delete,
+            WRITE_PUT => WriteForm::Put(Vec::<u8>::decode(r)?),
+            WRITE_PATCH => WriteForm::Patch {
+                base: r.get_u64()?,
+                changed: decode_changes(r)?,
+            },
+            t => return Err(DbError::Protocol(format!("unknown write form {t}"))),
         })
     }
 }
@@ -172,10 +225,8 @@ pub enum Request {
         /// The transaction, if explicit locks started one; `None` for
         /// one that lives only for this request.
         txn: Option<TxnId>,
-        /// The write set, at most one entry per object: the encoded
-        /// [`displaydb_schema::DbObject`] to put under that OID, or
-        /// `None` to delete it.
-        writes: Vec<(Oid, Option<Vec<u8>>)>,
+        /// The write set, at most one entry per object.
+        writes: Vec<(Oid, WriteForm)>,
         /// End-to-end trace id minted by the committing client
         /// (DESIGN.md § 12); `0` when the client is not tracing. The
         /// server stamps it onto every notification this commit
@@ -305,6 +356,7 @@ impl Response {
                 "disconnected" => DbError::Disconnected,
                 "timeout" => DbError::Timeout(message),
                 "overloaded" => DbError::Overloaded,
+                "stale_base" => DbError::StaleBase { oid: Oid::new(0) },
                 _ => DbError::Rejected(message),
             }),
             other => Ok(other),
@@ -386,7 +438,8 @@ impl Encode for Request {
             Request::Commit { txn, writes, trace } => {
                 w.put_u8(REQ_COMMIT);
                 txn.encode(w);
-                writes.encode(w);
+                w.put_varint(writes.len() as u64);
+                writes.iter().for_each(|write| write.encode(w));
                 w.put_varint(*trace);
             }
             Request::Abort { txn } => {
@@ -432,11 +485,19 @@ impl Decode for Request {
                 mode: WireLockMode::decode(r)?,
             },
             REQ_CREATE => Request::Create,
-            REQ_COMMIT => Request::Commit {
-                txn: Option::<TxnId>::decode(r)?,
-                writes: Vec::<(Oid, Option<Vec<u8>>)>::decode(r)?,
-                trace: r.get_varint()?,
-            },
+            REQ_COMMIT => {
+                let txn = Option::<TxnId>::decode(r)?;
+                let n = r.get_varint()? as usize;
+                let mut writes = Vec::with_capacity(n.min(4096));
+                for _ in 0..n {
+                    writes.push(<(Oid, WriteForm)>::decode(r)?);
+                }
+                Request::Commit {
+                    txn,
+                    writes,
+                    trace: r.get_varint()?,
+                }
+            }
             REQ_ABORT => Request::Abort {
                 txn: TxnId::decode(r)?,
             },
@@ -654,6 +715,7 @@ impl Decode for Envelope {
 mod tests {
     use super::*;
     use displaydb_dlm::UpdateInfo;
+    use displaydb_schema::Value;
 
     fn rt(e: Envelope) {
         let bytes = e.encode_to_bytes();
@@ -664,7 +726,7 @@ mod tests {
     fn encode_req_is_the_req_envelope() {
         let request = Request::Commit {
             txn: Some(TxnId::new(5)),
-            writes: vec![(Oid::new(4), Some(vec![1, 2, 3]))],
+            writes: vec![(Oid::new(4), WriteForm::Put(vec![1, 2, 3]))],
             trace: 0,
         };
         assert_eq!(
@@ -757,7 +819,17 @@ mod tests {
             17,
             Request::Commit {
                 txn: None,
-                writes: vec![(Oid::new(4), Some(vec![1, 2, 3])), (Oid::new(9), None)],
+                writes: vec![
+                    (Oid::new(4), WriteForm::Put(vec![1, 2, 3])),
+                    (Oid::new(9), WriteForm::Delete),
+                    (
+                        Oid::new(11),
+                        WriteForm::Patch {
+                            base: u64::MAX,
+                            changed: vec![(1, vec![2, 3]), (9, vec![])],
+                        },
+                    ),
+                ],
                 trace: u64::MAX,
             },
         ));
@@ -906,7 +978,10 @@ mod tests {
             20,
             Request::Commit {
                 txn: None,
-                writes: vec![(oid, Some(vec![1, 2])), (Oid::new(5), None)],
+                writes: vec![
+                    (oid, WriteForm::Put(vec![1, 2])),
+                    (Oid::new(5), WriteForm::Delete),
+                ],
                 trace: 77,
             },
         );
@@ -981,6 +1056,70 @@ mod tests {
         }
     }
 
+    /// A commit's write forms, with their tags pinned: a put and a
+    /// delete are the bytes the `Option<object bytes>` before them were,
+    /// and a patch is its 8-byte base beside a `Delta`'s change set.
+    #[test]
+    fn write_forms_roundtrip_with_pinned_tags() {
+        let patch = WriteForm::Patch {
+            base: 0x0123_4567_89ab_cdef,
+            changed: vec![(1, Value::Float(0.5).encode_to_bytes().to_vec())],
+        };
+        for (tag, form, len) in [
+            (1, WriteForm::Put(vec![7; 49]), 1 + 1 + 49),
+            (2, patch, 1 + 8 + 1 + 1 + 1 + 9),
+            (0, WriteForm::Delete, 1),
+        ] {
+            let bytes = form.encode_to_bytes();
+            assert_eq!((bytes[0], bytes.len()), (tag, len), "{form:?}");
+            assert_eq!(WriteForm::decode_from_bytes(&bytes).unwrap(), form);
+        }
+        assert_eq!(
+            WriteForm::Put(vec![7; 3]).encode_to_bytes(),
+            Some(vec![7u8; 3]).encode_to_bytes()
+        );
+        assert_eq!(
+            WriteForm::Delete.encode_to_bytes(),
+            None::<Vec<u8>>.encode_to_bytes()
+        );
+        assert!(matches!(
+            WriteForm::decode_from_bytes(&[3]),
+            Err(DbError::Protocol(_))
+        ));
+    }
+
+    /// A count read off the wire reserves at most a bounded amount before
+    /// the input runs out: a commit claiming 2^40 writes, or a patch 2^40
+    /// pairs, fails on its missing bytes instead of allocating for them.
+    #[test]
+    fn commit_counts_are_bounded_on_decode() {
+        let huge = 1u64 << 40;
+        let many_writes = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_COMMIT);
+            None::<TxnId>.encode(&mut w);
+            w.put_varint(huge);
+            w.finish()
+        };
+        let many_pairs = {
+            let mut w = WireWriter::new();
+            w.put_u8(REQ_COMMIT);
+            None::<TxnId>.encode(&mut w);
+            w.put_varint(1);
+            Oid::new(4).encode(&mut w);
+            w.put_u8(WRITE_PATCH);
+            w.put_u64(9);
+            w.put_varint(huge);
+            w.finish()
+        };
+        for bytes in [many_writes, many_pairs] {
+            assert!(matches!(
+                Request::decode_from_bytes(&bytes),
+                Err(DbError::Corrupt(_))
+            ));
+        }
+    }
+
     #[test]
     fn retired_request_tags_are_protocol_errors() {
         // 12/13/16/17 carried the display-lock requests `Request::Dlm`
@@ -1018,6 +1157,11 @@ mod tests {
             message: "shed".into(),
         };
         assert!(matches!(o.into_result(), Err(DbError::Overloaded)));
+        let stale = Response::from_error(&DbError::StaleBase { oid: Oid::new(7) });
+        assert!(matches!(
+            stale.into_result(),
+            Err(DbError::StaleBase { .. })
+        ));
         // A fatal kind does not survive the wire: it arrives as
         // `Rejected` carrying the server's message.
         let n = Response::from_error(&DbError::ObjectNotFound(Oid::new(7)));

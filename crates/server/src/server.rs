@@ -346,10 +346,10 @@ impl<F: FnMut()> Drop for OnDrop<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::WireLockMode;
+    use crate::proto::{WireLockMode, WriteForm};
     use displaydb_common::{Oid, TxnId};
     use displaydb_schema::class::ClassBuilder;
-    use displaydb_schema::{AttrType, DbObject};
+    use displaydb_schema::{AttrType, DbObject, Value};
     use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::path::PathBuf;
@@ -469,13 +469,20 @@ mod tests {
     }
 
     /// One `Put` of a `Node` named `name` under `oid`, as `Commit` carries it.
-    fn put(cat: &Catalog, oid: Oid, name: &str) -> (Oid, Option<Vec<u8>>) {
+    fn put(cat: &Catalog, oid: Oid, name: &str) -> (Oid, WriteForm) {
         let mut node = DbObject::new_named(cat, "Node")
             .unwrap()
             .with(cat, "Name", name)
             .unwrap();
         node.oid = oid;
-        (oid, Some(node.encode_to_bytes().to_vec()))
+        encoded(&node)
+    }
+
+    /// A `Patch` of `oid` setting attribute `attr` to `value`, against
+    /// the state whose fingerprint is `base`.
+    fn patch(oid: Oid, base: u64, attr: u16, value: &Value) -> (Oid, WriteForm) {
+        let changed = vec![(attr, value.encode_to_bytes().to_vec())];
+        (oid, WriteForm::Patch { base, changed })
     }
 
     fn allocate(c: &RawClient) -> Oid {
@@ -485,7 +492,7 @@ mod tests {
         }
     }
 
-    fn commit_request(txn: Option<TxnId>, writes: Vec<(Oid, Option<Vec<u8>>)>) -> Request {
+    fn commit_request(txn: Option<TxnId>, writes: Vec<(Oid, WriteForm)>) -> Request {
         Request::Commit {
             txn,
             writes,
@@ -493,7 +500,7 @@ mod tests {
         }
     }
 
-    fn commit(c: &RawClient, txn: Option<TxnId>, writes: Vec<(Oid, Option<Vec<u8>>)>) {
+    fn commit(c: &RawClient, txn: Option<TxnId>, writes: Vec<(Oid, WriteForm)>) {
         assert_eq!(c.call(commit_request(txn, writes)), Response::Ok);
     }
 
@@ -524,8 +531,8 @@ mod tests {
         }
     }
 
-    fn encoded(obj: &DbObject) -> (Oid, Option<Vec<u8>>) {
-        (obj.oid, Some(obj.encode_to_bytes().to_vec()))
+    fn encoded(obj: &DbObject) -> (Oid, WriteForm) {
+        (obj.oid, WriteForm::Put(obj.encode_to_bytes().to_vec()))
     }
 
     fn error_kind(response: &Response) -> &str {
@@ -576,10 +583,17 @@ mod tests {
         let back = read_node(&c1, None, oid);
         assert_eq!(back.get(&cat, "Load").unwrap().as_float().unwrap(), 0.9);
 
+        // Patch it: the attribute that changed, against that state.
+        let renamed = Value::Str("beta".into());
+        commit(&c1, None, vec![patch(oid, back.fingerprint(), 0, &renamed)]);
+        let back = read_node(&c1, None, oid);
+        assert_eq!(back.get(&cat, "Name").unwrap(), &renamed);
+        assert_eq!(back.get(&cat, "Load").unwrap().as_float().unwrap(), 0.9);
+
         // Delete it; deleting it again has nothing to delete.
-        commit(&c1, None, vec![(oid, None)]);
+        commit(&c1, None, vec![(oid, WriteForm::Delete)]);
         assert_eq!(server.core().store().object_count(), 0);
-        let again = c1.call(commit_request(None, vec![(oid, None)]));
+        let again = c1.call(commit_request(None, vec![(oid, WriteForm::Delete)]));
         assert_eq!(error_kind(&again), "object_not_found");
     }
 
@@ -796,7 +810,9 @@ mod tests {
         let a = new_node(&c, &cat, "a");
         let b = new_node(&c, &cat, "b");
         let gone = new_node(&c, &cat, "gone");
-        commit(&c, None, vec![(gone, None)]);
+        let gone_too = new_node(&c, &cat, "gone too");
+        commit(&c, None, vec![(gone, WriteForm::Delete)]);
+        commit(&c, None, vec![(gone_too, WriteForm::Delete)]);
         assert_eq!(
             viewer.call(Request::Dlm(displaydb_dlm::DlmRequest::Lock {
                 oids: vec![a, b]
@@ -812,17 +828,43 @@ mod tests {
         let mut misfiled = DbObject::new_named(&cat, "Node").unwrap();
         misfiled.oid = a;
         let never_issued = Oid::new(server.core().store().allocate_oid().raw() + 1000);
+        let base = read_node(&c, None, b).fingerprint();
+        let load = Value::Float(0.5);
+        let name = Value::Str("x".into());
+        let mut named_twice = patch(b, base, 1, &load);
+        if let (_, WriteForm::Patch { changed, .. }) = &mut named_twice {
+            changed.push(changed[0].clone());
+        }
         let bad_thirds = [
             (encoded(&truncated), "schema_violation"),
-            ((b, Some(vec![0xff, 0xff])), "corrupt"),
-            ((gone, None), "object_not_found"),
+            ((b, WriteForm::Put(vec![0xff, 0xff])), "corrupt"),
+            ((gone_too, WriteForm::Delete), "object_not_found"),
             (
-                (b, misfiled.encode_to_bytes().to_vec().into()),
+                (b, WriteForm::Put(misfiled.encode_to_bytes().to_vec())),
                 "invalid_argument",
             ),
             (put(&cat, never_issued, "forged"), "invalid_argument"),
             (put(&cat, Oid::new(0), "unassigned"), "invalid_argument"),
             (put(&cat, a, "twice"), "invalid_argument"),
+            // Patches: outside the layout, undecodable, mistyped, an
+            // attribute twice, an object that is not there, a base that
+            // is not the stored state.
+            (patch(b, base, 2, &load), "invalid_argument"),
+            (
+                (
+                    b,
+                    WriteForm::Patch {
+                        base,
+                        changed: vec![(1, vec![0xff])],
+                    },
+                ),
+                "corrupt",
+            ),
+            (patch(b, base, 1, &name), "schema_violation"),
+            (named_twice, "invalid_argument"),
+            (patch(never_issued, base, 1, &load), "object_not_found"),
+            (patch(gone_too, base, 1, &load), "object_not_found"),
+            (patch(b, base ^ 1, 1, &load), "stale_base"),
         ];
         for (third, kind) in bad_thirds {
             // Explicit locks too: the refused commit ends the transaction
@@ -839,7 +881,9 @@ mod tests {
         let name = read_node(&c, None, a);
         assert_eq!(name.get(&cat, "Name").unwrap().as_str().unwrap(), "a");
         assert!(!server.core().store().exists(gone));
+        assert!(!server.core().store().exists(gone_too));
         assert!(!server.core().store().exists(never_issued));
+        assert_eq!(read_node(&c, None, b).fingerprint(), base);
         assert_eq!(server.core().stats().commits.get(), commits);
         assert_eq!(
             server.core().dlm().stats().notifications.get(),

@@ -117,7 +117,7 @@ impl ObjectStore {
             match state {
                 Some(bytes) => {
                     let obj = DbObject::decode_from_bytes(bytes)?;
-                    store.apply_put(obj, bytes)?;
+                    store.apply_put(&obj, bytes)?;
                 }
                 None => store.apply_delete(*oid)?,
             }
@@ -201,7 +201,7 @@ impl ObjectStore {
         out
     }
 
-    fn apply_put(&self, obj: DbObject, bytes: &[u8]) -> DbResult<()> {
+    fn apply_put(&self, obj: &DbObject, bytes: &[u8]) -> DbResult<()> {
         let oid = obj.oid;
         let existing = self.directory.read().get(&oid).copied();
         let rid = match existing {
@@ -243,11 +243,12 @@ impl ObjectStore {
     }
 
     /// Durably apply a transaction's write set: WAL (force), then heap.
+    /// Every put is validated against the catalog first; an invalid one
+    /// fails the commit before anything is logged.
     ///
     /// Returns the encoded post-states, in write order, for the display
     /// notification fan-out (eager shipping needs the bytes).
     pub fn commit(&self, txn: TxnId, writes: &[WriteOp]) -> DbResult<Vec<(Oid, Option<Vec<u8>>)>> {
-        // Validate first: all puts must be well-formed.
         for w in writes {
             if let WriteOp::Put(obj) = w {
                 obj.validate(&self.catalog)?;
@@ -258,40 +259,36 @@ impl ObjectStore {
                 }
             }
         }
-        // Log phase (redo information + commit record, forced).
+        // Log phase (redo information + commit record, forced). Each
+        // put is encoded once: the bytes go into the WAL record, then
+        // out of it into the outcome the heap and the fan-out read.
         self.wal.append(&WalRecord::Begin(txn))?;
         let mut outcomes = Vec::with_capacity(writes.len());
-        let mut encoded: Vec<(Oid, Option<Vec<u8>>)> = Vec::with_capacity(writes.len());
         for w in writes {
-            match w {
-                WriteOp::Put(obj) => {
-                    let bytes = obj.encode_to_bytes().to_vec();
-                    self.wal.append(&WalRecord::Put {
-                        txn,
-                        oid: obj.oid,
-                        bytes: bytes.clone(),
-                    })?;
-                    encoded.push((obj.oid, Some(bytes)));
-                }
-                WriteOp::Delete(oid) => {
-                    self.wal.append(&WalRecord::Delete { txn, oid: *oid })?;
-                    encoded.push((*oid, None));
-                }
-            }
+            let record = match w {
+                WriteOp::Put(obj) => WalRecord::Put {
+                    txn,
+                    oid: obj.oid,
+                    bytes: obj.encode_to_bytes().to_vec(),
+                },
+                WriteOp::Delete(oid) => WalRecord::Delete { txn, oid: *oid },
+            };
+            self.wal.append(&record)?;
+            outcomes.push(match record {
+                WalRecord::Put { oid, bytes, .. } => (oid, Some(bytes)),
+                _ => (w.oid(), None),
+            });
         }
         self.wal.append(&WalRecord::Commit(txn))?;
         if self.sync_commits {
             self.wal.sync()?;
         }
         // Apply phase.
-        for (w, (oid, bytes)) in writes.iter().zip(&encoded) {
-            match w {
-                WriteOp::Put(obj) => {
-                    self.apply_put(obj.clone(), bytes.as_ref().expect("put has bytes"))?
-                }
-                WriteOp::Delete(_) => self.apply_delete(*oid)?,
+        for (w, (oid, bytes)) in writes.iter().zip(&outcomes) {
+            match (w, bytes) {
+                (WriteOp::Put(obj), Some(bytes)) => self.apply_put(obj, bytes)?,
+                _ => self.apply_delete(*oid)?,
             }
-            outcomes.push((*oid, bytes.clone()));
         }
         Ok(outcomes)
     }

@@ -49,12 +49,12 @@
 //! [`DbError::CrashPoint`]; the restart-and-verify tests then reopen the
 //! same directory and assert the recovery invariants.
 
-use crate::wal::{fnv1a, fsync_dir, fsync_parent_dir, valid_prefix_len};
+use crate::wal::{fsync_dir, fsync_parent_dir, valid_prefix_len};
 use displaydb_common::crashpoint::{self, CrashPoint};
 use displaydb_common::metrics::SegLogStats;
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig};
-use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
+use displaydb_wire::{fnv1a, Decode, Encode, WireReader, WireWriter};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Write};

@@ -13,7 +13,7 @@
 
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{DbError, DbResult, Lsn, Oid, TxnId};
-use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
+use displaydb_wire::{fnv1a, Decode, Encode, WireReader, WireWriter};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
@@ -106,15 +106,6 @@ impl Decode for WalRecord {
             t => return Err(DbError::Corrupt(format!("unknown wal tag {t}"))),
         })
     }
-}
-
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Length of the valid framed-record prefix of `buf`: the scan stops at

@@ -230,6 +230,18 @@ fn zigzag_decode(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
+/// 64-bit FNV-1a hash: the checksum of every WAL and segment-log frame,
+/// and the fingerprint by which a commit's patch names the encoded object
+/// it was computed against.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 /// Types that can be serialized to the wire format.
 pub trait Encode {
     /// Append this value's encoding to `w`.
@@ -465,7 +477,6 @@ vec_impl!(i64);
 vec_impl!(f64);
 vec_impl!(String);
 vec_impl!((Oid, Vec<u8>));
-vec_impl!((Oid, Option<Vec<u8>>));
 
 impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, w: &mut WireWriter) {

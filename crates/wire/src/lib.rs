@@ -19,7 +19,7 @@ pub mod codec;
 pub mod frame;
 pub mod transport;
 
-pub use codec::{Decode, Encode, WireReader, WireWriter};
+pub use codec::{fnv1a, Decode, Encode, WireReader, WireWriter};
 pub use frame::{read_frame, write_frame, FrameBuf};
 pub use transport::{
     local_pair, sim_pair, Channel, FaultPlan, FaultyChannel, FaultyListener, Listener,
