@@ -142,8 +142,9 @@ pub trait EventSink: Send + Sync {
     fn replay_restore(&self) {}
 
     /// Every logged commit with seqno ≤ `seqno` has been handed to this
-    /// sink (or filtered for this client). Seqno-aware sinks emit a
-    /// `CursorAck` once their queue drains past it. Default does nothing.
+    /// sink (or filtered for this client). The outbox acks it on a frame
+    /// that drains its queue, at most once per its ack interval (25 ms).
+    /// Default does nothing.
     fn mark_current_through(&self, _seqno: u64) {}
 
     /// Every event of logged commit `seqno` destined for this sink has

@@ -22,7 +22,11 @@
 //!   a stalled client costs one queued event, not a queue. A cursor the
 //!   log no longer covers gets one `ResyncRequired` from
 //!   `DlmCore::replay_for` instead, which is why the queue still absorbs
-//!   and merges resync markers.
+//!   and merges resync markers,
+//! * **cursor acks on a clock** — a `CursorAck{shard}` rides a frame
+//!   that drains the queue, at most once per [`ACK_INTERVAL`]; one owed
+//!   sooner waits for a frame after the interval, or goes alone. A staler
+//!   cursor only widens a replay, which is idempotent per OID.
 
 use crate::core::EventSink;
 use crate::proto::DlmEvent;
@@ -190,19 +194,6 @@ impl CoalescingQueue {
                     }
                 }
             }
-            DlmEvent::CursorAck { shard, seqno } => {
-                // Writer-synthesized, normally never queued; defensively
-                // keep only the highest ack per shard.
-                for queued in self.queue.iter_mut() {
-                    match &mut queued.event {
-                        DlmEvent::CursorAck { shard: s, seqno: q } if s == shard => {
-                            *q = (*q).max(*seqno);
-                            return Pushed::Coalesced;
-                        }
-                        _ => {}
-                    }
-                }
-            }
             DlmEvent::Delta {
                 oid,
                 version,
@@ -254,7 +245,11 @@ impl CoalescingQueue {
                     }
                 }
             }
-            DlmEvent::Marked { .. } | DlmEvent::Ready { .. } | DlmEvent::Batch(_) => {}
+            // Acks and batches are minted by the writer, never queued.
+            DlmEvent::Marked { .. }
+            | DlmEvent::Ready { .. }
+            | DlmEvent::Batch(_)
+            | DlmEvent::CursorAck { .. } => {}
         }
         self.queue.push_back(Entry { event, seqno });
         Pushed::Queued
@@ -303,6 +298,17 @@ impl CoalescingQueue {
     }
 }
 
+/// The least time between two cursor acks of one outbox.
+pub(crate) const ACK_INTERVAL: Duration = Duration::from_millis(25);
+
+/// When the writer may send the cursor ack of a frame it builds at `now`:
+/// `None` when nothing is owed or the frame leaves events queued, else
+/// [`ACK_INTERVAL`] after the `last` ack (`now` if there was none, or a
+/// drainer wants it at once). An ack due later than `now` waits.
+fn ack_due(owed: bool, drained: bool, last: Option<Instant>, now: Instant) -> Option<Instant> {
+    (owed && drained).then(|| last.map_or(now, |at| at + ACK_INTERVAL))
+}
+
 struct OutboxState {
     queue: CoalescingQueue,
     /// The backlog was swept to a `ReplayNeeded` marker; further live
@@ -317,6 +323,9 @@ struct OutboxState {
     last_seqno: u64,
     /// Highest seqno already acknowledged to the client via `CursorAck`.
     last_acked: u64,
+    /// When the writer sent its last `CursorAck`; `None` before the
+    /// first, or after a drainer asked for the owed ack at once.
+    last_ack_at: Option<Instant>,
     /// Writer asked to exit (client unregistered / server shutdown).
     shutdown: bool,
     /// The inner sink failed; all further deliveries are refused.
@@ -325,6 +334,13 @@ struct OutboxState {
     /// sink. Drainers must treat this as undelivered work: an empty
     /// queue alone does not mean the tail reached the client.
     in_flight: bool,
+}
+
+impl OutboxState {
+    /// A delivered seqno is unacknowledged, and no sweep awaits replay.
+    fn ack_owed(&self) -> bool {
+        !self.replay_pending && self.last_seqno > self.last_acked
+    }
 }
 
 struct OutboxShared {
@@ -366,8 +382,9 @@ pub struct OutboxSink {
 impl OutboxSink {
     /// Wrap `inner` as `shard`'s outbox, spawning the writer thread.
     /// Overflow sweeps to a `ReplayNeeded{shard}` marker and the writer
-    /// acknowledges delivered seqnos with `CursorAck{shard}` whenever
-    /// the queue drains empty. Every `CursorAck` the writer emits is
+    /// acknowledges delivered seqnos with `CursorAck{shard}` on a frame
+    /// that drains the queue, at most once per [`ACK_INTERVAL`]. Every
+    /// `CursorAck` the writer emits is
     /// reported to `recorder` after the carrying frame reached the inner
     /// sink, outside all outbox locks — the durable DLM passes a closure
     /// spilling the cursor to the segment log so the client's frontier
@@ -388,6 +405,7 @@ impl OutboxSink {
                     replay_pending: false,
                     last_seqno: 0,
                     last_acked: 0,
+                    last_ack_at: None,
                     shutdown: false,
                     dead: false,
                     in_flight: false,
@@ -474,30 +492,30 @@ impl OutboxSink {
         Ok(())
     }
 
-    /// Block until the queue is flushed to the inner sink or `timeout`
-    /// elapses; returns whether it flushed. Used by server shutdown to
-    /// give healthy clients their tail notifications without letting a
-    /// stalled one wedge the process.
+    /// Block until the client is current — the queue flushed to the
+    /// inner sink and the owed cursor ack sent — or `timeout` elapses;
+    /// returns whether it is. A waiting drainer makes the writer send
+    /// the owed ack at once rather than at the end of [`ACK_INTERVAL`].
+    /// Used by server shutdown to give healthy clients their tail
+    /// notifications and cursor without letting a stalled one wedge the
+    /// process.
     pub fn drain(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock();
         loop {
-            let flushed = state.queue.is_empty() && !state.in_flight;
-            if flushed || state.dead {
-                return flushed;
+            let current = state.queue.is_empty() && !state.in_flight && !state.ack_owed();
+            if current || state.dead {
+                return current;
+            }
+            if state.ack_owed() {
+                state.last_ack_at = None;
+                self.shared.work.notify_one();
             }
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
-            if self
-                .shared
-                .idle
-                .wait_for(&mut state, deadline - now)
-                .timed_out()
-            {
-                return state.queue.is_empty() && !state.in_flight;
-            }
+            self.shared.idle.wait_for(&mut state, deadline - now);
         }
     }
 }
@@ -617,54 +635,62 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                     shared.idle.notify_all();
                     return;
                 }
-                // A cursor ack is due once every delivered seqno will
-                // have reached the wire — i.e. the queue is about to be
-                // fully drained and nothing is replay-pending.
-                let ack_due = !state.replay_pending && state.last_seqno > state.last_acked;
-                if !state.queue.is_empty() || ack_due {
-                    // Drain everything pending (up to the batch cap) in
-                    // one wake: a consumer that fell behind receives its
-                    // backlog as a single wire frame instead of one
-                    // frame per event.
-                    let mut acked = None;
-                    let mut events = Vec::new();
-                    while events.len() < batch_max {
-                        match state.queue.pop() {
-                            Some(e) => events.push(e),
-                            None => break,
-                        }
-                    }
-                    if state.queue.is_empty() && ack_due {
+                // Drain everything pending (up to the batch cap) in one
+                // wake: a consumer that fell behind receives its backlog
+                // as a single wire frame instead of one frame per event.
+                // A lone event travels bare; only a second event or the
+                // ack builds a `Batch`.
+                let first = state.queue.pop();
+                let mut rest = Vec::new();
+                while first.is_some() && rest.len() + 1 < batch_max {
+                    let Some(e) = state.queue.pop() else { break };
+                    rest.push(e);
+                }
+                let (now, mut acked) = (Instant::now(), None);
+                let drained = state.queue.is_empty();
+                match ack_due(state.ack_owed(), drained, state.last_ack_at, now) {
+                    Some(due) if due <= now => {
                         // Fully drained, and not down to the marker of a
-                        // sweep still awaiting the client's replay:
-                        // everything enqueued through last_seqno rides
-                        // this very frame, so acknowledge the cursor as
-                        // its final event.
+                        // sweep still awaiting the client's replay: every
+                        // event enqueued through last_seqno went out
+                        // before or rides this very frame, so acknowledge
+                        // the cursor as its final event.
                         state.last_acked = state.last_seqno;
+                        state.last_ack_at = Some(now);
                         acked = Some(state.last_acked);
-                        events.push(DlmEvent::CursorAck {
+                        rest.push(DlmEvent::CursorAck {
                             shard: shared.shard,
                             seqno: state.last_acked,
                         });
                     }
-                    if events.is_empty() {
-                        // Raced: ack was due but replay_pending flipped,
-                        // or a spurious wake. Go back to waiting.
+                    Some(due) if first.is_none() => {
+                        // Owed too soon and nothing else to send: sleep
+                        // until the interval ends or new work arrives.
+                        shared.work.wait_for(&mut state, due - now);
+                        continue;
+                    }
+                    _ => {}
+                }
+                let event = match first {
+                    Some(first) if rest.is_empty() => first,
+                    Some(first) => {
+                        rest.insert(0, first);
+                        shared.stats.batches_sent.inc();
+                        DlmEvent::Batch(rest)
+                    }
+                    // The ack alone.
+                    None if !rest.is_empty() => rest.remove(0),
+                    None => {
+                        // Nothing queued and no ack owed (or a spurious
+                        // wake): go back to waiting.
                         shared.work.wait(&mut state);
                         continue;
                     }
-                    state.in_flight = true;
-                    shared.stats.queue_depth.set(state.queue.len() as u64);
-                    shared.depth.set(state.queue.len() as u64);
-                    let event = if events.len() == 1 {
-                        events.pop().expect("one event")
-                    } else {
-                        shared.stats.batches_sent.inc();
-                        DlmEvent::Batch(events)
-                    };
-                    break (event, acked);
-                }
-                shared.work.wait(&mut state);
+                };
+                state.in_flight = true;
+                shared.stats.queue_depth.set(state.queue.len() as u64);
+                shared.depth.set(state.queue.len() as u64);
+                break (event, acked);
             }
         };
         // The only potentially-blocking calls, outside every lock.
@@ -1072,49 +1098,205 @@ mod tests {
     }
 
     #[test]
-    fn cursor_ack_rides_drain_to_empty_and_is_not_repeated() {
-        let (inner, rx) = collecting_sink();
-        let outbox = wrap(inner, quick_config(64), OverloadStats::new());
-        outbox.deliver_logged(upd(1, 1), 7).unwrap();
-        outbox.advance_frontier(7);
-        assert!(outbox.drain(Duration::from_secs(5)));
-        // The ack is synthesized by the writer when the queue drains; it
-        // may ride the same frame or a follow-up one.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut got = Vec::new();
-        loop {
-            got = flatten(got.into_iter().chain(rx.try_iter()));
-            if got.iter().any(|e| {
-                matches!(
-                    e,
-                    DlmEvent::CursorAck {
-                        shard: SHARD,
-                        seqno: 7
-                    }
-                )
-            }) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "ack never arrived: {got:?}");
-            std::thread::sleep(Duration::from_millis(5));
+    fn ack_due_table() {
+        let t = Instant::now();
+        let (just, long_ago) = (Some(t), Some(t - ACK_INTERVAL * 2));
+        // (owed, drained, last ack at) → due, at `t`.
+        let table = [
+            (false, true, None, None),
+            (false, true, long_ago, None),
+            (true, false, None, None),
+            (true, false, long_ago, None),
+            (false, false, just, None),
+            (true, true, None, Some(t)),
+            (true, true, long_ago, Some(t - ACK_INTERVAL)),
+            (true, true, just, Some(t + ACK_INTERVAL)),
+        ];
+        for (owed, drained, last_ack_at, due) in table {
+            assert_eq!(
+                ack_due(owed, drained, last_ack_at, t),
+                due,
+                "owed {owed}, drained {drained}, last ack {last_ack_at:?}"
+            );
         }
-        assert_eq!(got[0], upd(1, 1));
-        // No further acks without new seqnos.
-        std::thread::sleep(Duration::from_millis(50));
-        assert_eq!(rx.try_iter().count(), 0, "spurious repeat ack");
-        // A control event (seqno 0) does not move the cursor: no new ack.
-        outbox
-            .deliver(DlmEvent::Ready {
-                log_incarnations: vec![],
-            })
-            .unwrap();
+    }
+
+    /// A sink whose every send first takes a permit from the returned
+    /// sender (all sends pass once it is dropped).
+    fn gated_sink() -> (
+        Arc<dyn EventSink>,
+        crossbeam::channel::Receiver<DlmEvent>,
+        crossbeam::channel::Sender<()>,
+    ) {
+        let (permit_tx, permit_rx) = unbounded::<()>();
+        let (tx, rx) = unbounded();
+        let inner = move |e: DlmEvent| {
+            let _ = permit_rx.recv();
+            tx.send(e).map_err(|_| DbError::Disconnected)
+        };
+        (Arc::new(inner), rx, permit_tx)
+    }
+
+    /// A sink that stamps each frame with the instant it arrived.
+    fn timed_sink() -> (
+        Arc<dyn EventSink>,
+        crossbeam::channel::Receiver<(Instant, DlmEvent)>,
+    ) {
+        let (tx, rx) = unbounded();
+        let inner = move |e: DlmEvent| {
+            tx.send((Instant::now(), e))
+                .map_err(|_| DbError::Disconnected)
+        };
+        (Arc::new(inner), rx)
+    }
+
+    fn ack(seqno: u64) -> DlmEvent {
+        DlmEvent::CursorAck {
+            shard: SHARD,
+            seqno,
+        }
+    }
+
+    fn ready() -> DlmEvent {
+        DlmEvent::Ready {
+            log_incarnations: vec![],
+        }
+    }
+
+    /// The next frame, within five seconds.
+    fn next<T>(rx: &crossbeam::channel::Receiver<T>) -> T {
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("frame never arrived")
+    }
+
+    #[test]
+    fn an_isolated_ack_rides_its_frame_and_is_not_repeated() {
+        let (inner, rx, permits) = gated_sink();
+        let outbox = wrap(inner, quick_config(64), OverloadStats::new());
+        // The writer holds a control frame while a commit lands, so the
+        // commit's event and its ack drain together — once with no ack
+        // before, once an idle interval after the previous ack.
+        for (oid, seqno) in [(1, 7), (2, 8)] {
+            outbox.deliver(ready()).unwrap();
+            while outbox.depth() != 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            outbox.deliver_logged(upd(oid, 1), seqno).unwrap();
+            outbox.advance_frontier(seqno);
+            permits.send(()).unwrap();
+            permits.send(()).unwrap();
+            assert_eq!(next(&rx), ready());
+            assert_eq!(next(&rx), DlmEvent::Batch(vec![upd(oid, 1), ack(seqno)]));
+            std::thread::sleep(ACK_INTERVAL);
+        }
+        drop(permits);
+        // No further acks without new seqnos, and a control event (seqno
+        // 0) does not move the cursor.
+        outbox.deliver(ready()).unwrap();
         assert!(outbox.drain(Duration::from_secs(5)));
-        std::thread::sleep(Duration::from_millis(50));
-        let tail = flatten(rx.try_iter());
+        assert_eq!(next(&rx), ready());
         assert!(
-            !tail.iter().any(|e| matches!(e, DlmEvent::CursorAck { .. })),
-            "control events must not be acknowledged: {tail:?}"
+            rx.recv_timeout(ACK_INTERVAL * 3).is_err(),
+            "spurious repeat ack"
         );
+    }
+
+    #[test]
+    fn a_burst_inside_one_interval_gets_one_deferred_ack() {
+        let (inner, rx) = timed_sink();
+        let outbox = wrap(inner, quick_config(64), OverloadStats::new());
+        outbox.deliver_logged(upd(0, 0), 1).unwrap();
+        outbox.advance_frontier(1);
+        let mut first_ack = None;
+        while first_ack.is_none() {
+            let (at, frame) = next(&rx);
+            first_ack = flatten([frame]).contains(&ack(1)).then_some(at);
+        }
+        let first_ack = first_ack.unwrap();
+        // k commits, then one whose fan-out has not finished: its event
+        // is queued but its frontier never advances.
+        let k = 5u64;
+        let started = Instant::now();
+        for i in 1..=k {
+            outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
+            outbox.advance_frontier(i + 1);
+        }
+        let elapsed = started.elapsed();
+        outbox.deliver_logged(upd(99, 0), k + 2).unwrap();
+        let mut acks = Vec::new();
+        let mut seen = 0;
+        while seen < k + 1 || acks.last().map(|&(_, s)| s) != Some(k + 1) {
+            let (at, frame) = next(&rx);
+            for e in flatten([frame]) {
+                match e {
+                    DlmEvent::CursorAck { seqno, .. } => acks.push((at, seqno)),
+                    DlmEvent::Updated(_) => seen += 1,
+                    other => panic!("unexpected {other:?}"),
+                }
+            }
+        }
+        let bound = 1 + (elapsed.as_nanos() / ACK_INTERVAL.as_nanos()) as usize;
+        assert!(
+            (1..=bound).contains(&acks.len()),
+            "{} acks for a burst of {elapsed:?}",
+            acks.len()
+        );
+        // The sink stamps each ack a hair after the writer does: allow
+        // that much scheduling slack, not the interval.
+        let (at, _) = acks[0];
+        assert!(
+            at + ACK_INTERVAL / 5 >= first_ack + ACK_INTERVAL,
+            "deferred ack only {:?} after the previous one",
+            at - first_ack
+        );
+        // The unadvanced commit stays unacknowledged until it advances.
+        assert!(rx.recv_timeout(ACK_INTERVAL * 3).is_err());
+        outbox.advance_frontier(k + 2);
+        assert_eq!(next(&rx).1, ack(k + 2));
+    }
+
+    #[test]
+    fn replay_pending_withholds_the_owed_ack() {
+        let (inner, rx, permits) = gated_sink();
+        let stats = OverloadStats::new();
+        let outbox = wrap(inner, quick_config(4), stats.clone());
+        for i in 0..12u64 {
+            outbox.deliver_logged(upd(i, 0), i + 1).unwrap();
+        }
+        assert!(outbox.is_replay_pending());
+        // Owed but replay-pending: the client is as current as it can
+        // be until it replays, and no ack goes out.
+        outbox.mark_current_through(12);
+        drop(permits);
+        assert!(outbox.drain(Duration::from_secs(5)));
+        std::thread::sleep(ACK_INTERVAL * 3);
+        let got = flatten(rx.try_iter());
+        assert!(
+            !got.iter().any(|e| matches!(e, DlmEvent::CursorAck { .. })),
+            "ack while replay-pending: {got:?}"
+        );
+        outbox.replay_restore();
+        assert!(outbox.drain(Duration::from_secs(5)));
+        assert_eq!(flatten(rx.try_iter()), vec![ack(12)]);
+    }
+
+    #[test]
+    fn drain_sends_the_owed_ack_at_once() {
+        let (inner, rx) = timed_sink();
+        let outbox = wrap(inner, quick_config(64), OverloadStats::new());
+        outbox.deliver_logged(upd(1, 0), 1).unwrap();
+        outbox.advance_frontier(1);
+        assert!(outbox.drain(Duration::from_secs(5)));
+        // Inside the interval after that ack, a second commit's ack is
+        // deferred — unless someone drains.
+        outbox.deliver_logged(upd(2, 0), 2).unwrap();
+        outbox.advance_frontier(2);
+        let started = Instant::now();
+        assert!(outbox.drain(Duration::from_secs(5)));
+        let waited = started.elapsed();
+        let got = flatten(rx.try_iter().map(|(_, e)| e));
+        assert_eq!(got.last(), Some(&ack(2)), "{got:?}");
+        assert!(waited < ACK_INTERVAL / 2, "drain waited {waited:?}");
     }
 
     #[test]

@@ -334,8 +334,9 @@ pub enum DlmEvent {
     /// Cursor advancement in one shard's seqno space: every commit that
     /// shard logged with seqno ≤ `seqno` has been delivered to (or
     /// legitimately filtered/coalesced away for) this client. Emitted by
-    /// the shard's outbox writer whenever its queue drains empty, and at
-    /// the end of a served replay. The client keeps one cursor per
+    /// the shard's outbox writer on a frame that drains its queue, at
+    /// most once per 25 ms (a replay's closing ack included), so a cursor
+    /// may trail the client by that much. The client keeps one cursor per
     /// shard; this advances one entry. Monotone non-decreasing; a
     /// regression is tolerated (counted, ignored), never fatal.
     CursorAck {

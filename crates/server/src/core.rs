@@ -234,9 +234,9 @@ impl SessionHandle {
             .collect()
     }
 
-    /// Flush the session's notification outboxes, bounded by `timeout`
-    /// across all of them together. Returns whether every outbox
-    /// emptied (vacuously true when the session has none).
+    /// Flush the session's notification outboxes and owed cursor acks,
+    /// bounded by `timeout` across all of them together. Returns whether
+    /// the client is current (vacuously true with no outboxes).
     pub fn drain_outbox(&self, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         let mut all = true;

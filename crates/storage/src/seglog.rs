@@ -531,9 +531,14 @@ impl SegLog {
             return Err(crashpoint::error(CrashPoint::PostAppendPreSync));
         }
 
-        inner.appends_since_sync += 1;
-        if inner.appends_since_sync >= self.config.sync_every {
-            self.sync_inner(&mut inner)?;
+        // Only batches count toward `sync_every`: a frontier record
+        // still lands after the batches it names, so the torn-tail
+        // prefix rule keeps it safe without a sync of its own.
+        if is_batch {
+            inner.appends_since_sync += 1;
+            if inner.appends_since_sync >= self.config.sync_every {
+                self.sync_inner(&mut inner)?;
+            }
         }
 
         if is_batch && crashpoint::hit(CrashPoint::PostSyncPreAck) {
@@ -761,6 +766,30 @@ mod tests {
         assert_eq!(seqnos, (1..=20).collect::<Vec<_>>());
         assert_eq!(rec2.batches[4].payload, payload(5));
         assert_eq!(rec2.frontiers[&ClientId::new(5)], 18);
+    }
+
+    #[test]
+    fn frontier_appends_never_sync_on_their_own() {
+        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = CrashGuard::new();
+        let tmp = TempDir::new("frontier-sync");
+        let stats = SegLogStats::new();
+        let (log, _) = SegLog::open(tmp.path(), cfg(), stats.clone(), 77, 0).unwrap();
+        let syncs = stats.syncs.get();
+        for cursor in 1..=8u64 {
+            log.append_frontier(ClientId::new(5), cursor).unwrap();
+        }
+        assert_eq!(
+            stats.syncs.get(),
+            syncs,
+            "sync_every: 2 counts batches only"
+        );
+        // Batches still sync every second one, frontiers in between or not.
+        log.append_batch(1, 1, &payload(1)).unwrap();
+        log.append_frontier(ClientId::new(5), 9).unwrap();
+        assert_eq!(stats.syncs.get(), syncs);
+        log.append_batch(2, 2, &payload(2)).unwrap();
+        assert_eq!(stats.syncs.get(), syncs + 1);
     }
 
     #[test]

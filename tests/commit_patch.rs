@@ -261,6 +261,11 @@ fn agent_a_stale_base_costs_one_refusal_and_one_resend() {
     stale_base(&Deployment::new(true));
 }
 
+/// How long an outbox waits between two cursor acks (the writer's own
+/// constant): an ack owed sooner after the previous one goes on a later
+/// frame, or alone when the interval ends.
+const ACK_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Bytes on the wire per commit, pinned: the `steady` workloads' exchange
 /// (one updater writing `Utilization`, one viewer displaying it through a
 /// projected lock) in the integrated deployment, after enough commits
@@ -293,21 +298,28 @@ fn bytes_per_commit_are_pinned() {
             display.wait_and_process(Duration::from_millis(20)).unwrap();
         }
     };
-    // One traffic sample: what each side sent and received for `commit`.
-    let sample = |commit: &dyn Fn()| {
-        let meters = [&updater_meter, &viewer_meter];
-        let before = meters.map(|m| (m.bytes_sent(), m.bytes_received()));
-        commit();
-        // The viewer's cursor ack may trail its delta in a frame of its
-        // own: settle until nothing more arrives.
+    // Wait until the viewer has heard nothing for longer than an ack
+    // interval: an owed cursor ack has arrived, and the next one is due.
+    let settle = || {
         let mut received = viewer_meter.bytes_received();
         loop {
-            display.wait_and_process(Duration::from_millis(30)).unwrap();
+            display
+                .wait_and_process(ACK_INTERVAL + ACK_INTERVAL / 5)
+                .unwrap();
             if viewer_meter.bytes_received() == received {
                 break;
             }
             received = viewer_meter.bytes_received();
         }
+    };
+    // One traffic sample after an idle interval: what each side sent and
+    // received for `commit`.
+    let sample = |commit: &dyn Fn()| {
+        settle();
+        let meters = [&updater_meter, &viewer_meter];
+        let before = meters.map(|m| (m.bytes_sent(), m.bytes_received()));
+        commit();
+        settle();
         let after = meters.map(|m| (m.bytes_sent(), m.bytes_received()));
         [
             after[0].0 - before[0].0,
@@ -322,7 +334,7 @@ fn bytes_per_commit_are_pinned() {
         shown(value);
     }
     // updater sent (the commit), updater received (its `Ok`), viewer
-    // sent, viewer received (`Batch[Delta, CursorAck]`).
+    // sent, viewer received (`Batch[Delta, CursorAck]`: the ack rides).
     for i in 0..3 {
         let value = 0.5 + f64::from(i) / 10.0;
         let traffic = sample(&|| {
@@ -332,6 +344,28 @@ fn bytes_per_commit_are_pinned() {
         assert_eq!(traffic, [29, 4, 0, 24], "commit {i}");
         assert_eq!(traffic.iter().sum::<u64>(), 57);
     }
+    // A burst of shown commits: each is a bare 18-byte `Delta`, and the
+    // cursor is acknowledged at most once per interval — 6 bytes whether
+    // the ack rides a delta's frame or goes alone.
+    let k = 10u64;
+    settle();
+    let stats = viewer.dlc().stats();
+    let (bytes, acks_before) = (viewer_meter.bytes_received(), stats.cursor_acks_in.get());
+    let started = Instant::now();
+    for i in 0..k {
+        let value = 0.2 + i as f64 / 100.0;
+        set(value);
+        shown(value);
+    }
+    // Until the ack naming the last commit has arrived.
+    let head = deployment.server.core().dlm().update_log_of(0).head();
+    wait_until("the burst's last ack", || viewer.dlc().cursor_of(0) >= head);
+    let elapsed = started.elapsed();
+    settle();
+    let acks = stats.cursor_acks_in.get() - acks_before;
+    let bound = 1 + (elapsed.as_nanos() / ACK_INTERVAL.as_nanos()) as u64;
+    assert!((1..=bound).contains(&acks), "{acks} acks in {elapsed:?}");
+    assert_eq!(viewer_meter.bytes_received() - bytes, 18 * k + 6 * acks);
     // A stale base: the updater's cached copy is an older state (as a late
     // refresh would leave it), so its patch is refused and sent again whole.
     let mut stale = updater.read(oid).unwrap();

@@ -15,6 +15,10 @@
 //!   client was away, recovery degrades to exactly the stale-set resync,
 //!   never a stuck replay or a cursor-gap storm.
 //!
+//! Two more pin the cursor a restart starts from: a graceful shutdown
+//! sends every viewer its owed cursor ack before closing, and with the
+//! durable log on no ack runs ahead of its shard log's head.
+//!
 //! The deterministic crash-point matrix (torn appends, unsynced tails,
 //! mid-rotation kills) lives in tests/crash_points.rs — its harness is
 //! process-global, so it gets a binary of its own.
@@ -498,4 +502,175 @@ fn changed_shard_count_cannot_certify_a_stale_copy() {
     }
     assert_eq!(server2.core().stats().sessions_recovered.get(), 0);
     drop(server2);
+}
+
+/// The updater and a viewer displaying `links` new links over one
+/// projected lock each, once the locks are in place.
+fn viewer_of_links(
+    server: &Server,
+    hub: &LocalHub,
+    viewer_link: Box<dyn Channel>,
+    links: usize,
+) -> (Arc<DbClient>, Arc<DbClient>, Arc<Display>, Vec<Oid>) {
+    let updater = DbClient::connect(
+        Box::new(hub.connect().unwrap()),
+        ClientConfig::named("updater"),
+    )
+    .unwrap();
+    let viewer = DbClient::connect(viewer_link, ClientConfig::named("viewer")).unwrap();
+    let mut txn = updater.begin().unwrap();
+    let oids: Vec<Oid> = (0..links)
+        .map(|_| txn.create(updater.new_object("Link").unwrap()).unwrap().oid)
+        .collect();
+    txn.commit().unwrap();
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
+    let class = width_coded_link("Utilization");
+    for &oid in &oids {
+        display.add_object(&class, vec![oid]).unwrap();
+    }
+    let dlm = server.core().dlm();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !oids.iter().all(|&oid| dlm.has_interest(viewer.id(), oid)) {
+        assert!(Instant::now() < deadline, "locks never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    (updater, viewer, display, oids)
+}
+
+fn set_utilization(updater: &Arc<DbClient>, oid: Oid, value: f64) {
+    let catalog = nms_catalog();
+    let mut txn = updater.begin().unwrap();
+    txn.update(oid, |o| o.set(&catalog, "Utilization", value))
+        .unwrap();
+    txn.commit().unwrap();
+}
+
+/// A listener that polls for connections every millisecond, so a
+/// shutdown reaches its outbox drain within an ack interval of the last
+/// commit.
+struct QuickAccept(LocalHub);
+
+impl displaydb::wire::Listener for QuickAccept {
+    fn accept(&self) -> DbResult<Box<dyn Channel>> {
+        displaydb::wire::Listener::accept(&self.0)
+    }
+    fn accept_timeout(&self, timeout: Duration) -> DbResult<Box<dyn Channel>> {
+        self.0.accept_timeout(timeout.min(Duration::from_millis(1)))
+    }
+}
+
+/// A graceful shutdown leaves a viewer current: the cursor ack a burst
+/// owes goes out before the session closes, not at the end of an ack
+/// interval into a closed channel.
+#[test]
+fn shutdown_sends_the_owed_cursor_ack() {
+    let catalog = Arc::new(nms_catalog());
+    let tmp = TempDir::new("shutdown-ack");
+    let hub = LocalHub::new();
+    let listener = Box::new(QuickAccept(hub.clone()));
+    let mut server = Server::spawn(catalog, ServerConfig::new(tmp.path()), vec![listener]).unwrap();
+    let (updater, viewer, _display, oids) =
+        viewer_of_links(&server, &hub, Box::new(hub.connect().unwrap()), 1);
+    std::thread::sleep(Duration::from_millis(50));
+    for i in 0..5 {
+        set_utilization(&updater, oids[0], f64::from(i) / 10.0);
+    }
+    server.shutdown();
+    let head = server.core().dlm().update_log_of(0).head();
+    assert!(head >= 5);
+    // The writer is gone with the session: an ack not sent by now never
+    // comes.
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while viewer.dlc().cursor_of(0) < head {
+        assert!(Instant::now() < deadline, "the burst's ack never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(viewer.dlc().cursor_of(0), head);
+}
+
+/// The viewer's link, checking every cursor ack it receives against the
+/// acked shard's log head at that moment.
+struct AckTap {
+    inner: Box<dyn Channel>,
+    check: Box<dyn Fn(u32, u64) + Send + Sync>,
+}
+
+impl AckTap {
+    fn inspect(&self, frame: DbResult<bytes::Bytes>) -> DbResult<bytes::Bytes> {
+        use displaydb::server::proto::{Envelope, ServerPush};
+        use displaydb::wire::Decode;
+        let frame = frame?;
+        if let Ok(Envelope::Push(ServerPush::Dlm(event))) = Envelope::decode_from_bytes(&frame) {
+            let events = match event {
+                DlmEvent::Batch(events) => events,
+                event => vec![event],
+            };
+            for event in events {
+                if let DlmEvent::CursorAck { shard, seqno } = event {
+                    (self.check)(shard, seqno);
+                }
+            }
+        }
+        Ok(frame)
+    }
+}
+
+impl Channel for AckTap {
+    fn send(&self, payload: bytes::Bytes) -> DbResult<()> {
+        self.inner.send(payload)
+    }
+    fn recv(&self) -> DbResult<bytes::Bytes> {
+        self.inspect(self.inner.recv())
+    }
+    fn recv_timeout(&self, timeout: Duration) -> DbResult<bytes::Bytes> {
+        self.inspect(self.inner.recv_timeout(timeout))
+    }
+    fn close(&self) {
+        self.inner.close();
+    }
+}
+
+/// With the durable log on and four shards, no cursor ack runs ahead of
+/// what its shard's log has appended — through bursts whose acks wait
+/// out the interval and through pauses where they ride at once.
+#[test]
+fn durable_acks_never_run_ahead_of_the_log() {
+    let catalog = Arc::new(nms_catalog());
+    let tmp = TempDir::new("durable-acks");
+    let hub = LocalHub::new();
+    let mut config = durable_config(tmp.path());
+    config.dlm.shards = 4;
+    let server = Server::spawn_local(catalog, config, &hub).unwrap();
+    let acks: Arc<Mutex<Vec<(u32, u64, u64)>>> = Arc::default();
+    let tap = AckTap {
+        inner: Box::new(hub.connect().unwrap()),
+        check: {
+            let (core, acks) = (Arc::clone(server.core()), Arc::clone(&acks));
+            Box::new(move |shard, seqno| {
+                let head = core.dlm().update_log_of(shard as usize).head();
+                acks.lock().unwrap().push((shard, seqno, head));
+            })
+        },
+    };
+    let (updater, viewer, _display, oids) = viewer_of_links(&server, &hub, Box::new(tap), 16);
+    for round in 0..6 {
+        for (i, &oid) in oids.iter().enumerate() {
+            set_utilization(&updater, oid, (round * 16 + i) as f64 / 100.0);
+        }
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let dlm = server.core().dlm();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while (0..4).any(|s| viewer.dlc().cursor_of(s as u32) < dlm.update_log_of(s).head()) {
+        assert!(Instant::now() < deadline, "cursors never reached the heads");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let acks = acks.lock().unwrap();
+    assert!(acks.len() >= 4, "{acks:?}");
+    for &(shard, seqno, head) in acks.iter() {
+        assert!(
+            seqno <= head,
+            "shard {shard} acked {seqno} past its head {head}"
+        );
+    }
 }
