@@ -81,6 +81,15 @@ impl Gauge {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Add `delta`, which may be negative, updating the high-water mark:
+    /// owners that each add the change in their own share keep the gauge
+    /// at the sum of the shares.
+    pub fn add(&self, delta: i64) {
+        let now = self.cur.fetch_add(delta as u64, Ordering::Relaxed);
+        self.max
+            .fetch_max(now.wrapping_add(delta as u64), Ordering::Relaxed);
+    }
+
     /// Current depth.
     pub fn get(&self) -> u64 {
         self.cur.load(Ordering::Relaxed)
@@ -424,8 +433,6 @@ impl UpdateLogStats {
 pub struct SegLogStats {
     /// Batch records appended to the durable log.
     pub records_appended: Counter,
-    /// Cursor-frontier records appended to the durable log.
-    pub frontiers_appended: Counter,
     /// Explicit fsyncs of the active segment (every `sync_every`
     /// appends, plus rotation and shutdown).
     pub syncs: Counter,
@@ -435,14 +442,13 @@ pub struct SegLogStats {
     pub segments_retired: Counter,
     /// Batch records recovered by the startup scan.
     pub recovered_records: Counter,
-    /// Cursor frontiers recovered by the startup scan.
-    pub recovered_frontiers: Counter,
     /// Torn or corrupt tails truncated during recovery (a clean
     /// shutdown recovers with zero of these).
     pub torn_tails_truncated: Counter,
-    /// Current durable bytes across all retained segments / high-water.
+    /// Current durable bytes across all retained segments of every shard
+    /// log / high-water.
     pub durable_bytes: Gauge,
-    /// Current retained segment files / high-water.
+    /// Current retained segment files of every shard log / high-water.
     pub segments: Gauge,
 }
 
@@ -456,12 +462,10 @@ impl SegLogStats {
     pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("records_appended", self.records_appended.get()),
-            ("frontiers_appended", self.frontiers_appended.get()),
             ("syncs", self.syncs.get()),
             ("rotations", self.rotations.get()),
             ("segments_retired", self.segments_retired.get()),
             ("recovered_records", self.recovered_records.get()),
-            ("recovered_frontiers", self.recovered_frontiers.get()),
             ("torn_tails_truncated", self.torn_tails_truncated.get()),
             ("durable_bytes", self.durable_bytes.get()),
             ("durable_bytes_high_water", self.durable_bytes.high_water()),

@@ -48,21 +48,6 @@ pub struct OverloadConfig {
     /// that, dropping events (the next refresh cycle or reconnect
     /// restores the view) beats unbounded growth.
     pub display_queue_capacity: usize,
-    /// Maximum pending events an outbox writer drains into one wire
-    /// frame per wake (a `Batch` when more than one is pending).
-    /// Default 16: enough to collapse a fan-in burst into one frame,
-    /// small enough that a batch never approaches frame-size limits.
-    /// 1 disables batching.
-    pub outbox_batch_max: usize,
-    /// Maximum concurrent *resume* handshakes the server admits before
-    /// shedding further ones with a retryable `Overloaded`. A mass
-    /// reconnect (network partition heals, server restarts) otherwise
-    /// lands 10k synchronized session rebuilds — each of which replays
-    /// display locks and serves a cursor catch-up — in the same instant.
-    /// Default 64: enough parallelism to keep reconnect latency flat,
-    /// small enough that the storm is paced instead of synchronized.
-    /// Fresh (non-resume) connects are never gated.
-    pub resume_admission_max: usize,
 }
 
 impl Default for OverloadConfig {
@@ -72,8 +57,6 @@ impl Default for OverloadConfig {
             max_in_flight: 32,
             drain_timeout: Duration::from_millis(500),
             display_queue_capacity: 1024,
-            outbox_batch_max: 16,
-            resume_admission_max: 64,
         }
     }
 }
@@ -128,10 +111,10 @@ impl OverloadConfig {
 /// When enabled, every committed notification batch appended to the
 /// in-memory ring is also framed, checksummed, and appended to a
 /// dedicated segment log under the server's data directory, together
-/// with the log incarnation id and per-client cursor frontiers. After a
-/// restart the server rebuilds the replay window from the durable tail,
-/// so reconnecting clients with live cursors get interest-filtered
-/// `ReplayFrom` instead of a full-fleet resync storm.
+/// with the log incarnation id. After a restart the server rebuilds the
+/// replay window from the durable tail, so reconnecting clients with live
+/// cursors get interest-filtered `ReplayFrom` instead of a full-fleet
+/// resync storm.
 ///
 /// **Off by default**: with the spill disabled the incarnation id is
 /// minted fresh per process and a restart re-baselines every cursor —
@@ -154,8 +137,6 @@ pub struct DurableLogConfig {
     /// Sync the active segment after this many appended records (1 =
     /// sync every record; large values amortize the fsync over a burst
     /// and rely on the rotation/shutdown syncs to bound the window).
-    /// Cursor-frontier records never force a sync: losing one merely
-    /// widens the replay a client performs after recovery.
     pub sync_every: u32,
 }
 
@@ -205,8 +186,6 @@ mod tests {
         assert!(c.max_in_flight >= 1);
         assert!(c.drain_timeout > Duration::ZERO);
         assert!(c.display_queue_capacity >= c.outbox_high_water);
-        assert!(c.outbox_batch_max >= 1);
-        assert!(c.resume_admission_max >= 1);
     }
 
     #[test]

@@ -13,17 +13,18 @@
 //!   derived GUI attributes), not whole database objects, so it is
 //!   typically several times smaller (§ 4.3 measured 3–5×).
 //!
-//! Beside every DO not built on whole objects it keeps a *source image*:
-//! per associated OID, the attributes the DO has read and locked (counted
-//! in the bytes, not part of the [`DisplayObject`]). Deltas patch it and
-//! the DO re-derives from it, so a delta refresh never reads the database.
+//! Beside the display objects it keeps *source images*: one per display
+//! per watched OID, a thin copy holding the attributes that display's
+//! projected objects read and locked (counted in the bytes). A delta
+//! patches it once, through [`DbObject::apply_changes`], and every
+//! dependent object re-derives from it, so a delta refresh never reads
+//! the database.
 
 use crate::object::{DisplayObject, DoId};
 use crate::schema::SourceAttr;
 use displaydb_common::ids::IdGen;
-use displaydb_common::Oid;
-use displaydb_schema::{DbObject, Value};
-use displaydb_wire::Decode;
+use displaydb_common::{DisplayId, Oid};
+use displaydb_schema::DbObject;
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -32,54 +33,43 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 pub struct DisplayCacheStats {
     /// Resident display objects.
     pub objects: usize,
-    /// Total bytes of resident display objects and their source images.
+    /// Total bytes of resident display objects and source images.
     pub bytes: usize,
     /// Lifetime inserts.
     pub inserts: u64,
     /// Lifetime removals.
     pub removals: u64,
+    /// Lifetime image patches: one per delta per display.
+    pub patches: u64,
 }
 
-/// A source image: per associated OID, a thin copy holding the attributes
-/// in `attrs` of its class, every other one at its type's default.
+/// What a display's images of some sources hold, and clones of them.
+pub type Images = (BTreeSet<SourceAttr>, Option<Vec<DbObject>>);
+
+/// A source image: a thin copy of one object holding the attributes in
+/// `attrs`, every other one at its type's default.
 struct Image {
-    attrs: BTreeSet<SourceAttr>,
-    sources: Vec<DbObject>,
+    attrs: BTreeSet<u16>,
+    thin: DbObject,
 }
 
 impl Image {
-    fn new(attrs: BTreeSet<SourceAttr>, mut sources: Vec<DbObject>) -> Self {
-        for source in &mut sources {
-            let class = source.class;
-            for (i, value) in source.values.iter_mut().enumerate() {
-                if !attrs.contains(&(class, i as u16)) {
-                    *value = value.attr_type().default_value();
-                }
-            }
-        }
-        Self { attrs, sources }
-    }
-
-    /// The OID and the imaged values of each source.
+    /// The OID and the imaged values.
     fn size_bytes(&self) -> usize {
-        let values = |s: &DbObject| -> usize {
-            let imaged = self.attrs.range((s.class, 0)..=(s.class, u16::MAX));
-            imaged
-                .map(|&(_, a)| s.values.get(usize::from(a)).map_or(0, Value::size_bytes))
-                .sum()
-        };
-        self.sources.iter().map(|s| 8 + values(s)).sum()
+        let value = |&a: &u16| self.thin.values[usize::from(a)].size_bytes();
+        8 + self.attrs.iter().map(value).sum::<usize>()
     }
 }
 
 #[derive(Default)]
 struct CacheState {
     objects: HashMap<DoId, DisplayObject>,
-    images: HashMap<DoId, Image>,
+    images: HashMap<(DisplayId, Oid), Image>,
     by_oid: HashMap<Oid, HashSet<DoId>>,
     bytes: usize,
     inserts: u64,
     removals: u64,
+    patches: u64,
 }
 
 /// The per-client display cache (shared by all of the client's displays,
@@ -121,41 +111,26 @@ impl DisplayCache {
         self.state.lock().objects.get(&id).cloned()
     }
 
-    /// Mutate a display object in place, keeping byte accounting and the
-    /// OID index correct. Returns `None` if absent.
+    /// Mutate a display object in place, keeping byte accounting
+    /// correct. Its `assoc` is fixed at insert: the OID index, and its
+    /// display's references and images, were taken for those sources.
+    /// Returns `None` if absent.
     pub fn with_mut<T>(&self, id: DoId, f: impl FnOnce(&mut DisplayObject) -> T) -> Option<T> {
         let mut state = self.state.lock();
-        // Take the object out to sidestep aliasing on the index.
-        let mut obj = state.objects.remove(&id)?;
+        let state = &mut *state;
+        let obj = state.objects.get_mut(&id)?;
         let old_bytes = obj.size_bytes();
-        let old_assoc = obj.assoc.clone();
-        let out = f(&mut obj);
+        let out = f(obj);
         state.bytes = state.bytes - old_bytes + obj.size_bytes();
-        if old_assoc != obj.assoc {
-            for oid in &old_assoc {
-                if let Some(set) = state.by_oid.get_mut(oid) {
-                    set.remove(&id);
-                    if set.is_empty() {
-                        state.by_oid.remove(oid);
-                    }
-                }
-            }
-            for &oid in &obj.assoc {
-                state.by_oid.entry(oid).or_default().insert(id);
-            }
-        }
-        state.objects.insert(id, obj);
         Some(out)
     }
 
-    /// Unpin and remove a display object.
+    /// Unpin and remove a display object. The images of its sources
+    /// belong to its display, which drops each with its last reference.
     pub fn remove(&self, id: DoId) -> Option<DisplayObject> {
         let mut state = self.state.lock();
         let obj = state.objects.remove(&id)?;
         state.bytes -= obj.size_bytes();
-        if let Some(image) = state.images.remove(&id) {
-            state.bytes -= image.size_bytes();
-        }
         state.removals += 1;
         for oid in &obj.assoc {
             if let Some(set) = state.by_oid.get_mut(oid) {
@@ -168,68 +143,106 @@ impl DisplayCache {
         Some(obj)
     }
 
-    /// Seed `id`'s source image with the attributes `attrs` of `sources`.
-    pub fn seed_image(&self, id: DoId, attrs: BTreeSet<SourceAttr>, sources: Vec<DbObject>) {
+    /// Merge a read of `sources`, taken for display object `id`, into
+    /// `display`'s images of them: each holds its attributes in `attrs`
+    /// besides those it held, every one at its value in the read. Nothing
+    /// happens once `id` is gone.
+    pub fn seed_image(
+        &self,
+        display: DisplayId,
+        id: DoId,
+        attrs: &BTreeSet<SourceAttr>,
+        sources: Vec<DbObject>,
+    ) {
         let mut state = self.state.lock();
         if !state.objects.contains_key(&id) {
             return;
         }
-        let image = Image::new(attrs, sources);
-        state.bytes += image.size_bytes();
-        if let Some(old) = state.images.insert(id, image) {
-            state.bytes -= old.size_bytes();
+        for mut thin in sources {
+            let class = thin.class;
+            let of_class = attrs.range((class, 0)..=(class, u16::MAX));
+            let mut held: BTreeSet<u16> = of_class.map(|r| r.1).collect();
+            if let Some(old) = state.images.remove(&(display, thin.oid)) {
+                state.bytes -= old.size_bytes();
+                held.extend(old.attrs);
+            }
+            for (i, value) in thin.values.iter_mut().enumerate() {
+                if !held.contains(&(i as u16)) {
+                    *value = value.attr_type().default_value();
+                }
+            }
+            let image = Image { attrs: held, thin };
+            state.bytes += image.size_bytes();
+            state.images.insert((display, image.thin.oid), image);
         }
     }
 
-    /// The attributes `id`'s image holds, or `None` without an image.
-    pub fn image_attrs(&self, id: DoId) -> Option<BTreeSet<SourceAttr>> {
-        self.state.lock().images.get(&id).map(|i| i.attrs.clone())
-    }
-
-    /// Patch `id`'s image with a delta for `oid`; return the thin sources
-    /// to derive from, or `None` — a miss, image untouched — when there is
-    /// no image or source `oid`, or a value fails to decode.
-    pub fn patch_image(
-        &self,
-        id: DoId,
-        oid: Oid,
-        changed: &[(u16, Vec<u8>)],
-    ) -> Option<Vec<DbObject>> {
+    /// Patch `display`'s image of `oid` with the imaged attributes of a
+    /// delta, all or nothing. `false` — a miss, image untouched — without
+    /// an image or when [`DbObject::apply_changes`] refuses the pairs.
+    pub fn patch_image(&self, display: DisplayId, oid: Oid, changed: &[(u16, Vec<u8>)]) -> bool {
         let mut state = self.state.lock();
         let state = &mut *state;
-        let image = state.images.get_mut(&id)?;
-        let class = image.sources.iter().find(|s| s.oid == oid)?.class;
-        // Attributes the DO does not read are skipped (a DLM
-        // registration is the union over the client's display objects).
-        let mut values = Vec::with_capacity(changed.len());
-        for (attr, bytes) in changed
-            .iter()
-            .filter(|(a, _)| image.attrs.contains(&(class, *a)))
-        {
-            values.push((usize::from(*attr), Value::decode_from_bytes(bytes).ok()?));
-        }
+        let Some(image) = state.images.get_mut(&(display, oid)) else {
+            return false;
+        };
+        // Attributes no object of the display reads are skipped (a DLM
+        // registration is the union over the client's displays).
+        let imaged = changed.iter().filter(|(a, _)| image.attrs.contains(a));
+        let imaged: Vec<(u16, Vec<u8>)> = imaged.cloned().collect();
         let before = image.size_bytes();
-        for source in image.sources.iter_mut().filter(|s| s.oid == oid) {
-            for (i, value) in &values {
-                source.values[*i] = value.clone(); // `attrs` index the sources' layout
-            }
+        if image.thin.apply_changes(&imaged).is_err() {
+            return false;
         }
         state.bytes = state.bytes - before + image.size_bytes();
-        Some(image.sources.clone())
+        state.patches += 1;
+        true
+    }
+
+    /// The attributes `display`'s images of `oids` all hold — per source
+    /// class, those each image of that class holds — and clones of the
+    /// images to derive from; nothing unless each of `oids` has one.
+    pub fn images(&self, display: DisplayId, oids: &[Oid]) -> Images {
+        let state = self.state.lock();
+        let mut found = Vec::with_capacity(oids.len());
+        for oid in oids {
+            let Some(image) = state.images.get(&(display, *oid)) else {
+                return (BTreeSet::new(), None);
+            };
+            found.push(image);
+        }
+        let mut held = BTreeSet::new();
+        for image in &found {
+            let class = image.thin.class;
+            let mut attrs = image.attrs.clone();
+            for other in found.iter().filter(|i| i.thin.class == class) {
+                attrs.retain(|a| other.attrs.contains(a));
+            }
+            held.extend(attrs.into_iter().map(|a| (class, a)));
+        }
+        (held, Some(found.iter().map(|i| i.thin.clone()).collect()))
+    }
+
+    /// Drop `display`'s image of `oid`: its last reference to it died.
+    pub fn drop_image(&self, display: DisplayId, oid: Oid) {
+        let mut state = self.state.lock();
+        if let Some(image) = state.images.remove(&(display, oid)) {
+            state.bytes -= image.size_bytes();
+        }
     }
 
     /// Display objects derived from `oid` — the refresh fan-out set.
     pub fn dependents(&self, oid: Oid) -> Vec<DoId> {
-        self.state
-            .lock()
+        let state = self.state.lock();
+        let mut ids: Vec<DoId> = state
             .by_oid
             .get(&oid)
-            .map(|s| {
-                let mut v: Vec<DoId> = s.iter().copied().collect();
-                v.sort_unstable();
-                v
-            })
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Occupancy statistics.
@@ -240,6 +253,7 @@ impl DisplayCache {
             bytes: state.bytes,
             inserts: state.inserts,
             removals: state.removals,
+            patches: state.patches,
         }
     }
 
@@ -314,17 +328,15 @@ mod tests {
     }
 
     #[test]
-    fn with_mut_updates_bytes_and_index() {
+    fn with_mut_updates_bytes() {
         let cache = DisplayCache::new();
         let id = obj(&cache, &[1]);
         let before = cache.used_bytes();
         cache.with_mut(id, |d| {
             d.attrs.push(("Long".into(), Value::Str("x".repeat(500))));
-            d.assoc = vec![Oid::new(5)];
         });
         assert!(cache.used_bytes() > before + 400);
-        assert!(cache.dependents(Oid::new(1)).is_empty());
-        assert_eq!(cache.dependents(Oid::new(5)), vec![id]);
+        assert_eq!(cache.dependents(Oid::new(1)), vec![id]);
         assert!(cache.with_mut(DoId(999), |_| ()).is_none());
     }
 
@@ -384,9 +396,11 @@ mod tests {
         cat.attr_index(cat.id_of("Link").unwrap(), attr).unwrap() as u16
     }
 
-    /// Pin a display object of `class` over `sources`, imaged.
+    /// Pin a display object of `class` over `sources` in `display`, and
+    /// image what it reads.
     fn imaged(
         cache: &DisplayCache,
+        display: DisplayId,
         cat: &Catalog,
         class: &DisplayClassDef,
         sources: &[DbObject],
@@ -395,7 +409,7 @@ mod tests {
         let assoc = sources.iter().map(|s| s.oid).collect();
         cache.insert(DisplayObject::new(id, class.name(), assoc));
         let (_, reads) = class.derive_reading(cat, sources);
-        cache.seed_image(id, reads, sources.to_vec());
+        cache.seed_image(display, id, &reads, sources.to_vec());
         id
     }
 
@@ -416,16 +430,19 @@ mod tests {
             })
             .build();
         let mut full = [link(&cat, 1, 0.3, 0.01), link(&cat, 2, 0.6, 0.2)];
-        for (class, n) in [
-            (width_coded_link("Utilization"), 1),
-            (color_coded_link("Utilization"), 1),
-            (path, 2),
+        for (display, class, n) in [
+            (1, width_coded_link("Utilization"), 1),
+            (2, color_coded_link("Utilization"), 1),
+            (3, path, 2),
         ] {
-            let id = imaged(&cache, &cat, &class, &full[..n]);
+            let display = DisplayId::new(display);
+            imaged(&cache, display, &cat, &class, &full[..n]);
+            let oids: Vec<Oid> = full[..n].iter().map(|s| s.oid).collect();
             for util in [0.1, 0.55, 0.97] {
-                let oid = full[n - 1].oid;
                 full[n - 1].set(&cat, "Utilization", util).unwrap();
-                let thin = cache.patch_image(id, oid, &[(index(&cat, "Utilization"), float(util))]);
+                let delta = [(index(&cat, "Utilization"), float(util))];
+                assert!(cache.patch_image(display, oids[n - 1], &delta));
+                let (held, thin) = cache.images(display, &oids);
                 let thin = thin.unwrap();
                 assert!(thin
                     .iter()
@@ -437,18 +454,42 @@ mod tests {
                     "{} at {util}",
                     class.name()
                 );
-                assert_eq!(Some(reads), cache.image_attrs(id), "read only the image");
+                assert_eq!(reads, held, "read only the image");
             }
         }
+    }
+
+    #[test]
+    fn a_display_holds_what_each_source_of_a_class_holds() {
+        let cat = link_catalog();
+        let cache = DisplayCache::new();
+        let display = DisplayId::new(1);
+        let (a, b) = (link(&cat, 1, 0.3, 0.1), link(&cat, 2, 0.6, 0.2));
+        let both = DisplayClassBuilder::new("UtilErr")
+            .project(&["Utilization", "ErrorRate"])
+            .build();
+        let width = width_coded_link("Utilization");
+        imaged(&cache, display, &cat, &both, std::slice::from_ref(&a));
+        imaged(&cache, display, &cat, &width, std::slice::from_ref(&b));
+        let link = cat.id_of("Link").unwrap();
+        let util = (link, index(&cat, "Utilization"));
+        let errors = (link, index(&cat, "ErrorRate"));
+        let held = |oids: &[Oid]| cache.images(display, oids).0;
+        assert_eq!(held(&[a.oid]), BTreeSet::from([util, errors]));
+        // Link 2's `ErrorRate` is neither imaged nor locked.
+        assert_eq!(held(&[a.oid, b.oid]), BTreeSet::from([util]));
+        assert_eq!(held(&[a.oid, Oid::new(3)]), BTreeSet::new());
     }
 
     #[test]
     fn image_patches_are_all_or_nothing_and_counted() {
         let cat = link_catalog();
         let cache = DisplayCache::new();
+        let (display, oid) = (DisplayId::new(1), Oid::new(1));
         let (util, errors) = (index(&cat, "Utilization"), index(&cat, "ErrorRate"));
         let id = imaged(
             &cache,
+            display,
             &cat,
             &width_coded_link("Utilization"),
             &[link(&cat, 1, 0.3, 0.0)],
@@ -459,42 +500,55 @@ mod tests {
             cache.get(id).unwrap().size_bytes() + 8 + 8,
             "an OID and a float"
         );
-        let utilization = |thin: Vec<DbObject>| thin[0].get(&cat, "Utilization").unwrap().clone();
+        let thin = || cache.images(display, &[oid]).1.unwrap().remove(0);
+        let utilization = || thin().get(&cat, "Utilization").unwrap().clone();
 
-        // Misses leave the image as it was: no image, no such source, a
-        // value that does not decode.
-        assert!(cache.patch_image(DoId(999), Oid::new(1), &[]).is_none());
-        assert!(cache
-            .patch_image(id, Oid::new(2), &[(util, float(0.5))])
-            .is_none());
-        let torn = [(util, float(0.5)), (util, vec![0xff])];
-        assert!(cache.patch_image(id, Oid::new(1), &torn).is_none());
-        let thin = cache.patch_image(id, Oid::new(1), &[]).unwrap();
-        assert_eq!(utilization(thin), Value::Float(0.3));
-        // An attribute the class does not read is skipped, not a miss.
-        let thin = cache
-            .patch_image(id, Oid::new(1), &[(errors, float(0.7))])
-            .unwrap();
-        assert_eq!(thin[0].get(&cat, "ErrorRate").unwrap(), &Value::Float(0.0));
-        let thin = cache
-            .patch_image(id, Oid::new(1), &[(util, float(0.5))])
-            .unwrap();
-        assert_eq!(utilization(thin), Value::Float(0.5));
-        assert_eq!(cache.used_bytes(), bytes);
+        // Misses leave the image as it was: no image of that OID in that
+        // display, a value that does not decode, one of the wrong type.
+        assert!(!cache.patch_image(DisplayId::new(2), oid, &[(util, float(0.5))]));
+        assert!(!cache.patch_image(display, Oid::new(2), &[(util, float(0.5))]));
+        let name = Value::Str("x".into()).encode_to_bytes().to_vec();
+        for bad in [vec![0xff], name] {
+            assert!(!cache.patch_image(display, oid, &[(util, bad)]));
+        }
+        assert_eq!(utilization(), Value::Float(0.3));
+        assert_eq!(cache.stats().patches, 0);
+        // An attribute no object of the display reads is skipped, not a
+        // miss.
+        assert!(cache.patch_image(display, oid, &[(errors, float(0.7))]));
+        assert_eq!(thin().get(&cat, "ErrorRate").unwrap(), &Value::Float(0.0));
+        assert!(cache.patch_image(display, oid, &[(util, float(0.5))]));
+        assert_eq!(utilization(), Value::Float(0.5));
+        assert_eq!((cache.used_bytes(), cache.stats().patches), (bytes, 2));
 
-        // A re-seed may widen the image; removal takes the bytes, and a
-        // removed DO is not re-seeded.
+        // A second object's read merges into the one image: the union of
+        // the attributes, each at its value in the read.
         let class = cat.id_of("Link").unwrap();
-        let attrs = BTreeSet::from([(class, util), (class, errors)]);
-        cache.seed_image(id, attrs.clone(), vec![link(&cat, 1, 0.8, 0.4)]);
-        let thin = cache.patch_image(id, Oid::new(1), &[]).unwrap();
-        assert_eq!(thin[0].get(&cat, "ErrorRate").unwrap(), &Value::Float(0.4));
-        assert_eq!(utilization(thin), Value::Float(0.8));
-        assert_eq!(cache.used_bytes(), bytes + 8, "one more float");
+        let other = cache.allocate_id();
+        cache.insert(DisplayObject::new(other, "Err", vec![oid]));
+        let attrs = BTreeSet::from([(class, errors)]);
+        cache.seed_image(display, other, &attrs, vec![link(&cat, 1, 0.8, 0.4)]);
+        assert_eq!(thin().get(&cat, "ErrorRate").unwrap(), &Value::Float(0.4));
+        assert_eq!(utilization(), Value::Float(0.8));
+        let held = BTreeSet::from([(class, util), (class, errors)]);
+        assert_eq!(cache.images(display, &[oid]).0, held);
+        let other_bytes = cache.get(other).unwrap().size_bytes();
+        assert_eq!(
+            cache.used_bytes(),
+            bytes + other_bytes + 8,
+            "one more float"
+        );
+
+        // The image outlives its objects until its display drops it; a
+        // removed object's read seeds nothing.
         cache.remove(id);
+        cache.remove(other);
+        assert_eq!(cache.used_bytes(), 8 + 8 + 8);
+        cache.drop_image(display, oid);
         assert_eq!(cache.used_bytes(), 0);
-        cache.seed_image(id, attrs, vec![link(&cat, 1, 0.8, 0.0)]);
-        assert_eq!((cache.used_bytes(), cache.image_attrs(id)), (0, None));
+        cache.seed_image(display, id, &held, vec![link(&cat, 1, 0.8, 0.0)]);
+        assert_eq!(cache.used_bytes(), 0);
+        assert_eq!(cache.images(display, &[oid]), (BTreeSet::new(), None));
     }
 }
 

@@ -72,11 +72,6 @@ impl DisplayObject {
         self.attrs.iter().find(|(n, _)| n == name).map(|(_, v)| v)
     }
 
-    /// Whether this DO derives from `oid`.
-    pub fn depends_on(&self, oid: Oid) -> bool {
-        self.assoc.contains(&oid)
-    }
-
     /// Approximate in-memory footprint in bytes: attributes + OID list +
     /// fixed overhead. This is the display-cache side of the paper's
     /// "3 to 5 times smaller" measurement (§ 4.3).
@@ -98,8 +93,6 @@ mod tests {
     fn construction_and_lookup() {
         let mut d = DisplayObject::new(DoId(1), "ColorCodedLink", vec![Oid::new(7)]);
         assert!(d.dirty);
-        assert!(d.depends_on(Oid::new(7)));
-        assert!(!d.depends_on(Oid::new(8)));
         d.attrs.push(("Color".into(), Value::Int(0xFF0000)));
         assert_eq!(d.attr("Color"), Some(&Value::Int(0xFF0000)));
         assert_eq!(d.attr("Missing"), None);

@@ -8,12 +8,14 @@
 //! 2. **Build** — [`Display::add_object`] reads the associated database
 //!    objects, derives once to learn what the class reads, locks that
 //!    (deduplicated by the DLC), *then* reads again to derive and seed the
-//!    source image, and pins the display object — or, failing, nothing.
+//!    display's source images of them, and pins the display object — or,
+//!    failing, nothing.
 //! 3. **Live** — [`Display::process_pending`] consumes notifications: a
-//!    `Delta` patches the source image and re-derives from it; `Updated`
-//!    re-derives from a read and re-seeds the image; `Marked`/`Resolved`
-//!    toggle the early-notify "being updated" flag. A derivation reading
-//!    outside the locks is thrown away: the object *widens* (lock, read).
+//!    `Delta` patches the display's image of its OID once and every
+//!    dependent re-derives from its images; `Updated` re-derives from a
+//!    read and re-seeds the images; `Marked`/`Resolved` toggle the
+//!    early-notify "being updated" flag. A derivation reading outside the
+//!    locks is thrown away: the object *widens* (lock, read).
 //! 4. **Close** — dropping the display releases every display lock and
 //!    unpins its display objects.
 //!
@@ -168,12 +170,11 @@ impl Display {
         let first = self.read_sources(&assoc)?;
         let (derived, reads) = class.derive_reading(self.client.catalog(), &first);
         derived?;
-        {
-            let mut refs = self.refs.lock();
-            for &oid in &assoc {
-                *refs.entry(oid).or_insert(0) += 1;
-            }
+        let mut refs = self.refs.lock();
+        for &oid in &assoc {
+            *refs.entry(oid).or_insert(0) += 1;
         }
+        drop(refs);
         // Lock, then read again: a commit that landed before the
         // registration called this client back ahead of the lock's reply,
         // so the read after it sees that commit; a later one is notified.
@@ -190,7 +191,7 @@ impl Display {
         obj.attrs = attrs;
         self.cache.insert(obj);
         if !class.whole_object {
-            self.cache.seed_image(id, learned, sources);
+            self.cache.seed_image(self.id, id, &learned, sources);
         }
         self.classes
             .lock()
@@ -212,9 +213,10 @@ impl Display {
         reads: BTreeSet<SourceAttr>,
     ) -> DbResult<()> {
         locked.extend(reads);
+        let dlc = self.client.dlc();
         if class.whole_object {
             let oids: Vec<Oid> = sources.iter().map(|s| s.oid).collect();
-            return self.client.dlc().acquire(self.id, &oids);
+            return dlc.acquire(self.id, &oids);
         }
         let mut groups: BTreeMap<ClassId, Vec<Oid>> = BTreeMap::new();
         for source in sources {
@@ -222,9 +224,7 @@ impl Display {
         }
         for (c, oids) in groups {
             let attrs: Vec<u16> = locked.iter().filter(|r| r.0 == c).map(|r| r.1).collect();
-            self.client
-                .dlc()
-                .acquire_projected(self.id, &oids, &attrs)?;
+            dlc.acquire_projected(self.id, &oids, &attrs)?;
         }
         Ok(())
     }
@@ -288,26 +288,23 @@ impl Display {
         self.unref(&obj.assoc)
     }
 
-    /// Drop one reference to each of `oids` and release the display locks
-    /// no other object of this display needs.
+    /// Drop one reference to each of `oids`; drop the images and release
+    /// the display locks no other object of this display needs.
     fn unref(&self, oids: &[Oid]) -> DbResult<()> {
         let mut freed = Vec::new();
-        {
-            let mut refs = self.refs.lock();
-            for oid in oids {
-                if let Some(count) = refs.get_mut(oid) {
-                    *count -= 1;
-                    if *count == 0 {
-                        refs.remove(oid);
-                        freed.push(*oid);
-                    }
+        let mut refs = self.refs.lock();
+        for oid in oids {
+            if let Some(count) = refs.get_mut(oid) {
+                *count -= 1;
+                if *count == 0 {
+                    refs.remove(oid);
+                    self.cache.drop_image(self.id, *oid);
+                    freed.push(*oid);
                 }
             }
         }
-        if !freed.is_empty() {
-            self.client.dlc().release(self.id, &freed)?;
-        }
-        Ok(())
+        drop(refs);
+        self.client.dlc().release(self.id, &freed)
     }
 
     /// Process all queued notifications without blocking. Returns the
@@ -374,26 +371,23 @@ impl Display {
                     self.client.cache().invalidate(&[info.oid]);
                 }
                 for id in self.my_dependents(info.oid) {
-                    self.refresh_object(id)?;
+                    self.refresh(id, false)?;
                 }
                 self.stats.refresh_latency.record(start.elapsed());
             }
             DlmEvent::Delta { oid, changed, .. } => {
                 // The DLC checked the projection version (a stale one is
                 // resynced, never reaching a display) and patched the
-                // database copy for transactions; the DO derives from its
-                // own image, and only a miss reads.
+                // database copy for transactions; this display patches its
+                // image once, every dependent derives from its images, and
+                // only a miss reads.
                 let start = Instant::now();
+                let patched = self.cache.patch_image(self.id, oid, &changed);
                 for id in self.my_dependents(oid) {
-                    match self.cache.patch_image(id, oid, &changed) {
-                        Some(sources) => {
-                            self.stats.image_refreshes.inc();
-                            self.refresh(id, Some(sources))?;
-                        }
-                        None => {
-                            self.stats.delta_reads.inc();
-                            self.refresh_object(id)?;
-                        }
+                    if self.refresh(id, patched)? {
+                        self.stats.image_refreshes.inc();
+                    } else {
+                        self.stats.delta_reads.inc();
                     }
                     self.stats.delta_refreshes.inc();
                 }
@@ -450,7 +444,7 @@ impl Display {
     }
 
     /// Take every early-notify mark off this display's objects — what
-    /// `refresh_object` does per object on the resync path.
+    /// `refresh` does per object on the resync path.
     fn clear_marks(&self) {
         self.change(None, |d| d.marked_by.take().is_some());
     }
@@ -483,36 +477,32 @@ impl Display {
     }
 
     fn my_dependents(&self, oid: Oid) -> Vec<DoId> {
+        let mut ids = self.cache.dependents(oid);
         let mine = self.mine.lock();
-        self.cache
-            .dependents(oid)
-            .into_iter()
-            .filter(|id| mine.contains(id))
-            .collect()
+        ids.retain(|id| mine.contains(id));
+        ids
     }
 
-    /// Re-derive one display object from current database state, re-seed
-    /// its source image, and redraw it.
-    pub fn refresh_object(&self, id: DoId) -> DbResult<()> {
-        self.refresh(id, None)
-    }
-
-    /// Re-derive `id` from its image's thin `sources` when given — a
-    /// derivation that reads outside the image is thrown away, and the
-    /// object widens — else from a read that re-seeds the image.
-    fn refresh(&self, id: DoId, thin: Option<Vec<DbObject>>) -> DbResult<()> {
+    /// Re-derive `id` from clones of its sources' images when `from_image`
+    /// and each has one — a derivation that reads outside them is thrown
+    /// away, and the object widens — else from a read that re-seeds them.
+    /// Returns whether the images were there to derive from.
+    fn refresh(&self, id: DoId, from_image: bool) -> DbResult<bool> {
         let Some(obj) = self.cache.get(id) else {
-            return Ok(());
+            return Ok(false);
         };
         let unknown = || DbError::InvalidArgument(format!("unknown display class {}", obj.class));
         let class = self.classes.lock().get(&obj.class).cloned();
         let class = class.ok_or_else(unknown)?;
-        let mut locked = self.cache.image_attrs(id).unwrap_or_default();
+        // The images hold what this display has locked of the sources.
+        let (mut locked, thin) = self.cache.images(self.id, &obj.assoc);
+        let thin = thin.filter(|_| from_image);
+        let imaged = thin.is_some();
         if let Some(thin) = thin {
             let (attrs, reads) = class.derive_reading(self.client.catalog(), &thin);
             if reads.is_subset(&locked) {
                 self.show(id, attrs?);
-                return Ok(());
+                return Ok(true);
             }
             self.stats.widens.inc();
             self.lock(&class, &thin, &mut locked, reads)?;
@@ -521,15 +511,15 @@ impl Display {
             Ok((attrs, learned, sources)) => {
                 self.show(id, attrs);
                 if !class.whole_object {
-                    self.cache.seed_image(id, learned, sources);
+                    self.cache.seed_image(self.id, id, &learned, sources);
                 }
-                Ok(())
+                Ok(imaged)
             }
             Err(DbError::ObjectNotFound(_)) => {
                 // A source vanished under us: drop the DO.
                 self.remove_object(id)?;
                 self.stats.removed_by_deletion.inc();
-                Ok(())
+                Ok(imaged)
             }
             Err(e) => Err(e),
         }
@@ -620,7 +610,7 @@ mod tests {
     use displaydb_schema::{AttrType, Catalog, Value};
     use displaydb_server::{Server, ServerConfig};
     use displaydb_viz::Color;
-    use displaydb_wire::LocalHub;
+    use displaydb_wire::{Encode, LocalHub};
     use std::path::PathBuf;
 
     fn catalog() -> Arc<Catalog> {
@@ -858,6 +848,54 @@ mod tests {
         assert_eq!(
             display.object(id).unwrap().attr("MaxUtil"),
             Some(&Value::Float(0.7))
+        );
+    }
+
+    #[test]
+    fn a_delta_of_the_wrong_type_is_a_miss_that_reads() {
+        let fx = setup("wrong-type", |_| {});
+        let viewer = client(&fx, "viewer");
+        let updater = client(&fx, "updater");
+        let oid = make_link(&fx, &updater, 0.1);
+        let cache = Arc::new(DisplayCache::new());
+        let display = Display::open(Arc::clone(&viewer), Arc::clone(&cache), "map");
+        let id = display
+            .add_object(&color_coded_link("Utilization"), vec![oid])
+            .unwrap();
+        set_util(&fx, &updater, oid, 0.95);
+        let event = display.events.recv_timeout(Duration::from_secs(5)).unwrap();
+        let DlcEvent::Dlm(DlmEvent::Delta {
+            version, changed, ..
+        }) = &event
+        else {
+            panic!("{event:?}");
+        };
+        let text = Value::Str("hot".into()).encode_to_bytes().to_vec();
+        let bad = DlmEvent::Delta {
+            oid,
+            version: *version,
+            changed: vec![(changed[0].0, text)],
+            trace: 0,
+        };
+        display.handle_event(event).unwrap();
+        // Not cached, so the DLC's hook has no copy to refuse it with.
+        viewer.cache().invalidate(&[oid]);
+        let reads = fx._server.core().stats().reads.get();
+        viewer.dlc().dispatch(bad);
+        assert_eq!(display.process_pending().unwrap(), 1);
+        let stats = display.stats();
+        assert_eq!(
+            (stats.image_refreshes.get(), stats.delta_reads.get()),
+            (1, 1)
+        );
+        assert_eq!(fx._server.core().stats().reads.get() - reads, 1);
+        assert_eq!(cache.stats().patches, 1, "the refused patch is not one");
+        let thin = cache.images(display.id(), &[oid]).1.unwrap();
+        let util = thin[0].get(&fx.cat, "Utilization").unwrap();
+        assert_eq!(util, &Value::Float(0.95));
+        assert_eq!(
+            display.object(id).unwrap().attr("Color"),
+            Some(&Value::Int(i64::from(Color::RED.to_u32())))
         );
     }
 

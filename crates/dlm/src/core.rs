@@ -29,10 +29,6 @@ pub struct DlmConfig {
     /// Ship new object state inside update notifications (the § 4.3
     /// "eager" extension eliminating two of the three refresh messages).
     pub eager_shipping: bool,
-    /// Whether the client that performed an update is itself notified.
-    /// The paper's clients refresh their own displays locally, so the
-    /// default skips the originator.
-    pub notify_originator: bool,
     /// Overload-protection knobs for the per-client outboxes wrapped
     /// around the sinks (DESIGN.md § 9).
     pub overload: OverloadConfig,
@@ -51,7 +47,6 @@ impl Default for DlmConfig {
         Self {
             protocol: NotifyProtocol::PostCommit,
             eager_shipping: false,
-            notify_originator: false,
             overload: OverloadConfig::default(),
             log: UpdateLogConfig::default(),
             shards: 1,
@@ -446,7 +441,7 @@ impl DlmCore {
                     continue;
                 };
                 for &holder in holders {
-                    if !self.config.notify_originator && Some(holder) == origin {
+                    if Some(holder) == origin {
                         continue;
                     }
                     let Some(sink) = state.sinks.get(&holder) else {
@@ -576,7 +571,7 @@ impl DlmCore {
                 let watched: HashSet<Oid> = watched.into_iter().collect();
                 let mut delivered = 0usize;
                 'entries: for entry in &entries {
-                    if !self.config.notify_originator && entry.origin == Some(client) {
+                    if entry.origin == Some(client) {
                         continue;
                     }
                     for update in &entry.updates {
@@ -653,7 +648,7 @@ impl DlmCore {
                     continue;
                 };
                 for &holder in holders {
-                    if !self.config.notify_originator && Some(holder) == origin {
+                    if Some(holder) == origin {
                         continue;
                     }
                     if let Some(sink) = state.sinks.get(&holder) {
@@ -776,19 +771,6 @@ mod tests {
         fanout.join().unwrap();
         locker.join().unwrap();
         assert_eq!(dlm.stats().notifications.get(), 1);
-    }
-
-    #[test]
-    fn notify_originator_config() {
-        let dlm = ShardedDlm::new(DlmConfig {
-            notify_originator: true,
-            ..DlmConfig::default()
-        });
-        let (s1, r1) = sink();
-        dlm.register_client(c(1), s1);
-        dlm.lock(c(1), &[o(7)]);
-        dlm.notify_committed(Some(c(1)), &[UpdateInfo::lazy(o(7))]);
-        assert!(r1.try_recv().is_ok());
     }
 
     #[test]

@@ -23,13 +23,12 @@
 //! [`UpdateLog::open_durable`] backs the ring with a
 //! [`displaydb_storage::SegLog`]: every appended batch is framed into the
 //! segment log **before** it becomes visible in the ring (durable before
-//! deliverable, like the WAL), cursor-acknowledgement frontiers are
-//! spilled as the outboxes emit them, and a restart recovers the ring
-//! suffix, the frontiers, the seqno space, and a stable **incarnation
-//! id** from the directory. Cursors are only comparable within one
-//! incarnation; a client resuming against a recovered log replays from
-//! its durable cursor instead of resyncing, unless the durable window was
-//! truncated (torn tail, retention, or a WAL cross-check demotion).
+//! deliverable, like the WAL), and a restart recovers the ring suffix,
+//! the seqno space, and a stable **incarnation id** from the directory.
+//! Cursors are only comparable within one incarnation; a client resuming
+//! against a recovered log replays from its durable cursor instead of
+//! resyncing, unless the durable window was truncated (torn tail,
+//! retention, or a WAL cross-check demotion).
 
 use crate::proto::UpdateInfo;
 use displaydb_common::metrics::{SegLogStats, UpdateLogStats};
@@ -38,7 +37,7 @@ use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid};
 use displaydb_storage::seglog::SegLog;
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::path::Path;
 
 /// One appended commit batch.
@@ -74,9 +73,6 @@ struct LogInner {
     next_seqno: u64,
     /// Sum of `bytes` across retained entries.
     bytes: usize,
-    /// Last acked cursor per client (monotone max). Only maintained when
-    /// the log is durable — the in-memory outboxes track their own.
-    frontiers: HashMap<ClientId, u64>,
 }
 
 /// What a replay request found in the log.
@@ -112,8 +108,6 @@ pub struct DurableRecovery {
     pub window_truncated: bool,
     /// Batches restored into the ring (bounded by the ring caps).
     pub recovered_entries: usize,
-    /// Clients whose acked cursor frontier was recovered.
-    pub recovered_frontiers: usize,
     /// Highest committing transaction id stamped on any durable batch.
     pub last_txn: u64,
     /// The recovered log head (0 = nothing was ever appended).
@@ -201,7 +195,6 @@ impl UpdateLog {
                     entries: VecDeque::new(),
                     next_seqno: 1,
                     bytes: 0,
-                    frontiers: HashMap::new(),
                 },
             ),
             config: clamped(config),
@@ -212,8 +205,8 @@ impl UpdateLog {
     }
 
     /// Open a log spilled to stable storage under `dir`, recovering the
-    /// ring suffix, cursor frontiers, seqno space, and incarnation from
-    /// a previous run (DESIGN.md § 14).
+    /// ring suffix, seqno space, and incarnation from a previous run
+    /// (DESIGN.md § 14).
     ///
     /// `min_last_txn` is the last transaction the main WAL committed
     /// (0 = no cross-check): a durable window whose newest batch trails
@@ -269,7 +262,6 @@ impl UpdateLog {
             incarnation_recovered: rec.incarnation_recovered,
             window_truncated: rec.window_truncated,
             recovered_entries: entries.len(),
-            recovered_frontiers: rec.frontiers.len(),
             last_txn: rec.last_txn,
             head: rec.next_seqno - 1,
         };
@@ -280,7 +272,6 @@ impl UpdateLog {
                     entries,
                     next_seqno: rec.next_seqno,
                     bytes,
-                    frontiers: rec.frontiers,
                 },
             ),
             config,
@@ -341,28 +332,6 @@ impl UpdateLog {
         self.stats.log_entries.set(inner.entries.len() as u64);
         self.stats.log_bytes.set(inner.bytes as u64);
         Ok(Some(seqno))
-    }
-
-    /// Record `client`'s acked cursor frontier (monotone max) and, when
-    /// durable, spill it so a restart can tell which cursors are live.
-    /// Called by the outbox writers at `CursorAck` synthesis time.
-    pub fn record_frontier(&self, client: ClientId, cursor: u64) -> DbResult<()> {
-        let mut inner = self.inner.lock();
-        let e = inner.frontiers.entry(client).or_insert(0);
-        if cursor <= *e {
-            return Ok(()); // stale or repeated ack: nothing new to persist
-        }
-        *e = cursor;
-        drop(inner);
-        if let Some(seg) = &self.durable {
-            seg.append_frontier(client, cursor)?;
-        }
-        Ok(())
-    }
-
-    /// The recorded acked frontier for `client`, if any.
-    pub fn frontier_of(&self, client: ClientId) -> Option<u64> {
-        self.inner.lock().frontiers.get(&client).copied()
     }
 
     /// The distinct OIDs updated by retained entries past `cursor`, or
@@ -687,10 +656,8 @@ mod tests {
     }
 
     #[test]
-    fn durable_roundtrip_recovers_window_frontiers_and_incarnation() {
+    fn durable_roundtrip_recovers_window_and_incarnation() {
         let tmp = TempDir::new();
-        let c1 = ClientId::new(1);
-        let c2 = ClientId::new(2);
         {
             let (l, rec) = open_durable_at(&tmp.0, 64, 7001, 0);
             assert!(l.is_durable());
@@ -700,11 +667,6 @@ mod tests {
             for i in 1..=5u64 {
                 assert_eq!(l.append(None, &upd(i), 100 + i).unwrap(), Some(i));
             }
-            l.record_frontier(c1, 3).unwrap();
-            l.record_frontier(c2, 5).unwrap();
-            // Stale / duplicate frontier reports are absorbed silently.
-            l.record_frontier(c1, 2).unwrap();
-            assert_eq!(l.frontier_of(c1), Some(3));
             l.sync().unwrap();
         }
         let (l, rec) = open_durable_at(&tmp.0, 64, 9999, 0);
@@ -713,12 +675,9 @@ mod tests {
         assert_eq!(l.incarnation(), Some(7001));
         assert!(!rec.window_truncated);
         assert_eq!(rec.recovered_entries, 5);
-        assert_eq!(rec.recovered_frontiers, 2);
         assert_eq!(rec.last_txn, 105);
         assert_eq!(rec.head, 5);
         assert_eq!(l.head(), 5);
-        assert_eq!(l.frontier_of(c1), Some(3));
-        assert_eq!(l.frontier_of(c2), Some(5));
         // The recovered ring replays exactly like the pre-restart one.
         match l.replay_from(3) {
             ReplaySlice::Events { entries, head } => {

@@ -301,6 +301,11 @@ impl CoalescingQueue {
 /// The least time between two cursor acks of one outbox.
 pub(crate) const ACK_INTERVAL: Duration = Duration::from_millis(25);
 
+/// Most pending events a writer drains into one wire frame per wake (a
+/// `Batch` when more than one is pending): enough to collapse a fan-in
+/// burst into one frame, small enough never to near frame-size limits.
+const BATCH_MAX: usize = 16;
+
 /// When the writer may send the cursor ack of a frame it builds at `now`:
 /// `None` when nothing is owed or the frame leaves events queued, else
 /// [`ACK_INTERVAL`] after the `last` ack (`now` if there was none, or a
@@ -349,7 +354,6 @@ struct OutboxShared {
     work: OrderedCondvar,
     /// Wakes drainers (queue just emptied or writer exited).
     idle: OrderedCondvar,
-    config: OverloadConfig,
     stats: OverloadStats,
     /// Per-outbox queue depth (current + high water). The shared
     /// [`OverloadStats::queue_depth`] gauge interleaves `set` calls
@@ -360,11 +364,6 @@ struct OutboxShared {
     /// writer mints and the `ReplayNeeded` markers a sweep leaves, so
     /// the client can tell the shards' seqno spaces apart.
     shard: u32,
-    /// Invoked (outside every lock) with each cursor the writer just
-    /// acknowledged to the client — the durable-frontier spill hook
-    /// (DESIGN.md § 14). The callback sees acks in the order the writer
-    /// emitted them and may block on I/O.
-    recorder: Option<Arc<dyn Fn(u64) + Send + Sync>>,
 }
 
 /// A bounded, coalescing outbox wrapped around a blocking sink.
@@ -383,18 +382,12 @@ impl OutboxSink {
     /// Wrap `inner` as `shard`'s outbox, spawning the writer thread.
     /// Overflow sweeps to a `ReplayNeeded{shard}` marker and the writer
     /// acknowledges delivered seqnos with `CursorAck{shard}` on a frame
-    /// that drains the queue, at most once per [`ACK_INTERVAL`]. Every
-    /// `CursorAck` the writer emits is
-    /// reported to `recorder` after the carrying frame reached the inner
-    /// sink, outside all outbox locks — the durable DLM passes a closure
-    /// spilling the cursor to the segment log so the client's frontier
-    /// survives a restart.
+    /// that drains the queue, at most once per [`ACK_INTERVAL`].
     pub fn wrap(
         inner: Arc<dyn EventSink>,
         shard: u32,
         config: OverloadConfig,
         stats: OverloadStats,
-        recorder: Option<Arc<dyn Fn(u64) + Send + Sync>>,
     ) -> Arc<Self> {
         let queue = CoalescingQueue::for_shard(config.outbox_high_water, shard);
         let shared = Arc::new(OutboxShared {
@@ -413,11 +406,9 @@ impl OutboxSink {
             ),
             work: OrderedCondvar::new(),
             idle: OrderedCondvar::new(),
-            config,
             stats,
             depth: Gauge::new(),
             shard,
-            recorder,
         });
         let sink = Arc::new(Self {
             inner: Arc::clone(&inner),
@@ -626,9 +617,8 @@ impl std::fmt::Debug for OutboxSink {
 }
 
 fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
-    let batch_max = shared.config.outbox_batch_max.max(1);
     loop {
-        let (event, acked) = {
+        let event = {
             let mut state = shared.state.lock();
             loop {
                 if state.shutdown {
@@ -642,11 +632,11 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                 // ack builds a `Batch`.
                 let first = state.queue.pop();
                 let mut rest = Vec::new();
-                while first.is_some() && rest.len() + 1 < batch_max {
+                while first.is_some() && rest.len() + 1 < BATCH_MAX {
                     let Some(e) = state.queue.pop() else { break };
                     rest.push(e);
                 }
-                let (now, mut acked) = (Instant::now(), None);
+                let now = Instant::now();
                 let drained = state.queue.is_empty();
                 match ack_due(state.ack_owed(), drained, state.last_ack_at, now) {
                     Some(due) if due <= now => {
@@ -657,7 +647,6 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                         // the cursor as its final event.
                         state.last_acked = state.last_seqno;
                         state.last_ack_at = Some(now);
-                        acked = Some(state.last_acked);
                         rest.push(DlmEvent::CursorAck {
                             shard: shared.shard,
                             seqno: state.last_acked,
@@ -690,21 +679,12 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                 state.in_flight = true;
                 shared.stats.queue_depth.set(state.queue.len() as u64);
                 shared.depth.set(state.queue.len() as u64);
-                break (event, acked);
+                break event;
             }
         };
         // The only potentially-blocking calls, outside every lock.
         event.record_stage(displaydb_common::trace::Stage::OutboxDrain);
         let delivered = inner.deliver(event).is_ok();
-        if delivered {
-            // The ack is on the wire: make the frontier durable. After a
-            // failed delivery the client is dead and its next session
-            // replays from the previously recorded cursor — strictly
-            // more data, never less.
-            if let (Some(cursor), Some(rec)) = (acked, shared.recorder.as_ref()) {
-                rec(cursor);
-            }
-        }
         let mut state = shared.state.lock();
         state.in_flight = false;
         if !delivered {
@@ -892,7 +872,7 @@ mod tests {
         config: OverloadConfig,
         stats: OverloadStats,
     ) -> Arc<OutboxSink> {
-        OutboxSink::wrap(inner, SHARD, config, stats, None)
+        OutboxSink::wrap(inner, SHARD, config, stats)
     }
 
     fn quick_config(high_water: usize) -> OverloadConfig {

@@ -272,11 +272,7 @@ impl ShardedDlm {
     /// gets its own bounded outbox around it (DESIGN.md § 9), so the
     /// commit path only ever enqueues and one shard's backlog cannot
     /// block another's. An outbox mints `CursorAck{shard}` /
-    /// `ReplayNeeded{shard}` in its shard's seqno space, and spills
-    /// every cursor it acks as a frontier record when the log is
-    /// durable, so the client's
-    /// per-shard progress survives a restart (the spill runs on the
-    /// outbox writer thread, outside all outbox locks). Returns the
+    /// `ReplayNeeded{shard}` in its shard's seqno space. Returns the
     /// outboxes, index = shard, for callers that drain them at shutdown.
     pub fn register_session(
         &self,
@@ -287,19 +283,11 @@ impl ShardedDlm {
             .iter()
             .enumerate()
             .map(|(s, core)| {
-                let log = core.update_log();
-                let recorder = log.is_durable().then(|| {
-                    let core = Arc::clone(core);
-                    Arc::new(move |cursor| {
-                        let _ = core.update_log().record_frontier(client, cursor);
-                    }) as Arc<dyn Fn(u64) + Send + Sync>
-                });
                 let outbox = OutboxSink::wrap(
                     Arc::clone(&sink),
                     s as u32,
                     self.config.overload,
                     self.stats.overload.clone(),
-                    recorder,
                 );
                 core.register_client(client, Arc::clone(&outbox) as Arc<dyn EventSink>);
                 outbox

@@ -31,7 +31,7 @@ const APPEND: &[&str] = &["append", "append_batch", "append_record", "write_all"
 /// Call names (and the `CursorAck` constructor) that let durability
 /// evidence escape: once one of these runs, a peer may observe the
 /// append as durable.
-const ESCAPE: &[&str] = &["advance_frontier", "append_frontier", "record_frontier"];
+const ESCAPE: &[&str] = &["advance_frontier"];
 
 /// Mutations that must carry a crash-point probe when the function also
 /// syncs (fsync-adjacent mutation sites).

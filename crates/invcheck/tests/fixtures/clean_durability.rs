@@ -12,7 +12,7 @@ impl Store {
     pub fn commit(&mut self, rec: &[u8]) {
         self.wal.append(rec);
         self.ensure_synced();
-        self.record_frontier(1);
+        self.advance_frontier(1);
     }
 
     /// Clean: an append that never lets anything escape needs no sync
@@ -25,5 +25,5 @@ impl Store {
         self.wal.sync();
     }
 
-    fn record_frontier(&mut self, _n: u64) {}
+    fn advance_frontier(&mut self, _n: u64) {}
 }

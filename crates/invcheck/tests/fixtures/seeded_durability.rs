@@ -10,7 +10,7 @@ impl Log {
     /// Violation: the frontier escapes and nothing ever syncs.
     pub fn commit_unsynced(&mut self, rec: &[u8]) {
         self.seg.append(rec);
-        self.seg.record_frontier(rec.len() as u64);
+        self.advance_frontier(rec.len() as u64);
     }
 
     /// Violation: the frontier escapes first, the sync lands after it.

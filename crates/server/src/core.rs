@@ -58,6 +58,13 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Most concurrent *resume* handshakes admitted before further ones are
+/// shed with a retryable `Overloaded`: a mass reconnect (a partition
+/// heals, the server restarts) is paced instead of landing every session
+/// rebuild — display locks replayed, a cursor catch-up served — at once.
+/// Fresh (non-resume) connects are never gated.
+const RESUME_ADMISSION_MAX: usize = 64;
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -445,12 +452,11 @@ impl ServerCore {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(1)
             .max(1);
-        // With a durable update log, recover the replay window and
-        // cursor frontiers from `data_dir/dlmlog`, cross-checked against
-        // the commit stream the main WAL held at open: a durable
-        // notification stream that stops short of a committed txn is
-        // missing updates for good and must not serve replays
-        // (DESIGN.md § 14).
+        // With a durable update log, recover the replay window from
+        // `data_dir/dlmlog`, cross-checked against the commit stream the
+        // main WAL held at open: a durable notification stream that stops
+        // short of a committed txn is missing updates for good and must
+        // not serve replays (DESIGN.md § 14).
         let seglog_stats = SegLogStats::new();
         let (dlm, dlm_recovery) = if config.durable_log.is_enabled() {
             let (sharded, recs) = ShardedDlm::new_durable(
@@ -566,10 +572,9 @@ impl ServerCore {
     /// jitter. Balance with [`ServerCore::finish_resume`].
     pub fn try_admit_resume(&self) -> bool {
         use std::sync::atomic::Ordering;
-        let max = self.config.dlm.overload.resume_admission_max;
         let mut current = self.resumes_in_flight.load(Ordering::Relaxed);
         loop {
-            if current >= max {
+            if current >= RESUME_ADMISSION_MAX {
                 return false;
             }
             match self.resumes_in_flight.compare_exchange_weak(

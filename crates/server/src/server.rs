@@ -175,7 +175,7 @@ fn send_response(channel: &Arc<dyn Channel>, seq: u64, response: Response) {
 fn session_loop(core: Arc<ServerCore>, channel: Arc<dyn Channel>) {
     // Handshake: the first envelope must be a Hello request. Resume
     // handshakes pass through the reconnect admission gate: after a mass
-    // disconnect, only `resume_admission_max` session rebuilds run at a
+    // disconnect, only `RESUME_ADMISSION_MAX` session rebuilds run at a
     // time and the rest are shed with a retryable `Overloaded` (the
     // channel stays open, so the client may retry its Hello here or
     // reconnect afresh under its jittered backoff).

@@ -14,8 +14,8 @@
 //! * [`wal`] — a redo-only write-ahead log with checksummed records and
 //!   torn-tail repair, plus replay for crash recovery,
 //! * [`seglog`] — the durable segment log backing the DLM's replayable
-//!   update log across restarts (incarnation id, batch records, cursor
-//!   frontiers; DESIGN.md § 14).
+//!   update log across restarts (incarnation id and batch records;
+//!   DESIGN.md § 14).
 //!
 //! The server crate composes these into an object store; nothing in here
 //! knows about objects, classes, or displays.

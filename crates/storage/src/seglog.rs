@@ -6,12 +6,9 @@
 //! This module is the stable-storage spill: committed notification batches
 //! are framed with the WAL's `[u32 len][u64 fnv1a][payload]` discipline
 //! into append-only **segment files** under one directory, together with
-//!
-//! * a `meta` file carrying the **log incarnation id** (minted once, then
-//!   stable across restarts; cursors are only comparable within one
-//!   incarnation), and
-//! * **cursor frontier** records (client → last acked seqno), appended as
-//!   the outbox writers acknowledge delivery.
+//! a `meta` file carrying the **log incarnation id** (minted once, then
+//! stable across restarts; cursors are only comparable within one
+//! incarnation).
 //!
 //! Batch payloads are opaque bytes: the DLM encodes/decodes its own batch
 //! representation, so this crate stays ignorant of notification shapes.
@@ -53,9 +50,8 @@ use crate::wal::{fsync_dir, fsync_parent_dir, valid_prefix_len};
 use displaydb_common::crashpoint::{self, CrashPoint};
 use displaydb_common::metrics::SegLogStats;
 use displaydb_common::sync::{ranks, OrderedMutex};
-use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig};
+use displaydb_common::{DbError, DbResult, DurableLogConfig};
 use displaydb_wire::{fnv1a, Decode, Encode, WireReader, WireWriter};
-use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -65,7 +61,9 @@ const META_MAGIC: u32 = 0x534C_4D31;
 
 const TAG_HEADER: u8 = 1;
 const TAG_BATCH: u8 = 2;
-const TAG_FRONTIER: u8 = 3;
+/// Retired: a client's acked cursor, which nothing read. Recovery skips
+/// such a record in a log written before; the tag is never reused.
+const TAG_RETIRED_FRONTIER: u8 = 3;
 
 /// One durable record.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -88,13 +86,6 @@ pub enum SegRecord {
         txn: u64,
         /// DLM-encoded batch bytes.
         payload: Vec<u8>,
-    },
-    /// A client's acked cursor frontier at append time.
-    Frontier {
-        /// Acknowledging client.
-        client: ClientId,
-        /// Last seqno the client's outbox acked.
-        cursor: u64,
     },
 }
 
@@ -119,11 +110,6 @@ impl Encode for SegRecord {
                 w.put_varint(*txn);
                 w.put_bytes(payload);
             }
-            SegRecord::Frontier { client, cursor } => {
-                w.put_u8(TAG_FRONTIER);
-                client.encode(w);
-                w.put_varint(*cursor);
-            }
         }
     }
 }
@@ -139,10 +125,6 @@ impl Decode for SegRecord {
                 seqno: r.get_varint()?,
                 txn: r.get_varint()?,
                 payload: r.get_bytes()?.to_vec(),
-            },
-            TAG_FRONTIER => SegRecord::Frontier {
-                client: ClientId::decode(r)?,
-                cursor: r.get_varint()?,
             },
             t => return Err(DbError::Corrupt(format!("unknown seglog tag {t}"))),
         })
@@ -172,8 +154,6 @@ pub struct SegLogRecovery {
     /// contiguous suffix of everything ever appended). Empty when the
     /// window was truncated.
     pub batches: Vec<RecoveredBatch>,
-    /// Last acked cursor per client, max over all frontier records.
-    pub frontiers: HashMap<ClientId, u64>,
     /// Next seqno to append (durable head + 1; 1 for a fresh log).
     pub next_seqno: u64,
     /// Highest transaction id stamped on any recovered batch — including
@@ -199,6 +179,9 @@ struct Inner {
     sealed: Vec<Segment>,
     /// Next batch seqno expected; names the base of a rotated-to segment.
     next_seqno: u64,
+    /// This log's share of the shared `durable_bytes` and `segments`
+    /// gauges, which sum over a server's shard logs.
+    gauged: (u64, u64),
 }
 
 /// Append side of the durable update log. One per DLM update log.
@@ -237,10 +220,10 @@ fn parse_segment_base(path: &Path) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
-/// Decode every intact framed record in `buf`; also returns the number
-/// of valid bytes consumed (`< buf.len()` means a torn/corrupt tail; a
-/// frame whose checksum passes but whose payload fails to decode also
-/// ends the valid prefix).
+/// Decode every intact framed record in `buf`, skipping retired ones;
+/// also returns the number of valid bytes consumed (`< buf.len()` means
+/// a torn/corrupt tail; a frame whose checksum passes but whose payload
+/// fails to decode also ends the valid prefix).
 fn scan_records(buf: &[u8]) -> (Vec<SegRecord>, usize) {
     let mut records = Vec::new();
     let mut pos = 0usize;
@@ -248,9 +231,11 @@ fn scan_records(buf: &[u8]) -> (Vec<SegRecord>, usize) {
     while pos < framed {
         let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
         let payload = &buf[pos + 12..pos + 12 + len];
-        match SegRecord::decode_from_bytes(payload) {
-            Ok(r) => records.push(r),
-            Err(_) => break,
+        if payload.first() != Some(&TAG_RETIRED_FRONTIER) {
+            match SegRecord::decode_from_bytes(payload) {
+                Ok(r) => records.push(r),
+                Err(_) => break,
+            }
         }
         pos += 12 + len;
     }
@@ -351,10 +336,6 @@ impl SegLog {
                             payload,
                         });
                     }
-                    SegRecord::Frontier { client, cursor } => {
-                        let e = recovery.frontiers.entry(client).or_insert(0);
-                        *e = (*e).max(cursor);
-                    }
                 }
             }
             if seg_torn {
@@ -407,9 +388,6 @@ impl SegLog {
         }
 
         stats.recovered_records.add(recovery.batches.len() as u64);
-        stats
-            .recovered_frontiers
-            .add(recovery.frontiers.len() as u64);
 
         // Pick the active segment: reuse an intact, non-full last
         // segment, else start a fresh one at `next_seqno`. A zero-byte
@@ -453,6 +431,7 @@ impl SegLog {
                     appends_since_sync: 0,
                     sealed,
                     next_seqno: recovery.next_seqno,
+                    gauged: (0, 0),
                 },
             ),
         };
@@ -475,10 +454,13 @@ impl SegLog {
         &self.dir
     }
 
+    /// Move this log's share of the shared gauges to its current totals.
     fn refresh_gauges(&self, inner: &mut Inner) {
         let total: u64 = inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active_bytes;
-        self.stats.durable_bytes.set(total);
-        self.stats.segments.set(inner.sealed.len() as u64 + 1);
+        let now = (total, inner.sealed.len() as u64 + 1);
+        let (bytes, segments) = std::mem::replace(&mut inner.gauged, now);
+        self.stats.durable_bytes.add(now.0 as i64 - bytes as i64);
+        self.stats.segments.add(now.1 as i64 - segments as i64);
     }
 
     /// Append a committed notification batch under `seqno`.
@@ -488,30 +470,12 @@ impl SegLog {
             txn,
             payload: payload.to_vec(),
         };
-        self.append_record(&rec, true, Some(seqno))?;
-        self.stats.records_appended.inc();
-        Ok(())
-    }
-
-    /// Append a client's acked cursor frontier. Never forces a sync on
-    /// its own: losing a frontier record merely widens the replay the
-    /// client performs after recovery.
-    pub fn append_frontier(&self, client: ClientId, cursor: u64) -> DbResult<()> {
-        let rec = SegRecord::Frontier { client, cursor };
-        self.append_record(&rec, false, None)?;
-        self.stats.frontiers_appended.inc();
-        Ok(())
-    }
-
-    fn append_record(&self, rec: &SegRecord, is_batch: bool, seqno: Option<u64>) -> DbResult<()> {
         let payload = rec.encode_to_bytes();
         let framed = frame(&payload);
         let mut inner = self.inner.lock();
-        if let Some(s) = seqno {
-            inner.next_seqno = inner.next_seqno.max(s + 1);
-        }
+        inner.next_seqno = inner.next_seqno.max(seqno + 1);
 
-        if is_batch && crashpoint::hit(CrashPoint::MidAppend) {
+        if crashpoint::hit(CrashPoint::MidAppend) {
             // Partial effect: the header and roughly half the payload
             // reach the file — a genuinely torn frame.
             let cut = 12 + payload.len() / 2;
@@ -523,7 +487,7 @@ impl SegLog {
         inner.active.write_all(&framed)?;
         inner.active_bytes += framed.len() as u64;
 
-        if is_batch && crashpoint::hit(CrashPoint::PostAppendPreSync) {
+        if crashpoint::hit(CrashPoint::PostAppendPreSync) {
             // The record is fully written but not synced. (In-process
             // simulation keeps the bytes; a real crash may or may not —
             // recovery must accept either.)
@@ -531,17 +495,12 @@ impl SegLog {
             return Err(crashpoint::error(CrashPoint::PostAppendPreSync));
         }
 
-        // Only batches count toward `sync_every`: a frontier record
-        // still lands after the batches it names, so the torn-tail
-        // prefix rule keeps it safe without a sync of its own.
-        if is_batch {
-            inner.appends_since_sync += 1;
-            if inner.appends_since_sync >= self.config.sync_every {
-                self.sync_inner(&mut inner)?;
-            }
+        inner.appends_since_sync += 1;
+        if inner.appends_since_sync >= self.config.sync_every {
+            self.sync_inner(&mut inner)?;
         }
 
-        if is_batch && crashpoint::hit(CrashPoint::PostSyncPreAck) {
+        if crashpoint::hit(CrashPoint::PostSyncPreAck) {
             // Force durability, then crash before the caller learns of
             // it: the classic "durable but unacknowledged" window.
             self.sync_inner(&mut inner)?;
@@ -552,6 +511,7 @@ impl SegLog {
             self.rotate(&mut inner)?;
         }
         self.refresh_gauges(&mut inner);
+        self.stats.records_appended.inc();
         Ok(())
     }
 
@@ -587,8 +547,8 @@ impl SegLog {
         }
 
         if new_path == inner.active_path {
-            // Degenerate rotation (no batch landed in this segment —
-            // e.g. a frontier-only segment): keep appending in place.
+            // Degenerate rotation (no batch landed in this segment):
+            // keep appending in place.
             return Ok(());
         }
 
@@ -751,8 +711,6 @@ mod tests {
         for i in 1..=20u64 {
             log.append_batch(i, 100 + i, &payload(i)).unwrap();
         }
-        log.append_frontier(ClientId::new(5), 18).unwrap();
-        log.append_frontier(ClientId::new(5), 12).unwrap(); // stale; max wins
         log.sync().unwrap();
         drop(log);
 
@@ -765,31 +723,36 @@ mod tests {
         let seqnos: Vec<u64> = rec2.batches.iter().map(|b| b.seqno).collect();
         assert_eq!(seqnos, (1..=20).collect::<Vec<_>>());
         assert_eq!(rec2.batches[4].payload, payload(5));
-        assert_eq!(rec2.frontiers[&ClientId::new(5)], 18);
     }
 
     #[test]
-    fn frontier_appends_never_sync_on_their_own() {
+    fn a_retired_frontier_record_is_skipped() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         let _guard = CrashGuard::new();
-        let tmp = TempDir::new("frontier-sync");
-        let stats = SegLogStats::new();
-        let (log, _) = SegLog::open(tmp.path(), cfg(), stats.clone(), 77, 0).unwrap();
-        let syncs = stats.syncs.get();
-        for cursor in 1..=8u64 {
-            log.append_frontier(ClientId::new(5), cursor).unwrap();
-        }
-        assert_eq!(
-            stats.syncs.get(),
-            syncs,
-            "sync_every: 2 counts batches only"
-        );
-        // Batches still sync every second one, frontiers in between or not.
+        let tmp = TempDir::new("retired");
+        let (log, _) = open(tmp.path());
         log.append_batch(1, 1, &payload(1)).unwrap();
-        log.append_frontier(ClientId::new(5), 9).unwrap();
-        assert_eq!(stats.syncs.get(), syncs);
+        log.sync().unwrap();
+        drop(log);
+        // A cursor frontier as older logs wrote it, between two batches.
+        let mut w = WireWriter::new();
+        w.put_u8(TAG_RETIRED_FRONTIER);
+        displaydb_common::ClientId::new(5).encode(&mut w);
+        w.put_varint(1);
+        let segment = segment_path(tmp.path(), 1);
+        let mut file = OpenOptions::new().append(true).open(&segment).unwrap();
+        file.write_all(&frame(&w.finish())).unwrap();
+        drop(file);
+        let (log, _) = open(tmp.path());
         log.append_batch(2, 2, &payload(2)).unwrap();
-        assert_eq!(stats.syncs.get(), syncs + 1);
+        log.sync().unwrap();
+        drop(log);
+
+        let (_log, rec) = open(tmp.path());
+        assert!(!rec.window_truncated);
+        let seqnos: Vec<u64> = rec.batches.iter().map(|b| b.seqno).collect();
+        assert_eq!(seqnos, vec![1, 2]);
+        assert_eq!(rec.next_seqno, 3);
     }
 
     #[test]

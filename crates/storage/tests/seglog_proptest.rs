@@ -9,9 +9,9 @@
 //! * every *acked* append (one whose `append_batch` returned `Ok`) is
 //!   recovered — unless the tear truncated the window entirely, which is
 //!   the documented resync-fallback case,
-//! * every recovered **frontier ≤ the durable head**, and the next seqno
-//!   never re-issues a recovered one (cursor monotonicity across
-//!   incarnations),
+//! * the **durable head never trails an acked append** (a cursor acked
+//!   to a client stays replayable), and the next seqno never re-issues a
+//!   recovered one (cursor monotonicity across incarnations),
 //! * a second, crash-free reopen is idempotent: same incarnation, same
 //!   window.
 //!
@@ -21,7 +21,7 @@
 
 use displaydb_common::crashpoint::{self, CrashGuard, CrashPoint};
 use displaydb_common::metrics::SegLogStats;
-use displaydb_common::{ClientId, DbError, DurableLogConfig};
+use displaydb_common::{DbError, DurableLogConfig};
 use displaydb_storage::seglog::SegLog;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -57,7 +57,6 @@ struct Plan {
     skip: u64,
     segment_bytes: u64,
     sync_every: u32,
-    frontier_every: usize,
 }
 
 fn plan() -> impl Strategy<Value = Plan> {
@@ -71,17 +70,15 @@ fn plan() -> impl Strategy<Value = Plan> {
         (
             prop_oneof![Just(96u64), Just(192u64), Just(512u64)],
             1u32..4,
-            1usize..5,
         ),
     )
         .prop_map(
-            |((payloads, crash_idx, skip), (segment_bytes, sync_every, frontier_every))| Plan {
+            |((payloads, crash_idx, skip), (segment_bytes, sync_every))| Plan {
                 payloads,
                 crash: crash_idx.checked_sub(1).map(|i| CrashPoint::ALL[i]),
                 skip,
                 segment_bytes,
                 sync_every,
-                frontier_every,
             },
         )
 }
@@ -104,10 +101,8 @@ proptest! {
             crashpoint::arm_after(point, plan.skip);
         }
 
-        let client = ClientId::new(7);
         let mut acked: Vec<u64> = Vec::new();
         let mut appended: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut max_frontier = 0u64;
         let mut crashed = false;
         for (i, payload) in plan.payloads.iter().enumerate() {
             let seqno = (i + 1) as u64;
@@ -115,19 +110,6 @@ proptest! {
                 Ok(()) => {
                     acked.push(seqno);
                     appended.push((seqno, payload.clone()));
-                    if seqno % plan.frontier_every as u64 == 0 {
-                        // Frontiers trail the acked head, like real outbox
-                        // acks do. Count it before the append: the record
-                        // is fully framed before the only crash point a
-                        // frontier can trip (mid-rotation), so an Err here
-                        // can still leave the frontier durable.
-                        let cursor = seqno.saturating_sub(1).max(1);
-                        max_frontier = max_frontier.max(cursor);
-                        if log.append_frontier(client, cursor).is_err() {
-                            crashed = true;
-                            break;
-                        }
-                    }
                 }
                 Err(DbError::CrashPoint(_)) => {
                     // The crashing batch is un-acked; it may or may not be
@@ -176,12 +158,11 @@ proptest! {
         if let Some(&last) = seqnos.last() {
             prop_assert!(last <= appended.len() as u64);
         }
-        // Recovered frontier ≤ durable head; seqno space is monotone.
+        // No acked seqno ahead of the durable head; seqno space is
+        // monotone.
         let durable_head = rec.next_seqno - 1;
-        if let Some(&f) = rec.frontiers.get(&client) {
-            prop_assert!(f <= durable_head, "frontier {} > head {}", f, durable_head);
-            prop_assert!(f <= max_frontier);
-        }
+        let acked_head = acked.last().copied().unwrap_or(0);
+        prop_assert!(acked_head <= durable_head, "acked {} > head {}", acked_head, durable_head);
         prop_assert!(rec.next_seqno > seqnos.last().copied().unwrap_or(0));
         prop_assert!(durable_head <= appended.len() as u64);
         drop(log2);

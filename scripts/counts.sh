@@ -78,3 +78,8 @@ done
 printf '  %-16s %d\n' total "$total"
 
 echo "invcheck.allow entries: $(grep -cv -e '^#' -e '^[[:space:]]*$' invcheck.allow)"
+
+echo "document sizes (bytes):"
+for d in DESIGN.md EXPERIMENTS.md; do
+    printf '  %-16s %d\n' "$d" "$(wc -c < "$d")"
+done

@@ -593,3 +593,137 @@ fn integrated_add_object_on_a_dead_link_leaves_nothing() {
 fn agent_add_object_on_a_dead_link_leaves_nothing() {
     add_object_on_a_dead_link_leaves_nothing(&Deployment::agent());
 }
+
+/// The bytes of `ids`' display objects.
+fn object_bytes(display: &Display, ids: &[DoId]) -> usize {
+    ids.iter()
+        .map(|&id| display.object(id).unwrap().size_bytes())
+        .sum()
+}
+
+/// Eight projected display objects over one link, in one display, hold
+/// one image of it — its OID, `Utilization` and `ErrorRate`, the union of
+/// what the two classes read. A commit patches it once and refreshes all
+/// eight from it, with no read; removing the last object takes it.
+fn one_image_per_watched_object(dep: &Deployment) {
+    let (viewer, _) = dep.client("viewer");
+    let (updater, _) = dep.client("updater");
+    let link = dep.links(&updater, 1)[0];
+    let cache = Arc::new(DisplayCache::new());
+    let display = Display::open(Arc::clone(&viewer), Arc::clone(&cache), "map");
+    let classes = [two_attribute_class(), width_coded_link("Utilization")];
+    let dos: Vec<(DoId, &Arc<DisplayClassDef>)> = (0..8)
+        .map(|i| {
+            let class = &classes[i % 2];
+            (display.add_object(class, vec![link]).unwrap(), class)
+        })
+        .collect();
+    let ids: Vec<DoId> = dos.iter().map(|&(id, _)| id).collect();
+    dep.await_interest(&viewer, &[link]);
+    let image = 8 + 8 + 8;
+    assert_eq!(cache.used_bytes(), object_bytes(&display, &ids) + image);
+
+    let reads = dep.server.core().stats().reads.get();
+    let patches = cache.stats().patches;
+    dep.set(&updater, link, "Utilization", 0.5);
+    settle(&display, "the new value", || {
+        dos.iter()
+            .all(|&(id, class)| dep.shows_committed(&display, class, id, &updater))
+    });
+    assert_eq!(
+        dep.server.core().stats().reads.get() - reads,
+        0,
+        "a refresh read"
+    );
+    let stats = display.stats();
+    if dep.is_agent() {
+        assert_eq!(stats.delta_refreshes.get(), 0, "the agent sends no deltas");
+    } else {
+        assert_eq!(cache.stats().patches - patches, 1);
+        assert_eq!(stats.image_refreshes.get(), 8);
+        assert_eq!(stats.delta_reads.get(), 0);
+    }
+    assert_eq!(cache.used_bytes(), object_bytes(&display, &ids) + image);
+    assert_delta_books_balance(&display);
+    for id in ids {
+        display.remove_object(id).unwrap();
+    }
+    assert_eq!(cache.used_bytes(), 0);
+}
+
+#[test]
+fn integrated_one_image_per_watched_object() {
+    one_image_per_watched_object(&Deployment::integrated());
+}
+
+#[test]
+fn agent_one_image_per_watched_object() {
+    one_image_per_watched_object(&Deployment::agent());
+}
+
+/// Two displays of one client share a display cache, each with two
+/// objects over one link: each display holds its own image of it.
+/// Display A shows two `Utilization` commits; display B drains late, and
+/// while it handles the first — the moment an image shared across
+/// displays would be rolled back to it — A handles a commit to
+/// `ErrorRate`. Both still show committed state: a shared image would
+/// have had A derive from the rolled-back `Utilization`, and nothing
+/// later would correct it.
+fn displays_keep_their_own_images(dep: &Deployment) {
+    let (viewer, _) = dep.client("viewer");
+    let (updater, _) = dep.client("updater");
+    let link = dep.links(&updater, 1)[0];
+    let cache = Arc::new(DisplayCache::new());
+    let class = two_attribute_class();
+    let open = |name| Display::open(Arc::clone(&viewer), Arc::clone(&cache), name);
+    let (a, b) = (open("a"), open("b"));
+    let add = |display: &Display| -> Vec<DoId> {
+        (0..2)
+            .map(|_| display.add_object(&class, vec![link]).unwrap())
+            .collect()
+    };
+    let (a_ids, b_ids) = (add(&a), add(&b));
+    dep.await_interest(&viewer, &[link]);
+    let objects = object_bytes(&a, &a_ids) + object_bytes(&b, &b_ids);
+    assert_eq!(cache.used_bytes(), objects + 2 * (8 + 8 + 8));
+    let committed = |display: &Display, ids: &[DoId]| {
+        ids.iter()
+            .all(|&id| dep.shows_committed(display, &class, id, &updater))
+    };
+
+    dep.set(&updater, link, "Utilization", 0.5);
+    dep.set(&updater, link, "Utilization", 0.6);
+    settle(&a, "A ahead of B", || committed(&a, &a_ids));
+    let dispatched = &viewer.dlc().stats().notifications_dispatched;
+    let before = dispatched.get();
+    dep.set(&updater, link, "ErrorRate", 0.3);
+    wait_until("the commit in both queues", || {
+        dispatched.get() >= before + 2
+    });
+    let ahead = std::sync::Mutex::new(Some(Arc::clone(&a)));
+    b.set_draw(move |_| {
+        if let Some(a) = ahead.lock().unwrap().take() {
+            a.process_pending().unwrap();
+        }
+        None
+    });
+    settle(&b, "B caught up", || committed(&b, &b_ids));
+    settle(&a, "A at quiescence", || committed(&a, &a_ids));
+    assert_eq!(
+        a.object(a_ids[0]).unwrap().attr("MaxErr"),
+        Some(&Value::Float(0.3))
+    );
+    assert_eq!(cache.used_bytes(), objects + 2 * (8 + 8 + 8));
+    assert_delta_books_balance(&a);
+    assert_delta_books_balance(&b);
+}
+
+#[test]
+fn integrated_displays_keep_their_own_images() {
+    displays_keep_their_own_images(&Deployment::integrated());
+}
+
+#[test]
+fn agent_displays_keep_their_own_images() {
+    displays_keep_their_own_images(&Deployment::agent());
+}

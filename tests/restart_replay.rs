@@ -674,3 +674,53 @@ fn durable_acks_never_run_ahead_of_the_log() {
         );
     }
 }
+
+/// `SegLogStats::durable_bytes` and `segments` sum over a server's shard
+/// logs: once commits reached all four shards, they equal the bytes and
+/// the number of the segment files under the shard directories.
+#[test]
+fn durable_gauges_sum_over_the_shard_logs() {
+    let catalog = Arc::new(nms_catalog());
+    let tmp = TempDir::new("durable-gauges");
+    let hub = LocalHub::new();
+    let mut config = durable_config(tmp.path());
+    config.dlm.shards = 4;
+    let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
+    let updater = DbClient::connect(
+        Box::new(hub.connect().unwrap()),
+        ClientConfig::named("updater"),
+    )
+    .unwrap();
+    let mut txn = updater.begin().unwrap();
+    let links: Vec<Oid> = (0..64)
+        .map(|_| txn.create(updater.new_object("Link").unwrap()).unwrap().oid)
+        .collect();
+    txn.commit().unwrap();
+    let mut txn = updater.begin().unwrap();
+    for &oid in &links {
+        txn.update(oid, |o| o.set(&catalog, "Utilization", 0.5))
+            .unwrap();
+    }
+    txn.commit().unwrap();
+    let dlm = server.core().dlm();
+    let heads: Vec<u64> = (0..4).map(|s| dlm.update_log_of(s).head()).collect();
+    assert!(
+        heads.iter().all(|&h| h > 0),
+        "a shard logged nothing: {heads:?}"
+    );
+
+    let (mut bytes, mut segments) = (0, 0);
+    for shard in std::fs::read_dir(tmp.path().join("dlmlog")).unwrap() {
+        for file in std::fs::read_dir(shard.unwrap().path()).unwrap() {
+            let file = file.unwrap();
+            if file.file_name().to_string_lossy().starts_with("seg-") {
+                bytes += file.metadata().unwrap().len();
+                segments += 1;
+            }
+        }
+    }
+    let stats = server.core().seglog_stats();
+    assert_eq!(segments, 4, "one segment per shard");
+    assert_eq!(stats.durable_bytes.get(), bytes);
+    assert_eq!(stats.segments.get(), segments);
+}
