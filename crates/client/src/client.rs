@@ -4,7 +4,7 @@ use crate::cache::ClientCache;
 use crate::conn::{ConnStats, Connection, PushSink};
 use crate::diskcache::DiskCache;
 use crate::dlc::{Dlc, DlmBackend};
-use crate::supervisor::{ChannelFactory, Supervisor};
+use crate::supervisor::{self, ChannelFactory, Target};
 use crate::txn::ClientTxn;
 use displaydb_common::backoff::ReconnectPolicy;
 use displaydb_common::sync::{ranks, OrderedMutex};
@@ -76,28 +76,33 @@ pub struct SessionInfo {
     pub log_incarnations: Vec<u64>,
 }
 
-/// The mutable slot holding the current [`Connection`] generation.
-/// Everything that issues RPCs goes through the cell, so a supervisor
+/// The swappable slot holding a link's current generation: the server
+/// [`Connection`], or the agent connection (`None` until it is up).
+/// Everything that uses the link goes through the slot, so a supervisor
 /// reconnect atomically redirects all traffic to the new channel.
-pub(crate) struct ConnCell {
-    inner: OrderedMutex<Arc<Connection>>,
-}
+pub(crate) struct Slot<V>(OrderedMutex<V>);
 
-impl ConnCell {
-    fn new(conn: Arc<Connection>) -> Self {
-        Self {
-            inner: OrderedMutex::new(ranks::CLIENT_CONN_CELL, conn),
-        }
+impl<V: Clone> Slot<V> {
+    fn new(value: V) -> Self {
+        Self(OrderedMutex::new(ranks::CLIENT_SLOT, value))
     }
 
-    pub(crate) fn get(&self) -> Arc<Connection> {
-        Arc::clone(&self.inner.lock())
+    pub(crate) fn get(&self) -> V {
+        self.0.lock().clone()
     }
 
-    pub(crate) fn set(&self, conn: Arc<Connection>) {
-        *self.inner.lock() = conn;
+    pub(crate) fn set(&self, value: V) {
+        *self.0.lock() = value;
     }
 }
+
+/// The server link's slot; in the integrated deployment also the DLC's
+/// backend.
+type ConnCell = Slot<Arc<Connection>>;
+
+/// Agent deployment: the DLC's backend, so a supervisor can swap in a
+/// reconnected agent channel behind the DLC's immutable backend handle.
+type AgentCell = Slot<Option<Arc<DlmAgentConnection>>>;
 
 /// Integrated deployment: display-lock traffic rides the main server
 /// connection as `Request::Dlm`, an RPC, so a returned `send` means the
@@ -112,34 +117,9 @@ impl DlmBackend for IntegratedBackend {
     }
 }
 
-/// Agent deployment: the mutable slot holding the current agent
-/// connection generation, so a supervisor can swap in a reconnected
-/// agent channel behind the DLC's immutable backend handle.
-pub(crate) struct AgentCell {
-    inner: OrderedMutex<Option<Arc<DlmAgentConnection>>>,
-}
-
-impl Default for AgentCell {
-    fn default() -> Self {
-        Self {
-            inner: OrderedMutex::new(ranks::CLIENT_AGENT_CELL, None),
-        }
-    }
-}
-
-impl AgentCell {
-    pub(crate) fn get(&self) -> DbResult<Arc<DlmAgentConnection>> {
-        self.inner.lock().clone().ok_or(DbError::Disconnected)
-    }
-
-    pub(crate) fn set(&self, conn: Arc<DlmAgentConnection>) {
-        *self.inner.lock() = Some(conn);
-    }
-}
-
 impl DlmBackend for AgentCell {
     fn send(&self, request: DlmRequest) -> DbResult<()> {
-        self.get()?.send(request)
+        self.get().ok_or(DbError::Disconnected)?.send(request)
     }
 }
 
@@ -180,6 +160,22 @@ fn set_delta_hook(dlc: &Arc<Dlc>, cache: &Arc<ClientCache>, disk: Option<&Arc<Di
     });
 }
 
+/// Connect to the DLM agent over `channel`. Its events reach the DLC
+/// through a weak handle, so the agent connection does not keep the DLC
+/// (and thus the client) alive.
+fn dial_agent(
+    dlc: &Arc<Dlc>,
+    channel: Box<dyn Channel>,
+    client: ClientId,
+) -> DbResult<DlmAgentConnection> {
+    let dlc = Arc::downgrade(dlc);
+    DlmAgentConnection::connect(channel, client, move |event| {
+        if let Some(dlc) = dlc.upgrade() {
+            dlc.dispatch(event);
+        }
+    })
+}
+
 fn open_disk_cache(config: &ClientConfig) -> DbResult<Option<Arc<DiskCache>>> {
     match &config.disk_cache {
         Some((dir, bytes)) => Ok(Some(Arc::new(DiskCache::open(dir, *bytes)?))),
@@ -210,54 +206,20 @@ pub struct DbClient {
     /// Agent deployment only: the swappable agent connection slot the
     /// DLC's backend points at.
     agent: Option<Arc<AgentCell>>,
-    /// The push sink wired into each connection generation.
-    push_sink: OrderedMutex<Option<Arc<dyn PushSink>>>,
+    /// The push sink installed in each connection generation before its
+    /// handshake.
+    sink: Arc<dyn PushSink>,
     config: ClientConfig,
     /// Set by [`DbClient::close`]; tells the supervisor a subsequent
     /// connection death is deliberate, not an outage.
     closed: AtomicBool,
-    /// Supervisor monitor threads attached to this client (if any).
-    supervisors: OrderedMutex<Vec<Supervisor>>,
-    /// Agent deployment: the client reports its own commits/intents to the
-    /// DLM (paper § 4.1). Integrated deployment: the server does.
-    reports_to_dlm: bool,
 }
 
 impl DbClient {
     /// Connect in the **integrated** deployment (display locks handled by
     /// the server's embedded DLM).
     pub fn connect(channel: Box<dyn Channel>, config: ClientConfig) -> DbResult<Arc<Self>> {
-        let conn = Connection::new(channel, config.call_timeout);
-        let outcome = Self::handshake(&conn, &config.name, None)?;
-        let cache = Arc::new(ClientCache::new(config.cache_bytes));
-        let disk = open_disk_cache(&config)?;
-        let cell = Arc::new(ConnCell::new(Arc::clone(&conn)));
-        let dlc = Arc::new(Dlc::new(Arc::new(IntegratedBackend {
-            conn: Arc::clone(&cell),
-        })));
-        dlc.adopt_log_incarnations(&outcome.session.log_incarnations);
-        set_delta_hook(&dlc, &cache, disk.as_ref());
-        let sink: Arc<dyn PushSink> = Arc::new(Sink {
-            cache: Arc::clone(&cache),
-            disk: disk.clone(),
-            dlc: Arc::clone(&dlc),
-        });
-        conn.set_push_sink(Arc::clone(&sink));
-        Ok(Arc::new(Self {
-            conn: cell,
-            conn_stats: conn.stats().clone(),
-            cache,
-            disk,
-            catalog: Arc::new(outcome.catalog),
-            session: OrderedMutex::new(ranks::CLIENT_SESSION, outcome.session),
-            dlc,
-            agent: None,
-            push_sink: OrderedMutex::new(ranks::CLIENT_PUSH_SINK, Some(sink)),
-            config,
-            closed: AtomicBool::new(false),
-            supervisors: OrderedMutex::new(ranks::CLIENT_SUPERVISORS, Vec::new()),
-            reports_to_dlm: false,
-        }))
+        Self::open(channel, None, config)
     }
 
     /// Like [`DbClient::connect`], but *supervised*: a monitor thread
@@ -271,8 +233,7 @@ impl DbClient {
         config: ClientConfig,
     ) -> DbResult<Arc<Self>> {
         let client = Self::connect(factory()?, config)?;
-        let supervisor = Supervisor::server(&client, factory, policy);
-        client.supervisors.lock().push(supervisor);
+        supervisor::spawn(&client, factory, policy, Target::Server);
         Ok(client)
     }
 
@@ -284,48 +245,7 @@ impl DbClient {
         dlm_channel: Box<dyn Channel>,
         config: ClientConfig,
     ) -> DbResult<Arc<Self>> {
-        let conn = Connection::new(server_channel, config.call_timeout);
-        let outcome = Self::handshake(&conn, &config.name, None)?;
-        let cache = Arc::new(ClientCache::new(config.cache_bytes));
-        let disk = open_disk_cache(&config)?;
-
-        // The DLC's backend is the swappable agent slot; the slot is
-        // filled once the agent connection is up. Events are dispatched
-        // through a weak handle so the agent connection does not keep the
-        // DLC (and thus the client) alive.
-        let agent_cell = Arc::new(AgentCell::default());
-        let dlc = Arc::new(Dlc::new(Arc::clone(&agent_cell) as Arc<dyn DlmBackend>));
-        set_delta_hook(&dlc, &cache, disk.as_ref());
-        let weak_dlc = Arc::downgrade(&dlc);
-        let agent = DlmAgentConnection::connect(dlm_channel, outcome.session.id, move |event| {
-            if let Some(dlc) = weak_dlc.upgrade() {
-                dlc.dispatch(event);
-            }
-        })?;
-        dlc.adopt_log_incarnations(agent.log_incarnations());
-        agent_cell.set(Arc::new(agent));
-
-        let sink: Arc<dyn PushSink> = Arc::new(Sink {
-            cache: Arc::clone(&cache),
-            disk: disk.clone(),
-            dlc: Arc::clone(&dlc),
-        });
-        conn.set_push_sink(Arc::clone(&sink));
-        Ok(Arc::new(Self {
-            conn: Arc::new(ConnCell::new(Arc::clone(&conn))),
-            conn_stats: conn.stats().clone(),
-            cache,
-            disk,
-            catalog: Arc::new(outcome.catalog),
-            session: OrderedMutex::new(ranks::CLIENT_SESSION, outcome.session),
-            dlc,
-            agent: Some(agent_cell),
-            push_sink: OrderedMutex::new(ranks::CLIENT_PUSH_SINK, Some(sink)),
-            config,
-            closed: AtomicBool::new(false),
-            supervisors: OrderedMutex::new(ranks::CLIENT_SUPERVISORS, Vec::new()),
-            reports_to_dlm: true,
-        }))
+        Self::open(server_channel, Some(dlm_channel), config)
     }
 
     /// Like [`DbClient::connect_with_agent`], but with *both* channels
@@ -338,11 +258,68 @@ impl DbClient {
         config: ClientConfig,
     ) -> DbResult<Arc<Self>> {
         let client = Self::connect_with_agent(server_factory()?, dlm_factory()?, config)?;
-        let mut sups = client.supervisors.lock();
-        sups.push(Supervisor::server(&client, server_factory, policy.clone()));
-        sups.push(Supervisor::agent(&client, dlm_factory, policy));
-        drop(sups);
+        supervisor::spawn(&client, server_factory, policy.clone(), Target::Server);
+        supervisor::spawn(&client, dlm_factory, policy, Target::Agent);
         Ok(client)
+    }
+
+    /// Both deployments: the push sink goes into the connection before
+    /// the handshake, and with a `dlm_channel` the DLC's backend is the
+    /// agent slot, filled once the server has named this client.
+    fn open(
+        channel: Box<dyn Channel>,
+        dlm_channel: Option<Box<dyn Channel>>,
+        config: ClientConfig,
+    ) -> DbResult<Arc<Self>> {
+        let conn = Connection::new(channel, config.call_timeout);
+        let cell = Arc::new(ConnCell::new(Arc::clone(&conn)));
+        let cache = Arc::new(ClientCache::new(config.cache_bytes));
+        let disk = open_disk_cache(&config)?;
+        let agent = dlm_channel.as_ref().map(|_| Arc::new(AgentCell::new(None)));
+        let backend: Arc<dyn DlmBackend> = match &agent {
+            Some(agent) => Arc::clone(agent) as Arc<dyn DlmBackend>,
+            None => Arc::new(IntegratedBackend {
+                conn: Arc::clone(&cell),
+            }),
+        };
+        let dlc = Arc::new(Dlc::new(backend));
+        set_delta_hook(&dlc, &cache, disk.as_ref());
+        let sink: Arc<dyn PushSink> = Arc::new(Sink {
+            cache: Arc::clone(&cache),
+            disk: disk.clone(),
+            dlc: Arc::clone(&dlc),
+        });
+        conn.install_sink(Arc::clone(&sink));
+        let opened = Self::handshake(&conn, &config.name, None).and_then(|outcome| {
+            match (dlm_channel, &agent) {
+                (Some(channel), Some(slot)) => {
+                    let agent = dial_agent(&dlc, channel, outcome.session.id)?;
+                    dlc.adopt_log_incarnations(agent.log_incarnations());
+                    slot.set(Some(Arc::new(agent)));
+                }
+                _ => dlc.adopt_log_incarnations(&outcome.session.log_incarnations),
+            }
+            Ok(outcome)
+        });
+        // The sink holds the DLC, whose integrated backend holds the
+        // connection: dropping it would not close the channel.
+        let outcome = opened.map_err(|e| {
+            conn.close();
+            e
+        })?;
+        Ok(Arc::new(Self {
+            conn: cell,
+            conn_stats: conn.stats().clone(),
+            cache,
+            disk,
+            catalog: Arc::new(outcome.catalog),
+            session: OrderedMutex::new(ranks::CLIENT_SESSION, outcome.session),
+            dlc,
+            agent,
+            sink,
+            config,
+            closed: AtomicBool::new(false),
+        }))
     }
 
     fn handshake(
@@ -390,6 +367,10 @@ impl DbClient {
     pub(crate) fn try_resume(&self, channel: Box<dyn Channel>) -> DbResult<bool> {
         let conn =
             Connection::with_stats(channel, self.config.call_timeout, self.conn_stats.clone());
+        // Before the handshake: the server re-registers the manifest's
+        // copies before it answers, so a commit in between calls back a
+        // copy on this connection ahead of the `HelloAck`.
+        conn.install_sink(Arc::clone(&self.sink));
         let (token, incarnation) = {
             let s = self.session.lock();
             (s.token, s.incarnation)
@@ -423,13 +404,6 @@ impl DbClient {
         self.cache.invalidate(&outcome.stale);
         if let Some(disk) = &self.disk {
             disk.invalidate(&outcome.stale);
-        }
-        // Bind before the `if let`: a `push_sink.lock()` scrutinee would
-        // keep the guard alive across set_push_sink (which takes the
-        // connection's sink lock).
-        let sink = self.push_sink.lock().clone();
-        if let Some(sink) = sink {
-            conn.set_push_sink(sink);
         }
         self.dlc
             .adopt_log_incarnations(&outcome.session.log_incarnations);
@@ -484,19 +458,14 @@ impl DbClient {
             .agent
             .as_ref()
             .ok_or_else(|| DbError::Protocol("client has no DLM agent connection".into()))?;
-        let weak_dlc = Arc::downgrade(&self.dlc);
-        let agent = DlmAgentConnection::connect(channel, self.id(), move |event| {
-            if let Some(dlc) = weak_dlc.upgrade() {
-                dlc.dispatch(event);
-            }
-        })?;
+        let agent = dial_agent(&self.dlc, channel, self.id())?;
         self.conn_stats.recovery.reconnects_ok.inc();
         // The cursors acked on the old connection, under the
         // incarnations its handshake announced.
         let cursors = self.dlc.cursors();
         let agent = Arc::new(agent);
         self.dlc.adopt_log_incarnations(agent.log_incarnations());
-        agent_cell.set(Arc::clone(&agent));
+        agent_cell.set(Some(Arc::clone(&agent)));
         self.dlc.relock_all()?;
         // Ask the agent to replay the notification suffix past our
         // cursors. A shard whose log no longer covers its cursor
@@ -602,9 +571,11 @@ impl DbClient {
         &self.conn_stats
     }
 
-    /// Whether this client reports commits to a DLM agent itself.
+    /// Whether this client reports commits to a DLM agent itself: in
+    /// the agent deployment it does (paper § 4.1), in the integrated one
+    /// the server does.
     pub fn reports_to_dlm(&self) -> bool {
-        self.reports_to_dlm
+        self.agent.is_some()
     }
 
     /// Read an object, serving from the database cache when possible
@@ -742,5 +713,96 @@ impl DbClient {
 impl std::fmt::Debug for DbClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DbClient").field("id", &self.id()).finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use displaydb_schema::class::ClassBuilder;
+    use displaydb_schema::AttrType;
+    use displaydb_server::proto::{Envelope, ServerPush};
+    use displaydb_wire::{local_pair, Encode, LocalChannel};
+
+    fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.define(ClassBuilder::new("Blob").attr("Data", AttrType::Str))
+            .unwrap();
+        c
+    }
+
+    /// Play the server's side of one handshake: read the `Hello`, send
+    /// `ahead` frames, then the `HelloAck` (nothing stale). Returns the
+    /// resume request the `Hello` carried.
+    fn answer_hello(
+        server: &LocalChannel,
+        catalog: &Catalog,
+        ahead: &[Envelope],
+    ) -> Option<ResumeRequest> {
+        let frame = server.recv_timeout(Duration::from_secs(10)).unwrap();
+        let Ok(Envelope::Req(seq, Request::Hello { resume, .. })) =
+            Envelope::decode_from_bytes(&frame)
+        else {
+            panic!("expected a Hello");
+        };
+        for envelope in ahead {
+            server.send(envelope.encode_to_bytes()).unwrap();
+        }
+        let ack = Response::HelloAck {
+            client: ClientId::new(1),
+            catalog: catalog.encode_to_bytes().to_vec(),
+            session: 7,
+            incarnation: 1,
+            epoch: u64::from(resume.is_some()),
+            resumed: resume.is_some(),
+            stale: Vec::new(),
+            replay_ok: false,
+            log_incarnations: vec![0],
+        };
+        server
+            .send(Envelope::Resp(seq, ack).encode_to_bytes())
+            .unwrap();
+        resume
+    }
+
+    #[test]
+    fn a_callback_ahead_of_the_resume_ack_invalidates_the_copy() {
+        // The server re-registers a resumed client's copies before it
+        // sends `HelloAck`, so a commit in between calls a copy back on
+        // the new connection ahead of the ack. The sink must already be
+        // in place to take the copy out of the cache.
+        let catalog = catalog();
+        let (client_end, server) = local_pair();
+        let client = std::thread::scope(|s| {
+            s.spawn(|| answer_hello(&server, &catalog, &[]));
+            DbClient::connect(Box::new(client_end), ClientConfig::named("resume-race")).unwrap()
+        });
+        let mut x = DbObject::new_named(&catalog, "Blob").unwrap();
+        x.oid = Oid::new(42);
+        client.cache().insert(x.clone());
+        drop(server);
+
+        let (client_end, server) = local_pair();
+        let callback = Envelope::Push(ServerPush::Callback {
+            ack: 5,
+            oids: vec![x.oid],
+        });
+        let (resume, acked) = std::thread::scope(|s| {
+            let fake = s.spawn(|| {
+                let resume = answer_hello(&server, &catalog, &[callback]);
+                let frame = server.recv_timeout(Duration::from_secs(10)).unwrap();
+                (resume, Envelope::decode_from_bytes(&frame).unwrap())
+            });
+            assert!(client.try_resume(Box::new(client_end)).unwrap());
+            fake.join().unwrap()
+        });
+        assert_eq!(resume.unwrap().manifest, vec![(x.oid, 0)]);
+        assert_eq!(acked, Envelope::PushAck(5));
+        assert!(
+            !client.cache().contains(x.oid),
+            "a stale copy stayed cached"
+        );
+        assert_eq!(client.conn_stats().callbacks.get(), 1);
+        drop(server); // before `client`, whose connection joins its reader
     }
 }

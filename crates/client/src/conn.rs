@@ -1,20 +1,27 @@
 //! The duplex client connection.
 //!
-//! One reader thread demultiplexes everything arriving from the server:
-//! responses are matched to pending calls by sequence number; pushes
-//! (cache callbacks, display notifications) are handed to the registered
-//! [`PushSink`]. Callback pushes are acknowledged *from the reader thread*
-//! after the sink has invalidated its cache, which is what makes the
-//! server's synchronous callback protocol deadlock-free: this thread
-//! never blocks on server work.
+//! A [`wire::Reader`](displaydb_wire::Reader) thread demultiplexes
+//! everything arriving from the server: responses are matched to pending
+//! calls by sequence number; pushes (cache callbacks, display
+//! notifications) go to the connection's [`PushSink`]. Callback pushes
+//! are acknowledged *from the reader thread* after the sink has
+//! invalidated its cache, which is what makes the server's synchronous
+//! callback protocol deadlock-free: this thread never blocks on server
+//! work.
+//!
+//! The sink is installed once, before the first request
+//! ([`Connection::install_sink`]): the server may push a callback for a
+//! resumed copy before its `HelloAck`, and a callback that found no sink
+//! would be acked without invalidating anything.
 //!
 //! ## Failure semantics
 //!
-//! When the channel dies the reader thread marks the connection dead,
-//! *drains every pending call* with [`DbError::Disconnected`] — no RPC
-//! ever waits out its full timeout against a connection known to be
-//! down — and fires the registered death notifiers. The [`Supervisor`]
-//! (crate::supervisor) listens on those notifiers to start reconnecting.
+//! The connection dies when its reader exits. The reader marks the
+//! connection dead, then *drains every pending call* with
+//! [`DbError::Disconnected`] — no RPC ever waits out its full timeout
+//! against a connection known to be down — and ends, which disconnects
+//! every receiver [`Connection::died`] handed out. The supervisor
+//! ([`crate::supervisor`]) waits on one to start reconnecting.
 
 use displaydb_common::ids::IdGen;
 use displaydb_common::metrics::{Counter, RecoveryStats};
@@ -22,11 +29,9 @@ use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{DbError, DbResult, Oid};
 use displaydb_dlm::DlmEvent;
 use displaydb_server::proto::{Envelope, Request, Response, ServerPush};
-use displaydb_wire::{Channel, Decode, Encode};
+use displaydb_wire::{Channel, Decode, Encode, Reader};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Receives asynchronous pushes from the server.
@@ -88,17 +93,17 @@ const OVERLOAD_BACKOFF_START: Duration = Duration::from_millis(2);
 /// Ceiling for the per-attempt overload backoff delay.
 const OVERLOAD_BACKOFF_CAP: Duration = Duration::from_millis(50);
 
+/// In-flight calls, each waiting on its response by sequence number.
+type Pending = OrderedMutex<HashMap<u64, crossbeam::channel::Sender<Response>>>;
+
 /// A live connection to the database server.
 pub struct Connection {
-    channel: Arc<dyn Channel>,
     seq: IdGen,
-    pending: Arc<OrderedMutex<HashMap<u64, crossbeam::channel::Sender<Response>>>>,
-    sink: Arc<OrderedMutex<Option<Arc<dyn PushSink>>>>,
+    pending: Arc<Pending>,
+    sink: Arc<OnceLock<Arc<dyn PushSink>>>,
     stats: ConnStats,
     call_timeout: Duration,
-    reader: OrderedMutex<Option<JoinHandle<()>>>,
-    dead: Arc<AtomicBool>,
-    death_watchers: Arc<OrderedMutex<Vec<crossbeam::channel::Sender<()>>>>,
+    reader: Reader,
 }
 
 impl Connection {
@@ -116,65 +121,50 @@ impl Connection {
         stats: ConnStats,
     ) -> Arc<Self> {
         let channel: Arc<dyn Channel> = Arc::from(channel);
-        let conn = Arc::new(Self {
-            channel: Arc::clone(&channel),
-            seq: IdGen::starting_at(1),
-            pending: Arc::new(OrderedMutex::new(ranks::CONN_PENDING, HashMap::new())),
-            sink: Arc::new(OrderedMutex::new(ranks::CONN_SINK, None)),
-            stats,
-            call_timeout,
-            reader: OrderedMutex::new(ranks::CONN_READER, None),
-            dead: Arc::new(AtomicBool::new(false)),
-            death_watchers: Arc::new(OrderedMutex::new(ranks::CONN_DEATH_WATCHERS, Vec::new())),
-        });
-        let pending = Arc::clone(&conn.pending);
-        let sink = Arc::clone(&conn.sink);
-        let stats = conn.stats.clone();
-        let dead = Arc::clone(&conn.dead);
-        let watchers = Arc::clone(&conn.death_watchers);
-        let reader_channel = Arc::clone(&channel);
-        let handle = std::thread::Builder::new()
-            .name("db-client-reader".into())
-            .spawn(move || {
-                while let Ok(frame) = reader_channel.recv() {
-                    stats.received.inc();
-                    match Envelope::decode_from_bytes(&frame) {
-                        Ok(Envelope::Resp(seq, response)) => {
-                            // Bind before the `if let`: a `pending.lock()`
-                            // scrutinee would keep the guard alive across
-                            // the channel send.
-                            let waiter = pending.lock_or_recover().remove(&seq);
-                            if let Some(tx) = waiter {
-                                let _ = tx.send(response);
-                            }
+        let pending: Arc<Pending> =
+            Arc::new(OrderedMutex::new(ranks::CONN_PENDING, HashMap::new()));
+        let sink: Arc<OnceLock<Arc<dyn PushSink>>> = Arc::default();
+        let on_frame = {
+            let (pending, sink, stats) = (Arc::clone(&pending), Arc::clone(&sink), stats.clone());
+            let channel = Arc::clone(&channel);
+            move |frame: bytes::Bytes| {
+                stats.received.inc();
+                match Envelope::decode_from_bytes(&frame) {
+                    Ok(Envelope::Resp(seq, response)) => {
+                        // Bind before the `if let`: a `pending.lock()`
+                        // scrutinee would keep the guard alive across the
+                        // channel send.
+                        let waiter = pending.lock_or_recover().remove(&seq);
+                        if let Some(tx) = waiter {
+                            let _ = tx.send(response);
                         }
-                        Ok(Envelope::Push(ServerPush::Callback { ack, oids })) => {
-                            stats.callbacks.inc();
-                            // Clone the sink out so the callback (which may
-                            // take cache locks) runs without the sink guard.
-                            let cur = sink.lock_or_recover().clone();
-                            if let Some(sink) = cur {
-                                sink.on_invalidate(&oids);
-                            }
-                            stats.sent.inc();
-                            let _ = reader_channel.send(Envelope::PushAck(ack).encode_to_bytes());
-                        }
-                        Ok(Envelope::Push(ServerPush::Dlm(event))) => {
-                            stats.dlm_events.inc();
-                            event.record_stage(displaydb_common::trace::Stage::WireRecv);
-                            let cur = sink.lock_or_recover().clone();
-                            if let Some(sink) = cur {
-                                sink.on_dlm(event);
-                            }
-                        }
-                        Ok(_) | Err(_) => break,
                     }
+                    Ok(Envelope::Push(ServerPush::Callback { ack, oids })) => {
+                        stats.callbacks.inc();
+                        if let Some(sink) = sink.get() {
+                            sink.on_invalidate(&oids);
+                        }
+                        stats.sent.inc();
+                        let _ = channel.send(Envelope::PushAck(ack).encode_to_bytes());
+                    }
+                    Ok(Envelope::Push(ServerPush::Dlm(event))) => {
+                        stats.dlm_events.inc();
+                        event.record_stage(displaydb_common::trace::Stage::WireRecv);
+                        if let Some(sink) = sink.get() {
+                            sink.on_dlm(event);
+                        }
+                    }
+                    Ok(_) | Err(_) => return false,
                 }
-                // The channel is gone. Fail every in-flight call now —
-                // waiting out call_timeout against a dead connection
-                // would just stall the application — then tell the
-                // supervisor (if any) to start reconnecting.
-                dead.store(true, Ordering::Release);
+                true
+            }
+        };
+        // The channel is gone. Fail every in-flight call now — waiting
+        // out call_timeout against a dead connection would just stall
+        // the application.
+        let on_exit = {
+            let pending = Arc::clone(&pending);
+            move || {
                 let drained: Vec<_> = pending.lock_or_recover().drain().collect();
                 for (_, tx) in drained {
                     let _ = tx.send(Response::Error {
@@ -182,20 +172,23 @@ impl Connection {
                         message: "connection lost".into(),
                     });
                 }
-                // Take the watcher list, then notify outside the lock.
-                let watchers = std::mem::take(&mut *watchers.lock_or_recover());
-                for tx in watchers {
-                    let _ = tx.send(());
-                }
-            })
-            .expect("spawn client reader");
-        *conn.reader.lock() = Some(handle);
-        conn
+            }
+        };
+        Arc::new(Self {
+            seq: IdGen::starting_at(1),
+            pending,
+            sink,
+            stats,
+            call_timeout,
+            reader: Reader::spawn(channel, "db-client-reader", on_frame, on_exit),
+        })
     }
 
-    /// Register the push sink (cache + DLC wiring).
-    pub fn set_push_sink(&self, sink: Arc<dyn PushSink>) {
-        *self.sink.lock() = Some(sink);
+    /// Install the push sink (cache + DLC wiring). Call it once, before
+    /// the first request: a push that arrives with no sink is acked and
+    /// otherwise dropped, and a second sink is ignored.
+    pub fn install_sink(&self, sink: Arc<dyn PushSink>) {
+        let _ = self.sink.set(sink);
     }
 
     /// Connection statistics.
@@ -205,26 +198,13 @@ impl Connection {
 
     /// Whether the channel has died (reader thread exited).
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
+        self.reader.is_dead()
     }
 
-    /// Register a notifier fired (once) when the connection dies. If the
-    /// connection is already dead the notification fires immediately, so
-    /// registration cannot race with the reader's exit.
-    pub fn on_death(&self, tx: crossbeam::channel::Sender<()>) {
-        if self.is_dead() {
-            let _ = tx.send(());
-            return;
-        }
-        self.death_watchers.lock_or_recover().push(tx);
-        // Re-check: the reader may have drained the watcher list between
-        // the is_dead() check and the push.
-        if self.is_dead() {
-            let watchers = std::mem::take(&mut *self.death_watchers.lock_or_recover());
-            for tx in watchers {
-                let _ = tx.send(());
-            }
-        }
+    /// A receiver that disconnects when this connection dies (at once,
+    /// if it already has).
+    pub fn died(&self) -> crossbeam::channel::Receiver<()> {
+        self.reader.died()
     }
 
     /// Issue one RPC and wait for its response. Error responses are
@@ -264,7 +244,11 @@ impl Connection {
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.pending.lock().insert(seq, tx);
         self.stats.sent.inc();
-        if let Err(e) = self.channel.send(Envelope::encode_req(seq, request)) {
+        if let Err(e) = self
+            .reader
+            .channel()
+            .send(Envelope::encode_req(seq, request))
+        {
             self.pending.lock().remove(&seq);
             // A send on a dead channel means disconnected, whatever the
             // transport reported.
@@ -288,19 +272,7 @@ impl Connection {
 
     /// Close the connection; the reader thread terminates.
     pub fn close(&self) {
-        self.channel.close();
-    }
-}
-
-impl Drop for Connection {
-    fn drop(&mut self) {
-        self.channel.close();
-        // Bind before the `if let`: the scrutinee would keep the reader
-        // guard alive across the join.
-        let handle = self.reader.lock().take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
+        self.reader.channel().close();
     }
 }
 
@@ -391,7 +363,7 @@ mod tests {
         let (client_end, server) = local_pair();
         let conn = Connection::new(Box::new(client_end), Duration::from_secs(10));
         drop(server);
-        conn.channel.close();
+        conn.close();
         assert!(conn.call(Request::Ping).is_err());
         assert!(conn.pending.lock().is_empty());
     }

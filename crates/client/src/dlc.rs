@@ -18,7 +18,7 @@
 
 use displaydb_common::metrics::{Counter, Gauge};
 use displaydb_common::sync::{ranks, OrderedMutex};
-use displaydb_common::{DbResult, DisplayId, Oid, OverloadConfig};
+use displaydb_common::{DbResult, DisplayId, Oid};
 use displaydb_dlm::{DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -153,6 +153,12 @@ struct DlcState {
 /// (the hook takes cache locks of its own).
 type DeltaHook = Arc<dyn Fn(Oid, &[(u16, Vec<u8>)]) -> bool + Send + Sync>;
 
+/// Capacity of each display's event queue. Displays drain on every UI
+/// tick, and at the paper's 200 updates/s storm rate this is five
+/// seconds of slack — beyond that, dropping events (the next refresh
+/// cycle or reconnect restores the view) beats unbounded growth.
+const DISPLAY_QUEUE_CAPACITY: usize = 1024;
+
 /// The per-client display lock client.
 pub struct Dlc {
     backend: Arc<dyn DlmBackend>,
@@ -177,9 +183,9 @@ pub struct Dlc {
 
 impl Dlc {
     /// Create a DLC over a backend, with the default display-queue
-    /// capacity from [`OverloadConfig`].
+    /// capacity.
     pub fn new(backend: Arc<dyn DlmBackend>) -> Self {
-        Self::with_queue_capacity(backend, OverloadConfig::default().display_queue_capacity)
+        Self::with_queue_capacity(backend, DISPLAY_QUEUE_CAPACITY)
     }
 
     /// Create a DLC with an explicit per-display queue capacity.
@@ -284,9 +290,9 @@ impl Dlc {
 
     /// Register a display; notifications for its objects arrive on the
     /// returned receiver. The queue is bounded (`queue_capacity` events,
-    /// default [`OverloadConfig::display_queue_capacity`]): a display
-    /// that stops draining loses events past the bound instead of
-    /// growing memory, and recovers via the next refresh or resync.
+    /// 1024 by default): a display that stops draining loses events past
+    /// the bound instead of growing memory, and recovers via the next
+    /// refresh or resync.
     pub fn register_display(&self, display: DisplayId) -> crossbeam::channel::Receiver<DlcEvent> {
         let (tx, rx) = crossbeam::channel::bounded(self.queue_capacity);
         self.state.lock().subscribers.insert(display, tx);
@@ -873,6 +879,12 @@ mod tests {
         }
         assert!(r1.try_recv().is_err());
         assert_eq!(dlc.stats().resyncs_in.get(), 1);
+    }
+
+    #[test]
+    fn a_display_queue_holds_a_full_outbox() {
+        let high_water = displaydb_common::OverloadConfig::default().outbox_high_water;
+        assert!(DISPLAY_QUEUE_CAPACITY >= high_water);
     }
 
     #[test]

@@ -34,5 +34,5 @@ pub use client::{ClientConfig, DbClient, SessionInfo};
 pub use conn::Connection;
 pub use diskcache::{DiskCache, DiskCacheStats};
 pub use dlc::{Dlc, DlcEvent, DlcStats};
-pub use supervisor::{ChannelFactory, Supervisor};
+pub use supervisor::ChannelFactory;
 pub use txn::ClientTxn;

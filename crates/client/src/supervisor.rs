@@ -1,10 +1,11 @@
 //! Connection supervision: reconnect with backoff, session resume, and
 //! display-lock re-registration.
 //!
-//! A [`Supervisor`] is a monitor thread attached to a [`DbClient`] by
-//! [`DbClient::connect_supervised`] (or the agent variant). It watches
-//! the current connection generation through the death notifier
-//! ([`Connection::on_death`](crate::conn::Connection::on_death)) — no
+//! [`DbClient::connect_supervised`] (or the agent variant) calls
+//! `spawn`, which starts a detached monitor thread per supervised
+//! connection. The thread waits for the current connection generation
+//! to die — on [`Connection::died`](crate::conn::Connection::died), the
+//! receiver that disconnects when the generation's reader exits; no
 //! polling — and on death:
 //!
 //! 1. broadcasts [`DlcEvent::Degraded`] so displays keep serving their
@@ -20,7 +21,7 @@
 //!
 //! The thread holds only a [`Weak`] handle to the client, so supervision
 //! never keeps a dropped client alive; it exits when the client is
-//! dropped, deliberately closed, or the policy gives up.
+//! dropped, deliberately closed, or the policy gives up. Nothing joins it.
 
 use crate::client::DbClient;
 use crate::dlc::DlcEvent;
@@ -28,7 +29,6 @@ use displaydb_common::backoff::ReconnectPolicy;
 use displaydb_common::DbResult;
 use displaydb_wire::Channel;
 use std::sync::{Arc, Weak};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Produces a fresh channel per reconnect attempt (e.g. a TCP dial, or a
@@ -36,56 +36,29 @@ use std::time::Instant;
 pub type ChannelFactory = Arc<dyn Fn() -> DbResult<Box<dyn Channel>> + Send + Sync>;
 
 /// Which connection a supervisor watches.
-enum Target {
+pub(crate) enum Target {
     /// The main server connection: resume the session on reconnect.
     Server,
     /// The DLM agent connection: replay lock registrations on reconnect.
     Agent,
 }
 
-/// A monitor thread supervising one of a client's connections.
-pub struct Supervisor {
-    _thread: JoinHandle<()>,
-}
-
-impl Supervisor {
-    /// Supervise `client`'s server connection.
-    pub fn server(
-        client: &Arc<DbClient>,
-        factory: ChannelFactory,
-        policy: ReconnectPolicy,
-    ) -> Self {
-        Self::spawn(client, factory, policy, Target::Server)
-    }
-
-    /// Supervise `client`'s DLM agent connection (agent deployment).
-    pub fn agent(client: &Arc<DbClient>, factory: ChannelFactory, policy: ReconnectPolicy) -> Self {
-        Self::spawn(client, factory, policy, Target::Agent)
-    }
-
-    fn spawn(
-        client: &Arc<DbClient>,
-        factory: ChannelFactory,
-        policy: ReconnectPolicy,
-        target: Target,
-    ) -> Self {
-        let weak = Arc::downgrade(client);
-        let name = match target {
-            Target::Server => "db-supervisor",
-            Target::Agent => "dlm-supervisor",
-        };
-        let thread = std::thread::Builder::new()
-            .name(name.into())
-            .spawn(move || monitor_loop(weak, factory, policy, target))
-            .expect("spawn supervisor thread");
-        Self { _thread: thread }
-    }
-}
-
-impl std::fmt::Debug for Supervisor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Supervisor").finish_non_exhaustive()
-    }
+/// Start a detached thread supervising `client`'s `target` connection.
+pub(crate) fn spawn(
+    client: &Arc<DbClient>,
+    factory: ChannelFactory,
+    policy: ReconnectPolicy,
+    target: Target,
+) {
+    let weak = Arc::downgrade(client);
+    let name = match target {
+        Target::Server => "db-supervisor",
+        Target::Agent => "dlm-supervisor",
+    };
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || monitor_loop(weak, factory, policy, target))
+        .expect("spawn supervisor thread");
 }
 
 fn monitor_loop(
@@ -95,23 +68,21 @@ fn monitor_loop(
     target: Target,
 ) {
     loop {
-        // Register a death notifier on the current generation, then drop
-        // every strong handle before blocking: the monitor must not keep
-        // a dropped client (or its connection) alive while it waits.
-        let (tx, rx) = crossbeam::channel::bounded(1);
-        {
+        // Take the current generation's death receiver, then drop every
+        // strong handle before blocking: the monitor must not keep a
+        // dropped client (or its connection) alive while it waits.
+        let died = {
             let Some(client) = weak.upgrade() else { return };
             match target {
-                Target::Server => client.conn().on_death(tx),
-                Target::Agent => match client.agent_cell().and_then(|c| c.get().ok()) {
-                    Some(agent) => agent.on_death(tx),
+                Target::Server => client.conn().died(),
+                Target::Agent => match client.agent_cell().and_then(|c| c.get()) {
+                    Some(agent) => agent.died(),
                     None => return,
                 },
             }
-        }
-        if rx.recv().is_err() {
-            return;
-        }
+        };
+        // Nothing is ever sent: this returns when the reader exits.
+        let _ = died.recv();
 
         let Some(client) = weak.upgrade() else { return };
         if client.is_closed() {

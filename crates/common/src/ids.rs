@@ -157,6 +157,22 @@ impl Default for IdGen {
     }
 }
 
+/// Mint an incarnation: a value naming one lifetime (of a server
+/// process, of an in-memory update log) that a peer must be able to tell
+/// from every other. Nonzero, never returned twice in one process, and
+/// counted up from the wall clock (in nanoseconds) at the process's
+/// first call, so a restarted process does not repeat its predecessor's.
+pub fn mint_incarnation() -> u64 {
+    static NEXT: std::sync::OnceLock<IdGen> = std::sync::OnceLock::new();
+    NEXT.get_or_init(|| {
+        let now = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(1, |d| d.as_nanos() as u64);
+        IdGen::starting_at(now.max(1))
+    })
+    .next()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

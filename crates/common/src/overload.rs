@@ -42,12 +42,6 @@ pub struct OverloadConfig {
     /// healthy client's queue, short enough that a stalled client
     /// cannot wedge shutdown.
     pub drain_timeout: Duration,
-    /// Capacity of each display's DLC event queue. Default 1024:
-    /// displays drain on every UI tick, and at the paper's 200
-    /// updates/s storm rate this is five seconds of slack — beyond
-    /// that, dropping events (the next refresh cycle or reconnect
-    /// restores the view) beats unbounded growth.
-    pub display_queue_capacity: usize,
 }
 
 impl Default for OverloadConfig {
@@ -56,7 +50,6 @@ impl Default for OverloadConfig {
             outbox_high_water: 64,
             max_in_flight: 32,
             drain_timeout: Duration::from_millis(500),
-            display_queue_capacity: 1024,
         }
     }
 }
@@ -185,7 +178,6 @@ mod tests {
         assert!(c.outbox_high_water >= 2, "need room to coalesce");
         assert!(c.max_in_flight >= 1);
         assert!(c.drain_timeout > Duration::ZERO);
-        assert!(c.display_queue_capacity >= c.outbox_high_water);
     }
 
     #[test]

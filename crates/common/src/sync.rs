@@ -102,26 +102,13 @@ pub mod ranks {
     pub const STATS_REGISTRY: LockRank = LockRank::new(50, "stats.registry");
 
     // Client side (outermost: application-facing entry points).
-    /// Supervisor thread handles attached to a client.
-    pub const CLIENT_SUPERVISORS: LockRank = LockRank::new(100, "client.supervisors");
     /// The client's current session identity (resume token, epoch).
     pub const CLIENT_SESSION: LockRank = LockRank::new(110, "client.session");
-    /// The swappable current-connection slot.
-    pub const CLIENT_CONN_CELL: LockRank = LockRank::new(120, "client.conn_cell");
-    /// The swappable DLM-agent-connection slot.
-    pub const CLIENT_AGENT_CELL: LockRank = LockRank::new(130, "client.agent_cell");
-    /// The client's push-sink slot (re-wired on resume).
-    pub const CLIENT_PUSH_SINK: LockRank = LockRank::new(140, "client.push_sink");
-    /// The connection's reader-thread join handle.
-    pub const CONN_READER: LockRank = LockRank::new(150, "conn.reader");
+    /// A swappable connection slot (the server link's or the agent
+    /// link's current generation); taken alone, never nested.
+    pub const CLIENT_SLOT: LockRank = LockRank::new(120, "client.slot");
     /// In-flight RPCs awaiting responses, keyed by sequence number.
     pub const CONN_PENDING: LockRank = LockRank::new(160, "conn.pending");
-    /// The connection's registered push sink.
-    pub const CONN_SINK: LockRank = LockRank::new(170, "conn.sink");
-    /// Death-notifier senders fired when a connection dies.
-    pub const CONN_DEATH_WATCHERS: LockRank = LockRank::new(180, "conn.death_watchers");
-    /// Death-notifier senders fired when a DLM-agent connection dies.
-    pub const AGENT_DEATH_WATCHERS: LockRank = LockRank::new(185, "agent_conn.death_watchers");
     /// The DLC's object→displays dependency table.
     pub const DLC_STATE: LockRank = LockRank::new(190, "dlc.state");
     /// The DLC's replay cursor (last-applied update-log seqno).
@@ -209,16 +196,9 @@ pub mod ranks {
     /// DESIGN.md § 11 table are validated against this list.
     pub const ALL: &[LockRank] = &[
         STATS_REGISTRY,
-        CLIENT_SUPERVISORS,
         CLIENT_SESSION,
-        CLIENT_CONN_CELL,
-        CLIENT_AGENT_CELL,
-        CLIENT_PUSH_SINK,
-        CONN_READER,
+        CLIENT_SLOT,
         CONN_PENDING,
-        CONN_SINK,
-        CONN_DEATH_WATCHERS,
-        AGENT_DEATH_WATCHERS,
         DLC_STATE,
         DLC_CURSOR,
         DLC_DELTA_HOOK,

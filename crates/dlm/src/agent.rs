@@ -7,18 +7,21 @@
 //! (never acknowledged), and notifications flow back over the same
 //! connection.
 //!
-//! The agent adds only the link: both ends speak [`DlmRequest`] as is
-//! ([`DlmAgentConnection::send`] out, [`ShardedDlm::handle_request`]
-//! in) — the same message set and the same dispatch the integrated
-//! server reaches through `Request::Dlm` (DESIGN.md "Message
-//! vocabulary").
+//! The agent adds only the link, and the link is the server's: the
+//! agent accepts through [`displaydb_wire::serve`] and a client reads
+//! through [`displaydb_wire::Reader`], so a connection's death is its
+//! reader's exit on both links. Both ends speak [`DlmRequest`] as is
+//! ([`DlmAgentConnection::send`] out, [`ShardedDlm::handle_request`] in)
+//! and every [`DlmEvent`] back — the same message set and the same
+//! dispatch the integrated server reaches through `Request::Dlm` and
+//! `ServerPush::Dlm` (DESIGN.md "Message vocabulary").
 
 use crate::core::EventSink;
 use crate::proto::{DlmEvent, DlmRequest};
 use crate::shard::ShardedDlm;
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult};
-use displaydb_wire::{Channel, Decode, Encode, Listener};
+use displaydb_wire::{Channel, Decode, Encode, Listener, Reader};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -58,29 +61,21 @@ impl DlmAgent {
         let shutdown = Arc::new(AtomicBool::new(false));
         let sessions: Arc<OrderedMutex<Vec<Arc<dyn Channel>>>> =
             Arc::new(OrderedMutex::new(ranks::DLM_AGENT_SESSIONS, Vec::new()));
-        let accept_dlm = Arc::clone(&dlm);
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_sessions = Arc::clone(&sessions);
-        let accept_thread = std::thread::Builder::new()
-            .name("dlm-accept".into())
-            .spawn(move || {
-                while !accept_shutdown.load(Ordering::Acquire) {
-                    match listener.accept_timeout(Duration::from_millis(100)) {
-                        Ok(channel) => {
-                            let dlm = Arc::clone(&accept_dlm);
-                            let channel: Arc<dyn Channel> = Arc::from(channel);
-                            accept_sessions.lock().push(Arc::clone(&channel));
-                            std::thread::Builder::new()
-                                .name("dlm-session".into())
-                                .spawn(move || session_loop(dlm, channel))
-                                .expect("spawn dlm session");
-                        }
-                        Err(DbError::Timeout(_)) => continue,
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn dlm accept thread");
+        let accept_thread = {
+            let (dlm, sessions) = (Arc::clone(&dlm), Arc::clone(&sessions));
+            displaydb_wire::serve(
+                listener,
+                Arc::clone(&shutdown),
+                ("dlm-accept", "dlm-session"),
+                // Listed on the accept thread, so `shutdown` (which joins
+                // it first) closes every channel ever accepted.
+                move |channel| {
+                    sessions.lock().push(Arc::clone(&channel));
+                    let dlm = Arc::clone(&dlm);
+                    move || session_loop(dlm, channel)
+                },
+            )
+        };
         Self {
             dlm,
             shutdown,
@@ -131,10 +126,11 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
     // guaranteed to be the first frame the client reads — no notification
     // can be queued ahead of it. The ack names each shard's update-log
     // session incarnation — the durable incarnation when the log spills,
-    // a process-local nonce otherwise, never 0 — so a resuming client
-    // knows whether its cursors' seqno namespaces survived (DESIGN.md
-    // § 14). An agent without a durable log gets fresh nonces on every
-    // restart, which is exactly right: its seqno spaces restarted too.
+    // a nonce no earlier agent process announced otherwise, never 0 — so
+    // a resuming client knows whether its cursors' seqno namespaces
+    // survived (DESIGN.md § 14). An agent without a durable log gets
+    // fresh nonces on every restart, which is exactly right: its seqno
+    // spaces restarted too.
     let announced = dlm.session_incarnations();
     let ready = DlmEvent::Ready {
         log_incarnations: announced.clone(),
@@ -166,16 +162,13 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
 /// Client-side handle to an agent connection. Owned by the Display Lock
 /// Client in `displaydb-client`.
 pub struct DlmAgentConnection {
-    channel: Arc<dyn Channel>,
-    reader: Option<JoinHandle<()>>,
-    /// Set by the reader thread when the agent side goes away, so that
-    /// subsequent fire-and-forget sends fail fast instead of writing into
-    /// the void.
-    dead: Arc<AtomicBool>,
-    death_watchers: Arc<OrderedMutex<Vec<crossbeam::channel::Sender<()>>>>,
+    /// Marks the connection dead when the agent side goes away, so that
+    /// later fire-and-forget sends fail fast instead of writing into the
+    /// void.
+    reader: Reader,
     /// Per-shard session incarnations from the agent's handshake
-    /// `Ready` (never 0: the agent mints per-process nonces when it has
-    /// no durable update log).
+    /// `Ready` (never 0: the agent mints fresh nonces when it has no
+    /// durable update log).
     log_incarnations: Vec<u64>,
 }
 
@@ -183,8 +176,9 @@ impl DlmAgentConnection {
     /// How long `connect` waits for the agent's [`DlmEvent::Ready`] ack.
     pub const READY_TIMEOUT: Duration = Duration::from_secs(5);
 
-    /// Connect over `channel`, identifying as `client`. Incoming events
-    /// are passed to `on_event` from a dedicated reader thread.
+    /// Connect over `channel`, identifying as `client`. Every later event
+    /// is passed to `on_event` as decoded (a `Batch` whole) from a
+    /// dedicated reader thread.
     ///
     /// Blocks until the agent acknowledges the handshake with
     /// [`DlmEvent::Ready`] (or [`READY_TIMEOUT`] elapses) — transports
@@ -207,82 +201,38 @@ impl DlmAgentConnection {
                 return Err(DbError::Protocol("dlm agent did not ack handshake".into()));
             }
         };
-        let dead = Arc::new(AtomicBool::new(false));
-        let death_watchers: Arc<OrderedMutex<Vec<crossbeam::channel::Sender<()>>>> =
-            Arc::new(OrderedMutex::new(ranks::AGENT_DEATH_WATCHERS, Vec::new()));
-        let read_channel = Arc::clone(&channel);
-        let read_dead = Arc::clone(&dead);
-        let read_watchers = Arc::clone(&death_watchers);
-        let reader = std::thread::Builder::new()
-            .name("dlm-events".into())
-            .spawn(move || {
-                while let Ok(frame) = read_channel.recv() {
-                    match DlmEvent::decode_from_bytes(&frame) {
-                        // A stray Ready is connection plumbing, not a
-                        // notification.
-                        Ok(DlmEvent::Ready { .. }) => continue,
-                        // Batches exist only on the wire: unwrap so
-                        // consumers see a flat event stream.
-                        Ok(DlmEvent::Batch(events)) => {
-                            for event in events {
-                                event.record_stage(displaydb_common::trace::Stage::WireRecv);
-                                on_event(event);
-                            }
-                        }
-                        Ok(event) => {
-                            event.record_stage(displaydb_common::trace::Stage::WireRecv);
-                            on_event(event);
-                        }
-                        Err(_) => break,
-                    }
-                }
-                read_dead.store(true, Ordering::Release);
-                // Take the watcher list before firing: the notifier
-                // sends must not run under the list's lock.
-                let watchers = std::mem::take(&mut *read_watchers.lock_or_recover());
-                for tx in watchers {
-                    let _ = tx.send(());
-                }
-            })
-            .expect("spawn dlm event reader");
+        let on_frame = move |frame: bytes::Bytes| match DlmEvent::decode_from_bytes(&frame) {
+            Ok(event) => {
+                event.record_stage(displaydb_common::trace::Stage::WireRecv);
+                on_event(event);
+                true
+            }
+            Err(_) => false,
+        };
         Ok(Self {
-            channel,
-            reader: Some(reader),
-            dead,
-            death_watchers,
+            reader: Reader::spawn(channel, "dlm-events", on_frame, || {}),
             log_incarnations,
         })
     }
 
     /// The per-shard update-log session incarnations the agent
     /// announced in its handshake `Ready`, index = shard — never 0 (a
-    /// non-durable agent announces per-process nonces, so a restarted
-    /// agent is always detectable). Cursors are only worth persisting
-    /// together with these values.
+    /// non-durable agent announces nonces no earlier agent process
+    /// announced, so a restarted agent is always detectable). Cursors are
+    /// only worth persisting together with these values.
     pub fn log_incarnations(&self) -> &[u64] {
         &self.log_incarnations
     }
 
     /// Whether the agent side of the connection has gone away.
     pub fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
+        self.reader.is_dead()
     }
 
-    /// Register a notifier fired (once) when the agent connection dies.
-    /// Fires immediately if it is already dead, so registration cannot
-    /// race with the reader's exit.
-    pub fn on_death(&self, tx: crossbeam::channel::Sender<()>) {
-        if self.is_dead() {
-            let _ = tx.send(());
-            return;
-        }
-        self.death_watchers.lock_or_recover().push(tx);
-        if self.is_dead() {
-            let watchers = std::mem::take(&mut *self.death_watchers.lock_or_recover());
-            for tx in watchers {
-                let _ = tx.send(());
-            }
-        }
+    /// A receiver that disconnects when this connection dies (at once,
+    /// if it already has).
+    pub fn died(&self) -> crossbeam::channel::Receiver<()> {
+        self.reader.died()
     }
 
     /// Send one request (fire-and-forget: the agent never acknowledges,
@@ -291,16 +241,7 @@ impl DlmAgentConnection {
         if self.is_dead() {
             return Err(DbError::Disconnected);
         }
-        self.channel.send(request.encode_to_bytes())
-    }
-}
-
-impl Drop for DlmAgentConnection {
-    fn drop(&mut self) {
-        self.channel.close();
-        if let Some(h) = self.reader.take() {
-            let _ = h.join();
-        }
+        self.reader.channel().send(request.encode_to_bytes())
     }
 }
 
@@ -337,15 +278,50 @@ mod tests {
         client: u64,
     ) -> (DlmAgentConnection, crossbeam::channel::Receiver<DlmEvent>) {
         let (tx, rx) = unbounded();
+        // Flattened, as `Dlc::dispatch` flattens them: these tests match
+        // single events.
         let conn = DlmAgentConnection::connect(
             Box::new(hub.connect().unwrap()),
             ClientId::new(client),
-            move |e| {
-                let _ = tx.send(e);
+            move |e| match e {
+                DlmEvent::Batch(events) => events.into_iter().for_each(|e| {
+                    let _ = tx.send(e);
+                }),
+                e => {
+                    let _ = tx.send(e);
+                }
             },
         )
         .unwrap();
         (conn, rx)
+    }
+
+    #[test]
+    fn accepts_racing_shutdown_leave_no_channel_open() {
+        for _ in 0..20 {
+            let hub = LocalHub::new();
+            let mut agent = DlmAgent::spawn(
+                Arc::new(ShardedDlm::new(DlmConfig::default())),
+                Box::new(hub.clone()),
+            );
+            let dialers: Vec<_> = (0..2)
+                .map(|_| {
+                    let hub = hub.clone();
+                    std::thread::spawn(move || hub.connect().unwrap())
+                })
+                .collect();
+            // The dialers' and the agent's handles are the last ones: a
+            // channel never accepted dies with them.
+            drop(hub);
+            agent.shutdown();
+            for dialer in dialers {
+                let channel = dialer.join().unwrap();
+                assert!(matches!(
+                    channel.recv_timeout(Duration::from_secs(10)),
+                    Err(DbError::Disconnected)
+                ));
+            }
+        }
     }
 
     #[test]

@@ -121,20 +121,14 @@ pub struct UpdateLog {
     stats: UpdateLogStats,
     /// Stable-storage spill; `None` for the classic in-memory-only log.
     durable: Option<SegLog>,
-    /// Process-local nonce naming this log instance's seqno space when
-    /// no durable incarnation exists. Never 0, never reused within a
-    /// process — so a cursor minted against a dead in-memory log can
-    /// never "match" a fresh one (see [`UpdateLog::session_incarnation`]).
+    /// Nonce naming this log instance's seqno space when no durable
+    /// incarnation exists ([`mint_incarnation`]). Never 0, never reused
+    /// within a process or by a restarted one — so a cursor minted
+    /// against a dead in-memory log can never "match" a fresh one (see
+    /// [`UpdateLog::session_incarnation`]).
+    ///
+    /// [`mint_incarnation`]: displaydb_common::ids::mint_incarnation
     session_nonce: u64,
-}
-
-/// Mint a process-unique, nonzero session nonce. Seeded high so it can
-/// never collide with the small timestamps tests use for durable
-/// incarnations.
-fn mint_session_nonce() -> u64 {
-    static NEXT: std::sync::atomic::AtomicU64 =
-        std::sync::atomic::AtomicU64::new(0x5EED_0000_0000_0001);
-    NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Durable batch payload: `(origin, updates)` via the wire encoding.
@@ -200,7 +194,7 @@ impl UpdateLog {
             config: clamped(config),
             stats,
             durable: None,
-            session_nonce: mint_session_nonce(),
+            session_nonce: displaydb_common::ids::mint_incarnation(),
         }
     }
 
@@ -277,7 +271,7 @@ impl UpdateLog {
             config,
             stats,
             durable: Some(seg),
-            session_nonce: mint_session_nonce(),
+            session_nonce: displaydb_common::ids::mint_incarnation(),
         };
         Ok((log, recovery))
     }
@@ -472,6 +466,36 @@ mod tests {
 
     fn upd(oid: u64) -> Vec<UpdateInfo> {
         vec![UpdateInfo::lazy(Oid::new(oid))]
+    }
+
+    #[test]
+    fn a_restarted_process_mints_new_session_incarnations() {
+        // Run as a child of itself with PRINT set, this prints the
+        // session incarnation of the child process's first log.
+        const PRINT: &str = "DISPLAYDB_PRINT_SESSION_INCARNATION";
+        const NAME: &str = "log::tests::a_restarted_process_mints_new_session_incarnations";
+        if std::env::var_os(PRINT).is_some() {
+            println!("incarnation={}", log(8, 1 << 20).session_incarnation());
+            return;
+        }
+        let first_log_of_a_new_process = || {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([NAME, "--exact", "--nocapture", "--test-threads=1"])
+                .env(PRINT, "1")
+                .output()
+                .unwrap();
+            assert!(out.status.success(), "{out:?}");
+            String::from_utf8(out.stdout)
+                .unwrap()
+                .lines()
+                .find_map(|l| l.split_once("incarnation=").map(|(_, v)| v))
+                .expect("the child printed its incarnation")
+                .parse::<u64>()
+                .unwrap()
+        };
+        let (first, second) = (first_log_of_a_new_process(), first_log_of_a_new_process());
+        assert_ne!(first, 0);
+        assert_ne!(first, second, "a restarted agent must be detectable");
     }
 
     #[test]

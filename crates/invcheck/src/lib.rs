@@ -3,8 +3,9 @@
 //! A pluggable rule engine over a hand-rolled lexer and token-stream
 //! scanner. Four rule families:
 //!
-//! * **lock** — the hierarchy/blocking/poison rules (DESIGN.md §11), keyed by
-//!   the rank registry parsed from `common/src/sync.rs`;
+//! * **lock** — the hierarchy/blocking/poison rules and unused ranks
+//!   (DESIGN.md §11), keyed by the rank registry parsed from
+//!   `common/src/sync.rs`;
 //! * **durability** — commit-path appends must be synced before any
 //!   ack/frontier/cursor write escapes; fsync-adjacent mutations carry
 //!   crash-point probes; every `CrashPoint` variant is exercised;

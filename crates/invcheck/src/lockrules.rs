@@ -23,13 +23,17 @@
 //!    cannot rank are reported from the graph's strongly-connected
 //!    components.
 //!
+//! Across files it reports every declared rank that no production code
+//! names as `ranks::X` — the rank a change left behind when it deleted
+//! its lock's last user — when the declaring file is in the scan set.
+//!
 //! `mod tests` regions are skipped: test-only lock usage is covered by
 //! the runtime audit (`--features lock-audit`), not the linter.
 
 use crate::lexer::Token;
 use crate::registry::Registry;
 use crate::report::{rules, Finding};
-use crate::source::{match_brackets, matches_punct, test_regions, SourceFile};
+use crate::source::{in_regions, match_brackets, matches_punct, test_regions, SourceFile};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// Method names that acquire a guard when called with no arguments.
@@ -83,6 +87,7 @@ pub fn analyze(files: &[SourceFile], registry: &Registry, opts: &ScanOptions) ->
         analyze_file(file, registry, opts, &mut analysis);
     }
     cycle_findings(&analysis.edges, &mut analysis.findings);
+    unused_ranks(files, registry, &mut analysis.findings);
     analysis.findings.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.lock, &a.detail)
             .cmp(&(&b.file, b.line, b.rule, &b.lock, &b.detail))
@@ -95,6 +100,47 @@ pub fn analyze(files: &[SourceFile], registry: &Registry, opts: &ScanOptions) ->
             && a.detail == b.detail
     });
     analysis
+}
+
+/// Path suffix of the file declaring the rank registry.
+const RANKS_DECL: &str = "common/src/sync.rs";
+
+/// Flag each registry rank that no production code (outside test files
+/// and `mod tests`) names as `ranks::X`. A no-op unless the declaring
+/// file is among `files`, so fixture workspaces opt in by including one.
+fn unused_ranks(files: &[SourceFile], registry: &Registry, out: &mut Vec<Finding>) {
+    let Some(decl) = files.iter().find(|f| f.path.ends_with(RANKS_DECL)) else {
+        return;
+    };
+    let mut named: HashSet<&str> = HashSet::new();
+    for file in files.iter().filter(|f| !f.is_test) {
+        let toks = &file.tokens;
+        let tests = test_regions(toks, &match_brackets(toks));
+        for (i, w) in toks.windows(4).enumerate() {
+            if w[0].is_ident("ranks") && w[1].is_punct(':') && w[2].is_punct(':') {
+                if let Some(ident) = w[3].ident().filter(|_| !in_regions(&tests, i)) {
+                    named.insert(ident);
+                }
+            }
+        }
+    }
+    for entry in &registry.entries {
+        if named.contains(entry.const_ident.as_str()) {
+            continue;
+        }
+        let line = decl
+            .tokens
+            .windows(2)
+            .find(|w| w[0].is_ident("const") && w[1].is_ident(&entry.const_ident))
+            .map_or(1, |w| w[1].line);
+        out.push(Finding {
+            rule: rules::UNUSED_RANK,
+            file: decl.path.clone(),
+            line,
+            lock: entry.name.clone(),
+            detail: entry.const_ident.clone(),
+        });
+    }
 }
 
 /// How long a freshly acquired guard lives.

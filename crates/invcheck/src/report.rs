@@ -11,6 +11,8 @@ pub mod rules {
     pub const BLOCKING: &str = "blocking-under-guard";
     /// A poison-propagating `.lock().unwrap()` on a request path.
     pub const POISON: &str = "poison-unwrap";
+    /// A declared rank that no production code names.
+    pub const UNUSED_RANK: &str = "unused-rank";
 
     // ---- durability family ----
     /// A commit-path append with no reachable sync before the function
@@ -44,7 +46,9 @@ pub mod rules {
 /// `protocol`, or `trace`).
 pub fn family_of(rule: &str) -> &'static str {
     match rule {
-        rules::ORDER | rules::CYCLE | rules::BLOCKING | rules::POISON => "lock",
+        rules::ORDER | rules::CYCLE | rules::BLOCKING | rules::POISON | rules::UNUSED_RANK => {
+            "lock"
+        }
         rules::APPEND_NO_SYNC
         | rules::ACK_BEFORE_SYNC
         | rules::MISSING_CRASHPOINT
@@ -115,6 +119,10 @@ impl Finding {
                 "`{}` propagates poisoning on a request path; use lock_or_recover() \
                  (or an OrderedMutex, whose lock() recovers)",
                 self.detail
+            ),
+            rules::UNUSED_RANK => format!(
+                "rank '{}' (`ranks::{}`) is named by no production code: delete it",
+                self.lock, self.detail
             ),
             rules::APPEND_NO_SYNC => format!(
                 "append `{}` in `{}` is never followed by a sync before the \

@@ -114,7 +114,7 @@ fn registry_covers_dlm_shard_ranks() {
     assert!(rank_of("dlm.table") < rank_of("dlm.update_log"));
     assert!(rank_of("dlm.update_log") < rank_of("dlm.agent_sessions"));
     assert!(rank_of("dlm.agent_sessions") < rank_of("outbox.state"));
-    assert_eq!(ranks::ALL.len(), 43);
+    assert_eq!(ranks::ALL.len(), 36);
 }
 
 #[test]
@@ -211,6 +211,54 @@ fn clean_tricky_code_is_not_flagged() {
         findings.is_empty(),
         "clean fixture produced findings: {findings:?}"
     );
+}
+
+/// Scan `fixture` at `path` beside a synthetic rank registry scanned as
+/// the declaring file, which opts the workspace into the unused-rank
+/// rule.
+fn run_with_rank_decl(path: &str, fixture: &str) -> Vec<Finding> {
+    let decl = include_str!("fixtures/rank_decl.rs");
+    check_sources(
+        decl,
+        &[
+            ("crates/common/src/sync.rs".to_string(), decl.to_string()),
+            (path.to_string(), fixture.to_string()),
+        ],
+        &ScanOptions::default(),
+    )
+    .findings
+}
+
+#[test]
+fn a_rank_named_only_by_tests_is_unused() {
+    let findings = run_with_rank_decl(
+        "crates/client/src/seeded_unused_rank.rs",
+        include_str!("fixtures/seeded_unused_rank.rs"),
+    );
+    assert_eq!(findings.len(), 1, "expected one finding, got: {findings:?}");
+    let f = &findings[0];
+    assert_eq!(f.rule, rules::UNUSED_RANK);
+    assert_eq!(
+        (f.lock.as_str(), f.detail.as_str()),
+        ("fixture.left", "FIXTURE_LEFT")
+    );
+    // Reported where the rank is declared.
+    assert_eq!((f.file.as_str(), f.line), ("crates/common/src/sync.rs", 10));
+}
+
+#[test]
+fn ranks_named_by_production_code_are_not_unused() {
+    let findings = run_with_rank_decl(
+        "crates/client/src/clean_unused_rank.rs",
+        include_str!("fixtures/clean_unused_rank.rs"),
+    );
+    assert!(findings.is_empty(), "clean fixture produced: {findings:?}");
+    // Without the declaring file in the scan set the rule stays quiet.
+    let alone = run(
+        "crates/client/src/seeded_unused_rank.rs",
+        include_str!("fixtures/seeded_unused_rank.rs"),
+    );
+    assert!(alone.is_empty(), "no registry file, yet: {alone:?}");
 }
 
 #[test]

@@ -65,13 +65,14 @@ use std::time::Duration;
 /// Fresh (non-resume) connects are never gated.
 const RESUME_ADMISSION_MAX: usize = 64;
 
+/// Buffer-pool frames of the object store.
+const BUFFER_FRAMES: usize = 256;
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Directory for the data file and WAL.
     pub data_dir: PathBuf,
-    /// Buffer pool frames.
-    pub buffer_frames: usize,
     /// fsync the WAL on every commit.
     pub sync_commits: bool,
     /// Lock manager tuning.
@@ -104,7 +105,6 @@ impl ServerConfig {
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         Self {
             data_dir: data_dir.into(),
-            buffer_frames: 256,
             sync_commits: false,
             lock: LockManagerConfig::default(),
             dlm: DlmConfig::default(),
@@ -443,15 +443,11 @@ impl ServerCore {
         let store = ObjectStore::open(
             &config.data_dir,
             Arc::clone(&catalog),
-            config.buffer_frames,
+            BUFFER_FRAMES,
             config.sync_commits,
         )?;
         let catalog_bytes = catalog.encode_to_bytes().to_vec();
-        let incarnation = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(1)
-            .max(1);
+        let incarnation = displaydb_common::ids::mint_incarnation();
         // With a durable update log, recover the replay window from
         // `data_dir/dlmlog`, cross-checked against the commit stream the
         // main WAL held at open: a durable notification stream that stops

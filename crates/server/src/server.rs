@@ -1,7 +1,9 @@
 //! Server lifecycle: accept loops, session threads and their request
 //! workers.
 //!
-//! Each connection gets a *session thread* that only demultiplexes frames:
+//! Each listener runs the accept loop the DLM agent runs too
+//! ([`displaydb_wire::serve`]), which starts one *session thread* per
+//! accepted channel. A session thread only demultiplexes frames:
 //! push-acks are routed to their waiters, and every admitted request is
 //! handed to one of the session's *request workers*. The session thread
 //! never executes a request, because a request may block — on a lock
@@ -35,7 +37,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// A running database server.
 pub struct Server {
@@ -53,32 +54,21 @@ impl Server {
     ) -> DbResult<Self> {
         let core = ServerCore::open(catalog, config)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let mut accept_threads = Vec::new();
-        for listener in listeners {
-            let core = Arc::clone(&core);
-            let shutdown = Arc::clone(&shutdown);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name("db-accept".into())
-                    .spawn(move || {
-                        while !shutdown.load(Ordering::Acquire) {
-                            match listener.accept_timeout(Duration::from_millis(100)) {
-                                Ok(channel) => {
-                                    let core = Arc::clone(&core);
-                                    let channel: Arc<dyn Channel> = Arc::from(channel);
-                                    std::thread::Builder::new()
-                                        .name("db-session".into())
-                                        .spawn(move || session_loop(core, channel))
-                                        .expect("spawn session thread");
-                                }
-                                Err(DbError::Timeout(_)) => continue,
-                                Err(_) => break,
-                            }
-                        }
-                    })
-                    .expect("spawn accept thread"),
-            );
-        }
+        let accept_threads = listeners
+            .into_iter()
+            .map(|listener| {
+                let core = Arc::clone(&core);
+                displaydb_wire::serve(
+                    listener,
+                    Arc::clone(&shutdown),
+                    ("db-accept", "db-session"),
+                    move |channel| {
+                        let core = Arc::clone(&core);
+                        move || session_loop(core, channel)
+                    },
+                )
+            })
+            .collect();
         Ok(Self {
             core,
             shutdown,
@@ -353,6 +343,7 @@ mod tests {
     use parking_lot::Mutex;
     use std::collections::HashMap;
     use std::path::PathBuf;
+    use std::time::Duration;
 
     fn catalog() -> Arc<Catalog> {
         let mut c = Catalog::new();

@@ -14,13 +14,17 @@
 //!   the propagation experiments (paper § 4.3 measured 1–2 s propagation on
 //!   a mid-90s LAN; the simulator lets us reproduce the *shape* of that
 //!   result deterministically).
+//! * [`link`] — the accept loop and the frame reader both fig.-3 links
+//!   run on.
 
 pub mod codec;
 pub mod frame;
+pub mod link;
 pub mod transport;
 
 pub use codec::{fnv1a, Decode, Encode, WireReader, WireWriter};
 pub use frame::{read_frame, write_frame, FrameBuf};
+pub use link::{serve, Reader};
 pub use transport::{
     local_pair, sim_pair, Channel, FaultPlan, FaultyChannel, FaultyListener, Listener,
     LocalChannel, LocalHub, MeteredChannel, SimNetConfig, TcpChannel, TcpListenerWrapper,

@@ -58,7 +58,7 @@ pub use displaydb_wire as wire;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use displaydb_client::{
-        ChannelFactory, ClientConfig, ClientTxn, DbClient, DlcEvent, SessionInfo, Supervisor,
+        ChannelFactory, ClientConfig, ClientTxn, DbClient, DlcEvent, SessionInfo,
     };
     pub use displaydb_common::backoff::ReconnectPolicy;
     pub use displaydb_common::metrics::RecoveryStats;
