@@ -68,11 +68,10 @@ pub struct SessionInfo {
     pub incarnation: u64,
     /// How many times this session has been resumed (0 = fresh).
     pub epoch: u64,
-    /// Per-shard durable update-log incarnations (index = shard, 0 =
-    /// that shard has no durable log). They travel with the per-shard
-    /// notification cursors on resume: a shard's cursor is only
-    /// admitted across a server restart when the log incarnation it was
-    /// acked under survived (DESIGN.md §§ 14, 16).
+    /// Per-shard update-log incarnations (index = shard, never 0). They
+    /// travel with the per-shard notification cursors on resume: a
+    /// shard's cursor is only admitted while the log incarnation it was
+    /// acked under lives (DESIGN.md §§ 14, 16).
     pub log_incarnations: Vec<u64>,
 }
 
@@ -375,10 +374,7 @@ impl DbClient {
             let s = self.session.lock();
             (s.token, s.incarnation)
         };
-        // The cache does not track commit versions, so the manifest
-        // claims version 0 for everything; the server conservatively
-        // reports stale any copy it cannot prove current.
-        let manifest: Vec<(Oid, u64)> = self.cache.oids().into_iter().map(|oid| (oid, 0)).collect();
+        let manifest = self.cache.oids();
         // The per-shard notification cursors travel with the resume
         // token so the server can decide up front, per shard, whether
         // that shard's update log still covers everything this client
@@ -405,8 +401,12 @@ impl DbClient {
         if let Some(disk) = &self.disk {
             disk.invalidate(&outcome.stale);
         }
-        self.dlc
-            .adopt_log_incarnations(&outcome.session.log_incarnations);
+        if self.agent.is_none() {
+            // The cursors are the server's only in the integrated
+            // deployment; the agent's come from its `Ready`.
+            self.dlc
+                .adopt_log_incarnations(&outcome.session.log_incarnations);
+        }
         *self.session.lock() = outcome.session;
         // Swap first: the relock below rides the new connection (in the
         // integrated deployment the DLC backend is this same cell).
@@ -480,7 +480,7 @@ impl DbClient {
         // survived, a replay could silently skip updates.
         let survived = cursors
             .iter()
-            .any(|sc| agent.log_incarnations().get(sc.shard as usize) == Some(&sc.log_incarnation));
+            .any(|sc| sc.acked_under(agent.log_incarnations()));
         let replayed = survived && agent.send(DlmRequest::ReplayFrom { cursors }).is_ok();
         if replayed {
             // Cursor validity crossed connection (and, with a durable
@@ -546,8 +546,8 @@ impl DbClient {
         }
     }
 
-    /// Invalidation of a deleted object across the local caches.
-    pub(crate) fn uncache_deleted(&self, oid: Oid) {
+    /// Drop an object from the local caches.
+    pub(crate) fn uncache(&self, oid: Oid) {
         self.cache.invalidate(&[oid]);
         if let Some(disk) = &self.disk {
             disk.remove(oid);
@@ -796,7 +796,7 @@ mod tests {
             assert!(client.try_resume(Box::new(client_end)).unwrap());
             fake.join().unwrap()
         });
-        assert_eq!(resume.unwrap().manifest, vec![(x.oid, 0)]);
+        assert_eq!(resume.unwrap().manifest, vec![x.oid]);
         assert_eq!(acked, Envelope::PushAck(5));
         assert!(
             !client.cache().contains(x.oid),
@@ -804,5 +804,54 @@ mod tests {
         );
         assert_eq!(client.conn_stats().callbacks.get(), 1);
         drop(server); // before `client`, whose connection joins its reader
+    }
+
+    #[test]
+    fn a_commit_whose_answer_is_lost_drops_the_written_copy() {
+        // The server applied the commit, logged it past a cursor ack the
+        // client already holds, and the link died before the answer
+        // came. The commit called back no copy of the client's own, so a
+        // resume would prove the old copy current: it must not be cached.
+        let catalog = catalog();
+        let (client_end, server) = local_pair();
+        let client = std::thread::scope(|s| {
+            s.spawn(|| answer_hello(&server, &catalog, &[]));
+            DbClient::connect(Box::new(client_end), ClientConfig::named("lost-answer")).unwrap()
+        });
+        let mut x = DbObject::new_named(&catalog, "Blob").unwrap();
+        x.oid = Oid::new(42);
+        client.cache().insert(x.clone());
+        let committed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let frame = server.recv_timeout(Duration::from_secs(10)).unwrap();
+                let request = Envelope::decode_from_bytes(&frame).unwrap();
+                assert!(matches!(request, Envelope::Req(_, Request::Commit { .. })));
+                let ack = DlmEvent::CursorAck { shard: 0, seqno: 9 };
+                server
+                    .send(Envelope::Push(ServerPush::Dlm(ack)).encode_to_bytes())
+                    .unwrap();
+                server.close();
+            });
+            let mut txn = client.begin().unwrap();
+            txn.update(x.oid, |o| o.set(&catalog, "Data", "new"))
+                .unwrap();
+            txn.commit()
+        });
+        assert!(matches!(committed, Err(DbError::Disconnected)));
+        assert!(
+            !client.cache().contains(x.oid),
+            "the old copy stayed cached"
+        );
+
+        let (client_end, server) = local_pair();
+        let resume = std::thread::scope(|s| {
+            let fake = s.spawn(|| answer_hello(&server, &catalog, &[]));
+            assert!(client.try_resume(Box::new(client_end)).unwrap());
+            fake.join().unwrap()
+        });
+        let resume = resume.unwrap();
+        assert_eq!(resume.cursors[0].cursor, 9);
+        assert_eq!(resume.manifest, Vec::<Oid>::new());
+        drop(server);
     }
 }

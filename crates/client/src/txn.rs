@@ -172,7 +172,8 @@ impl ClientTxn {
     /// the commit standing. When the server refuses, nothing was applied
     /// and it holds nothing for this transaction any more — after a
     /// `StaleBase` refusal of its patches, the write set goes once more
-    /// with full states.
+    /// with full states. When the outcome is unknown (`Disconnected`,
+    /// `Timeout`), the write set leaves the local caches.
     pub fn commit(mut self) -> DbResult<()> {
         // Mint a trace id at the committing client (0 when tracing is
         // off): the server stamps the notification fan-out with it, and
@@ -180,17 +181,28 @@ impl ClientTxn {
         // it to the DLM agent.
         let trace = displaydb_common::trace::next_trace_id();
         let patches = self.id.is_none();
-        match self.send_commit(patches, trace) {
-            Err(DbError::StaleBase { .. }) if patches => self.send_commit(false, trace)?,
-            result => result?,
+        let sent = match self.send_commit(patches, trace) {
+            Err(DbError::StaleBase { .. }) if patches => self.send_commit(false, trace),
+            result => result,
         };
+        if let Err(e) = sent {
+            if matches!(e, DbError::Disconnected | DbError::Timeout(_)) {
+                // The commit may have applied, and it calls back no copy
+                // of its own client's: were the copies kept, a resume
+                // could prove them current (DESIGN.md § 14).
+                for oid in self.local.keys() {
+                    self.client.uncache(*oid);
+                }
+            }
+            return Err(e);
+        }
         // The server-side transaction ended with it: `Drop` aborts nothing.
         let txn = self.id.take();
         // Refresh the local cache with the now-committed states.
         for (oid, view) in &self.local {
             match view {
                 Some(obj) => self.client.cache_committed(obj),
-                None => self.client.uncache_deleted(*oid),
+                None => self.client.uncache(*oid),
             }
         }
         if self.client.reports_to_dlm() {

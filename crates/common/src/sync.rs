@@ -125,8 +125,6 @@ pub mod ranks {
     pub const SERVER_SESSIONS: LockRank = LockRank::new(300, "server.sessions");
     /// Issued resume tokens.
     pub const SERVER_RESUME_TOKENS: LockRank = LockRank::new(310, "server.resume_tokens");
-    /// Per-object commit version counters.
-    pub const SERVER_VERSIONS: LockRank = LockRank::new(320, "server.versions");
     /// A session's outbox back-reference slot.
     pub const SESSION_OUTBOX: LockRank = LockRank::new(330, "session.outbox");
     /// A session's pending callback-ack waiters.
@@ -206,7 +204,6 @@ pub mod ranks {
         CLIENT_DISKCACHE,
         SERVER_SESSIONS,
         SERVER_RESUME_TOKENS,
-        SERVER_VERSIONS,
         SESSION_OUTBOX,
         SESSION_ACKS,
         SERVER_TXNS,

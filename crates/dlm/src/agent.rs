@@ -124,16 +124,11 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
     };
     // Ack the handshake *before* registering the sink, so `Ready` is
     // guaranteed to be the first frame the client reads — no notification
-    // can be queued ahead of it. The ack names each shard's update-log
-    // session incarnation — the durable incarnation when the log spills,
-    // a nonce no earlier agent process announced otherwise, never 0 — so
-    // a resuming client knows whether its cursors' seqno namespaces
-    // survived (DESIGN.md § 14). An agent without a durable log gets
-    // fresh nonces on every restart, which is exactly right: its seqno
-    // spaces restarted too.
-    let announced = dlm.session_incarnations();
+    // can be queued ahead of it. The ack names each shard's log
+    // incarnation, so a resuming client knows whether its cursors' seqno
+    // spaces survived (DESIGN.md § 14).
     let ready = DlmEvent::Ready {
-        log_incarnations: announced.clone(),
+        log_incarnations: dlm.incarnations().to_vec(),
     };
     if channel.send(ready.encode_to_bytes()).is_err() {
         channel.close();
@@ -151,7 +146,7 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
             Ok(r) => r,
             Err(_) => break,
         };
-        if dlm.handle_request(client, request, &announced) {
+        if dlm.handle_request(client, request) {
             break;
         }
     }
@@ -166,9 +161,7 @@ pub struct DlmAgentConnection {
     /// later fire-and-forget sends fail fast instead of writing into the
     /// void.
     reader: Reader,
-    /// Per-shard session incarnations from the agent's handshake
-    /// `Ready` (never 0: the agent mints fresh nonces when it has no
-    /// durable update log).
+    /// Per-shard log incarnations from the agent's `Ready`.
     log_incarnations: Vec<u64>,
 }
 
@@ -215,11 +208,9 @@ impl DlmAgentConnection {
         })
     }
 
-    /// The per-shard update-log session incarnations the agent
-    /// announced in its handshake `Ready`, index = shard — never 0 (a
-    /// non-durable agent announces nonces no earlier agent process
-    /// announced, so a restarted agent is always detectable). Cursors are
-    /// only worth persisting together with these values.
+    /// The per-shard log incarnations the agent announced in its
+    /// `Ready` ([`ShardedDlm::incarnations`]), index = shard: cursors are
+    /// only worth keeping together with these.
     pub fn log_incarnations(&self) -> &[u64] {
         &self.log_incarnations
     }

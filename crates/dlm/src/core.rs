@@ -415,12 +415,10 @@ impl DlmCore {
         // already retains it for cursor catch-up — and when the log
         // is durable, the batch hits stable storage before any client
         // can observe it (durable before deliverable).
+        // A failed spill has already surrendered the log's window.
         let (seqno, spill_err) = match self.log.append(origin, &updates, txn) {
             Ok(s) => (s, None),
-            Err(e) => {
-                self.log.truncate_all();
-                (None, Some(e))
-            }
+            Err(e) => (None, Some(e)),
         };
         // Snapshot phase: under the table lock, record only *who* gets
         // *which* update (sink + interest clone). Event construction —
@@ -832,9 +830,9 @@ mod tests {
         let cursor = ShardCursor {
             shard: 0,
             cursor: 0,
-            log_incarnation: 0,
+            log_incarnation: dlm.incarnations()[0],
         };
-        dlm.replay_for_shards(c(1), &[cursor], &[0]);
+        dlm.replay_for_shards(c(1), &[cursor]);
         assert_eq!(r1.try_iter().collect::<Vec<_>>(), live);
     }
 

@@ -37,7 +37,7 @@ use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid};
 use displaydb_storage::seglog::SegLog;
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::path::Path;
 
 /// One appended commit batch.
@@ -73,6 +73,20 @@ struct LogInner {
     next_seqno: u64,
     /// Sum of `bytes` across retained entries.
     bytes: usize,
+}
+
+impl LogInner {
+    /// The one window check: `(cursor, head]` is retained. Saturating:
+    /// the cursor is wire input, and `u64::MAX` is from the future.
+    fn covers(&self, cursor: u64) -> bool {
+        let first = self.entries.front().map_or(self.next_seqno, |e| e.seqno);
+        cursor.saturating_add(1) >= first && cursor < self.next_seqno
+    }
+
+    /// Retained entries past `cursor`, ascending.
+    fn past(&self, cursor: u64) -> impl Iterator<Item = &LogEntry> {
+        self.entries.iter().filter(move |e| e.seqno > cursor)
+    }
 }
 
 /// What a replay request found in the log.
@@ -283,8 +297,8 @@ impl UpdateLog {
     /// cross-check.
     ///
     /// When the log is durable, the batch reaches stable storage
-    /// **before** it becomes visible in the ring; a spill failure leaves
-    /// the seqno unassigned and nothing retained.
+    /// **before** it becomes visible in the ring; a spill failure spends
+    /// the seqno and retains nothing.
     pub fn append(
         &self,
         origin: Option<ClientId>,
@@ -297,12 +311,17 @@ impl UpdateLog {
         let bytes = estimate_bytes(updates);
         let mut inner = self.inner.lock();
         let seqno = inner.next_seqno;
+        inner.next_seqno += 1;
         if let Some(seg) = &self.durable {
             // Holding the ring lock across the spill serializes durable
             // batch order with seqno assignment (rank 385 → 515, legal).
-            seg.append_batch(seqno, txn, &encode_batch(origin, updates))?;
+            if let Err(e) = seg.append_batch(seqno, txn, &encode_batch(origin, updates)) {
+                // Never replayable: the seqno stays spent and the window
+                // goes, so no admitted cursor's changed set can miss it.
+                self.evict_all(&mut inner);
+                return Err(e);
+            }
         }
-        inner.next_seqno += 1;
         inner.entries.push_back(LogEntry {
             seqno,
             origin,
@@ -329,28 +348,14 @@ impl UpdateLog {
     }
 
     /// The distinct OIDs updated by retained entries past `cursor`, or
-    /// `None` when the cursor is not replayable from this log. Lets the
-    /// server compute a cross-restart stale set from the durable window
-    /// when its in-memory version map did not survive.
-    pub fn changed_since(&self, cursor: u64) -> Option<Vec<Oid>> {
-        if !self.is_durable() {
-            return None;
-        }
+    /// `None` when the window does not cover it — the changed set of
+    /// cursor admission ([`crate::ShardedDlm::admit`]).
+    pub fn changed_since(&self, cursor: u64) -> Option<HashSet<Oid>> {
         let inner = self.inner.lock();
-        let head = inner.next_seqno - 1;
-        let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
-        if cursor + 1 < first || cursor > head {
-            return None;
-        }
-        let mut oids: Vec<Oid> = Vec::new();
-        for entry in inner.entries.iter().filter(|e| e.seqno > cursor) {
-            for u in &entry.updates {
-                if !oids.contains(&u.oid) {
-                    oids.push(u.oid);
-                }
-            }
-        }
-        Some(oids)
+        inner.covers(cursor).then(|| {
+            let updates = inner.past(cursor).flat_map(|e| &e.updates);
+            updates.map(|u| u.oid).collect()
+        })
     }
 
     /// The stable incarnation id (`None` for an in-memory-only log,
@@ -388,34 +393,14 @@ impl UpdateLog {
         self.inner.lock().next_seqno - 1
     }
 
-    /// Whether a client at `cursor` can catch up by replay: every seqno
-    /// in `(cursor, head]` is retained and the cursor is not from the
-    /// future (a restarted DLM has a fresh seqno space — a stale cursor
-    /// past the head must fall back to resync, not silently match).
-    pub fn contains(&self, cursor: u64) -> bool {
-        let inner = self.inner.lock();
-        let head = inner.next_seqno - 1;
-        let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
-        // Saturating: the admission paths use `u64::MAX` as a
-        // force-resync cursor, which must compare as "from the future",
-        // not overflow.
-        cursor.saturating_add(1) >= first && cursor <= head
-    }
-
     /// Snapshot the suffix past `cursor` for replay.
     pub fn replay_from(&self, cursor: u64) -> ReplaySlice {
         let inner = self.inner.lock();
         let head = inner.next_seqno - 1;
-        let first = inner.entries.front().map_or(inner.next_seqno, |e| e.seqno);
-        if cursor.saturating_add(1) < first || cursor > head {
+        if !inner.covers(cursor) {
             return ReplaySlice::Truncated { head };
         }
-        let entries: Vec<LogEntry> = inner
-            .entries
-            .iter()
-            .filter(|e| e.seqno > cursor)
-            .cloned()
-            .collect();
+        let entries = inner.past(cursor).cloned().collect();
         ReplaySlice::Events { entries, head }
     }
 
@@ -424,11 +409,13 @@ impl UpdateLog {
     /// `ResyncRequired` fallback — the truncation fault injection used by
     /// the R4 experiment and the recovery tests.
     pub fn truncate_all(&self) {
-        let mut inner = self.inner.lock();
-        let evicted = inner.entries.len() as u64;
+        self.evict_all(&mut self.inner.lock());
+    }
+
+    fn evict_all(&self, inner: &mut LogInner) {
+        self.stats.evicted.add(inner.entries.len() as u64);
         inner.entries.clear();
         inner.bytes = 0;
-        self.stats.evicted.add(evicted);
         self.stats.log_entries.set(0);
         self.stats.log_bytes.set(0);
     }
@@ -528,7 +515,7 @@ mod tests {
         }
         // A fresh empty log is replayable from cursor 0.
         let fresh = log(8, 1 << 20);
-        assert!(fresh.contains(0));
+        assert!(fresh.changed_since(0).is_some());
         assert!(matches!(
             fresh.replay_from(0),
             ReplaySlice::Events { head: 0, .. }
@@ -542,8 +529,8 @@ mod tests {
             l.append(None, &upd(i), 0).unwrap();
         }
         assert_eq!(l.len(), 3);
-        assert!(!l.contains(1), "seqnos 1-2 evicted");
-        assert!(l.contains(2)); // (2, 5] retained
+        assert!(l.changed_since(1).is_none(), "seqnos 1-2 evicted");
+        assert!(l.changed_since(2).is_some()); // (2, 5] retained
         match l.replay_from(0) {
             ReplaySlice::Truncated { head } => assert_eq!(head, 5),
             other => panic!("unexpected {other:?}"),
@@ -559,8 +546,8 @@ mod tests {
         assert_eq!(l.len(), 1);
         assert!(l.stats().evicted.get() >= 1);
         assert!(l.stats().log_bytes.get() <= 200);
-        assert!(l.contains(1), "newest entry retained");
-        assert!(!l.contains(0), "oldest evicted by byte cap");
+        assert!(l.changed_since(1).is_some(), "newest entry retained");
+        assert!(l.changed_since(0).is_none(), "oldest evicted by byte cap");
     }
 
     #[test]
@@ -569,7 +556,7 @@ mod tests {
         // seqno space) must not silently pass as current.
         let l = log(8, 1 << 20);
         l.append(None, &upd(1), 0).unwrap();
-        assert!(!l.contains(9));
+        assert!(l.changed_since(9).is_none());
         assert!(matches!(l.replay_from(9), ReplaySlice::Truncated { .. }));
     }
 
@@ -596,7 +583,7 @@ mod tests {
         let l = log(8, 0);
         assert_eq!(l.append(None, &upd(1), 0).unwrap(), Some(1));
         assert_eq!(l.append(None, &upd(2), 0).unwrap(), Some(2));
-        assert!(l.contains(2));
+        assert!(l.changed_since(2).is_some());
         assert!(matches!(
             l.replay_from(2),
             ReplaySlice::Events { head: 2, .. }
@@ -623,8 +610,11 @@ mod tests {
         l.truncate_all();
         assert!(l.is_empty());
         assert_eq!(l.head(), 4);
-        assert!(!l.contains(2));
-        assert!(l.contains(4), "the head itself stays current");
+        assert!(l.changed_since(2).is_none());
+        assert!(
+            l.changed_since(4).is_some(),
+            "the head itself stays current"
+        );
         assert_eq!(
             l.append(None, &upd(9), 0).unwrap(),
             Some(5),
@@ -731,8 +721,8 @@ mod tests {
         let (l, rec) = open_durable_at(&tmp.0, 3, 1, 0);
         assert_eq!(rec.recovered_entries, 3);
         assert_eq!(l.len(), 3);
-        assert!(l.contains(7), "(7, 10] retained");
-        assert!(!l.contains(6));
+        assert!(l.changed_since(7).is_some(), "(7, 10] retained");
+        assert!(l.changed_since(6).is_none());
         assert!(matches!(
             l.replay_from(5),
             ReplaySlice::Truncated { head: 10 }
@@ -755,20 +745,37 @@ mod tests {
         .unwrap();
         l.append(None, &upd(12), 3).unwrap();
         let oids = l.changed_since(1).unwrap();
-        assert_eq!(oids, vec![Oid::new(11), Oid::new(10), Oid::new(12)]);
+        assert_eq!(oids, [11, 10, 12].map(Oid::new).into());
         assert_eq!(
             l.changed_since(3),
-            Some(Vec::new()),
+            Some(HashSet::new()),
             "current cursor: nothing stale"
         );
         assert!(
             l.changed_since(9).is_none(),
             "future cursor is unanswerable"
         );
-        // In-memory logs cannot answer cross-restart staleness.
+        // An in-memory log answers too: the incarnation its caller
+        // checked proves the seqno space.
         let mem = log(8, 1 << 20);
         mem.append(None, &upd(1), 0).unwrap();
-        assert!(mem.changed_since(0).is_none());
+        assert_eq!(mem.changed_since(0), Some([Oid::new(1)].into()));
+    }
+
+    #[test]
+    fn the_last_cursor_of_the_seqno_space_is_from_the_future() {
+        // Cursors are wire input: `u64::MAX` fails the window check
+        // instead of overflowing it, on every path that asks.
+        let tmp = TempDir::new();
+        let (durable, _) = open_durable_at(&tmp.0, 8, 1, 0);
+        for l in [&durable, &log(8, 1 << 20)] {
+            l.append(None, &upd(1), 1).unwrap();
+            assert_eq!(l.changed_since(u64::MAX), None);
+            assert!(matches!(
+                l.replay_from(u64::MAX),
+                ReplaySlice::Truncated { head: 1 }
+            ));
+        }
     }
 
     #[test]
@@ -863,7 +870,7 @@ mod proptests {
                             }
                             ReplaySlice::Truncated { head } => {
                                 prop_assert_eq!(head, appended);
-                                prop_assert!(!l.contains(cursor));
+                                prop_assert!(l.changed_since(cursor).is_none());
                             }
                         }
                     }

@@ -149,6 +149,15 @@ pub struct ShardCursor {
     pub log_incarnation: u64,
 }
 
+impl ShardCursor {
+    /// The incarnation half of cursor admission
+    /// ([`crate::ShardedDlm::admit`]): whether this cursor was acked
+    /// under the incarnation `incarnations` names for its shard.
+    pub fn acked_under(&self, incarnations: &[u64]) -> bool {
+        incarnations.get(self.shard as usize) == Some(&self.log_incarnation)
+    }
+}
+
 impl Encode for ShardCursor {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(u64::from(self.shard));
@@ -287,8 +296,8 @@ pub enum DlmEvent {
     /// lets a (re)connecting client distinguish a live agent from a
     /// channel that merely accepted the connection.
     Ready {
-        /// Each shard's update-log *session* incarnation (index = shard,
-        /// DESIGN.md § 14): the namespace that shard's
+        /// Each shard's log incarnation (index = shard,
+        /// [`crate::ShardedDlm::incarnations`]): the namespace that shard's
         /// [`DlmEvent::CursorAck`] seqnos belong to. The durable
         /// incarnation when the log spills to storage, a per-process
         /// nonce otherwise — never 0. A resuming client echoes them in

@@ -26,6 +26,7 @@ use crate::outbox::OutboxSink;
 use crate::proto::{DlmRequest, ShardCursor, UpdateInfo};
 use displaydb_common::metrics::{Counter, SegLogStats};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid, TxnId};
+use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -133,6 +134,8 @@ pub struct ShardedDlm {
     config: DlmConfig,
     stats: DlmStats,
     shard_stats: ShardStats,
+    /// Every shard's log incarnation, fixed for the life of the process.
+    incarnations: Vec<u64>,
 }
 
 impl std::fmt::Debug for ShardedDlm {
@@ -196,6 +199,7 @@ impl ShardedDlm {
         Self {
             map: ShardMap::new(logs.len()),
             shard_stats: ShardStats::new(logs.len()),
+            incarnations: logs.iter().map(UpdateLog::session_incarnation).collect(),
             cores: logs
                 .into_iter()
                 .map(|log| Arc::new(DlmCore::new(config, stats.clone(), log)))
@@ -235,28 +239,39 @@ impl ShardedDlm {
         self.cores[shard].update_log()
     }
 
-    /// Every shard's durable log incarnation, index = shard (0 = that
-    /// shard has no durable log): what survives a restart. The
-    /// integrated server announces this vector in its handshake — its
-    /// resume token already proves process identity — and the client
-    /// echoes it back with its cursors so admission is provable per
-    /// shard.
-    pub fn log_incarnations(&self) -> Vec<u64> {
-        self.cores
-            .iter()
-            .map(|c| c.update_log().incarnation().unwrap_or(0))
+    /// Every shard's log incarnation, index = shard: the durable
+    /// incarnation where the log spills, else a nonce no other log and
+    /// no earlier process minted — never 0. Both handshakes announce it
+    /// (`HelloAck`, `Ready`), and it names the seqno space every cursor
+    /// of that shard lives in.
+    pub fn incarnations(&self) -> &[u64] {
+        &self.incarnations
+    }
+
+    /// Every shard's head under its incarnation: the cursors of a client
+    /// that has applied everything logged so far.
+    pub fn heads(&self) -> Vec<ShardCursor> {
+        (0..self.shards())
+            .map(|s| ShardCursor {
+                shard: s as u32,
+                cursor: self.update_log_of(s).head(),
+                log_incarnation: self.incarnations[s],
+            })
             .collect()
     }
 
-    /// Every shard's *session* incarnation, index = shard: the durable
-    /// incarnation where one exists, else a nonce unique to this
-    /// process's log — never 0. The agent announces this vector; its
-    /// handshake has nothing else that would expose a restart.
-    pub fn session_incarnations(&self) -> Vec<u64> {
-        self.cores
-            .iter()
-            .map(|c| c.update_log().session_incarnation())
-            .collect()
+    /// The cursor-admission rule (DESIGN.md § 14): `sc` is admitted iff
+    /// it was acked under its shard's incarnation and that shard's log
+    /// window still covers it. Returns the OIDs committed past the
+    /// cursor when admitted — what a resume handshake proves cached
+    /// copies current with. A `ReplayFrom` applies the same rule
+    /// ([`Self::replay_for_shards`]), its window half in the replay.
+    pub fn admit(&self, sc: &ShardCursor) -> Option<HashSet<Oid>> {
+        if !sc.acked_under(&self.incarnations) {
+            return None;
+        }
+        self.update_log_of(sc.shard as usize)
+            .changed_since(sc.cursor)
     }
 
     /// Register `sink` for `client` on every shard as is — synchronous
@@ -452,12 +467,9 @@ impl ShardedDlm {
     /// over [`DlmRequest`], shared by the agent's session loop and the
     /// integrated server's `Request::Dlm` arm. Nothing is acknowledged
     /// (§ 4.1): outcomes arrive on the client's notification stream.
-    /// `announced` is the incarnation vector this session's handshake
-    /// named; replay admission is strict equality against it, so a
-    /// cursor acked under any other incarnation takes the resync
-    /// fallback instead of replaying silently. Returns `true` when the
-    /// session must end: `Bye`, or a `Hello` after the handshake.
-    pub fn handle_request(&self, client: ClientId, request: DlmRequest, announced: &[u64]) -> bool {
+    /// Returns `true` when the session must end: `Bye`, or a `Hello`
+    /// after the handshake.
+    pub fn handle_request(&self, client: ClientId, request: DlmRequest) -> bool {
         match request {
             DlmRequest::Hello { .. } | DlmRequest::Bye => return true,
             DlmRequest::Lock { oids } => self.lock(client, &oids),
@@ -477,7 +489,7 @@ impl ShardedDlm {
                 committed,
             } => self.notify_resolution(Some(client), &oids, txn, committed),
             DlmRequest::ReplayFrom { cursors } => {
-                self.replay_for_shards(client, &cursors, announced);
+                self.replay_for_shards(client, &cursors);
             }
         }
         false
@@ -485,26 +497,28 @@ impl ShardedDlm {
 
     /// Serve a replay request shard-parallel: each cursor's shard
     /// streams its log suffix through the client's outbox for that
-    /// shard. A shard whose cursor fell off its log — or was acked under
-    /// an incarnation other than the one `announced` for it in this
-    /// session's handshake, so its seqno space is gone — answers with a
-    /// `ResyncRequired` over the client's watched set *in that shard*:
-    /// truncation is contained, caught-up shards still replay. Cursors
-    /// naming a shard this DLM does not have are skipped; returns one
-    /// outcome per remaining cursor, same order.
+    /// shard. A shard whose cursor is not [admitted](Self::admit) — it
+    /// fell off the log, or was acked under another incarnation, so its
+    /// seqno space is gone — answers with a `ResyncRequired` over the
+    /// client's watched set *in that shard*: truncation is contained,
+    /// caught-up shards still replay. Cursors naming a shard this DLM
+    /// does not have are skipped; returns one outcome per remaining
+    /// cursor, same order.
     pub fn replay_for_shards(
         &self,
         client: ClientId,
         cursors: &[ShardCursor],
-        announced: &[u64],
     ) -> Vec<ReplayOutcome> {
         let jobs: Vec<(&DlmCore, u64)> = cursors
             .iter()
             .filter_map(|sc| {
                 let core = self.cores.get(sc.shard as usize)?;
-                let admitted = announced.get(sc.shard as usize) == Some(&sc.log_incarnation);
-                // `u64::MAX` is past every head: the truncated path.
-                Some((&**core, if admitted { sc.cursor } else { u64::MAX }))
+                // The window half of admission is `replay_from`'s; a
+                // cursor acked under another incarnation goes in as
+                // `u64::MAX`, past every head: the truncated path.
+                let admitted = sc.acked_under(&self.incarnations);
+                let cursor = if admitted { sc.cursor } else { u64::MAX };
+                Some((&**core, cursor))
             })
             // One cursor per shard is all a client has; the list is wire
             // input and each entry below costs a thread.
@@ -640,21 +654,20 @@ mod tests {
         let dlm = sharded(2);
         let (s1, r1) = sink();
         dlm.register_client(c(1), s1);
-        let announced = dlm.session_incarnations();
         let oids: Vec<Oid> = (0..8).map(o).collect();
         let lock = DlmRequest::Lock { oids: oids.clone() };
-        assert!(!dlm.handle_request(c(1), lock, &announced));
+        assert!(!dlm.handle_request(c(1), lock));
         assert_eq!(dlm.locked_objects(), 8);
         let report = DlmRequest::UpdateCommitted {
             updates: vec![UpdateInfo::lazy(o(3))],
         };
-        assert!(!dlm.handle_request(c(2), report, &announced));
+        assert!(!dlm.handle_request(c(2), report));
         assert_eq!(r1.try_iter().count(), 1);
         let release = DlmRequest::Release { oids };
-        assert!(!dlm.handle_request(c(1), release, &announced));
+        assert!(!dlm.handle_request(c(1), release));
         assert_eq!(dlm.locked_objects(), 0);
-        assert!(dlm.handle_request(c(1), DlmRequest::Hello { client: c(1) }, &announced));
-        assert!(dlm.handle_request(c(1), DlmRequest::Bye, &announced));
+        assert!(dlm.handle_request(c(1), DlmRequest::Hello { client: c(1) }));
+        assert!(dlm.handle_request(c(1), DlmRequest::Bye));
     }
 
     #[test]
@@ -739,7 +752,7 @@ mod tests {
         assert_eq!(live, 64);
         // Truncate shard 2's log; replay all four shards from 0.
         dlm.update_log_of(2).truncate_all();
-        let announced = dlm.session_incarnations();
+        let announced = dlm.incarnations();
         let cursors: Vec<ShardCursor> = (0..4)
             .map(|s| ShardCursor {
                 shard: s,
@@ -747,7 +760,7 @@ mod tests {
                 log_incarnation: announced[s as usize],
             })
             .collect();
-        let outcomes = dlm.replay_for_shards(c(1), &cursors, &announced);
+        let outcomes = dlm.replay_for_shards(c(1), &cursors);
         assert_eq!(outcomes.len(), 4);
         let mut replayed = 0usize;
         let mut truncated = 0usize;
@@ -795,7 +808,7 @@ mod tests {
         let updates: Vec<UpdateInfo> = oids.iter().map(|&oid| UpdateInfo::lazy(oid)).collect();
         dlm.notify_committed(None, &updates);
         let _ = r1.try_iter().count();
-        let announced = dlm.session_incarnations();
+        let announced = dlm.incarnations();
         let cursors = [
             ShardCursor {
                 shard: 0,
@@ -816,7 +829,7 @@ mod tests {
                 log_incarnation: 0,
             },
         ];
-        let outcomes = dlm.replay_for_shards(c(1), &cursors, &announced);
+        let outcomes = dlm.replay_for_shards(c(1), &cursors);
         assert_eq!(outcomes.len(), 2);
         assert!(matches!(outcomes[0], ReplayOutcome::Replayed { .. }));
         assert!(matches!(outcomes[1], ReplayOutcome::Truncated { .. }));

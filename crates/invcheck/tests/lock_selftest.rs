@@ -114,7 +114,7 @@ fn registry_covers_dlm_shard_ranks() {
     assert!(rank_of("dlm.table") < rank_of("dlm.update_log"));
     assert!(rank_of("dlm.update_log") < rank_of("dlm.agent_sessions"));
     assert!(rank_of("dlm.agent_sessions") < rank_of("outbox.state"));
-    assert_eq!(ranks::ALL.len(), 36);
+    assert_eq!(ranks::ALL.len(), 35);
 }
 
 #[test]

@@ -47,13 +47,13 @@ use displaydb_common::metrics::{Counter, Gauge, SegLogStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult, DurableLogConfig, Oid, TxnId};
 use displaydb_dlm::{
-    AttrChanges, DlmConfig, DlmRequest, DurableRecovery, EventSink, OutboxSink, ShardedDlm,
-    UpdateInfo,
+    AttrChanges, DlmConfig, DlmRequest, DurableRecovery, EventSink, OutboxSink, ShardCursor,
+    ShardedDlm, UpdateInfo,
 };
 use displaydb_lockmgr::{LockManager, LockManagerConfig, LockMode, Owner};
 use displaydb_schema::{Catalog, DbObject};
 use displaydb_wire::{fnv1a, Channel, Encode};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -130,9 +130,9 @@ pub struct ServerStats {
     pub callbacks: Counter,
     /// Messages pushed to clients (all kinds).
     pub pushes: Counter,
-    /// Sessions recovered **across a restart** via the durable update
-    /// log (cursor admitted under a surviving log incarnation, currency
-    /// proven from the durable window; DESIGN.md § 14).
+    /// Sessions whose resume token was refused — the server restarted —
+    /// but whose cursors were admitted, so the update log proved their
+    /// copies (DESIGN.md § 14).
     pub sessions_recovered: Counter,
     /// Request-worker threads started. A session starts one only when
     /// every worker it has is busy, so at a steady request rate this
@@ -197,7 +197,18 @@ pub struct SessionHandle {
     /// Requests currently being processed for this session (admission
     /// control; see `session_loop`).
     in_flight: std::sync::atomic::AtomicUsize,
+    /// Copy callbacks pushed minus `PushAck`s received.
+    unacked: std::sync::atomic::AtomicI64,
+    /// Set when a commit kept one of this client's copies for a delta
+    /// instead of calling it back.
+    kept: std::sync::atomic::AtomicBool,
+    /// The cursors this session's copies are proven through, fixed when
+    /// they are dropped (`ServerCore::park`); shared with its token.
+    parked: Parked,
 }
+
+/// A session's parked cursors: `None` inside when nothing was proven.
+type Parked = Arc<std::sync::OnceLock<Option<Vec<ShardCursor>>>>;
 
 impl SessionHandle {
     fn new(client: ClientId, channel: Arc<dyn Channel>, stats: ServerStats) -> Self {
@@ -209,6 +220,9 @@ impl SessionHandle {
             stats,
             outboxes: OrderedMutex::new(ranks::SESSION_OUTBOX, Vec::new()),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
+            unacked: std::sync::atomic::AtomicI64::new(0),
+            kept: std::sync::atomic::AtomicBool::new(false),
+            parked: Parked::default(),
         }
     }
 
@@ -276,6 +290,8 @@ impl SessionHandle {
             self.acks.lock_or_recover().insert(ack, tx);
         }
         self.stats.callbacks.inc();
+        self.unacked
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         match self.push(ServerPush::Callback { ack, oids }) {
             Ok(()) => Ok(wait.then_some((ack, rx))),
             Err(e) => {
@@ -311,6 +327,8 @@ impl SessionHandle {
 
     /// Route an incoming ack to its waiter.
     pub fn handle_ack(&self, ack: u64) {
+        self.unacked
+            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
         // Remove under the lock, send outside it: an `if let` scrutinee
         // guard would live for the whole block, holding the ack table
         // across the channel send.
@@ -399,6 +417,7 @@ impl SessionRegistry {
 struct ResumeState {
     client: ClientId,
     epoch: u64,
+    parked: Parked,
 }
 
 /// The server brain, shared by all session threads.
@@ -417,11 +436,9 @@ pub struct ServerCore {
     /// Changes on every server start; lets reconnecting clients detect a
     /// restart (their resume token is from a previous incarnation).
     incarnation: u64,
-    /// Commit counter per object, used to answer "did this change while
-    /// the client was away?" during session resume. In-memory only: after
-    /// a restart no currency can be proven and resumed manifests are
-    /// reported entirely stale.
-    versions: OrderedMutex<HashMap<Oid, u64>>,
+    /// Handshakes past their copy registration, counted so a commit can
+    /// tell one raced its callbacks (see `connect`).
+    resumes: std::sync::atomic::AtomicU64,
     /// What the durable DLM update logs recovered at startup, one entry
     /// per shard (empty when [`ServerConfig::durable_log`] is disabled).
     dlm_recovery: Vec<DurableRecovery>,
@@ -489,7 +506,7 @@ impl ServerCore {
             incarnation,
             dlm_recovery,
             seglog_stats,
-            versions: OrderedMutex::new(ranks::SERVER_VERSIONS, HashMap::new()),
+            resumes: std::sync::atomic::AtomicU64::new(0),
             resume_tokens: OrderedMutex::new(ranks::SERVER_RESUME_TOKENS, HashMap::new()),
             token_gen: IdGen::starting_at(1),
             resumes_in_flight: std::sync::atomic::AtomicUsize::new(0),
@@ -541,12 +558,12 @@ impl ServerCore {
         self.incarnation
     }
 
-    /// Every shard's durable update-log incarnation, index = shard
-    /// (0 = that shard has no durable log). Unlike [`Self::incarnation`],
-    /// these survive restarts — each names the seqno space that shard's
-    /// notification cursors live in (DESIGN.md § 14).
+    /// Every shard's update-log incarnation, index = shard
+    /// ([`ShardedDlm::incarnations`]): the seqno space that shard's
+    /// notification cursors live in. Unlike [`Self::incarnation`], a
+    /// durable log's survives restarts (DESIGN.md § 14).
     pub fn log_incarnations(&self) -> Vec<u64> {
-        self.dlm.log_incarnations()
+        self.dlm.incarnations().to_vec()
     }
 
     /// What the durable update logs recovered at startup, one entry per
@@ -595,12 +612,11 @@ impl ServerCore {
     /// handshake response.
     ///
     /// With `resume`, the previous session is rebuilt: the old client id is
-    /// reused, its in-flight transactions (which can never complete) are
-    /// aborted, and the copy table is re-seeded from the client's cached-OID
-    /// manifest. Manifest entries whose version no longer matches — or whose
-    /// currency cannot be proven because the resume token belongs to a
-    /// previous server incarnation — come back in `HelloAck::stale` so the
-    /// client invalidates them before serving them again.
+    /// reused and its in-flight transactions (which can never complete)
+    /// are aborted. Either way the copy table is re-seeded from the
+    /// client's cached-OID manifest, and every entry whose currency the
+    /// update log cannot prove comes back in `HelloAck::stale` so the
+    /// client invalidates it before serving it again.
     pub fn connect(
         &self,
         _name: &str,
@@ -628,99 +644,76 @@ impl ServerCore {
                 let _ = self.abort_txn(client, txn);
             }
             self.locks.release_all(Owner::Client(client));
+            if let Some(old) = self.sessions.get(client) {
+                self.park(&old);
+            }
             self.copies.drop_client(client);
         }
-        // One slot per shard for the token's cursors (`None` = the token
-        // carries no admissible cursor for it; cursors naming a shard
-        // this DLM does not have are dropped).
-        let nshards = self.dlm.shards();
-        let mut token_cursors: Vec<Option<(u64, u64)>> = vec![None; nshards];
-        for sc in resume.map_or(&[][..], |r| &r.cursors) {
-            if let Some(slot) = token_cursors.get_mut(sc.shard as usize) {
-                *slot = Some((sc.cursor, sc.log_incarnation));
-            }
+        let parked = prior.and_then(|state| state.parked.get().cloned().flatten());
+        // In the registry first: a callback for a copy registered below
+        // must reach this connection, not the dead one.
+        let handle = Arc::new(SessionHandle::new(client, channel, self.stats.clone()));
+        self.sessions.insert(Arc::clone(&handle));
+        let (manifest, cursors) =
+            resume.map_or((&[][..], &[][..]), |r| (&r.manifest[..], &r.cursors[..]));
+        // Register every copy before reading the log. A commit whose
+        // callbacks ran before the registration appends after it, and
+        // either the read below sees that append, or the commit sees
+        // `resumes` move and calls the copy back (`commit_txn`).
+        if !manifest.is_empty() {
+            self.copies.register_many(client, manifest);
+            self.resumes
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }
-        // Cross-restart recovery (DESIGN.md §§ 14, 16): the in-memory
-        // session (and its resume token) died with the old process, but
-        // where a shard's durable update log survived under the same
-        // incarnation and its window still covers the client's cursor
-        // for that shard, "did this object change while the client was
-        // away?" is answerable from the log — so currency can be proven
-        // per shard and the catch-up can be a replay instead of a
-        // blanket resync. Shards are admitted independently: one
-        // truncated shard only costs its own objects' currency proofs.
-        let ours = self.log_incarnations();
-        let durable_changed: Vec<Option<std::collections::HashSet<Oid>>> = if resumed {
-            vec![None; nshards]
-        } else {
-            token_cursors
-                .iter()
-                .enumerate()
-                .map(|(s, tc)| match tc {
-                    // An absent incarnation (0) is an explicit mismatch,
-                    // never a wildcard: a cursor acked under no durable
-                    // log proves nothing after a restart.
-                    Some((cursor, inc)) if *inc != 0 && *inc == ours[s] => self
-                        .dlm
-                        .update_log_of(s)
-                        .changed_since(*cursor)
-                        .map(|oids| oids.into_iter().collect()),
-                    _ => None,
-                })
-                .collect()
-        };
-        let cross_restart_proven = durable_changed.iter().any(Option::is_some);
-        // Rebuild the copy table from the manifest and compute staleness.
-        let map = self.dlm.map();
-        let mut stale = Vec::new();
-        if let Some(r) = resume {
-            let versions = self.versions.lock();
-            for &(oid, cached_version) in &r.manifest {
-                let current = versions.get(&oid).copied().unwrap_or(0);
-                let exists = self.store.exists(oid);
-                let provably_current = if resumed {
-                    current == cached_version
-                } else {
-                    // Every commit touching this oid's shard is in that
-                    // shard's durable window past the cursor; absence
-                    // proves the copy never changed.
-                    durable_changed[map.shard_of(oid) as usize]
-                        .as_ref()
-                        .is_some_and(|changed| !changed.contains(&oid))
-                };
-                if exists && provably_current {
-                    // Still current: the copy is callback-protected again.
-                    self.copies.register(client, oid);
-                } else {
-                    // Changed, deleted, or unprovable (server restarted
-                    // without a durable log, a token without cursors, or
-                    // that shard's window was lost).
-                    stale.push(oid);
+        // Cursor admission (DESIGN.md § 14), once per shard (the last
+        // cursor naming a shard counts; the list is wire input).
+        let admit = |cursors: &[ShardCursor]| -> Vec<Option<HashSet<Oid>>> {
+            let mut per_shard: Vec<Option<&ShardCursor>> = vec![None; self.dlm.shards()];
+            for sc in cursors {
+                if let Some(slot) = per_shard.get_mut(sc.shard as usize) {
+                    *slot = Some(sc);
                 }
             }
-        }
-        // Replay is offered when at least one shard's update log still
-        // holds every event past the client's cursor for it; shards
-        // whose cursor fell off answer the replay itself with a
-        // `ResyncRequired` over their slice of the watched set. With no
-        // admissible shard at all the client falls back to a full
-        // resync of its stale set.
-        let replay_ok = if resumed {
-            (0..nshards).any(|s| {
-                token_cursors[s].is_some_and(|(c, _)| self.dlm.update_log_of(s).contains(c))
-            })
-        } else {
-            cross_restart_proven
+            per_shard
+                .into_iter()
+                .map(|sc| self.dlm.admit(sc?))
+                .collect()
         };
-        if cross_restart_proven {
+        let admitted = admit(cursors);
+        // The old session's parked cursors, where `park` proved them,
+        // are at least as late as the client's own.
+        let proven = parked.as_deref().map(admit);
+        let changed = proven.as_ref().unwrap_or(&admitted);
+        // A copy is current iff it exists and its shard's admitted
+        // window does not name it.
+        let map = self.dlm.map();
+        let mut stale = Vec::new();
+        for &oid in manifest {
+            let current = self.store.exists(oid)
+                && changed[map.shard_of(oid) as usize]
+                    .as_ref()
+                    .is_some_and(|changed| !changed.contains(&oid));
+            if !current {
+                self.copies.drop_copy(client, oid);
+                stale.push(oid);
+            }
+        }
+        // An admitted shard replays; the rest answer the replay with a
+        // `ResyncRequired` over their slice of the watched set. With no
+        // admitted shard the client resyncs its stale set.
+        let replay_ok = admitted.iter().any(Option::is_some);
+        if replay_ok && !resumed {
             self.stats.sessions_recovered.inc();
         }
         let token = self.token_gen.next();
-        self.resume_tokens
-            .lock()
-            .insert(token, ResumeState { client, epoch });
-        let handle = Arc::new(SessionHandle::new(client, channel, self.stats.clone()));
-        self.sessions.insert(Arc::clone(&handle));
+        self.resume_tokens.lock().insert(
+            token,
+            ResumeState {
+                client,
+                epoch,
+                parked: Arc::clone(&handle.parked),
+            },
+        );
         // One bounded outbox per DLM shard around the session sink
         // (`ShardedDlm::register_session`): commit-path fan-out only
         // enqueues, and a stalled client connection is absorbed by the
@@ -744,7 +737,7 @@ impl ServerCore {
                 resumed,
                 stale,
                 replay_ok,
-                log_incarnations: ours,
+                log_incarnations: self.log_incarnations(),
             },
         )
     }
@@ -755,12 +748,32 @@ impl ServerCore {
             let _ = self.abort_txn(client, txn);
         }
         self.dlm.unregister_client(client);
+        let handle = self.sessions.get(client);
+        if let Some(handle) = &handle {
+            self.park(handle);
+        }
         self.copies.drop_client(client);
         self.locks.release_all(Owner::Client(client));
-        if let Some(handle) = self.sessions.get(client) {
+        if let Some(handle) = handle {
             handle.close();
         }
         self.sessions.remove(client);
+    }
+
+    /// Fix the cursors `handle`'s copies are proven through, once, just
+    /// before the copy table forgets them: every shard's head, if the
+    /// client had applied every callback pushed to it and no commit kept
+    /// a copy of its for a delta. A commit logged by then ran its
+    /// callbacks before its append, so they were all applied; one logged
+    /// later is past the heads. Unlike the client's cursors, these move
+    /// without notifications (DESIGN.md § 14).
+    fn park(&self, handle: &SessionHandle) {
+        use std::sync::atomic::Ordering::SeqCst;
+        handle.parked.get_or_init(|| {
+            let heads = self.dlm.heads();
+            let settled = handle.unacked.load(SeqCst) == 0 && !handle.kept.load(SeqCst);
+            settled.then_some(heads)
+        });
     }
 
     /// Tear down `handle`'s client state, but only if `handle` is still the
@@ -808,8 +821,7 @@ impl ServerCore {
                 "not a request an integrated client may send".into(),
             )),
             Request::Dlm(request) => {
-                self.dlm
-                    .handle_request(client, request, &self.dlm.log_incarnations());
+                self.dlm.handle_request(client, request);
                 Ok(Response::Ok)
             }
             Request::Checkpoint => self.store.checkpoint().map(|()| Response::Ok),
@@ -907,6 +919,13 @@ impl ServerCore {
         for &oid in oids {
             for holder in self.copies.holders_except(oid, except) {
                 if keep(holder, oid) {
+                    // Only the client's own cursor can prove it applied
+                    // the delta (`park`).
+                    if let Some(session) = self.sessions.get(holder) {
+                        session
+                            .kept
+                            .store(true, std::sync::atomic::Ordering::SeqCst);
+                    }
                     continue;
                 }
                 per_client.entry(holder).or_default().push(oid);
@@ -1055,14 +1074,7 @@ impl ServerCore {
         ending.committed = true;
         self.locks.release_all(Owner::Txn(txn));
         if !outcomes.is_empty() {
-            // Bump commit versions so resuming clients can prove (or
-            // disprove) the currency of their cached copies.
-            {
-                let mut versions = self.versions.lock();
-                for (oid, _) in &outcomes {
-                    *versions.entry(*oid).or_insert(0) += 1;
-                }
-            }
+            let resumes = self.resumes.load(std::sync::atomic::Ordering::SeqCst);
             // Commit-time callbacks: copies registered during the update
             // window are now stale — except at holders whose projection
             // covers every changed attribute. Those receive a delta that
@@ -1108,6 +1120,17 @@ impl ServerCore {
             let _ = self
                 .dlm
                 .notify_committed_txn(Some(client), &updates, txn.raw());
+            if self.resumes.load(std::sync::atomic::Ordering::SeqCst) != resumes {
+                // A resume re-registered copies after the callbacks above
+                // and may have read the log before this append: the copy
+                // it proved current is not. Call it back.
+                self.invalidate_copies_filtered(
+                    client,
+                    &oids,
+                    self.config.sync_callbacks,
+                    &|_, _| false,
+                );
+            }
         } else {
             self.dlm
                 .notify_resolution(Some(client), &ending.x_locked, txn, true);

@@ -104,72 +104,36 @@ pub struct ResumeRequest {
     /// The resume token issued in the previous [`Response::HelloAck`].
     pub token: u64,
     /// The server incarnation the token was issued by. A mismatch means the
-    /// server restarted; the session is rebuilt from the manifest anyway,
-    /// but every manifest entry is reported stale.
+    /// server restarted: the session starts fresh, and the manifest is
+    /// still checked against the cursors.
     pub incarnation: u64,
-    /// `(oid, version)` pairs for every object in the client's cache at
-    /// disconnect time. The server re-registers these in the copy table and
-    /// reports which are out of date.
-    pub manifest: Vec<(Oid, u64)>,
+    /// Every object in the client's cache at disconnect time. The server
+    /// re-registers these in the copy table and reports which it cannot
+    /// prove current.
+    pub manifest: Vec<Oid>,
     /// The client's notification cursors (DESIGN.md §§ 13–14, 16), one
     /// per DLM shard, each with the log incarnation it was acked under.
-    /// Shards are admitted independently: where a shard's log still
-    /// contains its cursor, the resumed session catches that shard up
-    /// with a replay instead of a resync.
+    /// An admitted shard's log names what changed past its cursor, which
+    /// proves the manifest's copies in that shard and lets the session
+    /// catch up by replay instead of a resync.
     pub cursors: Vec<ShardCursor>,
 }
 
-/// The resume-token wire version this build writes and understands. The
-/// version byte leads the token and governs everything after the
-/// manifest; `token`, `incarnation` and `manifest` keep their layout in
-/// every version, so a token from a build this one does not know still
-/// yields its manifest — and nothing else (see the `Decode` impl).
-const RESUME_V2: u8 = 2;
-
 impl Encode for ResumeRequest {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u8(RESUME_V2);
         w.put_varint(self.token);
         w.put_varint(self.incarnation);
-        w.put_varint(self.manifest.len() as u64);
-        for (oid, version) in &self.manifest {
-            oid.encode(w);
-            w.put_varint(*version);
-        }
+        self.manifest.encode(w);
         encode_cursors(&self.cursors, w);
     }
 }
 
 impl Decode for ResumeRequest {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
-        let version = r.get_u8()?;
-        let token = r.get_varint()?;
-        let incarnation = r.get_varint()?;
-        let n = r.get_varint()? as usize;
-        let mut manifest = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            manifest.push((Oid::decode(r)?, r.get_varint()?));
-        }
-        if version != RESUME_V2 {
-            // A token this build cannot interpret is no proof of
-            // anything: keep the manifest, so the client is told every
-            // copy it holds is stale, and let go of the session identity
-            // and the cursors (token 0 is never issued). The session
-            // starts fresh and resyncs. The resume is the last field of
-            // its frame; the unread tail is whatever that version put
-            // after the manifest.
-            r.get_raw(r.remaining())?;
-            return Ok(ResumeRequest {
-                token: 0,
-                incarnation: 0,
-                manifest,
-                cursors: Vec::new(),
-            });
-        }
         Ok(ResumeRequest {
-            token,
-            incarnation,
-            manifest,
+            token: r.get_varint()?,
+            incarnation: r.get_varint()?,
+            manifest: Vec::<Oid>::decode(r)?,
             cursors: decode_cursors(r)?,
         })
     }
@@ -277,22 +241,21 @@ pub enum Response {
         epoch: u64,
         /// Whether the previous session was found and rebuilt.
         resumed: bool,
-        /// Manifest entries whose cached version is out of date (or whose
-        /// currency could not be proven, e.g. after a server restart). The
-        /// client must invalidate these before serving them again.
+        /// Manifest entries whose currency the update log could not
+        /// prove. The client must invalidate these before serving them
+        /// again.
         stale: Vec<Oid>,
-        /// Whether at least one shard's update log still holds the
-        /// resumed client's cursor for it: the client should catch up
-        /// with a `ReplayFrom` instead of resyncing `stale`. With a
-        /// durable log this can hold even across a server restart
-        /// (DESIGN.md § 14). Always false for fresh sessions and
-        /// truncated cursors.
+        /// Whether at least one shard admitted the client's cursor for
+        /// it: the client should catch up with a `ReplayFrom` instead of
+        /// resyncing `stale`. With a durable log this can hold even
+        /// across a server restart (DESIGN.md § 14). Always false for a
+        /// `Hello` without cursors.
         replay_ok: bool,
-        /// Per-shard durable update-log incarnations (index = shard id,
-        /// 0 = that shard has no durable log). The client keeps these
-        /// alongside its per-shard cursors and echoes them in replay
-        /// requests and the next resume's cursor vector; their count is
-        /// the DLM's shard count.
+        /// Per-shard update-log incarnations (index = shard id, never 0;
+        /// [`displaydb_dlm::ShardedDlm::incarnations`]). The client keeps
+        /// these alongside its per-shard cursors and echoes them in
+        /// replay requests and the next resume's cursor vector; their
+        /// count is the DLM's shard count.
         log_incarnations: Vec<u64>,
     },
     /// A [`Request::Lock`] was granted.
@@ -751,7 +714,7 @@ mod tests {
                 resume: Some(ResumeRequest {
                     token: 0xdead_beef,
                     incarnation: 42,
-                    manifest: vec![(Oid::new(1), 3), (Oid::new(9), 0)],
+                    manifest: vec![Oid::new(1), Oid::new(9)],
                     cursors: vec![
                         ShardCursor {
                             shard: 0,
@@ -1177,38 +1140,6 @@ mod tests {
     fn junk_envelope_rejected() {
         assert!(Envelope::decode_from_bytes(&[99, 1, 2]).is_err());
         assert!(Envelope::decode_from_bytes(&[]).is_err());
-    }
-
-    #[test]
-    fn unknown_resume_token_version_keeps_only_the_manifest() {
-        let ok = ResumeRequest {
-            token: 9,
-            incarnation: 3,
-            manifest: vec![(Oid::new(4), 1)],
-            cursors: vec![ShardCursor {
-                shard: 1,
-                cursor: 55,
-                log_incarnation: 7,
-            }],
-        };
-        let mut bytes = ok.encode_to_bytes().to_vec();
-        assert_eq!(bytes[0], RESUME_V2);
-        assert_eq!(ResumeRequest::decode_from_bytes(&bytes).unwrap(), ok);
-        // A version this build does not know: not a protocol error — the
-        // session identity and cursors are dropped, the manifest kept.
-        for version in [0u8, 1, 3, 255] {
-            bytes[0] = version;
-            let back = ResumeRequest::decode_from_bytes(&bytes).unwrap();
-            assert_eq!(
-                back,
-                ResumeRequest {
-                    token: 0,
-                    incarnation: 0,
-                    manifest: ok.manifest.clone(),
-                    cursors: vec![],
-                }
-            );
-        }
     }
 
     #[test]

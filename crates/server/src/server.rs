@@ -336,8 +336,9 @@ impl<F: FnMut()> Drop for OnDrop<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{WireLockMode, WriteForm};
+    use crate::proto::{ResumeRequest, ShardCursor, WireLockMode, WriteForm};
     use displaydb_common::{Oid, TxnId};
+    use displaydb_dlm::{DlmEvent, DlmRequest};
     use displaydb_schema::class::ClassBuilder;
     use displaydb_schema::{AttrType, DbObject, Value};
     use parking_lot::Mutex;
@@ -386,8 +387,17 @@ mod tests {
             Self::over(Arc::new(hub.connect().unwrap()))
         }
 
+        /// Connect presenting `resume`; the server's answer.
+        fn resume(hub: &LocalHub, resume: ResumeRequest) -> (Self, Response) {
+            Self::hello(Arc::new(hub.connect().unwrap()), Some(resume))
+        }
+
         /// Say `Hello` over an established channel.
         fn over(channel: Arc<dyn Channel>) -> (Self, Response) {
+            Self::hello(channel, None)
+        }
+
+        fn hello(channel: Arc<dyn Channel>, resume: Option<ResumeRequest>) -> (Self, Response) {
             let client = Self {
                 channel,
                 seq: std::sync::atomic::AtomicU64::new(1),
@@ -396,7 +406,7 @@ mod tests {
             };
             let ack = client.call(Request::Hello {
                 name: "raw".into(),
-                resume: None,
+                resume,
             });
             (client, ack)
         }
@@ -988,78 +998,258 @@ mod tests {
         }
     }
 
+    /// What a `HelloAck` says about a resume: `(resumed, stale,
+    /// replay_ok)`.
+    fn resume_outcome(ack: &Response) -> (bool, Vec<Oid>, bool) {
+        match ack {
+            Response::HelloAck {
+                resumed,
+                stale,
+                replay_ok,
+                ..
+            } => (*resumed, stale.clone(), *replay_ok),
+            o => panic!("{o:?}"),
+        }
+    }
+
+    /// The resume request that picks up the session `ack` opened, with
+    /// `manifest` cached and shard 0 acked through `cursor`.
+    fn resume_of(ack: &Response, manifest: Vec<Oid>, cursor: u64) -> ResumeRequest {
+        match ack {
+            Response::HelloAck {
+                session,
+                incarnation,
+                log_incarnations,
+                ..
+            } => ResumeRequest {
+                token: *session,
+                incarnation: *incarnation,
+                manifest,
+                cursors: vec![ShardCursor {
+                    shard: 0,
+                    cursor,
+                    log_incarnation: log_incarnations[0],
+                }],
+            },
+            o => panic!("{o:?}"),
+        }
+    }
+
+    /// The display-lock events pushed to `c` so far, batches flattened
+    /// and cursor acks left out.
+    fn dlm_events(c: &RawClient) -> Vec<DlmEvent> {
+        fn flatten(event: &DlmEvent, out: &mut Vec<DlmEvent>) {
+            match event {
+                DlmEvent::Batch(events) => events.iter().for_each(|e| flatten(e, out)),
+                DlmEvent::CursorAck { .. } => {}
+                e => out.push(e.clone()),
+            }
+        }
+        let mut out = Vec::new();
+        for push in c.pushes.lock().iter() {
+            if let crate::proto::ServerPush::Dlm(event) = push {
+                flatten(event, &mut out);
+            }
+        }
+        out
+    }
+
+    /// Close `c`'s link, opened with `ack`, and wait until the server has
+    /// torn its session down.
+    fn hang_up(server: &Server, c: &RawClient, ack: &Response) {
+        let Response::HelloAck { client: id, .. } = ack else {
+            panic!("{ack:?}");
+        };
+        c.channel.close();
+        eventually("the server saw the disconnect", || {
+            server.core().sessions().get(*id).is_none()
+        });
+    }
+
     #[test]
-    fn unknown_resume_token_version_resumes_as_fresh_with_everything_stale() {
-        use crate::proto::{ResumeRequest, ShardCursor};
+    fn a_copy_committed_before_the_cursor_resumes_current() {
         let cat = catalog();
         let hub = LocalHub::new();
-        let _server =
-            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("resumever")), &hub)
-                .unwrap();
-        let (first, ack) = RawClient::handshake(&hub);
-        let Response::HelloAck {
-            session,
-            incarnation,
-            log_incarnations,
-            ..
-        } = ack
-        else {
-            panic!("unexpected {ack:?}");
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("precise")), &hub).unwrap();
+        let (c, ack) = RawClient::handshake(&hub);
+        let x = new_node(&c, &cat, "x"); // seqno 1
+        let y = new_node(&c, &cat, "y"); // seqno 2
+        hang_up(&server, &c, &ack);
+        let (updater, _) = RawClient::connect(&hub);
+        commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 3
+        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x, y], 2));
+        assert_eq!(
+            resume_outcome(&resumed),
+            (true, vec![y], true),
+            "only what the log names past the cursor is stale"
+        );
+    }
+
+    #[test]
+    fn a_session_that_applied_its_callbacks_needs_no_cursor() {
+        // No cursor (the agent deployment's case, or a client never
+        // notified), and a log that no longer reaches back to the
+        // session's start: the server's own cursor, parked when the
+        // session died, proves what was not committed since.
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp("parked"));
+        config.dlm.log.max_entries = 2;
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let (updater, _) = RawClient::connect(&hub);
+        let x = new_node(&updater, &cat, "x"); // seqno 1
+        let y = new_node(&updater, &cat, "y"); // seqno 2
+        let (c, ack) = RawClient::handshake(&hub);
+        read_node(&c, None, x);
+        read_node(&c, None, y);
+        commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 3
+        c.ack_next_callback();
+        read_node(&c, None, x);
+        let z = new_node(&updater, &cat, "z"); // seqno 4
+        commit(&updater, None, vec![put(&cat, z, "z again")]); // seqno 5
+        hang_up(&server, &c, &ack);
+        commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 6
+        let mut resume = resume_of(&ack, vec![x, y], 0);
+        resume.cursors.clear();
+        let (_, resumed) = RawClient::resume(&hub, resume);
+        assert_eq!(resume_outcome(&resumed), (true, vec![y], false));
+    }
+
+    #[test]
+    fn an_unacked_callback_leaves_the_proof_to_the_clients_cursor() {
+        // The callback for x may have died with the link: the heads at
+        // the session's end prove nothing, the client's cursor decides.
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("unacked")), &hub).unwrap();
+        let (updater, _) = RawClient::connect(&hub);
+        let x = new_node(&updater, &cat, "x"); // seqno 1
+        let y = new_node(&updater, &cat, "y"); // seqno 2
+        let (c, ack) = RawClient::handshake(&hub);
+        read_node(&c, None, x);
+        read_node(&c, None, y);
+        commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 3
+        hang_up(&server, &c, &ack);
+        commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 4
+        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x, y], 2));
+        assert_eq!(resume_outcome(&resumed), (true, vec![x, y], true));
+    }
+
+    #[test]
+    fn a_copy_kept_for_a_delta_leaves_the_proof_to_the_clients_cursor() {
+        // x's commit patched the holder's copy through a delta, which may
+        // have died with the link: only a cursor past it proves x.
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let server =
+            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("kept")), &hub).unwrap();
+        let (updater, _) = RawClient::connect(&hub);
+        let x = new_node(&updater, &cat, "x"); // seqno 1
+        let (c, ack) = RawClient::handshake(&hub);
+        read_node(&c, None, x);
+        let lock = DlmRequest::LockProjected {
+            oids: vec![x],
+            attrs: vec![0],
+            version: 1,
         };
-        let oid = new_node(&first, &cat, "n");
-        // What a reconnect would present to resume `first`'s session,
-        // with a manifest entry at the object's current version —
-        // provably current if the token is honoured.
-        let resume = ResumeRequest {
-            token: session,
-            incarnation,
-            manifest: vec![(oid, 1)],
-            cursors: vec![ShardCursor {
-                shard: 0,
-                cursor: 0,
-                log_incarnation: log_incarnations[0],
-            }],
+        assert_eq!(c.call(Request::Dlm(lock)), Response::Ok);
+        commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 2
+        c.call(Request::Ping);
+        assert!(!called_back(&c, x), "x's copy was kept, not called back");
+        hang_up(&server, &c, &ack);
+        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x], 1));
+        assert_eq!(resume_outcome(&resumed), (true, vec![x], true));
+    }
+
+    #[test]
+    fn a_restarted_server_refuses_the_dead_processs_cursor() {
+        // No durable log: each server names its seqno space with a nonce
+        // of its own, so a cursor of the first means nothing to the
+        // second, though both count from 1.
+        let cat = catalog();
+        let dir = tmp("deadcursor");
+        let dead = {
+            let hub = LocalHub::new();
+            let _server =
+                Server::spawn_local(Arc::clone(&cat), ServerConfig::new(&dir), &hub).unwrap();
+            let (c, ack) = RawClient::handshake(&hub);
+            new_node(&c, &cat, "before");
+            resume_of(&ack, Vec::new(), 2).cursors
         };
-        let hello = |resume: ResumeRequest| {
-            Envelope::Req(
-                1,
-                Request::Hello {
-                    name: "resumer".into(),
-                    resume: Some(resume),
-                },
-            )
-            .encode_to_bytes()
-            .to_vec()
+        let hub = LocalHub::new();
+        let _server = Server::spawn_local(Arc::clone(&cat), ServerConfig::new(&dir), &hub).unwrap();
+        let (viewer, _) = RawClient::connect(&hub);
+        let (updater, _) = RawClient::connect(&hub);
+        let x = allocate(&updater);
+        for name in ["one", "two", "three"] {
+            commit(&updater, None, vec![put(&cat, x, name)]); // seqnos 1-3
+        }
+        let lock = DlmRequest::Lock { oids: vec![x] };
+        assert_eq!(viewer.call(Request::Dlm(lock)), Response::Ok);
+        let replay = DlmRequest::ReplayFrom { cursors: dead };
+        assert_eq!(viewer.call(Request::Dlm(replay)), Response::Ok);
+        eventually("the replay's answer", || {
+            viewer.call(Request::Ping);
+            !dlm_events(&viewer).is_empty()
+        });
+        // Anything else the replay sent is on its way: wait past one ack
+        // interval.
+        std::thread::sleep(Duration::from_millis(60));
+        viewer.call(Request::Ping);
+        assert_eq!(
+            dlm_events(&viewer),
+            vec![DlmEvent::ResyncRequired { oids: vec![x] }]
+        );
+    }
+
+    #[test]
+    fn a_resume_racing_a_commits_callbacks_is_called_back() {
+        // The commit calls back before the resume registers x, and logs
+        // x after the resume read the log: x must come back stale, or be
+        // called back on the new connection.
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp("resumerace"));
+        config.callback_timeout = Duration::from_millis(300);
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let (updater, _) = RawClient::connect(&hub);
+        let x = new_node(&updater, &cat, "x"); // seqno 1
+        let (away, ack) = RawClient::handshake(&hub);
+        let Response::HelloAck { client: id, .. } = ack else {
+            panic!("{ack:?}");
         };
-        let handshake = |frame: Vec<u8>| {
-            let channel = hub.connect().unwrap();
-            channel.send(frame.into()).unwrap();
-            let resp = channel.recv_timeout(Duration::from_secs(10)).unwrap();
-            match Envelope::decode_from_bytes(&resp).unwrap() {
-                Envelope::Resp(
-                    1,
-                    Response::HelloAck {
-                        resumed,
-                        stale,
-                        replay_ok,
-                        ..
-                    },
-                ) => (resumed, stale, replay_ok),
-                other => panic!("unexpected {other:?}"),
-            }
+        read_node(&away, None, x);
+        away.channel.close();
+        eventually("the server saw the disconnect", || {
+            server.core().sessions().get(id).is_none()
+        });
+        // A holder that never acks keeps the commit in its commit-time
+        // callbacks: a projected display-lock holder is called back after
+        // the store commit, when the change (`Name`) misses its `Load`.
+        let (holder, _) = RawClient::connect(&hub);
+        read_node(&holder, None, x);
+        let lock = DlmRequest::LockProjected {
+            oids: vec![x],
+            attrs: vec![1],
+            version: 1,
         };
-        // The same token under a version byte this build does not know
-        // (it sits right after the envelope tag, seq, request tag, name
-        // and option tag): admitted, but as a fresh session with no
-        // cursors — every manifest entry stale, no replay.
-        let mut unknown = hello(resume.clone());
-        let version_at = 1 + 1 + 1 + (1 + "resumer".len()) + 1;
-        assert_eq!(unknown[version_at], 2, "resume token version byte");
-        unknown[version_at] = 9;
-        assert_eq!(handshake(unknown), (false, vec![oid], false));
-        // Control: the token was not consumed, and in the version this
-        // build speaks it resumes with the copy proven current.
-        assert_eq!(handshake(hello(resume)), (true, vec![], true));
+        assert_eq!(holder.call(Request::Dlm(lock)), Response::Ok);
+        let callbacks = server.core().stats().callbacks.get();
+        let committing = updater.send(commit_request(None, vec![put(&cat, x, "changed")]));
+        eventually("the commit is calling back", || {
+            server.core().stats().callbacks.get() > callbacks
+        });
+        let (back, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x], 1));
+        assert_eq!(updater.wait(committing), Response::Ok);
+        back.call(Request::Ping);
+        let (resumed, stale, _) = resume_outcome(&resumed);
+        assert!(resumed);
+        assert!(
+            stale.contains(&x) || called_back(&back, x),
+            "x resumed current and was never called back"
+        );
     }
 
     #[test]

@@ -348,29 +348,37 @@ fn evicted_cursor_falls_back_to_resync_after_restart() {
     drop(server2);
 }
 
-/// With the durable log disabled every shard's log incarnation rides
-/// the handshake as 0 and nothing claims a cross-restart replay. (The full rebaseline flow is
-/// pinned in tests/replay_recovery.rs; this guards the new field's
-/// disabled-mode semantics.)
+/// With the durable log disabled a shard's log incarnation is a nonce of
+/// its server process: never 0, never the one an earlier server over the
+/// same data directory announced, and nothing claims a cross-restart
+/// replay. (The full rebaseline flow is pinned in
+/// tests/replay_recovery.rs.)
 #[test]
-fn disabled_log_advertises_zero_incarnation() {
+fn disabled_log_advertises_a_per_process_nonce() {
     let catalog = Arc::new(nms_catalog());
     let tmp = TempDir::new("xrestart-off");
-    let hub = LocalHub::new();
-    let mut config = ServerConfig::new(tmp.path());
-    config.sync_commits = true;
-    let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
-    assert_eq!(server.core().log_incarnations(), [0]);
-    assert!(server.core().dlm_recoveries().is_empty());
-
-    let client = DbClient::connect(
-        Box::new(hub.connect().unwrap()),
-        ClientConfig::named("plain"),
-    )
-    .unwrap();
-    assert_eq!(client.session().log_incarnations, [0]);
-    assert_eq!(client.conn_stats().recovery.cross_restart_replays.get(), 0);
-    drop(server);
+    let announced = || {
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp.path());
+        config.sync_commits = true;
+        let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
+        assert!(server.core().dlm_recoveries().is_empty());
+        let client = DbClient::connect(
+            Box::new(hub.connect().unwrap()),
+            ClientConfig::named("plain"),
+        )
+        .unwrap();
+        let incarnations = client.session().log_incarnations;
+        assert_eq!(incarnations, server.core().log_incarnations());
+        assert_eq!(incarnations.len(), 1);
+        assert_ne!(incarnations[0], 0);
+        assert_eq!(client.conn_stats().recovery.cross_restart_replays.get(), 0);
+        client.close();
+        drop(server);
+        incarnations
+    };
+    let first = announced();
+    assert_ne!(announced(), first, "a restarted server must be detectable");
 }
 
 /// Restarting with a different `dlm.shards` re-partitions the OID space:
@@ -443,7 +451,7 @@ fn changed_shard_count_cannot_certify_a_stale_copy() {
     let resume = ResumeRequest {
         token: session.token,
         incarnation: session.incarnation,
-        manifest: vec![(link.oid, 0)],
+        manifest: vec![link.oid],
         cursors,
     };
     drop(display);
