@@ -35,7 +35,7 @@ pub struct OverloadConfig {
     /// Maximum concurrent in-flight requests per server session before
     /// admission control sheds with `Overloaded`. Default 32: far above
     /// what one interactive client pipelines legitimately, low enough
-    /// to stop a runaway loop from monopolizing worker threads.
+    /// to stop a runaway loop from holding a thread per blocked request.
     pub max_in_flight: usize,
     /// How long server shutdown waits for each outbox to flush before
     /// closing the session anyway. Default 500 ms: long enough for a

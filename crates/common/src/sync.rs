@@ -29,6 +29,8 @@
 //! stderr. `lock()` is an alias kept so wrapper types drop in where
 //! `parking_lot` types were.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{self, Condvar as StdCondvar, OnceLock, PoisonError};
 use std::time::Duration;
@@ -290,6 +292,25 @@ mod audit {
 
 #[cfg(feature = "lock-audit")]
 pub use audit::held_ranks;
+
+thread_local!(static BEFORE_WAIT: RefCell<Option<Rc<dyn Fn()>>> = const { RefCell::new(None) });
+
+/// Run `body` with `hook` armed: the first [`before_wait`] in it, on this
+/// thread, calls `hook` (DESIGN.md § 5, server threading).
+pub fn on_first_wait<R>(hook: &Rc<dyn Fn()>, body: impl FnOnce() -> R) -> R {
+    BEFORE_WAIT.with(|slot| slot.replace(Some(Rc::clone(hook))));
+    let out = body();
+    BEFORE_WAIT.with(RefCell::take);
+    out
+}
+
+/// Call just before blocking on another thread or peer — a lock wait, a
+/// callback push or its ack, the disk: runs the armed hook, once.
+pub fn before_wait() {
+    if let Some(hook) = BEFORE_WAIT.with(RefCell::take) {
+        hook();
+    }
+}
 
 #[cfg(feature = "lock-audit")]
 fn note_acquired(rank: LockRank) {

@@ -36,4 +36,4 @@ pub use crate::log::{DurableRecovery, LogEntry, ReplaySlice, UpdateLog};
 pub use agent::{DlmAgent, DlmAgentConnection};
 pub use outbox::{CoalescingQueue, OutboxSink, Pushed};
 pub use proto::{AttrChanges, DlmEvent, DlmRequest, ShardCursor, UpdateInfo};
-pub use shard::{ShardMap, ShardStats, ShardedDlm};
+pub use shard::{Logged, ShardMap, ShardStats, ShardedDlm};

@@ -227,6 +227,7 @@ impl LockManager {
         };
 
         // Wait outside the table lock.
+        displaydb_common::sync::before_wait();
         let mut ws = waiter.state.lock();
         loop {
             match *ws {

@@ -135,7 +135,9 @@ fn slow_client_does_not_degrade_fast_client() {
 
 /// Past the per-client in-flight cap the server sheds with a retryable
 /// `Overloaded` error; `Connection::call` retries with backoff, so the
-/// application never sees the shed — only the counters do.
+/// application never sees the shed — only the counters do. A session runs
+/// a request on the thread that read it unless the request waits, so the
+/// cap is reached with reads parked behind another client's X lock.
 #[test]
 fn admission_control_sheds_and_the_client_retries_through() {
     let catalog = Arc::new(nms_catalog());
@@ -145,36 +147,48 @@ fn admission_control_sheds_and_the_client_retries_through() {
     let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
 
     let client = client_on(&hub, "pusher");
+    let holder = client_on(&hub, "holder");
     let mut txn = client.begin().unwrap();
     let link = txn.create(client.new_object("Link").unwrap()).unwrap();
     txn.commit().unwrap();
     let oid = link.oid;
 
-    // 8 threads × 40 uncached reads against an in-flight cap of 2.
-    let mut handles = Vec::new();
-    for _ in 0..8 {
-        let client = Arc::clone(&client);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..40 {
+    // Every read of the link parks until the holder lets go.
+    let mut lock = holder.begin().unwrap();
+    lock.lock_exclusive(oid).unwrap();
+    let sheds = || server.core().dlm().stats().overload.sheds.get();
+    // 4 threads × 1 uncached read against an in-flight cap of 2.
+    let handles: Vec<_> = (0..4)
+        .map(|_| {
+            let client = Arc::clone(&client);
+            std::thread::spawn(move || {
                 client.cache().invalidate(&[oid]);
                 match client.read_fresh(oid) {
                     Ok(_) => {}
-                    // The retry loop gave up: the server stayed saturated
-                    // across the whole backoff window. Legitimate under
-                    // extreme scheduling; the next call gets a new window.
+                    // The retry loop gave up: the cap stayed full across
+                    // the whole backoff window. The next call gets a new
+                    // window.
                     Err(DbError::Overloaded) => {}
                     Err(e) => panic!("unexpected error under load: {e:?}"),
                 }
-            }
-        }));
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while sheds() == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "cap of 2 with 4 parked reads must shed"
+        );
+        std::thread::sleep(Duration::from_millis(1));
     }
+    lock.abort().unwrap();
     for h in handles {
         h.join().unwrap();
     }
 
-    let sheds = server.core().dlm().stats().overload.sheds.get();
     let retries = client.conn_stats().overload_retries.get();
-    assert!(sheds >= 1, "cap of 2 with 8 threads must shed");
+    assert!(sheds() >= 1, "cap of 2 with 4 parked reads must shed");
     assert!(retries >= 1, "client must have retried shed requests");
     // The connection is still healthy for ordinary work.
     client.ping().unwrap();

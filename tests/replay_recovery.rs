@@ -588,12 +588,24 @@ impl StormFixture {
     /// an unloaded machine.
     fn storm(&self, links: &[Oid]) {
         self.plan.set_delay(1000, Duration::from_millis(400));
+        let locks = || self.server.core().locks().locked_objects();
+        let held = locks();
         let mut txn = self.updater.begin().unwrap();
         for &oid in links {
             txn.update(oid, |o| o.set(&self.catalog, "Utilization", 0.95))
                 .unwrap();
         }
         txn.commit().unwrap();
+        // The commit is answered before its fan-out, and lets go of its
+        // locks after it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while locks() > held {
+            assert!(
+                Instant::now() < deadline,
+                "the storm's commit never finished"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let overload = &self.server.core().dlm().stats().overload;
         assert!(overload.overflows.get() >= 1, "outbox never overflowed");
         // The memory bound: a stalled viewer costs the server at most
