@@ -30,6 +30,7 @@
 //! resyncing, unless the durable window was truncated (torn tail,
 //! retention, or a WAL cross-check demotion).
 
+use crate::core::EventSink;
 use crate::proto::UpdateInfo;
 use displaydb_common::metrics::{SegLogStats, UpdateLogStats};
 use displaydb_common::overload::UpdateLogConfig;
@@ -37,8 +38,9 @@ use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid};
 use displaydb_storage::seglog::SegLog;
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
-use std::collections::{HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::path::Path;
+use std::sync::Arc;
 
 /// One appended commit batch.
 #[derive(Clone, Debug)]
@@ -73,6 +75,10 @@ struct LogInner {
     next_seqno: u64,
     /// Sum of `bytes` across retained entries.
     bytes: usize,
+    /// Appended seqnos whose fan-out has not released them yet: `None`
+    /// while it runs, then the sinks it notified, until every older one
+    /// is done too ([`UpdateLog::fanned_out`]).
+    fanning: BTreeMap<u64, Option<Vec<Arc<dyn EventSink>>>>,
 }
 
 impl LogInner {
@@ -203,6 +209,7 @@ impl UpdateLog {
                     entries: VecDeque::new(),
                     next_seqno: 1,
                     bytes: 0,
+                    fanning: BTreeMap::new(),
                 },
             ),
             config: clamped(config),
@@ -280,6 +287,7 @@ impl UpdateLog {
                     entries,
                     next_seqno: rec.next_seqno,
                     bytes,
+                    fanning: BTreeMap::new(),
                 },
             ),
             config,
@@ -329,6 +337,7 @@ impl UpdateLog {
             bytes,
         });
         inner.bytes += bytes;
+        inner.fanning.insert(seqno, None);
         self.stats.appended.inc();
         // Evict from the front until both caps hold again. A single
         // oversized entry may be evicted immediately after insertion —
@@ -345,6 +354,35 @@ impl UpdateLog {
         self.stats.log_entries.set(inner.entries.len() as u64);
         self.stats.log_bytes.set(inner.bytes as u64);
         Ok(Some(seqno))
+    }
+
+    /// `seqno`'s fan-out has queued its events at `sinks`. Returns the
+    /// sinks whose ack frontier may move now, and the seqno it may move
+    /// to: every appended batch through it is fanned out. So no frontier
+    /// passes a batch that is logged but not yet queued, whose events a
+    /// resume from that frontier would miss (DESIGN.md § 14). Every
+    /// appended seqno must come through here once, or the shard's
+    /// frontiers stop below it.
+    pub fn fanned_out(
+        &self,
+        seqno: u64,
+        sinks: Vec<Arc<dyn EventSink>>,
+    ) -> (Vec<Arc<dyn EventSink>>, u64) {
+        let mut inner = self.inner.lock();
+        inner.fanning.insert(seqno, Some(sinks));
+        let (mut ready, mut through) = (Vec::new(), 0);
+        while let Some(mut done) = inner.fanning.first_entry() {
+            let Some(sinks) = done.get_mut().take() else {
+                break;
+            };
+            through = done.remove_entry().0;
+            if ready.is_empty() {
+                ready = sinks;
+            } else {
+                ready.extend(sinks);
+            }
+        }
+        (ready, through)
     }
 
     /// The distinct OIDs updated by retained entries past `cursor`, or

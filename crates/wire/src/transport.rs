@@ -54,6 +54,14 @@ pub trait Channel: Send + Sync {
     /// local socket buffers for TCP).
     fn send(&self, payload: Bytes) -> DbResult<()>;
 
+    /// Whether a `send` now may wait for more than a local copy: behind
+    /// another thread's frame, or on an injected delay. Best effort — a
+    /// full TCP buffer with no other sender is not seen. The default, for
+    /// an unbounded in-process queue, is `false`.
+    fn congested(&self) -> bool {
+        false
+    }
+
     /// Block until a message arrives, the peer disconnects
     /// ([`DbError::Disconnected`]) or the channel is closed.
     fn recv(&self) -> DbResult<Bytes>;
@@ -147,6 +155,10 @@ impl Channel for TcpChannel {
     fn send(&self, payload: Bytes) -> DbResult<()> {
         let mut w = self.writer.lock();
         write_frame(&mut *w, &payload)
+    }
+
+    fn congested(&self) -> bool {
+        self.writer.try_lock().is_none()
     }
 
     fn recv(&self) -> DbResult<Bytes> {
@@ -558,6 +570,11 @@ impl Channel for FaultyChannel {
         result
     }
 
+    fn congested(&self) -> bool {
+        let delays = self.plan.delay_per_mille.load(Ordering::Relaxed) > 0;
+        delays || self.inner.congested()
+    }
+
     fn recv(&self) -> DbResult<Bytes> {
         loop {
             if self.plan.is_killed() {
@@ -853,6 +870,10 @@ impl Channel for MeteredChannel {
         self.meter.bytes_sent.fetch_add(len, Ordering::Relaxed);
         self.meter.frames_sent.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    fn congested(&self) -> bool {
+        self.inner.congested()
     }
 
     fn recv(&self) -> DbResult<Bytes> {
