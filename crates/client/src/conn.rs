@@ -60,10 +60,8 @@ pub struct ConnStats {
     pub recovery: RecoveryStats,
 }
 
-impl ConnStats {
-    /// Counter values for reports and the unified stats registry (the
-    /// nested [`RecoveryStats`] registers as its own section).
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+impl displaydb_common::stats::StatsSource for ConnStats {
+    fn stat_values(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("sent", self.sent.get()),
             ("received", self.received.get()),
@@ -71,12 +69,6 @@ impl ConnStats {
             ("dlm_events", self.dlm_events.get()),
             ("overload_retries", self.overload_retries.get()),
         ]
-    }
-}
-
-impl displaydb_common::stats::StatsSource for ConnStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.snapshot()
     }
 }
 

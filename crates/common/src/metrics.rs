@@ -7,6 +7,7 @@
 //! subsystem expose exactly those quantities to the experiment harness
 //! without heavyweight dependencies.
 
+use crate::stats::StatsSource;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -362,9 +363,10 @@ impl RecoveryStats {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Snapshot as `(name, value)` pairs for reports.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+impl StatsSource for RecoveryStats {
+    fn stat_values(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("reconnect_attempts", self.reconnect_attempts.get()),
             ("reconnects_ok", self.reconnects_ok.get()),
@@ -408,9 +410,10 @@ impl UpdateLogStats {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Snapshot as `(name, value)` pairs for reports.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+impl StatsSource for UpdateLogStats {
+    fn stat_values(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("appended", self.appended.get()),
             ("evicted", self.evicted.get()),
@@ -457,22 +460,6 @@ impl SegLogStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Snapshot as `(name, value)` pairs for reports.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("records_appended", self.records_appended.get()),
-            ("syncs", self.syncs.get()),
-            ("rotations", self.rotations.get()),
-            ("segments_retired", self.segments_retired.get()),
-            ("recovered_records", self.recovered_records.get()),
-            ("torn_tails_truncated", self.torn_tails_truncated.get()),
-            ("durable_bytes", self.durable_bytes.get()),
-            ("durable_bytes_high_water", self.durable_bytes.high_water()),
-            ("segments", self.segments.get()),
-            ("segments_high_water", self.segments.high_water()),
-        ]
-    }
 }
 
 /// Counters for the overload-protection layer (DESIGN.md § 9).
@@ -515,9 +502,10 @@ impl OverloadStats {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    /// Snapshot as `(name, value)` pairs for reports.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+impl StatsSource for OverloadStats {
+    fn stat_values(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("enqueued", self.enqueued.get()),
             ("coalesced", self.coalesced.get()),
@@ -560,21 +548,21 @@ impl MetricSet {
         c
     }
 
-    /// Snapshot of all counters as `(name, value)` pairs, in registration
-    /// order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(n, c)| (*n, c.get()))
-            .collect()
-    }
-
     /// Reset every counter to zero.
     pub fn reset(&self) {
         for (_, c) in self.inner.lock().iter() {
             c.take();
         }
+    }
+}
+
+impl StatsSource for MetricSet {
+    fn stat_values(&self) -> Vec<(&'static str, u64)> {
+        self.inner
+            .lock()
+            .iter()
+            .map(|(n, c)| (*n, c.get()))
+            .collect()
     }
 }
 
@@ -625,7 +613,7 @@ mod tests {
         s.enqueued.add(5);
         s.overflows.inc();
         s.queue_depth.set(7);
-        let snap = s.snapshot();
+        let snap = s.stat_values();
         assert!(snap.contains(&("enqueued", 5)));
         assert!(snap.contains(&("overflows", 1)));
         assert!(snap.contains(&("queue_depth_high_water", 7)));
@@ -757,7 +745,7 @@ mod tests {
         m.counter("msgs").inc();
         m.counter("msgs").inc();
         m.counter("acks").add(3);
-        let snap = m.snapshot();
+        let snap = m.stat_values();
         assert_eq!(snap, vec![("msgs", 2), ("acks", 3)]);
         m.reset();
         assert_eq!(m.counter("msgs").get(), 0);

@@ -19,7 +19,6 @@
 //! [`OverloadStats`]: crate::metrics::OverloadStats
 //! [`RecoveryStats`]: crate::metrics::RecoveryStats
 
-use crate::metrics::{MetricSet, OverloadStats, RecoveryStats, UpdateLogStats};
 use crate::sync::{ranks, OrderedMutex};
 use crate::trace::{self, Stage, TraceEvent};
 use std::sync::Arc;
@@ -28,30 +27,6 @@ use std::sync::Arc;
 pub trait StatsSource: Send + Sync {
     /// Current values, in a stable declaration order.
     fn stat_values(&self) -> Vec<(&'static str, u64)>;
-}
-
-impl StatsSource for RecoveryStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.snapshot()
-    }
-}
-
-impl StatsSource for OverloadStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.snapshot()
-    }
-}
-
-impl StatsSource for MetricSet {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.snapshot()
-    }
-}
-
-impl StatsSource for UpdateLogStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.snapshot()
-    }
 }
 
 type Provider = Arc<dyn StatsSource>;
@@ -299,6 +274,7 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::{OverloadStats, RecoveryStats};
 
     struct Fixed(Vec<(&'static str, u64)>);
     impl StatsSource for Fixed {

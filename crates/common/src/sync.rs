@@ -115,8 +115,6 @@ pub mod ranks {
     pub const DLC_STATE: LockRank = LockRank::new(190, "dlc.state");
     /// The DLC's replay cursor (last-applied update-log seqno).
     pub const DLC_CURSOR: LockRank = LockRank::new(195, "dlc.cursor");
-    /// The DLC's cache-patching delta hook slot.
-    pub const DLC_DELTA_HOOK: LockRank = LockRank::new(200, "dlc.delta_hook");
     /// The client's in-memory object cache.
     pub const CLIENT_CACHE: LockRank = LockRank::new(210, "client.cache");
     /// The client's local-disk cache index.
@@ -127,8 +125,6 @@ pub mod ranks {
     pub const SERVER_SESSIONS: LockRank = LockRank::new(300, "server.sessions");
     /// Issued resume tokens.
     pub const SERVER_RESUME_TOKENS: LockRank = LockRank::new(310, "server.resume_tokens");
-    /// A session's outbox back-reference slot.
-    pub const SESSION_OUTBOX: LockRank = LockRank::new(330, "session.outbox");
     /// A session's pending callback-ack waiters.
     pub const SESSION_ACKS: LockRank = LockRank::new(340, "session.acks");
     /// The transaction manager's live-transaction table.
@@ -201,12 +197,10 @@ pub mod ranks {
         CONN_PENDING,
         DLC_STATE,
         DLC_CURSOR,
-        DLC_DELTA_HOOK,
         CLIENT_CACHE,
         CLIENT_DISKCACHE,
         SERVER_SESSIONS,
         SERVER_RESUME_TOKENS,
-        SESSION_OUTBOX,
         SESSION_ACKS,
         SERVER_TXNS,
         SERVER_COPIES,

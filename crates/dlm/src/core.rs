@@ -81,10 +81,8 @@ pub struct DlmStats {
     pub log: UpdateLogStats,
 }
 
-impl DlmStats {
-    /// Snapshot as `(name, value)` pairs for reports (the outbox
-    /// counters live in their own `dlm.overload` registry section).
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
+impl displaydb_common::StatsSource for DlmStats {
+    fn stat_values(&self) -> Vec<(&'static str, u64)> {
         vec![
             ("lock_requests", self.lock_requests.get()),
             ("release_requests", self.release_requests.get()),
@@ -97,12 +95,6 @@ impl DlmStats {
             ("intent_notifications", self.intent_notifications.get()),
             ("delivery_failures", self.delivery_failures.get()),
         ]
-    }
-}
-
-impl displaydb_common::StatsSource for DlmStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.snapshot()
     }
 }
 

@@ -12,14 +12,14 @@ struct Blocky {
 impl Blocky {
     fn new(tx: Sender<u32>) -> Self {
         Self {
-            queue: OrderedMutex::new(ranks::SESSION_OUTBOX, Vec::new()),
+            queue: OrderedMutex::new(ranks::SESSION_ACKS, Vec::new()),
             tx,
         }
     }
 
     fn send_under_guard(&self) {
         let mut q = self.queue.lock();
-        // Channel send while session.outbox is held: MUST flag.
+        // Channel send while session.acks is held: MUST flag.
         self.tx.send(q.pop().unwrap_or(0)).unwrap();
         q.clear();
     }

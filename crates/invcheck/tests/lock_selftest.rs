@@ -114,7 +114,7 @@ fn registry_covers_dlm_shard_ranks() {
     assert!(rank_of("dlm.table") < rank_of("dlm.update_log"));
     assert!(rank_of("dlm.update_log") < rank_of("dlm.agent_sessions"));
     assert!(rank_of("dlm.agent_sessions") < rank_of("outbox.state"));
-    assert_eq!(ranks::ALL.len(), 35);
+    assert_eq!(ranks::ALL.len(), 33);
 }
 
 #[test]
@@ -151,7 +151,7 @@ fn seeded_blocking_is_flagged() {
         "expected send, sleep, and scrutinee-send, got: {findings:?}"
     );
     assert!(
-        blocking.iter().all(|f| f.lock == "session.outbox"),
+        blocking.iter().all(|f| f.lock == "session.acks"),
         "wrong lock: {blocking:?}"
     );
     assert!(blocking.iter().any(|f| f.detail == "tx.send"));

@@ -215,11 +215,6 @@ impl<'a> WireReader<'a> {
         let raw = self.get_bytes()?;
         std::str::from_utf8(raw).map_err(|_| DbError::Corrupt("invalid utf-8 string".into()))
     }
-
-    /// Read `n` raw bytes with no length prefix.
-    pub fn get_raw(&mut self, n: usize) -> DbResult<&'a [u8]> {
-        self.take(n)
-    }
 }
 
 fn zigzag_encode(v: i64) -> u64 {

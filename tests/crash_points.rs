@@ -12,14 +12,17 @@
 //! - **cursor monotonicity**: the gap detector stays silent across the
 //!   incarnation change.
 //!
+//! One more case needs no restart: a spill that fails spends its seqno.
+//!
 //! The crash-point harness is process-global state, so this matrix gets
-//! an integration-test binary of its own (one `#[test]`, points run in
-//! sequence) — arming here can never bleed into another binary's
+//! an integration-test binary of its own (one `#[test]`, points and cases
+//! run in sequence) — arming here can never bleed into another binary's
 //! durable-log traffic.
 
 mod support;
 
 use displaydb::common::crashpoint::{self, CrashGuard, CrashPoint};
+use displaydb::dlm::UpdateLog;
 use displaydb::nms::nms_catalog;
 use displaydb::prelude::*;
 use displaydb::wire::Channel;
@@ -217,4 +220,74 @@ fn crash_point_matrix_restart_recovers_without_loss_or_duplicates() {
         drop(server2);
         drop(guard);
     }
+    a_failed_spill_spends_its_seqno(&catalog);
+}
+
+fn await_cursor(viewer: &DbClient, log: &UpdateLog) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while viewer.dlc().cursor_of(0) != log.head() {
+        assert!(
+            Instant::now() < deadline,
+            "the viewer's cursor stopped below the log head"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A spill that fails spends its seqno and takes the log's window with
+/// it: the commit stands and fans out unlogged, no cursor acked before it
+/// is admitted any more, and the next commit's ack carries the viewer
+/// past the spent seqno instead of leaving it below.
+fn a_failed_spill_spends_its_seqno(catalog: &Arc<Catalog>) {
+    let point = CrashPoint::MidAppend;
+    let guard = CrashGuard::new();
+    let tmp = TempDir::new("spent-seqno");
+    let mut config = ServerConfig::new(tmp.path());
+    config.durable_log = DurableLogConfig {
+        sync_every: 1,
+        ..DurableLogConfig::enabled()
+    };
+    let hub = LocalHub::new();
+    let server = Server::spawn_local(Arc::clone(catalog), config, &hub).unwrap();
+    let connect = |name| {
+        DbClient::connect(Box::new(hub.connect().unwrap()), ClientConfig::named(name)).unwrap()
+    };
+    let (updater, viewer) = (connect("updater"), connect("viewer"));
+    let set = |value: f64, oid: Oid| {
+        let mut txn = updater.begin().unwrap();
+        txn.update(oid, |o| o.set(catalog, "Utilization", value))
+            .unwrap();
+        txn.commit()
+    };
+    let mut txn = updater.begin().unwrap();
+    let link = txn.create(updater.new_object("Link").unwrap()).unwrap();
+    txn.commit().unwrap();
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
+    let id = display
+        .add_object(&width_coded_link("Utilization"), vec![link.oid])
+        .unwrap();
+    set(0.1, link.oid).unwrap();
+    await_value(&display, id, 0.1, point);
+    let log = server.core().dlm().update_log_of(0);
+    await_cursor(&viewer, log);
+    let acked = viewer.dlc().cursor_of(0);
+    assert!(log.changed_since(acked).is_some());
+
+    let fired_before = crashpoint::fired(point);
+    crashpoint::arm(point);
+    set(0.2, link.oid).expect("a failed spill leaves the commit standing");
+    assert_eq!(crashpoint::fired(point), fired_before + 1);
+    await_value(&display, id, 0.2, point);
+    assert_eq!(log.head(), acked + 1, "the failed spill spent a seqno");
+    assert!(
+        log.changed_since(acked).is_none(),
+        "a cursor acked before the failure is still admitted"
+    );
+
+    set(0.3, link.oid).unwrap();
+    await_value(&display, id, 0.3, point);
+    await_cursor(&viewer, log);
+    assert_eq!(viewer.dlc().cursor_of(0), acked + 2);
+    drop(server);
+    drop(guard);
 }
