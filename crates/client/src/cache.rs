@@ -16,36 +16,102 @@ use displaydb_common::lru::{LruCache, LruStats};
 use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::Oid;
 use displaydb_schema::DbObject;
+use std::collections::HashMap;
 
 /// Thread-safe, byte-bounded LRU cache of decoded objects.
 pub struct ClientCache {
-    inner: OrderedMutex<LruCache<Oid, DbObject>>,
+    inner: OrderedMutex<Inner>,
+}
+
+struct Inner {
+    lru: LruCache<Oid, DbObject>,
+    /// Invalidation calls so far.
+    generation: u64,
+    /// The generation each open [`Fill`] started at.
+    fills: Vec<u64>,
+    /// While a fill is open: each oid invalidated since, with the
+    /// generation of its latest invalidation.
+    dropped: HashMap<Oid, u64>,
+}
+
+/// A server call's right to cache what it returns. The server registers
+/// a copy before it answers, so the next writer's callback for that copy
+/// can overtake the answer; an object a callback names after the fill
+/// opened is therefore not inserted. Open it before the request is sent.
+pub(crate) struct Fill<'a> {
+    cache: &'a ClientCache,
+    started: u64,
+}
+
+impl Fill<'_> {
+    /// Insert `obj` unless a callback named it since the fill opened.
+    /// Returns whether it was inserted.
+    pub(crate) fn insert(&self, obj: DbObject) -> bool {
+        let mut inner = self.cache.inner.lock();
+        let named = inner.dropped.get(&obj.oid) > Some(&self.started);
+        if !named {
+            let size = obj.size_bytes();
+            inner.lru.insert(obj.oid, obj, size);
+        }
+        !named
+    }
+}
+
+impl Drop for Fill<'_> {
+    fn drop(&mut self) {
+        let mut inner = self.cache.inner.lock();
+        if let Some(at) = inner.fills.iter().position(|&g| g == self.started) {
+            inner.fills.swap_remove(at);
+        }
+        if inner.fills.is_empty() {
+            inner.dropped.clear();
+        }
+    }
 }
 
 impl ClientCache {
     /// Create a cache bounded to `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
         Self {
-            inner: OrderedMutex::new(ranks::CLIENT_CACHE, LruCache::new(capacity_bytes)),
+            inner: OrderedMutex::new(
+                ranks::CLIENT_CACHE,
+                Inner {
+                    lru: LruCache::new(capacity_bytes),
+                    generation: 0,
+                    fills: Vec::new(),
+                    dropped: HashMap::new(),
+                },
+            ),
+        }
+    }
+
+    /// Open a [`Fill`] for a server call about to be sent.
+    pub(crate) fn fill(&self) -> Fill<'_> {
+        let mut inner = self.inner.lock();
+        let started = inner.generation;
+        inner.fills.push(started);
+        Fill {
+            cache: self,
+            started,
         }
     }
 
     /// Look up an object (LRU touch on hit).
     pub fn get(&self, oid: Oid) -> Option<DbObject> {
-        self.inner.lock().get(&oid).cloned()
+        self.inner.lock().lru.get(&oid).cloned()
     }
 
     /// Run `f` on the cached copy of `oid`, if there is one, with no LRU
     /// touch and no hit or miss counted.
     pub fn peek<R>(&self, oid: Oid, f: impl FnOnce(&DbObject) -> R) -> Option<R> {
-        self.inner.lock().peek(&oid).map(f)
+        self.inner.lock().lru.peek(&oid).map(f)
     }
 
     /// Insert (or refresh) an object; its footprint is measured with
     /// [`DbObject::size_bytes`].
     pub fn insert(&self, obj: DbObject) {
         let size = obj.size_bytes();
-        self.inner.lock().insert(obj.oid, obj, size);
+        self.inner.lock().lru.insert(obj.oid, obj, size);
     }
 
     /// Patch a cached object in place from an attribute-level delta
@@ -55,7 +121,7 @@ impl ClientCache {
     /// is all-or-nothing: a bad pair leaves the cached object untouched.
     pub fn apply_delta(&self, oid: Oid, changed: &[(u16, Vec<u8>)]) -> bool {
         let mut inner = self.inner.lock();
-        let Some(obj) = inner.get(&oid) else {
+        let Some(obj) = inner.lru.get(&oid) else {
             return false;
         };
         let mut patched = obj.clone();
@@ -63,58 +129,65 @@ impl ClientCache {
             return false;
         }
         let size = patched.size_bytes();
-        inner.insert(oid, patched, size);
+        inner.lru.insert(oid, patched, size);
         true
     }
 
-    /// Drop objects (server callback or local knowledge of staleness).
+    /// Drop objects (server callback or local knowledge of staleness);
+    /// an open `Fill` will not cache them either.
     pub fn invalidate(&self, oids: &[Oid]) {
         let mut inner = self.inner.lock();
+        inner.generation += 1;
+        let generation = inner.generation;
+        let filling = !inner.fills.is_empty();
         for oid in oids {
-            inner.remove(oid);
+            inner.lru.remove(oid);
+            if filling {
+                inner.dropped.insert(*oid, generation);
+            }
         }
     }
 
     /// Drop everything.
     pub fn clear(&self) {
-        self.inner.lock().clear();
+        self.inner.lock().lru.clear();
     }
 
     /// Whether `oid` is cached (no LRU effect).
     pub fn contains(&self, oid: Oid) -> bool {
-        self.inner.lock().contains(&oid)
+        self.inner.lock().lru.contains(&oid)
     }
 
     /// Every cached oid, most-recently-used first (no LRU effect) — the
     /// manifest a resuming session presents to the server so it can
     /// rebuild copy-table entries and report which copies went stale.
     pub fn oids(&self) -> Vec<Oid> {
-        self.inner.lock().keys_mru().copied().collect()
+        self.inner.lock().lru.keys_mru().copied().collect()
     }
 
     /// Number of cached objects.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().lru.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.inner.lock().lru.is_empty()
     }
 
     /// Bytes used by cached objects.
     pub fn used_bytes(&self) -> usize {
-        self.inner.lock().used_bytes()
+        self.inner.lock().lru.used_bytes()
     }
 
     /// Configured capacity.
     pub fn capacity_bytes(&self) -> usize {
-        self.inner.lock().capacity_bytes()
+        self.inner.lock().lru.capacity_bytes()
     }
 
     /// Hit/miss/eviction statistics.
     pub fn stats(&self) -> LruStats {
-        self.inner.lock().stats()
+        self.inner.lock().lru.stats()
     }
 }
 
@@ -122,8 +195,8 @@ impl std::fmt::Debug for ClientCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("ClientCache")
-            .field("objects", &inner.len())
-            .field("used_bytes", &inner.used_bytes())
+            .field("objects", &inner.lru.len())
+            .field("used_bytes", &inner.lru.used_bytes())
             .finish()
     }
 }
@@ -244,6 +317,28 @@ mod tests {
             "old",
             "failed patch must leave the object untouched"
         );
+    }
+
+    #[test]
+    fn a_fill_skips_what_a_callback_named_after_it_opened() {
+        let cat = catalog();
+        let cache = ClientCache::new(10_000);
+        cache.invalidate(&[Oid::new(1)]); // before the fill: no effect
+        let fill = cache.fill();
+        let other = cache.fill();
+        drop(other); // an overlapping fill's end keeps this one's record
+        cache.invalidate(&[Oid::new(2)]);
+        assert!(fill.insert(obj(&cat, 1, "one")));
+        assert!(!fill.insert(obj(&cat, 2, "two")));
+        assert!(!cache.contains(Oid::new(2)));
+        let later = cache.fill();
+        assert!(
+            later.insert(obj(&cat, 2, "two")),
+            "opened after the callback"
+        );
+        drop((fill, later));
+        cache.invalidate(&[Oid::new(3)]);
+        assert!(cache.fill().insert(obj(&cat, 3, "three")));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The top-level client handle.
 
-use crate::cache::ClientCache;
+use crate::cache::{ClientCache, Fill};
 use crate::conn::{ConnStats, Connection, PushSink};
 use crate::diskcache::DiskCache;
 use crate::dlc::{Dlc, DlmBackend};
@@ -537,11 +537,10 @@ impl DbClient {
         self.disk.as_ref()
     }
 
-    /// Write-through of a freshly committed object state into the local
-    /// caches (called by [`ClientTxn::commit`]).
-    pub(crate) fn cache_committed(&self, obj: &DbObject) {
-        self.cache.insert(obj.clone());
-        if let Some(disk) = &self.disk {
+    /// Write-through of a server call's object into the local caches,
+    /// unless a callback named it during the call (see [`Fill`]).
+    pub(crate) fn cache_through(&self, fill: &Fill<'_>, obj: &DbObject) {
+        if let (true, Some(disk)) = (fill.insert(obj.clone()), &self.disk) {
             disk.put(obj);
         }
     }
@@ -609,13 +608,11 @@ impl DbClient {
     /// The server only ever holds committed state, so what it returns may
     /// enter the caches whoever asked.
     fn server_read(&self, txn: Option<TxnId>, oid: Oid) -> DbResult<DbObject> {
+        let fill = self.cache.fill();
         match self.conn().call(Request::Read { txn, oid })? {
             Response::Object { bytes } => {
                 let obj = DbObject::decode_from_bytes(&bytes)?;
-                self.cache.insert(obj.clone());
-                if let Some(disk) = &self.disk {
-                    disk.put(&obj);
-                }
+                self.cache_through(&fill, &obj);
                 Ok(obj)
             }
             other => Err(DbError::Protocol(format!("unexpected {other:?}"))),
@@ -644,6 +641,7 @@ impl DbClient {
             return Ok(out);
         }
         let fetch: Vec<Oid> = missing.iter().map(|(_, oid)| *oid).collect();
+        let fill = self.cache.fill();
         match self.conn().call(Request::ReadMany {
             txn: None,
             oids: fetch,
@@ -652,10 +650,7 @@ impl DbClient {
                 for ((i, _), bytes) in missing.into_iter().zip(objects) {
                     if let Some(bytes) = bytes {
                         let obj = DbObject::decode_from_bytes(&bytes)?;
-                        self.cache.insert(obj.clone());
-                        if let Some(disk) = &self.disk {
-                            disk.put(&obj);
-                        }
+                        self.cache_through(&fill, &obj);
                         out[i] = Some(obj);
                     }
                 }
@@ -804,6 +799,65 @@ mod tests {
         );
         assert_eq!(client.conn_stats().callbacks.get(), 1);
         drop(server); // before `client`, whose connection joins its reader
+    }
+
+    /// Play the server's side of one call: read the request, push a
+    /// callback for `oid` ahead of `answer`, then take the callback's ack.
+    fn call_back_ahead(server: &LocalChannel, oid: Oid, answer: Response) -> Request {
+        let frame = server.recv_timeout(Duration::from_secs(10)).unwrap();
+        let Ok(Envelope::Req(seq, request)) = Envelope::decode_from_bytes(&frame) else {
+            panic!("expected a request");
+        };
+        let callback = Envelope::Push(ServerPush::Callback {
+            ack: 3,
+            oids: vec![oid],
+        });
+        server.send(callback.encode_to_bytes()).unwrap();
+        server
+            .send(Envelope::Resp(seq, answer).encode_to_bytes())
+            .unwrap();
+        let frame = server.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(
+            Envelope::decode_from_bytes(&frame).unwrap(),
+            Envelope::PushAck(3)
+        );
+        request
+    }
+
+    #[test]
+    fn a_callback_ahead_of_the_answer_keeps_the_copy_out() {
+        // The server registers the copy a commit or a read hands out
+        // before it answers, so the next writer's callback for it can
+        // overtake the answer: the copy must not be cached after it.
+        let catalog = catalog();
+        let (client_end, server) = local_pair();
+        let client = std::thread::scope(|s| {
+            s.spawn(|| answer_hello(&server, &catalog, &[]));
+            DbClient::connect(Box::new(client_end), ClientConfig::named("overtaken")).unwrap()
+        });
+        let mut x = DbObject::new_named(&catalog, "Blob").unwrap();
+        x.oid = Oid::new(42);
+        let request = std::thread::scope(|s| {
+            let fake = s.spawn(|| call_back_ahead(&server, x.oid, Response::Ok));
+            let mut txn = client.begin().unwrap();
+            txn.write(x.clone()).unwrap();
+            txn.commit().unwrap();
+            fake.join().unwrap()
+        });
+        assert!(matches!(request, Request::Commit { .. }));
+        assert!(!client.cache().contains(x.oid), "the commit cached x");
+
+        let answer = Response::Object {
+            bytes: x.encode_to_bytes().to_vec(),
+        };
+        let request = std::thread::scope(|s| {
+            let fake = s.spawn(|| call_back_ahead(&server, x.oid, answer));
+            assert_eq!(client.read(x.oid).unwrap(), x);
+            fake.join().unwrap()
+        });
+        assert!(matches!(request, Request::Read { .. }));
+        assert!(!client.cache().contains(x.oid), "the read cached x");
+        drop(server);
     }
 
     #[test]

@@ -181,6 +181,7 @@ impl ClientTxn {
         // it to the DLM agent.
         let trace = displaydb_common::trace::next_trace_id();
         let patches = self.id.is_none();
+        let fill = self.client.cache().fill();
         let sent = match self.send_commit(patches, trace) {
             Err(DbError::StaleBase { .. }) if patches => self.send_commit(false, trace),
             result => result,
@@ -198,13 +199,15 @@ impl ClientTxn {
         }
         // The server-side transaction ended with it: `Drop` aborts nothing.
         let txn = self.id.take();
-        // Refresh the local cache with the now-committed states.
+        // Refresh the local cache with the now-committed states, which
+        // the server registered as this client's copies.
         for (oid, view) in &self.local {
             match view {
-                Some(obj) => self.client.cache_committed(obj),
+                Some(obj) => self.client.cache_through(&fill, obj),
                 None => self.client.uncache(*oid),
             }
         }
+        drop(fill);
         if self.client.reports_to_dlm() {
             self.report_resolution(txn, true)?;
             let updates: Vec<UpdateInfo> = self
