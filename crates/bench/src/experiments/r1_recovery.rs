@@ -16,7 +16,7 @@
 //!   stale.
 
 use crate::fixture::scratch_dir;
-use crate::report::{Metrics, Table};
+use crate::report::Table;
 use crate::Scale;
 use displaydb_client::{ChannelFactory, ClientConfig, DbClient};
 use displaydb_common::backoff::ReconnectPolicy;
@@ -29,20 +29,6 @@ use displaydb_wire::{Channel, FaultPlan, FaultyChannel, LocalHub};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Run R1.
-pub fn run(scale: Scale) -> Vec<Table> {
-    run_with_metrics(scale).0
-}
-
-/// Run R1 and also return the machine-readable metrics for the CI gate.
-pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
-    let (table, blip_mean, restart_mean) = recovery_counters(scale);
-    let mut m = Metrics::new("r1");
-    m.put("blip_recovery_ms", blip_mean.as_secs_f64() * 1e3);
-    m.put("restart_recovery_ms", restart_mean.as_secs_f64() * 1e3);
-    (vec![table], m)
-}
 
 fn supervised_config(name: &str) -> ClientConfig {
     ClientConfig {
@@ -83,7 +69,8 @@ fn await_recovery(client: &DbClient, started: Instant) -> Duration {
     started.elapsed()
 }
 
-fn recovery_counters(scale: Scale) -> (Table, Duration, Duration) {
+/// Run R1.
+pub fn run(scale: Scale) -> Vec<Table> {
     let mut t = Table::new(
         "R1 — supervised recovery: counters and time-to-recovery",
         "Repeated outages under DbClient::connect_supervised. Transport blips resume the \
@@ -103,15 +90,13 @@ fn recovery_counters(scale: Scale) -> (Table, Duration, Duration) {
     let cycles = scale.pick(3usize, 10);
     let dos = scale.pick(8usize, 32);
 
-    let (blip_row, blip_mean) = transport_blips(cycles, dos);
-    let (restart_row, restart_mean) = server_restarts(cycles, dos);
-    t.row(blip_row);
-    t.row(restart_row);
-    (t, blip_mean, restart_mean)
+    t.row(transport_blips(cycles, dos));
+    t.row(server_restarts(cycles, dos));
+    vec![t]
 }
 
 /// Kill the live channel with fault injection while the server stays up.
-fn transport_blips(cycles: usize, dos: usize) -> (Vec<String>, Duration) {
+fn transport_blips(cycles: usize, dos: usize) -> Vec<String> {
     let catalog = Arc::new(nms_catalog());
     let hub = LocalHub::new();
     let _server = Server::spawn_local(
@@ -156,14 +141,11 @@ fn transport_blips(cycles: usize, dos: usize) -> (Vec<String>, Duration) {
     }
     let recovery = client.conn_stats().recovery.clone();
     let mean = total / cycles as u32;
-    (
-        row("transport blip (resume)", cycles, &recovery, mean),
-        mean,
-    )
+    row("transport blip (resume)", cycles, &recovery, mean)
 }
 
 /// Replace the server process over the same data directory.
-fn server_restarts(cycles: usize, dos: usize) -> (Vec<String>, Duration) {
+fn server_restarts(cycles: usize, dos: usize) -> Vec<String> {
     let catalog = Arc::new(nms_catalog());
     let dir = scratch_dir("r1-restart");
     let durable = |dir: &std::path::Path| {
@@ -206,10 +188,7 @@ fn server_restarts(cycles: usize, dos: usize) -> (Vec<String>, Duration) {
     }
     let recovery = client.conn_stats().recovery.clone();
     let mean = total / cycles as u32;
-    (
-        row("server restart (fresh session)", cycles, &recovery, mean),
-        mean,
-    )
+    row("server restart (fresh session)", cycles, &recovery, mean)
 }
 
 fn row(

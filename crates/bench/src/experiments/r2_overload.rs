@@ -25,7 +25,7 @@
 //!   the update log past its cursor, with no object re-read.
 
 use crate::fixture::scratch_dir;
-use crate::report::{self, Metrics, Table};
+use crate::report::{self, Table};
 use crate::Scale;
 use displaydb_client::{ClientConfig, DbClient};
 use displaydb_common::metrics::LatencyRecorder;
@@ -50,11 +50,6 @@ const SAMPLE_EVERY: usize = 10;
 
 /// Run R2.
 pub fn run(scale: Scale) -> Vec<Table> {
-    run_with_metrics(scale).0
-}
-
-/// Run R2 and also return the machine-readable metrics for the CI gate.
-pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let links = scale.pick(16usize, 40);
     let updates = scale.pick(200usize, 1200);
     // Low enough that a stalled consumer trips it several times over,
@@ -128,16 +123,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
         ]);
     }
 
-    let mut m = Metrics::new("r2");
-    m.put("links", links as f64);
-    m.put("updates", updates as f64);
-    m.put("baseline_healthy_p95_ms", base.p95.as_secs_f64() * 1e3);
-    m.put("slow_healthy_p95_ms", slow.p95.as_secs_f64() * 1e3);
-    m.put("slow_convergence_ms", slow.convergence.as_secs_f64() * 1e3);
-    m.put("slow_outbox_depth_hw", slow.depth_high_water as f64);
-    m.put("slow_replays_requested", slow.replays_requested as f64);
-    m.put("slow_resyncs_in", slow.resyncs_in as f64);
-    (vec![lat, ob], m)
+    vec![lat, ob]
 }
 
 struct Outcome {

@@ -52,7 +52,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     run_with_metrics(scale).0
 }
 
-/// Run R3 and also return the machine-readable metrics for the CI gate.
+/// Run R3 and also return the metrics `tests/gated_experiments.rs` asserts.
 pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let links = scale.pick(12usize, 40);
     let updates = scale.pick(240usize, 2000);
@@ -105,16 +105,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     }
 
     let mut m = Metrics::new("r3");
-    m.put("links", links as f64);
-    m.put("updates", updates as f64);
-    m.put("baseline_events", base.events as f64);
     m.put("baseline_notify_bytes", base.bytes as f64);
-    m.put("baseline_notify_p95_ms", base.p95.as_secs_f64() * 1e3);
-    m.put("delta_events", delta.events as f64);
-    m.put("delta_deltas", delta.deltas as f64);
-    m.put("delta_suppressed", delta.suppressed as f64);
     m.put("delta_notify_bytes", delta.bytes as f64);
-    m.put("delta_notify_p95_ms", delta.p95.as_secs_f64() * 1e3);
     m.put(
         "bytes_reduction_x",
         if delta.bytes == 0 {

@@ -44,7 +44,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     run_with_metrics(scale).0
 }
 
-/// Run R4 and also return the machine-readable metrics for the CI gate.
+/// Run R4 and also return the metrics `tests/gated_experiments.rs` asserts.
 pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let viewers = scale.pick(4usize, 12);
     let links = scale.pick(64usize, 160);
@@ -96,19 +96,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     }
 
     let mut m = Metrics::new("r4");
-    m.put("viewers", viewers as f64);
-    m.put("links", links as f64);
-    m.put("changed", changed as f64);
     m.put("resync_recovery_bytes", resync.bytes as f64);
-    m.put("resync_recovery_ms", resync.convergence.as_secs_f64() * 1e3);
     m.put("replay_recovery_bytes", replay.bytes as f64);
-    m.put("replay_recovery_ms", replay.convergence.as_secs_f64() * 1e3);
-    m.put("replay_catchups", replay.replay_catchups as f64);
-    m.put("resync_objects", resync.resync_objects as f64);
-    m.put(
-        "resume_sheds",
-        (resync.resume_sheds + replay.resume_sheds) as f64,
-    );
     m.put(
         "recovery_bytes_reduction_x",
         if replay.bytes == 0 {

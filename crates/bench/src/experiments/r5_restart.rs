@@ -42,7 +42,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     run_with_metrics(scale).0
 }
 
-/// Run R5 and also return the machine-readable metrics for the CI gate.
+/// Run R5 and also return the metrics `tests/gated_experiments.rs` asserts.
 pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let viewers = scale.pick(3usize, 10);
     let links = scale.pick(48usize, 160);
@@ -90,16 +90,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     }
 
     let mut m = Metrics::new("r5");
-    m.put("viewers", viewers as f64);
-    m.put("links", links as f64);
-    m.put("changed", changed as f64);
     m.put("resync_recovery_bytes", resync.bytes as f64);
-    m.put("resync_recovery_ms", resync.convergence.as_secs_f64() * 1e3);
     m.put("replay_recovery_bytes", replay.bytes as f64);
-    m.put("replay_recovery_ms", replay.convergence.as_secs_f64() * 1e3);
-    m.put("cross_restart_replays", replay.cross_restart_replays as f64);
-    m.put("sessions_recovered", replay.sessions_recovered as f64);
-    m.put("resync_objects", resync.resync_objects as f64);
     m.put(
         "recovery_bytes_reduction_x",
         if replay.bytes == 0 {

@@ -98,13 +98,11 @@ impl fmt::Display for Table {
     }
 }
 
-/// Machine-readable metrics for one experiment: a flat map of named
-/// numbers, serialised to a small JSON file (`BENCH_<id>.json`) that the
-/// CI bench gate diffs against a committed baseline. Keys ending in
-/// `_ms` or `_bytes` are treated as "lower is better" and gated.
+/// The named numbers one experiment reports beside its tables, for
+/// `tests/gated_experiments.rs` to assert.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Metrics {
-    /// Experiment id (`r1`, `r2`, `r3`).
+    /// Experiment id (`r3` … `r6`).
     pub experiment: String,
     values: Vec<(String, f64)>,
 }
@@ -131,79 +129,6 @@ impl Metrics {
     /// Look up one metric.
     pub fn get(&self, key: &str) -> Option<f64> {
         self.values.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-    }
-
-    /// All metrics in insertion order.
-    pub fn values(&self) -> &[(String, f64)] {
-        &self.values
-    }
-
-    /// Serialise to JSON (hand-rolled; the workspace carries no serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"experiment\": \"{}\",\n", self.experiment));
-        out.push_str("  \"metrics\": {\n");
-        for (i, (k, v)) in self.values.iter().enumerate() {
-            let comma = if i + 1 == self.values.len() { "" } else { "," };
-            // Finite decimal notation keeps the files diff-friendly.
-            out.push_str(&format!("    \"{k}\": {v:.6}{comma}\n"));
-        }
-        out.push_str("  }\n}\n");
-        out
-    }
-
-    /// Parse the subset of JSON that [`Self::to_json`] emits (flat string
-    /// key → number map under `"metrics"`). Tolerant of whitespace and
-    /// key order, nothing else.
-    pub fn parse_json(s: &str) -> Result<Self, String> {
-        fn string_after<'a>(s: &'a str, key: &str) -> Option<&'a str> {
-            let at = s.find(&format!("\"{key}\""))?;
-            let rest = &s[at + key.len() + 2..];
-            let colon = rest.find(':')?;
-            let rest = rest[colon + 1..].trim_start();
-            let rest = rest.strip_prefix('"')?;
-            let end = rest.find('"')?;
-            Some(&rest[..end])
-        }
-        let experiment = string_after(s, "experiment")
-            .ok_or_else(|| "missing \"experiment\"".to_string())?
-            .to_string();
-        let metrics_at = s
-            .find("\"metrics\"")
-            .ok_or_else(|| "missing \"metrics\"".to_string())?;
-        let body = &s[metrics_at..];
-        let open = body
-            .find('{')
-            .ok_or_else(|| "missing metrics object".to_string())?;
-        let close = body[open..]
-            .find('}')
-            .ok_or_else(|| "unterminated metrics object".to_string())?;
-        let body = &body[open + 1..open + close];
-        let mut out = Self::new(experiment);
-        for pair in body.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair
-                .split_once(':')
-                .ok_or_else(|| format!("bad metric pair {pair:?}"))?;
-            let key = key.trim().trim_matches('"').to_string();
-            let value: f64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("bad number for {key}: {e}"))?;
-            out.put(key, value);
-        }
-        Ok(out)
-    }
-
-    /// Write the JSON file (creating parent directories).
-    pub fn write(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_json())
     }
 }
 
@@ -269,33 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_roundtrip() {
-        let mut m = Metrics::new("r3");
-        m.put("delta_notify_bytes", 1234.0);
-        m.put("delta_notify_p95_ms", 1.75);
-        m.put("bytes_reduction_x", 9.5);
-        let back = Metrics::parse_json(&m.to_json()).unwrap();
-        assert_eq!(back, m);
-        assert_eq!(back.get("delta_notify_bytes"), Some(1234.0));
-        assert_eq!(back.get("nope"), None);
-    }
-
-    #[test]
     fn metrics_put_overwrites() {
         let mut m = Metrics::new("x");
         m.put("k", 1.0);
         m.put("k", 2.0);
-        assert_eq!(m.values().len(), 1);
         assert_eq!(m.get("k"), Some(2.0));
-    }
-
-    #[test]
-    fn metrics_parse_rejects_garbage() {
-        assert!(Metrics::parse_json("{}").is_err());
-        assert!(Metrics::parse_json("{\"experiment\": \"r1\"}").is_err());
-        assert!(
-            Metrics::parse_json("{\"experiment\": \"r1\", \"metrics\": {\"a\": \"nan?\"}}")
-                .is_err()
-        );
+        assert_eq!(m.get("nope"), None);
     }
 }

@@ -105,14 +105,19 @@ type AgentCell = Slot<Option<Arc<DlmAgentConnection>>>;
 
 /// Integrated deployment: display-lock traffic rides the main server
 /// connection as `Request::Dlm`, an RPC, so a returned `send` means the
-/// server's DLM has applied the request.
+/// server's DLM has applied the request. `ReplayFrom` alone is posted:
+/// the reader thread sends it (`Dlc::dispatch`) and nothing waits on it.
 struct IntegratedBackend {
     conn: Arc<ConnCell>,
 }
 
 impl DlmBackend for IntegratedBackend {
     fn send(&self, request: DlmRequest) -> DbResult<()> {
-        self.conn.get().call(Request::Dlm(request)).map(|_| ())
+        let conn = self.conn.get();
+        match request {
+            DlmRequest::ReplayFrom { .. } => conn.post(&Request::Dlm(request)),
+            _ => conn.call(Request::Dlm(request)).map(|_| ()),
+        }
     }
 }
 

@@ -229,25 +229,12 @@ impl Connection {
     /// the frame is encoded straight from it, and the rare retry encodes
     /// it again under its new sequence number.
     fn call_once(&self, request: &Request) -> DbResult<Response> {
-        if self.is_dead() {
-            return Err(DbError::Disconnected);
-        }
         let seq = self.seq.next();
         let (tx, rx) = crossbeam::channel::bounded(1);
         self.pending.lock().insert(seq, tx);
-        self.stats.sent.inc();
-        if let Err(e) = self
-            .reader
-            .channel()
-            .send(Envelope::encode_req(seq, request))
-        {
+        if let Err(e) = self.send(seq, request) {
             self.pending.lock().remove(&seq);
-            // A send on a dead channel means disconnected, whatever the
-            // transport reported.
-            return match e {
-                DbError::Disconnected => Err(DbError::Disconnected),
-                other => Err(other),
-            };
+            return Err(e);
         }
         match rx.recv_timeout(self.call_timeout) {
             Ok(response) => response.into_result(),
@@ -260,6 +247,22 @@ impl Connection {
                 Err(DbError::Timeout("rpc".into()))
             }
         }
+    }
+
+    /// Send one request and wait for nothing: with no pending entry, the
+    /// reader drops its answer. For the reader thread's own requests.
+    pub fn post(&self, request: &Request) -> DbResult<()> {
+        self.send(self.seq.next(), request)
+    }
+
+    /// Send `request` under `seq`; fails fast once the connection is dead.
+    fn send(&self, seq: u64, request: &Request) -> DbResult<()> {
+        if self.is_dead() {
+            return Err(DbError::Disconnected);
+        }
+        self.stats.sent.inc();
+        let frame = Envelope::encode_req(seq, request);
+        self.reader.channel().send(frame)
     }
 
     /// Close the connection; the reader thread terminates.

@@ -26,7 +26,8 @@ use std::sync::Arc;
 /// How the DLC reaches the DLM.
 pub trait DlmBackend: Send + Sync {
     /// Forward one request. Nothing comes back but the link's own
-    /// failure: outcomes arrive on the notification stream.
+    /// failure: outcomes arrive on the notification stream. The reader
+    /// thread sends `ReplayFrom`, so that one must not wait for an answer.
     fn send(&self, request: DlmRequest) -> DbResult<()>;
 }
 
@@ -487,21 +488,13 @@ impl Dlc {
                     self.stats.cursor_gaps.inc();
                     return;
                 };
-                // Answer with ReplayFrom — from a detached thread, NOT
-                // here: in the integrated deployment this dispatch runs
-                // on the connection reader, and the replay request is a
-                // blocking call whose response needs that same reader.
-                self.stats.replays_requested.inc();
-                let backend = Arc::clone(&self.backend);
-                // On error the connection is dying; supervisor-driven
+                // Answer with ReplayFrom, sent without waiting on either
+                // link. On error the connection is dying; supervisor-driven
                 // reconnect recovery (replay or resync) takes over.
-                let _ = std::thread::Builder::new()
-                    .name("dlc-replay".into())
-                    .spawn(move || {
-                        let _ = backend.send(DlmRequest::ReplayFrom {
-                            cursors: vec![cursor],
-                        });
-                    });
+                self.stats.replays_requested.inc();
+                let _ = self.backend.send(DlmRequest::ReplayFrom {
+                    cursors: vec![cursor],
+                });
                 // The sweep also took unlogged `Marked`/`Resolved`
                 // events the replay cannot bring back: every display
                 // sees the marker so it can drop the marks it shows.
@@ -1223,18 +1216,6 @@ mod tests {
             seqno: 11,
         });
         dlc.dispatch(DlmEvent::ReplayNeeded { shard: 3, from: 8 });
-        // The replay request goes out from a detached thread.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-        loop {
-            if !backend.replays().is_empty() {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "replay request never reached the backend"
-            );
-            std::thread::yield_now();
-        }
         assert_eq!(backend.replays(), vec![vec![sc(3, 11, 73)]]);
         assert_eq!(dlc.stats().replays_requested.get(), 1);
         // Every display hears the marker (its marks are void), watched

@@ -12,8 +12,8 @@
 //!
 //! Tracing is **off by default** and the disabled path is one relaxed
 //! atomic load per call site — cheap enough to leave the record calls
-//! compiled into release hot paths, which is what keeps the bench-gate
-//! baselines valid. When disabled, nothing is buffered and fresh trace
+//! compiled into release hot paths, which is what keeps `benchmark/`'s
+//! untraced pass honest. When disabled, nothing is buffered and fresh trace
 //! ids are not minted (untraced messages carry id 0, one varint byte on
 //! the wire).
 //!
@@ -236,11 +236,6 @@ pub fn buffered() -> usize {
     sink().lock_or_recover().buf.len()
 }
 
-/// All events for one trace id, in record order.
-pub fn events_for(trace: TraceId) -> Vec<TraceEvent> {
-    events().into_iter().filter(|e| e.trace == trace).collect()
-}
-
 /// Per-stage timestamps of one trace: for each stage, the first time
 /// that stage recorded the id (an update fanned out to several viewers
 /// records client-side stages once per viewer; the breakdown follows
@@ -385,7 +380,7 @@ mod tests {
         record(b, Stage::Commit);
         record(a, Stage::Intersect);
         record(a, Stage::DlcApply);
-        let mine = events_for(a);
+        let mine: Vec<_> = events().into_iter().filter(|e| e.trace == a).collect();
         assert_eq!(mine.len(), 3);
         assert!(mine.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
         let span = TraceSpan::of(a, &events());

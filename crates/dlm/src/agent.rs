@@ -23,7 +23,7 @@ use displaydb_common::sync::{ranks, OrderedMutex};
 use displaydb_common::{ClientId, DbError, DbResult};
 use displaydb_wire::{Channel, Decode, Encode, Listener, Reader};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -52,14 +52,14 @@ pub struct DlmAgent {
     dlm: Arc<ShardedDlm>,
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
-    sessions: Arc<OrderedMutex<Vec<Arc<dyn Channel>>>>,
+    sessions: Arc<OrderedMutex<Vec<Weak<dyn Channel>>>>,
 }
 
 impl DlmAgent {
     /// Start the agent over `listener`.
     pub fn spawn(dlm: Arc<ShardedDlm>, listener: Box<dyn Listener>) -> Self {
         let shutdown = Arc::new(AtomicBool::new(false));
-        let sessions: Arc<OrderedMutex<Vec<Arc<dyn Channel>>>> =
+        let sessions: Arc<OrderedMutex<Vec<Weak<dyn Channel>>>> =
             Arc::new(OrderedMutex::new(ranks::DLM_AGENT_SESSIONS, Vec::new()));
         let accept_thread = {
             let (dlm, sessions) = (Arc::clone(&dlm), Arc::clone(&sessions));
@@ -67,10 +67,12 @@ impl DlmAgent {
                 listener,
                 Arc::clone(&shutdown),
                 ("dlm-accept", "dlm-session"),
-                // Listed on the accept thread, so `shutdown` (which joins
-                // it first) closes every channel ever accepted.
+                // Listed weakly, so a dead link's socket closes with its session, and
+                // on the accept thread, so `shutdown` (joining it first) closes the rest.
                 move |channel| {
-                    sessions.lock().push(Arc::clone(&channel));
+                    let mut listed = sessions.lock();
+                    listed.retain(|c| c.strong_count() > 0);
+                    listed.push(Arc::downgrade(&channel));
                     let dlm = Arc::clone(&dlm);
                     move || session_loop(dlm, channel)
                 },
@@ -100,7 +102,7 @@ impl DlmAgent {
         // block on a wedged socket, and the accept loop must never find
         // the session list held across that stall.
         let channels = std::mem::take(&mut *self.sessions.lock_or_recover());
-        for channel in channels {
+        for channel in channels.iter().filter_map(Weak::upgrade) {
             channel.close();
         }
     }
@@ -312,6 +314,31 @@ mod tests {
                     Err(DbError::Disconnected)
                 ));
             }
+        }
+    }
+
+    #[test]
+    fn a_dropped_link_leaves_the_session_list() {
+        let (agent, hub) = agent(DlmConfig::default());
+        for client in 0..50 {
+            let (conn, _rx) = connect(&hub, client);
+            drop(conn);
+        }
+        // Each accept prunes the links whose sessions have ended: once
+        // they all have, the list holds the live link and at most the
+        // one dropped just before it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        for client in 50.. {
+            let (_live, _rx) = connect(&hub, client);
+            let listed = agent.sessions.lock().len();
+            if listed <= 2 {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{listed} links still listed"
+            );
+            std::thread::sleep(Duration::from_millis(10));
         }
     }
 

@@ -276,14 +276,15 @@ impl Session {
                 Ok(_) | Err(_) => break, // protocol violation
             };
             // Admission control: past the per-session cap a request is
-            // shed with a retryable `Overloaded`, so a runaway client
-            // cannot grow its thread set past the cap.
-            let Some(slot) = self.handle.try_admit(max_in_flight) else {
+            // shed as a retryable `Overloaded`, bounding a client's threads.
+            // `Request::Dlm` never waits, and a shed `ReplayFrom` is lost.
+            let slot = self.handle.try_admit(max_in_flight);
+            if slot.is_none() && !matches!(request, Request::Dlm(_)) {
                 self.core.dlm().stats().overload.sheds.inc();
                 let shed = Response::from_error(&DbError::Overloaded);
                 send_response(&self.channel, seq, shed);
                 continue;
-            };
+            }
             displaydb_common::sync::on_first_wait(hook, || {
                 self.core.handle(&self.handle, request, |response| {
                     // Before the answer, so that a client which sends its
@@ -742,6 +743,35 @@ mod tests {
         assert_eq!(c2.wait(parked), Response::Ok);
         let last = read_node(&c1, None, oid);
         assert_eq!(last.get(&cat, "Name").unwrap().as_str().unwrap(), "second");
+    }
+
+    /// A display-lock request is applied past a full admission cap: it
+    /// never waits, and a posted `ReplayFrom` that was shed would be lost.
+    #[test]
+    fn a_display_lock_request_passes_a_full_admission_cap() {
+        let cat = catalog();
+        let hub = LocalHub::new();
+        let mut config = ServerConfig::new(tmp("dlm-uncapped"));
+        config.dlm.overload.max_in_flight = 1;
+        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+        let (c1, _) = RawClient::connect(&hub);
+        let (c2, id2) = RawClient::connect(&hub);
+        let oid = new_node(&c1, &cat, "held");
+
+        // c2's one slot goes to a read parked behind c1's X lock.
+        let t1 = locked(&c1, None, oid, WireLockMode::Exclusive);
+        let waits = server.core().locks().stats().waits.get();
+        let parked = c2.send(Request::Read { txn: None, oid });
+        await_lock_waits(&server, waits + 1);
+        assert_eq!(
+            c2.call(Request::Dlm(DlmRequest::Lock { oids: vec![oid] })),
+            Response::Ok
+        );
+        assert_eq!(server.core().dlm().holders(oid), vec![id2]);
+        assert_eq!(server.core().dlm().stats().overload.sheds.get(), 0);
+
+        assert_eq!(c1.call(Request::Abort { txn: t1 }), Response::Ok);
+        assert!(matches!(c2.wait(parked), Response::Object { .. }));
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! [`DbError::CrashPoint`]; the restart-and-verify tests then reopen the
 //! same directory and assert the recovery invariants.
 
-use crate::wal::{fsync_dir, fsync_parent_dir, valid_prefix_len};
+use crate::wal::{frames, fsync_dir, fsync_parent_dir, valid_prefix_len};
 use displaydb_common::crashpoint::{self, CrashPoint};
 use displaydb_common::metrics::SegLogStats;
 use displaydb_common::sync::{ranks, OrderedMutex};
@@ -226,20 +226,17 @@ fn parse_segment_base(path: &Path) -> Option<u64> {
 /// fails to decode also ends the valid prefix).
 fn scan_records(buf: &[u8]) -> (Vec<SegRecord>, usize) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    let framed = valid_prefix_len(buf);
-    while pos < framed {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        let payload = &buf[pos + 12..pos + 12 + len];
+    let mut valid = 0;
+    for (payload, end) in frames(buf) {
         if payload.first() != Some(&TAG_RETIRED_FRONTIER) {
             match SegRecord::decode_from_bytes(payload) {
                 Ok(r) => records.push(r),
                 Err(_) => break,
             }
         }
-        pos += 12 + len;
+        valid = end;
     }
-    (records, pos)
+    (records, valid)
 }
 
 impl SegLog {

@@ -108,23 +108,29 @@ impl Decode for WalRecord {
     }
 }
 
-/// Length of the valid framed-record prefix of `buf`: the scan stops at
-/// the first torn frame (header or payload cut short) or checksum
-/// mismatch, exactly where [`Wal::read_all`] stops reading.
-pub(crate) fn valid_prefix_len(buf: &[u8]) -> usize {
+/// The intact framed records `[u32 len][u64 fnv1a][payload]` at the
+/// head of `buf`, each payload with the offset just past its frame. The
+/// walk stops at the first torn frame (header or payload cut short) or
+/// checksum mismatch.
+pub(crate) fn frames(buf: &[u8]) -> impl Iterator<Item = (&[u8], usize)> {
     let mut pos = 0usize;
-    while buf.len() - pos >= 12 {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        if buf.len() - pos - 12 < len {
-            break;
-        }
-        let checksum = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap());
-        if fnv1a(&buf[pos + 12..pos + 12 + len]) != checksum {
-            break;
+    std::iter::from_fn(move || {
+        let rest = buf.get(pos..pos + 12)?;
+        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+        let checksum = u64::from_le_bytes(rest[4..].try_into().unwrap());
+        let payload = buf[pos + 12..].get(..len)?;
+        if fnv1a(payload) != checksum {
+            return None;
         }
         pos += 12 + len;
-    }
-    pos
+        Some((payload, pos))
+    })
+}
+
+/// Length of the valid framed-record prefix of `buf`: where [`frames`]
+/// stops.
+pub(crate) fn valid_prefix_len(buf: &[u8]) -> usize {
+    frames(buf).last().map_or(0, |(_, end)| end)
 }
 
 /// Fsync a directory so a just-created (or just-renamed/removed) entry in
@@ -235,25 +241,10 @@ impl Wal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e.into()),
         }
-        let mut records = Vec::new();
-        let mut pos = 0usize;
-        while buf.len() - pos >= 12 {
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let checksum = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().unwrap());
-            if buf.len() - pos - 12 < len {
-                break; // torn tail
-            }
-            let payload = &buf[pos + 12..pos + 12 + len];
-            if fnv1a(payload) != checksum {
-                break; // corrupt tail
-            }
-            match WalRecord::decode_from_bytes(payload) {
-                Ok(r) => records.push(r),
-                Err(_) => break,
-            }
-            pos += 12 + len;
-        }
-        Ok(records)
+        // A frame whose payload does not decode ends the log too.
+        Ok(frames(&buf)
+            .map_while(|(payload, _)| WalRecord::decode_from_bytes(payload).ok())
+            .collect())
     }
 }
 

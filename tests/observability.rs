@@ -124,8 +124,8 @@ fn traced_update_covers_all_stages_and_gaps_telescope() {
 }
 
 /// With tracing disabled, commits mint id 0 and a full notification
-/// round-trip buffers nothing — the overhead-free default the bench
-/// baselines rely on.
+/// round-trip buffers nothing — the overhead-free default `benchmark/`'s
+/// untraced pass relies on.
 #[test]
 fn disabled_tracing_buffers_nothing() {
     let _g = locked();
