@@ -5,8 +5,8 @@
 //! paying the wire latency for every queued event, one after another.
 //! Partitioning by OID hash gives every shard its own interest table,
 //! update log, and per-client outbox — so one commit's fan-out is
-//! intersected shard-parallel and, more importantly, *drained* by as
-//! many concurrent outbox writers as there are shards.
+//! intersected shard by shard and *drained* by as many concurrent
+//! outbox writers as there are shards.
 //!
 //! This experiment drives the in-process [`ShardedDlm`] directly with a
 //! latency-modeled delivery sink (every event costs a fixed simulated

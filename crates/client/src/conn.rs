@@ -60,18 +60,6 @@ pub struct ConnStats {
     pub recovery: RecoveryStats,
 }
 
-impl displaydb_common::stats::StatsSource for ConnStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("sent", self.sent.get()),
-            ("received", self.received.get()),
-            ("callbacks", self.callbacks.get()),
-            ("dlm_events", self.dlm_events.get()),
-            ("overload_retries", self.overload_retries.get()),
-        ]
-    }
-}
-
 /// How many times one [`Connection::call`] retries a request the server
 /// shed with [`DbError::Overloaded`] before giving the error to the
 /// caller. A shed request was never admitted, so every retry is safe.

@@ -90,32 +90,6 @@ pub struct DlcStats {
     pub display_queue_depth: Gauge,
 }
 
-impl displaydb_common::stats::StatsSource for DlcStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("local_lock_requests", self.local_lock_requests.get()),
-            ("dlm_lock_messages", self.dlm_lock_messages.get()),
-            ("dlm_release_messages", self.dlm_release_messages.get()),
-            ("notifications_in", self.notifications_in.get()),
-            (
-                "notifications_dispatched",
-                self.notifications_dispatched.get(),
-            ),
-            ("resyncs_in", self.resyncs_in.get()),
-            ("deltas_in", self.deltas_in.get()),
-            ("delta_fallbacks", self.delta_fallbacks.get()),
-            ("cursor_acks_in", self.cursor_acks_in.get()),
-            ("replays_requested", self.replays_requested.get()),
-            ("cursor_gaps", self.cursor_gaps.get()),
-            ("display_queue_drops", self.display_queue_drops.get()),
-            (
-                "display_queue_high_water",
-                self.display_queue_depth.high_water(),
-            ),
-        ]
-    }
-}
-
 /// Per-object projection bookkeeping (§ 4.2.1 extended with attribute
 /// projections): which displays narrowed their interest, and what the
 /// DLM currently has registered for this object.

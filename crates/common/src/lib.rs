@@ -12,8 +12,7 @@
 //!   harness to count messages, cache hits, and record latency percentiles,
 //! * a generic intrusive-free [`lru::LruCache`] shared by the client
 //!   database cache and the buffer pool bookkeeping,
-//! * end-to-end notification-path tracing ([`trace`]) and the unified
-//!   [`stats::StatsRegistry`] snapshot layer (DESIGN.md § 12).
+//! * end-to-end notification-path tracing ([`trace`], DESIGN.md § 12).
 //!
 //! Nothing here depends on anything else in the workspace.
 
@@ -24,7 +23,6 @@ pub mod ids;
 pub mod lru;
 pub mod metrics;
 pub mod overload;
-pub mod stats;
 pub mod sync;
 pub mod trace;
 
@@ -33,6 +31,5 @@ pub use crashpoint::CrashPoint;
 pub use error::{DbError, DbResult};
 pub use ids::{ClassId, ClientId, DisplayId, Lsn, Oid, PageId, RecordId, SlotId, TxnId};
 pub use overload::{DurableLogConfig, OverloadConfig, UpdateLogConfig};
-pub use stats::{StatsRegistry, StatsSource};
 pub use sync::{LockRank, OrderedCondvar, OrderedMutex, OrderedRwLock};
 pub use trace::TraceId;

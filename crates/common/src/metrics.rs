@@ -7,7 +7,6 @@
 //! subsystem expose exactly those quantities to the experiment harness
 //! without heavyweight dependencies.
 
-use crate::stats::StatsSource;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,11 +35,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero, returning the previous value.
-    pub fn take(&self) -> u64 {
-        self.0.swap(0, Ordering::Relaxed)
     }
 }
 
@@ -365,22 +359,6 @@ impl RecoveryStats {
     }
 }
 
-impl StatsSource for RecoveryStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("reconnect_attempts", self.reconnect_attempts.get()),
-            ("reconnects_ok", self.reconnects_ok.get()),
-            ("sessions_resumed", self.sessions_resumed.get()),
-            ("resync_objects", self.resync_objects.get()),
-            ("stale_marks", self.stale_marks.get()),
-            ("replay_catchups", self.replay_catchups.get()),
-            ("replay_truncations", self.replay_truncations.get()),
-            ("overload_sheds", self.overload_sheds.get()),
-            ("cross_restart_replays", self.cross_restart_replays.get()),
-        ]
-    }
-}
-
 /// Counters for the DLM's bounded replayable update log (DESIGN.md § 13).
 ///
 /// Shared (via `Clone`) between the log ring, the replay-serving path,
@@ -409,22 +387,6 @@ impl UpdateLogStats {
     /// Create zeroed stats.
     pub fn new() -> Self {
         Self::default()
-    }
-}
-
-impl StatsSource for UpdateLogStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("appended", self.appended.get()),
-            ("evicted", self.evicted.get()),
-            ("replays_served", self.replays_served.get()),
-            ("replayed_events", self.replayed_events.get()),
-            ("truncated_replays", self.truncated_replays.get()),
-            ("log_entries", self.log_entries.get()),
-            ("log_entries_high_water", self.log_entries.high_water()),
-            ("log_bytes", self.log_bytes.get()),
-            ("log_bytes_high_water", self.log_bytes.high_water()),
-        ]
     }
 }
 
@@ -504,68 +466,6 @@ impl OverloadStats {
     }
 }
 
-impl StatsSource for OverloadStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("enqueued", self.enqueued.get()),
-            ("coalesced", self.coalesced.get()),
-            ("cancelled_pairs", self.cancelled_pairs.get()),
-            ("overflows", self.overflows.get()),
-            ("sheds", self.sheds.get()),
-            ("resume_sheds", self.resume_sheds.get()),
-            ("overload_retries", self.overload_retries.get()),
-            ("batches_sent", self.batches_sent.get()),
-            ("notify_bytes", self.notify_bytes.get()),
-            ("queue_depth", self.queue_depth.get()),
-            ("queue_depth_high_water", self.queue_depth.high_water()),
-        ]
-    }
-}
-
-/// A named bundle of counters shared by a subsystem.
-///
-/// Keys are static strings so lookups are cheap and typo-resistant at the
-/// call site (each subsystem declares constants for its metric names).
-#[derive(Clone, Debug, Default)]
-pub struct MetricSet {
-    inner: Arc<Mutex<Vec<(&'static str, Counter)>>>,
-}
-
-impl MetricSet {
-    /// Create an empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Get (or create) the counter registered under `name`.
-    pub fn counter(&self, name: &'static str) -> Counter {
-        let mut inner = self.inner.lock();
-        if let Some((_, c)) = inner.iter().find(|(n, _)| *n == name) {
-            return c.clone();
-        }
-        let c = Counter::new();
-        inner.push((name, c.clone()));
-        c
-    }
-
-    /// Reset every counter to zero.
-    pub fn reset(&self) {
-        for (_, c) in self.inner.lock().iter() {
-            c.take();
-        }
-    }
-}
-
-impl StatsSource for MetricSet {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(n, c)| (*n, c.get()))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,8 +476,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
     }
 
     #[test]
@@ -605,18 +503,6 @@ mod tests {
         g.dec();
         g.dec(); // saturates at zero
         assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    fn overload_stats_snapshot() {
-        let s = OverloadStats::new();
-        s.enqueued.add(5);
-        s.overflows.inc();
-        s.queue_depth.set(7);
-        let snap = s.stat_values();
-        assert!(snap.contains(&("enqueued", 5)));
-        assert!(snap.contains(&("overflows", 1)));
-        assert!(snap.contains(&("queue_depth_high_water", 7)));
     }
 
     #[test]
@@ -737,18 +623,6 @@ mod tests {
         let v = r.time(|| 21 * 2);
         assert_eq!(v, 42);
         assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn metric_set_dedup_and_snapshot() {
-        let m = MetricSet::new();
-        m.counter("msgs").inc();
-        m.counter("msgs").inc();
-        m.counter("acks").add(3);
-        let snap = m.stat_values();
-        assert_eq!(snap, vec![("msgs", 2), ("acks", 3)]);
-        m.reset();
-        assert_eq!(m.counter("msgs").get(), 0);
     }
 
     #[test]

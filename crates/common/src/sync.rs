@@ -98,11 +98,6 @@ impl LockRank {
 pub mod ranks {
     use super::LockRank;
 
-    // Observability (outermost reader: a snapshot may walk every
-    // subsystem's stats, so the registry ranks below all of them).
-    /// The unified stats registry's provider list.
-    pub const STATS_REGISTRY: LockRank = LockRank::new(50, "stats.registry");
-
     // Client side (outermost: application-facing entry points).
     /// The client's current session identity (resume token, epoch).
     pub const CLIENT_SESSION: LockRank = LockRank::new(110, "client.session");
@@ -191,7 +186,6 @@ pub mod ranks {
     /// Every declared rank, sorted ascending. The invcheck registry and
     /// DESIGN.md § 11 table are validated against this list.
     pub const ALL: &[LockRank] = &[
-        STATS_REGISTRY,
         CLIENT_SESSION,
         CLIENT_SLOT,
         CONN_PENDING,

@@ -68,7 +68,7 @@ impl Stage {
         Stage::DlcApply,
     ];
 
-    /// Stable snake_case name (snapshot JSON, reports).
+    /// Stable snake_case name (reports).
     pub fn name(self) -> &'static str {
         match self {
             Stage::Commit => "commit",
@@ -79,11 +79,6 @@ impl Stage {
             Stage::WireRecv => "wire_recv",
             Stage::DlcApply => "dlc_apply",
         }
-    }
-
-    /// Inverse of [`Stage::name`].
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
     }
 }
 
@@ -412,11 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn stage_names_roundtrip() {
-        for &s in Stage::ALL {
-            assert_eq!(Stage::from_name(s.name()), Some(s));
-        }
-        assert_eq!(Stage::from_name("nope"), None);
+    fn stage_names_are_distinct() {
+        let names: std::collections::HashSet<_> = Stage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(names.len(), Stage::ALL.len());
     }
 
     #[test]

@@ -136,7 +136,7 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
         channel.close();
         return;
     }
-    dlm.register_session(
+    let outboxes = dlm.register_session(
         client,
         Arc::new(ChannelSink {
             channel: Arc::clone(&channel),
@@ -152,7 +152,10 @@ fn session_loop(dlm: Arc<ShardedDlm>, channel: Arc<dyn Channel>) {
             break;
         }
     }
-    dlm.unregister_client(client);
+    // A reconnect reuses the client id and may register before this
+    // session sees its old link close: remove only what this session
+    // registered.
+    dlm.unregister_session(client, &outboxes);
     channel.close();
 }
 
@@ -440,6 +443,44 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert_eq!(agent.dlm().locked_objects(), 0);
+    }
+
+    #[test]
+    fn a_stale_session_leaves_its_successors_locks() {
+        let (agent, hub) = agent(DlmConfig::default());
+        let dlm = Arc::clone(agent.dlm());
+        let client = ClientId::new(1);
+        let wait_until = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        // The old session registers (it has handled a request) before
+        // the successor connects under the same id.
+        let (old, _old_rx) = connect(&hub, 1);
+        old.send(lock(vec![Oid::new(1)])).unwrap();
+        wait_until("old lock", &|| dlm.holders(Oid::new(1)) == vec![client]);
+        let (new, new_rx) = connect(&hub, 1);
+        new.send(lock(vec![Oid::new(2)])).unwrap();
+        wait_until("new lock", &|| dlm.holders(Oid::new(2)) == vec![client]);
+        // The old link closes only now, after its successor relocked.
+        drop(old);
+        wait_until("old session end", &|| {
+            agent
+                .sessions
+                .lock()
+                .iter()
+                .filter(|c| c.strong_count() > 0)
+                .count()
+                == 1
+        });
+        dlm.notify_committed(None, &[UpdateInfo::lazy(Oid::new(2))]);
+        assert_eq!(
+            new_rx.recv_timeout(Duration::from_secs(2)).unwrap(),
+            DlmEvent::Updated(UpdateInfo::lazy(Oid::new(2)))
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct DlmConfig {
     /// Number of in-process shards the DLM is partitioned into
     /// (DESIGN.md § 16). Each shard has its own interest table,
     /// outboxes, and update log with an independent seqno space, and
-    /// a commit appends to its shards' logs in parallel.
+    /// each shard's outbox writers drain in parallel.
     pub shards: usize,
 }
 
@@ -79,23 +79,6 @@ pub struct DlmStats {
     /// Replay-log counters (appends, evictions, replays served); shared
     /// with the [`UpdateLog`] and registered as its own stats section.
     pub log: UpdateLogStats,
-}
-
-impl displaydb_common::StatsSource for DlmStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("lock_requests", self.lock_requests.get()),
-            ("release_requests", self.release_requests.get()),
-            ("notifications", self.notifications.get()),
-            ("delta_notifications", self.delta_notifications.get()),
-            (
-                "suppressed_notifications",
-                self.suppressed_notifications.get(),
-            ),
-            ("intent_notifications", self.intent_notifications.get()),
-            ("delivery_failures", self.delivery_failures.get()),
-        ]
-    }
 }
 
 /// Where the DLM pushes events for one client.
@@ -238,8 +221,29 @@ impl DlmCore {
     /// sink's `close` runs outside the table lock (it may join or signal
     /// a writer thread).
     pub fn unregister_client(&self, client: ClientId) {
+        self.unregister_if(client, |_| true);
+    }
+
+    /// [`Self::unregister_client`], but only while `sink` is still the
+    /// client's registered sink: a session that ends after a successor
+    /// with the same id registered leaves the successor's sink and
+    /// locks alone.
+    pub fn unregister_sink(&self, client: ClientId, sink: &Arc<dyn EventSink>) {
+        self.unregister_if(client, |current| {
+            current.is_some_and(|current| Arc::ptr_eq(current, sink))
+        });
+    }
+
+    fn unregister_if(
+        &self,
+        client: ClientId,
+        registered: impl FnOnce(Option<&Arc<dyn EventSink>>) -> bool,
+    ) {
         let removed = {
             let mut state = self.state.lock();
+            if !registered(state.sinks.get(&client)) {
+                return;
+            }
             let removed = state.sinks.remove(&client);
             state.interest.remove(&client);
             if let Some(oids) = state.by_client.remove(&client) {

@@ -6,10 +6,11 @@
 //! (§ "DLM deployments") measures. [`ShardedDlm`] splits the table by a
 //! stable OID hash into independent shards, each with its own interest
 //! table, holders map, outbox set, and update log with an **independent
-//! seqno space**. Commits split their OID set by shard and fan the
-//! intersects out in parallel; clients keep a cursor *vector* (one entry
-//! per shard) and recovery replays shards in parallel. `shards = 1` is
-//! the ordinary N = 1 case of all of it.
+//! seqno space**. Commits split their OID set by shard and intersect
+//! each part in its own shard; every shard's outbox writers drain in
+//! parallel. Clients keep a cursor *vector* (one entry per shard) and
+//! recovery replays each shard from its own cursor. `shards = 1` is the
+//! ordinary N = 1 case of all of it.
 //!
 //! * the **agent** (§ 4.1): a standalone service ([`crate::agent`]) where
 //!   updating clients report commits/intents over the wire;
@@ -71,29 +72,8 @@ impl ShardMap {
     }
 }
 
-/// Per-shard fan-out counters: how many committed updates each shard
-/// intersected. Static names keep [`displaydb_common::StatsSource`]'s
-/// `'static` contract; shards past the table fold into the last row.
-const SHARD_STAT_NAMES: &[&str] = &[
-    "shard0_updates",
-    "shard1_updates",
-    "shard2_updates",
-    "shard3_updates",
-    "shard4_updates",
-    "shard5_updates",
-    "shard6_updates",
-    "shard7_updates",
-    "shard8_updates",
-    "shard9_updates",
-    "shard10_updates",
-    "shard11_updates",
-    "shard12_updates",
-    "shard13_updates",
-    "shard14_updates",
-    "shard15_updates",
-];
-
-/// Per-shard routing counters for reports and the stats registry.
+/// Per-shard routing counters: how many committed updates each shard
+/// intersected.
 #[derive(Clone, Debug)]
 pub struct ShardStats {
     updates: Arc<Vec<Counter>>,
@@ -116,19 +96,9 @@ impl ShardStats {
     }
 }
 
-impl displaydb_common::StatsSource for ShardStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        self.updates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (SHARD_STAT_NAMES[i.min(SHARD_STAT_NAMES.len() - 1)], c.get()))
-            .collect()
-    }
-}
-
 /// The display-lock manager (DESIGN.md § 16): every entry point routed
 /// through a [`ShardMap`]; multi-OID operations split their set and
-/// commits fan the per-shard intersects out in parallel.
+/// run each part in its shard, one shard after another.
 pub struct ShardedDlm {
     map: ShardMap,
     cores: Vec<Arc<DlmCore>>,
@@ -319,6 +289,17 @@ impl ShardedDlm {
         }
     }
 
+    /// Drop what one session registered: in each shard whose sink is
+    /// still that session's outbox (`outboxes`, as
+    /// [`Self::register_session`] returned them), `client`'s sink and
+    /// display locks. A shard where a successor session with the same
+    /// id has registered keeps the successor's sink and locks.
+    pub fn unregister_session(&self, client: ClientId, outboxes: &[Arc<OutboxSink>]) {
+        for (core, outbox) in self.cores.iter().zip(outboxes) {
+            core.unregister_sink(client, &(Arc::clone(outbox) as Arc<dyn EventSink>));
+        }
+    }
+
     /// Acquire display locks, split by shard.
     pub fn lock(&self, client: ClientId, oids: &[Oid]) {
         for (s, part) in self.map.split(oids).iter().enumerate() {
@@ -378,27 +359,23 @@ impl ShardedDlm {
         let _ = self.notify_committed_txn(origin, updates, 0);
     }
 
-    /// Log one committed batch and fan it out, each shard it touches
-    /// **in parallel** (the stage the R6 experiment shows scaling). A
-    /// spill error from any shard is reported (first one wins); every
-    /// shard still fans out.
+    /// Log one committed batch in every shard it touches, then fan it
+    /// out ([`Self::log_committed`] and [`Self::fan_out`] back to back).
+    /// A spill error from any shard is reported; every shard still fans
+    /// out.
     pub fn notify_committed_txn(
         &self,
         origin: Option<ClientId>,
         updates: &[UpdateInfo],
         txn: u64,
     ) -> DbResult<()> {
-        let appended = on_shards(self.route(updates), |s, mut part| {
-            let appended = self.cores[s].log_committed(origin, &mut part, txn);
-            let seqno = *appended.as_ref().unwrap_or(&None);
-            self.cores[s].fan_out(origin, &part, seqno);
-            appended
-        });
-        appended.into_iter().collect::<DbResult<Vec<_>>>().map(drop)
+        let (logged, spilled) = self.log_committed(origin, updates, txn);
+        self.fan_out(logged);
+        spilled
     }
 
     /// [`Self::notify_committed_txn`] up to the fan-out: append the batch
-    /// to every shard it touches, shard-parallel, and return it for
+    /// to every shard it touches, one after another, and return it for
     /// [`Self::fan_out`], which must follow. The integrated server answers
     /// a commit between the two (DESIGN.md § 14). Reports a spill error.
     pub fn log_committed(
@@ -407,12 +384,10 @@ impl ShardedDlm {
         updates: &[UpdateInfo],
         txn: u64,
     ) -> (Logged, DbResult<()>) {
-        let logged = on_shards(self.route(updates), |s, mut part| {
+        let routed = self.route(updates);
+        let (mut parts, mut spilled) = (Vec::with_capacity(routed.len()), Ok(()));
+        for (s, mut part) in routed {
             let appended = self.cores[s].log_committed(origin, &mut part, txn);
-            (s, part, appended)
-        });
-        let (mut parts, mut spilled) = (Vec::with_capacity(logged.len()), Ok(()));
-        for (s, part, appended) in logged {
             let seqno = appended.unwrap_or_else(|e| {
                 spilled = Err(e); // reported; the part fans out unlogged
                 None
@@ -422,16 +397,11 @@ impl ShardedDlm {
         (Logged { origin, parts }, spilled)
     }
 
-    /// Fan a logged batch out to its holders, shard-parallel.
+    /// Fan a logged batch out to its holders, shard by shard.
     pub fn fan_out(&self, logged: Logged) {
-        let origin = logged.origin;
-        let parts = logged
-            .parts
-            .into_iter()
-            .map(|(s, p, seqno)| (s, (p, seqno)));
-        on_shards(parts, |s, (part, seqno)| {
-            self.cores[s].fan_out(origin, &part, seqno)
-        });
+        for (s, part, seqno) in logged.parts {
+            self.cores[s].fan_out(logged.origin, &part, seqno);
+        }
     }
 
     /// `updates` split by shard in order, empty shards left out, counted.
@@ -509,7 +479,7 @@ impl ShardedDlm {
         false
     }
 
-    /// Serve a replay request shard-parallel: each cursor's shard
+    /// Serve a replay request shard by shard: each cursor's shard
     /// streams its log suffix through the client's outbox for that
     /// shard. A shard whose cursor is not [admitted](Self::admit) — it
     /// fell off the log, or was acked under another incarnation, so its
@@ -523,7 +493,7 @@ impl ShardedDlm {
         client: ClientId,
         cursors: &[ShardCursor],
     ) -> Vec<ReplayOutcome> {
-        let jobs: Vec<(usize, u64)> = cursors
+        cursors
             .iter()
             .filter(|sc| (sc.shard as usize) < self.cores.len())
             .map(|sc| {
@@ -535,10 +505,10 @@ impl ShardedDlm {
                 (sc.shard as usize, cursor)
             })
             // One cursor per shard is all a client has; the list is wire
-            // input and each entry below costs a thread.
+            // input and each entry below streams a log suffix.
             .take(self.cores.len())
-            .collect();
-        on_shards(jobs, |s, cursor| self.cores[s].replay_for(client, cursor))
+            .map(|(s, cursor)| self.cores[s].replay_for(client, cursor))
+            .collect()
     }
 }
 
@@ -547,29 +517,6 @@ impl ShardedDlm {
 pub struct Logged {
     origin: Option<ClientId>,
     parts: Vec<(usize, Vec<UpdateInfo>, Option<u64>)>,
-}
-
-/// Run `job` once per `(shard, input)` pair and collect the results in
-/// order: inline for one shard, on one scoped thread per shard for more.
-fn on_shards<I: Send, T: Send>(
-    jobs: impl IntoIterator<Item = (usize, I)>,
-    job: impl Fn(usize, I) -> T + Sync,
-) -> Vec<T> {
-    let jobs: Vec<(usize, I)> = jobs.into_iter().collect();
-    let job = &job;
-    if jobs.len() < 2 {
-        return jobs.into_iter().map(|(s, i)| job(s, i)).collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(s, input)| scope.spawn(move || job(s, input)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard thread panicked"))
-            .collect()
-    })
 }
 
 #[cfg(test)]

@@ -58,15 +58,10 @@ fn registry_parse_matches_compiled_ranks() {
 
 #[test]
 fn registry_covers_post_pr5_and_pr7_ranks() {
-    // Drift guard for the ranks added by the stats/trace (PR 5) and
-    // seglog (PR 7) work: the parser must see them at their declared
-    // positions, not silently skip them.
+    // Drift guard for the seglog and trace-sink ranks: the parser must
+    // see them at their declared positions, not silently skip them.
     let registry = Registry::parse(SYNC_SOURCE);
-    for (name, rank) in [
-        ("stats.registry", 50u16),
-        ("storage.seglog", 515),
-        ("trace.sink", 700),
-    ] {
+    for (name, rank) in [("storage.seglog", 515u16), ("trace.sink", 700)] {
         let entry = registry
             .entries
             .iter()
@@ -114,7 +109,7 @@ fn registry_covers_dlm_shard_ranks() {
     assert!(rank_of("dlm.table") < rank_of("dlm.update_log"));
     assert!(rank_of("dlm.update_log") < rank_of("dlm.agent_sessions"));
     assert!(rank_of("dlm.agent_sessions") < rank_of("outbox.state"));
-    assert_eq!(ranks::ALL.len(), 33);
+    assert_eq!(ranks::ALL.len(), 32);
 }
 
 #[test]

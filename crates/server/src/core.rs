@@ -135,22 +135,6 @@ pub struct ServerStats {
     pub workers_resident: Gauge,
 }
 
-impl displaydb_common::StatsSource for ServerStats {
-    fn stat_values(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("requests", self.requests.get()),
-            ("reads", self.reads.get()),
-            ("commits", self.commits.get()),
-            ("aborts", self.aborts.get()),
-            ("callbacks", self.callbacks.get()),
-            ("pushes", self.pushes.get()),
-            ("sessions_recovered", self.sessions_recovered.get()),
-            ("worker_spawns", self.worker_spawns.get()),
-            ("workers_resident", self.workers_resident.get()),
-        ]
-    }
-}
-
 /// One of a session's `max_in_flight` admission slots, taken by
 /// [`SessionHandle::try_admit`]. Releasing on drop is what makes the
 /// release happen exactly once however the request ends — answered, or

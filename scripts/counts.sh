@@ -79,6 +79,9 @@ printf '  %-16s %d\n' total "$total"
 
 echo "invcheck.allow entries: $(grep -cv -e '^#' -e '^[[:space:]]*$' invcheck.allow)"
 
+# Fixed sleeps in the integration tests (ROADMAP item 4 wants fewer).
+echo "sleep( lines (tests/*.rs): $(cat tests/*.rs | grep -c 'sleep(')"
+
 echo "document sizes (bytes):"
 for d in DESIGN.md EXPERIMENTS.md; do
     printf '  %-16s %d\n' "$d" "$(wc -c < "$d")"
