@@ -37,7 +37,6 @@ fn supervised_config(name: &str) -> ClientConfig {
         // Short RPC timeout so a dead-but-accepting endpoint fails fast
         // and the supervisor moves on to the next attempt.
         call_timeout: Duration::from_millis(300),
-        disk_cache: None,
     }
 }
 

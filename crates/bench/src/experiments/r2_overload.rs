@@ -250,7 +250,7 @@ fn storm(links: usize, updates: usize, high_water: usize, slow: bool) -> Outcome
         .reset_high_water();
 
     if slow {
-        plan.set_delay(1000, SLOW_FRAME_DELAY);
+        plan.set_delay(SLOW_FRAME_DELAY);
     }
 
     let recorder = LatencyRecorder::new();

@@ -124,7 +124,6 @@ fn supervised_config(name: &str) -> ClientConfig {
         name: name.into(),
         cache_bytes: 1 << 20,
         call_timeout: Duration::from_millis(300),
-        disk_cache: None,
     }
 }
 

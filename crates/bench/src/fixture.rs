@@ -86,7 +86,6 @@ impl Bed {
                 name: name.into(),
                 cache_bytes,
                 call_timeout: Duration::from_secs(30),
-                disk_cache: None,
             },
         )
     }

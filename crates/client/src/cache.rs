@@ -45,15 +45,12 @@ pub(crate) struct Fill<'a> {
 
 impl Fill<'_> {
     /// Insert `obj` unless a callback named it since the fill opened.
-    /// Returns whether it was inserted.
-    pub(crate) fn insert(&self, obj: DbObject) -> bool {
+    pub(crate) fn insert(&self, obj: DbObject) {
         let mut inner = self.cache.inner.lock();
-        let named = inner.dropped.get(&obj.oid) > Some(&self.started);
-        if !named {
+        if inner.dropped.get(&obj.oid) <= Some(&self.started) {
             let size = obj.size_bytes();
             inner.lru.insert(obj.oid, obj, size);
         }
-        !named
     }
 }
 
@@ -328,17 +325,17 @@ mod tests {
         let other = cache.fill();
         drop(other); // an overlapping fill's end keeps this one's record
         cache.invalidate(&[Oid::new(2)]);
-        assert!(fill.insert(obj(&cat, 1, "one")));
-        assert!(!fill.insert(obj(&cat, 2, "two")));
+        fill.insert(obj(&cat, 1, "one"));
+        fill.insert(obj(&cat, 2, "two"));
+        assert!(cache.contains(Oid::new(1)));
         assert!(!cache.contains(Oid::new(2)));
         let later = cache.fill();
-        assert!(
-            later.insert(obj(&cat, 2, "two")),
-            "opened after the callback"
-        );
+        later.insert(obj(&cat, 2, "two"));
+        assert!(cache.contains(Oid::new(2)), "opened after the callback");
         drop((fill, later));
         cache.invalidate(&[Oid::new(3)]);
-        assert!(cache.fill().insert(obj(&cat, 3, "three")));
+        cache.fill().insert(obj(&cat, 3, "three"));
+        assert!(cache.contains(Oid::new(3)));
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The top-level client handle.
 
-use crate::cache::{ClientCache, Fill};
+use crate::cache::ClientCache;
 use crate::conn::{ConnStats, Connection, PushSink};
-use crate::diskcache::DiskCache;
 use crate::dlc::{Dlc, DlmBackend};
 use crate::supervisor::{self, ChannelFactory, Target};
 use crate::txn::ClientTxn;
@@ -26,10 +25,6 @@ pub struct ClientConfig {
     pub cache_bytes: usize,
     /// RPC timeout.
     pub call_timeout: Duration,
-    /// Optional local-disk cache (paper footnote 2): directory and byte
-    /// budget for an intermediate hierarchy level between the memory
-    /// cache and the server.
-    pub disk_cache: Option<(std::path::PathBuf, u64)>,
 }
 
 impl Default for ClientConfig {
@@ -38,7 +33,6 @@ impl Default for ClientConfig {
             name: "displaydb-client".into(),
             cache_bytes: 16 * 1024 * 1024,
             call_timeout: Duration::from_secs(30),
-            disk_cache: None,
         }
     }
 }
@@ -129,39 +123,27 @@ impl DlmBackend for AgentCell {
 
 struct Sink {
     cache: Arc<ClientCache>,
-    disk: Option<Arc<DiskCache>>,
     dlc: Arc<Dlc>,
 }
 
 impl PushSink for Sink {
     fn on_invalidate(&self, oids: &[Oid]) {
         self.cache.invalidate(oids);
-        if let Some(disk) = &self.disk {
-            disk.invalidate(oids);
-        }
     }
     fn on_dlm(&self, event: DlmEvent) {
         self.dlc.dispatch(event);
     }
 }
 
-/// Wire the DLC's attribute-delta hook to the client caches: a delta
-/// patches the in-memory copy in place, and the (now stale) disk copy is
-/// dropped rather than rewritten. An object that is simply not cached
+/// Wire the DLC's attribute-delta hook to the client cache: a delta
+/// patches the cached copy in place. An object that is simply not cached
 /// (evicted, or invalidated by a consistency callback that raced the
 /// delta) needs no patch — the next read fetches fresh state — so only a
 /// failed patch of a *present* copy reports `false`, making the DLC fall
 /// back to a forced re-read.
-fn set_delta_hook(dlc: &Arc<Dlc>, cache: &Arc<ClientCache>, disk: Option<&Arc<DiskCache>>) {
+fn set_delta_hook(dlc: &Arc<Dlc>, cache: &Arc<ClientCache>) {
     let cache = Arc::clone(cache);
-    let disk = disk.cloned();
-    dlc.set_delta_hook(move |oid, changed| {
-        let applied = cache.apply_delta(oid, changed);
-        if let Some(disk) = &disk {
-            disk.invalidate(&[oid]);
-        }
-        applied || !cache.contains(oid)
-    });
+    dlc.set_delta_hook(move |oid, changed| cache.apply_delta(oid, changed) || !cache.contains(oid));
 }
 
 /// Connect to the DLM agent over `channel`. Its events reach the DLC
@@ -180,13 +162,6 @@ fn dial_agent(
     })
 }
 
-fn open_disk_cache(config: &ClientConfig) -> DbResult<Option<Arc<DiskCache>>> {
-    match &config.disk_cache {
-        Some((dir, bytes)) => Ok(Some(Arc::new(DiskCache::open(dir, *bytes)?))),
-        None => Ok(None),
-    }
-}
-
 struct HandshakeOutcome {
     catalog: Catalog,
     session: SessionInfo,
@@ -203,7 +178,6 @@ pub struct DbClient {
     /// experiment report sees the whole history across reconnects.
     conn_stats: ConnStats,
     cache: Arc<ClientCache>,
-    disk: Option<Arc<DiskCache>>,
     catalog: Arc<Catalog>,
     session: OrderedMutex<SessionInfo>,
     dlc: Arc<Dlc>,
@@ -278,7 +252,6 @@ impl DbClient {
         let conn = Connection::new(channel, config.call_timeout);
         let cell = Arc::new(ConnCell::new(Arc::clone(&conn)));
         let cache = Arc::new(ClientCache::new(config.cache_bytes));
-        let disk = open_disk_cache(&config)?;
         let agent = dlm_channel.as_ref().map(|_| Arc::new(AgentCell::new(None)));
         let backend: Arc<dyn DlmBackend> = match &agent {
             Some(agent) => Arc::clone(agent) as Arc<dyn DlmBackend>,
@@ -287,10 +260,9 @@ impl DbClient {
             }),
         };
         let dlc = Arc::new(Dlc::new(backend));
-        set_delta_hook(&dlc, &cache, disk.as_ref());
+        set_delta_hook(&dlc, &cache);
         let sink: Arc<dyn PushSink> = Arc::new(Sink {
             cache: Arc::clone(&cache),
-            disk: disk.clone(),
             dlc: Arc::clone(&dlc),
         });
         conn.install_sink(Arc::clone(&sink));
@@ -315,7 +287,6 @@ impl DbClient {
             conn: cell,
             conn_stats: conn.stats().clone(),
             cache,
-            disk,
             catalog: Arc::new(outcome.catalog),
             session: OrderedMutex::new(ranks::CLIENT_SESSION, outcome.session),
             dlc,
@@ -403,9 +374,6 @@ impl DbClient {
             recovery.sessions_resumed.inc();
         }
         self.cache.invalidate(&outcome.stale);
-        if let Some(disk) = &self.disk {
-            disk.invalidate(&outcome.stale);
-        }
         if self.agent.is_none() {
             // The cursors are the server's only in the integrated
             // deployment; the agent's come from its `Ready`.
@@ -537,27 +505,6 @@ impl DbClient {
         &self.cache
     }
 
-    /// The optional local-disk cache (paper footnote 2).
-    pub fn disk_cache(&self) -> Option<&Arc<DiskCache>> {
-        self.disk.as_ref()
-    }
-
-    /// Write-through of a server call's object into the local caches,
-    /// unless a callback named it during the call (see [`Fill`]).
-    pub(crate) fn cache_through(&self, fill: &Fill<'_>, obj: &DbObject) {
-        if let (true, Some(disk)) = (fill.insert(obj.clone()), &self.disk) {
-            disk.put(obj);
-        }
-    }
-
-    /// Drop an object from the local caches.
-    pub(crate) fn uncache(&self, oid: Oid) {
-        self.cache.invalidate(&[oid]);
-        if let Some(disk) = &self.disk {
-            disk.remove(oid);
-        }
-    }
-
     /// The display lock client.
     pub fn dlc(&self) -> &Arc<Dlc> {
         &self.dlc
@@ -583,8 +530,8 @@ impl DbClient {
     }
 
     /// Read an object, serving from the database cache when possible
-    /// (inter-transaction caching: a hit costs no server message), then
-    /// the local-disk cache (if configured), then the server.
+    /// (inter-transaction caching: a hit costs no server message), else
+    /// from the server.
     pub fn read(&self, oid: Oid) -> DbResult<DbObject> {
         self.read_as(None, oid)
     }
@@ -593,16 +540,10 @@ impl DbClient {
     /// carries the transaction id, so the read is re-entrant with the
     /// transaction's own exclusive locks.
     pub(crate) fn read_as(&self, txn: Option<TxnId>, oid: Oid) -> DbResult<DbObject> {
-        if let Some(obj) = self.cache.get(oid) {
-            return Ok(obj);
+        match self.cache.get(oid) {
+            Some(obj) => Ok(obj),
+            None => self.server_read(txn, oid),
         }
-        if let Some(disk) = &self.disk {
-            if let Some(obj) = disk.get(oid) {
-                self.cache.insert(obj.clone());
-                return Ok(obj);
-            }
-        }
-        self.server_read(txn, oid)
     }
 
     /// Read an object from the server, refreshing the cache.
@@ -617,7 +558,7 @@ impl DbClient {
         match self.conn().call(Request::Read { txn, oid })? {
             Response::Object { bytes } => {
                 let obj = DbObject::decode_from_bytes(&bytes)?;
-                self.cache_through(&fill, &obj);
+                fill.insert(obj.clone());
                 Ok(obj)
             }
             other => Err(DbError::Protocol(format!("unexpected {other:?}"))),
@@ -632,14 +573,7 @@ impl DbClient {
         for (i, &oid) in oids.iter().enumerate() {
             match self.cache.get(oid) {
                 Some(obj) => out[i] = Some(obj),
-                None => {
-                    if let Some(obj) = self.disk.as_ref().and_then(|d| d.get(oid)) {
-                        self.cache.insert(obj.clone());
-                        out[i] = Some(obj);
-                    } else {
-                        missing.push((i, oid));
-                    }
-                }
+                None => missing.push((i, oid)),
             }
         }
         if missing.is_empty() {
@@ -655,7 +589,7 @@ impl DbClient {
                 for ((i, _), bytes) in missing.into_iter().zip(objects) {
                     if let Some(bytes) = bytes {
                         let obj = DbObject::decode_from_bytes(&bytes)?;
-                        self.cache_through(&fill, &obj);
+                        fill.insert(obj.clone());
                         out[i] = Some(obj);
                     }
                 }

@@ -22,7 +22,6 @@
 
 pub mod cache;
 pub mod conn;
-pub mod diskcache;
 pub mod dlc;
 pub mod supervisor;
 pub mod txn;
@@ -32,7 +31,6 @@ mod client;
 pub use cache::ClientCache;
 pub use client::{ClientConfig, DbClient, SessionInfo};
 pub use conn::Connection;
-pub use diskcache::{DiskCache, DiskCacheStats};
 pub use dlc::{Dlc, DlcEvent, DlcStats};
 pub use supervisor::ChannelFactory;
 pub use txn::ClientTxn;

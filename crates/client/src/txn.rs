@@ -173,7 +173,7 @@ impl ClientTxn {
     /// and it holds nothing for this transaction any more — after a
     /// `StaleBase` refusal of its patches, the write set goes once more
     /// with full states. When the outcome is unknown (`Disconnected`,
-    /// `Timeout`), the write set leaves the local caches.
+    /// `Timeout`), the write set leaves the local cache.
     pub fn commit(mut self) -> DbResult<()> {
         // Mint a trace id at the committing client (0 when tracing is
         // off): the server stamps the notification fan-out with it, and
@@ -191,9 +191,8 @@ impl ClientTxn {
                 // The commit may have applied, and it calls back no copy
                 // of its own client's: were the copies kept, a resume
                 // could prove them current (DESIGN.md § 14).
-                for oid in self.local.keys() {
-                    self.client.uncache(*oid);
-                }
+                let written: Vec<Oid> = self.local.keys().copied().collect();
+                self.client.cache().invalidate(&written);
             }
             return Err(e);
         }
@@ -203,8 +202,8 @@ impl ClientTxn {
         // the server registered as this client's copies.
         for (oid, view) in &self.local {
             match view {
-                Some(obj) => self.client.cache_through(&fill, obj),
-                None => self.client.uncache(*oid),
+                Some(obj) => fill.insert(obj.clone()),
+                None => self.client.cache().invalidate(&[*oid]),
             }
         }
         drop(fill);

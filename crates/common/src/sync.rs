@@ -112,8 +112,6 @@ pub mod ranks {
     pub const DLC_CURSOR: LockRank = LockRank::new(195, "dlc.cursor");
     /// The client's in-memory object cache.
     pub const CLIENT_CACHE: LockRank = LockRank::new(210, "client.cache");
-    /// The client's local-disk cache index.
-    pub const CLIENT_DISKCACHE: LockRank = LockRank::new(220, "client.diskcache");
 
     // Server side.
     /// The connected-session registry.
@@ -192,7 +190,6 @@ pub mod ranks {
         DLC_STATE,
         DLC_CURSOR,
         CLIENT_CACHE,
-        CLIENT_DISKCACHE,
         SERVER_SESSIONS,
         SERVER_RESUME_TOKENS,
         SESSION_ACKS,

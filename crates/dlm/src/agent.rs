@@ -433,7 +433,6 @@ mod tests {
             viewer.send(lock(vec![Oid::new(1)])).unwrap();
             std::thread::sleep(Duration::from_millis(50));
             assert_eq!(agent.dlm().locked_objects(), 1);
-            viewer.send(DlmRequest::Bye).unwrap();
         }
         // Wait for the session loop to process the disconnect.
         for _ in 0..50 {
@@ -607,7 +606,7 @@ mod tests {
         config.overload.outbox_high_water = 4;
         let hub = LocalHub::new();
         let plan = Arc::new(FaultPlan::new());
-        plan.set_delay(1000, Duration::from_millis(10));
+        plan.set_delay(Duration::from_millis(10));
         let agent = DlmAgent::spawn(
             Arc::new(ShardedDlm::new(config)),
             Box::new(FaultyListener::wrap(Box::new(hub.clone()), plan)),

@@ -250,8 +250,6 @@ pub enum DlmRequest {
         /// Whether the transaction committed.
         committed: bool,
     },
-    /// Orderly disconnect; all display locks of the client are dropped.
-    Bye,
     /// Catch up from the DLM's bounded update logs (DESIGN.md § 13): for
     /// each listed shard the DLM streams every logged commit past the
     /// cursor, filtered through this client's registered interests, then
@@ -404,7 +402,7 @@ const REQ_RELEASE: u8 = 3;
 const REQ_UPDATE: u8 = 4;
 const REQ_INTENT: u8 = 5;
 const REQ_RESOLUTION: u8 = 6;
-const REQ_BYE: u8 = 7;
+// 7 was `Bye`: retired, never reused.
 const REQ_LOCK_PROJECTED: u8 = 8;
 const REQ_REPLAY_FROM: u8 = 9;
 
@@ -458,7 +456,6 @@ impl Encode for DlmRequest {
                 txn.encode(w);
                 committed.encode(w);
             }
-            DlmRequest::Bye => w.put_u8(REQ_BYE),
             DlmRequest::ReplayFrom { cursors } => {
                 w.put_u8(REQ_REPLAY_FROM);
                 encode_cursors(cursors, w);
@@ -510,7 +507,6 @@ impl Decode for DlmRequest {
                 txn: TxnId::decode(r)?,
                 committed: bool::decode(r)?,
             },
-            REQ_BYE => DlmRequest::Bye,
             REQ_REPLAY_FROM => DlmRequest::ReplayFrom {
                 cursors: decode_cursors(r)?,
             },
@@ -686,7 +682,6 @@ mod tests {
             txn: TxnId::new(11),
             committed: false,
         });
-        rt_req(DlmRequest::Bye);
         rt_req(DlmRequest::ReplayFrom { cursors: vec![] });
         rt_req(DlmRequest::ReplayFrom {
             cursors: vec![
@@ -766,9 +761,13 @@ mod tests {
     }
 
     #[test]
-    fn retired_tag_6_is_a_protocol_error() {
+    fn retired_tags_are_protocol_errors() {
         assert!(matches!(
             DlmEvent::decode_from_bytes(&[6]),
+            Err(DbError::Protocol(_))
+        ));
+        assert!(matches!(
+            DlmRequest::decode_from_bytes(&[7]),
             Err(DbError::Protocol(_))
         ));
     }

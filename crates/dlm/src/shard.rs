@@ -451,11 +451,11 @@ impl ShardedDlm {
     /// over [`DlmRequest`], shared by the agent's session loop and the
     /// integrated server's `Request::Dlm` arm. Nothing is acknowledged
     /// (§ 4.1): outcomes arrive on the client's notification stream.
-    /// Returns `true` when the session must end: `Bye`, or a `Hello`
-    /// after the handshake.
+    /// Returns `true` when the session must end: a `Hello` after the
+    /// handshake.
     pub fn handle_request(&self, client: ClientId, request: DlmRequest) -> bool {
         match request {
-            DlmRequest::Hello { .. } | DlmRequest::Bye => return true,
+            DlmRequest::Hello { .. } => return true,
             DlmRequest::Lock { oids } => self.lock(client, &oids),
             DlmRequest::LockProjected {
                 oids,
@@ -646,7 +646,6 @@ mod tests {
         assert!(!dlm.handle_request(c(1), release));
         assert_eq!(dlm.locked_objects(), 0);
         assert!(dlm.handle_request(c(1), DlmRequest::Hello { client: c(1) }));
-        assert!(dlm.handle_request(c(1), DlmRequest::Bye));
     }
 
     #[test]

@@ -355,7 +355,6 @@ const DLM_REQUEST_VARIANTS: &[&str] = &[
     "UpdateCommitted",
     "WriteIntent",
     "Resolution",
-    "Bye",
     "ReplayFrom",
 ];
 
@@ -369,7 +368,6 @@ fn _dlm_request_anchor(r: &displaydb_dlm::proto::DlmRequest) -> &'static str {
         R::UpdateCommitted { .. } => "UpdateCommitted",
         R::WriteIntent { .. } => "WriteIntent",
         R::Resolution { .. } => "Resolution",
-        R::Bye => "Bye",
         R::ReplayFrom { .. } => "ReplayFrom",
     }
 }

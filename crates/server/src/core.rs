@@ -799,7 +799,6 @@ impl ServerCore {
             // is no DLM handshake on this link either.
             Request::Dlm(
                 DlmRequest::Hello { .. }
-                | DlmRequest::Bye
                 | DlmRequest::UpdateCommitted { .. }
                 | DlmRequest::WriteIntent { .. }
                 | DlmRequest::Resolution { .. },
@@ -807,7 +806,26 @@ impl ServerCore {
                 "not a request an integrated client may send".into(),
             )),
             Request::Dlm(request) => {
+                // A copy kept for a delta lives only as long as the
+                // projection that kept it: a commit past its callbacks
+                // would send it no `Delta`, or an `Updated` that re-reads
+                // it. The callback is pushed, not awaited (DESIGN.md § 9).
+                let mut ended: Vec<Oid> = match &request {
+                    DlmRequest::Release { oids } | DlmRequest::Lock { oids } => oids
+                        .iter()
+                        .copied()
+                        .filter(|&oid| self.dlm.has_interest(client, oid))
+                        .collect(),
+                    _ => Vec::new(),
+                };
                 self.dlm.handle_request(client, request);
+                ended.retain(|&oid| self.copies.has_copy(client, oid));
+                for &oid in &ended {
+                    self.copies.drop_copy(client, oid);
+                }
+                if !ended.is_empty() {
+                    let _ = session.callback_send(ended, false);
+                }
                 Ok(Response::Ok)
             }
             Request::Checkpoint => {

@@ -215,7 +215,7 @@ pub enum Request {
     /// Fire-and-forget semantics — outcomes arrive as `ServerPush::Dlm`
     /// — but carried as an RPC so callers can fence on the answer. The
     /// server refuses the variants an integrated client has no business
-    /// sending (`Hello`, `Bye` and the three reports).
+    /// sending (`Hello` and the three reports).
     Dlm(DlmRequest),
     /// Force a checkpoint (flush heap, truncate WAL).
     Checkpoint,
@@ -958,7 +958,7 @@ mod tests {
                 },
             );
         }
-        // Tag 18 carries `DlmRequest`'s own codec untouched: all nine
+        // Tag 18 carries `DlmRequest`'s own codec untouched: all eight
         // variants cross, their inner tags following the outer one.
         let oids = vec![Oid::new(9), Oid::new(10)];
         for (inner, request) in [
@@ -991,7 +991,6 @@ mod tests {
                     committed: true,
                 },
             ),
-            (7, DlmRequest::Bye),
             (
                 8,
                 DlmRequest::LockProjected {

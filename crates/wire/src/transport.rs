@@ -291,39 +291,25 @@ impl Channel for LocalChannel {
 
 /// Scripted fault state shared by one or more [`FaultyChannel`]s.
 ///
-/// A plan is the test's remote control for a connection: it can drop frames
-/// probabilistically (deterministic xorshift stream), delay sends to model
-/// a slow consumer or congested link (separate deterministic stream), kill
-/// the channel after the N-th send, open and heal partition windows (frames
-/// silently discarded in both directions), or kill the channel on demand.
-/// All methods are safe to call from the test thread while the channel is
-/// in active use.
+/// A plan is the test's remote control for a connection: it can delay
+/// every send to model a slow consumer or congested link, open and heal
+/// partition windows (frames silently discarded in both directions), or
+/// kill the channel on demand. All methods are safe to call from the test
+/// thread while the channel is in active use.
 #[derive(Debug)]
 pub struct FaultPlan {
-    /// xorshift64 state for the drop decision stream.
-    rng: std::sync::atomic::AtomicU64,
-    /// Probability of dropping a sent frame, in per-mille (0..=1000).
-    drop_per_mille: std::sync::atomic::AtomicU32,
-    /// xorshift64 state for the delay decision stream — independent of
-    /// the drop stream so arming delays does not perturb a seeded drop
-    /// pattern.
-    delay_rng: std::sync::atomic::AtomicU64,
-    /// Probability of delaying a sent frame, in per-mille (0..=1000).
-    delay_per_mille: std::sync::atomic::AtomicU32,
-    /// Delay applied to selected frames, in microseconds. The *sender*
-    /// sleeps: this models a consumer whose inbound path has slowed down,
-    /// which is exactly what server-side outbox backpressure must absorb.
+    /// Delay applied to every sent frame, in microseconds (0 = none). The
+    /// *sender* sleeps: this models a consumer whose inbound path has
+    /// slowed down, which is exactly what server-side outbox backpressure
+    /// must absorb.
     delay_micros: std::sync::atomic::AtomicU64,
-    /// Kill the channel once this many sends have been attempted
-    /// (`u64::MAX` = disabled).
-    kill_after_sends: std::sync::atomic::AtomicU64,
     /// While set, frames are silently discarded in both directions.
     partitioned: std::sync::atomic::AtomicBool,
     /// Once set, the channel behaves as closed forever.
     killed: std::sync::atomic::AtomicBool,
     /// Total send attempts observed.
     sends: std::sync::atomic::AtomicU64,
-    /// Frames silently discarded (drops + partition).
+    /// Frames silently discarded by a partition.
     dropped: std::sync::atomic::AtomicU64,
     /// Frames that were delay-injected.
     delayed: std::sync::atomic::AtomicU64,
@@ -340,14 +326,9 @@ impl Default for FaultPlan {
 impl FaultPlan {
     /// A plan with no faults armed.
     pub fn new() -> Self {
-        use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
+        use std::sync::atomic::{AtomicBool, AtomicU64};
         Self {
-            rng: AtomicU64::new(0x2545_f491_4f6c_dd1d),
-            drop_per_mille: AtomicU32::new(0),
-            delay_rng: AtomicU64::new(0x9e37_79b9_7f4a_7c15),
-            delay_per_mille: AtomicU32::new(0),
             delay_micros: AtomicU64::new(0),
-            kill_after_sends: AtomicU64::new(u64::MAX),
             partitioned: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             sends: AtomicU64::new(0),
@@ -357,55 +338,24 @@ impl FaultPlan {
         }
     }
 
-    /// Seed the deterministic drop stream (must be non-zero).
-    pub fn seed(&self, seed: u64) {
-        self.rng
-            .store(seed.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Seed the deterministic delay stream (must be non-zero).
-    pub fn seed_delay(&self, seed: u64) {
-        self.delay_rng
-            .store(seed.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Delay each sent frame with probability `per_mille`/1000 by
-    /// sleeping `delay` *in the sender*: the injected latency consumes
-    /// sender-side throughput exactly like a congested link or a consumer
-    /// that stopped draining its socket. Use `per_mille = 1000` for a
-    /// uniformly slow connection.
-    pub fn set_delay(&self, per_mille: u32, delay: Duration) {
-        use std::sync::atomic::Ordering;
+    /// Delay every sent frame by sleeping `delay` *in the sender*: the
+    /// injected latency consumes sender-side throughput exactly like a
+    /// congested link or a consumer that stopped draining its socket.
+    pub fn set_delay(&self, delay: Duration) {
         self.delay_micros.store(
             delay.as_micros().min(u128::from(u64::MAX)) as u64,
             Ordering::Relaxed,
         );
-        self.delay_per_mille
-            .store(per_mille.min(1000), Ordering::Relaxed);
     }
 
     /// Disarm delay injection.
     pub fn clear_delay(&self) {
-        self.delay_per_mille
-            .store(0, std::sync::atomic::Ordering::Relaxed);
+        self.delay_micros.store(0, Ordering::Relaxed);
     }
 
     /// Frames delay-injected so far.
     pub fn delayed(&self) -> u64 {
         self.delayed.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Drop each sent frame with probability `per_mille`/1000.
-    pub fn set_drop_per_mille(&self, per_mille: u32) {
-        self.drop_per_mille
-            .store(per_mille.min(1000), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Kill the channel immediately after the `n`-th send attempt
-    /// (counting from the plan's creation).
-    pub fn kill_after(&self, n: u64) {
-        self.kill_after_sends
-            .store(n, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Open a partition window: frames vanish in both directions but the
@@ -455,7 +405,7 @@ impl FaultPlan {
         self.sends.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Frames silently discarded so far (drops + partition).
+    /// Frames silently discarded by a partition so far.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(std::sync::atomic::Ordering::Relaxed)
     }
@@ -464,49 +414,10 @@ impl FaultPlan {
         self.channels.lock().push(ch);
     }
 
-    /// Advance the xorshift stream and decide whether to drop this frame.
-    fn should_drop(&self) -> bool {
-        use std::sync::atomic::Ordering;
-        let p = self.drop_per_mille.load(Ordering::Relaxed);
-        if p == 0 {
-            return false;
-        }
-        let mut x = self.rng.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng.store(x.max(1), Ordering::Relaxed);
-        (x % 1000) < u64::from(p)
-    }
-
-    /// Advance the delay xorshift stream and decide how long (if at all)
-    /// this frame's send should stall.
+    /// How long this frame's send should stall, if a delay is armed.
     fn send_delay(&self) -> Option<Duration> {
-        use std::sync::atomic::Ordering;
-        let p = self.delay_per_mille.load(Ordering::Relaxed);
-        if p == 0 {
-            return None;
-        }
-        let mut x = self.delay_rng.load(Ordering::Relaxed);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.delay_rng.store(x.max(1), Ordering::Relaxed);
-        if (x % 1000) < u64::from(p) {
-            Some(Duration::from_micros(
-                self.delay_micros.load(Ordering::Relaxed),
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// Record a send attempt; returns `true` if this send trips the
-    /// kill-after-N trigger.
-    fn note_send(&self) -> bool {
-        use std::sync::atomic::Ordering;
-        let n = self.sends.fetch_add(1, Ordering::Relaxed) + 1;
-        n == self.kill_after_sends.load(Ordering::Relaxed)
+        let micros = self.delay_micros.load(Ordering::Relaxed);
+        (micros > 0).then(|| Duration::from_micros(micros))
     }
 
     fn note_dropped(&self) {
@@ -548,8 +459,8 @@ impl Channel for FaultyChannel {
         if self.plan.is_killed() {
             return Err(DbError::Disconnected);
         }
-        let trips_kill = self.plan.note_send();
-        if self.plan.is_partitioned() || self.plan.should_drop() {
+        self.plan.sends.fetch_add(1, Ordering::Relaxed);
+        if self.plan.is_partitioned() {
             // The frame vanishes on the wire; the sender cannot tell.
             self.plan.note_dropped();
             return Ok(());
@@ -563,16 +474,11 @@ impl Channel for FaultyChannel {
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             std::thread::sleep(delay);
         }
-        let result = self.inner.send(payload);
-        if trips_kill {
-            self.plan.kill_now();
-        }
-        result
+        self.inner.send(payload)
     }
 
     fn congested(&self) -> bool {
-        let delays = self.plan.delay_per_mille.load(Ordering::Relaxed) > 0;
-        delays || self.inner.congested()
+        self.plan.send_delay().is_some() || self.inner.congested()
     }
 
     fn recv(&self) -> DbResult<Bytes> {
@@ -999,22 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn faulty_kill_after_n_sends() {
-        let (a, z) = local_pair();
-        let plan = Arc::new(FaultPlan::new());
-        plan.kill_after(2);
-        let a = FaultyChannel::wrap(Box::new(a), Arc::clone(&plan));
-        a.send(b("1")).unwrap();
-        a.send(b("2")).unwrap(); // delivered, then the channel dies
-        assert!(plan.is_killed());
-        assert!(matches!(a.send(b("3")), Err(DbError::Disconnected)));
-        assert_eq!(z.recv().unwrap(), b("1"));
-        assert_eq!(z.recv().unwrap(), b("2"));
-        // Inner channel was closed: the peer observes the disconnect.
-        assert!(matches!(z.recv(), Err(DbError::Disconnected)));
-    }
-
-    #[test]
     fn faulty_kill_now_unblocks_parked_reader() {
         let (a, _z) = local_pair();
         let plan = Arc::new(FaultPlan::new());
@@ -1050,33 +940,10 @@ mod tests {
     }
 
     #[test]
-    fn faulty_probabilistic_drop_is_deterministic() {
-        let run = |seed: u64| -> Vec<u64> {
-            let (a, z) = local_pair();
-            let plan = Arc::new(FaultPlan::new());
-            plan.seed(seed);
-            plan.set_drop_per_mille(400);
-            let a = FaultyChannel::wrap(Box::new(a), Arc::clone(&plan));
-            for i in 0..50u64 {
-                a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-            }
-            let mut got = Vec::new();
-            while let Ok(frame) = z.recv_timeout(Duration::from_millis(10)) {
-                got.push(u64::from_le_bytes(frame[..8].try_into().unwrap()));
-            }
-            assert!(got.len() < 50, "some frames must drop at 40%");
-            assert!(!got.is_empty(), "some frames must survive at 40%");
-            got
-        };
-        assert_eq!(run(1234), run(1234), "same seed, same drop pattern");
-        assert_ne!(run(1234), run(9999), "different seed, different pattern");
-    }
-
-    #[test]
     fn faulty_delay_stalls_the_sender() {
         let (a, z) = local_pair();
         let plan = Arc::new(FaultPlan::new());
-        plan.set_delay(1000, Duration::from_millis(25));
+        plan.set_delay(Duration::from_millis(25));
         let a = FaultyChannel::wrap(Box::new(a), Arc::clone(&plan));
         let start = Instant::now();
         a.send(b("slow")).unwrap();
@@ -1096,28 +963,10 @@ mod tests {
     }
 
     #[test]
-    fn faulty_partial_delay_is_deterministic() {
-        let run = |seed: u64| -> u64 {
-            let (a, _z) = local_pair();
-            let plan = Arc::new(FaultPlan::new());
-            plan.seed_delay(seed);
-            plan.set_delay(300, Duration::from_micros(1));
-            let a = FaultyChannel::wrap(Box::new(a), Arc::clone(&plan));
-            for i in 0..100u64 {
-                a.send(Bytes::from(i.to_le_bytes().to_vec())).unwrap();
-            }
-            plan.delayed()
-        };
-        let n = run(42);
-        assert!(n > 0 && n < 100, "~30% of frames should be delayed: {n}");
-        assert_eq!(n, run(42), "same seed, same selection");
-    }
-
-    #[test]
     fn faulty_listener_wraps_accepted_channels() {
         let hub = LocalHub::new();
         let plan = Arc::new(FaultPlan::new());
-        plan.set_delay(1000, Duration::from_millis(25));
+        plan.set_delay(Duration::from_millis(25));
         let listener = FaultyListener::wrap(Box::new(hub.clone()), Arc::clone(&plan));
 
         let client = hub.connect().unwrap();

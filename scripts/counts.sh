@@ -70,7 +70,8 @@ for spec in \
     crates/common/src/overload.rs:UpdateLogConfig \
     crates/common/src/overload.rs:DurableLogConfig \
     crates/dlm/src/core.rs:DlmConfig \
-    crates/server/src/core.rs:ServerConfig; do
+    crates/server/src/core.rs:ServerConfig \
+    crates/client/src/client.rs:ClientConfig; do
     n=$(fields "${spec%%:*}" "${spec##*:}")
     printf '  %-16s %d\n' "${spec##*:}" "$n"
     total=$((total + n))

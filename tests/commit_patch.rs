@@ -221,7 +221,7 @@ fn stale_base(deployment: &Deployment) {
 
     let core = deployment.server.core();
     let commits = core.stats().commits.get();
-    deployment.slow.set_delay(1000, Duration::from_millis(300));
+    deployment.slow.set_delay(Duration::from_millis(300));
     std::thread::scope(|scope| {
         let update = scope.spawn(|| {
             let mut txn = updater.begin().unwrap();
@@ -350,7 +350,7 @@ fn a_later_commits_notification_is_not_overtaken() {
 
     let core = deployment.server.core();
     let callbacks = core.stats().callbacks.get();
-    deployment.slow.set_delay(1000, Duration::from_millis(300));
+    deployment.slow.set_delay(Duration::from_millis(300));
     std::thread::scope(|scope| {
         // ErrorRate is outside both projections: A calls both copies back,
         // and the slow holder's callback takes 300 ms to send.
@@ -417,7 +417,7 @@ fn a_slow_committers_answer_holds_up_nobody() {
     let log = deployment.dlm().update_log_of(0);
     let head = log.head();
     let delay = Duration::from_millis(600);
-    deployment.slow.set_delay(1000, delay);
+    deployment.slow.set_delay(delay);
     std::thread::scope(|scope| {
         let slow_commit = scope.spawn(|| {
             let mut txn = slow.begin().unwrap();

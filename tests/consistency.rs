@@ -1,10 +1,15 @@
 //! Cache-consistency integration: callback invalidation guarantees and
 //! display-cache pinning under database-cache pressure.
 
+use displaydb::dlm::DlmRequest;
 use displaydb::nms::nms_catalog;
 use displaydb::prelude::*;
+use displaydb::server::core::SessionHandle;
+use displaydb::server::proto::WriteForm;
+use displaydb::server::{Envelope, Request, Response, ServerCore, ServerPush};
+use displaydb::wire::{local_pair, Channel, Decode, Encode};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir()
@@ -93,7 +98,6 @@ fn display_cache_pins_survive_database_cache_thrash() {
             name: "tiny-cache".into(),
             cache_bytes: 4 * 1024, // tiny database cache
             call_timeout: Duration::from_secs(30),
-            disk_cache: None,
         },
     )
     .unwrap();
@@ -265,87 +269,77 @@ fn projected_display_suppresses_unrelated_writes_end_to_end() {
 }
 
 #[test]
-fn local_disk_cache_serves_misses_and_honours_callbacks() {
-    // Paper footnote 2: the client's local disk as an intermediate
-    // hierarchy level. It must serve memory misses without the network
-    // and be invalidated by the same callbacks as the memory cache.
-    let catalog = Arc::new(nms_catalog());
-    let hub = LocalHub::new();
-    let _server =
-        Server::spawn_local(Arc::clone(&catalog), ServerConfig::new(tmp("disk")), &hub).unwrap();
-    let disk_dir = tmp("disk-cache-dir");
-    let reader = DbClient::connect(
-        Box::new(hub.connect().unwrap()),
-        ClientConfig {
-            name: "disk-reader".into(),
-            cache_bytes: 1 << 20,
-            call_timeout: Duration::from_secs(30),
-            disk_cache: Some((disk_dir.clone(), 1 << 20)),
-        },
-    )
-    .unwrap();
-    let writer = DbClient::connect(
-        Box::new(hub.connect().unwrap()),
-        ClientConfig::named("writer"),
-    )
-    .unwrap();
+fn a_projection_dropped_mid_commit_calls_the_kept_copy_back() {
+    // A commit keeps a projected holder's copy for the `Delta` its
+    // fan-out sends. A `Release` or a whole-object `Lock` landing between
+    // that decision and the fan-out ends the projection: no `Delta`
+    // comes, or an `Updated` whose refresh would read the kept copy.
+    // Either way the copy must be called back.
+    for case in ["release", "widen"] {
+        let catalog = Arc::new(nms_catalog());
+        let dir = tmp(&format!("mid-commit-{case}"));
+        let core = ServerCore::open(Arc::clone(&catalog), ServerConfig::new(dir)).unwrap();
+        let session = |name: &str| {
+            let (near, far) = local_pair();
+            (core.connect(name, None, Arc::new(near)).0, far)
+        };
+        let (writer, _writer_end) = session("writer");
+        let (viewer, viewer_end) = session("viewer");
+        let call = |session: &SessionHandle, request: Request| {
+            let mut out = None;
+            core.handle(session, request, |response| out = Some(response));
+            out.unwrap()
+        };
 
-    let mut txn = writer.begin().unwrap();
-    let link = txn
-        .create(
-            writer
-                .new_object("Link")
-                .unwrap()
-                .with(&catalog, "Utilization", 0.25)
-                .unwrap(),
-        )
-        .unwrap();
-    txn.commit().unwrap();
-
-    // First read populates memory + disk.
-    reader.read(link.oid).unwrap();
-    assert_eq!(reader.disk_cache().unwrap().stats().objects, 1);
-
-    // Clear memory: the next read must come from disk, not the network.
-    reader.cache().clear();
-    let sent_before = reader.conn().stats().sent.get();
-    let obj = reader.read(link.oid).unwrap();
-    assert_eq!(
-        obj.get(&catalog, "Utilization")
+        let Response::Created { oid } = call(&writer, Request::Create) else {
+            panic!("no oid");
+        };
+        let mut link = DbObject::new_named(&catalog, "Link")
             .unwrap()
-            .as_float()
-            .unwrap(),
-        0.25
-    );
-    assert_eq!(
-        reader.conn().stats().sent.get(),
-        sent_before,
-        "disk hit must not touch the network"
-    );
-    assert_eq!(reader.disk_cache().unwrap().stats().hits, 1);
+            .with(&catalog, "Utilization", 0.25)
+            .unwrap();
+        link.oid = oid;
+        let put = |obj: &DbObject| Request::Commit {
+            txn: None,
+            writes: vec![(oid, WriteForm::Put(obj.encode_to_bytes().to_vec()))],
+            trace: 0,
+        };
+        assert_eq!(call(&writer, put(&link)), Response::Ok);
+        let read = call(&viewer, Request::Read { txn: None, oid });
+        assert!(matches!(read, Response::Object { .. }), "{case}: {read:?}");
+        let newer = link.clone().with(&catalog, "Utilization", 0.75).unwrap();
+        let attrs = newer.changes_since(&link).into_iter().map(|(attr, _)| attr);
+        let lock = DlmRequest::LockProjected {
+            oids: vec![oid],
+            attrs: attrs.collect(),
+            version: 1,
+        };
+        assert_eq!(call(&viewer, Request::Dlm(lock)), Response::Ok);
+        let end_projection = match case {
+            "release" => DlmRequest::Release { oids: vec![oid] },
+            _ => DlmRequest::Lock { oids: vec![oid] },
+        };
 
-    // A remote update invalidates BOTH cache levels before the commit
-    // acknowledges (synchronous callbacks).
-    let mut txn = writer.begin().unwrap();
-    txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.75))
-        .unwrap();
-    txn.commit().unwrap();
-    assert!(!reader.cache().contains(link.oid));
-    assert_eq!(
-        reader.disk_cache().unwrap().stats().objects,
-        0,
-        "stale disk entry survived the callback"
-    );
-    // The next read fetches the fresh state.
-    assert_eq!(
-        reader
-            .read(link.oid)
-            .unwrap()
-            .get(&catalog, "Utilization")
-            .unwrap()
-            .as_float()
-            .unwrap(),
-        0.75
-    );
-    let _ = std::fs::remove_dir_all(disk_dir);
+        // `handle` answers a commit before its fan-out.
+        core.handle(&writer, put(&newer), |answer| {
+            assert_eq!(answer, Response::Ok);
+            let ended = call(&viewer, Request::Dlm(end_projection));
+            assert_eq!(ended, Response::Ok);
+        });
+
+        let deadline = Instant::now() + Duration::from_millis(500);
+        let mut called_back = false;
+        while let Ok(frame) =
+            viewer_end.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+        {
+            if let Ok(Envelope::Push(ServerPush::Callback { oids, .. })) =
+                Envelope::decode_from_bytes(&frame)
+            {
+                called_back |= oids.contains(&oid);
+            }
+        }
+        assert!(called_back, "{case}: the kept copy was never called back");
+        core.disconnect(viewer.client);
+        core.disconnect(writer.client);
+    }
 }

@@ -116,7 +116,6 @@ fn crash_point_matrix_restart_recovers_without_loss_or_duplicates() {
                 name: format!("viewer-{}", point.name()),
                 cache_bytes: 1 << 20,
                 call_timeout: Duration::from_millis(300),
-                disk_cache: None,
             },
         )
         .unwrap();

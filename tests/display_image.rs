@@ -291,7 +291,7 @@ fn a_commit_racing_the_widen_is_not_lost(dep: &Deployment) {
     wait_until("the flip to arrive", || {
         viewer.dlc().stats().notifications_in.get() >= 1
     });
-    plan.set_delay(1000, Duration::from_secs(1));
+    plan.set_delay(Duration::from_secs(1));
     let pump = {
         let display = Arc::clone(&display);
         std::thread::spawn(move || display.wait_and_process(Duration::from_secs(5)))
@@ -443,7 +443,7 @@ fn commit_racing_the_lock_is_not_lost(dep: &Deployment) {
     let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
     let class = two_attribute_class();
 
-    plan.set_delay(1000, Duration::from_secs(1));
+    plan.set_delay(Duration::from_secs(1));
     let adder = {
         let (display, class) = (Arc::clone(&display), Arc::clone(&class));
         std::thread::spawn(move || display.add_object(&class, vec![link]))

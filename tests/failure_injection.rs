@@ -199,7 +199,6 @@ fn server_death_surfaces_clean_errors() {
             name: "c".into(),
             cache_bytes: 1 << 20,
             call_timeout: Duration::from_millis(500),
-            disk_cache: None,
         },
     )
     .unwrap();
@@ -301,7 +300,6 @@ fn short_timeout(name: &str) -> ClientConfig {
         name: name.into(),
         cache_bytes: 1 << 20,
         call_timeout: Duration::from_millis(300),
-        disk_cache: None,
     }
 }
 

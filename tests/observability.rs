@@ -198,7 +198,6 @@ fn trace_survives_supervised_reconnect() {
         name: name.into(),
         cache_bytes: 1 << 20,
         call_timeout: Duration::from_millis(300),
-        disk_cache: None,
     };
     let updater = DbClient::connect_supervised(
         Arc::clone(&factory),

@@ -98,7 +98,7 @@ fn slow_client_does_not_degrade_fast_client() {
     txn.commit().unwrap();
 
     // Now every server→slow-viewer frame stalls its sender for 20 ms.
-    plan.set_delay(1000, Duration::from_millis(20));
+    plan.set_delay(Duration::from_millis(20));
 
     let storm = 100u32;
     let storm_start = Instant::now();
@@ -235,7 +235,7 @@ fn shutdown_completes_under_a_stalled_client() {
     // Every further frame to the viewer costs its sender 2 s; queue a
     // burst so the outbox is non-empty and its writer is mid-stall when
     // shutdown starts.
-    plan.set_delay(1000, Duration::from_secs(2));
+    plan.set_delay(Duration::from_secs(2));
     for i in 1..=10u32 {
         let mut txn = updater.begin().unwrap();
         txn.update(link.oid, |o| {

@@ -40,7 +40,6 @@ fn short_timeout(name: &str) -> ClientConfig {
         name: name.into(),
         cache_bytes: 1 << 20,
         call_timeout: Duration::from_millis(300),
-        disk_cache: None,
     }
 }
 
@@ -587,7 +586,7 @@ impl StormFixture {
     /// writer: commit-by-commit the storm only stays ahead of the park on
     /// an unloaded machine.
     fn storm(&self, links: &[Oid]) {
-        self.plan.set_delay(1000, Duration::from_millis(400));
+        self.plan.set_delay(Duration::from_millis(400));
         let locks = || self.server.core().locks().locked_objects();
         let held = locks();
         let mut txn = self.updater.begin().unwrap();

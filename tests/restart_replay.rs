@@ -50,7 +50,6 @@ fn short_timeout(name: &str) -> ClientConfig {
         name: name.into(),
         cache_bytes: 1 << 20,
         call_timeout: Duration::from_millis(300),
-        disk_cache: None,
     }
 }
 
