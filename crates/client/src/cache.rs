@@ -105,7 +105,11 @@ impl ClientCache {
     }
 
     /// Insert (or refresh) an object; its footprint is measured with
-    /// [`DbObject::size_bytes`].
+    /// [`DbObject::size_bytes`]. No production path calls this: only a
+    /// server answer (`Fill::insert`) and the delta hook write the cache,
+    /// both for copies the server registered. It is public for tests and
+    /// for the benchmark's `apply_delta_ns` layer, which seeds its cache
+    /// with it.
     pub fn insert(&self, obj: DbObject) {
         let size = obj.size_bytes();
         self.inner.lock().lru.insert(obj.oid, obj, size);

@@ -112,6 +112,14 @@ struct DlcState {
     proj: HashMap<Oid, OidProjection>,
     /// display -> its event queue.
     subscribers: HashMap<DisplayId, crossbeam::channel::Sender<DlcEvent>>,
+    /// This client's position in every DLM shard's update log (DESIGN.md
+    /// §§ 13, 16): index = shard, one entry per incarnation the last
+    /// handshake announced ([`Dlc::adopt_log_incarnations`]), each
+    /// holding the last seqno the DLM acknowledged as fully delivered.
+    /// Sent as is in replay requests and resume tokens, so reconnects
+    /// can recover with a shard-parallel replay instead of a full
+    /// resync.
+    cursors: Vec<ShardCursor>,
 }
 
 /// Applies an attribute-level delta to the client's object cache;
@@ -138,14 +146,6 @@ pub struct Dlc {
     version_gen: std::sync::atomic::AtomicU32,
     /// Set once, when the client opens.
     delta_hook: std::sync::OnceLock<DeltaHook>,
-    /// This client's position in every DLM shard's update log (DESIGN.md
-    /// §§ 13, 16): index = shard, one entry per incarnation the last
-    /// handshake announced ([`Dlc::adopt_log_incarnations`]), each
-    /// holding the last seqno the DLM acknowledged as fully delivered.
-    /// Sent as is in replay requests and resume tokens, so reconnects
-    /// can recover with a shard-parallel replay instead of a full
-    /// resync. Leaf lock: taken alone, updated, released — never nested.
-    cursors: OrderedMutex<Vec<ShardCursor>>,
 }
 
 impl Dlc {
@@ -156,7 +156,7 @@ impl Dlc {
     }
 
     /// Create a DLC with an explicit per-display queue capacity.
-    pub fn with_queue_capacity(backend: Arc<dyn DlmBackend>, queue_capacity: usize) -> Self {
+    fn with_queue_capacity(backend: Arc<dyn DlmBackend>, queue_capacity: usize) -> Self {
         Self {
             backend,
             state: OrderedMutex::new(
@@ -165,13 +165,13 @@ impl Dlc {
                     deps: HashMap::new(),
                     proj: HashMap::new(),
                     subscribers: HashMap::new(),
+                    cursors: Vec::new(),
                 },
             ),
             stats: DlcStats::default(),
             queue_capacity: queue_capacity.max(1),
             version_gen: std::sync::atomic::AtomicU32::new(0),
             delta_hook: std::sync::OnceLock::new(),
-            cursors: OrderedMutex::new(ranks::DLC_CURSOR, Vec::new()),
         }
     }
 
@@ -180,11 +180,11 @@ impl Dlc {
     /// any other shard are refused — and a shard whose incarnation
     /// changed restarts at cursor 0, its old seqno space being gone.
     pub fn adopt_log_incarnations(&self, log_incarnations: &[u64]) {
-        let mut cursors = self.cursors.lock();
-        *cursors = log_incarnations
+        let mut state = self.state.lock();
+        state.cursors = log_incarnations
             .iter()
             .enumerate()
-            .map(|(s, &log_incarnation)| match cursors.get(s) {
+            .map(|(s, &log_incarnation)| match state.cursors.get(s) {
                 Some(sc) if sc.log_incarnation == log_incarnation => *sc,
                 _ => ShardCursor {
                     shard: s as u32,
@@ -198,8 +198,9 @@ impl Dlc {
     /// The last acknowledged seqno in `shard`'s log (0 = never acked:
     /// a replay from it streams the whole retained log).
     pub fn cursor_of(&self, shard: u32) -> u64 {
-        self.cursors
+        self.state
             .lock()
+            .cursors
             .get(shard as usize)
             .map_or(0, |sc| sc.cursor)
     }
@@ -207,7 +208,7 @@ impl Dlc {
     /// The cursor vector, in shard order — what a replay request or a
     /// resume token carries (DESIGN.md § 16).
     pub fn cursors(&self) -> Vec<ShardCursor> {
-        self.cursors.lock().clone()
+        self.state.lock().cursors.clone()
     }
 
     /// Forget every shard's cursor after a full resync: the next
@@ -215,7 +216,7 @@ impl Dlc {
     /// how the client crosses into a restarted DLM's fresh seqno
     /// spaces.
     pub fn reset_cursor(&self) {
-        for sc in self.cursors.lock().iter_mut() {
+        for sc in self.state.lock().cursors.iter_mut() {
             sc.cursor = 0;
         }
     }
@@ -223,7 +224,7 @@ impl Dlc {
     /// Record one cursor acknowledgement, monotone per shard.
     fn record_ack(&self, shard: u32, seqno: u64) {
         self.stats.cursor_acks_in.inc();
-        match self.cursors.lock().get_mut(shard as usize) {
+        match self.state.lock().cursors.get_mut(shard as usize) {
             Some(sc) if seqno >= sc.cursor => sc.cursor = seqno,
             // A regressed ack (restarted DLM, fresh seqno space) or a
             // shard index the handshake never announced — the index is
@@ -458,7 +459,7 @@ impl Dlc {
                 // streams flow on undisturbed. A marker for a shard the
                 // handshake never announced is dropped like an ack for
                 // one.
-                let Some(cursor) = self.cursors.lock().get(*shard as usize).copied() else {
+                let Some(cursor) = self.state.lock().cursors.get(*shard as usize).copied() else {
                     self.stats.cursor_gaps.inc();
                     return;
                 };

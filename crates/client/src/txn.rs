@@ -619,7 +619,6 @@ mod tests {
         let mut config = ServerConfig::new(tmp("txn-reentrant-read"));
         config.lock = LockManagerConfig {
             wait_timeout: Duration::from_millis(300),
-            deadlock_detection: true,
         };
         let _server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
         let c = client(&hub, "c1");
@@ -647,7 +646,6 @@ mod tests {
         let mut config = ServerConfig::new(tmp("txn-conflict"));
         config.lock = LockManagerConfig {
             wait_timeout: Duration::from_millis(300),
-            deadlock_detection: true,
         };
         let _server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
         let c1 = client(&hub, "c1");

@@ -22,7 +22,7 @@ pub struct ReconnectPolicy {
     pub max_attempts: u32,
     /// Delay before the first retry.
     pub initial_backoff: Duration,
-    /// Upper bound on any single delay.
+    /// Upper bound on any single delay, jitter included.
     pub max_backoff: Duration,
     /// Growth factor applied per attempt (values `< 1.0` are clamped to 1).
     pub multiplier: f64,
@@ -42,11 +42,6 @@ pub struct ReconnectPolicy {
     /// needs (the admission gate sheds whatever still clumps). Off by
     /// default so single-client latency stays predictable.
     pub full_jitter: bool,
-    /// Optional hard ceiling applied to the final (post-jitter) delay,
-    /// independent of `max_backoff` (which also shapes the exponential
-    /// growth). Lets a storm policy spread attempts with full jitter while
-    /// guaranteeing no client ever waits longer than this to retry.
-    pub hard_cap: Option<Duration>,
 }
 
 impl Default for ReconnectPolicy {
@@ -59,7 +54,6 @@ impl Default for ReconnectPolicy {
             jitter: 0.25,
             deadline: None,
             full_jitter: false,
-            hard_cap: None,
         }
     }
 }
@@ -89,7 +83,7 @@ impl ReconnectPolicy {
     }
 
     /// A policy tuned for mass-reconnect storms: full jitter spreads the
-    /// herd uniformly, the hard cap bounds any single wait, and a deadline
+    /// herd uniformly, `max_backoff` bounds any single wait, and a deadline
     /// bounds the whole effort. Used by the R4 experiment and recommended
     /// for fleets of supervised viewers.
     pub fn storm() -> Self {
@@ -101,7 +95,6 @@ impl ReconnectPolicy {
             jitter: 1.0,
             deadline: Some(Duration::from_secs(30)),
             full_jitter: true,
-            hard_cap: Some(Duration::from_secs(2)),
         }
     }
 
@@ -122,7 +115,7 @@ impl ReconnectPolicy {
     fn jittered(&self, base: Duration, attempt: u32, seed: u64) -> Duration {
         let j = self.jitter.clamp(0.0, 1.0);
         if j == 0.0 && !self.full_jitter {
-            return self.hard_capped(base.min(self.max_backoff));
+            return base.min(self.max_backoff);
         }
         // splitmix64-style hash of (seed, attempt) -> uniform in [0, 1).
         let mut z = seed
@@ -140,14 +133,7 @@ impl ReconnectPolicy {
             1.0 - j + 2.0 * j * unit
         };
         let secs = (base.as_secs_f64() * factor).max(0.0);
-        self.hard_capped(Duration::from_secs_f64(secs).min(self.max_backoff))
-    }
-
-    fn hard_capped(&self, d: Duration) -> Duration {
-        match self.hard_cap {
-            Some(cap) => d.min(cap),
-            None => d,
-        }
+        Duration::from_secs_f64(secs).min(self.max_backoff)
     }
 
     /// Whether attempt `attempt` (1-based) is still within policy given
@@ -235,22 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn hard_cap_bounds_every_delay() {
-        let cap = Duration::from_millis(80);
-        let p = ReconnectPolicy {
-            hard_cap: Some(cap),
-            ..ReconnectPolicy::default()
-        };
-        for attempt in 1..12 {
-            for seed in 0..16u64 {
-                assert!(p.delay_for(attempt, seed) <= cap);
-            }
-        }
+    fn every_storm_delay_is_within_max_backoff() {
         let storm = ReconnectPolicy::storm();
         assert!(storm.full_jitter);
-        let hard = storm.hard_cap.expect("storm policy sets a hard cap");
         for attempt in 1..storm.max_attempts {
-            assert!(storm.delay_for(attempt, 0xbeef) <= hard);
+            for seed in 0..16u64 {
+                assert!(storm.delay_for(attempt, seed) <= storm.max_backoff);
+            }
         }
     }
 

@@ -36,14 +36,6 @@ pub struct LruStats {
     pub evictions: u64,
 }
 
-impl LruStats {
-    /// Hit ratio in `[0, 1]`; `None` when no lookups happened.
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        (total > 0).then(|| self.hits as f64 / total as f64)
-    }
-}
-
 /// An LRU cache bounded by total entry size in bytes.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
@@ -90,13 +82,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Configured capacity in bytes.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
-    }
-
-    /// Change the capacity; evicts immediately if shrinking below usage.
-    /// Returns evicted entries.
-    pub fn set_capacity_bytes(&mut self, capacity_bytes: usize) -> Vec<(K, V)> {
-        self.capacity_bytes = capacity_bytes;
-        self.evict_to_fit()
     }
 
     /// Hit/miss/eviction statistics.
@@ -331,18 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_capacity_evicts() {
-        let mut c: LruCache<u32, u32> = LruCache::new(100);
-        for i in 0..10 {
-            c.insert(i, i, 10);
-        }
-        let evicted = c.set_capacity_bytes(30);
-        assert_eq!(evicted.len(), 7);
-        assert_eq!(c.len(), 3);
-        assert!(c.used_bytes() <= 30);
-    }
-
-    #[test]
     fn clear_resets() {
         let mut c: LruCache<u32, u32> = LruCache::new(100);
         c.insert(1, 1, 10);
@@ -351,16 +324,6 @@ mod tests {
         assert_eq!(c.used_bytes(), 0);
         c.insert(2, 2, 10);
         assert_eq!(c.get(&2), Some(&2));
-    }
-
-    #[test]
-    fn hit_ratio() {
-        let mut c: LruCache<u32, u32> = LruCache::new(100);
-        assert!(c.stats().hit_ratio().is_none());
-        c.insert(1, 1, 1);
-        c.get(&1);
-        c.get(&2);
-        assert!((c.stats().hit_ratio().unwrap() - 0.5).abs() < 1e-9);
     }
 
     #[test]

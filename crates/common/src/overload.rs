@@ -61,15 +61,13 @@ impl Default for OverloadConfig {
 /// whose outbox overflowed catch up by replaying the suffix past their
 /// cursor instead of re-reading every watched object. Both caps evict
 /// from the front: the log holds the most recent `max_entries` commits
-/// or `max_bytes` of estimated payload, whichever bound bites first. A
-/// cursor that has been evicted falls back to `ResyncRequired`. The log
-/// is always on: a zero in either field is read as 1.
+/// or 4 MiB of estimated payload (a constant of the DLM's log), whichever
+/// bound bites first. A cursor that has been evicted falls back to
+/// `ResyncRequired`. The log is always on: a zero is read as 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UpdateLogConfig {
     /// Maximum retained log entries (one entry per committed batch).
     pub max_entries: usize,
-    /// Maximum total estimated bytes retained across all entries.
-    pub max_bytes: usize,
 }
 
 impl Default for UpdateLogConfig {
@@ -80,7 +78,6 @@ impl Default for UpdateLogConfig {
             // reconnect backoff window — while bounding memory to a few
             // MiB per DLM shard.
             max_entries: 4096,
-            max_bytes: 4 << 20,
         }
     }
 }
@@ -184,7 +181,6 @@ mod tests {
     fn update_log_defaults() {
         let l = UpdateLogConfig::default();
         assert!(l.max_entries >= 64, "must outlast a reconnect window");
-        assert!(l.max_bytes > 0);
     }
 
     #[test]

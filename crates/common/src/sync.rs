@@ -106,18 +106,15 @@ pub mod ranks {
     pub const CLIENT_SLOT: LockRank = LockRank::new(120, "client.slot");
     /// In-flight RPCs awaiting responses, keyed by sequence number.
     pub const CONN_PENDING: LockRank = LockRank::new(160, "conn.pending");
-    /// The DLC's object→displays dependency table.
+    /// The DLC's object→displays dependency table and its per-shard
+    /// replay cursors.
     pub const DLC_STATE: LockRank = LockRank::new(190, "dlc.state");
-    /// The DLC's replay cursor (last-applied update-log seqno).
-    pub const DLC_CURSOR: LockRank = LockRank::new(195, "dlc.cursor");
     /// The client's in-memory object cache.
     pub const CLIENT_CACHE: LockRank = LockRank::new(210, "client.cache");
 
     // Server side.
-    /// The connected-session registry.
+    /// The connected-session registry and the issued resume tokens.
     pub const SERVER_SESSIONS: LockRank = LockRank::new(300, "server.sessions");
-    /// Issued resume tokens.
-    pub const SERVER_RESUME_TOKENS: LockRank = LockRank::new(310, "server.resume_tokens");
     /// A session's pending callback-ack waiters.
     pub const SESSION_ACKS: LockRank = LockRank::new(340, "session.acks");
     /// The transaction manager's live-transaction table.
@@ -188,10 +185,8 @@ pub mod ranks {
         CLIENT_SLOT,
         CONN_PENDING,
         DLC_STATE,
-        DLC_CURSOR,
         CLIENT_CACHE,
         SERVER_SESSIONS,
-        SERVER_RESUME_TOKENS,
         SESSION_ACKS,
         SERVER_TXNS,
         SERVER_COPIES,

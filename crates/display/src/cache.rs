@@ -15,10 +15,10 @@
 //!
 //! Beside the display objects it keeps *source images*: one per display
 //! per watched OID, a thin copy holding the attributes that display's
-//! projected objects read and locked (counted in the bytes). A delta
-//! patches it once, through [`DbObject::apply_changes`], and every
-//! dependent object re-derives from it, so a delta refresh never reads
-//! the database.
+//! objects read and locked (counted in the bytes). A delta patches it
+//! once, through [`DbObject::apply_changes`], and an eager payload
+//! re-seeds it; every dependent object re-derives from it, so neither
+//! refresh reads the database.
 
 use crate::object::{DisplayObject, DoId};
 use crate::schema::SourceAttr;

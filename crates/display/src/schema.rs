@@ -202,8 +202,9 @@ impl DisplayClassBuilder {
 
     /// Watch every attribute of the sources with full-interest display
     /// locks, whatever the class reads: each commit to a source arrives as
-    /// `Updated` and refreshes by a read — the paper's post-commit
-    /// protocol (§ 3.3), for experiments that reproduce it.
+    /// `Updated` and refreshes from its payload (eager shipping) or a read
+    /// — the paper's post-commit protocol (§ 3.3), for experiments that
+    /// reproduce it.
     pub fn whole_object(mut self) -> Self {
         self.whole_object = true;
         self

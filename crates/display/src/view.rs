@@ -12,8 +12,9 @@
 //!    failing, nothing.
 //! 3. **Live** — [`Display::process_pending`] consumes notifications: a
 //!    `Delta` patches the display's image of its OID once and every
-//!    dependent re-derives from its images; `Updated` re-derives from a
-//!    read and re-seeds the images; `Marked`/`Resolved` toggle the
+//!    dependent re-derives from its images; an eager `Updated` re-seeds
+//!    the image from its payload and a lazy one from a read, and every
+//!    dependent re-derives likewise; `Marked`/`Resolved` toggle the
 //!    early-notify "being updated" flag. A derivation reading outside the
 //!    locks is thrown away: the object *widens* (lock, read).
 //! 4. **Close** — dropping the display releases every display lock and
@@ -190,9 +191,7 @@ impl Display {
         let mut obj = DisplayObject::new(id, class.name(), assoc);
         obj.attrs = attrs;
         self.cache.insert(obj);
-        if !class.whole_object {
-            self.cache.seed_image(self.id, id, &learned, sources);
-        }
+        self.cache.seed_image(self.id, id, &learned, sources);
         self.classes
             .lock()
             .entry(class.name().to_string())
@@ -243,6 +242,8 @@ impl Display {
             let sources = self.read_sources(assoc)?;
             let (attrs, reads) = class.derive_reading(self.client.catalog(), &sources);
             if class.whole_object || reads.is_subset(&locked) {
+                // A whole-object lock covers every read: image them all.
+                locked.extend(reads);
                 return Ok((attrs?, locked, sources));
             }
             self.stats.widens.inc();
@@ -358,20 +359,25 @@ impl Display {
                     }
                     return Ok(());
                 }
-                if let Some(payload) = &info.payload {
-                    // Eager shipping: the new state rides the
-                    // notification — prime the database cache, no server
-                    // read needed.
-                    let obj = DbObject::decode_from_bytes(payload)?;
-                    self.client.cache().insert(obj);
-                } else {
-                    // Lazy protocols: make sure the next read refetches
-                    // (the server's commit-time callback may still be in
-                    // flight on another channel in the agent deployment).
-                    self.client.cache().invalidate(&[info.oid]);
-                }
-                for id in self.my_dependents(info.oid) {
-                    self.refresh(id, false)?;
+                // The next read refetches: the server's commit-time
+                // callback may still be in flight on another link in the
+                // agent deployment, and an eager payload is no copy the
+                // server registered, so it stays out of the database cache.
+                self.client.cache().invalidate(&[info.oid]);
+                let dependents = self.my_dependents(info.oid);
+                let imaged = match (&info.payload, dependents.first()) {
+                    // Eager shipping: the new state rides the notification
+                    // and re-seeds this display's image, no server read.
+                    (Some(payload), Some(&id)) => {
+                        let obj = DbObject::decode_from_bytes(payload)?;
+                        self.cache
+                            .seed_image(self.id, id, &BTreeSet::new(), vec![obj]);
+                        true
+                    }
+                    _ => false,
+                };
+                for id in dependents {
+                    self.refresh(id, imaged)?;
                 }
                 self.stats.refresh_latency.record(start.elapsed());
             }
@@ -510,9 +516,7 @@ impl Display {
         match self.derive_locked(&class, &obj.assoc, locked) {
             Ok((attrs, learned, sources)) => {
                 self.show(id, attrs);
-                if !class.whole_object {
-                    self.cache.seed_image(self.id, id, &learned, sources);
-                }
+                self.cache.seed_image(self.id, id, &learned, sources);
                 Ok(imaged)
             }
             Err(DbError::ObjectNotFound(_)) => {

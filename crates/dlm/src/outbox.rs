@@ -30,7 +30,7 @@
 
 use crate::core::EventSink;
 use crate::proto::DlmEvent;
-use displaydb_common::metrics::{Gauge, OverloadStats};
+use displaydb_common::metrics::OverloadStats;
 use displaydb_common::sync::{ranks, OrderedCondvar, OrderedMutex};
 use displaydb_common::{DbResult, Oid, OverloadConfig};
 use std::collections::VecDeque;
@@ -275,27 +275,6 @@ impl CoalescingQueue {
             seqno: 0,
         });
     }
-
-    /// Every OID the queued events reference (diagnostics/tests).
-    pub fn pending_oids(&self) -> Vec<Oid> {
-        let mut oids: Vec<Oid> = Vec::new();
-        for entry in &self.queue {
-            match &entry.event {
-                DlmEvent::Updated(info) => oids.push(info.oid),
-                DlmEvent::Marked { oid, .. }
-                | DlmEvent::Resolved { oid, .. }
-                | DlmEvent::Delta { oid, .. } => oids.push(*oid),
-                DlmEvent::ResyncRequired { oids: r } => oids.extend(r.iter().copied()),
-                DlmEvent::Ready { .. }
-                | DlmEvent::Batch(_)
-                | DlmEvent::CursorAck { .. }
-                | DlmEvent::ReplayNeeded { .. } => {}
-            }
-        }
-        oids.sort_unstable();
-        oids.dedup();
-        oids
-    }
 }
 
 /// The least time between two cursor acks of one outbox.
@@ -355,11 +334,6 @@ struct OutboxShared {
     /// Wakes drainers (queue just emptied or writer exited).
     idle: OrderedCondvar,
     stats: OverloadStats,
-    /// Per-outbox queue depth (current + high water). The shared
-    /// [`OverloadStats::queue_depth`] gauge interleaves `set` calls
-    /// across all outboxes, so only its high-water side is meaningful
-    /// fleet-wide; this one is exact for this client.
-    depth: Gauge,
     /// The DLM shard this outbox drains: stamped on the `CursorAck`s the
     /// writer mints and the `ReplayNeeded` markers a sweep leaves, so
     /// the client can tell the shards' seqno spaces apart.
@@ -407,7 +381,6 @@ impl OutboxSink {
             work: OrderedCondvar::new(),
             idle: OrderedCondvar::new(),
             stats,
-            depth: Gauge::new(),
             shard,
         });
         let sink = Arc::new(Self {
@@ -424,11 +397,6 @@ impl OutboxSink {
     /// Current queue depth.
     pub fn depth(&self) -> usize {
         self.shared.state.lock().queue.len()
-    }
-
-    /// Exact per-outbox depth gauge (current + high water).
-    pub fn depth_stats(&self) -> &Gauge {
-        &self.shared.depth
     }
 
     /// Whether a `ReplayNeeded` sweep is awaiting the client's
@@ -477,7 +445,6 @@ impl OutboxSink {
         // Shared gauge: the high-water side is a monotonic max across
         // all outboxes, which is the quantity the experiments report.
         stats.queue_depth.set(state.queue.len() as u64);
-        self.shared.depth.set(state.queue.len() as u64);
         drop(state);
         self.shared.work.notify_one();
         Ok(())
@@ -540,9 +507,6 @@ impl EventSink for OutboxSink {
             Pushed::Coalesced => stats.coalesced.inc(),
             Pushed::Cancelled => stats.cancelled_pairs.inc(),
         }
-        // Only the exact per-outbox gauge: a replay burst is controlled
-        // catch-up, not fleet-wide backpressure evidence.
-        self.shared.depth.set(state.queue.len() as u64);
         drop(state);
         self.shared.work.notify_one();
         Ok(())
@@ -555,7 +519,6 @@ impl EventSink for OutboxSink {
         // recovered client — reset them so post-recovery gauges start
         // clean.
         self.shared.stats.queue_depth.reset_high_water();
-        self.shared.depth.reset_high_water();
         drop(state);
         self.shared.work.notify_one();
     }
@@ -678,7 +641,6 @@ fn writer_loop(shared: &Arc<OutboxShared>, inner: &Arc<dyn EventSink>) {
                 };
                 state.in_flight = true;
                 shared.stats.queue_depth.set(state.queue.len() as u64);
-                shared.depth.set(state.queue.len() as u64);
                 break event;
             }
         };
@@ -855,7 +817,10 @@ mod tests {
             Pushed::Coalesced
         );
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pending_oids(), vec![o(1), o(2), o(3)]);
+        let Some(DlmEvent::ResyncRequired { oids }) = q.pop() else {
+            panic!("the merged marker");
+        };
+        assert_eq!(oids, vec![o(1), o(2), o(3)]);
     }
 
     fn collecting_sink() -> (Arc<dyn EventSink>, crossbeam::channel::Receiver<DlmEvent>) {
@@ -1345,10 +1310,6 @@ mod tests {
         }
         assert!(stats.queue_depth.high_water() > 1);
         outbox.replay_restore();
-        assert!(
-            outbox.depth_stats().high_water() <= 1,
-            "restore must reset the per-outbox high-water mark"
-        );
         assert!(
             stats.queue_depth.high_water() <= 1,
             "restore must reset the shared high-water mark"

@@ -109,7 +109,7 @@ fn registry_covers_dlm_shard_ranks() {
     assert!(rank_of("dlm.table") < rank_of("dlm.update_log"));
     assert!(rank_of("dlm.update_log") < rank_of("dlm.agent_sessions"));
     assert!(rank_of("dlm.agent_sessions") < rank_of("outbox.state"));
-    assert_eq!(ranks::ALL.len(), 31);
+    assert_eq!(ranks::ALL.len(), 29);
 }
 
 #[test]

@@ -14,15 +14,12 @@ pub struct LockManagerConfig {
     /// Maximum time a request may wait before failing with
     /// [`DbError::LockTimeout`].
     pub wait_timeout: Duration,
-    /// Whether to run waits-for deadlock detection at block time.
-    pub deadlock_detection: bool,
 }
 
 impl Default for LockManagerConfig {
     fn default() -> Self {
         Self {
             wait_timeout: Duration::from_secs(10),
-            deadlock_detection: true,
         }
     }
 }
@@ -209,19 +206,17 @@ impl LockManager {
             }
             state.held.entry(owner).or_default().insert(oid);
 
-            if self.config.deadlock_detection {
-                if let Some(victim) = self.detect_deadlock(&state, owner) {
-                    self.stats.deadlocks.inc();
-                    if Owner::Txn(victim) == owner {
-                        // We are the victim: undo our enqueue and fail.
-                        let entry = state.locks.get_mut(&oid).expect("entry exists");
-                        entry.queue.retain(|w| !Arc::ptr_eq(w, &waiter));
-                        Self::promote(&mut state, oid, &self.stats);
-                        return Err(DbError::Deadlock { victim });
-                    }
-                    // Abort another waiting transaction in the cycle.
-                    Self::abort_victim(&mut state, victim);
+            if let Some(victim) = self.detect_deadlock(&state, owner) {
+                self.stats.deadlocks.inc();
+                if Owner::Txn(victim) == owner {
+                    // We are the victim: undo our enqueue and fail.
+                    let entry = state.locks.get_mut(&oid).expect("entry exists");
+                    entry.queue.retain(|w| !Arc::ptr_eq(w, &waiter));
+                    Self::promote(&mut state, oid, &self.stats);
+                    return Err(DbError::Deadlock { victim });
                 }
+                // Abort another waiting transaction in the cycle.
+                Self::abort_victim(&mut state, victim);
             }
             waiter
         };
@@ -483,7 +478,6 @@ mod tests {
     fn lm() -> Arc<LockManager> {
         Arc::new(LockManager::new(LockManagerConfig {
             wait_timeout: Duration::from_millis(500),
-            deadlock_detection: true,
         }))
     }
 
@@ -513,7 +507,6 @@ mod tests {
         // timeout on a queue it is no longer in.
         let lm = Arc::new(LockManager::new(LockManagerConfig {
             wait_timeout: Duration::from_secs(60),
-            deadlock_detection: true,
         }));
         lm.acquire(txn(1), O1, LockMode::Exclusive).unwrap();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
@@ -657,7 +650,6 @@ mod tests {
     fn timeout_expires() {
         let lm = Arc::new(LockManager::new(LockManagerConfig {
             wait_timeout: Duration::from_millis(50),
-            deadlock_detection: false,
         }));
         lm.acquire(txn(1), O1, LockMode::Exclusive).unwrap();
         let err = lm.acquire(txn(2), O1, LockMode::Shared).unwrap_err();
@@ -710,7 +702,6 @@ mod tests {
     fn concurrent_stress_no_lost_grants() {
         let lm = Arc::new(LockManager::new(LockManagerConfig {
             wait_timeout: Duration::from_secs(5),
-            deadlock_detection: true,
         }));
         let successes = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();

@@ -57,13 +57,6 @@ pub struct ClassDef {
     pub attrs: Vec<AttrDef>,
 }
 
-impl ClassDef {
-    /// Look up a declared (non-inherited) attribute by name.
-    pub fn own_attr(&self, name: &str) -> Option<&AttrDef> {
-        self.attrs.iter().find(|a| a.name == name)
-    }
-}
-
 /// Builder used with [`crate::catalog::Catalog::define`].
 #[derive(Clone, Debug, Default)]
 pub struct ClassBuilder {

@@ -318,15 +318,23 @@ impl EventSink for SessionSink {
     }
 }
 
-/// All connected sessions.
+/// All connected sessions, and the resume tokens issued to them.
 pub struct SessionRegistry {
-    sessions: OrderedMutex<HashMap<ClientId, Arc<SessionHandle>>>,
+    sessions: OrderedMutex<Sessions>,
+}
+
+#[derive(Default)]
+struct Sessions {
+    live: HashMap<ClientId, Arc<SessionHandle>>,
+    /// Issued resume tokens. Entries survive disconnects (that is the
+    /// point); they die with the process.
+    tokens: HashMap<u64, ResumeState>,
 }
 
 impl Default for SessionRegistry {
     fn default() -> Self {
         Self {
-            sessions: OrderedMutex::new(ranks::SERVER_SESSIONS, HashMap::new()),
+            sessions: OrderedMutex::new(ranks::SERVER_SESSIONS, Sessions::default()),
         }
     }
 }
@@ -334,30 +342,30 @@ impl Default for SessionRegistry {
 impl SessionRegistry {
     /// Look up a session.
     pub fn get(&self, client: ClientId) -> Option<Arc<SessionHandle>> {
-        self.sessions.lock().get(&client).cloned()
+        self.sessions.lock().live.get(&client).cloned()
     }
 
     fn insert(&self, handle: Arc<SessionHandle>) {
-        self.sessions.lock().insert(handle.client, handle);
+        self.sessions.lock().live.insert(handle.client, handle);
     }
 
     fn remove(&self, client: ClientId) {
-        self.sessions.lock().remove(&client);
+        self.sessions.lock().live.remove(&client);
     }
 
     /// Number of connected clients.
     pub fn len(&self) -> usize {
-        self.sessions.lock().len()
+        self.sessions.lock().live.len()
     }
 
     /// Whether no clients are connected.
     pub fn is_empty(&self) -> bool {
-        self.sessions.lock().is_empty()
+        self.sessions.lock().live.is_empty()
     }
 
     /// Snapshot of every live session (for shutdown and broadcast).
     pub fn all(&self) -> Vec<Arc<SessionHandle>> {
-        self.sessions.lock().values().cloned().collect()
+        self.sessions.lock().live.values().cloned().collect()
     }
 
     /// Whether the registry still maps `handle.client` to exactly this
@@ -365,6 +373,7 @@ impl SessionRegistry {
     fn is_current(&self, handle: &Arc<SessionHandle>) -> bool {
         self.sessions
             .lock()
+            .live
             .get(&handle.client)
             .is_some_and(|h| Arc::ptr_eq(h, handle))
     }
@@ -402,9 +411,6 @@ pub struct ServerCore {
     /// Segment-log counters for the durable spill (unused-but-present
     /// zeros when the spill is disabled).
     seglog_stats: SegLogStats,
-    /// Issued resume tokens. Entries survive disconnects (that is the
-    /// point); they die with the process.
-    resume_tokens: OrderedMutex<HashMap<u64, ResumeState>>,
     token_gen: IdGen,
     /// Resume handshakes currently being processed (reconnect-storm
     /// admission gate; see `session_loop`).
@@ -464,7 +470,6 @@ impl ServerCore {
             dlm_recovery,
             seglog_stats,
             resumes: std::sync::atomic::AtomicU64::new(0),
-            resume_tokens: OrderedMutex::new(ranks::SERVER_RESUME_TOKENS, HashMap::new()),
             token_gen: IdGen::starting_at(1),
             resumes_in_flight: std::sync::atomic::AtomicUsize::new(0),
         }))
@@ -583,8 +588,9 @@ impl ServerCore {
         // A resume only finds its token within the issuing incarnation; the
         // token table dies with the process.
         let prior = resume.and_then(|r| {
-            let mut tokens = self.resume_tokens.lock();
-            tokens
+            let mut sessions = self.sessions.sessions.lock();
+            sessions
+                .tokens
                 .remove(&r.token)
                 .filter(|_| r.incarnation == self.incarnation)
         });
@@ -663,7 +669,7 @@ impl ServerCore {
             self.stats.sessions_recovered.inc();
         }
         let token = self.token_gen.next();
-        self.resume_tokens.lock().insert(
+        self.sessions.sessions.lock().tokens.insert(
             token,
             ResumeState {
                 client,

@@ -117,11 +117,6 @@ impl Page {
         self.get_u64(OFF_LSN)
     }
 
-    /// Set the page LSN.
-    pub fn set_lsn(&mut self, lsn: u64) {
-        self.set_u64(OFF_LSN, lsn);
-    }
-
     /// Page flags.
     pub fn flags(&self) -> u16 {
         self.get_u16(OFF_FLAGS)
@@ -161,16 +156,6 @@ impl Page {
     /// record space.
     pub fn usable_space(&self) -> usize {
         self.free_space() + self.garbage()
-    }
-
-    /// Whether a record of `len` bytes could be inserted (possibly after
-    /// compaction).
-    pub fn can_insert(&self, len: usize) -> bool {
-        if len > MAX_RECORD_LEN {
-            return false;
-        }
-        // A new slot may be needed (worst case).
-        self.usable_space() >= len + SLOT_SIZE
     }
 
     /// Number of live (non-tombstoned) records.

@@ -77,6 +77,12 @@ for spec in \
     total=$((total + n))
 done
 printf '  %-16s %d\n' total "$total"
+# Knob counts outside the total, which stays comparable across changes.
+for spec in \
+    crates/common/src/backoff.rs:ReconnectPolicy \
+    crates/lockmgr/src/table.rs:LockManagerConfig; do
+    printf '  %-16s %d (not in total)\n' "${spec##*:}" "$(fields "${spec%%:*}" "${spec##*:}")"
+done
 
 echo "invcheck.allow entries: $(grep -cv -e '^#' -e '^[[:space:]]*$' invcheck.allow)"
 

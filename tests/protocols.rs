@@ -221,6 +221,65 @@ fn agent_deployment_eager_shipping_refreshes() {
     refresh_scenario(&d);
 }
 
+/// An eager payload refreshes the display without a read and never
+/// enters the database cache: a copy there would be one the server did
+/// not register, so once the display lets go no commit calls it back.
+fn eager_copy_scenario(deployment: &Deployment) {
+    let viewer = deployment.client("viewer");
+    let updater = deployment.client("updater");
+    let catalog = &deployment.catalog;
+    let dlm = deployment.dlm();
+
+    let mut txn = updater.begin().unwrap();
+    let link = updater
+        .new_object("Link")
+        .unwrap()
+        .with(catalog, "Utilization", 0.2)
+        .unwrap();
+    let oid = txn.create(link).unwrap().oid;
+    txn.commit().unwrap();
+
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "view");
+    let id = display.add_object(&whole_object_link(), vec![oid]).unwrap();
+    wait_until("the lock", || dlm.holders(oid) == vec![viewer.id()]);
+    let reads = || deployment.server.core().stats().reads.get();
+    let before = reads();
+    set_utilization(&updater, catalog, oid, 0.5);
+    await_utilization(&display, id, 0.5);
+    assert_eq!(reads(), before, "the eager refresh read");
+
+    display.remove_object(id).unwrap();
+    wait_until("the release", || dlm.holders(oid).is_empty());
+    set_utilization(&updater, catalog, oid, 0.9);
+    let read = viewer.read(oid).unwrap();
+    let util = read.get(catalog, "Utilization").unwrap();
+    assert_eq!(util, &Value::Float(0.9), "the read served the eager copy");
+}
+
+#[test]
+fn integrated_eager_copy_is_never_cached() {
+    let d = Deployment::integrated(
+        "integrated-eager-copy",
+        DlmConfig {
+            eager_shipping: true,
+            ..DlmConfig::default()
+        },
+    );
+    eager_copy_scenario(&d);
+}
+
+#[test]
+fn agent_eager_copy_is_never_cached() {
+    let d = Deployment::agent(
+        "agent-eager-copy",
+        DlmConfig {
+            eager_shipping: true,
+            ..DlmConfig::default()
+        },
+    );
+    eager_copy_scenario(&d);
+}
+
 /// One RPC over a raw channel: send `request` as `seq`, return its
 /// response (the typed client would fold the error kind into
 /// `Rejected`).
