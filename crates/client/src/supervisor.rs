@@ -14,8 +14,11 @@
 //!    jitter, bounded attempts/deadline), presenting the stored resume
 //!    token and a cached-object manifest so the server can rebuild
 //!    copy-table entries and report which copies went stale;
-//! 3. re-registers every live display-lock registration and forces
-//!    refreshes of the stale set;
+//! 3. in the integrated deployment, re-registers every live
+//!    display-lock registration and replays the missed log suffix if
+//!    the server admits the cursor; short of a replay (always in the
+//!    agent deployment) forces refreshes of every watched object with
+//!    no cached copy;
 //! 4. broadcasts [`DlcEvent::Restored`], after which displays clear any
 //!    remaining stale marks.
 //!
