@@ -11,9 +11,10 @@
 //!   session's resume token; the supervisor reconnects and *resumes*
 //!   (same identity, epoch + 1), resyncing only what changed.
 //! * **server restart** — the server process is replaced (same data
-//!   directory, WAL recovery); the resume token is refused, the client
-//!   gets a fresh session, and its whole cached manifest is reported
-//!   stale.
+//!   directory, WAL recovery); the resume token is refused and the
+//!   client gets a fresh session, yet every cached copy that still
+//!   matches the store is proven current by its fingerprint; only what
+//!   changed is reported stale.
 
 use crate::fixture::scratch_dir;
 use crate::report::Table;
@@ -74,7 +75,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
         "R1 — supervised recovery: counters and time-to-recovery",
         "Repeated outages under DbClient::connect_supervised. Transport blips resume the \
          session (epoch bump, targeted resync); server restarts refuse the token (fresh \
-         session, whole manifest stale). Counters are RecoveryStats totals over all cycles.",
+         session; copies proven by fingerprint, only changed ones stale). Counters are \
+         RecoveryStats totals over all cycles.",
         &[
             "scenario",
             "outages",

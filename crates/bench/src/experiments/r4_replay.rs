@@ -1,14 +1,15 @@
-//! R4 — mass-reconnect storm: replay catch-up vs full resync
+//! R4 — mass-reconnect storm: replay catch-up vs resync
 //! (DESIGN.md § 13).
 //!
 //! The paper's § 5 failure story, writ large: a fleet of interactive
 //! viewers all lose their network at once (a switch reboot, a laptop
-//! resume wave) and come back together. A viewer whose cursor the DLM
-//! update log no longer covers recovers by full resync — it re-reads
-//! every object the server cannot prove current, and the re-read burst
-//! lands on the server exactly when it is busiest. A viewer whose
-//! cursor is still covered instead sends `ReplayFrom{cursor}` and the
-//! server streams only the logged suffix past its cursor, filtered
+//! resume wave) and come back together. Every viewer's resume presents
+//! its cached copies with their fingerprints, and the server reports
+//! stale exactly the copies that no longer match the store (DESIGN.md
+//! § 14). A viewer whose cursor the DLM update log no longer covers
+//! recovers by resync — it re-reads those stale objects whole. A viewer
+//! whose cursor is still covered instead sends `ReplayFrom{cursor}` and
+//! the server streams only the logged suffix past its cursor, filtered
 //! through its registered interests and coalesced per object.
 //!
 //! Both scenarios run the identical outage on the identical server
@@ -17,22 +18,27 @@
 //! reconnects at once. The only difference is whether every shard's
 //! log is truncated during the outage (which leaves resync as the only
 //! way back). Recovery traffic is measured at the wire — one
-//! [`WireMeter`] spans every viewer channel, reset at the moment the
-//! fleet is let back in.
+//! [`WireMeter`] spans every viewer channel. It is reset once every
+//! severed link is down at both ends, and read once every display has
+//! handled the `Restored` that follows its resume, so every resync read
+//! lies inside the window.
 //!
-//! Claims: replay recovery moves ≥5× fewer bytes than full resync and
-//! converges no slower.
+//! Claims: both arms re-read exactly the changed slice (viewers ×
+//! changed objects), and no unchanged copy costs a byte beyond its
+//! manifest entry. The replay arm re-reads too: the slice changed while
+//! no viewer held a projected lock, so no commit logged the attribute
+//! changes a delta would carry.
 
-use crate::fixture::scratch_dir;
+use crate::fixture::{
+    await_link_down, await_restored, await_utilization, fat_links, fleet_viewer_config, scratch_dir,
+};
 use crate::report::{self, Metrics, Table};
 use crate::Scale;
 use displaydb_client::{ChannelFactory, ClientConfig, DbClient};
 use displaydb_common::backoff::ReconnectPolicy;
-use displaydb_common::Oid;
 use displaydb_display::schema::width_coded_link;
 use displaydb_display::{Display, DisplayCache, DoId};
 use displaydb_nms::nms_catalog;
-use displaydb_schema::Value;
 use displaydb_server::{Server, ServerConfig};
 use displaydb_wire::{Channel, FaultPlan, FaultyChannel, LocalHub, MeteredChannel, WireMeter};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,21 +56,20 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let links = scale.pick(64usize, 160);
     // One link in eight changes during the outage: recovery traffic
     // should be proportional to the change, not to the fleet's whole
-    // watched set — and for the changed slice, a projected delta, not a
-    // full object re-read. Full resync pays for all `links` per viewer
-    // regardless.
+    // watched set.
     let changed = (links / 8).max(1);
 
     let resync = storm(viewers, links, changed, true);
     let replay = storm(viewers, links, changed, false);
 
     let mut t = Table::new(
-        "R4 — mass reconnect: replay catch-up vs full resync",
+        "R4 — mass reconnect: replay catch-up vs resync",
         format!(
             "{viewers} viewers each watching {links} links; all disconnected while \
              {changed} links changed, then reconnected at once. Bytes are total wire \
              traffic across every viewer channel from the moment the fleet is let back \
-             in until every display holds the final state."
+             in until every display holds the final state and has handled its \
+             `Restored`. Objects re-read are server reads in that window."
         ),
         &[
             "scenario",
@@ -78,10 +83,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "resume sheds",
         ],
     );
-    for (name, o) in [
-        ("full resync (log truncated)", &resync),
-        ("replay", &replay),
-    ] {
+    for (name, o) in [("resync (log truncated)", &resync), ("replay", &replay)] {
         t.row(vec![
             name.into(),
             o.bytes.to_string(),
@@ -90,7 +92,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             report::ms(o.convergence),
             o.replay_catchups.to_string(),
             o.resync_fallbacks.to_string(),
-            o.resync_objects.to_string(),
+            o.reread.to_string(),
             o.resume_sheds.to_string(),
         ]);
     }
@@ -98,14 +100,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let mut m = Metrics::new("r4");
     m.put("resync_recovery_bytes", resync.bytes as f64);
     m.put("replay_recovery_bytes", replay.bytes as f64);
-    m.put(
-        "recovery_bytes_reduction_x",
-        if replay.bytes == 0 {
-            f64::INFINITY
-        } else {
-            resync.bytes as f64 / replay.bytes as f64
-        },
-    );
+    m.put("resync_objects_reread", resync.reread as f64);
+    m.put("replay_objects_reread", replay.reread as f64);
     (vec![t], m)
 }
 
@@ -115,29 +111,9 @@ struct Outcome {
     convergence: Duration,
     replay_catchups: u64,
     resync_fallbacks: u64,
-    resync_objects: u64,
+    /// Server reads inside the measured window.
+    reread: u64,
     resume_sheds: u64,
-}
-
-fn supervised_config(name: &str) -> ClientConfig {
-    ClientConfig {
-        name: name.into(),
-        cache_bytes: 1 << 20,
-        call_timeout: Duration::from_millis(300),
-    }
-}
-
-fn await_value(display: &Display, id: DoId, want: f64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        if display.object(id).expect("object").attr("Utilization") == Some(&Value::Float(want)) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "viewer never reached {want}");
-        display
-            .wait_and_process(Duration::from_millis(50))
-            .expect("process");
-    }
 }
 
 type PlanSlot = Arc<Mutex<Arc<FaultPlan>>>;
@@ -198,36 +174,7 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
     )
     .expect("updater");
 
-    // Realistically fat NMS links (paper § 4's schema): a full resync
-    // re-reads all of this per object, a replay delta carries only the
-    // one projected attribute that changed.
-    let mut oids: Vec<Oid> = Vec::with_capacity(links);
-    let mut txn = updater.begin().expect("begin");
-    for i in 0..links {
-        let obj = updater
-            .new_object("Link")
-            .expect("new")
-            .with(&catalog, "Name", format!("backbone-link-{i:04}"))
-            .expect("Name")
-            .with(
-                &catalog,
-                "Notes",
-                "10GE wave, protected, maint window sat 02:00",
-            )
-            .expect("Notes")
-            .with(&catalog, "Utilization", 0.0)
-            .expect("Utilization")
-            .with(&catalog, "ErrorRate", 1e-9)
-            .expect("ErrorRate")
-            .with(&catalog, "LatencyMs", 4.2)
-            .expect("LatencyMs")
-            .with(&catalog, "Vendor", "Acme Optical Systems")
-            .expect("Vendor")
-            .with(&catalog, "CircuitId", format!("CIRCUIT-{i:06}-A"))
-            .expect("CircuitId");
-        oids.push(txn.create(obj).expect("create").oid);
-    }
-    txn.commit().expect("commit");
+    let oids = fat_links(&updater, &catalog, links);
 
     let meter = WireMeter::new();
     let gate = Arc::new(AtomicBool::new(true));
@@ -237,7 +184,7 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
             let client = DbClient::connect_supervised(
                 factory,
                 ReconnectPolicy::fast_test(),
-                supervised_config(&format!("r4-viewer-{v}")),
+                fleet_viewer_config(&format!("r4-viewer-{v}")),
             )
             .expect("viewer");
             let cache = Arc::new(DisplayCache::new());
@@ -268,7 +215,7 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
         txn.commit().expect("commit");
     }
     for viewer in &fleet {
-        await_value(&viewer.display, *viewer.ids.last().expect("ids"), 0.01);
+        await_utilization(&viewer.display, *viewer.ids.last().expect("ids"), 0.01);
         while viewer
             .display
             .wait_and_process(Duration::from_millis(100))
@@ -293,11 +240,15 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
     for viewer in &fleet {
         viewer.plan_slot.lock().unwrap().kill_now();
     }
-    // The outage starts when the server has noticed it too. A commit is
-    // one request and can land while a severed session is still being
-    // torn down; what such a viewer still hears with its last frames it
-    // need not recover, and the bytes measured below would vary with
-    // that race.
+    // The outage starts when both ends have noticed it: every viewer's
+    // reader has exited and the server has torn down every viewer
+    // session. A commit is one request and can land while a severed
+    // session is still being torn down; what such a viewer still hears
+    // with its last frames it need not recover, and the bytes measured
+    // below would vary with that race.
+    for viewer in &fleet {
+        await_link_down(&viewer.client);
+    }
     let deadline = Instant::now() + Duration::from_secs(10);
     while server.core().sessions().len() > 1 {
         assert!(Instant::now() < deadline, "server never noticed the outage");
@@ -320,23 +271,27 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
 
     // Recovery: meter only what follows the gate opening.
     meter.reset();
+    let reads = server.core().stats().reads.get();
     let start = Instant::now();
     gate.store(true, Ordering::SeqCst);
     for viewer in &fleet {
         for (i, &want) in finals.iter().enumerate() {
-            await_value(&viewer.display, viewer.ids[i], want);
+            await_utilization(&viewer.display, viewer.ids[i], want);
         }
     }
     let convergence = start.elapsed();
+    // The resync refreshes are queued ahead of `Restored`; a display
+    // that has handled it has made every read its resume asked for.
+    for viewer in &fleet {
+        await_restored(&viewer.display);
+    }
 
     let mut replay_catchups = 0u64;
     let mut resync_fallbacks = 0u64;
-    let mut resync_objects = 0u64;
     for viewer in &fleet {
         let recovery = &viewer.client.conn_stats().recovery;
         replay_catchups += recovery.replay_catchups.get();
         resync_fallbacks += recovery.replay_truncations.get();
-        resync_objects += recovery.resync_objects.get();
     }
     let resume_sheds = server.core().dlm().stats().overload.resume_sheds.get();
     let outcome = Outcome {
@@ -345,7 +300,7 @@ fn storm(viewers: usize, links: usize, changed: usize, truncate: bool) -> Outcom
         convergence,
         replay_catchups,
         resync_fallbacks,
-        resync_objects,
+        reread: server.core().stats().reads.get() - reads,
         resume_sheds,
     };
     drop(fleet);

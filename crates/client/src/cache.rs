@@ -159,11 +159,14 @@ impl ClientCache {
         self.inner.lock().lru.contains(&oid)
     }
 
-    /// Every cached oid, most-recently-used first (no LRU effect) — the
-    /// manifest a resuming session presents to the server so it can
-    /// rebuild copy-table entries and report which copies went stale.
-    pub fn oids(&self) -> Vec<Oid> {
-        self.inner.lock().lru.keys_mru().copied().collect()
+    /// Every cached oid with its copy's fingerprint, most-recently-used
+    /// first (no LRU effect) — the manifest a resuming session presents
+    /// to the server so it can rebuild copy-table entries and report
+    /// which copies went stale.
+    pub fn manifest(&self) -> Vec<(Oid, u64)> {
+        let inner = self.inner.lock();
+        let copies = inner.lru.keys_mru().filter_map(|oid| inner.lru.peek(oid));
+        copies.map(|obj| (obj.oid, obj.fingerprint())).collect()
     }
 
     /// Number of cached objects.

@@ -351,13 +351,14 @@ impl DbClient {
             let s = self.session.lock();
             (s.token, s.incarnation)
         };
-        let manifest = self.cache.oids();
-        // The per-shard notification cursors travel with the resume
-        // token so the server can decide up front, per shard, whether
-        // that shard's update log still covers everything this client
+        // Each cached copy travels with its fingerprint, which the server
+        // compares with the stored object's. The per-shard notification
+        // cursors let it decide up front, per shard, whether that shard's
+        // update log still covers everything this client's displays
         // missed. Shards the client has no ack from yet ride along with
         // cursor 0, each paired with the log incarnation learned at the
         // previous handshake.
+        let manifest = self.cache.manifest();
         let cursors = self.dlc.cursors();
         let outcome = Self::handshake(
             &conn,
@@ -733,7 +734,7 @@ mod tests {
             assert!(client.try_resume(Box::new(client_end)).unwrap());
             fake.join().unwrap()
         });
-        assert_eq!(resume.unwrap().manifest, vec![x.oid]);
+        assert_eq!(resume.unwrap().manifest, vec![(x.oid, x.fingerprint())]);
         assert_eq!(acked, Envelope::PushAck(5));
         assert!(
             !client.cache().contains(x.oid),
@@ -847,7 +848,7 @@ mod tests {
         });
         let resume = resume.unwrap();
         assert_eq!(resume.cursors[0].cursor, 9);
-        assert_eq!(resume.manifest, Vec::<Oid>::new());
+        assert!(resume.manifest.is_empty());
         drop(server);
     }
 }

@@ -12,13 +12,15 @@
 //!    pinned objects marked *stale* instead of going blank;
 //! 2. reconnects under a [`ReconnectPolicy`] (exponential backoff with
 //!    jitter, bounded attempts/deadline), presenting the stored resume
-//!    token and a cached-object manifest so the server can rebuild
-//!    copy-table entries and report which copies went stale;
-//! 3. in the integrated deployment, re-registers every live
-//!    display-lock registration and replays the missed log suffix if
-//!    the server admits the cursor; short of a replay (always in the
-//!    agent deployment) forces refreshes of every watched object with
-//!    no cached copy;
+//!    token and a manifest of cached copies with their fingerprints, so
+//!    the server can rebuild copy-table entries and report stale every
+//!    copy that no longer matches the store — after any outage or
+//!    restart, since no log window is involved;
+//! 3. drops the stale copies; in the integrated deployment, re-registers
+//!    every live display-lock registration and replays the missed log
+//!    suffix if the server admits the cursor; short of a replay (always
+//!    in the agent deployment) forces refreshes of every watched object
+//!    with no cached copy;
 //! 4. broadcasts [`DlcEvent::Restored`], after which displays clear any
 //!    remaining stale marks.
 //!

@@ -35,10 +35,10 @@ use crate::proto::UpdateInfo;
 use displaydb_common::metrics::{SegLogStats, UpdateLogStats};
 use displaydb_common::overload::UpdateLogConfig;
 use displaydb_common::sync::{ranks, OrderedMutex};
-use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid};
+use displaydb_common::{ClientId, DbResult, DurableLogConfig};
 use displaydb_storage::seglog::SegLog;
 use displaydb_wire::{Decode, Encode, WireReader, WireWriter};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -336,7 +336,7 @@ impl UpdateLog {
             // batch order with seqno assignment (rank 385 → 515, legal).
             if let Err(e) = seg.append_batch(seqno, txn, &encode_batch(origin, updates)) {
                 // Never replayable: the seqno stays spent and the window
-                // goes, so no admitted cursor's changed set can miss it.
+                // goes, so no admitted cursor's replay can miss it.
                 self.evict_all(&mut inner);
                 return Err(e);
             }
@@ -396,15 +396,10 @@ impl UpdateLog {
         (ready, through)
     }
 
-    /// The distinct OIDs updated by retained entries past `cursor`, or
-    /// `None` when the window does not cover it — the changed set of
-    /// cursor admission ([`crate::ShardedDlm::admit`]).
-    pub fn changed_since(&self, cursor: u64) -> Option<HashSet<Oid>> {
-        let inner = self.inner.lock();
-        inner.covers(cursor).then(|| {
-            let updates = inner.past(cursor).flat_map(|e| &e.updates);
-            updates.map(|u| u.oid).collect()
-        })
+    /// Whether the window still retains everything past `cursor` — the
+    /// window half of cursor admission ([`crate::ShardedDlm::admit`]).
+    pub fn covers(&self, cursor: u64) -> bool {
+        self.inner.lock().covers(cursor)
     }
 
     /// The stable incarnation id (`None` for an in-memory-only log,
@@ -555,7 +550,7 @@ mod tests {
         }
         // A fresh empty log is replayable from cursor 0.
         let fresh = log(8, 1 << 20);
-        assert!(fresh.changed_since(0).is_some());
+        assert!(fresh.covers(0));
         assert!(matches!(
             fresh.replay_from(0),
             ReplaySlice::Events { head: 0, .. }
@@ -569,8 +564,8 @@ mod tests {
             l.append(None, &upd(i), 0).unwrap();
         }
         assert_eq!(l.len(), 3);
-        assert!(l.changed_since(1).is_none(), "seqnos 1-2 evicted");
-        assert!(l.changed_since(2).is_some()); // (2, 5] retained
+        assert!(!l.covers(1), "seqnos 1-2 evicted");
+        assert!(l.covers(2)); // (2, 5] retained
         match l.replay_from(0) {
             ReplaySlice::Truncated { head } => assert_eq!(head, 5),
             other => panic!("unexpected {other:?}"),
@@ -586,8 +581,8 @@ mod tests {
         assert_eq!(l.len(), 1);
         assert!(l.stats().evicted.get() >= 1);
         assert!(l.stats().log_bytes.get() <= 200);
-        assert!(l.changed_since(1).is_some(), "newest entry retained");
-        assert!(l.changed_since(0).is_none(), "oldest evicted by byte cap");
+        assert!(l.covers(1), "newest entry retained");
+        assert!(!l.covers(0), "oldest evicted by byte cap");
     }
 
     #[test]
@@ -596,7 +591,7 @@ mod tests {
         // seqno space) must not silently pass as current.
         let l = log(8, 1 << 20);
         l.append(None, &upd(1), 0).unwrap();
-        assert!(l.changed_since(9).is_none());
+        assert!(!l.covers(9));
         assert!(matches!(l.replay_from(9), ReplaySlice::Truncated { .. }));
     }
 
@@ -632,11 +627,8 @@ mod tests {
         l.truncate_all();
         assert!(l.is_empty());
         assert_eq!(l.head(), 4);
-        assert!(l.changed_since(2).is_none());
-        assert!(
-            l.changed_since(4).is_some(),
-            "the head itself stays current"
-        );
+        assert!(!l.covers(2));
+        assert!(l.covers(4), "the head itself stays current");
         assert_eq!(
             l.append(None, &upd(9), 0).unwrap(),
             Some(5),
@@ -739,8 +731,8 @@ mod tests {
         let (l, rec) = open_durable_at(&tmp.0, 3, 1, 0);
         assert_eq!(rec.recovered_entries, 3);
         assert_eq!(l.len(), 3);
-        assert!(l.changed_since(7).is_some(), "(7, 10] retained");
-        assert!(l.changed_since(6).is_none());
+        assert!(l.covers(7), "(7, 10] retained");
+        assert!(!l.covers(6));
         assert!(matches!(
             l.replay_from(5),
             ReplaySlice::Truncated { head: 10 }
@@ -748,36 +740,18 @@ mod tests {
     }
 
     #[test]
-    fn changed_since_reports_distinct_oids_past_the_cursor() {
+    fn covers_answers_for_both_log_kinds() {
         let tmp = TempDir::new();
-        let (l, _) = open_durable_at(&tmp.0, 64, 1, 0);
-        l.append(None, &upd(10), 1).unwrap();
-        l.append(
-            None,
-            &[
-                UpdateInfo::lazy(Oid::new(11)),
-                UpdateInfo::lazy(Oid::new(10)),
-            ],
-            2,
-        )
-        .unwrap();
-        l.append(None, &upd(12), 3).unwrap();
-        let oids = l.changed_since(1).unwrap();
-        assert_eq!(oids, [11, 10, 12].map(Oid::new).into());
-        assert_eq!(
-            l.changed_since(3),
-            Some(HashSet::new()),
-            "current cursor: nothing stale"
-        );
-        assert!(
-            l.changed_since(9).is_none(),
-            "future cursor is unanswerable"
-        );
+        let (durable, _) = open_durable_at(&tmp.0, 64, 1, 0);
         // An in-memory log answers too: the incarnation its caller
         // checked proves the seqno space.
-        let mem = log(8, 1 << 20);
-        mem.append(None, &upd(1), 0).unwrap();
-        assert_eq!(mem.changed_since(0), Some([Oid::new(1)].into()));
+        for l in [&durable, &log(8, 1 << 20)] {
+            l.append(None, &upd(10), 1).unwrap();
+            l.append(None, &upd(11), 2).unwrap();
+            assert!(l.covers(0));
+            assert!(l.covers(2), "current cursor");
+            assert!(!l.covers(3), "future cursor is unanswerable");
+        }
     }
 
     #[test]
@@ -788,7 +762,7 @@ mod tests {
         let (durable, _) = open_durable_at(&tmp.0, 8, 1, 0);
         for l in [&durable, &log(8, 1 << 20)] {
             l.append(None, &upd(1), 1).unwrap();
-            assert_eq!(l.changed_since(u64::MAX), None);
+            assert!(!l.covers(u64::MAX));
             assert!(matches!(
                 l.replay_from(u64::MAX),
                 ReplaySlice::Truncated { head: 1 }
@@ -889,7 +863,7 @@ mod proptests {
                             }
                             ReplaySlice::Truncated { head } => {
                                 prop_assert_eq!(head, appended);
-                                prop_assert!(l.changed_since(cursor).is_none());
+                                prop_assert!(!l.covers(cursor));
                             }
                         }
                     }

@@ -28,7 +28,6 @@ use crate::outbox::OutboxSink;
 use crate::proto::{DlmRequest, ShardCursor, UpdateInfo};
 use displaydb_common::metrics::{Counter, SegLogStats};
 use displaydb_common::{ClientId, DbResult, DurableLogConfig, Oid, TxnId};
-use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -219,30 +218,14 @@ impl ShardedDlm {
         &self.incarnations
     }
 
-    /// Every shard's head under its incarnation: the cursors of a client
-    /// that has applied everything logged so far.
-    pub fn heads(&self) -> Vec<ShardCursor> {
-        (0..self.shards())
-            .map(|s| ShardCursor {
-                shard: s as u32,
-                cursor: self.update_log_of(s).head(),
-                log_incarnation: self.incarnations[s],
-            })
-            .collect()
-    }
-
     /// The cursor-admission rule (DESIGN.md § 14): `sc` is admitted iff
     /// it was acked under its shard's incarnation and that shard's log
-    /// window still covers it. Returns the OIDs committed past the
-    /// cursor when admitted — what a resume handshake proves cached
-    /// copies current with. A `ReplayFrom` applies the same rule
+    /// window still covers it — what decides whether a resume may catch
+    /// up by replay. A `ReplayFrom` applies the same rule
     /// ([`Self::replay_for_shards`]), its window half in the replay.
-    pub fn admit(&self, sc: &ShardCursor) -> Option<HashSet<Oid>> {
-        if !sc.acked_under(&self.incarnations) {
-            return None;
-        }
-        self.update_log_of(sc.shard as usize)
-            .changed_since(sc.cursor)
+    pub fn admit(&self, sc: &ShardCursor) -> bool {
+        sc.acked_under(&self.incarnations)
+            && self.update_log_of(sc.shard as usize).covers(sc.cursor)
     }
 
     /// Register `sink` for `client` on every shard as is — synchronous

@@ -37,9 +37,9 @@ impl CopyTable {
     }
 
     /// Record copies for a batch of objects.
-    pub fn register_many(&self, client: ClientId, oids: &[Oid]) {
+    pub fn register_many(&self, client: ClientId, oids: impl IntoIterator<Item = Oid>) {
         let mut map = self.by_oid.lock();
-        for &oid in oids {
+        for oid in oids {
             map.entry(oid).or_default().insert(client);
         }
     }
@@ -109,7 +109,7 @@ mod tests {
     #[test]
     fn holders_except_excludes_requester() {
         let t = CopyTable::new();
-        t.register_many(c(1), &[o(1)]);
+        t.register_many(c(1), [o(1)]);
         assert!(t.holders_except(o(1), c(1)).is_empty());
         assert_eq!(t.holders_except(o(1), c(9)), vec![c(1)]);
     }
@@ -117,8 +117,8 @@ mod tests {
     #[test]
     fn drop_copy_and_client() {
         let t = CopyTable::new();
-        t.register_many(c(1), &[o(1), o(2)]);
-        t.register_many(c(2), &[o(1)]);
+        t.register_many(c(1), [o(1), o(2)]);
+        t.register_many(c(2), [o(1)]);
         t.drop_copy(c(1), o(1));
         assert!(!t.has_copy(c(1), o(1)));
         assert!(t.has_copy(c(2), o(1)));

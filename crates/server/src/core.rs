@@ -55,7 +55,7 @@ use displaydb_dlm::{
 use displaydb_lockmgr::{LockManager, LockManagerConfig, LockMode, Owner};
 use displaydb_schema::{Catalog, DbObject};
 use displaydb_wire::{fnv1a, Channel, Encode};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,8 +124,8 @@ pub struct ServerStats {
     /// Messages pushed to clients (all kinds).
     pub pushes: Counter,
     /// Sessions whose resume token was refused — the server restarted —
-    /// but whose cursors were admitted, so the update log proved their
-    /// copies (DESIGN.md § 14).
+    /// but whose cursors were admitted, so the update log let them catch
+    /// up by replay (DESIGN.md § 14).
     pub sessions_recovered: Counter,
     /// Threads started to read a session's link for a request about to
     /// wait, when no spare was parked: none for requests that never wait.
@@ -167,18 +167,7 @@ pub struct SessionHandle {
     /// Requests currently being processed for this session (admission
     /// control; see `session_loop`).
     in_flight: std::sync::atomic::AtomicUsize,
-    /// Copy callbacks pushed minus `PushAck`s received.
-    unacked: std::sync::atomic::AtomicI64,
-    /// Set when a commit kept one of this client's copies for a delta
-    /// instead of calling it back.
-    kept: std::sync::atomic::AtomicBool,
-    /// The cursors this session's copies are proven through, fixed when
-    /// they are dropped (`ServerCore::park`); shared with its token.
-    parked: Parked,
 }
-
-/// A session's parked cursors: `None` inside when nothing was proven.
-type Parked = Arc<std::sync::OnceLock<Option<Vec<ShardCursor>>>>;
 
 impl SessionHandle {
     fn new(client: ClientId, channel: Arc<dyn Channel>, stats: ServerStats) -> Self {
@@ -190,9 +179,6 @@ impl SessionHandle {
             stats,
             outboxes: std::sync::OnceLock::new(),
             in_flight: std::sync::atomic::AtomicUsize::new(0),
-            unacked: std::sync::atomic::AtomicI64::new(0),
-            kept: std::sync::atomic::AtomicBool::new(false),
-            parked: Parked::default(),
         }
     }
 
@@ -253,8 +239,6 @@ impl SessionHandle {
             self.acks.lock_or_recover().insert(ack, tx);
         }
         self.stats.callbacks.inc();
-        self.unacked
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         self.stats.pushes.inc();
         let push = crate::proto::Envelope::Push(ServerPush::Callback { ack, oids });
         match self.channel.send(push.encode_to_bytes()) {
@@ -284,8 +268,6 @@ impl SessionHandle {
 
     /// Route an incoming ack to its waiter.
     pub fn handle_ack(&self, ack: u64) {
-        self.unacked
-            .fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
         // Remove under the lock, send outside it: an `if let` scrutinee
         // guard would live for the whole block, holding the ack table
         // across the channel send.
@@ -383,7 +365,6 @@ impl SessionRegistry {
 struct ResumeState {
     client: ClientId,
     epoch: u64,
-    parked: Parked,
 }
 
 /// The server brain, shared by all session threads.
@@ -576,9 +557,10 @@ impl ServerCore {
     /// With `resume`, the previous session is rebuilt: the old client id is
     /// reused and its in-flight transactions (which can never complete)
     /// are aborted. Either way the copy table is re-seeded from the
-    /// client's cached-OID manifest, and every entry whose currency the
-    /// update log cannot prove comes back in `HelloAck::stale` so the
-    /// client invalidates it before serving it again.
+    /// client's manifest of cached copies, and every copy whose
+    /// fingerprint no longer matches the stored object comes back in
+    /// `HelloAck::stale` so the client invalidates it before serving it
+    /// again.
     pub fn connect(
         &self,
         _name: &str,
@@ -607,76 +589,61 @@ impl ServerCore {
                 let _ = self.abort_txn(client, txn);
             }
             self.locks.release_all(Owner::Client(client));
-            if let Some(old) = self.sessions.get(client) {
-                self.park(&old);
-            }
             self.copies.drop_client(client);
         }
-        let parked = prior.and_then(|state| state.parked.get().cloned().flatten());
         // In the registry first: a callback for a copy registered below
         // must reach this connection, not the dead one.
         let handle = Arc::new(SessionHandle::new(client, channel, self.stats.clone()));
         self.sessions.insert(Arc::clone(&handle));
         let (manifest, cursors) =
             resume.map_or((&[][..], &[][..]), |r| (&r.manifest[..], &r.cursors[..]));
-        // Register every copy before reading the log. A commit whose
-        // callbacks ran before the registration appends after it, and
-        // either the read below sees that append, or the commit sees
-        // `resumes` move and calls the copy back (`commit_logged`).
+        // Register every copy before reading the store. A commit stores
+        // before it calls back, so either its callbacks reach the copy or
+        // the read below sees its write; and a commit racing the
+        // registration sees `resumes` move and calls the copy back
+        // (`commit_logged`).
         if !manifest.is_empty() {
-            self.copies.register_many(client, manifest);
+            self.copies
+                .register_many(client, manifest.iter().map(|&(oid, _)| oid));
             self.resumes
                 .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         }
-        // Cursor admission (DESIGN.md § 14), once per shard (the last
-        // cursor naming a shard counts; the list is wire input).
-        let admit = |cursors: &[ShardCursor]| -> Vec<Option<HashSet<Oid>>> {
-            let mut per_shard: Vec<Option<&ShardCursor>> = vec![None; self.dlm.shards()];
-            for sc in cursors {
-                if let Some(slot) = per_shard.get_mut(sc.shard as usize) {
-                    *slot = Some(sc);
-                }
-            }
-            per_shard
-                .into_iter()
-                .map(|sc| self.dlm.admit(sc?))
-                .collect()
-        };
-        let admitted = admit(cursors);
-        // The old session's parked cursors, where `park` proved them,
-        // are at least as late as the client's own.
-        let proven = parked.as_deref().map(admit);
-        let changed = proven.as_ref().unwrap_or(&admitted);
-        // A copy is current iff it exists and its shard's admitted
-        // window does not name it.
-        let map = self.dlm.map();
+        // A copy is current iff it matches the stored object's encoding,
+        // the fingerprint a patch names its base by (DESIGN.md § 14). No
+        // S lock: a store read is atomic, and a resume must not queue
+        // behind an X lock held across round trips.
         let mut stale = Vec::new();
-        for &oid in manifest {
-            let current = self.store.exists(oid)
-                && changed[map.shard_of(oid) as usize]
-                    .as_ref()
-                    .is_some_and(|changed| !changed.contains(&oid));
+        for &(oid, fingerprint) in manifest {
+            let current = self
+                .store
+                .get_bytes(oid)
+                .is_ok_and(|bytes| fnv1a(&bytes) == fingerprint);
             if !current {
                 self.copies.drop_copy(client, oid);
                 stale.push(oid);
             }
         }
-        // An admitted shard replays; the rest answer the replay with a
+        // Cursor admission (DESIGN.md § 14), once per shard (the last
+        // cursor naming a shard counts; the list is wire input). An
+        // admitted shard replays; the rest answer the replay with a
         // `ResyncRequired` over their slice of the watched set. With no
-        // admitted shard the client resyncs its stale set.
-        let replay_ok = admitted.iter().any(Option::is_some);
+        // admitted shard the client resyncs.
+        let mut per_shard: Vec<Option<&ShardCursor>> = vec![None; self.dlm.shards()];
+        for sc in cursors {
+            if let Some(slot) = per_shard.get_mut(sc.shard as usize) {
+                *slot = Some(sc);
+            }
+        }
+        let replay_ok = per_shard.into_iter().flatten().any(|sc| self.dlm.admit(sc));
         if replay_ok && !resumed {
             self.stats.sessions_recovered.inc();
         }
         let token = self.token_gen.next();
-        self.sessions.sessions.lock().tokens.insert(
-            token,
-            ResumeState {
-                client,
-                epoch,
-                parked: Arc::clone(&handle.parked),
-            },
-        );
+        self.sessions
+            .sessions
+            .lock()
+            .tokens
+            .insert(token, ResumeState { client, epoch });
         // One bounded outbox per DLM shard around the session sink
         // (`ShardedDlm::register_session`): commit-path fan-out only
         // enqueues, and a stalled client connection is absorbed by the
@@ -713,32 +680,12 @@ impl ServerCore {
             let _ = self.abort_txn(client, txn);
         }
         self.dlm.unregister_client(client);
-        let handle = self.sessions.get(client);
-        if let Some(handle) = &handle {
-            self.park(handle);
-        }
         self.copies.drop_client(client);
         self.locks.release_all(Owner::Client(client));
-        if let Some(handle) = handle {
+        if let Some(handle) = self.sessions.get(client) {
             handle.close();
         }
         self.sessions.remove(client);
-    }
-
-    /// Fix the cursors `handle`'s copies are proven through, once, just
-    /// before the copy table forgets them: every shard's head, if the
-    /// client had applied every callback pushed to it and no commit kept
-    /// a copy of its for a delta. A commit logged by then ran its
-    /// callbacks before its append, so they were all applied; one logged
-    /// later is past the heads. Unlike the client's cursors, these move
-    /// without notifications (DESIGN.md § 14).
-    fn park(&self, handle: &SessionHandle) {
-        use std::sync::atomic::Ordering::SeqCst;
-        handle.parked.get_or_init(|| {
-            let heads = self.dlm.heads();
-            let settled = handle.unacked.load(SeqCst) == 0 && !handle.kept.load(SeqCst);
-            settled.then_some(heads)
-        });
     }
 
     /// Tear down `handle`'s client state, but only if `handle` is still the
@@ -931,17 +878,9 @@ impl ServerCore {
         let mut per_client: HashMap<ClientId, Vec<Oid>> = HashMap::new();
         for &oid in oids {
             for holder in self.copies.holders_except(oid, except) {
-                if keep(holder, oid) {
-                    // Only the client's own cursor can prove it applied
-                    // the delta (`park`).
-                    if let Some(session) = self.sessions.get(holder) {
-                        session
-                            .kept
-                            .store(true, std::sync::atomic::Ordering::SeqCst);
-                    }
-                    continue;
+                if !keep(holder, oid) {
+                    per_client.entry(holder).or_default().push(oid);
                 }
-                per_client.entry(holder).or_default().push(oid);
             }
         }
         let mut pending = Vec::new();
@@ -1140,9 +1079,9 @@ impl ServerCore {
         // gets its ack.
         let (logged, _) = self.dlm.log_committed(Some(client), &updates, txn.raw());
         if self.resumes.load(std::sync::atomic::Ordering::SeqCst) != resumes {
-            // A resume re-registered copies after the callbacks above
-            // and may have read the log before this append: the copy it
-            // proved current is not. Call it back.
+            // A resume re-registered copies while this commit ran: call
+            // them back rather than lean on the order of the store write,
+            // the registration and the resume's store read.
             self.invalidate_copies_filtered(client, &oids, self.config.sync_callbacks, &|_, _| {
                 false
             });

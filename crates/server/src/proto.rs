@@ -105,17 +105,19 @@ pub struct ResumeRequest {
     pub token: u64,
     /// The server incarnation the token was issued by. A mismatch means the
     /// server restarted: the session starts fresh, and the manifest is
-    /// still checked against the cursors.
+    /// still checked against the store.
     pub incarnation: u64,
-    /// Every object in the client's cache at disconnect time. The server
-    /// re-registers these in the copy table and reports which it cannot
-    /// prove current.
-    pub manifest: Vec<Oid>,
+    /// Every object in the client's cache at disconnect time, with the
+    /// fingerprint of the cached copy
+    /// ([`displaydb_schema::DbObject::fingerprint`], 8 bytes on the wire).
+    /// The server re-registers these in the copy table and reports stale
+    /// every copy whose fingerprint no longer matches the stored object,
+    /// or whose object is gone.
+    pub manifest: Vec<(Oid, u64)>,
     /// The client's notification cursors (DESIGN.md §§ 13–14, 16), one
     /// per DLM shard, each with the log incarnation it was acked under.
-    /// An admitted shard's log names what changed past its cursor, which
-    /// proves the manifest's copies in that shard and lets the session
-    /// catch up by replay instead of a resync.
+    /// An admitted shard lets the session catch its displays up by
+    /// replay instead of a resync; cursors prove no cached copy.
     pub cursors: Vec<ShardCursor>,
 }
 
@@ -123,17 +125,28 @@ impl Encode for ResumeRequest {
     fn encode(&self, w: &mut WireWriter) {
         w.put_varint(self.token);
         w.put_varint(self.incarnation);
-        self.manifest.encode(w);
+        w.put_varint(self.manifest.len() as u64);
+        for (oid, fingerprint) in &self.manifest {
+            oid.encode(w);
+            w.put_u64(*fingerprint);
+        }
         encode_cursors(&self.cursors, w);
     }
 }
 
 impl Decode for ResumeRequest {
     fn decode(r: &mut WireReader<'_>) -> DbResult<Self> {
+        let token = r.get_varint()?;
+        let incarnation = r.get_varint()?;
+        let n = r.get_varint()? as usize;
+        let mut manifest = Vec::with_capacity(n.min(4096));
+        for _ in 0..n {
+            manifest.push((Oid::decode(r)?, r.get_u64()?));
+        }
         Ok(ResumeRequest {
-            token: r.get_varint()?,
-            incarnation: r.get_varint()?,
-            manifest: Vec::<Oid>::decode(r)?,
+            token,
+            incarnation,
+            manifest,
             cursors: decode_cursors(r)?,
         })
     }
@@ -714,7 +727,7 @@ mod tests {
                 resume: Some(ResumeRequest {
                     token: 0xdead_beef,
                     incarnation: 42,
-                    manifest: vec![Oid::new(1), Oid::new(9)],
+                    manifest: vec![(Oid::new(1), 0), (Oid::new(9), u64::MAX)],
                     cursors: vec![
                         ShardCursor {
                             shard: 0,

@@ -475,14 +475,24 @@ mod tests {
         }
     }
 
-    /// One `Put` of a `Node` named `name` under `oid`, as `Commit` carries it.
-    fn put(cat: &Catalog, oid: Oid, name: &str) -> (Oid, WriteForm) {
+    /// A `Node` named `name` under `oid`.
+    fn node(cat: &Catalog, oid: Oid, name: &str) -> DbObject {
         let mut node = DbObject::new_named(cat, "Node")
             .unwrap()
             .with(cat, "Name", name)
             .unwrap();
         node.oid = oid;
-        encoded(&node)
+        node
+    }
+
+    /// One `Put` of a `Node` named `name` under `oid`, as `Commit` carries it.
+    fn put(cat: &Catalog, oid: Oid, name: &str) -> (Oid, WriteForm) {
+        encoded(&node(cat, oid, name))
+    }
+
+    /// A manifest entry: a cached copy of a `Node` named `name`.
+    fn copy(cat: &Catalog, oid: Oid, name: &str) -> (Oid, u64) {
+        (oid, node(cat, oid, name).fingerprint())
     }
 
     /// A `Patch` of `oid` setting attribute `attr` to `value`, against
@@ -1058,7 +1068,7 @@ mod tests {
 
     /// The resume request that picks up the session `ack` opened, with
     /// `manifest` cached and shard 0 acked through `cursor`.
-    fn resume_of(ack: &Response, manifest: Vec<Oid>, cursor: u64) -> ResumeRequest {
+    fn resume_of(ack: &Response, manifest: Vec<(Oid, u64)>, cursor: u64) -> ResumeRequest {
         match ack {
             Response::HelloAck {
                 session,
@@ -1122,7 +1132,8 @@ mod tests {
         hang_up(&server, &c, &ack);
         let (updater, _) = RawClient::connect(&hub);
         commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 3
-        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x, y], 2));
+        let manifest = vec![copy(&cat, x, "x"), copy(&cat, y, "y")];
+        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, manifest, 2));
         assert_eq!(
             resume_outcome(&resumed),
             (true, vec![y], true),
@@ -1131,80 +1142,112 @@ mod tests {
     }
 
     #[test]
-    fn a_session_that_applied_its_callbacks_needs_no_cursor() {
-        // No cursor (the agent deployment's case, or a client never
-        // notified), and a log that no longer reaches back to the
-        // session's start: the server's own cursor, parked when the
-        // session died, proves what was not committed since.
+    fn a_copy_is_current_iff_its_fingerprint_matches_the_store() {
+        // A session caches x and y; x is committed while it is connected,
+        // y while it is away. What the session acked, kept or was told
+        // does not matter at the resume, nor does its cursor: a copy is
+        // current iff it still encodes the stored object.
+        struct Case {
+            name: &'static str,
+            /// The session displays x's `Name`: x's commit keeps its copy
+            /// for a delta instead of calling it back.
+            projected: bool,
+            /// The session reads x again after its callback.
+            reread: bool,
+            /// The copies it presents: x's and y's names in its cache.
+            copies: &'static [(usize, &'static str)],
+            cursor: Option<u64>,
+            stale: &'static [usize],
+            replay_ok: bool,
+        }
+        let cases = [
+            Case {
+                name: "applied its callback",
+                projected: false,
+                reread: true,
+                copies: &[(0, "x again"), (1, "y")],
+                cursor: None,
+                stale: &[1],
+                replay_ok: false,
+            },
+            Case {
+                name: "left its callback unacked",
+                projected: false,
+                reread: false,
+                copies: &[(0, "x"), (1, "y")],
+                cursor: Some(2),
+                stale: &[0, 1],
+                replay_ok: true,
+            },
+            Case {
+                name: "never applied the delta its copy was kept for",
+                projected: true,
+                reread: false,
+                copies: &[(0, "x")],
+                cursor: Some(2),
+                stale: &[0],
+                replay_ok: true,
+            },
+            Case {
+                name: "applied the delta its copy was kept for",
+                projected: true,
+                reread: false,
+                copies: &[(0, "x again")],
+                cursor: Some(2),
+                stale: &[],
+                replay_ok: true,
+            },
+        ];
         let cat = catalog();
-        let hub = LocalHub::new();
-        let mut config = ServerConfig::new(tmp("parked"));
-        config.dlm.log.max_entries = 2;
-        let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
-        let (updater, _) = RawClient::connect(&hub);
-        let x = new_node(&updater, &cat, "x"); // seqno 1
-        let y = new_node(&updater, &cat, "y"); // seqno 2
-        let (c, ack) = RawClient::handshake(&hub);
-        read_node(&c, None, x);
-        read_node(&c, None, y);
-        commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 3
-        c.ack_next_callback();
-        read_node(&c, None, x);
-        let z = new_node(&updater, &cat, "z"); // seqno 4
-        commit(&updater, None, vec![put(&cat, z, "z again")]); // seqno 5
-        hang_up(&server, &c, &ack);
-        commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 6
-        let mut resume = resume_of(&ack, vec![x, y], 0);
-        resume.cursors.clear();
-        let (_, resumed) = RawClient::resume(&hub, resume);
-        assert_eq!(resume_outcome(&resumed), (true, vec![y], false));
-    }
-
-    #[test]
-    fn an_unacked_callback_leaves_the_proof_to_the_clients_cursor() {
-        // The callback for x may have died with the link: the heads at
-        // the session's end prove nothing, the client's cursor decides.
-        let cat = catalog();
-        let hub = LocalHub::new();
-        let server =
-            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("unacked")), &hub).unwrap();
-        let (updater, _) = RawClient::connect(&hub);
-        let x = new_node(&updater, &cat, "x"); // seqno 1
-        let y = new_node(&updater, &cat, "y"); // seqno 2
-        let (c, ack) = RawClient::handshake(&hub);
-        read_node(&c, None, x);
-        read_node(&c, None, y);
-        commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 3
-        hang_up(&server, &c, &ack);
-        commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 4
-        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x, y], 2));
-        assert_eq!(resume_outcome(&resumed), (true, vec![x, y], true));
-    }
-
-    #[test]
-    fn a_copy_kept_for_a_delta_leaves_the_proof_to_the_clients_cursor() {
-        // x's commit patched the holder's copy through a delta, which may
-        // have died with the link: only a cursor past it proves x.
-        let cat = catalog();
-        let hub = LocalHub::new();
-        let server =
-            Server::spawn_local(Arc::clone(&cat), ServerConfig::new(tmp("kept")), &hub).unwrap();
-        let (updater, _) = RawClient::connect(&hub);
-        let x = new_node(&updater, &cat, "x"); // seqno 1
-        let (c, ack) = RawClient::handshake(&hub);
-        read_node(&c, None, x);
-        let lock = DlmRequest::LockProjected {
-            oids: vec![x],
-            attrs: vec![0],
-            version: 1,
-        };
-        assert_eq!(c.call(Request::Dlm(lock)), Response::Ok);
-        commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 2
-        c.call(Request::Ping);
-        assert!(!called_back(&c, x), "x's copy was kept, not called back");
-        hang_up(&server, &c, &ack);
-        let (_, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x], 1));
-        assert_eq!(resume_outcome(&resumed), (true, vec![x], true));
+        for case in cases {
+            let hub = LocalHub::new();
+            // A window shorter than the session: cursors cannot name
+            // what changed.
+            let mut config = ServerConfig::new(tmp("fingerprint"));
+            config.dlm.log.max_entries = 2;
+            // Nobody pumps the session while x commits.
+            config.callback_timeout = Duration::from_millis(100);
+            let server = Server::spawn_local(Arc::clone(&cat), config, &hub).unwrap();
+            let (updater, _) = RawClient::connect(&hub);
+            let oids = [new_node(&updater, &cat, "x"), new_node(&updater, &cat, "y")];
+            let [x, y] = oids; // seqnos 1, 2
+            let (c, ack) = RawClient::handshake(&hub);
+            read_node(&c, None, x);
+            read_node(&c, None, y);
+            if case.projected {
+                let lock = DlmRequest::LockProjected {
+                    oids: vec![x],
+                    attrs: vec![0],
+                    version: 1,
+                };
+                assert_eq!(c.call(Request::Dlm(lock)), Response::Ok);
+            }
+            commit(&updater, None, vec![put(&cat, x, "x again")]); // seqno 3
+            c.call(Request::Ping);
+            assert_eq!(called_back(&c, x), !case.projected, "{}", case.name);
+            if case.reread {
+                read_node(&c, None, x);
+            }
+            hang_up(&server, &c, &ack);
+            commit(&updater, None, vec![put(&cat, y, "y again")]); // seqno 4
+            let manifest = case
+                .copies
+                .iter()
+                .map(|&(i, name)| copy(&cat, oids[i], name))
+                .collect();
+            let mut resume = resume_of(&ack, manifest, case.cursor.unwrap_or(0));
+            if case.cursor.is_none() {
+                resume.cursors.clear();
+            }
+            let (_, resumed) = RawClient::resume(&hub, resume);
+            let stale = case.stale.iter().map(|&i| oids[i]).collect();
+            assert_eq!(
+                resume_outcome(&resumed),
+                (true, stale, case.replay_ok),
+                "{}",
+                case.name
+            );
+        }
     }
 
     #[test]
@@ -1288,7 +1331,7 @@ mod tests {
         eventually("the commit is calling back", || {
             server.core().stats().callbacks.get() > callbacks
         });
-        let (back, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![x], 1));
+        let (back, resumed) = RawClient::resume(&hub, resume_of(&ack, vec![copy(&cat, x, "x")], 1));
         assert_eq!(updater.wait(committing), Response::Ok);
         back.call(Request::Ping);
         let (resumed, stale, _) = resume_outcome(&resumed);
@@ -1313,7 +1356,7 @@ mod tests {
         let x = new_node(&c, &cat, "x"); // seqno 1
         let lock = DlmRequest::Lock { oids: vec![x] };
         assert_eq!(viewer.call(Request::Dlm(lock)), Response::Ok);
-        let head = || server.core().dlm().heads()[0].cursor;
+        let head = || server.core().dlm().update_log_of(0).head();
         for seqno in 2..50 {
             commit(&c, None, vec![put(&cat, x, "x again")]);
             assert_eq!(head(), seqno, "answered before it was logged");

@@ -321,12 +321,23 @@ fn hub_factory(slot: &Arc<std::sync::Mutex<LocalHub>>) -> ChannelFactory {
 
 /// Server restart: the supervisor reconnects automatically; the restarted
 /// server recovers committed state from the WAL; the resume token is
-/// refused (new incarnation) so the client gets a fresh session whose
-/// stale list covers its whole cached manifest.
+/// refused (new incarnation) so the client gets a fresh session, yet its
+/// unchanged cached copy is proven current by its fingerprint — in both
+/// deployments.
 #[test]
 fn supervised_client_rides_through_server_restart() {
+    for with_agent in [false, true] {
+        ride_through_server_restart(with_agent);
+    }
+}
+
+fn ride_through_server_restart(with_agent: bool) {
     let catalog = Arc::new(nms_catalog());
-    let dir = tmp("restart-resume");
+    let dir = tmp(if with_agent {
+        "restart-resume-agent"
+    } else {
+        "restart-resume"
+    });
     let durable = |dir: &std::path::Path| {
         let mut c = ServerConfig::new(dir);
         c.sync_commits = true;
@@ -335,12 +346,28 @@ fn supervised_client_rides_through_server_restart() {
     let hub_slot = Arc::new(std::sync::Mutex::new(LocalHub::new()));
     let hub0 = hub_slot.lock().unwrap().clone();
     let mut server = Server::spawn_local(Arc::clone(&catalog), durable(&dir), &hub0).unwrap();
+    let dlm_hub = LocalHub::new();
+    let _agent = with_agent.then(|| {
+        DlmAgent::spawn(
+            Arc::new(ShardedDlm::new(DlmConfig::default())),
+            Box::new(dlm_hub.clone()),
+        )
+    });
 
-    let client = DbClient::connect_supervised(
-        hub_factory(&hub_slot),
-        ReconnectPolicy::fast_test(),
-        short_timeout("survivor"),
-    )
+    let client = if with_agent {
+        DbClient::connect_with_agent_supervised(
+            hub_factory(&hub_slot),
+            hub_factory(&Arc::new(std::sync::Mutex::new(dlm_hub))),
+            ReconnectPolicy::fast_test(),
+            short_timeout("survivor"),
+        )
+    } else {
+        DbClient::connect_supervised(
+            hub_factory(&hub_slot),
+            ReconnectPolicy::fast_test(),
+            short_timeout("survivor"),
+        )
+    }
     .unwrap();
     let mut txn = client.begin().unwrap();
     let link = txn.create(client.new_object("Link").unwrap()).unwrap();
@@ -357,31 +384,13 @@ fn supervised_client_rides_through_server_restart() {
     *hub_slot.lock().unwrap() = hub2.clone();
     server.shutdown();
     drop(server);
-    let _server2 = Server::spawn_local(Arc::clone(&catalog), durable(&dir), &hub2).unwrap();
+    let server2 = Server::spawn_local(Arc::clone(&catalog), durable(&dir), &hub2).unwrap();
 
     // The supervisor must bring the client back without any help.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while client.ping().is_err() {
-        assert!(
-            Instant::now() < deadline,
-            "client did not reconnect after server restart"
-        );
-        std::thread::sleep(Duration::from_millis(25));
-    }
+    wait_until("the reconnect after the restart", || client.ping().is_ok());
 
-    // WAL recovery: the pre-restart commit is durable and readable.
-    assert_eq!(
-        client
-            .read_fresh(link.oid)
-            .unwrap()
-            .get(&catalog, "Utilization")
-            .unwrap()
-            .as_float()
-            .unwrap(),
-        0.7
-    );
     // The restarted server refused the old-incarnation token: fresh
-    // session, and every cached copy was conservatively reported stale.
+    // session. The copy still encodes the stored object, so it stays.
     let recovery = &client.conn_stats().recovery;
     assert!(recovery.reconnect_attempts.get() >= 1);
     assert!(recovery.reconnects_ok.get() >= 1);
@@ -391,7 +400,25 @@ fn supervised_client_rides_through_server_restart() {
         "restart must not resume"
     );
     assert_eq!(client.session().epoch, 0);
-    assert!(recovery.resync_objects.get() >= 1, "manifest must go stale");
+    assert_eq!(
+        recovery.resync_objects.get(),
+        0,
+        "the copy is proven current"
+    );
+    assert!(client.cache().contains(link.oid));
+    let reads = server2.core().stats().reads.get();
+    let utilization = |obj: DbObject| obj.get(&catalog, "Utilization").unwrap().as_float();
+    assert_eq!(utilization(client.read(link.oid).unwrap()).unwrap(), 0.7);
+    assert_eq!(
+        server2.core().stats().reads.get(),
+        reads,
+        "a cached read moves no server reads"
+    );
+    // WAL recovery: the pre-restart commit is durable and readable.
+    assert_eq!(
+        utilization(client.read_fresh(link.oid).unwrap()).unwrap(),
+        0.7
+    );
     // And normal work proceeds on the new session.
     let mut txn = client.begin().unwrap();
     txn.update(link.oid, |o| o.set(&catalog, "Utilization", 0.9))

@@ -294,6 +294,89 @@ fn truncated_cursor_falls_back_to_exactly_one_resync() {
     drop(server);
 }
 
+/// An outage longer than the update log's window: the viewer's cursor
+/// is no longer admitted, yet its copy of an object nobody changed comes
+/// back current, proven by its fingerprint, with no re-read. A delta
+/// kept that copy before the outage, so no record of acked callbacks
+/// could have proven it.
+#[test]
+fn a_kept_copy_outlives_an_outage_longer_than_the_log_window() {
+    let catalog = Arc::new(nms_catalog());
+    let hub = LocalHub::new();
+    let mut config = ServerConfig::new(tmp("long-outage"));
+    config.dlm.log.max_entries = 4;
+    let server = Server::spawn_local(Arc::clone(&catalog), config, &hub).unwrap();
+    let updater = DbClient::connect(
+        Box::new(hub.connect().unwrap()),
+        ClientConfig::named("updater"),
+    )
+    .unwrap();
+    let (factory, plan_slot, gate) = gated_factory(&hub);
+    let viewer = DbClient::connect_supervised(
+        factory,
+        ReconnectPolicy::fast_test(),
+        short_timeout("viewer"),
+    )
+    .unwrap();
+
+    let mut txn = updater.begin().unwrap();
+    let link = txn.create(updater.new_object("Link").unwrap()).unwrap().oid;
+    let other = txn.create(updater.new_object("Link").unwrap()).unwrap().oid;
+    txn.commit().unwrap();
+    let display = Display::open(Arc::clone(&viewer), Arc::new(DisplayCache::new()), "map");
+    let id = display
+        .add_object(&width_coded_link("Utilization"), vec![link])
+        .unwrap();
+    let mut txn = updater.begin().unwrap();
+    txn.update(link, |o| o.set(&catalog, "Utilization", 0.3))
+        .unwrap();
+    txn.commit().unwrap();
+    await_value(&display, id, 0.3, Duration::from_secs(5));
+    assert_eq!(viewer.dlc().stats().deltas_in.get(), 1);
+    assert!(viewer.cache().contains(link), "the delta kept the copy");
+    let cursor = await_cursor(&viewer);
+
+    // Outage: more commits than the window holds, none of them to `link`.
+    sever(&plan_slot, &gate);
+    for i in 0..8 {
+        let mut txn = updater.begin().unwrap();
+        txn.update(other, |o| {
+            o.set(&catalog, "Utilization", f64::from(i) / 10.0)
+        })
+        .unwrap();
+        txn.commit().unwrap();
+    }
+    assert!(!server.core().dlm().update_log_of(0).covers(cursor));
+    let reads = server.core().stats().reads.get();
+
+    gate.store(true, Ordering::SeqCst);
+    await_ping(&viewer);
+    let recovery = &viewer.conn_stats().recovery;
+    assert_eq!(recovery.sessions_resumed.get(), 1, "session must resume");
+    assert_eq!(
+        recovery.replay_truncations.get(),
+        1,
+        "the window lost the cursor"
+    );
+    assert_eq!(
+        recovery.resync_objects.get(),
+        0,
+        "the copy was proven current"
+    );
+    assert!(viewer.cache().contains(link));
+    let obj = viewer.read(link).unwrap();
+    assert_eq!(
+        obj.get(&catalog, "Utilization").unwrap(),
+        &Value::Float(0.3)
+    );
+    assert_eq!(
+        server.core().stats().reads.get(),
+        reads,
+        "nothing was re-read"
+    );
+    drop(server);
+}
+
 /// A restarted server refuses the resume token (fresh incarnation,
 /// fresh seqno space): recovery is a fresh session + full resync, the
 /// cursor re-baselines from zero, and the regression is counted — never

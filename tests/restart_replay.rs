@@ -310,12 +310,7 @@ fn evicted_cursor_falls_back_to_resync_after_restart() {
         .unwrap();
     txn.commit().unwrap();
     assert!(
-        server2
-            .core()
-            .dlm()
-            .update_log_of(0)
-            .changed_since(cursor_before)
-            .is_none(),
+        !server2.core().dlm().update_log_of(0).covers(cursor_before),
         "the storm must have rolled the window past the old cursor"
     );
 
@@ -450,7 +445,7 @@ fn changed_shard_count_cannot_certify_a_stale_copy() {
     let resume = ResumeRequest {
         token: session.token,
         incarnation: session.incarnation,
-        manifest: vec![link.oid],
+        manifest: vec![(link.oid, link.fingerprint())],
         cursors,
     };
     drop(display);
